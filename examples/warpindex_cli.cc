@@ -19,8 +19,8 @@
 //
 //   # batch-serve a query workload over a thread pool:
 //   $ ./warpindex_cli serve --dataset stock --threads 4 --eps 4
-//   $ ./warpindex_cli serve --data my_series.csv --queries patterns.csv \
-//         --threads 8 --eps 0.5
+//   $ ./warpindex_cli serve --data my_series.csv --queries patterns.csv
+//         --threads 8 --eps 0.5       (one command line)
 //
 //   # serve a writable ingest engine: stream inserts/deletes through the
 //   # pool while the batches run, verify against a from-scratch engine:
@@ -37,12 +37,13 @@
 //   $ ./warpindex_cli save --out /tmp/db --dataset stock --shards 2
 //   $ ./warpindex_cli shard-serve --db /tmp/db --shards 0 --port 18091 &
 //   $ ./warpindex_cli shard-serve --db /tmp/db --shards 1 --port 18092 &
-//   $ ./warpindex_cli route --groups '127.0.0.1:18091;127.0.0.1:18092' \
-//         --port 18090 --http_port 18080 &
+//   $ ./warpindex_cli route --groups '127.0.0.1:18091;127.0.0.1:18092'
+//         --port 18090 --http_port 18080 &       (one command line)
 //   $ ./warpindex_cli net-query --port 18090 --eps 4 --query_id 17 --k 3
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -275,6 +276,17 @@ class ScopedCliProfile {
   bool armed_ = false;
 };
 
+// --eps < 0 means "not given"; NaN and the infinities are malformed input,
+// not "not given" (a NaN tolerance would reach the engine and silently
+// match nothing). Prints the error and returns false for them.
+bool CheckEpsFinite(double eps) {
+  if (std::isfinite(eps)) {
+    return true;
+  }
+  std::fprintf(stderr, "--eps must be a finite number\n");
+  return false;
+}
+
 // --http_port it also runs the live introspection server (/metrics,
 // /statusz, /slowlog, /flightrecorder; see docs/OBSERVABILITY.md) and
 // --linger_s keeps it scrapeable after the batches finish.
@@ -381,6 +393,9 @@ int RunServe(int argc, char** argv) {
                 "(ε-subsumption reuse; see docs/CACHING.md)");
   flags.AddInt64("cache_mb", &cache_mb, "--cache byte budget (MiB)");
   if (!flags.Parse(argc, argv)) {
+    return 1;
+  }
+  if (!CheckEpsFinite(eps)) {
     return 1;
   }
   ScopedCliProfile profile(profile_out, static_cast<int>(profile_hz));
@@ -1465,6 +1480,9 @@ int RunNetQuery(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
+  if (!CheckEpsFinite(eps)) {
+    return 1;
+  }
   if (port <= 0 || port > 65535) {
     std::fprintf(stderr, "pass --port of a running router\n");
     return 1;
@@ -1701,6 +1719,9 @@ int Run(int argc, char** argv) {
                 "print its hit/miss totals (see docs/CACHING.md)");
   flags.AddInt64("cache_mb", &cache_mb, "--cache byte budget (MiB)");
   if (!flags.Parse(argc, argv)) {
+    return 1;
+  }
+  if (!CheckEpsFinite(eps)) {
     return 1;
   }
   ScopedCliProfile profile(profile_out, static_cast<int>(profile_hz));

@@ -53,17 +53,15 @@ const char* MethodKindName(MethodKind kind) {
 
 Engine::Engine(Dataset dataset, EngineOptions options)
     : options_(options),
-      dataset_(std::move(dataset)),
-      store_(dataset_, options_.page_size_bytes),
-      feature_index_(dataset_, MakeFeatureIndexOptions(options_)),
+      store_(std::move(dataset), options_.page_size_bytes),
+      feature_index_(store_.dataset(), MakeFeatureIndexOptions(options_)),
       disk_model_(options_.disk, options_.page_size_bytes) {
   BuildMethods();
 }
 
 Engine::Engine(Dataset dataset, FeatureIndex index, EngineOptions options)
     : options_(options),
-      dataset_(std::move(dataset)),
-      store_(dataset_, options_.page_size_bytes),
+      store_(std::move(dataset), options_.page_size_bytes),
       feature_index_(std::move(index)),
       disk_model_(options_.disk, options_.page_size_bytes) {
   BuildMethods();
@@ -78,7 +76,7 @@ void Engine::BuildMethods() {
     st.num_categories = options_.st_filter_categories;
     st.combiner = options_.dtw.combiner;
     st.page_size_bytes = options_.page_size_bytes;
-    st_filter_ = std::make_unique<StFilter>(dataset_, st);
+    st_filter_ = std::make_unique<StFilter>(dataset(), st);
     st_filter_search_ = std::make_unique<StFilterSearch>(
         st_filter_.get(), &store_, options_.dtw);
   }
@@ -195,7 +193,7 @@ Status Engine::ExportTraceEvents(const std::vector<const Trace*>& traces,
 
 Engine::Health Engine::TakeHealthSnapshot() const {
   Health health;
-  health.dataset_sequences = dataset_.size();
+  health.dataset_sequences = dataset().size();
   health.live_sequences = store_.num_live();
   health.index_entries = feature_index_.size();
   health.index = feature_index_.rtree().HealthStats();
@@ -215,7 +213,7 @@ void Engine::RebuildSubsequenceIndex() {
   sub.rtree = MakeRTreeOptions(options_);
   sub.dtw = options_.dtw;
   subsequence_index_ =
-      std::make_unique<SubsequenceIndex>(&dataset_, sub);
+      std::make_unique<SubsequenceIndex>(&store_.dataset(), sub);
   subsequence_index_stale_ = false;
 }
 
@@ -244,12 +242,12 @@ Status Engine::Save(const std::string& dir) const {
     return Status::IoError("cannot create directory " + dir + ": " +
                            ec.message());
   }
-  WARPINDEX_RETURN_IF_ERROR(dataset_.SaveToFile(dir + "/dataset.wids"));
+  WARPINDEX_RETURN_IF_ERROR(dataset().SaveToFile(dir + "/dataset.wids"));
   WARPINDEX_RETURN_IF_ERROR(
       SaveRTreeToFile(feature_index_.rtree(), dir + "/index.wirt"));
   // Tombstones: ids not live in the store.
   std::vector<int64_t> dead;
-  for (size_t i = 0; i < dataset_.size(); ++i) {
+  for (size_t i = 0; i < dataset().size(); ++i) {
     if (!store_.IsLive(static_cast<SequenceId>(i))) {
       dead.push_back(static_cast<int64_t>(i));
     }
@@ -377,11 +375,9 @@ KnnResult Engine::SearchKnnBounded(const Sequence& query, size_t k,
 
 SequenceId Engine::Insert(Sequence s) {
   assert(!s.empty());
-  dataset_.Add(std::move(s));
-  const Sequence& stored = dataset_[dataset_.size() - 1];
-  const SequenceId id = store_.Append(stored);
-  assert(id == stored.id());
-  feature_index_.Insert(id, ExtractFeature(stored));
+  const SequenceId id = store_.Append(std::move(s));
+  feature_index_.Insert(id,
+                        ExtractFeature(dataset()[static_cast<size_t>(id)]));
   if (subsequence_index_ != nullptr) {
     // The window index has no entries for the new sequence; answering
     // from it would silently miss matches. See SearchSubsequences.
@@ -395,7 +391,7 @@ bool Engine::Remove(SequenceId id) {
     return false;
   }
   const bool removed = feature_index_.Remove(
-      id, ExtractFeature(dataset_[static_cast<size_t>(id)]));
+      id, ExtractFeature(dataset()[static_cast<size_t>(id)]));
   assert(removed);
   (void)removed;
   return true;
@@ -412,7 +408,7 @@ void Engine::RebuildStFilter() {
   st.num_categories = options_.st_filter_categories;
   st.combiner = options_.dtw.combiner;
   st.page_size_bytes = options_.page_size_bytes;
-  st_filter_ = std::make_unique<StFilter>(dataset_, st);
+  st_filter_ = std::make_unique<StFilter>(dataset(), st);
   st_filter_search_ = std::make_unique<StFilterSearch>(st_filter_.get(),
                                                        &store_, options_.dtw);
 }

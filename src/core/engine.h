@@ -1,6 +1,7 @@
-// Engine: the library facade. Owns the dataset, the paged sequence store,
-// the feature index, and (optionally) the comparison baselines, and
-// exposes uniform query entry points plus the disk cost model.
+// Engine: the library facade. Owns the paged sequence store (which owns
+// the dataset), the feature index, and (optionally) the comparison
+// baselines, and exposes uniform query entry points plus the disk cost
+// model.
 //
 // Typical use (see examples/quickstart.cc):
 //
@@ -227,7 +228,9 @@ class Engine : public EngineLike {
   }
   bool has_st_filter() const { return st_filter_ != nullptr; }
 
-  const Dataset& dataset() const { return dataset_; }
+  // The stored sequences, by id (tombstoned ones included). References
+  // into it stay valid until the next mutator (Insert, Remove, Rebuild*).
+  const Dataset& dataset() const { return store_.dataset(); }
   const SequenceStore& store() const { return store_; }
   const FeatureIndex& feature_index() const { return feature_index_; }
   const StFilter* st_filter() const { return st_filter_.get(); }
@@ -286,7 +289,6 @@ class Engine : public EngineLike {
   void RecordQueryMetrics(MethodKind kind, const SearchResult& result) const;
 
   EngineOptions options_;
-  Dataset dataset_;
   SequenceStore store_;
   FeatureIndex feature_index_;
   std::unique_ptr<StFilter> st_filter_;

@@ -32,7 +32,7 @@ SearchResult StFilterSearch::SearchImpl(const Sequence& query,
   }
   result.num_candidates = candidates.size();
 
-  std::vector<Sequence> fetched;
+  std::vector<const Sequence*> fetched;
   {
     StageTimer stage(&result.cost.stages, &result.cost.stages_cpu, trace, kStageCandidateFetch);
     fetched.reserve(candidates.size());
@@ -40,19 +40,19 @@ SearchResult StFilterSearch::SearchImpl(const Sequence& query,
       if (!store_->IsLive(id)) {
         continue;  // tombstoned since the suffix tree was (re)built
       }
-      fetched.push_back(store_->Fetch(id, &result.cost.io, trace));
+      fetched.push_back(&store_->Fetch(id, &result.cost.io, trace));
     }
   }
 
   {
     StageTimer stage(&result.cost.stages, &result.cost.stages_cpu, trace, kStageDtwPostfilter);
-    for (const Sequence& s : fetched) {
+    for (const Sequence* s : fetched) {
       ++result.cost.dtw_evals;
       const DtwResult d =
-          dtw_.DistanceWithThreshold(s, query, epsilon, scratch);
+          dtw_.DistanceWithThreshold(*s, query, epsilon, scratch);
       result.cost.dtw_cells += d.cells;
       if (d.distance <= epsilon) {
-        result.matches.push_back(s.id());
+        result.matches.push_back(s->id());
         result.distances.push_back(d.distance);
       }
     }

@@ -47,6 +47,7 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
   // Index descent and exact refinement interleave in the incremental
   // loop, so both time shares are carved out of one `knn_refine` span.
   ScopedSpan span(trace, kStageKnnRefine);
+  DtwScratch scratch;  // reused across the query's refinements
   double descent_ms = 0.0;
   double fetch_ms = 0.0;
   double refine_ms = 0.0;
@@ -74,7 +75,7 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
     }
     per_item.Reset();
     per_item_cpu.Reset();
-    const Sequence s =
+    const Sequence& s =
         store_->Fetch(candidate.record_id, &result.cost.io, trace);
     fetch_ms += per_item.ElapsedMillis();
     fetch_cpu_ms += per_item_cpu.ElapsedMillis();
@@ -86,9 +87,9 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
     if (threshold < kInfiniteDistance) {
       // Thresholded refinement: only distances at or below the cutoff
       // matter, so abandon above it (exact when d <= threshold).
-      d = dtw_.DistanceWithThreshold(s, query, threshold);
+      d = dtw_.DistanceWithThreshold(s, query, threshold, &scratch);
     } else {
-      d = dtw_.Distance(s, query);
+      d = dtw_.Distance(s, query, &scratch);
     }
     refine_ms += per_item.ElapsedMillis();
     refine_cpu_ms += per_item_cpu.ElapsedMillis();

@@ -8,10 +8,9 @@
 
 namespace warpindex {
 
-std::vector<Sequence> TwSimSearch::FilterAndFetch(const Sequence& query,
-                                                  double epsilon,
-                                                  SearchResult* result,
-                                                  Trace* trace) const {
+std::vector<const Sequence*> TwSimSearch::FilterAndFetch(
+    const Sequence& query, double epsilon, SearchResult* result,
+    Trace* trace) const {
   // Step-1: feature extraction.
   const FeatureVector query_feature = ExtractFeature(query);
 
@@ -42,12 +41,12 @@ std::vector<Sequence> TwSimSearch::FilterAndFetch(const Sequence& query,
   result->num_candidates = candidates.size();
 
   // Step-5: read the candidate sequences from the store.
-  std::vector<Sequence> fetched;
+  std::vector<const Sequence*> fetched;
   {
     StageTimer stage(&result->cost.stages, &result->cost.stages_cpu, trace, kStageCandidateFetch);
     fetched.reserve(candidates.size());
     for (const SequenceId id : candidates) {
-      fetched.push_back(store_->Fetch(id, &result->cost.io, trace));
+      fetched.push_back(&store_->Fetch(id, &result->cost.io, trace));
     }
   }
   return fetched;
@@ -64,7 +63,7 @@ SearchResult TwSimSearch::SearchImpl(const Sequence& query, double epsilon,
     scratch = &local_scratch;  // reused across candidates within the query
   }
 
-  std::vector<Sequence> fetched =
+  std::vector<const Sequence*> fetched =
       FilterAndFetch(query, epsilon, &result, trace);
 
   // Optional LB_Yi cascade: discard candidates the O(n) bound already
@@ -76,12 +75,9 @@ SearchResult TwSimSearch::SearchImpl(const Sequence& query, double epsilon,
     size_t kept = 0;
     for (size_t i = 0; i < fetched.size(); ++i) {
       ++result.cost.lb_evals;
-      if (LbYiWithEnvelopes(fetched[i], ComputeEnvelope(fetched[i]), query,
-                            query_env, dtw_.options()) <= epsilon) {
-        if (kept != i) {
-          fetched[kept] = std::move(fetched[i]);
-        }
-        ++kept;
+      if (LbYiWithEnvelopes(*fetched[i], ComputeEnvelope(*fetched[i]),
+                            query, query_env, dtw_.options()) <= epsilon) {
+        fetched[kept++] = fetched[i];
       }
     }
     fetched.resize(kept);
@@ -93,13 +89,13 @@ SearchResult TwSimSearch::SearchImpl(const Sequence& query, double epsilon,
   // Step-4..7: post-processing with the exact time-warping distance.
   {
     StageTimer stage(&result.cost.stages, &result.cost.stages_cpu, trace, kStageDtwPostfilter);
-    for (const Sequence& s : fetched) {
+    for (const Sequence* s : fetched) {
       ++result.cost.dtw_evals;
       const DtwResult d =
-          dtw_.DistanceWithThreshold(s, query, epsilon, scratch);
+          dtw_.DistanceWithThreshold(*s, query, epsilon, scratch);
       result.cost.dtw_cells += d.cells;
       if (d.distance <= epsilon) {
-        result.matches.push_back(s.id());
+        result.matches.push_back(s->id());
         result.distances.push_back(d.distance);
       }
     }

@@ -48,12 +48,15 @@ class TwSimSearch : public SearchMethod {
   // Algorithm 1 Steps 1-5 on their own: feature extraction, index range
   // query, and candidate fetch, with I/O and node costs accounted into
   // `result` (stages rtree_search + candidate_fetch). Returns the fetched
-  // candidate sequences in index-return order. The concurrent executor
-  // uses this to run the remaining post-filter step in parallel chunks;
-  // SearchImpl composes it with PostFilter for the sequential path.
-  std::vector<Sequence> FilterAndFetch(const Sequence& query,
-                                       double epsilon, SearchResult* result,
-                                       Trace* trace) const;
+  // candidate sequences in index-return order, as pointers into the
+  // store (valid until the engine's next mutator). The concurrent
+  // executor uses this to run the remaining post-filter step in parallel
+  // chunks; SearchImpl composes it with the post-filter for the
+  // sequential path.
+  std::vector<const Sequence*> FilterAndFetch(const Sequence& query,
+                                              double epsilon,
+                                              SearchResult* result,
+                                              Trace* trace) const;
 
  protected:
   SearchResult SearchImpl(const Sequence& query, double epsilon,

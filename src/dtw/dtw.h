@@ -8,6 +8,10 @@
 //     of a DP row exceeds the tolerance — exact because step costs are
 //     non-negative and both combiners are monotone along path extension.
 //     This is the paper's stated CPU advantage of the L_inf model (§4.1);
+//   * for the max combiner over an unconstrained band, a bit-parallel
+//     decision pre-pass ahead of the thresholded DP: "is there a path
+//     through cells of cost <= epsilon?", one 64-column word at a time.
+//     Only pairs it cannot reject run the DP (see dtw.cc);
 //   * optional Sakoe-Chiba band;
 //   * full-matrix evaluation with warping-path recovery.
 //
@@ -45,7 +49,14 @@ struct DtwResult {
   // (the true distance then exceeds the threshold) or when exactly one of
   // the sequences is empty (Def. 1).
   double distance = 0.0;
-  // DP cells actually computed — the CPU cost of this evaluation.
+  // DP cells either pass evaluated — the CPU cost of this evaluation.
+  // The DP counts every in-band cell of each row it computes; the L_inf
+  // pre-pass counts each row it covers in full (m cells, whatever words
+  // it skips). Evaluations that run only the DP — the sum combiner, a
+  // constraining band, an infinite or NaN threshold — count exactly the
+  // DP's cells. A pair the pre-pass rejects counts the rows up to the
+  // row where the DP would have abandoned (the same count the DP alone
+  // gives); a pair it passes counts its rows plus the DP's cells.
   uint64_t cells = 0;
 };
 
@@ -56,12 +67,12 @@ struct DtwPathResult {
   WarpingPath path;
 };
 
-// Reusable rolling-array buffers for Dtw's distance evaluations. A fresh
-// pair of DP rows per evaluation is pure heap churn when a query
-// post-filters hundreds of candidates; passing one DtwScratch through the
-// loop (or keeping one per executor worker, reused across queries) makes
-// every evaluation after the first allocation-free. Results are
-// bit-identical with and without a scratch.
+// Reusable buffers for Dtw's distance evaluations: the two rolling DP
+// rows and the L_inf pre-pass's bit row. A fresh set per evaluation is
+// pure heap churn when a query post-filters hundreds of candidates;
+// passing one DtwScratch through the loop (or keeping one per executor
+// worker, reused across queries) makes every evaluation after the first
+// allocation-free. Results are bit-identical with and without a scratch.
 //
 // Thread-safety: a DtwScratch is mutable state — use one per thread.
 class DtwScratch {
@@ -78,6 +89,7 @@ class DtwScratch {
   friend class Dtw;
   std::vector<double> prev_;
   std::vector<double> curr_;
+  std::vector<uint64_t> bits_;
 };
 
 class Dtw {
@@ -94,7 +106,8 @@ class Dtw {
 
   // Thresholded decision procedure: returns the exact distance when
   // D_tw(S, Q) <= epsilon, and kInfiniteDistance otherwise (possibly
-  // abandoning early). Never returns a finite value > epsilon.
+  // abandoning early). Never returns a finite value > epsilon. A NaN
+  // epsilon abandons nothing and returns Distance(S, Q).
   DtwResult DistanceWithThreshold(const Sequence& s, const Sequence& q,
                                   double epsilon,
                                   DtwScratch* scratch = nullptr) const;

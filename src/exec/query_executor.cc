@@ -389,7 +389,7 @@ SearchResult QueryExecutor::SearchParallel(const Sequence& query,
     // The lower-bound cascade (when requested) runs on the calling
     // thread — its stages are O(n) per candidate and prune the list the
     // chunked DTW fan-out then works through.
-    std::vector<Sequence> fetched =
+    std::vector<const Sequence*> fetched =
         use_cascade
             ? single->tw_sim_search_cascade().FilterFetchAndPrune(
                   query, epsilon, &result, trace, &obs)
@@ -417,12 +417,12 @@ SearchResult QueryExecutor::SearchParallel(const Sequence& query,
       // Not worth fanning out; identical to the sequential Step-4..7.
       DtwScratch scratch;
       const Dtw dtw(single->options().dtw);
-      for (const Sequence& s : fetched) {
+      for (const Sequence* s : fetched) {
         const DtwResult d =
-            dtw.DistanceWithThreshold(s, query, epsilon, &scratch);
+            dtw.DistanceWithThreshold(*s, query, epsilon, &scratch);
         result.cost.dtw_cells += d.cells;
         if (d.distance <= epsilon) {
-          result.matches.push_back(s.id());
+          result.matches.push_back(s->id());
           result.distances.push_back(d.distance);
         }
       }
@@ -435,7 +435,9 @@ SearchResult QueryExecutor::SearchParallel(const Sequence& query,
         const Sequence* query = nullptr;
         double epsilon = 0.0;
         Dtw dtw;
-        std::vector<Sequence> fetched;
+        // Borrowed from the engine's store, which outlives the query; a
+        // straggler helper stops at the chunk cursor and never reads them.
+        std::vector<const Sequence*> fetched;
         size_t chunk_size = 0;
         size_t num_chunks = 0;
         // Indexed by chunk: outputs stay in candidate order.
@@ -477,10 +479,10 @@ SearchResult QueryExecutor::SearchParallel(const Sequence& query,
           uint64_t cells = 0;
           for (size_t i = begin; i < end; ++i) {
             const DtwResult d = ctx->dtw.DistanceWithThreshold(
-                ctx->fetched[i], *ctx->query, ctx->epsilon, &scratch);
+                *ctx->fetched[i], *ctx->query, ctx->epsilon, &scratch);
             cells += d.cells;
             if (d.distance <= ctx->epsilon) {
-              matches.push_back(ctx->fetched[i].id());
+              matches.push_back(ctx->fetched[i]->id());
               distances.push_back(d.distance);
             }
           }

@@ -6,13 +6,13 @@
 
 namespace warpindex {
 
-std::vector<Sequence> TwSimSearchCascade::FilterFetchAndPrune(
+std::vector<const Sequence*> TwSimSearchCascade::FilterFetchAndPrune(
     const Sequence& query, double epsilon, SearchResult* result,
     Trace* trace, CascadeObservation* obs) const {
   const CascadePlan plan = planner_.Choose();
   TraceCounter(trace, "cascade_stages",
                static_cast<double>(plan.stages.size()));
-  std::vector<Sequence> fetched =
+  std::vector<const Sequence*> fetched =
       base_->FilterAndFetch(query, epsilon, result, trace);
   cascade_.RunLbStages(query, epsilon, &fetched, plan, result, trace, obs);
   return fetched;
@@ -27,7 +27,7 @@ SearchResult TwSimSearchCascade::SearchImpl(const Sequence& query,
   const CascadePlan plan = planner_.Choose();
   TraceCounter(trace, "cascade_stages",
                static_cast<double>(plan.stages.size()));
-  std::vector<Sequence> fetched =
+  std::vector<const Sequence*> fetched =
       base_->FilterAndFetch(query, epsilon, &result, trace);
   CascadeObservation obs;
   cascade_.Run(query, epsilon, std::move(fetched), plan, &result, trace,

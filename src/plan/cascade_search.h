@@ -33,11 +33,9 @@ class TwSimSearchCascade : public SearchMethod {
   // fans it out in parallel chunks). The caller finishes the query by
   // filling `obs->dtw` and passing `obs` to ObserveOutcome() so the
   // planner's cost model keeps learning.
-  std::vector<Sequence> FilterFetchAndPrune(const Sequence& query,
-                                            double epsilon,
-                                            SearchResult* result,
-                                            Trace* trace,
-                                            CascadeObservation* obs) const;
+  std::vector<const Sequence*> FilterFetchAndPrune(
+      const Sequence& query, double epsilon, SearchResult* result,
+      Trace* trace, CascadeObservation* obs) const;
 
   // Feeds one executed query's observations back into the planner.
   void ObserveOutcome(const CascadeObservation& obs) const {

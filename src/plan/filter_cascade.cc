@@ -103,7 +103,7 @@ double StageBound(CascadeStage stage, const Sequence& s,
 }  // namespace
 
 void FilterCascade::RunLbStages(const Sequence& query, double epsilon,
-                                std::vector<Sequence>* candidates,
+                                std::vector<const Sequence*>* candidates,
                                 const CascadePlan& plan,
                                 SearchResult* result, Trace* trace,
                                 CascadeObservation* obs) const {
@@ -127,11 +127,8 @@ void FilterCascade::RunLbStages(const Sequence& query, double epsilon,
       // Prune only on a STRICT excess: a bound exactly at epsilon cannot
       // rule the candidate out under Algorithm 1's `<= epsilon`
       // acceptance (the exact distance may equal the bound).
-      if (StageBound(stage, (*candidates)[i], &qa) <= epsilon) {
-        if (kept != i) {
-          (*candidates)[kept] = std::move((*candidates)[i]);
-        }
-        ++kept;
+      if (StageBound(stage, *(*candidates)[i], &qa) <= epsilon) {
+        (*candidates)[kept++] = (*candidates)[i];
       }
     }
     candidates->resize(kept);
@@ -151,7 +148,7 @@ void FilterCascade::RunLbStages(const Sequence& query, double epsilon,
 }
 
 void FilterCascade::Run(const Sequence& query, double epsilon,
-                        std::vector<Sequence> candidates,
+                        std::vector<const Sequence*> candidates,
                         const CascadePlan& plan, SearchResult* result,
                         Trace* trace, DtwScratch* scratch,
                         CascadeObservation* obs) const {
@@ -166,13 +163,13 @@ void FilterCascade::Run(const Sequence& query, double epsilon,
   ThreadCpuTimer cpu_timer;
   const size_t in = candidates.size();
   const size_t matches_before = result->matches.size();
-  for (const Sequence& s : candidates) {
+  for (const Sequence* s : candidates) {
     ++result->cost.dtw_evals;
-    const DtwResult d = dtw_.DistanceWithThreshold(s, query, epsilon,
+    const DtwResult d = dtw_.DistanceWithThreshold(*s, query, epsilon,
                                                    scratch);
     result->cost.dtw_cells += d.cells;
     if (d.distance <= epsilon) {
-      result->matches.push_back(s.id());
+      result->matches.push_back(s->id());
       result->distances.push_back(d.distance);
     }
   }

@@ -101,20 +101,21 @@ class FilterCascade {
   const DtwOptions& options() const { return options_; }
 
   // Runs `plan`'s lower-bound stages and then the exact-DTW stage over
-  // `candidates` (consumed). Matching ids append to result->matches in
-  // candidate order; stage timings, prune counters, lb/dtw eval counts,
-  // and DP cells accumulate into result->cost. `obs`, `trace`, and
-  // `scratch` are optional.
+  // `candidates` (borrowed sequences; the list is consumed). Matching ids
+  // append to result->matches in candidate order; stage timings, prune
+  // counters, lb/dtw eval counts, and DP cells accumulate into
+  // result->cost. `obs`, `trace`, and `scratch` are optional.
   void Run(const Sequence& query, double epsilon,
-           std::vector<Sequence> candidates, const CascadePlan& plan,
-           SearchResult* result, Trace* trace, DtwScratch* scratch,
+           std::vector<const Sequence*> candidates,
+           const CascadePlan& plan, SearchResult* result, Trace* trace,
+           DtwScratch* scratch,
            CascadeObservation* obs = nullptr) const;
 
   // The lower-bound stages only: prunes `candidates` in place and leaves
   // the exact-DTW stage to the caller (the concurrent executor fans it
   // out in chunks). Same accounting as Run() minus the dtw stage.
   void RunLbStages(const Sequence& query, double epsilon,
-                   std::vector<Sequence>* candidates,
+                   std::vector<const Sequence*>* candidates,
                    const CascadePlan& plan, SearchResult* result,
                    Trace* trace, CascadeObservation* obs = nullptr) const;
 

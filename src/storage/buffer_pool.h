@@ -33,9 +33,11 @@
 
 #include "obs/trace.h"
 #include "storage/disk_model.h"
-#include "storage/page.h"
 
 namespace warpindex {
+
+// Identifier of a page the pool caches (an index node id).
+using PageId = int64_t;
 
 class BufferPool {
  public:

@@ -1,58 +1,33 @@
 #include "storage/sequence_store.h"
 
 #include <cassert>
-#include <cstring>
+#include <utility>
 
 namespace warpindex {
 
-SequenceStore::SequenceStore(const Dataset& dataset, size_t page_size_bytes)
-    : page_size_bytes_(page_size_bytes) {
+SequenceStore::SequenceStore(Dataset dataset, size_t page_size_bytes)
+    : dataset_(std::move(dataset)), page_size_bytes_(page_size_bytes) {
   assert(page_size_bytes_ >= sizeof(double));
-  // Pre-size pages for the whole dataset, then serialize via Append's
-  // write path (without charging I/O for the initial load).
-  uint64_t total_bytes = 0;
-  for (const Sequence& s : dataset.sequences()) {
-    total_bytes += sizeof(uint64_t) + s.size() * sizeof(double);
-  }
-  const size_t num_pages = static_cast<size_t>(
-      (total_bytes + page_size_bytes_ - 1) / page_size_bytes_);
-  pages_.reserve(num_pages);
-  directory_.reserve(dataset.size());
-  for (const Sequence& s : dataset.sequences()) {
-    Append(s);
+  // The initial load charges no I/O.
+  directory_.reserve(dataset_.size());
+  for (size_t i = 0; i < dataset_.size(); ++i) {
+    Layout();
   }
 }
 
-void SequenceStore::WriteBytesAt(uint64_t offset, const void* src,
-                                 size_t n) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(src);
-  while (n > 0) {
-    const size_t page = static_cast<size_t>(offset / page_size_bytes_);
-    const size_t page_offset =
-        static_cast<size_t>(offset % page_size_bytes_);
-    while (page >= pages_.size()) {
-      pages_.emplace_back(page_size_bytes_);
-    }
-    const size_t chunk = std::min(n, page_size_bytes_ - page_offset);
-    pages_[page].Write(page_offset, bytes, chunk);
-    bytes += chunk;
-    offset += chunk;
-    n -= chunk;
-  }
-}
-
-SequenceId SequenceStore::Append(const Sequence& s, IoStats* stats) {
+void SequenceStore::Layout() {
+  const Sequence& s = dataset_[directory_.size()];
   DirectoryEntry entry;
   entry.byte_offset = end_offset_;
   entry.length = s.size();
-  const uint64_t len = s.size();
-  WriteBytesAt(end_offset_, &len, sizeof(len));
-  WriteBytesAt(end_offset_ + sizeof(len), s.data(),
-               s.size() * sizeof(double));
-  const uint64_t record_bytes = sizeof(len) + s.size() * sizeof(double);
-  end_offset_ += record_bytes;
+  end_offset_ += sizeof(uint64_t) + s.size() * sizeof(double);
   directory_.push_back(entry);
   ++num_live_;
+}
+
+SequenceId SequenceStore::Append(Sequence s, IoStats* stats) {
+  dataset_.Add(std::move(s));
+  Layout();
   const auto id = static_cast<SequenceId>(directory_.size() - 1);
   if (stats != nullptr) {
     stats->RecordWrite(PagesOf(id));
@@ -85,56 +60,28 @@ uint64_t SequenceStore::PagesOf(SequenceId id) const {
   return last_page - first_page + 1;
 }
 
-Sequence SequenceStore::Deserialize(const DirectoryEntry& entry) const {
-  uint64_t cursor = entry.byte_offset;
-  auto read_bytes = [&](void* dst, size_t n) {
-    uint8_t* bytes = static_cast<uint8_t*>(dst);
-    while (n > 0) {
-      const size_t page = static_cast<size_t>(cursor / page_size_bytes_);
-      const size_t offset = static_cast<size_t>(cursor % page_size_bytes_);
-      const size_t chunk = std::min(n, page_size_bytes_ - offset);
-      pages_[page].Read(offset, bytes, chunk);
-      bytes += chunk;
-      cursor += chunk;
-      n -= chunk;
-    }
-  };
-  uint64_t len = 0;
-  read_bytes(&len, sizeof(len));
-  assert(len == entry.length);
-  std::vector<double> elements(len);
-  if (len > 0) {
-    read_bytes(elements.data(), len * sizeof(double));
-  }
-  return Sequence(std::move(elements));
-}
-
-Sequence SequenceStore::Fetch(SequenceId id, IoStats* stats,
-                              Trace* trace) const {
+const Sequence& SequenceStore::Fetch(SequenceId id, IoStats* stats,
+                                     Trace* trace) const {
   assert(IsLive(id));
   if (stats != nullptr) {
     stats->RecordRandomRun(PagesOf(id));
   }
   TraceCounter(trace, "pages_read", static_cast<double>(PagesOf(id)));
-  Sequence s = Deserialize(directory_[static_cast<size_t>(id)]);
-  s.set_id(id);
-  return s;
+  return dataset_[static_cast<size_t>(id)];
 }
 
 void SequenceStore::ScanAll(
     const std::function<bool(SequenceId, const Sequence&)>& fn,
     IoStats* stats, Trace* trace) const {
   if (stats != nullptr) {
-    stats->RecordSequentialRun(pages_.size());
+    stats->RecordSequentialRun(num_pages());
   }
-  TraceCounter(trace, "pages_read", static_cast<double>(pages_.size()));
+  TraceCounter(trace, "pages_read", static_cast<double>(num_pages()));
   for (size_t i = 0; i < directory_.size(); ++i) {
     if (!directory_[i].live) {
       continue;
     }
-    Sequence s = Deserialize(directory_[i]);
-    s.set_id(static_cast<SequenceId>(i));
-    if (!fn(static_cast<SequenceId>(i), s)) {
+    if (!fn(static_cast<SequenceId>(i), dataset_[i])) {
       return;
     }
   }

@@ -1,9 +1,12 @@
 // SequenceStore: the paged heap file holding the data sequences.
 //
-// Sequences are serialized contiguously into fixed-size pages (spanned
-// layout: a record may cross page boundaries). A directory maps each
-// SequenceId to its byte extent. Two access paths exist, with different
-// I/O cost profiles:
+// The store owns the dataset and accounts for it as a heap file of
+// fixed-size pages: sequences are laid out contiguously (spanned layout:
+// a record may cross page boundaries, each record being a u64 length
+// followed by its doubles), and a directory maps each SequenceId to its
+// byte extent. The layout exists only for I/O accounting; the sequences
+// themselves are kept once, in the owned Dataset, and never serialized.
+// Two access paths exist, with different I/O cost profiles:
 //
 //   * Fetch(id):   random access — one seek plus the record's pages
 //                  (Algorithm 1, Step-5: read candidates for
@@ -24,38 +27,44 @@
 #include "sequence/dataset.h"
 #include "sequence/sequence.h"
 #include "storage/disk_model.h"
-#include "storage/page.h"
 
 namespace warpindex {
 
 class SequenceStore {
  public:
-  // Serializes every sequence of `dataset` into pages of
+  // Takes ownership of `dataset` and lays its sequences out in pages of
   // `page_size_bytes`.
-  SequenceStore(const Dataset& dataset, size_t page_size_bytes);
+  SequenceStore(Dataset dataset, size_t page_size_bytes);
 
   SequenceStore(SequenceStore&&) = default;
   SequenceStore& operator=(SequenceStore&&) = default;
   SequenceStore(const SequenceStore&) = delete;
   SequenceStore& operator=(const SequenceStore&) = delete;
 
+  // Every sequence ever stored, tombstoned ones included, by id.
+  const Dataset& dataset() const { return dataset_; }
+
   // All directory slots ever allocated, including tombstoned ones.
   size_t num_sequences() const { return directory_.size(); }
   // Slots still live (not removed).
   size_t num_live() const { return num_live_; }
-  size_t num_pages() const { return pages_.size(); }
+  size_t num_pages() const {
+    return static_cast<size_t>((end_offset_ + page_size_bytes_ - 1) /
+                               page_size_bytes_);
+  }
   size_t page_size_bytes() const { return page_size_bytes_; }
-  size_t TotalBytes() const { return pages_.size() * page_size_bytes_; }
+  size_t TotalBytes() const { return num_pages() * page_size_bytes_; }
 
   // Pages occupied by a record (for cost estimation).
   uint64_t PagesOf(SequenceId id) const;
 
-  // Random fetch: deserializes the sequence, charging one random run of
-  // PagesOf(id) pages to `stats` (when provided). A trace (optional)
-  // receives the page count as a `pages_read` counter on the innermost
-  // open span.
-  Sequence Fetch(SequenceId id, IoStats* stats = nullptr,
-                 Trace* trace = nullptr) const;
+  // Random fetch: returns the stored sequence (its id set), charging one
+  // random run of PagesOf(id) pages to `stats` (when provided). A trace
+  // (optional) receives the page count as a `pages_read` counter on the
+  // innermost open span. The reference stays valid until the next
+  // Append (the only call that can move the stored sequences).
+  const Sequence& Fetch(SequenceId id, IoStats* stats = nullptr,
+                        Trace* trace = nullptr) const;
 
   // Sequential scan: invokes `fn` for every *live* sequence in id order,
   // charging one sequential run covering all pages. If `fn` returns false
@@ -67,7 +76,7 @@ class SequenceStore {
 
   // Appends a sequence at the end of the heap file (allocating pages as
   // needed) and returns its id. Charges the written pages to `stats`.
-  SequenceId Append(const Sequence& s, IoStats* stats = nullptr);
+  SequenceId Append(Sequence s, IoStats* stats = nullptr);
 
   // Tombstones a record: scans skip it and Fetch of it is a programmer
   // error. Returns false if `id` is unknown or already removed. (Space is
@@ -85,11 +94,11 @@ class SequenceStore {
     bool live = true;
   };
 
-  Sequence Deserialize(const DirectoryEntry& entry) const;
-  void WriteBytesAt(uint64_t offset, const void* src, size_t n);
+  // Appends the directory entry of the first sequence without one.
+  void Layout();
 
+  Dataset dataset_;
   size_t page_size_bytes_;
-  std::vector<Page> pages_;
   std::vector<DirectoryEntry> directory_;
   // First unused byte in the heap file.
   uint64_t end_offset_ = 0;

@@ -1,0 +1,310 @@
+// Differential tests for the rolling DTW kernel and the L_inf decision
+// pre-pass (dtw/dtw.cc) against DistanceWithPath, the full-matrix
+// reference: bit-identical distances for every (step, combiner), band,
+// shape and threshold, pinned outputs for non-finite inputs, the cell
+// accounting, and the SSE2 mask builder against the portable one.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/prng.h"
+#include "dtw/allowed_mask.h"
+#include "dtw/dtw.h"
+
+namespace warpindex {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// Bitwise equality, so 0.0 vs -0.0 and NaN payloads count as different.
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// The four (step, combiner) pairs, plus take_sqrt on both squared ones.
+std::vector<DtwOptions> KernelOptions() {
+  return {
+      {DtwCombiner::kSum, StepCost::kAbsolute, -1, false},
+      {DtwCombiner::kMax, StepCost::kAbsolute, -1, false},
+      {DtwCombiner::kSum, StepCost::kSquared, -1, false},
+      {DtwCombiner::kMax, StepCost::kSquared, -1, false},
+      {DtwCombiner::kSum, StepCost::kSquared, -1, true},
+      {DtwCombiner::kMax, StepCost::kSquared, -1, true},
+  };
+}
+
+Sequence RandomWalk(Prng* prng, size_t n) {
+  std::vector<double> v(n);
+  double x = prng->UniformDouble(-1.0, 1.0);
+  for (double& e : v) {
+    e = x;
+    x += prng->UniformDouble(-0.5, 0.5);
+  }
+  return Sequence(std::move(v));
+}
+
+// A noisy resampling of `s` to length m: close to s under time warping,
+// so reachable paths wind through the matrix instead of dying at once.
+Sequence NoisyResample(Prng* prng, const Sequence& s, size_t m) {
+  std::vector<double> v(m);
+  for (size_t j = 0; j < m; ++j) {
+    v[j] = s[j * s.size() / m] + prng->UniformDouble(-0.3, 0.3);
+  }
+  return Sequence(std::move(v));
+}
+
+// Distance(s, q) must equal the reference bit for bit, and
+// DistanceWithThreshold(s, q, t) must equal it when it is within t and
+// +inf otherwise. take_sqrt decides in the squared domain (accumulated
+// value <= t * t), so its test uses the unrooted reference distance.
+void CheckPair(const Dtw& dtw, const Sequence& s, const Sequence& q,
+               DtwScratch* scratch) {
+  const double ref = dtw.DistanceWithPath(s, q).distance;
+  ASSERT_TRUE(std::isfinite(ref));
+  const std::string where = "n=" + std::to_string(s.size()) +
+                            " m=" + std::to_string(q.size()) +
+                            " band=" + std::to_string(dtw.options().band);
+  EXPECT_TRUE(SameBits(dtw.Distance(s, q, scratch).distance, ref)) << where;
+  DtwOptions unrooted = dtw.options();
+  unrooted.take_sqrt = false;
+  const double accumulated = dtw.options().take_sqrt
+                                 ? Dtw(unrooted).DistanceWithPath(s, q).distance
+                                 : ref;
+  for (const double t : {ref, std::nextafter(ref, -kInf), 0.0, kInf}) {
+    if (t < 0.0) {
+      continue;  // nextafter below a zero distance
+    }
+    const bool within = dtw.options().take_sqrt ? accumulated <= t * t
+                                                : ref <= t;
+    const double expected = within ? ref : kInf;
+    const double got = dtw.DistanceWithThreshold(s, q, t, scratch).distance;
+    EXPECT_TRUE(SameBits(got, expected))
+        << where << " t=" << t << " got=" << got << " expected=" << expected;
+  }
+}
+
+// One scratch across every shape, so stale rows and bits from a larger
+// evaluation would show.
+TEST(DtwKernelTest, MatchesPathReferenceOverShapesBandsAndThresholds) {
+  const size_t lengths[] = {1, 63, 64, 65, 127, 128, 129};
+  Prng prng(2024);
+  DtwScratch scratch;
+  for (DtwOptions options : KernelOptions()) {
+    for (const int band : {-1, 0, 1, 5, 200}) {
+      options.band = band;
+      const Dtw dtw(options);
+      for (const size_t n : lengths) {
+        for (const size_t m : lengths) {
+          const Sequence s = RandomWalk(&prng, n);
+          CheckPair(dtw, s, NoisyResample(&prng, s, m), &scratch);
+          if (n == m) {
+            CheckPair(dtw, s, s, &scratch);  // distance 0: t = 0 accepts
+          }
+        }
+      }
+    }
+  }
+}
+
+// More than 4096 columns: the pre-pass's shift and add carries cross 64
+// word boundaries.
+TEST(DtwKernelTest, MatchesPathReferenceBeyond4096Columns) {
+  Prng prng(4097);
+  const Sequence s = RandomWalk(&prng, 4100);
+  const Sequence q = NoisyResample(&prng, s, 4097);
+  DtwScratch scratch;
+  for (const DtwOptions& options : {DtwOptions::Linf(), DtwOptions::L1()}) {
+    CheckPair(Dtw(options), s, q, &scratch);
+  }
+}
+
+// Pinned outputs of the DP alone (distance and cells) for inputs holding
+// +-inf and NaN, and for a NaN threshold. With the pre-pass in front,
+// every distance must stay bit for bit the same, and the cells may only
+// grow by the pre-pass rows of pairs it hands to the DP.
+struct Golden {
+  int pair;
+  int option;
+  double distance[4];  // per threshold
+  uint64_t cells[4];
+};
+
+TEST(DtwKernelTest, NonFiniteInputsReproducePinnedOutputs) {
+  const std::vector<Sequence> inputs = {
+      Sequence({0.5, 1.5, 2.5, 3.5}),        // 0 finite
+      Sequence({1.0, kInf, 2.0, 3.0}),       // 1 +inf inside
+      Sequence({1.0, 2.0, 3.0, kInf}),       // 2 +inf last
+      Sequence({-kInf, 0.0, 1.0}),           // 3 -inf first
+      Sequence({kNaN, 1.0, 2.0}),            // 4 NaN first
+      Sequence({1.0, kNaN, 2.0, 2.0, 3.0}),  // 5 NaN inside
+      Sequence({1.0, 2.0, kNaN}),            // 6 NaN last
+      Sequence({kInf}),                      // 7 single +inf
+      Sequence({kInf, kInf}),                // 8
+      Sequence({1.0, kInf}),                 // 9
+  };
+  const int pairs[][2] = {{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}, {6, 0},
+                          {2, 2}, {6, 6}, {7, 7}, {1, 5}, {0, 0}, {8, 9}};
+  DtwOptions banded = DtwOptions::Linf();
+  banded.band = 1;
+  const DtwOptions options[] = {DtwOptions::Linf(), banded, DtwOptions::L1(),
+                                DtwOptions::L2()};
+  // Index 0 is Distance(); the others go to DistanceWithThreshold.
+  const double thresholds[] = {kInf, 0.5, 2.5, kNaN};
+  const Golden golden[] = {
+      {0, 0, {kInf, kInf, kInf, kInf}, {16, 8, 8, 16}},
+      {0, 1, {kInf, kInf, kInf, kInf}, {10, 5, 5, 10}},
+      {0, 2, {kInf, kInf, kInf, kInf}, {16, 8, 8, 16}},
+      {0, 3, {kInf, kInf, kInf, kInf}, {16, 8, 8, 16}},
+      {1, 0, {kInf, kInf, kInf, kInf}, {16, 16, 16, 16}},
+      {1, 1, {kInf, kInf, kInf, kInf}, {10, 10, 10, 10}},
+      {1, 2, {kInf, kInf, kInf, kInf}, {16, 8, 16, 16}},
+      {1, 3, {kInf, kInf, kInf, kInf}, {16, 8, 16, 16}},
+      {2, 0, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
+      {2, 1, {kInf, kInf, kInf, kInf}, {8, 2, 2, 8}},
+      {2, 2, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
+      {2, 3, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
+      {3, 0, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
+      {3, 1, {kInf, kInf, kInf, kInf}, {8, 2, 2, 8}},
+      {3, 2, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
+      {3, 3, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
+      {4, 0, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
+      {4, 1, {kInf, kInf, kInf, kInf}, {11, 5, 5, 11}},
+      {4, 2, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
+      {4, 3, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
+      {5, 0, {kNaN, kInf, kNaN, kNaN}, {12, 12, 12, 12}},
+      {5, 1, {kNaN, kInf, kInf, kNaN}, {8, 8, 8, 8}},
+      {5, 2, {kNaN, kInf, kInf, kNaN}, {12, 6, 12, 12}},
+      {5, 3, {kNaN, kInf, kNaN, kNaN}, {12, 6, 12, 12}},
+      {6, 0, {kNaN, kInf, kInf, kNaN}, {16, 16, 16, 16}},
+      {6, 1, {kNaN, kInf, kInf, kNaN}, {10, 10, 10, 10}},
+      {6, 2, {kNaN, kInf, kInf, kNaN}, {16, 16, 16, 16}},
+      {6, 3, {kNaN, kInf, kInf, kNaN}, {16, 16, 16, 16}},
+      {7, 0, {kNaN, kInf, kInf, kNaN}, {9, 9, 9, 9}},
+      {7, 1, {kNaN, kInf, kInf, kNaN}, {7, 7, 7, 7}},
+      {7, 2, {kNaN, kInf, kInf, kNaN}, {9, 9, 9, 9}},
+      {7, 3, {kNaN, kInf, kInf, kNaN}, {9, 9, 9, 9}},
+      {8, 0, {kNaN, kInf, kInf, kNaN}, {1, 1, 1, 1}},
+      {8, 1, {kNaN, kInf, kInf, kNaN}, {1, 1, 1, 1}},
+      {8, 2, {kNaN, kInf, kInf, kNaN}, {1, 1, 1, 1}},
+      {8, 3, {kNaN, kInf, kInf, kNaN}, {1, 1, 1, 1}},
+      {9, 0, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
+      {9, 1, {kInf, kInf, kInf, kInf}, {11, 5, 5, 11}},
+      {9, 2, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
+      {9, 3, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
+      {10, 0, {0, 0, 0, 0}, {16, 16, 16, 16}},
+      {10, 1, {0, 0, 0, 0}, {10, 10, 10, 10}},
+      {10, 2, {0, 0, 0, 0}, {16, 16, 16, 16}},
+      {10, 3, {0, 0, 0, 0}, {16, 16, 16, 16}},
+      {11, 0, {kInf, kInf, kInf, kInf}, {4, 2, 2, 4}},
+      {11, 1, {kInf, kInf, kInf, kInf}, {4, 2, 2, 4}},
+      {11, 2, {kInf, kInf, kInf, kInf}, {4, 2, 2, 4}},
+      {11, 3, {kInf, kInf, kInf, kInf}, {4, 2, 2, 4}},
+  };
+  DtwScratch scratch;
+  for (const Golden& g : golden) {
+    const Sequence& a = inputs[pairs[g.pair][0]];
+    const Sequence& b = inputs[pairs[g.pair][1]];
+    const Dtw dtw(options[g.option]);
+    for (int k = 0; k < 4; ++k) {
+      const double t = thresholds[k];
+      const DtwResult r = k == 0
+                              ? dtw.Distance(a, b, &scratch)
+                              : dtw.DistanceWithThreshold(a, b, t, &scratch);
+      const std::string where = "pair=" + std::to_string(g.pair) +
+                                " option=" + std::to_string(g.option) +
+                                " threshold=" + std::to_string(k);
+      EXPECT_TRUE(std::isnan(g.distance[k])
+                      ? std::isnan(r.distance)
+                      : SameBits(r.distance, g.distance[k]))
+          << where << " got " << r.distance;
+      // Only unbanded L_inf with a finite threshold runs the pre-pass. It
+      // adds its n * m cells when it passes the pair on to the DP: when
+      // the pair matches, and here when the DP's answer is NaN (a NaN
+      // final cost the rows reach, which the pre-pass leaves to the DP).
+      const uint64_t nm = a.size() * b.size();
+      const bool prepass = g.option == 0 && std::isfinite(t);
+      const bool passed = g.distance[k] <= t || std::isnan(g.distance[k]);
+      EXPECT_EQ(r.cells, g.cells[k] + (prepass && passed ? nm : 0)) << where;
+    }
+  }
+}
+
+// Inputs with exactly representable elements, so the pinned cell counts
+// below do not depend on the math library.
+Sequence Saw(size_t n, size_t offset, size_t stride) {
+  std::vector<double> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<double>((i * stride + offset) % 13) * 0.5;
+  }
+  return Sequence(std::move(v));
+}
+
+TEST(DtwKernelTest, BandedAndSumCombinedCellsAreUnchanged) {
+  const Sequence a = Saw(200, 0, 7);
+  const Sequence b = Saw(180, 5, 7);
+  DtwOptions banded = DtwOptions::Linf();
+  banded.band = 10;
+  const Dtw banded_dtw(banded);
+  const DtwResult early = banded_dtw.DistanceWithThreshold(a, b, 0.5);
+  EXPECT_TRUE(std::isinf(early.distance));
+  EXPECT_EQ(early.cells, 21u);
+  const DtwResult match = banded_dtw.DistanceWithThreshold(a, b, 6.0);
+  EXPECT_EQ(match.distance, 4.0);
+  EXPECT_EQ(match.cells, 7170u);
+  const DtwResult l1 = Dtw(DtwOptions::L1()).DistanceWithThreshold(a, b, 30.0);
+  EXPECT_TRUE(std::isinf(l1.distance));
+  EXPECT_EQ(l1.cells, 35280u);
+}
+
+TEST(DtwKernelTest, RejectedLinfPairCountsRowsUpToTheAbandon) {
+  const Sequence a = Saw(200, 0, 7);
+  const Sequence c = Saw(190, 3, 5);
+  const DtwResult r = Dtw().DistanceWithThreshold(a, c, 1.5);
+  EXPECT_TRUE(std::isinf(r.distance));
+  EXPECT_EQ(r.cells, 16u * 190u);  // the DP abandons after row 15
+}
+
+TEST(DtwKernelTest, AcceptedLinfPairCountsPrePassRowsPlusDpCells) {
+  const Sequence a = Saw(200, 0, 7);
+  const Sequence b = Saw(180, 5, 7);
+  const DtwResult r = Dtw().DistanceWithThreshold(a, b, 6.0);
+  EXPECT_EQ(r.distance, 4.0);
+  EXPECT_EQ(r.cells, 200u * 180u + 200u * 180u);
+  // The DP alone (no finite threshold) counts its own cells only.
+  EXPECT_EQ(Dtw().Distance(a, b).cells, 200u * 180u);
+}
+
+#if defined(__SSE2__)
+TEST(DtwKernelTest, Sse2MaskWordsEqualPortableWords) {
+  Prng prng(64);
+  const double specials[] = {kInf, -kInf, kNaN, 0.0, -0.0};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t count = static_cast<size_t>(prng.UniformInt(1, 64));
+    std::vector<double> row(count);
+    for (double& e : row) {
+      e = prng.UniformInt(0, 19) == 0
+              ? specials[prng.UniformInt(0, 4)]
+              : prng.UniformDouble(-2.0, 2.0);
+    }
+    const double s_i = trial % 50 == 0 ? specials[trial / 50 % 5]
+                                       : prng.UniformDouble(-2.0, 2.0);
+    const double t = trial % 7 == 0 ? 0.0 : prng.UniformDouble(0.0, 1.5);
+    EXPECT_EQ(AllowedWordSse2<StepCost::kAbsolute>(s_i, row.data(), count, t),
+              AllowedWordPortable<StepCost::kAbsolute>(s_i, row.data(),
+                                                       count, t));
+    EXPECT_EQ(AllowedWordSse2<StepCost::kSquared>(s_i, row.data(), count, t),
+              AllowedWordPortable<StepCost::kSquared>(s_i, row.data(), count,
+                                                      t));
+  }
+}
+#endif
+
+}  // namespace
+}  // namespace warpindex

@@ -39,6 +39,15 @@ std::vector<Sequence> MakeCandidates(Prng* prng, size_t n) {
   return candidates;
 }
 
+// The cascade borrows its candidates (as the store's sequences are).
+std::vector<const Sequence*> Pointers(const std::vector<Sequence>& seqs) {
+  std::vector<const Sequence*> out;
+  for (const Sequence& s : seqs) {
+    out.push_back(&s);
+  }
+  return out;
+}
+
 std::vector<SequenceId> BruteForceMatches(
     const std::vector<Sequence>& candidates, const Sequence& query,
     double epsilon, const DtwOptions& options) {
@@ -84,7 +93,7 @@ TEST(FilterCascadeTest, AnswersMatchBruteForceForEveryPlanAndMode) {
             BruteForceMatches(candidates, query, epsilon, options);
         for (const CascadePlan& plan : AllPlanShapes()) {
           SearchResult result;
-          cascade.Run(query, epsilon, candidates, plan, &result,
+          cascade.Run(query, epsilon, Pointers(candidates), plan, &result,
                       /*trace=*/nullptr, /*scratch=*/nullptr);
           ASSERT_EQ(result.matches, expected)
               << "plan=" << plan.ToString() << " band=" << band
@@ -107,15 +116,16 @@ TEST(FilterCascadeTest, RunLbStagesPlusManualDtwEqualsRun) {
   const CascadePlan plan = CascadePlan::Full();
 
   SearchResult full;
-  cascade.Run(query, epsilon, candidates, plan, &full, nullptr, nullptr);
+  cascade.Run(query, epsilon, Pointers(candidates), plan, &full, nullptr,
+              nullptr);
 
   SearchResult staged;
-  std::vector<Sequence> survivors = candidates;
+  std::vector<const Sequence*> survivors = Pointers(candidates);
   cascade.RunLbStages(query, epsilon, &survivors, plan, &staged, nullptr);
   std::vector<SequenceId> matches;
-  for (const Sequence& s : survivors) {
-    if (dtw.Distance(s, query).distance <= epsilon) {
-      matches.push_back(s.id());
+  for (const Sequence* s : survivors) {
+    if (dtw.Distance(*s, query).distance <= epsilon) {
+      matches.push_back(s->id());
     }
   }
   EXPECT_EQ(matches, full.matches);
@@ -133,8 +143,8 @@ TEST(FilterCascadeTest, RecordsPerStageCountersAndTimings) {
 
   SearchResult result;
   CascadeObservation obs;
-  cascade.Run(query, /*epsilon=*/0.5, candidates, CascadePlan::Full(),
-              &result, nullptr, nullptr, &obs);
+  cascade.Run(query, /*epsilon=*/0.5, Pointers(candidates),
+              CascadePlan::Full(), &result, nullptr, nullptr, &obs);
 
   // First stage sees the whole list; each later stage sees the previous
   // stage's survivors; dtw sees the last survivors.
@@ -186,16 +196,16 @@ TEST(FilterCascadeTest, TieAtEpsilonIsNeverPruned) {
     const FilterCascade cascade(options);
     for (const CascadePlan& plan : AllPlanShapes()) {
       SearchResult result;
-      cascade.Run(query, /*epsilon=*/c, candidates, plan, &result, nullptr,
-                  nullptr);
+      cascade.Run(query, /*epsilon=*/c, Pointers(candidates), plan, &result,
+                  nullptr, nullptr);
       ASSERT_EQ(result.matches, std::vector<SequenceId>{7})
           << "tie dropped by plan=" << plan.ToString() << " band=" << band;
     }
     // Just below the tie the candidate must be rejected — by the exact
     // stage, not necessarily by any bound.
     SearchResult below;
-    cascade.Run(query, c - 1e-9, candidates, CascadePlan::Full(), &below,
-                nullptr, nullptr);
+    cascade.Run(query, c - 1e-9, Pointers(candidates), CascadePlan::Full(),
+                &below, nullptr, nullptr);
     EXPECT_TRUE(below.matches.empty());
   }
 }

@@ -141,6 +141,70 @@ TEST(SequenceStoreTest, RemoveTombstonesAndScanSkips) {
   EXPECT_EQ(seen, (std::vector<SequenceId>{0, 2}));
 }
 
+// Page accounting pinned for a fixed set of record lengths at two page
+// sizes: the directory alone decides every count, whatever the store
+// keeps in memory.
+struct PinnedLayout {
+  size_t page_size;
+  size_t num_pages;
+  std::vector<uint64_t> pages_of;
+  uint64_t fetch_random_reads;
+  uint64_t scan_sequential_reads;
+  uint64_t append_writes;
+  size_t num_pages_after_append;
+  uint64_t pages_of_appended[2];
+};
+
+TEST(SequenceStoreTest, PageAccountingMatchesPinnedValues) {
+  const size_t lengths[] = {68, 18, 59, 58, 11, 49, 34, 69, 55, 34, 15, 19};
+  Dataset d;
+  for (const size_t len : lengths) {
+    d.Add(Sequence(std::vector<double>(len, 0.5 * static_cast<double>(len))));
+  }
+  const PinnedLayout layouts[] = {
+      {128, 32, {5, 2, 5, 4, 2, 4, 3, 5, 4, 4, 2, 2}, 42, 32, 5, 35, {3, 2}},
+      {1024, 4, {1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 1}, 15, 4, 3, 5, {2, 1}},
+  };
+  for (const PinnedLayout& expected : layouts) {
+    SCOPED_TRACE(expected.page_size);
+    SequenceStore store(d, expected.page_size);
+    EXPECT_EQ(store.num_pages(), expected.num_pages);
+    EXPECT_EQ(store.TotalBytes(), expected.num_pages * expected.page_size);
+    IoStats fetch;
+    for (size_t i = 0; i < d.size(); ++i) {
+      const auto id = static_cast<SequenceId>(i);
+      EXPECT_EQ(store.PagesOf(id), expected.pages_of[i]);
+      const Sequence& fetched = store.Fetch(id, &fetch);
+      // Fetch hands out the stored sequence itself, not a copy.
+      EXPECT_EQ(&fetched, &store.dataset()[i]);
+      EXPECT_EQ(fetched, d[i]);
+    }
+    EXPECT_EQ(fetch.random_page_reads, expected.fetch_random_reads);
+    EXPECT_EQ(fetch.seeks, d.size());
+    EXPECT_EQ(fetch.sequential_page_reads + fetch.page_writes, 0u);
+
+    IoStats scan;
+    store.ScanAll([](SequenceId, const Sequence&) { return true; }, &scan);
+    EXPECT_EQ(scan.sequential_page_reads, expected.scan_sequential_reads);
+    EXPECT_EQ(scan.seeks, 1u);
+    EXPECT_EQ(scan.random_page_reads + scan.page_writes, 0u);
+
+    IoStats append;
+    const SequenceId first =
+        store.Append(Sequence(std::vector<double>(40, 1.25)), &append);
+    const SequenceId second =
+        store.Append(Sequence(std::vector<double>(3, 2.0)), &append);
+    EXPECT_EQ(append.page_writes, expected.append_writes);
+    EXPECT_EQ(append.seeks, 0u);
+    EXPECT_EQ(store.num_pages(), expected.num_pages_after_append);
+    EXPECT_EQ(store.TotalBytes(),
+              expected.num_pages_after_append * expected.page_size);
+    EXPECT_EQ(store.PagesOf(first), expected.pages_of_appended[0]);
+    EXPECT_EQ(store.PagesOf(second), expected.pages_of_appended[1]);
+    EXPECT_EQ(store.Fetch(second).id(), second);
+  }
+}
+
 TEST(SequenceStoreTest, PaperPageSizeHoldsStockData) {
   // The store must round-trip the whole (synthetic) S&P corpus at the
   // paper's 1 KB page size.
