@@ -104,12 +104,14 @@ std::vector<SubsequenceMatch> SubsequenceIndex::Search(
   }
 
   std::vector<SubsequenceMatch> matches;
+  DtwScratch scratch;  // one set of buffers and column ranks per query
   for (const int64_t record_id : candidates) {
     const WindowRef& ref = windows_[static_cast<size_t>(record_id)];
     const Sequence window =
         (*dataset_)[static_cast<size_t>(ref.sequence_id)].Slice(ref.offset,
                                                                 ref.length);
-    const DtwResult d = dtw_.DistanceWithThreshold(window, query, epsilon);
+    const DtwResult d =
+        dtw_.DistanceWithThreshold(window, query, epsilon, &scratch);
     if (cost != nullptr) {
       cost->dtw_cells += d.cells;
     }

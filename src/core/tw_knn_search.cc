@@ -2,19 +2,34 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <queue>
+#include <vector>
 
 #include "common/timer.h"
 #include "sequence/feature.h"
 
 namespace warpindex {
+namespace {
+
+// Decision-first heap fill (see Search): each raise multiplies the
+// provisional threshold by this factor. Too small a factor re-tests the
+// pending candidates many times; too large a one overshoots the k-th
+// distance, and the pairs accepted there pay wider DP windows. 1.25 was
+// the fastest of {1.1, 1.25, 1.5, 2, 3} on 20k x 256 random walks, k = 10.
+constexpr double kTauGrowth = 1.25;
+// Raises before the fill stops growing tau and decides the rest with no
+// threshold, as a plain fill would (1.25^64 is about 1.6e6).
+constexpr int kMaxTauRaises = 64;
+
+}  // namespace
 
 KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
                               SharedKnnBound* shared_bound) const {
   assert(!query.empty());
   assert(k >= 1);
-  WallTimer timer;
-  ThreadCpuTimer cpu_timer;
+  const WallTimer timer;
+  const ThreadCpuTimer cpu_timer;
   KnnResult result;
 
   const FeatureVector qf = ExtractFeature(query);
@@ -45,56 +60,46 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
   };
 
   // Index descent and exact refinement interleave in the incremental
-  // loop, so both time shares are carved out of one `knn_refine` span.
+  // loop, so all three time shares are carved out of one `knn_refine`
+  // span. Per item only the wall clock is read (cheap); the thread-CPU
+  // clock, a system call, is read once around the whole loop and split
+  // across the three stages by their wall shares.
   ScopedSpan span(trace, kStageKnnRefine);
   DtwScratch scratch;  // reused across the query's refinements
   double descent_ms = 0.0;
   double fetch_ms = 0.0;
   double refine_ms = 0.0;
-  double descent_cpu_ms = 0.0;
-  double fetch_cpu_ms = 0.0;
-  double refine_cpu_ms = 0.0;
+  const ThreadCpuTimer loop_cpu;
   WallTimer per_item;
-  ThreadCpuTimer per_item_cpu;
-  RTree::Neighbor candidate;
-  while (true) {
+
+  const auto next = [&](RTree::Neighbor* candidate) {
     per_item.Reset();
-    per_item_cpu.Reset();
-    const bool has_next = it.Next(&candidate);
+    const bool has_next = it.Next(candidate);
     descent_ms += per_item.ElapsedMillis();
-    descent_cpu_ms += per_item_cpu.ElapsedMillis();
-    if (!has_next) {
-      break;
-    }
-    if (candidate.distance > cutoff()) {
-      // Every remaining record has lower bound >= this one's, hence exact
-      // D_tw >= the proven k-th distance: done (no false dismissal).
-      // Strictly greater only — a candidate tying the cutoff can still
-      // enter the answer through the id tie-break.
-      break;
-    }
+    return has_next;
+  };
+  const auto fetch = [&](SequenceId id) -> const Sequence& {
     per_item.Reset();
-    per_item_cpu.Reset();
-    const Sequence& s =
-        store_->Fetch(candidate.record_id, &result.cost.io, trace);
+    const Sequence& s = store_->Fetch(id, &result.cost.io, trace);
     fetch_ms += per_item.ElapsedMillis();
-    fetch_cpu_ms += per_item_cpu.ElapsedMillis();
     ++result.num_refined;
+    return s;
+  };
+  // Evaluates one candidate at `threshold` and offers it to the heap.
+  // Returns the evaluation's distance: exact when within the threshold,
+  // +inf (or NaN, which never enters the heap) otherwise.
+  const auto refine = [&](SequenceId id, const Sequence& s,
+                          double threshold) {
     per_item.Reset();
-    per_item_cpu.Reset();
-    const double threshold = cutoff();
-    DtwResult d;
-    if (threshold < kInfiniteDistance) {
-      // Thresholded refinement: only distances at or below the cutoff
-      // matter, so abandon above it (exact when d <= threshold).
-      d = dtw_.DistanceWithThreshold(s, query, threshold, &scratch);
-    } else {
-      d = dtw_.Distance(s, query, &scratch);
-    }
+    // Thresholded refinement: only distances at or below the threshold
+    // matter, so abandon above it (exact when d <= threshold).
+    const DtwResult d =
+        threshold < kInfiniteDistance
+            ? dtw_.DistanceWithThreshold(s, query, threshold, &scratch)
+            : dtw_.Distance(s, query, &scratch);
     refine_ms += per_item.ElapsedMillis();
-    refine_cpu_ms += per_item_cpu.ElapsedMillis();
     result.cost.dtw_cells += d.cells;
-    const KnnMatch match{candidate.record_id, d.distance};
+    const KnnMatch match{id, d.distance};
     if (top_k.size() < k) {
       if (match.distance <= threshold) {
         top_k.push(match);
@@ -106,13 +111,90 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
     if (shared_bound != nullptr && top_k.size() == k) {
       shared_bound->Tighten(top_k.top().distance);
     }
+    return d.distance;
+  };
+
+  RTree::Neighbor candidate;
+  bool has_next = next(&candidate);
+  if (has_next && dtw_.RunsLinfPrePass() && cutoff() == kInfiniteDistance) {
+    // Decision-first heap fill. With no cutoff yet, a plain fill would
+    // run the first k refinements as full, unthresholded DPs. Instead
+    // every candidate is decided at a provisional threshold tau, which
+    // the L_inf pre-pass answers cheaply and exactly: a pass gives the
+    // exact distance, a reject proves D > tau. tau starts at the first
+    // lower bound and grows geometrically; candidates are pulled while
+    // their lower bound is within tau, and the rejects wait in `pending`
+    // for the next raise. Once the heap holds k entries (all <= tau), a
+    // pending entry's D > tau >= the k-th distance, so it can never
+    // enter: the pending list is dropped and the cutoff loop below takes
+    // over from the lookahead candidate. Ties stay exact: a pass is
+    // exact, and every drop is strictly above the cutoff.
+    struct Pending {
+      SequenceId id;
+      const Sequence* s;
+    };
+    std::vector<Pending> pending;
+    // A NaN lower bound starts (and a zero one, which cannot grow, ends)
+    // the fill at tau = +inf: the plain fill's unthresholded DPs.
+    double tau = candidate.distance >= 0.0 ? candidate.distance
+                                           : kInfiniteDistance;
+    int raises = 0;
+    // Decides one candidate at min(tau, cutoff); true when it stays
+    // pending (rejected at tau, below the cutoff: a larger tau may pass
+    // it). A reject at the cutoff, or a NaN distance, is final.
+    const auto decide = [&](SequenceId id, const Sequence& s) {
+      const double limit = cutoff();
+      const double threshold = std::min(tau, limit);
+      const double d = refine(id, s, threshold);
+      return !(d <= threshold) && !std::isnan(d) && threshold < limit;
+    };
+    while (top_k.size() < k) {
+      while (has_next && !(candidate.distance > tau) && top_k.size() < k) {
+        if (candidate.distance > cutoff()) {
+          has_next = false;  // no later candidate can beat the cutoff
+          break;
+        }
+        const Sequence& s = fetch(candidate.record_id);
+        if (decide(candidate.record_id, s)) {
+          pending.push_back({candidate.record_id, &s});
+        }
+        has_next = next(&candidate);
+      }
+      if (top_k.size() == k || (pending.empty() && !has_next)) {
+        break;
+      }
+      tau = tau > 0.0 && ++raises <= kMaxTauRaises ? tau * kTauGrowth
+                                                   : kInfiniteDistance;
+      size_t kept = 0;
+      for (const Pending& p : pending) {
+        if (decide(p.id, *p.s)) {
+          pending[kept++] = p;
+        }
+      }
+      pending.resize(kept);
+    }
   }
+  while (has_next) {
+    if (candidate.distance > cutoff()) {
+      // Every remaining record has lower bound >= this one's, hence exact
+      // D_tw >= the proven k-th distance: done (no false dismissal).
+      // Strictly greater only — a candidate tying the cutoff can still
+      // enter the answer through the id tie-break.
+      break;
+    }
+    const Sequence& s = fetch(candidate.record_id);
+    refine(candidate.record_id, s, cutoff());
+    has_next = next(&candidate);
+  }
+  const double loop_wall_ms = descent_ms + fetch_ms + refine_ms;
+  const double cpu_per_wall =
+      loop_wall_ms > 0.0 ? loop_cpu.ElapsedMillis() / loop_wall_ms : 0.0;
   result.cost.stages.Add(kStageRtreeSearch, descent_ms);
   result.cost.stages.Add(kStageCandidateFetch, fetch_ms);
   result.cost.stages.Add(kStageKnnRefine, refine_ms);
-  result.cost.stages_cpu.Add(kStageRtreeSearch, descent_cpu_ms);
-  result.cost.stages_cpu.Add(kStageCandidateFetch, fetch_cpu_ms);
-  result.cost.stages_cpu.Add(kStageKnnRefine, refine_cpu_ms);
+  result.cost.stages_cpu.Add(kStageRtreeSearch, descent_ms * cpu_per_wall);
+  result.cost.stages_cpu.Add(kStageCandidateFetch, fetch_ms * cpu_per_wall);
+  result.cost.stages_cpu.Add(kStageKnnRefine, refine_ms * cpu_per_wall);
   TraceCounter(trace, "refined", static_cast<double>(result.num_refined));
   TraceCounter(trace, "dtw_cells",
                static_cast<double>(result.cost.dtw_cells));

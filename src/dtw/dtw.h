@@ -11,7 +11,9 @@
 //   * for the max combiner over an unconstrained band, a bit-parallel
 //     decision pre-pass ahead of the thresholded DP: "is there a path
 //     through cells of cost <= epsilon?", one 64-column word at a time.
-//     Only pairs it cannot reject run the DP (see dtw.cc);
+//     Only pairs it cannot reject run the DP, and only inside each row's
+//     window of cells that lie on a path costing <= epsilon, which a
+//     backward sweep over the pre-pass's rows finds (see dtw.cc);
 //   * optional Sakoe-Chiba band;
 //   * full-matrix evaluation with warping-path recovery.
 //
@@ -26,6 +28,7 @@
 #include <limits>
 #include <vector>
 
+#include "dtw/allowed_mask.h"
 #include "dtw/base_distance.h"
 #include "dtw/warping_path.h"
 #include "sequence/sequence.h"
@@ -49,14 +52,19 @@ struct DtwResult {
   // (the true distance then exceeds the threshold) or when exactly one of
   // the sequences is empty (Def. 1).
   double distance = 0.0;
-  // DP cells either pass evaluated — the CPU cost of this evaluation.
-  // The DP counts every in-band cell of each row it computes; the L_inf
-  // pre-pass counts each row it covers in full (m cells, whatever words
-  // it skips). Evaluations that run only the DP — the sum combiner, a
-  // constraining band, an infinite or NaN threshold — count exactly the
-  // DP's cells. A pair the pre-pass rejects counts the rows up to the
-  // row where the DP would have abandoned (the same count the DP alone
-  // gives); a pair it passes counts its rows plus the DP's cells.
+  // DP cells either pass evaluated — the work of this evaluation.
+  // The DP counts every cell of each row it computes: the in-band cells,
+  // or after the L_inf pre-pass the cells of each row's path window.
+  // The pre-pass counts each row it covers in full (m cells, whatever
+  // words it skips; its backward sweep is not counted again).
+  // Evaluations that run only the DP — the sum combiner, a band, an
+  // infinite or NaN threshold — count exactly the DP's cells. A pair the
+  // pre-pass rejects counts the rows up to the row where the DP would
+  // have abandoned (the same count the DP alone gives); a pair it passes
+  // counts its rows plus the window cells (plus the full DP's cells
+  // instead when only a NaN final cost let it pass). A pre-pass row
+  // costs far less than a DP cell per column, so on pre-pass-heavy work
+  // (exact k-NN) the count no longer tracks time.
   uint64_t cells = 0;
 };
 
@@ -68,11 +76,14 @@ struct DtwPathResult {
 };
 
 // Reusable buffers for Dtw's distance evaluations: the two rolling DP
-// rows and the L_inf pre-pass's bit row. A fresh set per evaluation is
-// pure heap churn when a query post-filters hundreds of candidates;
-// passing one DtwScratch through the loop (or keeping one per executor
-// worker, reused across queries) makes every evaluation after the first
-// allocation-free. Results are bit-identical with and without a scratch.
+// rows, and the L_inf pre-pass's bit rows, per-row windows and column
+// rank table (rebuilt only when the columns change, so evaluations of
+// many candidates against one query share it). A fresh set per
+// evaluation is pure heap churn when a query post-filters hundreds of
+// candidates; passing one DtwScratch through the loop (or keeping one per
+// executor worker, reused across queries) makes every evaluation after
+// the first allocation-free. Results are bit-identical with and without
+// a scratch.
 //
 // Thread-safety: a DtwScratch is mutable state — use one per thread.
 class DtwScratch {
@@ -90,6 +101,9 @@ class DtwScratch {
   std::vector<double> prev_;
   std::vector<double> curr_;
   std::vector<uint64_t> bits_;
+  std::vector<size_t> lo_;
+  std::vector<size_t> hi_;
+  ColumnRanks ranks_;
 };
 
 class Dtw {
@@ -98,6 +112,15 @@ class Dtw {
       : options_(options) {}
 
   const DtwOptions& options() const { return options_; }
+
+  // True when every thresholded evaluation with a finite, non-negative
+  // threshold decides first with the L_inf pre-pass (max combiner over an
+  // unconstrained band), so a rejection costs a few cheap rows and an
+  // acceptance runs the DP only inside the path windows. Searchers
+  // that choose between thresholded and full evaluations ask this.
+  bool RunsLinfPrePass() const {
+    return options_.combiner == DtwCombiner::kMax && options_.band < 0;
+  }
 
   // Exact D_tw(S, Q). Rolling-array DP, O(min(|S|,|Q|)) memory. When
   // `scratch` is non-null its buffers are reused instead of allocating.

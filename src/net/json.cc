@@ -407,6 +407,14 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
+bool JsonValue::TryAsInt(int64_t* out) const {
+  if (kind_ != Kind::kInt) {
+    return false;
+  }
+  *out = int_;
+  return true;
+}
+
 int64_t JsonValue::GetInt(const std::string& key, int64_t fallback) const {
   const JsonValue* v = Find(key);
   return v != nullptr && v->is_number() ? v->AsInt() : fallback;

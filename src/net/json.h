@@ -58,6 +58,10 @@ class JsonValue {
   // crash — wire handlers validate presence with Find/has first).
   bool AsBool() const { return kind_ == Kind::kBool && bool_; }
   int64_t AsInt() const;     // kDouble truncates; others 0
+  // Checked integer: stores the value and returns true only for a number
+  // written as an integer; false (and *out untouched) for a double, even
+  // 3.0, and for every other kind. For values that must be exact ids.
+  bool TryAsInt(int64_t* out) const;
   double AsDouble() const;   // kInt widens; others 0.0
   const std::string& AsString() const { return string_; }
 

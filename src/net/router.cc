@@ -35,7 +35,59 @@ constexpr size_t kMaxIdleClientsPerReplica = 8;
 // p99 (before that, hedge late rather than storm a cold server).
 constexpr size_t kMinHedgeSamples = 8;
 
+// Appends one group's range answer to `merged`: "matches", integer ids,
+// and "distances", one number per match. A body that breaks either rule
+// is an Internal error (as a body that fails to parse is), never an
+// answer missing that group's matches or distances.
+Status DecodeRangeMatches(const JsonValue& response, SearchResult* merged) {
+  const JsonValue* matches = response.Find("matches");
+  const JsonValue* distances = response.Find("distances");
+  if (matches == nullptr || matches->kind() != JsonValue::Kind::kArray ||
+      distances == nullptr ||
+      distances->kind() != JsonValue::Kind::kArray ||
+      distances->size() != matches->size()) {
+    return Status::Internal(
+        "malformed RANGE response: needs \"matches\" and one \"distances\" "
+        "entry per match");
+  }
+  for (size_t i = 0; i < matches->size(); ++i) {
+    SequenceId id = kInvalidSequenceId;
+    if (!matches->at(i).TryAsInt(&id) || !distances->at(i).is_number()) {
+      return Status::Internal("malformed RANGE response: match " +
+                              std::to_string(i) +
+                              " needs an integer id and a numeric distance");
+    }
+    merged->matches.push_back(id);
+    merged->distances.push_back(distances->at(i).AsDouble());
+  }
+  return Status::Ok();
+}
+
+// One group's kNN answer from its "neighbors"; Internal when the body
+// has none or they do not decode.
+Status DecodeKnnNeighbors(const JsonValue& response,
+                          std::vector<KnnMatch>* neighbors) {
+  const JsonValue* json = response.Find("neighbors");
+  if (json == nullptr) {
+    return Status::Internal("malformed KNN response: no \"neighbors\"");
+  }
+  const Status status = JsonToKnnMatches(*json, neighbors);
+  if (!status.ok()) {
+    return Status::Internal("malformed KNN response: " + status.message());
+  }
+  return Status::Ok();
+}
+
 }  // namespace
+
+void Router::NoteFailedSubrequest(size_t group, const Status& status,
+                                  Status* first_error) const {
+  failed_subrequests_.fetch_add(1, std::memory_order_relaxed);
+  if (first_error->ok()) {
+    *first_error = Status(status.code(), "group " + std::to_string(group) +
+                                             ": " + status.message());
+  }
+}
 
 // Per-group progress of one scatter. Guarded by CallContext::mu except
 // `request` and `launch`, which are immutable after the leg is
@@ -641,34 +693,19 @@ Status Router::RouteRange(MethodKind kind, const Sequence& query,
                timer, &outcomes);
     for (size_t i = 0; i < outcomes.size(); ++i) {
       const SubOutcome& outcome = outcomes[i];
-      if (!outcome.status.ok()) {
-        failed_subrequests_.fetch_add(1, std::memory_order_relaxed);
-        if (first_error.ok()) {
-          first_error = Status(
-              outcome.status.code(),
-              "group " + std::to_string(group_ids[i]) + ": " +
-                  outcome.status.message());
-        }
+      const JsonValue& response = outcome.response;
+      const size_t first_match = merged.matches.size();
+      Status status = outcome.status;
+      if (status.ok()) {
+        status = DecodeRangeMatches(response, &merged);
+      }
+      if (!status.ok()) {
+        // The query fails (first_error), so the partly merged answer is
+        // never returned.
+        NoteFailedSubrequest(group_ids[i], status, &first_error);
         continue;
       }
-      const JsonValue& response = outcome.response;
-      size_t group_matches = 0;
-      if (const JsonValue* matches = response.Find("matches");
-          matches != nullptr &&
-          matches->kind() == JsonValue::Kind::kArray) {
-        group_matches = matches->size();
-        for (const JsonValue& id : matches->items()) {
-          merged.matches.push_back(id.AsInt());
-        }
-      }
-      if (const JsonValue* distances = response.Find("distances");
-          distances != nullptr &&
-          distances->kind() == JsonValue::Kind::kArray &&
-          distances->size() == group_matches) {
-        for (const JsonValue& d : distances->items()) {
-          merged.distances.push_back(d.AsDouble());
-        }
-      }
+      const size_t group_matches = merged.matches.size() - first_match;
       const size_t group_candidates =
           static_cast<size_t>(response.GetInt("num_candidates", 0));
       merged.num_candidates += group_candidates;
@@ -810,21 +847,15 @@ Status Router::RouteKnn(const Sequence& query, size_t k, Trace* trace,
                  &outcomes);
       for (size_t i = 0; i < outcomes.size(); ++i) {
         const SubOutcome& outcome = outcomes[i];
-        if (!outcome.status.ok()) {
-          failed_subrequests_.fetch_add(1, std::memory_order_relaxed);
-          if (first_error.ok()) {
-            first_error = Status(
-                outcome.status.code(),
-                "group " + std::to_string(wave[i]) + ": " +
-                    outcome.status.message());
-          }
-          continue;
-        }
         const JsonValue& response = outcome.response;
         std::vector<KnnMatch> neighbors;
-        if (const JsonValue* neighbors_json = response.Find("neighbors");
-            neighbors_json != nullptr) {
-          (void)JsonToKnnMatches(*neighbors_json, &neighbors);
+        Status status = outcome.status;
+        if (status.ok()) {
+          status = DecodeKnnNeighbors(response, &neighbors);
+        }
+        if (!status.ok()) {
+          NoteFailedSubrequest(wave[i], status, &first_error);
+          continue;
         }
         const size_t group_refined =
             static_cast<size_t>(response.GetInt("num_refined", 0));

@@ -207,6 +207,11 @@ class Router : public EngineLike {
 
   double HedgeDelayMs() const;
 
+  // Counts a failed sub-request (transport error or malformed body) and
+  // keeps the query's first error, prefixed with its group.
+  void NoteFailedSubrequest(size_t group, const Status& status,
+                            Status* first_error) const;
+
   void RecordSubFlight(const char* method, double epsilon,
                        size_t query_length, size_t group,
                        const SubOutcome& outcome, size_t matches,

@@ -260,9 +260,16 @@ Status JsonToKnnMatches(const JsonValue& json,
   for (const JsonValue& item : json.items()) {
     WARPINDEX_RETURN_IF_ERROR(
         ExpectKind(item, JsonValue::Kind::kObject, "neighbor"));
+    const JsonValue* id = item.Find("id");
+    const JsonValue* distance = item.Find("distance");
     KnnMatch match;
-    match.id = item.GetInt("id", kInvalidSequenceId);
-    match.distance = item.GetDouble("distance", 0.0);
+    if (id == nullptr || !id->TryAsInt(&match.id)) {
+      return Status::InvalidArgument("neighbor id must be an integer");
+    }
+    if (distance == nullptr || !distance->is_number()) {
+      return Status::InvalidArgument("neighbor distance must be a number");
+    }
+    match.distance = distance->AsDouble();
     out->push_back(match);
   }
   return Status::Ok();

@@ -46,7 +46,9 @@ Status JsonToSpans(const JsonValue& json, std::vector<TraceSpan>* out);
 JsonValue RectToJson(const Rect& rect);
 Status JsonToRect(const JsonValue& json, Rect* out);
 
-// kNN matches <-> array of {"id":...,"distance":...}.
+// kNN matches <-> array of {"id":...,"distance":...}. Decoding rejects
+// (InvalidArgument) a neighbor without an integer id or a numeric
+// distance.
 JsonValue KnnMatchesToJson(const std::vector<KnnMatch>& matches);
 Status JsonToKnnMatches(const JsonValue& json, std::vector<KnnMatch>* out);
 

@@ -116,6 +116,7 @@ void WireServer::Stop() {
     connections.swap(connections_);
   }
   for (auto& conn : connections) {
+    std::lock_guard<std::mutex> lock(conn->fd_mu);
     if (conn->fd >= 0) {
       // Wake a blocked read; the connection thread closes its own fd.
       ::shutdown(conn->fd, SHUT_RDWR);
@@ -191,24 +192,30 @@ void WireServer::ReapFinishedLocked() {
 }
 
 void WireServer::ServeConnection(Connection* conn) {
+  // Only this thread changes the fd (set before the thread started), so
+  // it reads it once without the lock.
+  const int fd = conn->fd;
   std::string client_id = "anon";
   while (!stopping_.load()) {
     WireFrame frame;
     bool idle = false;
     const Status status =
-        ReadFrame(conn->fd, &frame, options_.max_body_bytes, &idle);
+        ReadFrame(fd, &frame, options_.max_body_bytes, &idle);
     if (!status.ok()) {
       if (idle) {
         continue;  // poll tick: no bytes arrived; re-check stop flag
       }
       break;  // clean close, desync, or transport failure
     }
-    if (!DispatchFrame(conn->fd, frame, &client_id)) {
+    if (!DispatchFrame(fd, frame, &client_id)) {
       break;
     }
   }
-  CloseSocket(conn->fd);
-  conn->fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(conn->fd_mu);
+    CloseSocket(fd);
+    conn->fd = -1;
+  }
   if (connections_gauge_ != nullptr) {
     connections_gauge_->Increment(-1);
   }

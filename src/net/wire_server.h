@@ -117,6 +117,10 @@ class WireServer {
 
  private:
   struct Connection {
+    // Guards fd. The connection thread closes the fd and sets it to -1
+    // under the lock, and Stop shuts it down under the lock only while
+    // it is >= 0, so Stop never touches a closed (possibly reused) fd.
+    std::mutex fd_mu;
     int fd = -1;
     std::thread thread;
     std::atomic<bool> done{false};

@@ -24,6 +24,13 @@ namespace warpindex {
 
 // Canonical stage names used across search methods, traces, metrics, and
 // bench tables.
+//
+// CPU attribution: a stage's CPU time is normally its own thread-CPU
+// reading (StageTimer). Exact k-NN's incremental loop interleaves
+// rtree_search, candidate_fetch and knn_refine per candidate, where a
+// thread-CPU reading (a system call) would cost as much as the work, so
+// it reads the CPU clock once around the loop and splits that time
+// across the three stages by their wall-time shares.
 inline constexpr std::string_view kStageRtreeSearch = "rtree_search";
 inline constexpr std::string_view kStageCandidateFetch = "candidate_fetch";
 inline constexpr std::string_view kStageLbYiCascade = "lb_yi_cascade";

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -90,6 +91,49 @@ void CheckPair(const Dtw& dtw, const Sequence& s, const Sequence& q,
   }
 }
 
+// Reference for the windowed DP's cell count: per row of the longer
+// sequence (the kernel's rows), last - first + 1 over the cells that lie
+// on a path of allowed cells (step cost <= t) from (0, 0) to the final
+// cell, found by plain boolean DP forward and then backward. 0 when no
+// such path exists.
+uint64_t PathWindowCells(const Sequence& a, const Sequence& b, StepCost step,
+                         double t) {
+  const Sequence& s = a.size() >= b.size() ? a : b;
+  const Sequence& q = a.size() >= b.size() ? b : a;
+  const size_t n = s.size();
+  const size_t m = q.size();
+  std::vector<std::vector<bool>> on(n, std::vector<bool>(m, false));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      const bool entered = (i == 0 && j == 0) || (i > 0 && on[i - 1][j]) ||
+                           (i > 0 && j > 0 && on[i - 1][j - 1]) ||
+                           (j > 0 && on[i][j - 1]);
+      on[i][j] = entered && ElementCost(s[i], q[j], step) <= t;
+    }
+  }
+  if (!on[n - 1][m - 1]) {
+    return 0;
+  }
+  uint64_t cells = 0;
+  for (size_t i = n; i-- > 0;) {
+    size_t first = m;
+    size_t last = 0;
+    for (size_t j = m; j-- > 0;) {
+      const bool leaves = (i == n - 1 && j == m - 1) ||
+                          (i + 1 < n && on[i + 1][j]) ||
+                          (i + 1 < n && j + 1 < m && on[i + 1][j + 1]) ||
+                          (j + 1 < m && on[i][j + 1]);
+      on[i][j] = on[i][j] && leaves;
+      if (on[i][j]) {
+        first = j;
+        last = std::max(last, j);
+      }
+    }
+    cells += last - first + 1;
+  }
+  return cells;
+}
+
 // One scratch across every shape, so stale rows and bits from a larger
 // evaluation would show.
 TEST(DtwKernelTest, MatchesPathReferenceOverShapesBandsAndThresholds) {
@@ -122,6 +166,99 @@ TEST(DtwKernelTest, MatchesPathReferenceBeyond4096Columns) {
   DtwScratch scratch;
   for (const DtwOptions& options : {DtwOptions::Linf(), DtwOptions::L1()}) {
     CheckPair(Dtw(options), s, q, &scratch);
+  }
+}
+
+// The windowed DP behind an accepting pre-pass, against the reference:
+// random unbanded L_inf pairs (both step costs; n != m, n = 1, m = 1) at
+// thresholds at D, at the next double above D, at 1.25 D and 4 D (ever
+// wider windows) and at 0. DistanceWithThreshold must be bit-identical to
+// ref <= t ? ref : +inf, and an accepted pair counts its n * m pre-pass
+// cells plus its path-window cells. One scratch throughout, so stale
+// tails left by wider windows and longer rows would show.
+TEST(DtwKernelTest, WindowedDpMatchesPathReference) {
+  const size_t lengths[] = {1, 2, 17, 64, 65, 130};
+  Prng prng(1616);
+  DtwScratch scratch;
+  for (const StepCost step : {StepCost::kAbsolute, StepCost::kSquared}) {
+    const Dtw dtw(DtwOptions{DtwCombiner::kMax, step, -1, false});
+    for (const size_t n : lengths) {
+      for (const size_t m : lengths) {
+        for (int trial = 0; trial < 3; ++trial) {
+          const Sequence s = RandomWalk(&prng, n);
+          const Sequence q = NoisyResample(&prng, s, m);
+          const double ref = dtw.DistanceWithPath(s, q).distance;
+          ASSERT_TRUE(std::isfinite(ref));
+          for (const double t : {ref, std::nextafter(ref, kInf), 1.25 * ref,
+                                 4.0 * ref, 0.0}) {
+            const DtwResult r = dtw.DistanceWithThreshold(s, q, t, &scratch);
+            const std::string where = "n=" + std::to_string(n) +
+                                      " m=" + std::to_string(m) +
+                                      " t=" + std::to_string(t);
+            EXPECT_TRUE(SameBits(r.distance, ref <= t ? ref : kInf))
+                << where << " got=" << r.distance << " ref=" << ref;
+            if (ref <= t) {
+              EXPECT_EQ(r.cells, n * m + PathWindowCells(s, q, step, t))
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Non-finite elements on the pre-pass path: NaN and infinite-cost cells
+// never lie on a path costing <= t, so they fall outside or inside the
+// windows as the other cells dictate, and a NaN final cell (never on
+// such a path, yet D may be NaN) takes the full-DP fallback. Every
+// thresholded result must be bit-identical to the DP alone (the same
+// options with a band wide enough to constrain nothing, which skips the
+// pre-pass) and, wherever the reference is not NaN, to
+// ref <= t ? ref : +inf.
+TEST(DtwKernelTest, WindowedDpMatchesPlainDpOnNonFiniteInputs) {
+  const double specials[] = {kInf, -kInf, kNaN};
+  Prng prng(77);
+  DtwScratch scratch;
+  for (const StepCost step : {StepCost::kAbsolute, StepCost::kSquared}) {
+    const DtwOptions options{DtwCombiner::kMax, step, -1, false};
+    const Dtw dtw(options);
+    for (int trial = 0; trial < 400; ++trial) {
+      const size_t n = static_cast<size_t>(prng.UniformInt(1, 40));
+      const size_t m = static_cast<size_t>(prng.UniformInt(1, 40));
+      const Sequence base = RandomWalk(&prng, n);
+      std::vector<double> s(base.data(), base.data() + n);
+      const Sequence resampled = NoisyResample(&prng, base, m);
+      std::vector<double> q(resampled.data(), resampled.data() + m);
+      for (int k = prng.UniformInt(0, 2); k > 0; --k) {
+        std::vector<double>& v = prng.UniformInt(0, 1) == 0 ? s : q;
+        v[static_cast<size_t>(
+            prng.UniformInt(0, static_cast<int64_t>(v.size()) - 1))] =
+            specials[prng.UniformInt(0, 2)];
+      }
+      if (trial % 4 == 0) {
+        s.back() = kNaN;  // a NaN final cell
+      }
+      const Sequence a(std::move(s));
+      const Sequence b(std::move(q));
+      DtwOptions wide = options;
+      wide.band = static_cast<int>(std::max(n, m));
+      const Dtw plain(wide);
+      const double ref = dtw.DistanceWithPath(a, b).distance;
+      for (const double t : {0.0, 0.1, 0.5, 1.0, 2.0, 8.0}) {
+        const double got = dtw.DistanceWithThreshold(a, b, t, &scratch)
+                               .distance;
+        const double want = plain.DistanceWithThreshold(a, b, t).distance;
+        const std::string where = "trial=" + std::to_string(trial) +
+                                  " t=" + std::to_string(t);
+        EXPECT_TRUE(SameBits(got, want))
+            << where << " got=" << got << " plain=" << want;
+        if (!std::isnan(ref)) {
+          EXPECT_TRUE(SameBits(got, ref <= t ? ref : kInf))
+              << where << " got=" << got << " ref=" << ref;
+        }
+      }
+    }
   }
 }
 
@@ -224,14 +361,20 @@ TEST(DtwKernelTest, NonFiniteInputsReproducePinnedOutputs) {
                       ? std::isnan(r.distance)
                       : SameBits(r.distance, g.distance[k]))
           << where << " got " << r.distance;
-      // Only unbanded L_inf with a finite threshold runs the pre-pass. It
-      // adds its n * m cells when it passes the pair on to the DP: when
-      // the pair matches, and here when the DP's answer is NaN (a NaN
-      // final cost the rows reach, which the pre-pass leaves to the DP).
+      // Only unbanded L_inf with a finite threshold runs the pre-pass. A
+      // pair it passes on counts its n * m cells plus the DP's: the
+      // path-window cells when the pair matches, and the full DP's
+      // pinned cells when the answer is NaN (a NaN final cost, which the
+      // pre-pass leaves to the full DP).
       const uint64_t nm = a.size() * b.size();
       const bool prepass = g.option == 0 && std::isfinite(t);
-      const bool passed = g.distance[k] <= t || std::isnan(g.distance[k]);
-      EXPECT_EQ(r.cells, g.cells[k] + (prepass && passed ? nm : 0)) << where;
+      uint64_t expected_cells = g.cells[k];
+      if (prepass && g.distance[k] <= t) {
+        expected_cells = nm + PathWindowCells(a, b, StepCost::kAbsolute, t);
+      } else if (prepass && std::isnan(g.distance[k])) {
+        expected_cells = nm + g.cells[k];
+      }
+      EXPECT_EQ(r.cells, expected_cells) << where;
     }
   }
 }
@@ -305,6 +448,76 @@ TEST(DtwKernelTest, Sse2MaskWordsEqualPortableWords) {
   }
 }
 #endif
+
+// The rank table's row masks equal the per-column reference word for
+// word: columns with duplicates, NaN, +-inf and +-0, rows s_i including
+// those values, thresholds including 0, lengths across word edges.
+TEST(DtwKernelTest, RankedMasksEqualPortableWords) {
+  Prng prng(4242);
+  const double specials[] = {kInf, -kInf, kNaN, 0.0, -0.0};
+  ColumnRanks ranks;
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t m = static_cast<size_t>(prng.UniformInt(1, 200));
+    std::vector<double> q(m);
+    for (double& e : q) {
+      const int pick = prng.UniformInt(0, 9);
+      e = pick == 0   ? specials[prng.UniformInt(0, 4)]
+          : pick == 1 ? 0.25 * prng.UniformInt(-4, 4)  // duplicates
+                      : prng.UniformDouble(-2.0, 2.0);
+    }
+    ranks.Assign(q.data(), m);
+    for (int row = 0; row < 20; ++row) {
+      const int pick = prng.UniformInt(0, 9);
+      const double s_i = pick == 0   ? specials[prng.UniformInt(0, 4)]
+                         : pick == 1 ? 0.25 * prng.UniformInt(-4, 4)
+                                     : prng.UniformDouble(-2.0, 2.0);
+      const double t = row % 5 == 0   ? 0.0
+                       : row % 5 == 1 ? 0.25
+                                      : prng.UniformDouble(0.0, 1.5);
+      const uint64_t* lo = nullptr;
+      const uint64_t* hi = nullptr;
+      for (size_t w = 0; w * 64 < m; ++w) {
+        const size_t count = std::min<size_t>(64, m - w * 64);
+        ranks.Row<StepCost::kAbsolute>(s_i, t, &lo, &hi);
+        EXPECT_EQ(hi[w] & ~lo[w],
+                  AllowedWordPortable<StepCost::kAbsolute>(
+                      s_i, q.data() + w * 64, count, t))
+            << "m=" << m << " s_i=" << s_i << " t=" << t << " w=" << w;
+        ranks.Row<StepCost::kSquared>(s_i, t, &lo, &hi);
+        EXPECT_EQ(hi[w] & ~lo[w],
+                  AllowedWordPortable<StepCost::kSquared>(
+                      s_i, q.data() + w * 64, count, t))
+            << "m=" << m << " s_i=" << s_i << " t=" << t << " w=" << w;
+      }
+    }
+  }
+}
+
+// A scratch's rank table follows the columns' values, not their address:
+// a query reassigned in place (same length, same buffer) must not reuse
+// the table built for its old values.
+TEST(DtwKernelTest, RankTableFollowsColumnsReassignedInPlace) {
+  Prng prng(99);
+  const Dtw dtw(DtwOptions{DtwCombiner::kMax, StepCost::kAbsolute, -1, false});
+  DtwScratch shared;
+  const Sequence s = RandomWalk(&prng, 96);
+  Sequence q = NoisyResample(&prng, s, 80);
+  for (int trial = 0; trial < 50; ++trial) {
+    const double* before = q.data();
+    q = trial % 2 == 0 ? NoisyResample(&prng, s, 80) : RandomWalk(&prng, 80);
+    const double ref = dtw.DistanceWithPath(s, q).distance;
+    for (const double t : {ref, 0.9 * ref, 2.0 * ref}) {
+      DtwScratch fresh;
+      const DtwResult got = dtw.DistanceWithThreshold(s, q, t, &shared);
+      const DtwResult want = dtw.DistanceWithThreshold(s, q, t, &fresh);
+      EXPECT_TRUE(SameBits(got.distance, want.distance))
+          << "trial=" << trial << " same buffer=" << (before == q.data());
+      EXPECT_EQ(got.cells, want.cells) << "trial=" << trial;
+      EXPECT_TRUE(SameBits(got.distance, ref <= t ? ref : kInf))
+          << "trial=" << trial;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace warpindex

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -396,6 +397,12 @@ TEST_F(IntrospectionTest, ConcurrentQueriesAndScrapes) {
     }
   });
 
+  // Start the queries once the scraper is being served, so the two are
+  // in flight together however fast the queries finish.
+  for (int waited_ms = 0; server.requests_served() == 0 && waited_ms < 5000;
+       ++waited_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   for (int round = 0; round < 4; ++round) {
     RunQueries(6);
   }

@@ -70,6 +70,19 @@ TEST(NetJsonTest, IntAndDoubleAccessorsConvert) {
   EXPECT_FALSE(JsonValue::Int(1).AsBool());
 }
 
+TEST(NetJsonTest, TryAsIntAcceptsOnlyIntegers) {
+  int64_t out = 99;
+  EXPECT_TRUE(MustParse("-42").TryAsInt(&out));
+  EXPECT_EQ(out, -42);
+  out = 99;
+  EXPECT_FALSE(MustParse("3.0").TryAsInt(&out));  // a double, even integral
+  EXPECT_FALSE(MustParse("1e3").TryAsInt(&out));
+  EXPECT_FALSE(MustParse("\"7\"").TryAsInt(&out));
+  EXPECT_FALSE(MustParse("null").TryAsInt(&out));
+  EXPECT_FALSE(MustParse("[1]").TryAsInt(&out));
+  EXPECT_EQ(out, 99);  // untouched on failure
+}
+
 TEST(NetJsonTest, StringEscapes) {
   JsonValue value = JsonValue::Str("a\"b\\c\n\t\x01");
   const JsonValue back = MustParse(value.Render());

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,6 +24,8 @@
 #include "core/engine.h"
 #include "net/shard_server.h"
 #include "net/socket.h"
+#include "net/wire_client.h"
+#include "net/wire_server.h"
 #include "obs/flight_recorder.h"
 #include "obs/slow_log.h"
 #include "obs/trace.h"
@@ -327,6 +330,163 @@ TEST_P(RouterPropertyTest, AllReplicasDeadIsAnErrorNotAPartialAnswer) {
   const SearchResult wrapped = cluster.router().SearchWith(
       MethodKind::kTwSimSearch, queries.front(), 10.0);
   EXPECT_TRUE(wrapped.matches.empty());
+}
+
+// A wire proxy in front of one shard server that forwards every request
+// and rewrites the RANGE or KNN response bodies with `tamper`, so a
+// router behind it sees a well-framed but malformed group response.
+class TamperingProxy {
+ public:
+  using Tamper = std::function<void(WireType, JsonValue*)>;
+
+  Status Start(uint16_t upstream_port, Tamper tamper) {
+    WireClientOptions client_options;
+    client_options.port = upstream_port;
+    client_options.timeout_ms = 20000;
+    client_ = std::make_unique<WireClient>(client_options);
+    WARPINDEX_RETURN_IF_ERROR(client_->Connect(&hello_));
+    WireServerOptions server_options;
+    server_options.io_timeout_ms = 50;
+    server_ = std::make_unique<WireServer>(server_options);
+    server_->Handle(WireType::kHello,
+                    [this](const std::string&, const JsonValue&,
+                           JsonValue* response) {
+                      *response = hello_;
+                      return Status::Ok();
+                    });
+    for (const WireType type : {WireType::kRange, WireType::kKnn}) {
+      server_->Handle(type, [this, type, tamper](const std::string&,
+                                                 const JsonValue& request,
+                                                 JsonValue* response) {
+        std::lock_guard<std::mutex> lock(mu_);
+        WARPINDEX_RETURN_IF_ERROR(client_->Call(type, request, response));
+        tamper(type, response);
+        return Status::Ok();
+      });
+    }
+    return server_->Start();
+  }
+
+  ~TamperingProxy() {
+    if (server_ != nullptr) server_->Stop();
+  }
+
+  uint16_t port() const { return server_->port(); }
+
+ private:
+  JsonValue hello_;
+  std::mutex mu_;  // one upstream connection, shared by the handlers
+  std::unique_ptr<WireClient> client_;
+  std::unique_ptr<WireServer> server_;
+};
+
+// `object` without member `key`.
+JsonValue Without(const JsonValue& object, const std::string& key) {
+  JsonValue out = JsonValue::Object();
+  for (const auto& [name, value] : object.members()) {
+    if (name != key) out.Set(name, value);
+  }
+  return out;
+}
+
+// Each decode-failure class of a group response: the query fails with a
+// typed error (Internal, as for a body that does not parse), counts a
+// failed sub-request, and returns no partial answer. The untampered
+// kind still answers exactly through the same proxies.
+TEST_P(RouterPropertyTest, MalformedGroupResponseIsAFailedSubrequest) {
+  Cluster cluster;
+  ASSERT_TRUE(cluster
+                  .Build(TempName("malformed"), /*seed=*/91,
+                         /*num_shards=*/2, GetParam(),
+                         OneShardPerGroup(2), /*replicas=*/1,
+                         QuietOptions())
+                  .ok());
+  struct Case {
+    const char* name;
+    WireType type;
+    std::function<void(JsonValue*)> tamper;
+  };
+  const Case cases[] = {
+      {"kNN neighbors missing", WireType::kKnn,
+       [](JsonValue* r) { *r = Without(*r, "neighbors"); }},
+      {"kNN neighbors not an array", WireType::kKnn,
+       [](JsonValue* r) { r->Set("neighbors", JsonValue::Str("none")); }},
+      {"kNN neighbor id not an integer", WireType::kKnn,
+       [](JsonValue* r) {
+         JsonValue neighbor = JsonValue::Object();
+         neighbor.Set("id", JsonValue::Double(1.5));
+         neighbor.Set("distance", JsonValue::Double(0.25));
+         JsonValue neighbors = JsonValue::Array();
+         neighbors.Add(std::move(neighbor));
+         r->Set("neighbors", std::move(neighbors));
+       }},
+      {"range matches missing", WireType::kRange,
+       [](JsonValue* r) { *r = Without(*r, "matches"); }},
+      {"range match id not an integer", WireType::kRange,
+       [](JsonValue* r) {
+         JsonValue matches = JsonValue::Array();
+         matches.Add(JsonValue::Str("7"));
+         JsonValue distances = JsonValue::Array();
+         distances.Add(JsonValue::Double(0.0));
+         r->Set("matches", std::move(matches));
+         r->Set("distances", std::move(distances));
+       }},
+      {"range distances miscounted", WireType::kRange,
+       [](JsonValue* r) {
+         JsonValue distances = *r->Find("distances");
+         distances.Add(JsonValue::Double(0.0));
+         r->Set("distances", std::move(distances));
+       }},
+  };
+  const Sequence query =
+      GenerateQueryWorkload(cluster.expected().shard(0).dataset(),
+                            QueryWorkloadOptions{.num_queries = 1, .seed = 92})
+          .front();
+  // Epsilon large enough that no shard is pruned and group 0 matches.
+  const double epsilon = 1e9;
+  for (const Case& c : cases) {
+    TamperingProxy tampered;
+    TamperingProxy clean;
+    ASSERT_TRUE(tampered
+                    .Start(cluster.server(0).port(),
+                           [&c](WireType type, JsonValue* response) {
+                             if (type == c.type) c.tamper(response);
+                           })
+                    .ok());
+    ASSERT_TRUE(
+        clean.Start(cluster.server(1).port(), [](WireType, JsonValue*) {})
+            .ok());
+    RouterOptions options = QuietOptions();
+    options.groups = {{RouterEndpoint{"127.0.0.1", tampered.port()}},
+                      {RouterEndpoint{"127.0.0.1", clean.port()}}};
+    std::unique_ptr<Router> router;
+    ASSERT_TRUE(Router::Create(std::move(options), &router).ok()) << c.name;
+
+    SearchResult range;
+    const Status range_status = router->RouteRange(
+        MethodKind::kTwSimSearch, query, epsilon, nullptr, &range);
+    KnnResult knn;
+    const Status knn_status = router->RouteKnn(query, 5, nullptr, &knn);
+    const Status& failed =
+        c.type == WireType::kRange ? range_status : knn_status;
+    EXPECT_EQ(failed.code(), StatusCode::kInternal)
+        << c.name << ": " << failed.ToString();
+    EXPECT_EQ(router->stats().failed_subrequests, 1u) << c.name;
+    if (c.type == WireType::kRange) {
+      EXPECT_TRUE(range.matches.empty()) << c.name << ": no partial answer";
+      ASSERT_TRUE(knn_status.ok()) << c.name;
+      EXPECT_EQ(knn.neighbors, cluster.expected().SearchKnn(query, 5).neighbors)
+          << c.name;
+    } else {
+      EXPECT_TRUE(knn.neighbors.empty()) << c.name << ": no partial answer";
+      ASSERT_TRUE(range_status.ok()) << c.name;
+      EXPECT_EQ(range.matches,
+                cluster.expected()
+                    .SearchWith(MethodKind::kTwSimSearch, query, epsilon)
+                    .matches)
+          << c.name;
+    }
+  }
 }
 
 // A replica that accepts connections but never answers forces the hedge

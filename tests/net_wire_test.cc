@@ -461,6 +461,37 @@ TEST_F(WireServerTest, StopIsIdempotentAndJoinsEverything) {
   EXPECT_FALSE(server->running());
 }
 
+// Stop while connections are closing on their own: clients connect and
+// hang up in a loop, so connection threads close their fds (and the
+// kernel reuses the numbers) while Stop shuts the connections down.
+// Stop must only ever shut down an fd it still owns; a thread sanitizer
+// build reports the unguarded version of this as a data race.
+TEST_F(WireServerTest, StopWhileConnectionsCloseIsSafe) {
+  for (int round = 0; round < 5; ++round) {
+    auto server = StartServer(WireServerOptions{});
+    const uint16_t port = server->port();
+    std::atomic<bool> stop_clients{false};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 3; ++c) {
+      clients.emplace_back([&stop_clients, port] {
+        while (!stop_clients.load()) {
+          int fd = -1;
+          if (TcpConnect("127.0.0.1", port, 200, &fd).ok()) {
+            CloseSocket(fd);
+          }
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    server->Stop();
+    stop_clients.store(true);
+    for (std::thread& t : clients) {
+      t.join();
+    }
+    EXPECT_FALSE(server->running());
+  }
+}
+
 // ---- Admission controller unit coverage (clocked manually).
 
 TEST(AdmissionTest, BucketRefillsAtQps) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
+#include "sequence/feature.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
 #include "sequence/stock_generator.h"
@@ -184,6 +187,120 @@ TEST(SharedKnnBoundTest, PreTightenedBoundKeepsTopKExact) {
     }
     // The bounded search should refine no MORE than the unbounded one.
     EXPECT_LE(bounded.num_refined, unbounded.num_refined);
+  }
+}
+
+// The exact answer by brute force: every row's Distance under `options`,
+// sorted by the canonical (distance, id) order, first k.
+std::vector<KnnMatch> OracleKnn(const Dataset& d, const Sequence& q, size_t k,
+                                const DtwOptions& options) {
+  const Dtw dtw(options);
+  std::vector<KnnMatch> all;
+  for (size_t i = 0; i < d.size(); ++i) {
+    all.push_back(
+        {static_cast<SequenceId>(i), dtw.Distance(d[i], q).distance});
+  }
+  std::sort(all.begin(), all.end(), KnnMatchOrder);
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+// Bit-identical neighbor lists: the same ids, the same distances.
+void ExpectSameKnn(const KnnResult& got, const std::vector<KnnMatch>& want,
+                   const std::string& where) {
+  ASSERT_EQ(got.neighbors.size(), want.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.neighbors[i], want[i])
+        << where << " rank " << i << ": got id " << got.neighbors[i].id
+        << " d " << got.neighbors[i].distance << ", want id " << want[i].id
+        << " d " << want[i].distance;
+  }
+}
+
+// Variable-length walks, each of rows 3, 11 and 19 duplicated three
+// times (so several candidates tie at many distances, the k-th among
+// them), plus a row whose feature tuple equals row 0's while its
+// sequence differs (a 0 lower bound with a non-zero distance).
+Dataset TieAndZeroBoundDataset() {
+  const Dataset walks = WalkDataset(90, 20, 70);
+  std::vector<Sequence> rows;
+  for (size_t i = 0; i < walks.size(); ++i) {
+    rows.push_back(walks[i]);
+  }
+  for (const size_t source : {3u, 11u, 19u}) {
+    for (int copy = 0; copy < 3; ++copy) {
+      rows.push_back(walks[source]);
+    }
+  }
+  return Dataset(std::move(rows));
+}
+
+// A query with row 0's feature tuple (first, last, greatest, smallest)
+// but a different shape: row 0's interior reversed.
+Sequence SameFeatureAsRow0(const Dataset& d) {
+  std::vector<double> v(d[0].data(), d[0].data() + d[0].size());
+  std::reverse(v.begin() + 1, v.end() - 1);
+  return Sequence(std::move(v));
+}
+
+// The decision-first heap fill (max combiner, no band) against the
+// brute-force oracle: k from 1 past the row count, duplicate rows tying
+// at the k-th distance, a query at lower bound 0 from some row (the
+// provisional threshold cannot grow from 0 and falls back to +inf),
+// seeded searches, and a pre-tightened shared bound.
+TEST(TwKnnSearchTest, DecisionFirstFillMatchesBruteForceOracle) {
+  const Engine engine(TieAndZeroBoundDataset(), EngineOptions{});
+  const Dataset& d = engine.dataset();
+  ASSERT_TRUE(Dtw(EngineOptions{}.dtw).RunsLinfPrePass());
+  std::vector<Sequence> queries = GenerateQueryWorkload(
+      d, QueryWorkloadOptions{.num_queries = 6, .seed = 16});
+  queries.push_back(d[11]);                 // distance-0 ties with copies
+  queries.push_back(SameFeatureAsRow0(d));  // lower bound 0, distance > 0
+  ASSERT_EQ(ExtractFeature(queries.back()).AsPoint(),
+            ExtractFeature(d[0]).AsPoint());
+  ASSERT_GT(Dtw().Distance(queries.back(), d[0]).distance, 0.0);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const Sequence& q = queries[qi];
+    for (const size_t k : {size_t{1}, size_t{10}, d.size(), d.size() + 5}) {
+      const std::string where =
+          "query " + std::to_string(qi) + " k=" + std::to_string(k);
+      const auto want = OracleKnn(d, q, k, DtwOptions::Linf());
+      ExpectSameKnn(engine.SearchKnn(q, k), want, where);
+      const double kth = want.back().distance;
+      ExpectSameKnn(engine.SearchKnnSeeded(q, k, kth), want,
+                    where + " seeded at the k-th distance");
+      ExpectSameKnn(engine.SearchKnnSeeded(q, k, 2.0 * kth + 1.0), want,
+                    where + " seeded above it");
+      SharedKnnBound bound;
+      bound.Tighten(kth);
+      ExpectSameKnn(engine.SearchKnnBounded(q, k, nullptr, &bound), want,
+                    where + " pre-tightened bound");
+    }
+  }
+}
+
+// Sum-combined and banded engines never take the decision-first fill
+// (their thresholded evaluations run no pre-pass); their answers stay
+// the brute-force oracle's under their own options.
+TEST(TwKnnSearchTest, SumCombinedAndBandedEnginesMatchTheirOracles) {
+  DtwOptions banded = DtwOptions::Linf();
+  banded.band = 5;
+  for (const DtwOptions& options : {DtwOptions::L1(), banded}) {
+    ASSERT_FALSE(Dtw(options).RunsLinfPrePass());
+    EngineOptions engine_options;
+    engine_options.dtw = options;
+    const Engine engine(TieAndZeroBoundDataset(), engine_options);
+    const Dataset& d = engine.dataset();
+    const auto queries = GenerateQueryWorkload(
+        d, QueryWorkloadOptions{.num_queries = 4, .seed = 23});
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      for (const size_t k : {size_t{1}, size_t{10}, d.size() + 5}) {
+        ExpectSameKnn(engine.SearchKnn(queries[qi], k),
+                      OracleKnn(d, queries[qi], k, options),
+                      "band " + std::to_string(options.band) + " query " +
+                          std::to_string(qi) + " k=" + std::to_string(k));
+      }
+    }
   }
 }
 
