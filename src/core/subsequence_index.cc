@@ -5,6 +5,7 @@
 #include <deque>
 
 #include "common/timer.h"
+#include "core/feature_index.h"
 #include "rtree/bulk_load.h"
 
 namespace warpindex {
@@ -70,10 +71,8 @@ SubsequenceIndex::SubsequenceIndex(const Dataset* dataset,
                          static_cast<int64_t>(windows_.size());
                      windows_.push_back({s.id(), static_cast<uint32_t>(offset),
                                          static_cast<uint32_t>(w)});
-                     const auto arr = f.AsPoint();
                      entries.push_back(RTreeEntry::Leaf(
-                         Rect::FromPoint(
-                             Point::FromArray(arr.data(), kFeatureDims)),
+                         Rect::FromPoint(FeatureIndex::FeatureToPoint(f)),
                          record_id));
                    });
     }
@@ -91,10 +90,8 @@ std::vector<SubsequenceMatch> SubsequenceIndex::Search(
     const Sequence& query, double epsilon, SearchCost* cost) const {
   assert(!query.empty());
   WallTimer timer;
-  const FeatureVector qf = ExtractFeature(query);
-  const auto arr = qf.AsPoint();
   const Rect range = Rect::SquareAround(
-      Point::FromArray(arr.data(), kFeatureDims), epsilon);
+      FeatureIndex::FeatureToPoint(ExtractFeature(query)), epsilon);
 
   RTreeQueryStats rstats;
   const std::vector<int64_t> candidates = tree_.RangeSearch(range, &rstats);

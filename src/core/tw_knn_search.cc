@@ -33,8 +33,7 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
   KnnResult result;
 
   const FeatureVector qf = ExtractFeature(query);
-  const auto arr = qf.AsPoint();
-  const Point qp = Point::FromArray(arr.data(), kFeatureDims);
+  const Point qp = FeatureIndex::FeatureToPoint(qf);
 
   RTreeQueryStats rstats;
   RTree::LinfNearestIterator it =

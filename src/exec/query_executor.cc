@@ -1,10 +1,7 @@
 #include "exec/query_executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -13,6 +10,7 @@
 #include "cache/semantic_cache.h"
 #include "common/timer.h"
 #include "ingest/ingest_engine.h"
+#include "shard/scatter_gather.h"
 
 namespace warpindex {
 namespace {
@@ -190,23 +188,9 @@ void QueryExecutor::RecordFlight(MethodKind kind, const Sequence& query,
   if (options_.flight_recorder == nullptr && options_.slow_log == nullptr) {
     return;
   }
-  FlightRecord record;
-  record.trace_id = trace_id;
-  record.method = MethodKindName(kind);
-  record.epsilon = epsilon;
-  record.query_length = query.size();
-  record.matches = result.matches.size();
-  record.num_candidates = result.num_candidates;
-  record.wall_ms = result.cost.wall_ms;
-  record.cpu_ms = result.cost.cpu_ms;
-  record.dtw_evals = result.cost.dtw_evals;
-  record.dtw_cells = result.cost.dtw_cells;
-  record.index_nodes = result.cost.index_nodes;
-  record.pool_hits = result.cost.pool_hits;
-  record.pool_misses = result.cost.pool_misses;
-  record.stage_ms = result.cost.stages;
-  record.stage_cpu_ms = result.cost.stages_cpu;
-  record.prunes = result.cost.prunes;
+  FlightRecord record = MakeFlightRecord(
+      MethodKindName(kind), epsilon, query.size(), result.matches.size(),
+      result.num_candidates, result.cost, trace_id);
   record.cache_hit = cache_tier;
   if (options_.slow_log != nullptr) {
     options_.slow_log->Record(record);
@@ -402,130 +386,51 @@ SearchResult QueryExecutor::SearchParallel(const Sequence& query,
 
     ScopedSpan dtw_span(trace, kStageDtwPostfilter);
     WallTimer dtw_timer;
-    ThreadCpuTimer dtw_cpu_timer;
-    // CPU burnt in the DTW post-filter across all participating threads.
-    // On the sequential path this is just the caller's delta; the chunked
-    // path sums the per-chunk readings (helper CPU the caller's own
-    // thread clock cannot see).
-    double dtw_cpu_ms = 0.0;
-    // Helper-thread CPU to fold into the query total (the caller's share
-    // is already inside cpu_timer).
-    double helper_cpu_ms = 0.0;
     const size_t dtw_in = fetched.size();
     result.cost.dtw_evals += dtw_in;
-    if (num_chunks <= 1) {
-      // Not worth fanning out; identical to the sequential Step-4..7.
+    // The chunks fan out over ScatterGather: idle workers help and the
+    // calling thread always participates, so completion never depends on
+    // the pool having free capacity (no deadlock when called from inside
+    // a pool task), and a single chunk runs inline. Outputs are indexed
+    // by chunk, so they stay in candidate order.
+    std::vector<std::vector<SequenceId>> chunk_matches(num_chunks);
+    std::vector<std::vector<double>> chunk_distances(num_chunks);
+    std::vector<uint64_t> chunk_cells(num_chunks, 0);
+    // Thread-CPU ms per chunk (each chunk runs on one thread): their sum
+    // is the post-filter's CPU across every participating thread.
+    std::vector<double> chunk_cpu_ms(num_chunks, 0.0);
+    const Dtw dtw(single->options().dtw);
+    ThreadCpuTimer caller_chunk_cpu;
+    ScatterGather(&pool_).Run(num_chunks, [&](size_t c) {
+      ThreadCpuTimer chunk_cpu;
       DtwScratch scratch;
-      const Dtw dtw(single->options().dtw);
-      for (const Sequence* s : fetched) {
+      const size_t end = std::min(dtw_in, (c + 1) * chunk_size);
+      for (size_t i = c * chunk_size; i < end; ++i) {
         const DtwResult d =
-            dtw.DistanceWithThreshold(*s, query, epsilon, &scratch);
-        result.cost.dtw_cells += d.cells;
+            dtw.DistanceWithThreshold(*fetched[i], query, epsilon, &scratch);
+        chunk_cells[c] += d.cells;
         if (d.distance <= epsilon) {
-          result.matches.push_back(s->id());
-          result.distances.push_back(d.distance);
+          chunk_matches[c].push_back(fetched[i]->id());
+          chunk_distances[c].push_back(d.distance);
         }
       }
-      dtw_cpu_ms = dtw_cpu_timer.ElapsedMillis();
-    } else {
-      // Shared chunk cursor. The context is a shared_ptr so a straggler
-      // helper task that runs after this call returned (every chunk
-      // already claimed) touches only heap state, never our stack.
-      struct Context {
-        const Sequence* query = nullptr;
-        double epsilon = 0.0;
-        Dtw dtw;
-        // Borrowed from the engine's store, which outlives the query; a
-        // straggler helper stops at the chunk cursor and never reads them.
-        std::vector<const Sequence*> fetched;
-        size_t chunk_size = 0;
-        size_t num_chunks = 0;
-        // Indexed by chunk: outputs stay in candidate order.
-        std::vector<std::vector<SequenceId>> chunk_matches;
-        std::vector<std::vector<double>> chunk_distances;
-        std::vector<uint64_t> chunk_cells;
-        // Thread-CPU ms burnt per chunk (each chunk runs on one thread).
-        std::vector<double> chunk_cpu_ms;
-        std::atomic<size_t> next{0};
-        std::atomic<size_t> done{0};
-        std::mutex mu;
-        std::condition_variable all_done;
-      };
-      auto ctx = std::make_shared<Context>();
-      ctx->query = &query;
-      ctx->epsilon = epsilon;
-      ctx->dtw = Dtw(single->options().dtw);
-      ctx->fetched = std::move(fetched);
-      ctx->chunk_size = chunk_size;
-      ctx->num_chunks = num_chunks;
-      ctx->chunk_matches.resize(num_chunks);
-      ctx->chunk_distances.resize(num_chunks);
-      ctx->chunk_cells.resize(num_chunks, 0);
-      ctx->chunk_cpu_ms.resize(num_chunks, 0.0);
-
-      auto work = [ctx]() {
-        DtwScratch scratch;  // one per participating thread
-        for (;;) {
-          const size_t c = ctx->next.fetch_add(1, std::memory_order_relaxed);
-          if (c >= ctx->num_chunks) {
-            return;
-          }
-          const size_t begin = c * ctx->chunk_size;
-          const size_t end =
-              std::min(ctx->fetched.size(), begin + ctx->chunk_size);
-          std::vector<SequenceId>& matches = ctx->chunk_matches[c];
-          std::vector<double>& distances = ctx->chunk_distances[c];
-          ThreadCpuTimer chunk_cpu;
-          uint64_t cells = 0;
-          for (size_t i = begin; i < end; ++i) {
-            const DtwResult d = ctx->dtw.DistanceWithThreshold(
-                *ctx->fetched[i], *ctx->query, ctx->epsilon, &scratch);
-            cells += d.cells;
-            if (d.distance <= ctx->epsilon) {
-              matches.push_back(ctx->fetched[i]->id());
-              distances.push_back(d.distance);
-            }
-          }
-          ctx->chunk_cells[c] = cells;
-          ctx->chunk_cpu_ms[c] = chunk_cpu.ElapsedMillis();
-          if (ctx->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-              ctx->num_chunks) {
-            std::lock_guard<std::mutex> lock(ctx->mu);
-            ctx->all_done.notify_all();
-          }
-        }
-      };
-
-      // Idle workers help; the calling thread always participates, so
-      // completion never depends on the pool having free capacity (no
-      // deadlock when called from inside a pool task).
-      const size_t helpers = std::min(pool_.num_threads(), num_chunks - 1);
-      for (size_t i = 0; i < helpers; ++i) {
-        pool_.TrySubmitDetached(work);
-      }
-      ThreadCpuTimer caller_chunk_cpu;
-      work();
-      const double caller_chunk_cpu_ms = caller_chunk_cpu.ElapsedMillis();
-      {
-        std::unique_lock<std::mutex> lock(ctx->mu);
-        ctx->all_done.wait(lock, [&ctx]() {
-          return ctx->done.load(std::memory_order_acquire) ==
-                 ctx->num_chunks;
-        });
-      }
-
-      for (size_t c = 0; c < num_chunks; ++c) {
-        result.cost.dtw_cells += ctx->chunk_cells[c];
-        dtw_cpu_ms += ctx->chunk_cpu_ms[c];
-        result.matches.insert(result.matches.end(),
-                              ctx->chunk_matches[c].begin(),
-                              ctx->chunk_matches[c].end());
-        result.distances.insert(result.distances.end(),
-                                ctx->chunk_distances[c].begin(),
-                                ctx->chunk_distances[c].end());
-      }
-      helper_cpu_ms = std::max(0.0, dtw_cpu_ms - caller_chunk_cpu_ms);
+      chunk_cpu_ms[c] = chunk_cpu.ElapsedMillis();
+    });
+    const double caller_chunk_cpu_ms = caller_chunk_cpu.ElapsedMillis();
+    double dtw_cpu_ms = 0.0;
+    for (size_t c = 0; c < num_chunks; ++c) {
+      result.cost.dtw_cells += chunk_cells[c];
+      dtw_cpu_ms += chunk_cpu_ms[c];
+      result.matches.insert(result.matches.end(), chunk_matches[c].begin(),
+                            chunk_matches[c].end());
+      result.distances.insert(result.distances.end(),
+                              chunk_distances[c].begin(),
+                              chunk_distances[c].end());
     }
+    // Helper-thread CPU to fold into the query total (the caller's share
+    // is already inside cpu_timer).
+    const double helper_cpu_ms =
+        std::max(0.0, dtw_cpu_ms - caller_chunk_cpu_ms);
     const double dtw_ms = dtw_timer.ElapsedMillis();
     const size_t dtw_pruned = dtw_in - result.matches.size();
     result.cost.stages.Add(kStageDtwPostfilter, dtw_ms);

@@ -15,10 +15,10 @@
 //
 //   * Intra-query parallelism — SearchParallel() runs TW-Sim-Search with
 //     its post-filter stage (Algorithm 1 Steps 4..7, the DTW-heavy part)
-//     chunked across the pool: the candidate list is split into fixed
-//     chunks claimed off an atomic cursor by the calling thread plus any
-//     idle workers. Matches come back in candidate order, so answers are
-//     byte-identical to the sequential path.
+//     chunked across the pool with ScatterGather (shard/scatter_gather.h):
+//     the candidate list is split into fixed chunks claimed by the calling
+//     thread plus any idle workers. Matches come back in candidate order,
+//     so answers are byte-identical to the sequential path.
 //
 // Each worker keeps a DtwScratch reused across every query it executes,
 // so steady-state serving performs no per-query DP-row allocations.

@@ -1,30 +1,18 @@
 #include "ingest/ingest_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <system_error>
 #include <utility>
 
 #include "ingest/compactor.h"
+#include "shard/fanout.h"
 #include "shard/shard_io.h"
 
 namespace warpindex {
 namespace {
-
-Point QueryFeaturePoint(const FeatureVector& f) {
-  const std::array<double, kFeatureDims> p = f.AsPoint();
-  return Point::FromArray(p.data(), kFeatureDims);
-}
-
-FeatureKey LowestFeatureKey() {
-  FeatureKey key;
-  key.fill(-std::numeric_limits<double>::infinity());
-  return key;
-}
 
 // Count of `dead` ids (sorted) present in `global_of` (sorted): how many
 // of a base shard's rows a query's tombstone filter can remove — the kNN
@@ -58,47 +46,10 @@ IngestEngine::IngestEngine(Dataset dataset, IngestOptions options)
   assert(options_.num_shards >= 1);
   ShardAssignment assignment =
       AssignShards(dataset, options_.partitioner, options_.num_shards);
-
-  // Split into per-shard datasets in ascending global id order, exactly
-  // like ShardedEngine: shard-local ids preserve global order, which the
-  // kNN tie-break and the compaction merge both rely on.
-  std::vector<Dataset> parts(assignment.num_shards);
-  std::vector<std::vector<SequenceId>> global_of(assignment.num_shards);
-  for (size_t g = 0; g < dataset.size(); ++g) {
-    const uint32_t s = assignment.shard_of[g];
-    parts[s].Add(dataset[g]);
-    global_of[s].push_back(static_cast<SequenceId>(g));
-  }
-
   auto view = std::make_shared<ShardView>();
-  view->shards.resize(assignment.num_shards);
-  for (size_t s = 0; s < assignment.num_shards; ++s) {
-    BaseShard& shard = view->shards[s];
-    shard.engine =
-        std::make_shared<Engine>(std::move(parts[s]), options_.engine);
-    shard.global_of = std::make_shared<const std::vector<SequenceId>>(
-        std::move(global_of[s]));
-    for (size_t local = 0; local < shard.engine->dataset().size(); ++local) {
-      shard.bounds.Cover(ExtractFeature(shard.engine->dataset()[local]));
-    }
-  }
+  view->shards = BuildShardSet(dataset, assignment, options_.engine);
   if (options_.partitioner == PartitionerKind::kRange) {
-    // Initial routing cuts: each shard's maximum feature key, prefix-max
-    // so the sequence is non-decreasing. An empty database leaves every
-    // cut at -inf, routing all inserts to the last shard until its first
-    // compaction rebalances (see MaybeRebalanceCuts).
-    view->range_cuts.assign(assignment.num_shards, LowestFeatureKey());
-    for (size_t s = 0; s < assignment.num_shards; ++s) {
-      const Dataset& data = view->shards[s].engine->dataset();
-      for (size_t local = 0; local < data.size(); ++local) {
-        view->range_cuts[s] =
-            std::max(view->range_cuts[s], FeatureKeyOf(ExtractFeature(data[local])));
-      }
-      if (s > 0) {
-        view->range_cuts[s] =
-            std::max(view->range_cuts[s], view->range_cuts[s - 1]);
-      }
-    }
+    view->range_cuts = InitialRangeCuts(view->shards);
   }
   view_ = std::move(view);
   part_of_ = std::move(assignment.shard_of);
@@ -286,145 +237,73 @@ bool IngestEngine::Delete(SequenceId id) {
 SearchResult IngestEngine::SearchWith(MethodKind kind, const Sequence& query,
                                       double epsilon, Trace* trace,
                                       DtwScratch* /*scratch*/) const {
-  WallTimer timer;
-  // Caller-thread CPU for this layer's own prune/merge/sort work. CPU the
-  // caller spends inside the fan-out (executing sub-tasks) is already in
-  // the per-partition costs, so that window is subtracted out.
-  ThreadCpuTimer cpu_timer;
-  double fanout_caller_cpu_ms = 0.0;
+  FanOutClock clock;
   const QuerySnapshot snap = AcquireSnapshot();
   const FeatureVector qfeat = ExtractFeature(query);
-  const Point feature_point = QueryFeaturePoint(qfeat);
+  const Point feature_point = FeatureIndex::FeatureToPoint(qfeat);
 
   // A partition participates if its base survives the feature-MBR prune
-  // (same exactness argument as ShardedEngine; shard/partitioner.h) or
-  // its delta buffers anything visible. A pruned base contributes no
+  // or its delta buffers anything visible. A pruned base contributes no
   // matches, so its tombstones are irrelevant to this query.
-  struct ActivePart {
-    size_t part = 0;
-    bool base = false;
-  };
-  std::vector<ActivePart> active;
-  active.reserve(snap.view->shards.size());
-  for (size_t s = 0; s < snap.view->shards.size(); ++s) {
-    const ShardFeatureBounds& bounds = snap.view->shards[s].bounds;
-    const bool base_hit =
-        bounds.valid && bounds.mbr.MinDistLinf(feature_point) <= epsilon;
-    if (base_hit || !snap.parts[s].entries.empty()) {
-      active.push_back({s, base_hit});
+  const size_t num_parts = snap.view->shards.size();
+  std::vector<size_t> active;
+  std::vector<bool> base_hit(num_parts);
+  active.reserve(num_parts);
+  for (size_t s = 0; s < num_parts; ++s) {
+    base_hit[s] =
+        PartitionMayMatch(snap.view->shards[s].bounds, feature_point, epsilon);
+    if (base_hit[s] || !snap.parts[s].entries.empty()) {
+      active.push_back(s);
     }
   }
 
-  struct PartResult {
-    SearchResult base;
-    SearchResult delta;
-  };
-  std::vector<PartResult> partials(active.size());
-  {
-    ScopedSpan span(trace, "scatter_gather");
-    TraceCounter(trace, "shard_fanout", static_cast<double>(active.size()));
-    TraceCounter(trace, "epoch", static_cast<double>(snap.view->epoch));
-
-    // Same cross-thread stitching discipline as ShardedEngine: one child
-    // Trace per sub-task, adopted in partition order after the barrier.
-    std::vector<Trace> subs;
-    if (trace != nullptr) {
-      subs.assign(active.size(), Trace(trace->ContextForSpan(span.index())));
-    }
-    ThreadCpuTimer fanout_cpu;
-    ScatterGather(pool_).Run(active.size(), [&](size_t i) {
-      const size_t s = active[i].part;
-      DtwScratch scratch;
-      Trace* sub = trace != nullptr ? &subs[i] : nullptr;
-      size_t shard_span = 0;
-      if (sub != nullptr) {
-        sub->SetThreadTag(
-            static_cast<int32_t>(s),
-            static_cast<uint32_t>(ThreadPool::current_worker_index() + 1));
-        shard_span = sub->BeginSpan("shard");
-        sub->AddCounter("shard_index", static_cast<double>(s));
-      }
-      if (active[i].base) {
-        partials[i].base = snap.view->shards[s].engine->SearchWith(
-            kind, query, epsilon, sub, &scratch);
-      }
-      {
+  std::vector<SearchResult> partials(active.size());
+  RunFanOut(
+      pool_, num_parts, active, trace,
+      {{"epoch", static_cast<double>(snap.view->epoch)}}, &clock,
+      [&](size_t i, size_t s, Trace* sub) {
+        DtwScratch scratch;
+        SearchResult& partial = partials[i];
+        if (base_hit[s]) {
+          partial = snap.view->shards[s].engine->SearchWith(
+              kind, query, epsilon, sub, &scratch);
+          RemapToGlobal(*snap.view->shards[s].global_of, &snap.parts[s].dead,
+                        &partial);
+        }
         // Delta scan: Algorithm 1's predicate over the buffered entries —
         // D_tw-lb pre-filter on the stored feature, thresholded DTW on
         // survivors. Entry ids are already global; tombstoned entries are
-        // not in the snapshot.
+        // not in the snapshot. It runs after the base scan within the task,
+        // so its cost merges serially.
         ScopedSpan delta_span(sub, "delta_scan");
         ThreadCpuTimer delta_cpu;
-        SearchResult& delta = partials[i].delta;
+        SearchCost delta_cost;
+        size_t delta_matches = 0;
         for (const DeltaEntry& entry : snap.parts[s].entries) {
-          ++delta.cost.lb_evals;
+          ++delta_cost.lb_evals;
           if (DtwLowerBoundDistance(entry.feature, qfeat) > epsilon) {
             continue;
           }
-          ++delta.num_candidates;
+          ++partial.num_candidates;
           const DtwResult r = dtw_.DistanceWithThreshold(
               *entry.sequence, query, epsilon, &scratch);
-          ++delta.cost.dtw_evals;
-          delta.cost.dtw_cells += r.cells;
+          ++delta_cost.dtw_evals;
+          delta_cost.dtw_cells += r.cells;
           if (r.distance <= epsilon) {
-            delta.matches.push_back(entry.id);
-            delta.distances.push_back(r.distance);
+            partial.matches.push_back(entry.id);
+            partial.distances.push_back(r.distance);
+            ++delta_matches;
           }
         }
-        if (sub != nullptr) {
-          sub->AddCounter("delta_entries",
-                          static_cast<double>(snap.parts[s].entries.size()));
-          sub->AddCounter("delta_matches",
-                          static_cast<double>(partials[i].delta.matches.size()));
-        }
-        delta.cost.cpu_ms = delta_cpu.ElapsedMillis();
-      }
-      if (sub != nullptr) {
-        sub->EndSpan(shard_span);
-      }
-    });
-    fanout_caller_cpu_ms = fanout_cpu.ElapsedMillis();
-    if (trace != nullptr) {
-      for (const Trace& sub : subs) {
-        trace->Adopt(span.index(), sub);
-      }
-    }
-  }
-
-  // Merge: base matches remapped to global ids with the partition's
-  // tombstones filtered exactly, plus the delta matches, in ascending
-  // global id order — the canonical answer order.
-  SearchResult result;
-  for (size_t i = 0; i < active.size(); ++i) {
-    const size_t s = active[i].part;
-    const PartResult& partial = partials[i];
-    const std::vector<SequenceId>& global_of = *snap.view->shards[s].global_of;
-    const std::vector<SequenceId>& dead = snap.parts[s].dead;
-    result.num_candidates +=
-        partial.base.num_candidates + partial.delta.num_candidates;
-    for (size_t m = 0; m < partial.base.matches.size(); ++m) {
-      const SequenceId local = partial.base.matches[m];
-      const SequenceId g = global_of[static_cast<size_t>(local)];
-      if (!IsDead(dead, g)) {
-        result.matches.push_back(g);
-        result.distances.push_back(partial.base.distances[m]);
-      }
-    }
-    for (size_t m = 0; m < partial.delta.matches.size(); ++m) {
-      result.matches.push_back(partial.delta.matches[m]);
-      result.distances.push_back(partial.delta.distances[m]);
-    }
-    // Base and delta scans ran sequentially within the task (serial
-    // merge); across tasks they overlapped (parallel merge).
-    SearchCost task_cost = partial.base.cost;
-    task_cost.Merge(partial.delta.cost);
-    result.cost.MergeParallel(task_cost);
-  }
-  CanonicalizeMatchOrder(&result);
-  result.cost.wall_ms = timer.ElapsedMillis();
-  // This layer's own CPU on top of the per-partition CPU summed above.
-  result.cost.cpu_ms +=
-      std::max(0.0, cpu_timer.ElapsedMillis() - fanout_caller_cpu_ms);
+        TraceCounter(sub, "delta_entries",
+                     static_cast<double>(snap.parts[s].entries.size()));
+        TraceCounter(sub, "delta_matches",
+                     static_cast<double>(delta_matches));
+        delta_cost.cpu_ms = delta_cpu.ElapsedMillis();
+        partial.cost.Merge(delta_cost);
+      });
+  SearchResult result = MergeRange(&partials);
+  clock.Stamp(&result.cost);
   return result;
 }
 
@@ -442,10 +321,7 @@ KnnResult IngestEngine::SearchKnnSeeded(const Sequence& query, size_t k,
 KnnResult IngestEngine::SearchKnnImpl(const Sequence& query, size_t k,
                                       double seed_bound,
                                       Trace* trace) const {
-  WallTimer timer;
-  // Same caller-CPU accounting as SearchWith.
-  ThreadCpuTimer cpu_timer;
-  double fanout_caller_cpu_ms = 0.0;
+  FanOutClock clock;
   const QuerySnapshot snap = AcquireSnapshot();
   const FeatureVector qfeat = ExtractFeature(query);
 
@@ -458,44 +334,46 @@ KnnResult IngestEngine::SearchKnnImpl(const Sequence& query, size_t k,
   // buffered entries are few, and any k-th distance they prove
   // pre-tightens the shared bound every base searcher prunes against.
   // Standard top-k max-heap in the canonical (distance, id) order;
-  // pruning is strictly-greater so ties at the bound survive.
-  std::vector<KnnMatch> delta_hits;
-  SearchCost delta_cost;
-  size_t delta_refined = 0;
+  // pruning is strictly-greater so ties at the bound survive. It merges
+  // first, like a partition of its own.
+  std::vector<KnnResult> partials(1);
   {
+    KnnResult& delta = partials.front();
+    std::vector<KnnMatch>& hits = delta.neighbors;
     ScopedSpan delta_span(trace, "delta_scan");
     DtwScratch scratch;
     for (const DeltaShard::Snapshot& part : snap.parts) {
       for (const DeltaEntry& entry : part.entries) {
-        ++delta_cost.lb_evals;
+        ++delta.cost.lb_evals;
         const double bound = shared_bound.Current();
         if (DtwLowerBoundDistance(entry.feature, qfeat) > bound) {
           continue;
         }
         const DtwResult r = dtw_.DistanceWithThreshold(*entry.sequence, query,
                                                        bound, &scratch);
-        ++delta_refined;
-        ++delta_cost.dtw_evals;
-        delta_cost.dtw_cells += r.cells;
+        ++delta.num_refined;
+        ++delta.cost.dtw_evals;
+        delta.cost.dtw_cells += r.cells;
         if (r.distance > bound) {
           continue;
         }
         const KnnMatch match{entry.id, r.distance};
-        if (delta_hits.size() < k) {
-          delta_hits.push_back(match);
-          std::push_heap(delta_hits.begin(), delta_hits.end(), KnnMatchOrder);
-          if (delta_hits.size() == k) {
-            shared_bound.Tighten(delta_hits.front().distance);
+        if (hits.size() < k) {
+          hits.push_back(match);
+          std::push_heap(hits.begin(), hits.end(), KnnMatchOrder);
+          if (hits.size() == k) {
+            shared_bound.Tighten(hits.front().distance);
           }
-        } else if (KnnMatchOrder(match, delta_hits.front())) {
-          std::pop_heap(delta_hits.begin(), delta_hits.end(), KnnMatchOrder);
-          delta_hits.back() = match;
-          std::push_heap(delta_hits.begin(), delta_hits.end(), KnnMatchOrder);
-          shared_bound.Tighten(delta_hits.front().distance);
+        } else if (KnnMatchOrder(match, hits.front())) {
+          std::pop_heap(hits.begin(), hits.end(), KnnMatchOrder);
+          hits.back() = match;
+          std::push_heap(hits.begin(), hits.end(), KnnMatchOrder);
+          shared_bound.Tighten(hits.front().distance);
         }
       }
     }
-    TraceCounter(trace, "delta_refined", static_cast<double>(delta_refined));
+    TraceCounter(trace, "delta_refined",
+                 static_cast<double>(delta.num_refined));
   }
 
   // Base fan-out. Each base is asked for k + (its tombstone hit count)
@@ -503,83 +381,27 @@ KnnResult IngestEngine::SearchKnnImpl(const Sequence& query, size_t k,
   // local top list, k live survivors remain — so the shard's k_s-th
   // distance still upper-bounds the global k-th and the SharedKnnBound
   // stays valid, and the dead-filtered merge can never starve below k.
-  std::vector<size_t> active;
-  active.reserve(snap.view->shards.size());
-  for (size_t s = 0; s < snap.view->shards.size(); ++s) {
-    if (snap.view->shards[s].bounds.valid) {
-      active.push_back(s);
-    }
-  }
-  std::vector<KnnResult> partials(active.size());
-  {
-    ScopedSpan span(trace, "scatter_gather");
-    TraceCounter(trace, "shard_fanout", static_cast<double>(active.size()));
-    TraceCounter(trace, "epoch", static_cast<double>(snap.view->epoch));
-    std::vector<Trace> subs;
-    if (trace != nullptr) {
-      subs.assign(active.size(), Trace(trace->ContextForSpan(span.index())));
-    }
-    ThreadCpuTimer fanout_cpu;
-    ScatterGather(pool_).Run(active.size(), [&](size_t i) {
-      const size_t s = active[i];
-      Trace* sub = trace != nullptr ? &subs[i] : nullptr;
-      size_t shard_span = 0;
-      if (sub != nullptr) {
-        sub->SetThreadTag(
-            static_cast<int32_t>(s),
-            static_cast<uint32_t>(ThreadPool::current_worker_index() + 1));
-        shard_span = sub->BeginSpan("shard");
-        sub->AddCounter("shard_index", static_cast<double>(s));
-      }
-      const size_t k_s =
-          k + CountDeadInBase(*snap.view->shards[s].global_of,
-                              snap.parts[s].dead);
-      partials[i] = snap.view->shards[s].engine->SearchKnnBounded(
-          query, k_s, sub, &shared_bound);
-      if (sub != nullptr) {
-        sub->AddCounter("neighbors",
-                        static_cast<double>(partials[i].neighbors.size()));
-        sub->AddCounter("refined",
-                        static_cast<double>(partials[i].num_refined));
-        sub->EndSpan(shard_span);
-      }
-    });
-    fanout_caller_cpu_ms = fanout_cpu.ElapsedMillis();
-    if (trace != nullptr) {
-      for (const Trace& sub : subs) {
-        trace->Adopt(span.index(), sub);
-      }
-    }
-  }
-
-  // Merge: base survivors remapped and tombstone-filtered, plus the delta
-  // top list, in canonical (distance, id) order, truncated to k.
-  KnnResult result;
-  result.num_refined = delta_refined;
-  result.cost = delta_cost;
-  std::vector<KnnMatch> merged;
-  for (size_t i = 0; i < active.size(); ++i) {
-    const size_t s = active[i];
-    const std::vector<SequenceId>& global_of = *snap.view->shards[s].global_of;
-    const std::vector<SequenceId>& dead = snap.parts[s].dead;
-    result.num_refined += partials[i].num_refined;
-    result.cost.MergeParallel(partials[i].cost);
-    for (KnnMatch match : partials[i].neighbors) {
-      match.id = global_of[static_cast<size_t>(match.id)];
-      if (!IsDead(dead, match.id)) {
-        merged.push_back(match);
-      }
-    }
-  }
-  merged.insert(merged.end(), delta_hits.begin(), delta_hits.end());
-  std::sort(merged.begin(), merged.end(), KnnMatchOrder);
-  if (merged.size() > k) {
-    merged.resize(k);
-  }
-  result.neighbors = std::move(merged);
-  result.cost.wall_ms = timer.ElapsedMillis();
-  result.cost.cpu_ms +=
-      std::max(0.0, cpu_timer.ElapsedMillis() - fanout_caller_cpu_ms);
+  const std::vector<size_t> active =
+      ActivePartitions(snap.view->shards, FeatureIndex::FeatureToPoint(qfeat),
+                       kInfiniteDistance);
+  partials.resize(1 + active.size());
+  RunFanOut(pool_, snap.view->shards.size(), active, trace,
+            {{"epoch", static_cast<double>(snap.view->epoch)}}, &clock,
+            [&](size_t i, size_t s, Trace* sub) {
+              const BaseShard& base = snap.view->shards[s];
+              const std::vector<SequenceId>& dead = snap.parts[s].dead;
+              KnnResult& partial = partials[1 + i];
+              partial = base.engine->SearchKnnBounded(
+                  query, k + CountDeadInBase(*base.global_of, dead), sub,
+                  &shared_bound);
+              TraceCounter(sub, "neighbors",
+                           static_cast<double>(partial.neighbors.size()));
+              TraceCounter(sub, "refined",
+                           static_cast<double>(partial.num_refined));
+              RemapToGlobal(*base.global_of, &dead, &partial);
+            });
+  KnnResult result = MergeKnn(&partials, k);
+  clock.Stamp(&result.cost);
   return result;
 }
 
@@ -796,78 +618,24 @@ Status IngestEngine::Save(const std::string& dir) {
 
 Status IngestEngine::Open(const std::string& dir, IngestOptions options,
                           std::unique_ptr<IngestEngine>* out) {
-  ShardManifest manifest;
+  const ShardSetShape shape{options.num_shards, options.partitioner,
+                            options.engine.page_size_bytes};
+  ShardSet set;
   WARPINDEX_RETURN_IF_ERROR(
-      LoadShardManifest(dir + "/manifest.wism", &manifest));
-  if (manifest.assignment.num_shards != options.num_shards) {
-    return Status::InvalidArgument(
-        "shard count mismatch: saved " +
-        std::to_string(manifest.assignment.num_shards) + ", requested " +
-        std::to_string(options.num_shards));
-  }
-  if (manifest.partitioner != options.partitioner) {
-    return Status::InvalidArgument(
-        std::string("partitioner mismatch: saved ") +
-        PartitionerKindName(manifest.partitioner) + ", requested " +
-        PartitionerKindName(options.partitioner));
-  }
-  if (manifest.page_size_bytes != options.engine.page_size_bytes) {
-    return Status::InvalidArgument(
-        "page size mismatch between saved shards and EngineOptions");
-  }
-
+      OpenShardSet(dir, {}, options.engine, &shape, &set));
   auto view = std::make_shared<ShardView>();
-  view->shards.resize(options.num_shards);
-  std::vector<std::vector<SequenceId>> global_of(options.num_shards);
-  for (size_t g = 0; g < manifest.assignment.shard_of.size(); ++g) {
-    const uint32_t s = manifest.assignment.shard_of[g];
-    if (s == kDroppedShard) {
-      continue;
-    }
-    global_of[s].push_back(static_cast<SequenceId>(g));
-  }
-  for (size_t s = 0; s < options.num_shards; ++s) {
-    std::unique_ptr<Engine> shard;
-    WARPINDEX_RETURN_IF_ERROR(
-        Engine::Open(dir + "/" + ShardSubdir(s), options.engine, &shard));
-    if (shard->dataset().size() != global_of[s].size()) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(s) +
-          " holds a different sequence count than the manifest assigns");
-    }
-    BaseShard& base = view->shards[s];
-    base.engine = std::shared_ptr<const Engine>(std::move(shard));
-    for (size_t local = 0; local < base.engine->dataset().size(); ++local) {
-      if (base.engine->Contains(static_cast<SequenceId>(local))) {
-        base.bounds.Cover(ExtractFeature(base.engine->dataset()[local]));
-      }
-    }
-    base.global_of = std::make_shared<const std::vector<SequenceId>>(
-        std::move(global_of[s]));
-  }
+  view->shards = std::move(set.shards);
   if (options.partitioner == PartitionerKind::kRange) {
-    if (!manifest.range_cuts.empty()) {
-      view->range_cuts.assign(manifest.range_cuts.begin(),
-                              manifest.range_cuts.end());
-    } else {
-      // v1 manifest (pre-ingest writer): recompute the initial cuts the
-      // Dataset constructor would have produced.
-      view->range_cuts.assign(options.num_shards, LowestFeatureKey());
-      for (size_t s = 0; s < options.num_shards; ++s) {
-        const Dataset& data = view->shards[s].engine->dataset();
-        for (size_t local = 0; local < data.size(); ++local) {
-          view->range_cuts[s] = std::max(
-              view->range_cuts[s], FeatureKeyOf(ExtractFeature(data[local])));
-        }
-        if (s > 0) {
-          view->range_cuts[s] =
-              std::max(view->range_cuts[s], view->range_cuts[s - 1]);
-        }
-      }
-    }
+    // A v1 manifest (pre-ingest writer) carries no cuts: recompute the
+    // initial ones the constructor would have produced.
+    view->range_cuts =
+        set.manifest.range_cuts.empty()
+            ? InitialRangeCuts(view->shards)
+            : std::vector<FeatureKey>(set.manifest.range_cuts.begin(),
+                                      set.manifest.range_cuts.end());
   }
   out->reset(new IngestEngine(std::move(view),
-                              std::move(manifest.assignment.shard_of),
+                              std::move(set.manifest.assignment.shard_of),
                               std::move(options)));
   return Status::Ok();
 }

@@ -7,6 +7,8 @@
 #include <map>
 #include <utility>
 
+#include "obs/exporters.h"
+
 namespace warpindex {
 namespace {
 
@@ -14,22 +16,6 @@ double SteadySeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string PromLabelEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '\\' || c == '"') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 std::string Num(double v) {
@@ -282,8 +268,8 @@ std::string FleetPoller::FleetMetricsText() {
     int64_t sum = 0;
     for (const auto& [instance, value] : values) {
       std::snprintf(buf, sizeof(buf), "%" PRId64, value);
-      out += name + "{instance=\"" + PromLabelEscape(instance) + "\"} " +
-             buf + "\n";
+      out += name + "{instance=\"" + PrometheusEscapeLabelValue(instance) +
+             "\"} " + buf + "\n";
       sum += value;
     }
     std::snprintf(buf, sizeof(buf), "%" PRId64, sum);
@@ -294,8 +280,8 @@ std::string FleetPoller::FleetMetricsText() {
     int64_t sum = 0;
     for (const auto& [instance, value] : values) {
       std::snprintf(buf, sizeof(buf), "%" PRId64, value);
-      out += name + "{instance=\"" + PromLabelEscape(instance) + "\"} " +
-             buf + "\n";
+      out += name + "{instance=\"" + PrometheusEscapeLabelValue(instance) +
+             "\"} " + buf + "\n";
       sum += value;
     }
     std::snprintf(buf, sizeof(buf), "%" PRId64, sum);
@@ -323,8 +309,8 @@ std::string FleetPoller::FleetMetricsText() {
     out += name + "_count " + buf + "\n";
     for (const auto& [instance, count] : merged.per_instance_count) {
       std::snprintf(buf, sizeof(buf), "%" PRIu64, count);
-      out += name + "_count{instance=\"" + PromLabelEscape(instance) +
-             "\"} " + buf + "\n";
+      out += name + "_count{instance=\"" +
+             PrometheusEscapeLabelValue(instance) + "\"} " + buf + "\n";
     }
   }
   // Process self-metrics federate too (the "process" object of each
@@ -342,7 +328,7 @@ std::string FleetPoller::FleetMetricsText() {
       continue;
     }
     const std::string label =
-        "{instance=\"" + PromLabelEscape(r->instance) + "\"} ";
+        "{instance=\"" + PrometheusEscapeLabelValue(r->instance) + "\"} ";
     const double cpu = process->GetDouble("cpu_seconds_total", 0.0);
     const double rss = process->GetDouble("resident_memory_bytes", 0.0);
     const int64_t fds = process->GetInt("open_fds", 0);

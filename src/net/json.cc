@@ -9,39 +9,6 @@
 namespace warpindex {
 namespace {
 
-void AppendEscaped(const std::string& text, std::string* out) {
-  out->push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 // Recursive-descent parser over [p, end). Reports errors as byte offsets
 // into the original text.
 class Parser {
@@ -322,6 +289,39 @@ class Parser {
 
 }  // namespace
 
+void AppendJsonEscaped(std::string_view text, std::string* out) {
+  out->push_back('"');
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 JsonValue JsonValue::Bool(bool b) {
   JsonValue v;
   v.kind_ = Kind::kBool;
@@ -465,7 +465,7 @@ void JsonValue::RenderTo(std::string* out) const {
       return;
     }
     case Kind::kString:
-      AppendEscaped(string_, out);
+      AppendJsonEscaped(string_, out);
       return;
     case Kind::kArray: {
       out->push_back('[');
@@ -484,7 +484,7 @@ void JsonValue::RenderTo(std::string* out) const {
         if (i > 0) {
           out->push_back(',');
         }
-        AppendEscaped(members_[i].first, out);
+        AppendJsonEscaped(members_[i].first, out);
         out->push_back(':');
         members_[i].second.RenderTo(out);
       }

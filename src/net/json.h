@@ -27,12 +27,26 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace warpindex {
+
+// The one JSON string escaper: appends `text` as a quoted JSON string
+// literal (quote, backslash, \n, \r, \t escaped; other control bytes as
+// \u00XX). JsonValue::Render and every hand-built JSON writer use it.
+void AppendJsonEscaped(std::string_view text, std::string* out);
+
+// AppendJsonEscaped into a fresh string.
+inline std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  AppendJsonEscaped(text, &out);
+  return out;
+}
 
 class JsonValue {
  public:

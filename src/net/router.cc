@@ -1,7 +1,6 @@
 #include "net/router.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <thread>
@@ -11,18 +10,11 @@
 #include "common/stats.h"
 #include "core/engine.h"
 #include "net/serialize.h"
-#include "rtree/geometry.h"
 #include "sequence/feature.h"
+#include "shard/fanout.h"
 
 namespace warpindex {
 namespace {
-
-// Same feature point the in-process ShardedEngine prunes with
-// (shard/sharded_engine.cc) — identical doubles, identical skips.
-Point QueryFeaturePoint(const Sequence& query) {
-  const std::array<double, kFeatureDims> p = ExtractFeature(query).AsPoint();
-  return Point::FromArray(p.data(), kFeatureDims);
-}
 
 std::string EndpointName(const RouterEndpoint& endpoint) {
   return endpoint.host + ":" + std::to_string(endpoint.port);
@@ -540,23 +532,10 @@ void Router::RecordSubFlight(const char* method, double epsilon,
   if (options_.flight_recorder == nullptr) {
     return;
   }
-  FlightRecord record;
-  record.trace_id = trace_id;
-  record.method = method;
-  record.epsilon = epsilon;
-  record.query_length = query_length;
-  record.matches = matches;
-  record.num_candidates = num_candidates;
+  FlightRecord record = MakeFlightRecord(method, epsilon, query_length,
+                                         matches, num_candidates, cost,
+                                         trace_id);
   record.wall_ms = outcome.wall_ms;  // client-observed, feeds the hedge p99
-  record.cpu_ms = cost.cpu_ms;  // remote thread-CPU, from the wire cost
-  record.dtw_evals = cost.dtw_evals;
-  record.dtw_cells = cost.dtw_cells;
-  record.index_nodes = cost.index_nodes;
-  record.pool_hits = cost.pool_hits;
-  record.pool_misses = cost.pool_misses;
-  record.stage_ms = cost.stages;
-  record.stage_cpu_ms = cost.stages_cpu;
-  record.prunes = cost.prunes;
   record.shard = static_cast<int32_t>(group);
   record.replica = outcome.replica;
   record.net_hedges = outcome.hedges;
@@ -570,24 +549,9 @@ void Router::RecordMergedFlight(const char* method, double epsilon,
                                 const SearchCost& cost,
                                 uint64_t trace_id,
                                 CacheTier cache_tier) const {
-  FlightRecord record;
-  record.trace_id = trace_id;
-  record.method = method;
-  record.epsilon = epsilon;
-  record.query_length = query_length;
-  record.matches = matches;
-  record.num_candidates = num_candidates;
-  record.wall_ms = cost.wall_ms;
-  record.cpu_ms = cost.cpu_ms;
-  record.dtw_evals = cost.dtw_evals;
-  record.dtw_cells = cost.dtw_cells;
-  record.index_nodes = cost.index_nodes;
-  record.pool_hits = cost.pool_hits;
-  record.pool_misses = cost.pool_misses;
-  record.stage_ms = cost.stages;
-  record.stage_cpu_ms = cost.stages_cpu;
-  record.prunes = cost.prunes;
-  record.shard = -1;
+  FlightRecord record = MakeFlightRecord(method, epsilon, query_length,
+                                         matches, num_candidates, cost,
+                                         trace_id);
   record.cache_hit = cache_tier;
   if (options_.flight_recorder != nullptr) {
     options_.flight_recorder->Record(record);
@@ -643,7 +607,10 @@ Status Router::RouteRange(MethodKind kind, const Sequence& query,
       return Status::Ok();
     }
   }
-  const Point feature_point = QueryFeaturePoint(query);
+  // The feature point and predicate of the in-process engines (the
+  // fan-out core) — identical doubles, identical skips.
+  const Point feature_point =
+      FeatureIndex::FeatureToPoint(ExtractFeature(query));
 
   // Router-side shard pruning — the exact in-process predicate against
   // the exact MBR doubles the handshake carried. Each group is asked
@@ -655,9 +622,7 @@ Status Router::RouteRange(MethodKind kind, const Sequence& query,
   for (size_t g = 0; g < groups_.size(); ++g) {
     JsonValue shards = JsonValue::Array();
     for (size_t i = 0; i < groups_[g].shards.size(); ++i) {
-      const ShardFeatureBounds& bounds = groups_[g].bounds[i];
-      if (bounds.valid &&
-          bounds.mbr.MinDistLinf(feature_point) <= epsilon) {
+      if (PartitionMayMatch(groups_[g].bounds[i], feature_point, epsilon)) {
         shards.Add(JsonValue::Int(groups_[g].shards[i]));
       }
     }
@@ -871,12 +836,8 @@ Status Router::RouteKnn(const Sequence& query, size_t k, Trace* trace,
                         neighbors.size(), group_refined, cost, trace_id);
         best.insert(best.end(), neighbors.begin(), neighbors.end());
       }
-      // Canonical (distance, id) order, truncated to k: the running
-      // top-k over every settled group.
-      std::sort(best.begin(), best.end(), KnnMatchOrder);
-      if (best.size() > k) {
-        best.resize(k);
-      }
+      // The running top-k over every settled group.
+      KeepTopK(k, &best);
     }
   }
   if (!first_error.ok()) {

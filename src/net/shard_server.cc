@@ -1,13 +1,11 @@
 #include "net/shard_server.h"
 
-#include <algorithm>
-#include <set>
+#include <limits>
 #include <utility>
 
-#include "common/timer.h"
-#include "obs/exporters.h"
 #include "net/serialize.h"
-#include "sequence/feature.h"
+#include "obs/exporters.h"
+#include "shard/fanout.h"
 
 namespace warpindex {
 namespace {
@@ -52,60 +50,14 @@ Status ShardServer::Load() {
     return Status::InvalidArgument(
         "a shard server must serve at least one shard");
   }
-  WARPINDEX_RETURN_IF_ERROR(LoadShardManifest(
-      options_.db_dir + "/manifest.wism", &manifest_));
-  std::set<uint32_t> seen;
-  for (const uint32_t shard : options_.serve_shards) {
-    if (shard >= manifest_.assignment.num_shards) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(shard) + " out of range: manifest has " +
-          std::to_string(manifest_.assignment.num_shards) + " shards");
-    }
-    if (!seen.insert(shard).second) {
-      return Status::InvalidArgument("shard " + std::to_string(shard) +
-                                     " listed twice");
-    }
-  }
-  options_.engine.page_size_bytes = manifest_.page_size_bytes;
-
-  engines_.reserve(options_.serve_shards.size());
-  global_of_.reserve(options_.serve_shards.size());
-  for (const uint32_t shard : options_.serve_shards) {
-    std::unique_ptr<Engine> engine;
-    WARPINDEX_RETURN_IF_ERROR(
-        Engine::Open(options_.db_dir + "/" + ShardSubdir(shard),
-                     options_.engine, &engine));
-    // Local ids were assigned in ascending global order (see
-    // shard/partitioner.h), so scanning the manifest assignment forward
-    // rebuilds local -> global exactly.
-    std::vector<SequenceId> global_of;
-    const std::vector<uint32_t>& shard_of = manifest_.assignment.shard_of;
-    for (size_t g = 0; g < shard_of.size(); ++g) {
-      if (shard_of[g] == shard) {
-        global_of.push_back(static_cast<SequenceId>(g));
-      }
-    }
-    if (engine->dataset().size() != global_of.size()) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(shard) +
-          " holds a different sequence count than the manifest assigns");
-    }
-    engines_.push_back(std::move(engine));
-    global_of_.push_back(std::move(global_of));
-  }
-
-  // Live-only feature MBRs, exactly as ShardedEngine computes them: a
-  // tombstoned sequence must not widen the box the router prunes with.
-  bounds_.assign(engines_.size(), ShardFeatureBounds{});
-  for (size_t slot = 0; slot < engines_.size(); ++slot) {
-    const Engine& engine = *engines_[slot];
-    const Dataset& data = engine.dataset();
-    for (size_t local = 0; local < data.size(); ++local) {
-      if (engine.Contains(static_cast<SequenceId>(local))) {
-        bounds_[slot].Cover(ExtractFeature(data[local]));
-      }
-    }
-  }
+  // The live-only MBRs the loader computes are exactly ShardedEngine's,
+  // so the router prunes with the in-process engine's boxes.
+  ShardSet set;
+  WARPINDEX_RETURN_IF_ERROR(OpenShardSet(options_.db_dir,
+                                         options_.serve_shards,
+                                         options_.engine, nullptr, &set));
+  manifest_ = std::move(set.manifest);
+  shards_ = std::move(set.shards);
   return Status::Ok();
 }
 
@@ -139,7 +91,7 @@ Status ShardServer::HandleStats(const JsonValue& /*request*/,
   response->Set("replica", JsonValue::Int(options_.replica));
   response->Set("draining", JsonValue::Bool(server_.draining()));
   response->Set("shards",
-                JsonValue::Int(static_cast<int64_t>(engines_.size())));
+                JsonValue::Int(static_cast<int64_t>(shards_.size())));
   // The same snapshot /metrics would render on this process, as a JSON
   // object the poller can walk (counter sums, histogram bucket merges).
   MetricsRegistry* registry = options_.server.metrics != nullptr
@@ -156,12 +108,12 @@ Status ShardServer::HandleStats(const JsonValue& /*request*/,
 
 std::vector<ShardServer::ServedShard> ShardServer::served() const {
   std::vector<ServedShard> out;
-  out.reserve(engines_.size());
-  for (size_t slot = 0; slot < engines_.size(); ++slot) {
+  out.reserve(shards_.size());
+  for (size_t slot = 0; slot < shards_.size(); ++slot) {
     ServedShard row;
     row.shard = options_.serve_shards[slot];
-    row.sequences = engines_[slot]->dataset().size();
-    row.live = engines_[slot]->live_size();
+    row.sequences = shards_[slot].engine->dataset().size();
+    row.live = shards_[slot].engine->live_size();
     out.push_back(row);
   }
   return out;
@@ -187,9 +139,16 @@ Status ShardServer::RequestedSlots(const JsonValue& request,
   slots->clear();
   slots->reserve(shards->size());
   for (const JsonValue& item : shards->items()) {
-    const int64_t shard = item.AsInt();
+    // Strict: a string, fractional, boolean or out-of-range entry is an
+    // error, never silently read as some shard the server holds.
+    int64_t shard = -1;
+    if (!item.TryAsInt(&shard)) {
+      return Status::InvalidArgument("'shards' entries must be integers");
+    }
     const int slot =
-        shard >= 0 ? SlotOf(static_cast<uint32_t>(shard)) : -1;
+        shard >= 0 && shard <= std::numeric_limits<uint32_t>::max()
+            ? SlotOf(static_cast<uint32_t>(shard))
+            : -1;
     if (slot < 0) {
       return Status::InvalidArgument(
           "shard " + std::to_string(shard) +
@@ -211,33 +170,42 @@ Status ShardServer::HandleHello(const JsonValue& /*request*/,
   response->Set("partitioner",
                 JsonValue::Str(PartitionerKindName(manifest_.partitioner)));
   JsonValue shards = JsonValue::Array();
-  for (size_t slot = 0; slot < engines_.size(); ++slot) {
+  for (size_t slot = 0; slot < shards_.size(); ++slot) {
+    const BaseShard& shard = shards_[slot];
     JsonValue item = JsonValue::Object();
     item.Set("shard", JsonValue::Int(options_.serve_shards[slot]));
     item.Set("sequences",
              JsonValue::Int(
-                 static_cast<int64_t>(engines_[slot]->dataset().size())));
+                 static_cast<int64_t>(shard.engine->dataset().size())));
     item.Set("live", JsonValue::Int(
-                         static_cast<int64_t>(engines_[slot]->live_size())));
+                         static_cast<int64_t>(shard.engine->live_size())));
     // null MBR = empty shard; the router prunes it unconditionally,
     // matching ShardFeatureBounds::valid == false in-process.
-    item.Set("mbr", bounds_[slot].valid ? RectToJson(bounds_[slot].mbr)
-                                        : JsonValue::Null());
+    item.Set("mbr", shard.bounds.valid ? RectToJson(shard.bounds.mbr)
+                                       : JsonValue::Null());
     shards.Add(std::move(item));
   }
   response->Set("shards", std::move(shards));
   return Status::Ok();
 }
 
+size_t ShardServer::BeginShardSpan(Trace* trace, int slot) const {
+  const int32_t shard = static_cast<int32_t>(options_.serve_shards[slot]);
+  trace->SetThreadTag(shard, 0);
+  const size_t span = trace->BeginSpan("shard");
+  trace->AddCounter("shard_index", static_cast<double>(shard));
+  return span;
+}
+
+// Both handlers search their slots sequentially on this thread, each
+// "shard" span at the root of the shipped trace (the router's own
+// scatter_gather span is the only one per routed query), and merge with
+// the fan-out core's helpers. The engine calls measure their own CPU, so
+// FanOutClock excludes those windows and adds only the parse / merge /
+// serialize share.
 Status ShardServer::HandleRange(const JsonValue& request,
                                 JsonValue* response) {
-  WallTimer timer;
-  // The per-slot engine searches run on this thread and already measure
-  // their own CPU (summed into merged.cost via MergeParallel), so this
-  // handler adds only its parse/merge/serialize share: total thread CPU
-  // minus the windows spent inside the engine calls.
-  ThreadCpuTimer cpu_timer;
-  double search_caller_cpu_ms = 0.0;
+  FanOutClock clock;
   std::vector<int> slots;
   WARPINDEX_RETURN_IF_ERROR(RequestedSlots(request, &slots));
   MethodKind kind;
@@ -266,23 +234,16 @@ Status ShardServer::HandleRange(const JsonValue& request,
   const bool traced = request.GetBool("trace", false);
 
   Trace trace;
-  SearchResult merged;
-  for (const int slot : slots) {
+  std::vector<SearchResult> partials(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const BaseShard& shard = shards_[static_cast<size_t>(slots[i])];
+    Trace* sub = traced ? &trace : nullptr;
+    const size_t span = traced ? BeginShardSpan(sub, slots[i]) : 0;
     DtwScratch scratch;
-    Trace* sub = nullptr;
-    size_t span = 0;
-    if (traced) {
-      sub = &trace;
-      trace.SetThreadTag(
-          static_cast<int32_t>(options_.serve_shards[slot]), 0);
-      span = trace.BeginSpan("shard");
-      trace.AddCounter("shard_index",
-                       static_cast<double>(options_.serve_shards[slot]));
-    }
     ThreadCpuTimer search_cpu;
-    const SearchResult partial =
-        engines_[slot]->SearchWith(kind, query, epsilon, sub, &scratch);
-    search_caller_cpu_ms += search_cpu.ElapsedMillis();
+    SearchResult& partial = partials[i];
+    partial = shard.engine->SearchWith(kind, query, epsilon, sub, &scratch);
+    clock.ExcludeCpu(search_cpu.ElapsedMillis());
     if (traced) {
       trace.AddCounter("candidates",
                        static_cast<double>(partial.num_candidates));
@@ -290,20 +251,10 @@ Status ShardServer::HandleRange(const JsonValue& request,
                        static_cast<double>(partial.matches.size()));
       trace.EndSpan(span);
     }
-    merged.num_candidates += partial.num_candidates;
-    for (const SequenceId local : partial.matches) {
-      merged.matches.push_back(
-          global_of_[static_cast<size_t>(slot)][static_cast<size_t>(local)]);
-    }
-    merged.distances.insert(merged.distances.end(),
-                            partial.distances.begin(),
-                            partial.distances.end());
-    merged.cost.MergeParallel(partial.cost);
+    RemapToGlobal(*shard.global_of, nullptr, &partial);
   }
-  CanonicalizeMatchOrder(&merged);
-  merged.cost.wall_ms = timer.ElapsedMillis();
-  merged.cost.cpu_ms +=
-      std::max(0.0, cpu_timer.ElapsedMillis() - search_caller_cpu_ms);
+  SearchResult merged = MergeRange(&partials);
+  clock.Stamp(&merged.cost);
 
   JsonValue matches = JsonValue::Array();
   for (const SequenceId id : merged.matches) {
@@ -328,15 +279,13 @@ Status ShardServer::HandleRange(const JsonValue& request,
 
 Status ShardServer::HandleKnn(const JsonValue& request,
                               JsonValue* response) {
-  WallTimer timer;
-  // Same CPU accounting as HandleRange.
-  ThreadCpuTimer cpu_timer;
-  double search_caller_cpu_ms = 0.0;
+  FanOutClock clock;
   std::vector<int> slots;
   WARPINDEX_RETURN_IF_ERROR(RequestedSlots(request, &slots));
-  const int64_t k = request.GetInt("k", 0);
-  if (k < 1) {
-    return Status::InvalidArgument("k must be >= 1");
+  int64_t k = 0;
+  const JsonValue* k_json = request.Find("k");
+  if (k_json == nullptr || !k_json->TryAsInt(&k) || k < 1) {
+    return Status::InvalidArgument("k must be an integer >= 1");
   }
   const JsonValue* query_json = request.Find("query");
   if (query_json == nullptr) {
@@ -356,23 +305,16 @@ Status ShardServer::HandleKnn(const JsonValue& request,
   }
 
   Trace trace;
-  KnnResult merged;
-  std::vector<KnnMatch> all;
-  for (const int slot : slots) {
-    Trace* sub = nullptr;
-    size_t span = 0;
-    if (traced) {
-      sub = &trace;
-      trace.SetThreadTag(
-          static_cast<int32_t>(options_.serve_shards[slot]), 0);
-      span = trace.BeginSpan("shard");
-      trace.AddCounter("shard_index",
-                       static_cast<double>(options_.serve_shards[slot]));
-    }
+  std::vector<KnnResult> partials(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const BaseShard& shard = shards_[static_cast<size_t>(slots[i])];
+    Trace* sub = traced ? &trace : nullptr;
+    const size_t span = traced ? BeginShardSpan(sub, slots[i]) : 0;
     ThreadCpuTimer search_cpu;
-    const KnnResult partial = engines_[slot]->SearchKnnBounded(
-        query, static_cast<size_t>(k), sub, &shared_bound);
-    search_caller_cpu_ms += search_cpu.ElapsedMillis();
+    KnnResult& partial = partials[i];
+    partial = shard.engine->SearchKnnBounded(query, static_cast<size_t>(k),
+                                             sub, &shared_bound);
+    clock.ExcludeCpu(search_cpu.ElapsedMillis());
     if (traced) {
       trace.AddCounter("neighbors",
                        static_cast<double>(partial.neighbors.size()));
@@ -380,23 +322,12 @@ Status ShardServer::HandleKnn(const JsonValue& request,
                        static_cast<double>(partial.num_refined));
       trace.EndSpan(span);
     }
-    merged.num_refined += partial.num_refined;
-    merged.cost.MergeParallel(partial.cost);
-    for (KnnMatch match : partial.neighbors) {
-      match.id =
-          global_of_[static_cast<size_t>(slot)][static_cast<size_t>(match.id)];
-      all.push_back(match);
-    }
+    RemapToGlobal(*shard.global_of, nullptr, &partial);
   }
-  std::sort(all.begin(), all.end(), KnnMatchOrder);
-  if (all.size() > static_cast<size_t>(k)) {
-    all.resize(static_cast<size_t>(k));
-  }
-  merged.cost.wall_ms = timer.ElapsedMillis();
-  merged.cost.cpu_ms +=
-      std::max(0.0, cpu_timer.ElapsedMillis() - search_caller_cpu_ms);
+  KnnResult merged = MergeKnn(&partials, static_cast<size_t>(k));
+  clock.Stamp(&merged.cost);
 
-  response->Set("neighbors", KnnMatchesToJson(all));
+  response->Set("neighbors", KnnMatchesToJson(merged.neighbors));
   response->Set("num_refined",
                 JsonValue::Int(static_cast<int64_t>(merged.num_refined)));
   const double bound_after = shared_bound.Current();

@@ -10,12 +10,11 @@
 // Exactness contract with the router (tests/net_router_property_test.cc):
 //
 //   * The HELLO_OK handshake reports each served shard's live-only
-//     feature MBR, computed exactly as ShardedEngine::
-//     ComputeBoundsFromShards computes it. The router prunes shard
-//     groups against these MBRs with the same `MinDistLinf <= epsilon`
-//     predicate the in-process engine uses, so the set of shards
-//     actually queried — and therefore the summed num_candidates — is
-//     identical.
+//     feature MBR, computed by the same shard-set loader ShardedEngine::
+//     Open uses (shard/fanout.h). The router prunes shard groups against
+//     these MBRs with the same PartitionMayMatch predicate the in-process
+//     engine uses, so the set of shards actually queried — and therefore
+//     the summed num_candidates — is identical.
 //   * RANGE answers are merged per the in-process semantics: local ids
 //     remapped through the manifest assignment (ascending-global-order
 //     locals), matches sorted ascending, num_candidates summed over the
@@ -43,6 +42,7 @@
 #include "net/wire_server.h"
 #include "shard/partitioner.h"
 #include "shard/shard_io.h"
+#include "shard/shard_view.h"
 
 namespace warpindex {
 
@@ -102,7 +102,7 @@ class ShardServer {
   Status Load();
   void RegisterHandlers();
 
-  // Slot = position in serve_shards / engines_ for a manifest shard
+  // Slot = position in serve_shards / shards_ for a manifest shard
   // index; -1 when this server does not serve it.
   int SlotOf(uint32_t shard) const;
 
@@ -114,15 +114,18 @@ class ShardServer {
   Status HandleStats(const JsonValue& request, JsonValue* response);
 
   // Parses the request's "shards" array into slots (every entry must be
-  // served here).
+  // an integer naming a shard served here).
   Status RequestedSlots(const JsonValue& request,
                         std::vector<int>* slots) const;
 
+  // Opens slot's "shard" span (tagged and counted with its manifest shard
+  // index) at the root of `trace`; returns the span index.
+  size_t BeginShardSpan(Trace* trace, int slot) const;
+
   ShardServerOptions options_;
   ShardManifest manifest_;
-  std::vector<std::unique_ptr<Engine>> engines_;      // per slot
-  std::vector<std::vector<SequenceId>> global_of_;    // per slot: local->global
-  std::vector<ShardFeatureBounds> bounds_;            // per slot, live-only
+  // Per slot: engine, local -> global ids, live-only feature MBR.
+  std::vector<BaseShard> shards_;
   WireServer server_;
 };
 

@@ -39,6 +39,24 @@ std::string JsonNumber(double v) {
   return best;
 }
 
+// Prometheus text-format escaping: `\` and newline always, `"` in label
+// values (see exporters.h).
+std::string PrometheusEscape(const std::string& text, bool escape_quote) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '\\' || (escape_quote && c == '"')) {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (c == '\n') {
+      out.append("\\n");
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
 void AppendCounterObject(
     const std::vector<std::pair<std::string, double>>& counters,
     std::string* out) {
@@ -192,79 +210,12 @@ ProcessSelfMetrics CollectProcessSelfMetrics() {
   return metrics;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out.append("\\\"");
-        break;
-      case '\\':
-        out.append("\\\\");
-        break;
-      case '\n':
-        out.append("\\n");
-        break;
-      case '\r':
-        out.append("\\r");
-        break;
-      case '\t':
-        out.append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out.append(buf);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 std::string PrometheusEscapeHelp(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out.append("\\\\");
-        break;
-      case '\n':
-        out.append("\\n");
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
+  return PrometheusEscape(text, /*escape_quote=*/false);
 }
 
 std::string PrometheusEscapeLabelValue(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out.append("\\\\");
-        break;
-      case '"':
-        out.append("\\\"");
-        break;
-      case '\n':
-        out.append("\\n");
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
+  return PrometheusEscape(text, /*escape_quote=*/true);
 }
 
 std::string TraceIdHex(uint64_t trace_id) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "net/json.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -62,9 +63,6 @@ struct ProcessSelfMetrics {
 };
 // A point-in-time reading (a handful of /proc reads; fine per scrape).
 ProcessSelfMetrics CollectProcessSelfMetrics();
-
-// JSON string literal (quotes and escapes `text`).
-std::string JsonEscape(const std::string& text);
 
 // Prometheus text-format escaping. HELP text escapes `\` and newline;
 // label values additionally escape `"`. Without these a help string or

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/stage_counters.h"
@@ -96,6 +97,34 @@ struct FlightRecord {
   // stored result (kNone when the engine actually ran).
   CacheTier cache_hit = CacheTier::kNone;
 };
+
+// The record of one (sub-)query with its cost fields copied from a
+// SearchCost — the one place that copy is written. A template over the
+// cost type so obs stays independent of the core types.
+template <typename Cost>
+FlightRecord MakeFlightRecord(std::string method, double epsilon,
+                              size_t query_length, size_t matches,
+                              size_t num_candidates, const Cost& cost,
+                              uint64_t trace_id) {
+  FlightRecord record;
+  record.trace_id = trace_id;
+  record.method = std::move(method);
+  record.epsilon = epsilon;
+  record.query_length = query_length;
+  record.matches = matches;
+  record.num_candidates = num_candidates;
+  record.wall_ms = cost.wall_ms;
+  record.cpu_ms = cost.cpu_ms;
+  record.dtw_evals = cost.dtw_evals;
+  record.dtw_cells = cost.dtw_cells;
+  record.index_nodes = cost.index_nodes;
+  record.pool_hits = cost.pool_hits;
+  record.pool_misses = cost.pool_misses;
+  record.stage_ms = cost.stages;
+  record.stage_cpu_ms = cost.stages_cpu;
+  record.prunes = cost.prunes;
+  return record;
+}
 
 struct FlightRecorderOptions {
   // Ring capacity in records.

@@ -9,6 +9,8 @@
 #include <map>
 #include <thread>
 
+#include "net/json.h"
+
 #if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__))
 #define WARPINDEX_PROFILER_SUPPORTED 1
 #include <cxxabi.h>
@@ -211,40 +213,6 @@ std::string SanitizeFrame(std::string name) {
   return name;
 }
 
-std::string JsonEscapeString(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 std::string Profile::FoldedText() const {
@@ -298,10 +266,10 @@ std::string Profile::SpeedscopeJson() const {
     if (i != 0) {
       out += ',';
     }
-    out += "{\"name\":" + JsonEscapeString(frames[i]) + "}";
+    out += "{\"name\":" + JsonEscape(frames[i]) + "}";
   }
   out += "]},\"profiles\":[{\"type\":\"sampled\",\"name\":";
-  out += JsonEscapeString("warpindex cpu profile (" + std::to_string(hz) +
+  out += JsonEscape("warpindex cpu profile (" + std::to_string(hz) +
                           " Hz, " + std::to_string(samples) + " samples)");
   out += ",\"unit\":\"none\",\"startValue\":0,\"endValue\":" +
          std::to_string(total_weight) + ",\"samples\":[";

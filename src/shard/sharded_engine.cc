@@ -1,94 +1,33 @@
 #include "shard/sharded_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <filesystem>
 #include <string>
 #include <system_error>
 
-#include "common/timer.h"
+#include "shard/fanout.h"
 #include "shard/shard_io.h"
 
 namespace warpindex {
-namespace {
-
-Point QueryFeaturePoint(const Sequence& query) {
-  const std::array<double, kFeatureDims> p = ExtractFeature(query).AsPoint();
-  return Point::FromArray(p.data(), kFeatureDims);
-}
-
-}  // namespace
 
 ShardedEngine::ShardedEngine(Dataset dataset, ShardedEngineOptions options)
     : options_(std::move(options)) {
   assert(options_.num_shards >= 1);
   ShardAssignment assignment =
       AssignShards(dataset, options_.partitioner, options_.num_shards);
-  BuildFromDataset(std::move(dataset), std::move(assignment));
-}
-
-ShardedEngine::ShardedEngine(std::vector<std::unique_ptr<Engine>> shards,
-                             ShardedEngineOptions options,
-                             ShardAssignment assignment)
-    : options_(std::move(options)), shards_(std::move(shards)) {
-  BuildIdMaps(std::move(assignment));
-  ComputeBoundsFromShards();
-  InitWiring();
-}
-
-void ShardedEngine::BuildFromDataset(Dataset dataset,
-                                     ShardAssignment assignment) {
-  // Split into per-shard datasets. Dataset::Add re-ids each copy to its
-  // position, and we visit global ids ascending, so shard-local ids
-  // preserve global order (the kNN tie-break relies on this; see
-  // shard/partitioner.h).
-  std::vector<Dataset> parts(assignment.num_shards);
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    parts[assignment.shard_of[i]].Add(dataset[i]);
-  }
-  shards_.reserve(parts.size());
-  for (Dataset& part : parts) {
-    shards_.push_back(
-        std::make_unique<Engine>(std::move(part), options_.engine));
-  }
-  BuildIdMaps(std::move(assignment));
-  ComputeBoundsFromShards();
-  InitWiring();
-}
-
-void ShardedEngine::BuildIdMaps(ShardAssignment assignment) {
+  shards_ = BuildShardSet(dataset, assignment, options_.engine);
   shard_of_ = std::move(assignment.shard_of);
-  const size_t n = shard_of_.size();
-  local_of_.resize(n);
-  global_of_.assign(shards_.size(), {});
-  for (size_t g = 0; g < n; ++g) {
-    const uint32_t s = shard_of_[g];
-    if (s == kDroppedShard) {
-      // Manifest v2: the id was deleted and compacted away (see
-      // shard/shard_io.h); it keeps its slot in the global id space but
-      // maps to no shard.
-      local_of_[g] = kInvalidSequenceId;
-      continue;
-    }
-    local_of_[g] = static_cast<SequenceId>(global_of_[s].size());
-    global_of_[s].push_back(static_cast<SequenceId>(g));
-  }
+  InitWiring();
 }
 
-void ShardedEngine::ComputeBoundsFromShards() {
-  // Over live sequences only (Open() restores tombstones): a dead
-  // sequence must not widen the pruning MBR.
-  bounds_.assign(shards_.size(), ShardFeatureBounds{});
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Engine& engine = *shards_[s];
-    const Dataset& data = engine.dataset();
-    for (size_t local = 0; local < data.size(); ++local) {
-      if (engine.Contains(static_cast<SequenceId>(local))) {
-        bounds_[s].Cover(ExtractFeature(data[local]));
-      }
-    }
-  }
+ShardedEngine::ShardedEngine(std::vector<BaseShard> shards,
+                             ShardedEngineOptions options,
+                             std::vector<uint32_t> shard_of)
+    : options_(std::move(options)),
+      shards_(std::move(shards)),
+      shard_of_(std::move(shard_of)) {
+  InitWiring();
 }
 
 void ShardedEngine::InitWiring() {
@@ -111,37 +50,33 @@ void ShardedEngine::InitWiring() {
 
 size_t ShardedEngine::live_size() const {
   size_t live = 0;
-  for (const auto& shard : shards_) {
-    live += shard->live_size();
+  for (const BaseShard& shard : shards_) {
+    live += shard.engine->live_size();
   }
   return live;
 }
 
-SearchResult ShardedEngine::SearchWith(MethodKind kind, const Sequence& query,
-                                       double epsilon, Trace* trace,
-                                       DtwScratch* /*scratch*/) const {
-  WallTimer timer;
-  // Caller-thread CPU for the pruning/merge/sort work this layer does
-  // itself. The caller also participates in the scatter-gather fan-out,
-  // but THAT CPU is already inside the per-shard partial costs, so the
-  // fan-out window is measured separately and subtracted below.
-  ThreadCpuTimer cpu_timer;
-  double fanout_caller_cpu_ms = 0.0;
+std::pair<size_t, SequenceId> ShardedEngine::ToShardLocal(
+    SequenceId global) const {
+  const uint32_t s = shard_of_[static_cast<size_t>(global)];
+  if (s == kDroppedShard) {
+    return {s, kInvalidSequenceId};
+  }
+  const std::vector<SequenceId>& ids = *shards_[s].global_of;
+  return {s, static_cast<SequenceId>(
+                 std::lower_bound(ids.begin(), ids.end(), global) -
+                 ids.begin())};
+}
+
+std::vector<size_t> ShardedEngine::SelectShards(const Point& query_point,
+                                                double epsilon) const {
   logical_queries_.fetch_add(1, std::memory_order_relaxed);
   queries_total_->Increment();
-  const Point feature_point = QueryFeaturePoint(query);
-
-  // Shard pruning: a shard whose feature MBR is strictly farther than
-  // epsilon (L_inf MINDIST) holds no sequence within D_tw-lb <= epsilon,
-  // hence none within D_tw <= epsilon (Theorem 1 lifted to the MBR; see
-  // shard/partitioner.h). Ties at epsilon keep the shard. Exact for
-  // every MethodKind — the predicate is a property of the answer set.
-  std::vector<size_t> active;
-  active.reserve(shards_.size());
+  std::vector<size_t> active = ActivePartitions(shards_, query_point, epsilon);
+  size_t cursor = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (bounds_[s].valid &&
-        bounds_[s].mbr.MinDistLinf(feature_point) <= epsilon) {
-      active.push_back(s);
+    if (cursor < active.size() && active[cursor] == s) {
+      ++cursor;
     } else {
       shard_skipped_[s].fetch_add(1, std::memory_order_relaxed);
     }
@@ -149,88 +84,39 @@ SearchResult ShardedEngine::SearchWith(MethodKind kind, const Sequence& query,
   skipped_total_->Increment(shards_.size() - active.size());
   subqueries_total_->Increment(active.size());
   fanout_hist_->Observe(static_cast<double>(active.size()));
+  return active;
+}
 
+SearchResult ShardedEngine::SearchWith(MethodKind kind, const Sequence& query,
+                                       double epsilon, Trace* trace,
+                                       DtwScratch* /*scratch*/) const {
+  FanOutClock clock;
+  const std::vector<size_t> active = SelectShards(
+      FeatureIndex::FeatureToPoint(ExtractFeature(query)), epsilon);
   const uint64_t trace_id = trace != nullptr ? trace->trace_id() : 0;
   std::vector<SearchResult> partials(active.size());
-  {
-    ScopedSpan span(trace, "scatter_gather");
-    TraceCounter(trace, "shard_fanout", static_cast<double>(active.size()));
-    TraceCounter(trace, "shards_skipped",
-                 static_cast<double>(shards_.size() - active.size()));
-    TraceCounter(trace, "partitioner",
-                 static_cast<double>(options_.partitioner));
-    MarkSkippedShards(trace, active);
-
-    // Cross-thread tracing: the Trace object itself is single-writer, so
-    // each sub-task records into its own child Trace built from the
-    // scatter_gather span's context (same trace_id, same clock zero) and
-    // the children are stitched back after the barrier, in shard order —
-    // the stitched shape is deterministic however the pool interleaves.
-    std::vector<Trace> subs;
-    if (trace != nullptr) {
-      subs.assign(active.size(),
-                  Trace(trace->ContextForSpan(span.index())));
-    }
-    ThreadCpuTimer fanout_cpu;
-    ScatterGather(pool_).Run(active.size(), [&](size_t i) {
-      const size_t s = active[i];
-      DtwScratch scratch;
-      Trace* sub = trace != nullptr ? &subs[i] : nullptr;
-      size_t shard_span = 0;
-      if (sub != nullptr) {
-        sub->SetThreadTag(
-            static_cast<int32_t>(s),
-            static_cast<uint32_t>(ThreadPool::current_worker_index() + 1));
-        shard_span = sub->BeginSpan("shard");
-        sub->AddCounter("shard_index", static_cast<double>(s));
-      }
-      partials[i] =
-          shards_[s]->SearchWith(kind, query, epsilon, sub, &scratch);
-      if (sub != nullptr) {
-        sub->AddCounter("candidates",
-                        static_cast<double>(partials[i].num_candidates));
-        sub->AddCounter("matches",
-                        static_cast<double>(partials[i].matches.size()));
-        sub->AddCounter("index_nodes",
-                        static_cast<double>(partials[i].cost.index_nodes));
-        sub->AddCounter("dtw_evals",
-                        static_cast<double>(partials[i].cost.dtw_evals));
-        sub->EndSpan(shard_span);
-      }
-      shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
-      RecordShardFlight(s, MethodKindName(kind), epsilon, query.size(),
-                        partials[i], trace_id);
-    });
-    fanout_caller_cpu_ms = fanout_cpu.ElapsedMillis();
-    if (trace != nullptr) {
-      for (const Trace& sub : subs) {
-        trace->Adopt(span.index(), sub);
-      }
-    }
-  }
-
-  SearchResult result;
-  for (size_t i = 0; i < active.size(); ++i) {
-    const SearchResult& partial = partials[i];
-    result.num_candidates += partial.num_candidates;
-    for (const SequenceId local : partial.matches) {
-      result.matches.push_back(ToGlobalId(active[i], local));
-    }
-    result.distances.insert(result.distances.end(),
-                            partial.distances.begin(),
-                            partial.distances.end());
-    result.cost.MergeParallel(partial.cost);
-  }
-  // Canonical answer order: ascending global id, independent of shard
-  // count and completion order.
-  CanonicalizeMatchOrder(&result);
-  // Resource counters stay as MergeParallel left them (work summed);
-  // wall time is the measured end-to-end latency of the sharded query.
-  result.cost.wall_ms = timer.ElapsedMillis();
-  // This layer's own CPU (pruning, stitching, merge, sort), on top of
-  // the per-shard CPU MergeParallel already summed.
-  result.cost.cpu_ms +=
-      std::max(0.0, cpu_timer.ElapsedMillis() - fanout_caller_cpu_ms);
+  RunFanOut(pool_, shards_.size(), active, trace,
+            {{"partitioner", static_cast<double>(options_.partitioner)}},
+            &clock, [&](size_t i, size_t s, Trace* sub) {
+              DtwScratch scratch;
+              SearchResult& partial = partials[i];
+              partial = shards_[s].engine->SearchWith(kind, query, epsilon,
+                                                      sub, &scratch);
+              TraceCounter(sub, "candidates",
+                           static_cast<double>(partial.num_candidates));
+              TraceCounter(sub, "matches",
+                           static_cast<double>(partial.matches.size()));
+              TraceCounter(sub, "index_nodes",
+                           static_cast<double>(partial.cost.index_nodes));
+              TraceCounter(sub, "dtw_evals",
+                           static_cast<double>(partial.cost.dtw_evals));
+              shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
+              RecordShardFlight(s, MethodKindName(kind), epsilon,
+                                query.size(), partial, trace_id);
+              RemapToGlobal(*shards_[s].global_of, nullptr, &partial);
+            });
+  SearchResult result = MergeRange(&partials);
+  clock.Stamp(&result.cost);
   return result;
 }
 
@@ -248,125 +134,37 @@ KnnResult ShardedEngine::SearchKnnSeeded(const Sequence& query, size_t k,
 KnnResult ShardedEngine::SearchKnnImpl(const Sequence& query, size_t k,
                                        double seed_bound,
                                        Trace* trace) const {
-  WallTimer timer;
-  // Same caller-CPU accounting as SearchWith: fan-out CPU is in the
-  // partials, so only this layer's own share is added at the end.
-  ThreadCpuTimer cpu_timer;
-  double fanout_caller_cpu_ms = 0.0;
-  logical_queries_.fetch_add(1, std::memory_order_relaxed);
-  queries_total_->Increment();
-
-  // No epsilon to prune against up front — only empty shards are skipped.
-  // The SharedKnnBound provides the dynamic equivalent: as soon as any
-  // shard proves a k-th distance, the others prune against it mid-flight.
-  std::vector<size_t> active;
-  active.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (bounds_[s].valid) {
-      active.push_back(s);
-    } else {
-      shard_skipped_[s].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  skipped_total_->Increment(shards_.size() - active.size());
-  subqueries_total_->Increment(active.size());
-  fanout_hist_->Observe(static_cast<double>(active.size()));
-
+  FanOutClock clock;
+  // No epsilon to prune against up front; the SharedKnnBound is the
+  // dynamic equivalent: as soon as any shard proves a k-th distance, the
+  // others prune against it mid-flight. A cache-provided seed is a valid
+  // upper bound on the global k-th distance; pruning is strictly-above,
+  // so seeding preserves answers.
+  const std::vector<size_t> active =
+      SelectShards(FeatureIndex::FeatureToPoint(ExtractFeature(query)),
+                   kInfiniteDistance);
   SharedKnnBound shared_bound;
-  // A cache-provided seed is a valid upper bound on the global k-th
-  // distance; pruning is strictly-above, so seeding preserves answers.
   shared_bound.Tighten(seed_bound);
   std::vector<KnnResult> partials(active.size());
-  {
-    ScopedSpan span(trace, "scatter_gather");
-    TraceCounter(trace, "shard_fanout", static_cast<double>(active.size()));
-    TraceCounter(trace, "partitioner",
-                 static_cast<double>(options_.partitioner));
-    MarkSkippedShards(trace, active);
-
-    // Same stitching discipline as SearchWith: one child Trace per
-    // sub-query, adopted in shard order after the barrier.
-    std::vector<Trace> subs;
-    if (trace != nullptr) {
-      subs.assign(active.size(),
-                  Trace(trace->ContextForSpan(span.index())));
-    }
-    ThreadCpuTimer fanout_cpu;
-    ScatterGather(pool_).Run(active.size(), [&](size_t i) {
-      const size_t s = active[i];
-      Trace* sub = trace != nullptr ? &subs[i] : nullptr;
-      size_t shard_span = 0;
-      if (sub != nullptr) {
-        sub->SetThreadTag(
-            static_cast<int32_t>(s),
-            static_cast<uint32_t>(ThreadPool::current_worker_index() + 1));
-        shard_span = sub->BeginSpan("shard");
-        sub->AddCounter("shard_index", static_cast<double>(s));
-      }
-      partials[i] =
-          shards_[s]->SearchKnnBounded(query, k, sub, &shared_bound);
-      if (sub != nullptr) {
-        sub->AddCounter("neighbors",
-                        static_cast<double>(partials[i].neighbors.size()));
-        sub->AddCounter("refined",
-                        static_cast<double>(partials[i].num_refined));
-        sub->EndSpan(shard_span);
-      }
-      shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
-    });
-    fanout_caller_cpu_ms = fanout_cpu.ElapsedMillis();
-    if (trace != nullptr) {
-      for (const Trace& sub : subs) {
-        trace->Adopt(span.index(), sub);
-      }
-    }
-  }
-
-  // Merge: every shard's survivors, remapped to global ids, in the
-  // canonical (distance, id) order, truncated to k. Per-shard local
-  // lists may vary with bound-propagation timing, but only by members
-  // the global top-k provably excludes, so the merged prefix is
+  RunFanOut(pool_, shards_.size(), active, trace,
+            {{"partitioner", static_cast<double>(options_.partitioner)}},
+            &clock, [&](size_t i, size_t s, Trace* sub) {
+              KnnResult& partial = partials[i];
+              partial = shards_[s].engine->SearchKnnBounded(query, k, sub,
+                                                            &shared_bound);
+              TraceCounter(sub, "neighbors",
+                           static_cast<double>(partial.neighbors.size()));
+              TraceCounter(sub, "refined",
+                           static_cast<double>(partial.num_refined));
+              shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
+              RemapToGlobal(*shards_[s].global_of, nullptr, &partial);
+            });
+  // Per-shard local lists may vary with bound-propagation timing, but only
+  // by members the global top-k provably excludes, so the merged prefix is
   // deterministic (see docs/SHARDING.md).
-  KnnResult result;
-  std::vector<KnnMatch> merged;
-  for (size_t i = 0; i < active.size(); ++i) {
-    result.num_refined += partials[i].num_refined;
-    result.cost.MergeParallel(partials[i].cost);
-    for (KnnMatch match : partials[i].neighbors) {
-      match.id = ToGlobalId(active[i], match.id);
-      merged.push_back(match);
-    }
-  }
-  std::sort(merged.begin(), merged.end(), KnnMatchOrder);
-  if (merged.size() > k) {
-    merged.resize(k);
-  }
-  result.neighbors = std::move(merged);
-  result.cost.wall_ms = timer.ElapsedMillis();
-  result.cost.cpu_ms +=
-      std::max(0.0, cpu_timer.ElapsedMillis() - fanout_caller_cpu_ms);
+  KnnResult result = MergeKnn(&partials, k);
+  clock.Stamp(&result.cost);
   return result;
-}
-
-void ShardedEngine::MarkSkippedShards(
-    Trace* trace, const std::vector<size_t>& active) const {
-  if (trace == nullptr || active.size() == shards_.size()) {
-    return;
-  }
-  // `active` is sorted ascending (built by one forward scan), so one
-  // cursor finds the gaps.
-  size_t cursor = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (cursor < active.size() && active[cursor] == s) {
-      ++cursor;
-      continue;
-    }
-    trace->SetThreadTag(static_cast<int32_t>(s), 0);
-    const size_t marker = trace->BeginSpan("shard_skipped");
-    trace->AddCounter("shard_index", static_cast<double>(s));
-    trace->EndSpan(marker);
-  }
-  trace->SetThreadTag(-1, 0);
 }
 
 void ShardedEngine::RecordShardFlight(size_t shard_index, const char* method,
@@ -376,23 +174,9 @@ void ShardedEngine::RecordShardFlight(size_t shard_index, const char* method,
   if (options_.flight_recorder == nullptr) {
     return;
   }
-  FlightRecord record;
-  record.trace_id = trace_id;
-  record.method = method;
-  record.epsilon = epsilon;
-  record.query_length = query_length;
-  record.matches = result.matches.size();
-  record.num_candidates = result.num_candidates;
-  record.wall_ms = result.cost.wall_ms;
-  record.cpu_ms = result.cost.cpu_ms;
-  record.dtw_evals = result.cost.dtw_evals;
-  record.dtw_cells = result.cost.dtw_cells;
-  record.index_nodes = result.cost.index_nodes;
-  record.pool_hits = result.cost.pool_hits;
-  record.pool_misses = result.cost.pool_misses;
-  record.stage_ms = result.cost.stages;
-  record.stage_cpu_ms = result.cost.stages_cpu;
-  record.prunes = result.cost.prunes;
+  FlightRecord record =
+      MakeFlightRecord(method, epsilon, query_length, result.matches.size(),
+                       result.num_candidates, result.cost, trace_id);
   record.shard = static_cast<int32_t>(shard_index);
   options_.flight_recorder->Record(std::move(record));
 }
@@ -412,7 +196,8 @@ Status ShardedEngine::Save(const std::string& dir) const {
   WARPINDEX_RETURN_IF_ERROR(
       SaveShardManifest(dir + "/manifest.wism", manifest));
   for (size_t s = 0; s < shards_.size(); ++s) {
-    WARPINDEX_RETURN_IF_ERROR(shards_[s]->Save(dir + "/" + ShardSubdir(s)));
+    WARPINDEX_RETURN_IF_ERROR(
+        shards_[s].engine->Save(dir + "/" + ShardSubdir(s)));
   }
   return Status::Ok();
 }
@@ -420,46 +205,13 @@ Status ShardedEngine::Save(const std::string& dir) const {
 Status ShardedEngine::Open(const std::string& dir,
                            ShardedEngineOptions options,
                            std::unique_ptr<ShardedEngine>* out) {
-  ShardManifest manifest;
+  const ShardSetShape shape{options.num_shards, options.partitioner,
+                            options.engine.page_size_bytes};
+  ShardSet set;
   WARPINDEX_RETURN_IF_ERROR(
-      LoadShardManifest(dir + "/manifest.wism", &manifest));
-  if (manifest.assignment.num_shards != options.num_shards) {
-    return Status::InvalidArgument(
-        "shard count mismatch: saved " +
-        std::to_string(manifest.assignment.num_shards) + ", requested " +
-        std::to_string(options.num_shards));
-  }
-  if (manifest.partitioner != options.partitioner) {
-    return Status::InvalidArgument(
-        std::string("partitioner mismatch: saved ") +
-        PartitionerKindName(manifest.partitioner) + ", requested " +
-        PartitionerKindName(options.partitioner));
-  }
-  if (manifest.page_size_bytes != options.engine.page_size_bytes) {
-    return Status::InvalidArgument(
-        "page size mismatch between saved shards and EngineOptions");
-  }
-  std::vector<std::unique_ptr<Engine>> shards;
-  shards.reserve(options.num_shards);
-  for (size_t s = 0; s < options.num_shards; ++s) {
-    std::unique_ptr<Engine> shard;
-    WARPINDEX_RETURN_IF_ERROR(
-        Engine::Open(dir + "/" + ShardSubdir(s), options.engine, &shard));
-    shards.push_back(std::move(shard));
-  }
-  auto engine = std::unique_ptr<ShardedEngine>(new ShardedEngine(
-      std::move(shards), std::move(options), std::move(manifest.assignment)));
-  // The manifest's assignment and the shard directories travel
-  // separately; make sure they still describe the same database.
-  for (size_t s = 0; s < engine->shards_.size(); ++s) {
-    if (engine->shards_[s]->dataset().size() !=
-        engine->global_of_[s].size()) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(s) +
-          " holds a different sequence count than the manifest assigns");
-    }
-  }
-  *out = std::move(engine);
+      OpenShardSet(dir, {}, options.engine, &shape, &set));
+  out->reset(new ShardedEngine(std::move(set.shards), std::move(options),
+                               std::move(set.manifest.assignment.shard_of)));
   return Status::Ok();
 }
 
@@ -474,8 +226,8 @@ ShardedEngine::Health ShardedEngine::TakeHealthSnapshot() const {
   for (size_t s = 0; s < shards_.size(); ++s) {
     ShardStatus& status = health.shards[s];
     status.shard_index = s;
-    status.health = shards_[s]->TakeHealthSnapshot();
-    status.bounds = bounds_[s];
+    status.health = shards_[s].engine->TakeHealthSnapshot();
+    status.bounds = shards_[s].bounds;
     status.queries = shard_queries_[s].load(std::memory_order_relaxed);
     status.skipped = shard_skipped_[s].load(std::memory_order_relaxed);
     health.subqueries_total += status.queries;

@@ -56,9 +56,10 @@
 
 #include "core/engine.h"
 #include "core/engine_like.h"
+#include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "shard/partitioner.h"
-#include "shard/scatter_gather.h"
+#include "shard/shard_view.h"
 
 namespace warpindex {
 
@@ -108,13 +109,11 @@ class ShardedEngine : public EngineLike {
   // Scatter-gather over the non-prunable shards; matches are global ids
   // sorted ascending. `scratch` is accepted for interface compatibility
   // but unused — each per-shard task keeps its own scratch (sub-queries
-  // run on different threads). With a trace attached, the caller's trace
-  // gets one scatter_gather span (fanout/skip/partitioner counters) and
-  // every sub-query records into its own child Trace — built from
-  // ContextForSpan, tagged with (shard, pool worker) — which is stitched
-  // back under the scatter_gather span after the gather barrier, in
-  // shard order, so one query yields ONE tree holding every per-shard
-  // subtree. Pruned shards leave zero-duration "shard_skipped" markers.
+  // run on different threads). Prune, fan-out, trace stitching and merge
+  // are the fan-out core's (shard/fanout.h): one scatter_gather span
+  // (fanout/skip/partitioner counters), one stitched "shard" subtree per
+  // searched shard in shard order, and a "shard_skipped" marker per
+  // pruned shard.
   SearchResult SearchWith(MethodKind kind, const Sequence& query,
                           double epsilon, Trace* trace = nullptr,
                           DtwScratch* scratch = nullptr) const override;
@@ -130,23 +129,23 @@ class ShardedEngine : public EngineLike {
                             Trace* trace = nullptr) const override;
 
   MetricsRegistry& metrics() const override {
-    return shards_.front()->metrics();
+    return shards_.front().engine->metrics();
   }
   DtwOptions dtw_options() const override {
-    return shards_.front()->dtw_options();
+    return shards_.front().engine->dtw_options();
   }
 
   double ElapsedMillis(const SearchCost& cost) const override {
-    return shards_.front()->ElapsedMillis(cost);
+    return shards_.front().engine->ElapsedMillis(cost);
   }
 
   // ---- Topology.
 
   size_t num_shards() const { return shards_.size(); }
   PartitionerKind partitioner() const { return options_.partitioner; }
-  const Engine& shard(size_t index) const { return *shards_[index]; }
+  const Engine& shard(size_t index) const { return *shards_[index].engine; }
   const ShardFeatureBounds& shard_bounds(size_t index) const {
-    return bounds_[index];
+    return shards_[index].bounds;
   }
 
   // Total sequences across shards (including tombstones).
@@ -155,15 +154,12 @@ class ShardedEngine : public EngineLike {
 
   // Global id of shard-local sequence `local` of shard `shard_index`.
   SequenceId ToGlobalId(size_t shard_index, SequenceId local) const {
-    return global_of_[shard_index][static_cast<size_t>(local)];
+    return (*shards_[shard_index].global_of)[static_cast<size_t>(local)];
   }
   // (shard, local id) of a global id. For an id a v2 manifest marks
   // dropped (deleted + compacted; see shard/shard_io.h) the local id is
   // kInvalidSequenceId.
-  std::pair<size_t, SequenceId> ToShardLocal(SequenceId global) const {
-    const size_t g = static_cast<size_t>(global);
-    return {shard_of_[g], local_of_[g]};
-  }
+  std::pair<size_t, SequenceId> ToShardLocal(SequenceId global) const;
 
   // Lends a thread pool for query fan-out (typically the serving
   // executor's: `sharded.AttachPool(&executor.pool())`). Null detaches;
@@ -193,39 +189,32 @@ class ShardedEngine : public EngineLike {
   Health TakeHealthSnapshot() const;
 
  private:
-  // Open() path: adopts already-restored shards.
-  ShardedEngine(std::vector<std::unique_ptr<Engine>> shards,
-                ShardedEngineOptions options, ShardAssignment assignment);
+  // Open() path: adopts the opened shards and the global id -> shard
+  // assignment.
+  ShardedEngine(std::vector<BaseShard> shards, ShardedEngineOptions options,
+                std::vector<uint32_t> shard_of);
+
+  void InitWiring();
 
   // Shared body of SearchKnn / SearchKnnSeeded; `seed_bound` pre-
   // tightens the cross-shard bound (kInfiniteDistance = no seed).
   KnnResult SearchKnnImpl(const Sequence& query, size_t k,
                           double seed_bound, Trace* trace) const;
 
-  void BuildFromDataset(Dataset dataset, ShardAssignment assignment);
-  void BuildIdMaps(ShardAssignment assignment);
-  void InitWiring();
-  void ComputeBoundsFromShards();
-  void RegisterMetrics();
+  // The shards a query visits (fan-out core's ActivePartitions), with the
+  // per-shard and registry serving stats updated.
+  std::vector<size_t> SelectShards(const Point& query_point,
+                                   double epsilon) const;
   void RecordShardFlight(size_t shard_index, const char* method,
                          double epsilon, size_t query_length,
                          const SearchResult& result,
                          uint64_t trace_id) const;
 
-  // Appends a zero-duration "shard_skipped" marker span (tagged with the
-  // shard) for every shard not in `active`, under the currently open
-  // span. No-op without a trace.
-  void MarkSkippedShards(Trace* trace,
-                         const std::vector<size_t>& active) const;
-
   ShardedEngineOptions options_;
-  std::vector<std::unique_ptr<Engine>> shards_;
-  // global id -> shard / local id, and shard -> local -> global id.
+  // Per shard: engine, local -> global ids, live feature MBR (pruning).
+  std::vector<BaseShard> shards_;
+  // global id -> shard (kDroppedShard for ids a v2 manifest dropped).
   std::vector<uint32_t> shard_of_;
-  std::vector<SequenceId> local_of_;
-  std::vector<std::vector<SequenceId>> global_of_;
-  // Feature-space MBR per shard over live sequences (pruning filter).
-  std::vector<ShardFeatureBounds> bounds_;
   ThreadPool* pool_ = nullptr;
 
   // Per-instance serving stats for /statusz (relaxed; dashboards only).

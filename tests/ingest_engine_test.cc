@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -118,6 +119,34 @@ TEST(IngestEngineTest, InsertAssignsContiguousIdsAndRoutesStably) {
   const SearchResult hit = ingest.Search(Sequence({1.0, 2.0, 3.0}), 0.0);
   ASSERT_EQ(hit.matches.size(), 1u);
   EXPECT_EQ(hit.matches[0], a);
+}
+
+TEST(IngestEngineTest, DeletedBaseRowsLeaveAnswersBeforeCompaction) {
+  // A deleted base row stays in its immutable base engine until the next
+  // compaction; only the query's dead-set filter keeps it out of range
+  // and kNN answers, on the pool and inline alike.
+  const Dataset data = WalkDataset();
+  IngestEngine ingest(WalkDataset(), ManualCompaction(3));
+  ThreadPool pool(2);
+  const Sequence& q = data[7];
+  ASSERT_EQ(ingest.SearchKnn(q, 1).neighbors.front().id, 7);
+  ASSERT_TRUE(ingest.Delete(7));
+  Dataset live = WalkDataset();
+  Engine reference(std::move(live), EngineOptions{});
+  ASSERT_TRUE(reference.Remove(7));
+  for (ThreadPool* attached : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ingest.AttachPool(attached);
+    for (const MethodKind kind :
+         {MethodKind::kTwSimSearch, MethodKind::kTwSimSearchCascade,
+          MethodKind::kNaiveScan, MethodKind::kLbScan}) {
+      std::vector<SequenceId> want = reference.SearchWith(kind, q, 0.3).matches;
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(ingest.SearchWith(kind, q, 0.3).matches, want)
+          << MethodKindName(kind);
+    }
+    EXPECT_EQ(ingest.SearchKnn(q, 4).neighbors,
+              reference.SearchKnn(q, 4).neighbors);
+  }
 }
 
 TEST(IngestEngineTest, DeleteEdgeCases) {

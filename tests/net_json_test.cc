@@ -14,6 +14,9 @@
 #include <limits>
 #include <string>
 
+#include "obs/exporters.h"
+#include "obs/trace.h"
+
 namespace warpindex {
 namespace {
 
@@ -89,6 +92,23 @@ TEST(NetJsonTest, StringEscapes) {
   EXPECT_EQ(back.AsString(), "a\"b\\c\n\t\x01");
   // Parses the standard escape set too.
   EXPECT_EQ(MustParse("\"\\u0041\\n\\\"\"").AsString(), "A\n\"");
+}
+
+TEST(NetJsonTest, OneEscaperForRenderAndTheExporters) {
+  // Quote, backslash, \n, \r, \t and the control bytes 0x01 / 0x1f escape
+  // identically through JsonValue::Render and the hand-built exporter
+  // JSON (both call AppendJsonEscaped).
+  const std::string raw = "q\"b\\n\nr\rt\tc\x01u\x1f";
+  const std::string want = "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001u\\u001f\"";
+  EXPECT_EQ(JsonValue::Str(raw).Render(), want);
+  EXPECT_EQ(JsonEscape(raw), want);
+  Trace trace;
+  TraceSpan span;
+  span.name = raw;
+  trace.AppendSpan(span);
+  const std::string exported = TraceToJsonArray(trace);
+  EXPECT_NE(exported.find("\"name\":" + want), std::string::npos) << exported;
+  EXPECT_EQ(MustParse(want).AsString(), raw);
 }
 
 TEST(NetJsonTest, ObjectOrderIsInsertionOrder) {

@@ -312,6 +312,49 @@ TEST_F(ShardServerTest, MalformedRequestsAreTypedErrors) {
   }
 }
 
+TEST_F(ShardServerTest, NonIntegerShardIdsAndKAreTypedErrors) {
+  // The server holds shard 0, so an entry that a lenient decode read as 0
+  // (a string, a fraction, a bool, a double beyond int64, an id beyond
+  // uint32 that wraps) would be silently answered for shard 0.
+  auto server = StartServer({0, 2});
+  WireClient client = MakeClient(*server);
+  const Sequence query = sharded_->shard(0).dataset()[0];
+  const JsonValue bad_ids[] = {
+      JsonValue::Str("0"), JsonValue::Double(0.9), JsonValue::Bool(true),
+      JsonValue::Double(1e300), JsonValue::Int(int64_t{1} << 32)};
+  for (const JsonValue& bad : bad_ids) {
+    JsonValue shards = JsonValue::Array();
+    shards.Add(bad);
+    JsonValue range = JsonValue::Object();
+    range.Set("shards", shards);
+    range.Set("method", JsonValue::Str("TW-Sim-Search"));
+    range.Set("epsilon", JsonValue::Double(0.1));
+    range.Set("query", SequenceToJson(query));
+    JsonValue response;
+    EXPECT_EQ(client.Call(WireType::kRange, range, &response).code(),
+              StatusCode::kInvalidArgument)
+        << bad.Render();
+    JsonValue knn = JsonValue::Object();
+    knn.Set("shards", std::move(shards));
+    knn.Set("k", JsonValue::Int(1));
+    knn.Set("query", SequenceToJson(query));
+    EXPECT_EQ(client.Call(WireType::kKnn, knn, &response).code(),
+              StatusCode::kInvalidArgument)
+        << bad.Render();
+  }
+  for (const JsonValue& bad_k :
+       {JsonValue::Double(2.5), JsonValue::Str("2"), JsonValue::Null()}) {
+    JsonValue knn = JsonValue::Object();
+    knn.Set("shards", ShardsArray({0}));
+    knn.Set("k", bad_k);
+    knn.Set("query", SequenceToJson(query));
+    JsonValue response;
+    EXPECT_EQ(client.Call(WireType::kKnn, knn, &response).code(),
+              StatusCode::kInvalidArgument)
+        << bad_k.Render();
+  }
+}
+
 TEST_F(ShardServerTest, TracedRangeShipsSpans) {
   auto server = StartServer({0, 1, 2});
   WireClient client = MakeClient(*server);

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "exec/thread_pool.h"
+#include "ingest/ingest_engine.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
 #include "shard/sharded_engine.h"
@@ -30,6 +33,19 @@ Dataset WalkDataset(uint64_t seed) {
 std::vector<SequenceId> Sorted(std::vector<SequenceId> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+// The (name, shard) multiset of a trace's "shard" and "shard_skipped"
+// spans: which partitions were searched and which were pruned.
+std::vector<std::pair<std::string, int32_t>> ShardSpans(const Trace& trace) {
+  std::vector<std::pair<std::string, int32_t>> spans;
+  for (const TraceSpan& span : trace.spans()) {
+    if (span.name == "shard" || span.name == "shard_skipped") {
+      spans.emplace_back(span.name, span.shard);
+    }
+  }
+  std::sort(spans.begin(), spans.end());
+  return spans;
 }
 
 class ShardPropertyTest : public ::testing::TestWithParam<PartitionerKind> {
@@ -120,6 +136,79 @@ TEST_P(ShardPropertyTest, SequentialFallbackWithoutPoolIsIdentical) {
     for (size_t i = 0; i < expected.neighbors.size(); ++i) {
       EXPECT_EQ(got.neighbors[i].id, expected.neighbors[i].id);
     }
+  }
+}
+
+TEST_P(ShardPropertyTest, WriteFreeIngestEngineMatchesShardedEngine) {
+  // Both engines answer through the one fan-out core; with empty deltas
+  // the only difference left is the delta/tombstone layer, so answers are
+  // bit-identical (ids, distances, candidate counts) and the traces name
+  // the same searched and skipped partitions — inline and on a pool.
+  EngineOptions engine;
+  engine.build_st_filter = true;
+  const auto queries = GenerateQueryWorkload(
+      WalkDataset(41), QueryWorkloadOptions{.num_queries = 4, .seed = 42});
+  const MethodKind kinds[] = {
+      MethodKind::kTwSimSearch, MethodKind::kNaiveScan,
+      MethodKind::kLbScan, MethodKind::kStFilter,
+      MethodKind::kTwSimSearchCascade};
+  size_t skip_markers = 0;
+  for (const size_t k : {1u, 3u, 4u}) {
+    ShardedEngineOptions sharded_options;
+    sharded_options.num_shards = k;
+    sharded_options.partitioner = GetParam();
+    sharded_options.engine = engine;
+    ShardedEngine sharded(WalkDataset(41), sharded_options);
+    IngestOptions ingest_options;
+    ingest_options.num_shards = k;
+    ingest_options.partitioner = GetParam();
+    ingest_options.engine = engine;
+    ingest_options.start_compactor = false;
+    IngestEngine ingest(WalkDataset(41), ingest_options);
+    ThreadPool pool(3);
+    for (ThreadPool* attached : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      sharded.AttachPool(attached);
+      ingest.AttachPool(attached);
+      for (const Sequence& q : queries) {
+        for (const double epsilon : {0.1, 0.35}) {
+          for (const MethodKind kind : kinds) {
+            Trace sharded_trace;
+            Trace ingest_trace;
+            const SearchResult want =
+                sharded.SearchWith(kind, q, epsilon, &sharded_trace);
+            const SearchResult got =
+                ingest.SearchWith(kind, q, epsilon, &ingest_trace);
+            const std::string where =
+                "K=" + std::to_string(k) + " pool=" +
+                std::to_string(attached != nullptr) + " method=" +
+                MethodKindName(kind) + " eps=" + std::to_string(epsilon);
+            EXPECT_EQ(got.matches, want.matches) << where;
+            EXPECT_EQ(got.distances, want.distances) << where;
+            EXPECT_EQ(got.num_candidates, want.num_candidates) << where;
+            const auto spans = ShardSpans(ingest_trace);
+            EXPECT_EQ(spans, ShardSpans(sharded_trace)) << where;
+            skip_markers += static_cast<size_t>(
+                std::count_if(spans.begin(), spans.end(), [](const auto& span) {
+                  return span.first == "shard_skipped";
+                }));
+          }
+        }
+        for (const size_t nn : {1u, 5u, 20u}) {
+          Trace sharded_trace;
+          Trace ingest_trace;
+          const KnnResult want = sharded.SearchKnn(q, nn, &sharded_trace);
+          const KnnResult got = ingest.SearchKnn(q, nn, &ingest_trace);
+          EXPECT_EQ(got.neighbors, want.neighbors) << "K=" << k << " nn=" << nn;
+          EXPECT_EQ(ShardSpans(ingest_trace), ShardSpans(sharded_trace))
+              << "K=" << k << " nn=" << nn;
+        }
+      }
+    }
+  }
+  // The range partitioner's clustered shards make pruning routine, so the
+  // skip-marker half of the shape comparison is exercised.
+  if (GetParam() == PartitionerKind::kRange) {
+    EXPECT_GT(skip_markers, 0u);
   }
 }
 
