@@ -84,10 +84,10 @@ void Engine::BuildMethods() {
     index_pool_ = std::make_unique<BufferPool>(options_.index_buffer_pages);
   }
   tw_sim_search_ = std::make_unique<TwSimSearch>(
+      &feature_index_, &store_, options_.dtw, index_pool_.get());
+  tw_sim_search_cascade_ = std::make_unique<TwSimSearch>(
       &feature_index_, &store_, options_.dtw, index_pool_.get(),
-      options_.lb_cascade);
-  tw_sim_search_cascade_ = std::make_unique<TwSimSearchCascade>(
-      tw_sim_search_.get(), options_.dtw, options_.cascade_planner);
+      options_.cascade_planner);
   tw_knn_search_ = std::make_unique<TwKnnSearch>(&feature_index_, &store_,
                                                  options_.dtw);
   naive_scan_ = std::make_unique<NaiveScan>(&store_, options_.dtw);
@@ -332,12 +332,19 @@ const SearchMethod& Engine::method(MethodKind kind) const {
 
 SearchResult Engine::SearchWith(MethodKind kind, const Sequence& query,
                                 double epsilon, Trace* trace,
-                                DtwScratch* scratch) const {
+                                DtwScratch* scratch,
+                                const PostfilterFanOut* fan_out) const {
+  const TwSimSearch* indexed =
+      kind == MethodKind::kTwSimSearch          ? tw_sim_search_.get()
+      : kind == MethodKind::kTwSimSearchCascade ? tw_sim_search_cascade_.get()
+                                                : nullptr;
   SearchResult result;
   {
     ScopedSpan span(trace, "query");
     TraceCounter(trace, "epsilon", epsilon);
-    result = method(kind).Search(query, epsilon, trace, scratch);
+    result = indexed != nullptr
+                 ? indexed->Search(query, epsilon, trace, scratch, fan_out)
+                 : method(kind).Search(query, epsilon, trace, scratch);
   }
   RecordQueryMetrics(kind, result);
   return result;

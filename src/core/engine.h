@@ -39,7 +39,6 @@
 #include "dtw/dtw.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/cascade_search.h"
 #include "sequence/dataset.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_model.h"
@@ -89,10 +88,6 @@ struct EngineOptions {
   // pool is thread-safe (lock-striped shards), so queries stay safe to
   // run concurrently; see docs/CONCURRENCY.md.
   size_t index_buffer_pages = 0;
-  // Insert the O(n) LB_Yi bound before exact DTW in TW-Sim-Search's
-  // post-processing (answers unchanged, DTW cells drop). Off by default
-  // to match the paper's Algorithm 1 exactly.
-  bool lb_cascade = false;
   // Planner configuration for MethodKind::kTwSimSearchCascade (plan
   // mode, fixed plan, cost-model knobs). The default runs the full
   // lower-bound cascade on every query; see docs/PLANNER.md.
@@ -148,7 +143,17 @@ class Engine : public EngineLike {
   // so repeated queries stop allocating; answers are unchanged.
   SearchResult SearchWith(MethodKind kind, const Sequence& query,
                           double epsilon, Trace* trace = nullptr,
-                          DtwScratch* scratch = nullptr) const override;
+                          DtwScratch* scratch = nullptr) const override {
+    return SearchWith(kind, query, epsilon, trace, scratch, nullptr);
+  }
+
+  // SearchWith with the exact stage of the two TW-Sim-Search kinds
+  // chunked over `fan_out` (null: inline); other kinds ignore it. Same
+  // answers, counts and span tree — the concurrent executor's
+  // SearchParallel runs here.
+  SearchResult SearchWith(MethodKind kind, const Sequence& query,
+                          double epsilon, Trace* trace, DtwScratch* scratch,
+                          const PostfilterFanOut* fan_out) const;
 
   // Exact k-nearest-neighbor search under D_tw via the feature index
   // (lower-bound-guided filter and refine; see core/tw_knn_search.h).
@@ -168,9 +173,6 @@ class Engine : public EngineLike {
   KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
                             double seed_bound,
                             Trace* trace = nullptr) const override;
-
-  // This engine IS a single-index engine (EngineLike).
-  const Engine* AsSingleEngine() const override { return this; }
 
   // ---- Dynamic maintenance (paper §4.3.1: the index supports ordinary
   // insertion; the store appends / tombstones).
@@ -218,13 +220,10 @@ class Engine : public EngineLike {
   void RebuildSubsequenceIndex();
 
   const SearchMethod& method(MethodKind kind) const;
-  // The TW-Sim-Search instance (never null); the concurrent executor's
-  // intra-query parallel post-filter builds on its FilterAndFetch().
-  const TwSimSearch& tw_sim_search() const { return *tw_sim_search_; }
-  // The cascade variant (never null); the executor's parallel
-  // cascade path builds on its FilterFetchAndPrune().
-  const TwSimSearchCascade& tw_sim_search_cascade() const {
-    return *tw_sim_search_cascade_;
+  // The planner of MethodKind::kTwSimSearchCascade (live cost-model
+  // state for /statusz and tests).
+  const CascadePlanner& cascade_planner() const {
+    return *tw_sim_search_cascade_->planner();
   }
   bool has_st_filter() const { return st_filter_ != nullptr; }
 
@@ -301,7 +300,7 @@ class Engine : public EngineLike {
   DiskModel disk_model_;
 
   std::unique_ptr<TwSimSearch> tw_sim_search_;
-  std::unique_ptr<TwSimSearchCascade> tw_sim_search_cascade_;
+  std::unique_ptr<TwSimSearch> tw_sim_search_cascade_;
   std::unique_ptr<TwKnnSearch> tw_knn_search_;
   std::unique_ptr<NaiveScan> naive_scan_;
   std::unique_ptr<LbScan> lb_scan_;

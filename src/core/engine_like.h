@@ -6,9 +6,7 @@
 // interface, so a thread pool built for one engine shape serves the
 // other unchanged: Submit/SubmitBatch only ever need "run this method at
 // this tolerance" plus the metrics registry the serving layer records
-// into. Intra-query parallelism that reaches into TW-Sim-Search's
-// internals (QueryExecutor::SearchParallel) is single-engine-only and
-// guarded via AsSingleEngine().
+// into.
 //
 // Thread-safety contract: like Engine, every method here must be safe to
 // call concurrently from any number of threads (implementations keep
@@ -26,7 +24,6 @@
 namespace warpindex {
 
 enum class MethodKind;
-class Engine;
 class IngestEngine;
 
 class EngineLike {
@@ -62,11 +59,6 @@ class EngineLike {
 
   // Simulated elapsed time of a query under the disk model.
   virtual double ElapsedMillis(const SearchCost& cost) const = 0;
-
-  // The underlying single-index Engine, or null when this is a
-  // partitioned engine. Callers that need Engine internals (the
-  // executor's intra-query SearchParallel) go through here.
-  virtual const Engine* AsSingleEngine() const { return nullptr; }
 
   // The writable streaming-ingest engine (ingest/ingest_engine.h), or
   // null for the build-then-serve shapes. Serving layers that accept

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/timer.h"
+#include "plan/filter_cascade.h"
 
 namespace warpindex {
 
@@ -12,11 +13,6 @@ SearchResult StFilterSearch::SearchImpl(const Sequence& query,
   WallTimer timer;
   ThreadCpuTimer cpu_timer;
   SearchResult result;
-  DtwScratch local_scratch;
-  if (scratch == nullptr) {
-    scratch = &local_scratch;  // reused across candidates within the query
-  }
-
   std::vector<SequenceId> candidates;
   {
     StageTimer stage(&result.cost.stages, &result.cost.stages_cpu, trace, kStageStFilter);
@@ -44,21 +40,7 @@ SearchResult StFilterSearch::SearchImpl(const Sequence& query,
     }
   }
 
-  {
-    StageTimer stage(&result.cost.stages, &result.cost.stages_cpu, trace, kStageDtwPostfilter);
-    for (const Sequence* s : fetched) {
-      ++result.cost.dtw_evals;
-      const DtwResult d =
-          dtw_.DistanceWithThreshold(*s, query, epsilon, scratch);
-      result.cost.dtw_cells += d.cells;
-      if (d.distance <= epsilon) {
-        result.matches.push_back(s->id());
-        result.distances.push_back(d.distance);
-      }
-    }
-    TraceCounter(trace, "dtw_cells",
-                 static_cast<double>(result.cost.dtw_cells));
-  }
+  RunExactStage(dtw_, query, epsilon, fetched, &result, trace, scratch);
   result.cost.wall_ms = timer.ElapsedMillis();
   result.cost.cpu_ms = cpu_timer.ElapsedMillis();
   return result;

@@ -1,12 +1,21 @@
 #include "core/tw_sim_search.h"
 
-#include <utility>
-
 #include "common/timer.h"
-#include "dtw/lb_yi.h"
 #include "sequence/feature.h"
 
 namespace warpindex {
+
+TwSimSearch::TwSimSearch(const FeatureIndex* index,
+                         const SequenceStore* store, DtwOptions dtw_options,
+                         const BufferPool* index_pool,
+                         std::optional<CascadePlannerOptions> planner)
+    : index_(index),
+      store_(store),
+      cascade_(dtw_options),
+      index_pool_(index_pool),
+      planner_(planner.has_value()
+                   ? std::make_unique<CascadePlanner>(*planner)
+                   : nullptr) {}
 
 std::vector<const Sequence*> TwSimSearch::FilterAndFetch(
     const Sequence& query, double epsilon, SearchResult* result,
@@ -52,60 +61,33 @@ std::vector<const Sequence*> TwSimSearch::FilterAndFetch(
   return fetched;
 }
 
-SearchResult TwSimSearch::SearchImpl(const Sequence& query, double epsilon,
-                                     Trace* trace,
-                                     DtwScratch* scratch) const {
+SearchResult TwSimSearch::Search(const Sequence& query, double epsilon,
+                                 Trace* trace, DtwScratch* scratch,
+                                 const PostfilterFanOut* fan_out) const {
   WallTimer timer;
   ThreadCpuTimer cpu_timer;
   SearchResult result;
-  DtwScratch local_scratch;
-  if (scratch == nullptr) {
-    scratch = &local_scratch;  // reused across candidates within the query
+  CascadePlan plan;  // the paper's: no lower-bound stage
+  if (planner_ != nullptr) {
+    plan = planner_->Choose();
+    TraceCounter(trace, "cascade_stages",
+                 static_cast<double>(plan.stages.size()));
   }
-
   std::vector<const Sequence*> fetched =
       FilterAndFetch(query, epsilon, &result, trace);
-
-  // Optional LB_Yi cascade: discard candidates the O(n) bound already
-  // rules out (LB_Yi <= D_tw, so answers are unchanged).
-  if (lb_cascade_) {
-    StageTimer stage(&result.cost.stages, &result.cost.stages_cpu, trace, kStageLbYiCascade);
-    const Envelope query_env = ComputeEnvelope(query);
-    const size_t in = fetched.size();
-    size_t kept = 0;
-    for (size_t i = 0; i < fetched.size(); ++i) {
-      ++result.cost.lb_evals;
-      if (LbYiWithEnvelopes(*fetched[i], ComputeEnvelope(*fetched[i]),
-                            query, query_env, dtw_.options()) <= epsilon) {
-        fetched[kept++] = fetched[i];
-      }
-    }
-    fetched.resize(kept);
-    result.cost.prunes.Record(kStageLbYiCascade, in, in - kept);
-    TraceCounter(trace, "lb_evals",
-                 static_cast<double>(result.cost.lb_evals));
+  CascadeObservation obs;
+  if (planner_ != nullptr) {
+    cascade_.RunLbStages(query, epsilon, &fetched, plan, &result, trace,
+                         &obs);
   }
-
   // Step-4..7: post-processing with the exact time-warping distance.
-  {
-    StageTimer stage(&result.cost.stages, &result.cost.stages_cpu, trace, kStageDtwPostfilter);
-    for (const Sequence* s : fetched) {
-      ++result.cost.dtw_evals;
-      const DtwResult d =
-          dtw_.DistanceWithThreshold(*s, query, epsilon, scratch);
-      result.cost.dtw_cells += d.cells;
-      if (d.distance <= epsilon) {
-        result.matches.push_back(s->id());
-        result.distances.push_back(d.distance);
-      }
-    }
-    result.cost.prunes.Record(kStageDtwPostfilter, fetched.size(),
-                              fetched.size() - result.matches.size());
-    TraceCounter(trace, "dtw_cells",
-                 static_cast<double>(result.cost.dtw_cells));
+  RunExactStage(cascade_.dtw(), query, epsilon, fetched, &result, trace,
+                scratch, &obs.dtw, fan_out);
+  if (planner_ != nullptr) {
+    planner_->Observe(obs);
   }
   result.cost.wall_ms = timer.ElapsedMillis();
-  result.cost.cpu_ms = cpu_timer.ElapsedMillis();
+  result.cost.cpu_ms += cpu_timer.ElapsedMillis();
   return result;
 }
 

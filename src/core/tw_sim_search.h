@@ -9,13 +9,26 @@
 // Guarantees: no false dismissal (Theorem 1 + Corollary 1); the index
 // range predicate equals "D_tw-lb <= epsilon", and D_tw-lb lower-bounds
 // D_tw.
+//
+// With a CascadePlanner the same class is TW-Sim-Search-Cascade: the
+// planned lower-bound stages (plan/filter_cascade.h) run between the
+// fetch and the exact stage. Same answers for every plan (each stage is
+// a valid lower bound and ties at epsilon are kept); fewer exact-DTW
+// evaluations whenever a bound fires. Without a planner the plan is the
+// paper's: fetch, then exact DTW.
 
 #ifndef WARPINDEX_CORE_TW_SIM_SEARCH_H_
 #define WARPINDEX_CORE_TW_SIM_SEARCH_H_
 
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include "core/feature_index.h"
 #include "core/search_method.h"
 #include "dtw/dtw.h"
+#include "plan/cascade_planner.h"
+#include "plan/filter_cascade.h"
 #include "storage/buffer_pool.h"
 #include "storage/sequence_store.h"
 
@@ -29,45 +42,51 @@ class TwSimSearch : public SearchMethod {
   // thread-safe (lock-striped shards, see storage/buffer_pool.h), so
   // Search stays safe to call from many threads even with a pool —
   // per-query hit/miss attribution lands in SearchCost, not on shared
-  // counters.
-  //
-  // `lb_cascade` inserts the O(n) LB_Yi bound between the feature filter
-  // and the exact DTW in Step-6 — D_tw-lb <= LB_Yi <= D_tw, so a
-  // candidate failing LB_Yi needs no DP at all. (The cascade idea later
-  // became standard practice, e.g. in the UCR suite.) Answers are
-  // unchanged; only dtw_cells drop.
+  // counters. `planner` (optional) makes this TW-Sim-Search-Cascade.
   TwSimSearch(const FeatureIndex* index, const SequenceStore* store,
               DtwOptions dtw_options,
               const BufferPool* index_pool = nullptr,
-              bool lb_cascade = false)
-      : index_(index), store_(store), dtw_(dtw_options),
-        index_pool_(index_pool), lb_cascade_(lb_cascade) {}
+              std::optional<CascadePlannerOptions> planner = std::nullopt);
 
-  const char* name() const override { return "TW-Sim-Search"; }
+  const char* name() const override {
+    return planner_ != nullptr ? "TW-Sim-Search-Cascade" : "TW-Sim-Search";
+  }
 
-  // Algorithm 1 Steps 1-5 on their own: feature extraction, index range
-  // query, and candidate fetch, with I/O and node costs accounted into
-  // `result` (stages rtree_search + candidate_fetch). Returns the fetched
-  // candidate sequences in index-return order, as pointers into the
-  // store (valid until the engine's next mutator). The concurrent
-  // executor uses this to run the remaining post-filter step in parallel
-  // chunks; SearchImpl composes it with the post-filter for the
-  // sequential path.
+  using SearchMethod::Search;
+  // Search with the exact stage chunked over `fan_out` when it is set
+  // (see RunExactStage): same answers and counts, and the helper
+  // threads' CPU is included in cost.cpu_ms.
+  SearchResult Search(const Sequence& query, double epsilon, Trace* trace,
+                      DtwScratch* scratch,
+                      const PostfilterFanOut* fan_out) const;
+
+  // The planner choosing each query's lower-bound stages; null for the
+  // paper's plan.
+  const CascadePlanner* planner() const { return planner_.get(); }
+
+ protected:
+  SearchResult SearchImpl(const Sequence& query, double epsilon,
+                          Trace* trace, DtwScratch* scratch) const override {
+    return Search(query, epsilon, trace, scratch, nullptr);
+  }
+
+ private:
+  // Algorithm 1 Steps 1-5: feature extraction, index range query, and
+  // candidate fetch, with I/O and node costs accounted into `result`
+  // (stages rtree_search + candidate_fetch). Returns the fetched
+  // sequences in index-return order, as pointers into the store.
   std::vector<const Sequence*> FilterAndFetch(const Sequence& query,
                                               double epsilon,
                                               SearchResult* result,
                                               Trace* trace) const;
 
- protected:
-  SearchResult SearchImpl(const Sequence& query, double epsilon,
-                          Trace* trace, DtwScratch* scratch) const override;
-
- private:
   const FeatureIndex* index_;
   const SequenceStore* store_;
-  Dtw dtw_;
+  FilterCascade cascade_;
   const BufferPool* index_pool_;
-  bool lb_cascade_;
+  // Accumulates cost-model state across const queries; internally
+  // synchronized (see cascade_planner.h).
+  std::unique_ptr<CascadePlanner> planner_;
 };
 
 }  // namespace warpindex

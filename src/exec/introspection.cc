@@ -518,9 +518,7 @@ std::string StatuszJson(const IntrospectionOptions& options,
   if (options.engine != nullptr) {
     out += ",\"rtree\":" + RTreeHealthJson(health.index);
     out += ",\"planner\":" +
-           PlannerJson(options.engine->tw_sim_search_cascade()
-                           .planner()
-                           .TakeSnapshot());
+           PlannerJson(options.engine->cascade_planner().TakeSnapshot());
   } else {
     out += ",\"rtree\":null,\"planner\":null";
   }

@@ -1,11 +1,9 @@
 #include "exec/query_executor.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
-#include <utility>
-
 #include <stdexcept>
+#include <utility>
 
 #include "cache/semantic_cache.h"
 #include "common/timer.h"
@@ -47,6 +45,7 @@ size_t DefaultThreads(size_t requested) {
 QueryExecutor::QueryExecutor(const EngineLike* engine,
                              QueryExecutorOptions options)
     : engine_(engine),
+      single_engine_(dynamic_cast<const Engine*>(engine)),
       options_(options),
       pool_(DefaultThreads(options.num_threads)) {
   worker_scratch_.reserve(pool_.num_threads());
@@ -83,7 +82,8 @@ DtwScratch* QueryExecutor::CurrentWorkerScratch() {
 }
 
 SearchResult QueryExecutor::RunQuery(MethodKind kind, const Sequence& query,
-                                     double epsilon, Trace* trace) {
+                                     double epsilon, Trace* trace,
+                                     const PostfilterFanOut* fan_out) {
   queries_total_->Increment();
   // Executor-initiated tracing: with a trace store configured and no
   // caller trace, trace the query ourselves (head-gated) so the tail
@@ -132,8 +132,14 @@ SearchResult QueryExecutor::RunQuery(MethodKind kind, const Sequence& query,
   }
   SearchResult result;
   try {
-    result = engine_->SearchWith(kind, query, epsilon, trace,
-                                 CurrentWorkerScratch());
+    // A composite engine fans the query out across its partitions on
+    // this pool; that fan-out is its intra-query parallelism, so only a
+    // single Engine takes the chunked exact stage.
+    result = single_engine_ != nullptr && fan_out != nullptr
+                 ? single_engine_->SearchWith(kind, query, epsilon, trace,
+                                              CurrentWorkerScratch(), fan_out)
+                 : engine_->SearchWith(kind, query, epsilon, trace,
+                                       CurrentWorkerScratch());
   } catch (...) {
     // The ScopedSpans unwound with the stack, so the trace is closed and
     // offerable — errored traces are exactly what tail sampling keeps.
@@ -295,175 +301,13 @@ BatchResult QueryExecutor::SubmitBatch(
 SearchResult QueryExecutor::SearchParallel(const Sequence& query,
                                            double epsilon, Trace* trace,
                                            bool use_cascade) {
-  WallTimer timer;
-  ThreadCpuTimer cpu_timer;
-  SearchResult result;
-  queries_total_->Increment();
   inflight_->Increment();
   InflightGuard guard(inflight_);
-
-  // Same executor-initiated tracing as RunQuery.
-  std::optional<Trace> local;
-  if (trace == nullptr && options_.trace_store != nullptr &&
-      options_.trace_store->ShouldTrace()) {
-    local.emplace();
-    trace = &*local;
-  }
-
-  const MethodKind kind = use_cascade ? MethodKind::kTwSimSearchCascade
-                                      : MethodKind::kTwSimSearch;
-  // Semantic cache consult — same protocol as RunQuery. The parallel
-  // post-filter emits matches in candidate order, identical to the
-  // sequential path, so both populate and replay the same entry.
-  uint64_t cache_key = 0;
-  uint64_t cache_version = 0;
-  if (options_.cache != nullptr) {
-    cache_key =
-        SemanticCache::RangeKey(query, engine_->dtw_options(), kind);
-    cache_version = engine_->DataVersion();
-    SearchResult cached;
-    if (options_.cache->LookupRange(cache_key, epsilon, cache_version,
-                                    &cached)) {
-      cached.cost.wall_ms = timer.ElapsedMillis();
-      if (trace != nullptr) {
-        {
-          ScopedSpan span(trace, "cache_hit");
-          TraceCounter(trace, "cached_matches",
-                       static_cast<double>(cached.matches.size()));
-        }
-        OfferTrace(kind, query, epsilon, *trace, cached.matches.size(),
-                   cached.cost.wall_ms, cpu_timer.ElapsedMillis(),
-                   /*errored=*/false);
-      }
-      RecordFlight(kind, query, epsilon, cached,
-                   trace != nullptr ? trace->trace_id() : 0,
-                   CacheTier::kExecutor);
-      return cached;
-    }
-  }
-
-  const Engine* single = engine_->AsSingleEngine();
-  if (single == nullptr) {
-    // Composite engine (ShardedEngine): its SearchWith already fans the
-    // query out across shards on this executor's pool — that fan-out is
-    // the intra-query parallelism here, and the chunked post-filter
-    // below does not apply. Answers are identical either way.
-    result = engine_->SearchWith(kind, query, epsilon, trace,
-                                 CurrentWorkerScratch());
-    if (trace != nullptr) {
-      OfferTrace(kind, query, epsilon, *trace, result.matches.size(),
-                 result.cost.wall_ms, result.cost.cpu_ms, /*errored=*/false);
-    }
-    if (options_.cache != nullptr) {
-      result.cost.cache_misses = 1;
-      if (engine_->DataVersion() == cache_version) {
-        options_.cache->InsertRange(cache_key, epsilon, cache_version,
-                                    result);
-      }
-    }
-    RecordFlight(kind, query, epsilon, result,
-                 trace != nullptr ? trace->trace_id() : 0);
-    return result;
-  }
-
-  CascadeObservation obs;
-  {
-    ScopedSpan span(trace, "query");
-    TraceCounter(trace, "epsilon", epsilon);
-    // The lower-bound cascade (when requested) runs on the calling
-    // thread — its stages are O(n) per candidate and prune the list the
-    // chunked DTW fan-out then works through.
-    std::vector<const Sequence*> fetched =
-        use_cascade
-            ? single->tw_sim_search_cascade().FilterFetchAndPrune(
-                  query, epsilon, &result, trace, &obs)
-            : single->tw_sim_search().FilterAndFetch(query, epsilon,
-                                                     &result, trace);
-
-    const size_t chunk_size = std::max<size_t>(1, options_.postfilter_chunk);
-    const size_t num_chunks =
-        (fetched.size() + chunk_size - 1) / chunk_size;
-
-    ScopedSpan dtw_span(trace, kStageDtwPostfilter);
-    WallTimer dtw_timer;
-    const size_t dtw_in = fetched.size();
-    result.cost.dtw_evals += dtw_in;
-    // The chunks fan out over ScatterGather: idle workers help and the
-    // calling thread always participates, so completion never depends on
-    // the pool having free capacity (no deadlock when called from inside
-    // a pool task), and a single chunk runs inline. Outputs are indexed
-    // by chunk, so they stay in candidate order.
-    std::vector<std::vector<SequenceId>> chunk_matches(num_chunks);
-    std::vector<std::vector<double>> chunk_distances(num_chunks);
-    std::vector<uint64_t> chunk_cells(num_chunks, 0);
-    // Thread-CPU ms per chunk (each chunk runs on one thread): their sum
-    // is the post-filter's CPU across every participating thread.
-    std::vector<double> chunk_cpu_ms(num_chunks, 0.0);
-    const Dtw dtw(single->options().dtw);
-    ThreadCpuTimer caller_chunk_cpu;
-    ScatterGather(&pool_).Run(num_chunks, [&](size_t c) {
-      ThreadCpuTimer chunk_cpu;
-      DtwScratch scratch;
-      const size_t end = std::min(dtw_in, (c + 1) * chunk_size);
-      for (size_t i = c * chunk_size; i < end; ++i) {
-        const DtwResult d =
-            dtw.DistanceWithThreshold(*fetched[i], query, epsilon, &scratch);
-        chunk_cells[c] += d.cells;
-        if (d.distance <= epsilon) {
-          chunk_matches[c].push_back(fetched[i]->id());
-          chunk_distances[c].push_back(d.distance);
-        }
-      }
-      chunk_cpu_ms[c] = chunk_cpu.ElapsedMillis();
-    });
-    const double caller_chunk_cpu_ms = caller_chunk_cpu.ElapsedMillis();
-    double dtw_cpu_ms = 0.0;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      result.cost.dtw_cells += chunk_cells[c];
-      dtw_cpu_ms += chunk_cpu_ms[c];
-      result.matches.insert(result.matches.end(), chunk_matches[c].begin(),
-                            chunk_matches[c].end());
-      result.distances.insert(result.distances.end(),
-                              chunk_distances[c].begin(),
-                              chunk_distances[c].end());
-    }
-    // Helper-thread CPU to fold into the query total (the caller's share
-    // is already inside cpu_timer).
-    const double helper_cpu_ms =
-        std::max(0.0, dtw_cpu_ms - caller_chunk_cpu_ms);
-    const double dtw_ms = dtw_timer.ElapsedMillis();
-    const size_t dtw_pruned = dtw_in - result.matches.size();
-    result.cost.stages.Add(kStageDtwPostfilter, dtw_ms);
-    result.cost.stages_cpu.Add(kStageDtwPostfilter, dtw_cpu_ms);
-    result.cost.cpu_ms += helper_cpu_ms;
-    result.cost.prunes.Record(kStageDtwPostfilter, dtw_in, dtw_pruned);
-    if (use_cascade) {
-      obs.dtw.in += dtw_in;
-      obs.dtw.pruned += dtw_pruned;
-      obs.dtw.ms += dtw_ms;
-      single->tw_sim_search_cascade().ObserveOutcome(obs);
-    }
-    TraceCounter(trace, "dtw_cells",
-                 static_cast<double>(result.cost.dtw_cells));
-  }
-  result.cost.wall_ms = timer.ElapsedMillis();
-  // Caller CPU (cascade + its own chunk share + merge) plus the helper
-  // CPU folded in above.
-  result.cost.cpu_ms += cpu_timer.ElapsedMillis();
-  if (trace != nullptr) {
-    OfferTrace(kind, query, epsilon, *trace, result.matches.size(),
-               result.cost.wall_ms, result.cost.cpu_ms, /*errored=*/false);
-  }
-  if (options_.cache != nullptr) {
-    result.cost.cache_misses = 1;
-    if (engine_->DataVersion() == cache_version) {
-      options_.cache->InsertRange(cache_key, epsilon, cache_version,
-                                  result);
-    }
-  }
-  RecordFlight(kind, query, epsilon, result,
-               trace != nullptr ? trace->trace_id() : 0);
-  return result;
+  const ScatterGather scatter(&pool_);
+  const PostfilterFanOut fan_out{&scatter, options_.postfilter_chunk};
+  return RunQuery(use_cascade ? MethodKind::kTwSimSearchCascade
+                              : MethodKind::kTwSimSearch,
+                  query, epsilon, trace, &fan_out);
 }
 
 KnnResult QueryExecutor::SearchKnn(const Sequence& query, size_t k,

@@ -14,11 +14,12 @@
 //     until memory bandwidth saturates.
 //
 //   * Intra-query parallelism — SearchParallel() runs TW-Sim-Search with
-//     its post-filter stage (Algorithm 1 Steps 4..7, the DTW-heavy part)
-//     chunked across the pool with ScatterGather (shard/scatter_gather.h):
-//     the candidate list is split into fixed chunks claimed by the calling
-//     thread plus any idle workers. Matches come back in candidate order,
-//     so answers are byte-identical to the sequential path.
+//     its exact post-filter stage (Algorithm 1 Steps 4..7, the DTW-heavy
+//     part) chunked across the pool with ScatterGather
+//     (shard/scatter_gather.h): the candidate list is split into fixed
+//     chunks claimed by the calling thread plus any idle workers. Matches
+//     come back in candidate order, so answers are byte-identical to the
+//     sequential path.
 //
 // Each worker keeps a DtwScratch reused across every query it executes,
 // so steady-state serving performs no per-query DP-row allocations.
@@ -131,23 +132,18 @@ class QueryExecutor {
   BatchResult SubmitBatch(const std::vector<QueryRequest>& requests,
                           const BatchOptions& batch_options = {});
 
-  // TW-Sim-Search with the post-filter stage parallelized across the
-  // pool. Answers (matches, num_candidates, dtw_cells, I/O) are
-  // identical to engine().Search(); only wall time shrinks. Safe to call
+  // TW-Sim-Search (kTwSimSearchCascade with `use_cascade`) with the
+  // exact post-filter stage chunked across the pool. It runs on the
+  // calling thread through the same path as Submit — cache, traces,
+  // flight record — and on a single Engine through Engine::SearchWith
+  // with a fan-out, so answers, SearchCost counts, span tree and engine
+  // metrics are those of Submit; only wall time shrinks. Safe to call
   // even from inside a pool task: the calling thread participates in the
   // chunk work, so progress never depends on idle workers.
   //
-  // On an engine that is not a single index (AsSingleEngine() == null,
-  // i.e. a ShardedEngine), the chunked post-filter does not apply; the
-  // query runs through SearchWith instead, whose per-shard fan-out IS
-  // the intra-query parallelism. Answers are identical either way.
-  //
-  // With `use_cascade`, the planned lower-bound cascade
-  // (engine().tw_sim_search_cascade()) runs on the calling thread
-  // between the fetch and the parallel DTW fan-out, so only the
-  // survivors pay chunked DP; answers are still identical (see
-  // docs/PLANNER.md), and the executed query feeds the planner's cost
-  // model exactly like the sequential path.
+  // On a composite engine (ShardedEngine, IngestEngine) the chunked
+  // post-filter does not apply: its SearchWith fans the query out per
+  // shard on this pool, and that IS the intra-query parallelism.
   SearchResult SearchParallel(const Sequence& query, double epsilon,
                               Trace* trace = nullptr,
                               bool use_cascade = false);
@@ -200,9 +196,13 @@ class QueryExecutor {
   Snapshot TakeSnapshot() const;
 
  private:
-  // Runs one query on the calling (worker) thread with its scratch.
+  // Runs one query on the calling thread with its worker scratch:
+  // cache consult and populate, executor-initiated tracing, trace offer
+  // and flight record. `fan_out` (SearchParallel) chunks a single
+  // Engine's exact stage.
   SearchResult RunQuery(MethodKind kind, const Sequence& query,
-                        double epsilon, Trace* trace);
+                        double epsilon, Trace* trace,
+                        const PostfilterFanOut* fan_out = nullptr);
 
   // Offers a finished query to the configured flight recorder / slow
   // log (no-op when neither is set). `trace_id` (0 = untraced) links the
@@ -221,6 +221,8 @@ class QueryExecutor {
   DtwScratch* CurrentWorkerScratch();
 
   const EngineLike* engine_;
+  // `engine_` when it is a single Engine, else null.
+  const Engine* single_engine_;
   IngestEngine* ingest_ = nullptr;
   QueryExecutorOptions options_;
   ThreadPool pool_;

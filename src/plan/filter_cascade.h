@@ -23,6 +23,11 @@
 // its elapsed time into SearchCost::stages (names shared with traces and
 // metrics), plus an optional CascadeObservation consumed by the
 // CascadePlanner's online cost model.
+//
+// The exact stage (RunExactStage) is the one post-filter of every
+// indexed range method: TW-Sim-Search with or without a planned cascade
+// (core/tw_sim_search.h) and ST-Filter (core/st_filter_search.h) all end
+// with it, inline or chunked over a ScatterGather.
 
 #ifndef WARPINDEX_PLAN_FILTER_CASCADE_H_
 #define WARPINDEX_PLAN_FILTER_CASCADE_H_
@@ -93,12 +98,39 @@ struct CascadeObservation {
   }
 };
 
+class ScatterGather;
+
+// Runs the exact stage in chunks of `chunk` (at least 1) candidates
+// over `scatter` (borrowed). The calling thread always takes part, so
+// the stage completes even when called from inside a pool task.
+struct PostfilterFanOut {
+  const ScatterGather* scatter = nullptr;
+  size_t chunk = 1;
+};
+
+// The exact stage (Algorithm 1 Steps 4-7): thresholded D_tw over
+// `candidates`, keeping those within epsilon. Matches and their
+// distances append to `result` in candidate order, whether the stage
+// runs inline or chunked over `fan_out`. dtw_evals, dtw_cells, the
+// dtw_postfilter span, stage wall and CPU time and the prune record
+// accumulate into result->cost, and the stage's in/pruned/ms into `obs`.
+// A chunked run's stage CPU is the sum of its chunks' CPU; the helper
+// threads' share of it is added to result->cost.cpu_ms, so a caller adds
+// its own CPU reading on top rather than assigning it. `trace`,
+// `scratch` (inline runs only), `obs` and `fan_out` are optional.
+void RunExactStage(const Dtw& dtw, const Sequence& query, double epsilon,
+                   const std::vector<const Sequence*>& candidates,
+                   SearchResult* result, Trace* trace, DtwScratch* scratch,
+                   StageObservation* obs = nullptr,
+                   const PostfilterFanOut* fan_out = nullptr);
+
 class FilterCascade {
  public:
   explicit FilterCascade(DtwOptions options)
       : options_(options), dtw_(options) {}
 
   const DtwOptions& options() const { return options_; }
+  const Dtw& dtw() const { return dtw_; }
 
   // Runs `plan`'s lower-bound stages and then the exact-DTW stage over
   // `candidates` (borrowed sequences; the list is consumed). Matching ids
@@ -112,8 +144,8 @@ class FilterCascade {
            CascadeObservation* obs = nullptr) const;
 
   // The lower-bound stages only: prunes `candidates` in place and leaves
-  // the exact-DTW stage to the caller (the concurrent executor fans it
-  // out in chunks). Same accounting as Run() minus the dtw stage.
+  // the exact-DTW stage to the caller (RunExactStage). Same accounting as
+  // Run() minus the dtw stage.
   void RunLbStages(const Sequence& query, double epsilon,
                    std::vector<const Sequence*>* candidates,
                    const CascadePlan& plan, SearchResult* result,

@@ -1,12 +1,11 @@
-// TW-Sim-Search-Cascade (plan/cascade_search.h) end to end: on the stock
-// and random-walk datasets, MethodKind::kTwSimSearchCascade returns
+// TW-Sim-Search-Cascade (core/tw_sim_search.h with a planner) end to
+// end: on the stock and random-walk datasets,
+// MethodKind::kTwSimSearchCascade returns
 // exactly the same result set as MethodKind::kTwSimSearch — sequentially,
 // through the concurrent executor with 4 threads, and through
 // SearchParallel's cascade path — while performing no more (and on a
 // banded config strictly fewer) exact-DTW evaluations, exporting the
 // per-stage pruning counters through the engine's metrics registry.
-
-#include "plan/cascade_search.h"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/tw_sim_search.h"
 #include "exec/query_executor.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
@@ -217,7 +217,7 @@ TEST_F(CascadeSearchTest, AutoPlanAnswersIdenticalToTwSimSearch) {
         engine.SearchWith(MethodKind::kTwSimSearchCascade, query, 1.0);
     ASSERT_EQ(Sorted(cascade.matches), Sorted(plain.matches));
   }
-  EXPECT_EQ(engine.tw_sim_search_cascade().planner().plans_chosen(),
+  EXPECT_EQ(engine.cascade_planner().plans_chosen(),
             workload.size());
 }
 

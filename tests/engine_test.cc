@@ -79,20 +79,22 @@ TEST(EngineTest, L1SimilarityModelSupported) {
 }
 
 TEST(EngineTest, LbCascadeKeepsAnswersAndSavesDtwCells) {
-  EngineOptions plain;
-  EngineOptions cascaded;
-  cascaded.lb_cascade = true;
-  const Engine a(SmallDataset(), plain);
-  const Engine b(SmallDataset(), cascaded);
+  // The LB_Yi stage alone between the fetch and exact DTW.
+  EngineOptions options;
+  options.cascade_planner.mode = PlanMode::kFixed;
+  options.cascade_planner.fixed = CascadePlan{{CascadeStage::kLbYi}};
+  const Engine engine(SmallDataset(), options);
   uint64_t plain_cells = 0;
   uint64_t cascade_cells = 0;
   uint64_t cascade_lb_evals = 0;
   for (int qi = 0; qi < 10; ++qi) {
-    const Sequence q = a.dataset()[static_cast<size_t>(qi * 4 % 40)];
-    const SearchResult ra = a.Search(q, 0.5);
-    const SearchResult rb = b.Search(q, 0.5);
+    const Sequence q = engine.dataset()[static_cast<size_t>(qi * 4 % 40)];
+    const SearchResult ra = engine.Search(q, 0.5);
+    const SearchResult rb =
+        engine.SearchWith(MethodKind::kTwSimSearchCascade, q, 0.5);
     EXPECT_EQ(ra.matches, rb.matches);
     EXPECT_EQ(ra.num_candidates, rb.num_candidates);
+    EXPECT_EQ(rb.cost.prunes.Get(kStageLbYiCascade).in, rb.num_candidates);
     plain_cells += ra.cost.dtw_cells;
     cascade_cells += rb.cost.dtw_cells;
     cascade_lb_evals += rb.cost.lb_evals;

@@ -33,7 +33,15 @@ TEST(FuzzEndToEndTest, RandomConfigurationsAgreeWithScan) {
                            : split_pick == 1 ? SplitPolicy::kQuadratic
                                              : SplitPolicy::kRStar;
     options.bulk_load = prng.UniformInt(0, 1) == 1;
-    options.lb_cascade = prng.UniformInt(0, 1) == 1;
+    // A random fixed lower-bound plan (any of the 16 stage subsets) for
+    // kTwSimSearchCascade.
+    const int64_t stage_mask = prng.UniformInt(0, 15);
+    options.cascade_planner.mode = PlanMode::kFixed;
+    for (const CascadeStage stage : CascadePlan::Full().stages) {
+      if ((stage_mask >> static_cast<int>(stage)) & 1) {
+        options.cascade_planner.fixed.stages.push_back(stage);
+      }
+    }
     options.index_buffer_pages =
         prng.UniformInt(0, 1) == 1 ? 32 : 0;
     options.dtw = prng.UniformInt(0, 1) == 1 ? DtwOptions::Linf()
@@ -70,13 +78,19 @@ TEST(FuzzEndToEndTest, RandomConfigurationsAgreeWithScan) {
     for (const Sequence& q : queries) {
       const double eps = prng.UniformDouble(0.0, eps_scale);
       const auto indexed = Sorted(engine.Search(q, eps).matches);
+      const auto cascaded = Sorted(
+          engine.SearchWith(MethodKind::kTwSimSearchCascade, q, eps).matches);
       const auto scanned = Sorted(
           engine.SearchWith(MethodKind::kNaiveScan, q, eps).matches);
       ASSERT_EQ(indexed, scanned)
           << "round=" << round << " eps=" << eps
           << " page=" << options.page_size_bytes
+          << " bulk=" << options.bulk_load;
+      ASSERT_EQ(cascaded, scanned)
+          << "round=" << round << " eps=" << eps
+          << " page=" << options.page_size_bytes
           << " bulk=" << options.bulk_load
-          << " cascade=" << options.lb_cascade;
+          << " plan=" << options.cascade_planner.fixed.ToString();
     }
   }
 }

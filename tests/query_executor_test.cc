@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <string>
 #include <vector>
 
+#include "cache/semantic_cache.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
 
@@ -123,6 +125,35 @@ TEST(QueryExecutorTest, SubmitReturnsFutureWithResult) {
             result.matches.end());
 }
 
+// Every deterministic SearchCost count: the parallel path must do the
+// same work as the sequential one, not just return the same ids.
+void ExpectSameCounts(const SearchResult& a, const SearchResult& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.matches, b.matches) << label;
+  EXPECT_EQ(a.distances, b.distances) << label;
+  EXPECT_EQ(a.num_candidates, b.num_candidates) << label;
+  EXPECT_EQ(a.cost.dtw_evals, b.cost.dtw_evals) << label;
+  EXPECT_EQ(a.cost.dtw_cells, b.cost.dtw_cells) << label;
+  EXPECT_EQ(a.cost.lb_evals, b.cost.lb_evals) << label;
+  EXPECT_EQ(a.cost.index_nodes, b.cost.index_nodes) << label;
+  EXPECT_EQ(a.cost.io.random_page_reads, b.cost.io.random_page_reads)
+      << label;
+  EXPECT_EQ(a.cost.io.sequential_page_reads,
+            b.cost.io.sequential_page_reads)
+      << label;
+  EXPECT_EQ(a.cost.io.page_writes, b.cost.io.page_writes) << label;
+  EXPECT_EQ(a.cost.io.seeks, b.cost.io.seeks) << label;
+  ASSERT_EQ(a.cost.prunes.size(), b.cost.prunes.size()) << label;
+  for (size_t i = 0; i < a.cost.prunes.size(); ++i) {
+    const auto& [stage, counts] = a.cost.prunes.entries()[i];
+    EXPECT_EQ(stage, b.cost.prunes.entries()[i].first) << label;
+    EXPECT_EQ(counts.in, b.cost.prunes.entries()[i].second.in)
+        << label << " " << stage;
+    EXPECT_EQ(counts.pruned, b.cost.prunes.entries()[i].second.pruned)
+        << label << " " << stage;
+  }
+}
+
 TEST(QueryExecutorTest, SearchParallelMatchesSequentialSearch) {
   const Engine engine(TestDataset(), EngineOptions{});
   // Small chunks force many chunks, so the fan-out path really runs.
@@ -130,10 +161,111 @@ TEST(QueryExecutorTest, SearchParallelMatchesSequentialSearch) {
   options.num_threads = 4;
   options.postfilter_chunk = 2;
   QueryExecutor executor(&engine, options);
-  for (const Sequence& q : TestQueries(engine, 8)) {
-    const SearchResult expected = engine.Search(q, 0.4);
-    const SearchResult parallel = executor.SearchParallel(q, 0.4);
-    EXPECT_TRUE(AnswerKey(parallel) == AnswerKey(expected));
+  for (const bool use_cascade : {false, true}) {
+    const MethodKind kind = use_cascade ? MethodKind::kTwSimSearchCascade
+                                        : MethodKind::kTwSimSearch;
+    for (const Sequence& q : TestQueries(engine, 8)) {
+      const SearchResult expected = executor.Submit(kind, q, 0.4).get();
+      const SearchResult parallel =
+          executor.SearchParallel(q, 0.4, nullptr, use_cascade);
+      EXPECT_TRUE(AnswerKey(parallel) == AnswerKey(expected));
+      ExpectSameCounts(parallel, expected, MethodKindName(kind));
+    }
+  }
+}
+
+uint64_t CounterValue(const MetricsRegistry::Snapshot& snapshot,
+                      const std::string& name) {
+  for (const auto& counter : snapshot.counters) {
+    if (counter.name == name) {
+      return counter.value;
+    }
+  }
+  ADD_FAILURE() << "counter not exported: " << name;
+  return 0;
+}
+
+// SearchParallel runs through Engine::SearchWith, so its queries reach
+// the engine's metrics exactly like Submit's.
+TEST(QueryExecutorTest, SearchParallelRecordsEngineMetricsLikeSubmit) {
+  MetricsRegistry registry;
+  EngineOptions engine_options;
+  engine_options.metrics = &registry;
+  const Engine engine(TestDataset(), engine_options);
+  QueryExecutorOptions options;
+  options.num_threads = 3;
+  options.postfilter_chunk = 3;
+  QueryExecutor executor(&engine, options);
+  const std::vector<Sequence> queries = TestQueries(engine, 6);
+  const std::vector<std::string> counters = {
+      "warpindex_queries_total",
+      "warpindex_query_matches_total",
+      "warpindex_query_dtw_evals_total",
+      "warpindex_cascade_feature_lb_in_total",
+      "warpindex_cascade_feature_lb_pruned_total",
+      "warpindex_cascade_lb_yi_in_total",
+      "warpindex_cascade_lb_yi_pruned_total",
+      "warpindex_cascade_lb_keogh_in_total",
+      "warpindex_cascade_lb_keogh_pruned_total",
+      "warpindex_cascade_lb_improved_in_total",
+      "warpindex_cascade_lb_improved_pruned_total",
+      "warpindex_cascade_dtw_in_total",
+      "warpindex_cascade_dtw_pruned_total"};
+  const auto values = [&]() {
+    const MetricsRegistry::Snapshot snapshot = registry.TakeSnapshot();
+    std::vector<uint64_t> out;
+    for (const std::string& name : counters) {
+      out.push_back(CounterValue(snapshot, name));
+    }
+    return out;
+  };
+  for (const bool use_cascade : {false, true}) {
+    const MethodKind kind = use_cascade ? MethodKind::kTwSimSearchCascade
+                                        : MethodKind::kTwSimSearch;
+    const std::vector<uint64_t> before = values();
+    for (const Sequence& q : queries) {
+      executor.SearchParallel(q, 0.4, nullptr, use_cascade);
+    }
+    const std::vector<uint64_t> after_parallel = values();
+    for (const Sequence& q : queries) {
+      executor.Submit(kind, q, 0.4).get();
+    }
+    const std::vector<uint64_t> after_submit = values();
+    EXPECT_EQ(after_parallel[0] - before[0], queries.size());
+    for (size_t i = 0; i < counters.size(); ++i) {
+      EXPECT_EQ(after_parallel[i] - before[i],
+                after_submit[i] - after_parallel[i])
+          << counters[i] << " (" << MethodKindName(kind) << ")";
+    }
+  }
+  // The cascade stages really ran.
+  EXPECT_GT(CounterValue(registry.TakeSnapshot(),
+                         "warpindex_cascade_lb_yi_in_total"),
+            0u);
+}
+
+// SearchParallel and Submit share one cache protocol: an answer that
+// SearchParallel populated is replayed to Submit as a hit.
+TEST(QueryExecutorTest, SearchParallelPopulatesTheCacheForSubmit) {
+  const Engine engine(TestDataset(), EngineOptions{});
+  SemanticCache cache;
+  QueryExecutorOptions options;
+  options.num_threads = 2;
+  options.postfilter_chunk = 2;
+  options.cache = &cache;
+  QueryExecutor executor(&engine, options);
+  for (const bool use_cascade : {false, true}) {
+    const MethodKind kind = use_cascade ? MethodKind::kTwSimSearchCascade
+                                        : MethodKind::kTwSimSearch;
+    for (const Sequence& q : TestQueries(engine, 4)) {
+      const SearchResult populated =
+          executor.SearchParallel(q, 0.4, nullptr, use_cascade);
+      EXPECT_EQ(populated.cost.cache_misses, 1u);
+      const SearchResult replayed = executor.Submit(kind, q, 0.4).get();
+      EXPECT_EQ(replayed.cost.cache_hits, 1u) << MethodKindName(kind);
+      EXPECT_EQ(replayed.matches, populated.matches);
+      EXPECT_EQ(replayed.distances, populated.distances);
+    }
   }
 }
 

@@ -167,6 +167,41 @@ TEST_F(SearchMethodsTest, MethodNames) {
                "Naive-Scan");
   EXPECT_STREQ(engine_->method(MethodKind::kLbScan).name(), "LB-Scan");
   EXPECT_STREQ(engine_->method(MethodKind::kStFilter).name(), "ST-Filter");
+  EXPECT_STREQ(engine_->method(MethodKind::kTwSimSearchCascade).name(),
+               "TW-Sim-Search-Cascade");
+}
+
+// ST-Filter ends with the same exact stage as TW-Sim-Search, so it
+// records the dtw_postfilter prune counts. `in` counts the live fetched
+// candidates: a tombstoned candidate is skipped before the stage.
+TEST(StFilterSearchTest, RecordsPostfilterPrunesOverLiveCandidates) {
+  RandomWalkOptions rw;
+  rw.num_sequences = 60;
+  rw.min_length = 20;
+  rw.max_length = 50;
+  EngineOptions options;
+  options.build_st_filter = true;
+  options.st_filter_categories = 50;
+  Engine engine(GenerateRandomWalkDataset(rw), options);
+  const Sequence query = engine.dataset()[7];
+  const double epsilon = 0.3;
+
+  const SearchResult before =
+      engine.SearchWith(MethodKind::kStFilter, query, epsilon);
+  const StageCounts all = before.cost.prunes.Get(kStageDtwPostfilter);
+  ASSERT_GT(before.matches.size(), 0u);
+  EXPECT_EQ(all.in, before.num_candidates);
+  EXPECT_EQ(all.pruned, all.in - before.matches.size());
+
+  // The suffix tree still returns 7 as a candidate after the remove.
+  ASSERT_TRUE(engine.Remove(7));
+  const SearchResult after =
+      engine.SearchWith(MethodKind::kStFilter, query, epsilon);
+  const StageCounts live = after.cost.prunes.Get(kStageDtwPostfilter);
+  EXPECT_EQ(after.num_candidates, before.num_candidates);
+  EXPECT_EQ(live.in, before.num_candidates - 1);
+  EXPECT_EQ(live.pruned, live.in - after.matches.size());
+  EXPECT_EQ(after.matches.size(), before.matches.size() - 1);
 }
 
 }  // namespace

@@ -79,13 +79,15 @@ TEST(TraceTest, TotalMillisSumsSameNamedSpans) {
 
 class TracedEngineTest : public testing::Test {
  protected:
-  Engine* MakeEngine(bool lb_cascade, size_t pool_pages = 0) {
+  // kTwSimSearchCascade runs the LB_Yi stage alone before exact DTW.
+  Engine* MakeEngine(size_t pool_pages = 0) {
     RandomWalkOptions rw;
     rw.num_sequences = 200;
     rw.min_length = 100;
     rw.max_length = 200;
     EngineOptions options;
-    options.lb_cascade = lb_cascade;
+    options.cascade_planner.mode = PlanMode::kFixed;
+    options.cascade_planner.fixed = CascadePlan{{CascadeStage::kLbYi}};
     options.index_buffer_pages = pool_pages;
     options.metrics = &registry_;  // keep tests out of the global registry
     return new Engine(GenerateRandomWalkDataset(rw), options);
@@ -101,7 +103,7 @@ class TracedEngineTest : public testing::Test {
 // DTW), so the untimed residue (feature extraction, vector setup) is
 // negligible against the staged work.
 TEST_F(TracedEngineTest, StageSpansAccountForWallTime) {
-  std::unique_ptr<Engine> engine(MakeEngine(/*lb_cascade=*/false));
+  std::unique_ptr<Engine> engine(MakeEngine());
   const Sequence query =
       PerturbSequence(engine->dataset()[7], /*seed=*/42);
 
@@ -132,18 +134,19 @@ TEST_F(TracedEngineTest, StageSpansAccountForWallTime) {
 }
 
 TEST_F(TracedEngineTest, LbCascadeStageAppearsWhenEnabled) {
-  std::unique_ptr<Engine> engine(MakeEngine(/*lb_cascade=*/true));
+  std::unique_ptr<Engine> engine(MakeEngine());
   const Sequence query =
       PerturbSequence(engine->dataset()[3], /*seed=*/7);
   Trace trace;
-  const SearchResult result = engine->Search(query, 10.0, &trace);
+  const SearchResult result = engine->SearchWith(
+      MethodKind::kTwSimSearchCascade, query, 10.0, &trace);
   ASSERT_GT(result.cost.lb_evals, 0u);
   EXPECT_GT(trace.TotalMillis(kStageLbYiCascade), 0.0);
   EXPECT_GT(result.cost.stages.Get(kStageLbYiCascade), 0.0);
 }
 
 TEST_F(TracedEngineTest, CountersRecordPagesAndCells) {
-  std::unique_ptr<Engine> engine(MakeEngine(/*lb_cascade=*/false));
+  std::unique_ptr<Engine> engine(MakeEngine());
   const Sequence query = PerturbSequence(engine->dataset()[0], 1);
   Trace trace;
   const SearchResult result = engine->Search(query, 5.0, &trace);
@@ -169,7 +172,7 @@ TEST_F(TracedEngineTest, CountersRecordPagesAndCells) {
 
 TEST_F(TracedEngineTest, BufferPoolCountersReachTrace) {
   std::unique_ptr<Engine> engine(
-      MakeEngine(/*lb_cascade=*/false, /*pool_pages=*/64));
+      MakeEngine(/*pool_pages=*/64));
   const Sequence query = PerturbSequence(engine->dataset()[0], 1);
   // Warm the pool, then trace: the second query should see hits.
   engine->Search(query, 1.0);
@@ -187,7 +190,7 @@ TEST_F(TracedEngineTest, BufferPoolCountersReachTrace) {
 }
 
 TEST_F(TracedEngineTest, KnnSearchProducesRefineSpan) {
-  std::unique_ptr<Engine> engine(MakeEngine(/*lb_cascade=*/false));
+  std::unique_ptr<Engine> engine(MakeEngine());
   const Sequence query = PerturbSequence(engine->dataset()[11], 3);
   Trace trace;
   const KnnResult result = engine->SearchKnn(query, 5, &trace);
@@ -198,7 +201,7 @@ TEST_F(TracedEngineTest, KnnSearchProducesRefineSpan) {
 }
 
 TEST_F(TracedEngineTest, UntracedSearchRecordsStagesButNoSpans) {
-  std::unique_ptr<Engine> engine(MakeEngine(/*lb_cascade=*/false));
+  std::unique_ptr<Engine> engine(MakeEngine());
   const Sequence query = PerturbSequence(engine->dataset()[2], 9);
   const SearchResult result = engine->Search(query, 2.0);
   EXPECT_FALSE(result.cost.stages.empty());
@@ -234,10 +237,10 @@ void ExpectValidJsonLine(const std::string& line) {
 }
 
 TEST_F(TracedEngineTest, JsonLinesExportRoundTrip) {
-  std::unique_ptr<Engine> engine(MakeEngine(/*lb_cascade=*/true));
+  std::unique_ptr<Engine> engine(MakeEngine());
   const Sequence query = PerturbSequence(engine->dataset()[5], 77);
   Trace trace;
-  engine->Search(query, 5.0, &trace);
+  engine->SearchWith(MethodKind::kTwSimSearchCascade, query, 5.0, &trace);
 
   const std::string text = TraceToJsonLines(trace, /*query_id=*/5);
   std::istringstream lines(text);
