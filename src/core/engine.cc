@@ -150,9 +150,7 @@ void Engine::RegisterMetrics() {
   }
 }
 
-void Engine::RecordQueryMetrics(MethodKind kind,
-                                const SearchResult& result) const {
-  (void)kind;
+void Engine::RecordQueryMetrics(const SearchResult& result) const {
   queries_total_->Increment();
   matches_total_->Increment(result.matches.size());
   latency_ms_hist_->Observe(result.cost.wall_ms);
@@ -164,13 +162,17 @@ void Engine::RecordQueryMetrics(MethodKind kind,
   }
   dtw_cells_hist_->Observe(static_cast<double>(result.cost.dtw_cells));
   index_nodes_hist_->Observe(static_cast<double>(result.cost.index_nodes));
+  RecordWorkMetrics(result.cost);
+}
+
+void Engine::RecordWorkMetrics(const SearchCost& cost) const {
   // Per-query pool counters from the result, not before/after deltas of
   // the shared pool — concurrent queries would corrupt each other's
   // attribution.
-  pool_hits_total_->Increment(result.cost.pool_hits);
-  pool_misses_total_->Increment(result.cost.pool_misses);
-  dtw_evals_total_->Increment(result.cost.dtw_evals);
-  for (const auto& [stage, counts] : result.cost.prunes.entries()) {
+  pool_hits_total_->Increment(cost.pool_hits);
+  pool_misses_total_->Increment(cost.pool_misses);
+  dtw_evals_total_->Increment(cost.dtw_evals);
+  for (const auto& [stage, counts] : cost.prunes.entries()) {
     for (const StagePruneHandles& handles : prune_handles_) {
       if (handles.stage == stage) {
         handles.in->Increment(counts.in);
@@ -346,13 +348,22 @@ SearchResult Engine::SearchWith(MethodKind kind, const Sequence& query,
                  ? indexed->Search(query, epsilon, trace, scratch, fan_out)
                  : method(kind).Search(query, epsilon, trace, scratch);
   }
-  RecordQueryMetrics(kind, result);
+  RecordQueryMetrics(result);
   return result;
 }
 
-KnnResult Engine::SearchKnn(const Sequence& query, size_t k,
-                            Trace* trace) const {
-  return SearchKnnBounded(query, k, trace, nullptr);
+SearchResult Engine::Refine(MethodKind kind, const Sequence& query,
+                            double epsilon,
+                            std::vector<const Sequence*> candidates,
+                            Trace* trace, DtwScratch* scratch) const {
+  SearchResult result;
+  result.num_candidates = candidates.size();
+  (kind == MethodKind::kTwSimSearchCascade ? tw_sim_search_cascade_
+                                           : tw_sim_search_)
+      ->Refine(query, epsilon, std::move(candidates), &result, trace,
+               scratch);
+  RecordWorkMetrics(result.cost);
+  return result;
 }
 
 KnnResult Engine::SearchKnnSeeded(const Sequence& query, size_t k,
@@ -362,7 +373,8 @@ KnnResult Engine::SearchKnnSeeded(const Sequence& query, size_t k,
   // answer matches an unseeded search exactly.
   SharedKnnBound bound;
   bound.Tighten(seed_bound);
-  return SearchKnnBounded(query, k, trace, &bound);
+  return SearchKnnBounded(query, k, trace,
+                          seed_bound < kInfiniteDistance ? &bound : nullptr);
 }
 
 KnnResult Engine::SearchKnnBounded(const Sequence& query, size_t k,

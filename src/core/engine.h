@@ -155,10 +155,16 @@ class Engine : public EngineLike {
                           double epsilon, Trace* trace, DtwScratch* scratch,
                           const PostfilterFanOut* fan_out) const;
 
-  // Exact k-nearest-neighbor search under D_tw via the feature index
-  // (lower-bound-guided filter and refine; see core/tw_knn_search.h).
-  KnnResult SearchKnn(const Sequence& query, size_t k,
-                      Trace* trace = nullptr) const override;
+  // Algorithm 1's refine half (TwSimSearch::Refine) over candidates a
+  // caller selected with the D_tw-lb <= epsilon predicate: IngestEngine's
+  // buffered rows. The cascade kind runs its planned lower-bound stages
+  // first; every other kind runs the exact stage alone. Matches keep the
+  // candidates' own ids. The work reaches this engine's work counters
+  // (DTW evaluations, stage prunes, pool traffic) but is not a query:
+  // warpindex_queries_total and the per-query histograms do not move.
+  SearchResult Refine(MethodKind kind, const Sequence& query, double epsilon,
+                      std::vector<const Sequence*> candidates, Trace* trace,
+                      DtwScratch* scratch) const;
 
   // SearchKnn with a cross-partition pruning bound: the sharded engine's
   // per-shard searchers share one SharedKnnBound so each shard abandons
@@ -168,8 +174,10 @@ class Engine : public EngineLike {
   KnnResult SearchKnnBounded(const Sequence& query, size_t k, Trace* trace,
                              SharedKnnBound* shared_bound) const;
 
-  // SearchKnn seeded with a valid upper bound on the k-th distance
-  // (EngineLike); identical answers, fewer refinements.
+  // Exact k-nearest-neighbor search under D_tw via the feature index
+  // (lower-bound-guided filter and refine; see core/tw_knn_search.h),
+  // seeded with a valid upper bound on the k-th distance (EngineLike);
+  // identical answers, fewer refinements. SearchKnn seeds nothing.
   KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
                             double seed_bound,
                             Trace* trace = nullptr) const override;
@@ -220,6 +228,8 @@ class Engine : public EngineLike {
   void RebuildSubsequenceIndex();
 
   const SearchMethod& method(MethodKind kind) const;
+  // The k-NN searcher; its Refine takes candidates from elsewhere.
+  const TwKnnSearch& knn_search() const { return *tw_knn_search_; }
   // The planner of MethodKind::kTwSimSearchCascade (live cost-model
   // state for /statusz and tests).
   const CascadePlanner& cascade_planner() const {
@@ -285,7 +295,11 @@ class Engine : public EngineLike {
 
   void BuildMethods();
   void RegisterMetrics();
-  void RecordQueryMetrics(MethodKind kind, const SearchResult& result) const;
+  // Per-query metrics (queries_total, matches, the histograms), then
+  // RecordWorkMetrics.
+  void RecordQueryMetrics(const SearchResult& result) const;
+  // The counters that sum work rather than queries.
+  void RecordWorkMetrics(const SearchCost& cost) const;
 
   EngineOptions options_;
   SequenceStore store_;

@@ -24,7 +24,6 @@
 namespace warpindex {
 
 enum class MethodKind;
-class IngestEngine;
 
 class EngineLike {
  public:
@@ -35,20 +34,21 @@ class EngineLike {
                                   double epsilon, Trace* trace = nullptr,
                                   DtwScratch* scratch = nullptr) const = 0;
 
-  // Exact k-nearest-neighbor search under D_tw; see Engine::SearchKnn.
-  virtual KnnResult SearchKnn(const Sequence& query, size_t k,
-                              Trace* trace = nullptr) const = 0;
-
-  // SearchKnn pre-seeded with an upper bound on the true k-th distance
-  // (the semantic cache supplies the exact k-th distance of a stored
-  // range answer). Engines prune strictly ABOVE the bound, so ties
-  // survive and the answer is identical to SearchKnn — only cheaper.
-  // The default ignores the seed; engines with a pruning bound override.
-  virtual KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
-                                    double /*seed_bound*/,
-                                    Trace* trace = nullptr) const {
-    return SearchKnn(query, k, trace);
+  // Exact k-nearest-neighbor search under D_tw: SearchKnnSeeded with no
+  // seed.
+  KnnResult SearchKnn(const Sequence& query, size_t k,
+                      Trace* trace = nullptr) const {
+    return SearchKnnSeeded(query, k, kInfiniteDistance, trace);
   }
+
+  // Exact k-NN pre-seeded with an upper bound on the true k-th distance
+  // (the semantic cache supplies the exact k-th distance of a stored
+  // range answer; kInfiniteDistance seeds nothing). Engines prune
+  // strictly ABOVE the bound, so ties survive and the answer is identical
+  // to SearchKnn — only cheaper. An engine may ignore the seed.
+  virtual KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
+                                    double seed_bound,
+                                    Trace* trace = nullptr) const = 0;
 
   // The registry per-query metrics land in.
   virtual MetricsRegistry& metrics() const = 0;
@@ -59,13 +59,6 @@ class EngineLike {
 
   // Simulated elapsed time of a query under the disk model.
   virtual double ElapsedMillis(const SearchCost& cost) const = 0;
-
-  // The writable streaming-ingest engine (ingest/ingest_engine.h), or
-  // null for the build-then-serve shapes. Serving layers that accept
-  // writes (QueryExecutor::SubmitInsert/SubmitDelete, the /statusz
-  // ingest section) discover the delta-aware engine through here without
-  // the core layer depending on src/ingest/.
-  virtual const IngestEngine* AsIngestEngine() const { return nullptr; }
 
   // Monotonic counter that advances whenever the VISIBLE data changes —
   // every insert, delete, and compaction swap (not just epoch bumps:

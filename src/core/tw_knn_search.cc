@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <queue>
+#include <tuple>
 #include <vector>
 
 #include "common/timer.h"
@@ -12,7 +13,7 @@
 namespace warpindex {
 namespace {
 
-// Decision-first heap fill (see Search): each raise multiplies the
+// Decision-first heap fill (see RefineLoop): each raise multiplies the
 // provisional threshold by this factor. Too small a factor re-tests the
 // pending candidates many times; too large a one overshoots the k-th
 // distance, and the pairs accepted there pay wider DP windows. 1.25 was
@@ -22,23 +23,20 @@ constexpr double kTauGrowth = 1.25;
 // threshold, as a plain fill would (1.25^64 is about 1.6e6).
 constexpr int kMaxTauRaises = 64;
 
-}  // namespace
-
-KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
-                              SharedKnnBound* shared_bound) const {
+// The filter-and-refine loop (see the header). `next_candidate` yields
+// candidates in non-decreasing lower-bound order (`distance` is the
+// bound, `record_id` a handle) and `fetch_sequence` resolves a handle;
+// `rstats` are the index walk's stats (zero for a candidate list).
+template <typename Next, typename Fetch>
+KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
+                     const Next& next_candidate, const Fetch& fetch_sequence,
+                     const RTreeQueryStats& rstats, Trace* trace,
+                     SharedKnnBound* shared_bound) {
   assert(!query.empty());
   assert(k >= 1);
   const WallTimer timer;
   const ThreadCpuTimer cpu_timer;
   KnnResult result;
-
-  const FeatureVector qf = ExtractFeature(query);
-  const Point qp = FeatureIndex::FeatureToPoint(qf);
-
-  RTreeQueryStats rstats;
-  RTree::LinfNearestIterator it =
-      index_->rtree().NearestLinf(qp, &rstats);
-
   // Max-heap of the best k matches seen so far: the top is the current
   // k-th place under the canonical (distance, id) order, i.e. the first
   // entry a better candidate evicts.
@@ -73,13 +71,13 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
 
   const auto next = [&](RTree::Neighbor* candidate) {
     per_item.Reset();
-    const bool has_next = it.Next(candidate);
+    const bool has_next = next_candidate(candidate);
     descent_ms += per_item.ElapsedMillis();
     return has_next;
   };
-  const auto fetch = [&](SequenceId id) -> const Sequence& {
+  const auto fetch = [&](int64_t handle) -> const Sequence& {
     per_item.Reset();
-    const Sequence& s = store_->Fetch(id, &result.cost.io, trace);
+    const Sequence& s = fetch_sequence(handle, &result.cost.io, trace);
     fetch_ms += per_item.ElapsedMillis();
     ++result.num_refined;
     return s;
@@ -87,18 +85,18 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
   // Evaluates one candidate at `threshold` and offers it to the heap.
   // Returns the evaluation's distance: exact when within the threshold,
   // +inf (or NaN, which never enters the heap) otherwise.
-  const auto refine = [&](SequenceId id, const Sequence& s,
-                          double threshold) {
+  const auto refine = [&](const Sequence& s, double threshold) {
     per_item.Reset();
     // Thresholded refinement: only distances at or below the threshold
     // matter, so abandon above it (exact when d <= threshold).
     const DtwResult d =
         threshold < kInfiniteDistance
-            ? dtw_.DistanceWithThreshold(s, query, threshold, &scratch)
-            : dtw_.Distance(s, query, &scratch);
+            ? dtw.DistanceWithThreshold(s, query, threshold, &scratch)
+            : dtw.Distance(s, query, &scratch);
     refine_ms += per_item.ElapsedMillis();
+    ++result.cost.dtw_evals;
     result.cost.dtw_cells += d.cells;
-    const KnnMatch match{id, d.distance};
+    const KnnMatch match{s.id(), d.distance};
     if (top_k.size() < k) {
       if (match.distance <= threshold) {
         top_k.push(match);
@@ -115,7 +113,7 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
 
   RTree::Neighbor candidate;
   bool has_next = next(&candidate);
-  if (has_next && dtw_.RunsLinfPrePass() && cutoff() == kInfiniteDistance) {
+  if (has_next && dtw.RunsLinfPrePass() && cutoff() == kInfiniteDistance) {
     // Decision-first heap fill. With no cutoff yet, a plain fill would
     // run the first k refinements as full, unthresholded DPs. Instead
     // every candidate is decided at a provisional threshold tau, which
@@ -128,11 +126,7 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
     // enter: the pending list is dropped and the cutoff loop below takes
     // over from the lookahead candidate. Ties stay exact: a pass is
     // exact, and every drop is strictly above the cutoff.
-    struct Pending {
-      SequenceId id;
-      const Sequence* s;
-    };
-    std::vector<Pending> pending;
+    std::vector<const Sequence*> pending;
     // A NaN lower bound starts (and a zero one, which cannot grow, ends)
     // the fill at tau = +inf: the plain fill's unthresholded DPs.
     double tau = candidate.distance >= 0.0 ? candidate.distance
@@ -141,10 +135,10 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
     // Decides one candidate at min(tau, cutoff); true when it stays
     // pending (rejected at tau, below the cutoff: a larger tau may pass
     // it). A reject at the cutoff, or a NaN distance, is final.
-    const auto decide = [&](SequenceId id, const Sequence& s) {
+    const auto decide = [&](const Sequence& s) {
       const double limit = cutoff();
       const double threshold = std::min(tau, limit);
-      const double d = refine(id, s, threshold);
+      const double d = refine(s, threshold);
       return !(d <= threshold) && !std::isnan(d) && threshold < limit;
     };
     while (top_k.size() < k) {
@@ -154,8 +148,8 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
           break;
         }
         const Sequence& s = fetch(candidate.record_id);
-        if (decide(candidate.record_id, s)) {
-          pending.push_back({candidate.record_id, &s});
+        if (decide(s)) {
+          pending.push_back(&s);
         }
         has_next = next(&candidate);
       }
@@ -165,9 +159,9 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
       tau = tau > 0.0 && ++raises <= kMaxTauRaises ? tau * kTauGrowth
                                                    : kInfiniteDistance;
       size_t kept = 0;
-      for (const Pending& p : pending) {
-        if (decide(p.id, *p.s)) {
-          pending[kept++] = p;
+      for (const Sequence* s : pending) {
+        if (decide(*s)) {
+          pending[kept++] = s;
         }
       }
       pending.resize(kept);
@@ -181,8 +175,7 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
       // enter the answer through the id tie-break.
       break;
     }
-    const Sequence& s = fetch(candidate.record_id);
-    refine(candidate.record_id, s, cutoff());
+    refine(fetch(candidate.record_id), cutoff());
     has_next = next(&candidate);
   }
   const double loop_wall_ms = descent_ms + fetch_ms + refine_ms;
@@ -199,7 +192,6 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
                static_cast<double>(result.cost.dtw_cells));
   TraceCounter(trace, "rtree_nodes",
                static_cast<double>(rstats.nodes_accessed));
-
   result.cost.index_nodes = rstats.nodes_accessed;
   result.cost.io.RecordRandomRead(rstats.nodes_accessed);
   result.neighbors.resize(top_k.size());
@@ -210,6 +202,51 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
   result.cost.wall_ms = timer.ElapsedMillis();
   result.cost.cpu_ms = cpu_timer.ElapsedMillis();
   return result;
+}
+
+}  // namespace
+
+KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
+                              SharedKnnBound* shared_bound) const {
+  RTreeQueryStats rstats;
+  RTree::LinfNearestIterator it = index_->rtree().NearestLinf(
+      FeatureIndex::FeatureToPoint(ExtractFeature(query)), &rstats);
+  return RefineLoop(
+      dtw_, query, k, [&](RTree::Neighbor* c) { return it.Next(c); },
+      [&](int64_t id, IoStats* io, Trace* t) -> const Sequence& {
+        return store_->Fetch(id, io, t);
+      },
+      rstats, trace, shared_bound);
+}
+
+KnnResult TwKnnSearch::Refine(const Sequence& query, size_t k,
+                              std::vector<KnnCandidate> candidates,
+                              Trace* trace,
+                              SharedKnnBound* shared_bound) const {
+  // A NaN bound sorts last: the cutoff test never fires on it, so it
+  // cannot end the loop before the finite bounds behind it.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const KnnCandidate& a, const KnnCandidate& b) {
+              return std::make_tuple(std::isnan(a.lower_bound),
+                                     a.lower_bound, a.sequence->id()) <
+                     std::make_tuple(std::isnan(b.lower_bound),
+                                     b.lower_bound, b.sequence->id());
+            });
+  size_t next = 0;
+  return RefineLoop(
+      dtw_, query, k,
+      [&](RTree::Neighbor* c) {
+        if (next == candidates.size()) {
+          return false;
+        }
+        c->record_id = static_cast<int64_t>(next);
+        c->distance = candidates[next++].lower_bound;
+        return true;
+      },
+      [&](int64_t i, IoStats*, Trace*) -> const Sequence& {
+        return *candidates[static_cast<size_t>(i)].sequence;
+      },
+      RTreeQueryStats{}, trace, shared_bound);
 }
 
 }  // namespace warpindex

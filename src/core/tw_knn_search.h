@@ -63,7 +63,8 @@ struct KnnResult {
   // distances in increasing id order (fewer than k if the database is
   // smaller than k).
   std::vector<KnnMatch> neighbors;
-  // Candidates refined with exact D_tw before the cutoff fired.
+  // Candidates refined with exact D_tw before the cutoff fired (each
+  // counted once; cost.dtw_evals counts every DP run, re-tests included).
   size_t num_refined = 0;
   SearchCost cost;
 };
@@ -93,6 +94,13 @@ class SharedKnnBound {
   std::atomic<double> bound_{kInfiniteDistance};
 };
 
+// A candidate handed to TwKnnSearch::Refine: a lower bound on its exact
+// D_tw to the query and the sequence, whose id() the answer reports.
+struct KnnCandidate {
+  double lower_bound = 0.0;
+  const Sequence* sequence = nullptr;
+};
+
 class TwKnnSearch {
  public:
   // `index` and `store` must outlive this object.
@@ -113,6 +121,15 @@ class TwKnnSearch {
   // complete answer (see shard/sharded_engine.h).
   KnnResult Search(const Sequence& query, size_t k, Trace* trace = nullptr,
                    SharedKnnBound* shared_bound = nullptr) const;
+
+  // The same filter-and-refine loop over `candidates` instead of the
+  // index: they are sorted by (lower bound, id) here and refined in that
+  // order, with the cutoff break, the decision-first fill and the
+  // `shared_bound` contract of Search. IngestEngine feeds its buffered
+  // rows through it. The candidates' sequences must outlive the call.
+  KnnResult Refine(const Sequence& query, size_t k,
+                   std::vector<KnnCandidate> candidates, Trace* trace,
+                   SharedKnnBound* shared_bound) const;
 
  private:
   const FeatureIndex* index_;

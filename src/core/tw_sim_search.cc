@@ -61,31 +61,35 @@ std::vector<const Sequence*> TwSimSearch::FilterAndFetch(
   return fetched;
 }
 
+void TwSimSearch::Refine(const Sequence& query, double epsilon,
+                         std::vector<const Sequence*> candidates,
+                         SearchResult* result, Trace* trace,
+                         DtwScratch* scratch,
+                         const PostfilterFanOut* fan_out) const {
+  CascadeObservation obs;
+  if (planner_ != nullptr) {
+    const CascadePlan plan = planner_->Choose();
+    TraceCounter(trace, "cascade_stages",
+                 static_cast<double>(plan.stages.size()));
+    cascade_.RunLbStages(query, epsilon, &candidates, plan, result, trace,
+                         &obs);
+  }
+  // Step-4..7: post-processing with the exact time-warping distance.
+  RunExactStage(cascade_.dtw(), query, epsilon, candidates, result, trace,
+                scratch, &obs.dtw, fan_out);
+  if (planner_ != nullptr) {
+    planner_->Observe(obs);
+  }
+}
+
 SearchResult TwSimSearch::Search(const Sequence& query, double epsilon,
                                  Trace* trace, DtwScratch* scratch,
                                  const PostfilterFanOut* fan_out) const {
   WallTimer timer;
   ThreadCpuTimer cpu_timer;
   SearchResult result;
-  CascadePlan plan;  // the paper's: no lower-bound stage
-  if (planner_ != nullptr) {
-    plan = planner_->Choose();
-    TraceCounter(trace, "cascade_stages",
-                 static_cast<double>(plan.stages.size()));
-  }
-  std::vector<const Sequence*> fetched =
-      FilterAndFetch(query, epsilon, &result, trace);
-  CascadeObservation obs;
-  if (planner_ != nullptr) {
-    cascade_.RunLbStages(query, epsilon, &fetched, plan, &result, trace,
-                         &obs);
-  }
-  // Step-4..7: post-processing with the exact time-warping distance.
-  RunExactStage(cascade_.dtw(), query, epsilon, fetched, &result, trace,
-                scratch, &obs.dtw, fan_out);
-  if (planner_ != nullptr) {
-    planner_->Observe(obs);
-  }
+  Refine(query, epsilon, FilterAndFetch(query, epsilon, &result, trace),
+         &result, trace, scratch, fan_out);
   result.cost.wall_ms = timer.ElapsedMillis();
   result.cost.cpu_ms += cpu_timer.ElapsedMillis();
   return result;

@@ -60,6 +60,18 @@ class TwSimSearch : public SearchMethod {
                       DtwScratch* scratch,
                       const PostfilterFanOut* fan_out) const;
 
+  // Algorithm 1's refine half over `candidates` (borrowed sequences;
+  // the list is consumed): the planned lower-bound stages, with one plan
+  // chosen and observed per call, then RunExactStage. Matches report the
+  // candidates' own ids and append to `result` with their distances;
+  // stage costs and prune records accumulate into result->cost. Search
+  // runs it on the index's candidates; IngestEngine runs it on buffered
+  // rows selected by the same D_tw-lb <= epsilon predicate.
+  void Refine(const Sequence& query, double epsilon,
+              std::vector<const Sequence*> candidates, SearchResult* result,
+              Trace* trace, DtwScratch* scratch,
+              const PostfilterFanOut* fan_out = nullptr) const;
+
   // The planner choosing each query's lower-bound stages; null for the
   // paper's plan.
   const CascadePlanner* planner() const { return planner_.get(); }

@@ -327,11 +327,10 @@ KnnResult QueryExecutor::SearchKnn(const Sequence& query, size_t k,
   // A cached range answer for this query with >= k matches holds the
   // exact global k-th distance — seed the engine's pruning bound with it
   // (ties at the bound survive; answers stay identical, only cheaper).
+  // Without one the seed stays +inf: no seed.
   double seed = kInfiniteDistance;
-  const bool seeded = cache->LookupKnnSeed(query, dtw, k, version, &seed);
-  KnnResult result = seeded
-                         ? engine_->SearchKnnSeeded(query, k, seed, trace)
-                         : engine_->SearchKnn(query, k, trace);
+  cache->LookupKnnSeed(query, dtw, k, version, &seed);
+  KnnResult result = engine_->SearchKnnSeeded(query, k, seed, trace);
   result.cost.cache_misses = 1;
   if (engine_->DataVersion() == version) {
     cache->InsertKnn(key, k, version, result);

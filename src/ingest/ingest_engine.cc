@@ -14,35 +14,22 @@
 namespace warpindex {
 namespace {
 
-// Count of `dead` ids (sorted) present in `global_of` (sorted): how many
-// of a base shard's rows a query's tombstone filter can remove — the kNN
+// Count of `dead` ids present in `global_of` (sorted): how many of a
+// base shard's rows a query's tombstone filter can remove — the kNN
 // per-shard k inflation.
 size_t CountDeadInBase(const std::vector<SequenceId>& global_of,
                        const std::vector<SequenceId>& dead) {
-  size_t count = 0;
-  size_t cursor = 0;
-  for (const SequenceId id : dead) {
-    while (cursor < global_of.size() && global_of[cursor] < id) {
-      ++cursor;
-    }
-    if (cursor < global_of.size() && global_of[cursor] == id) {
-      ++count;
-      ++cursor;
-    }
-  }
-  return count;
-}
-
-bool IsDead(const std::vector<SequenceId>& dead, SequenceId id) {
-  return std::binary_search(dead.begin(), dead.end(), id);
+  return static_cast<size_t>(
+      std::count_if(dead.begin(), dead.end(), [&](SequenceId id) {
+        return std::binary_search(global_of.begin(), global_of.end(), id);
+      }));
 }
 
 }  // namespace
 
 IngestEngine::IngestEngine(Dataset dataset, IngestOptions options)
     : options_(std::move(options)),
-      disk_model_(options_.engine.disk, options_.engine.page_size_bytes),
-      dtw_(options_.engine.dtw) {
+      disk_model_(options_.engine.disk, options_.engine.page_size_bytes) {
   assert(options_.num_shards >= 1);
   ShardAssignment assignment =
       AssignShards(dataset, options_.partitioner, options_.num_shards);
@@ -63,7 +50,6 @@ IngestEngine::IngestEngine(std::shared_ptr<const ShardView> view,
                            IngestOptions options)
     : options_(std::move(options)),
       disk_model_(options_.engine.disk, options_.engine.page_size_bytes),
-      dtw_(options_.engine.dtw),
       view_(std::move(view)),
       part_of_(std::move(part_of)) {
   int64_t live = 0;
@@ -257,70 +243,53 @@ SearchResult IngestEngine::SearchWith(MethodKind kind, const Sequence& query,
     }
   }
 
-  std::vector<SearchResult> partials(active.size());
+  // Two partials per partition: its base's answer, then its delta's.
+  std::vector<SearchResult> partials(2 * active.size());
   RunFanOut(
       pool_, num_parts, active, trace,
       {{"epoch", static_cast<double>(snap.view->epoch)}}, &clock,
       [&](size_t i, size_t s, Trace* sub) {
         DtwScratch scratch;
-        SearchResult& partial = partials[i];
+        const Engine& engine = *snap.view->shards[s].engine;
         if (base_hit[s]) {
-          partial = snap.view->shards[s].engine->SearchWith(
-              kind, query, epsilon, sub, &scratch);
+          partials[2 * i] =
+              engine.SearchWith(kind, query, epsilon, sub, &scratch);
           RemapToGlobal(*snap.view->shards[s].global_of, &snap.parts[s].dead,
-                        &partial);
+                        &partials[2 * i]);
         }
-        // Delta scan: Algorithm 1's predicate over the buffered entries —
-        // D_tw-lb pre-filter on the stored feature, thresholded DTW on
-        // survivors. Entry ids are already global; tombstoned entries are
-        // not in the snapshot. It runs after the base scan within the task,
-        // so its cost merges serially.
+        // The buffered rows are candidates like the base's index hits:
+        // selected by the predicate the R-tree applies (D_tw-lb <=
+        // epsilon, on the stored feature), then refined by this
+        // partition engine's Algorithm 1 tail. Entry ids are already
+        // global; tombstoned entries are not in the snapshot.
         ScopedSpan delta_span(sub, "delta_scan");
         ThreadCpuTimer delta_cpu;
-        SearchCost delta_cost;
-        size_t delta_matches = 0;
-        for (const DeltaEntry& entry : snap.parts[s].entries) {
-          ++delta_cost.lb_evals;
-          if (DtwLowerBoundDistance(entry.feature, qfeat) > epsilon) {
-            continue;
-          }
-          ++partial.num_candidates;
-          const DtwResult r = dtw_.DistanceWithThreshold(
-              *entry.sequence, query, epsilon, &scratch);
-          ++delta_cost.dtw_evals;
-          delta_cost.dtw_cells += r.cells;
-          if (r.distance <= epsilon) {
-            partial.matches.push_back(entry.id);
-            partial.distances.push_back(r.distance);
-            ++delta_matches;
+        const std::vector<DeltaEntry>& entries = snap.parts[s].entries;
+        std::vector<const Sequence*> candidates;
+        for (const DeltaEntry& entry : entries) {
+          if (DtwLowerBoundDistance(entry.feature, qfeat) <= epsilon) {
+            candidates.push_back(entry.sequence.get());
           }
         }
-        TraceCounter(sub, "delta_entries",
-                     static_cast<double>(snap.parts[s].entries.size()));
+        SearchResult& delta = partials[2 * i + 1];
+        if (!candidates.empty()) {
+          delta = engine.Refine(kind, query, epsilon, std::move(candidates),
+                                sub, &scratch);
+        }
+        TraceCounter(sub, "delta_entries", static_cast<double>(entries.size()));
         TraceCounter(sub, "delta_matches",
-                     static_cast<double>(delta_matches));
-        delta_cost.cpu_ms = delta_cpu.ElapsedMillis();
-        partial.cost.Merge(delta_cost);
+                     static_cast<double>(delta.matches.size()));
+        delta.cost.lb_evals += entries.size();
+        delta.cost.cpu_ms = delta_cpu.ElapsedMillis();
       });
   SearchResult result = MergeRange(&partials);
   clock.Stamp(&result.cost);
   return result;
 }
 
-KnnResult IngestEngine::SearchKnn(const Sequence& query, size_t k,
-                                  Trace* trace) const {
-  return SearchKnnImpl(query, k, kInfiniteDistance, trace);
-}
-
 KnnResult IngestEngine::SearchKnnSeeded(const Sequence& query, size_t k,
                                         double seed_bound,
                                         Trace* trace) const {
-  return SearchKnnImpl(query, k, seed_bound, trace);
-}
-
-KnnResult IngestEngine::SearchKnnImpl(const Sequence& query, size_t k,
-                                      double seed_bound,
-                                      Trace* trace) const {
   FanOutClock clock;
   const QuerySnapshot snap = AcquireSnapshot();
   const FeatureVector qfeat = ExtractFeature(query);
@@ -330,50 +299,32 @@ KnnResult IngestEngine::SearchKnnImpl(const Sequence& query, size_t k,
   // strictly-greater pruning below keeps ties, so answers are identical.
   shared_bound.Tighten(seed_bound);
 
-  // Delta pre-scan on the calling thread, BEFORE the base fan-out: the
-  // buffered entries are few, and any k-th distance they prove
-  // pre-tightens the shared bound every base searcher prunes against.
-  // Standard top-k max-heap in the canonical (distance, id) order;
-  // pruning is strictly-greater so ties at the bound survive. It merges
-  // first, like a partition of its own.
+  // The delta first, on the calling thread: every partition's buffered
+  // rows, with D_tw-lb on their stored features as the lower bound, go
+  // through the k-NN refine loop (TwKnnSearch::Refine; every partition
+  // engine has the same DtwOptions, so the first one's) — in bound order,
+  // with its cutoff break. The k-th distance they prove pre-tightens the
+  // shared bound every base searcher prunes against. Pruning is strictly
+  // greater, so ties at the bound survive; the result merges first, like
+  // a partition of its own.
   std::vector<KnnResult> partials(1);
   {
-    KnnResult& delta = partials.front();
-    std::vector<KnnMatch>& hits = delta.neighbors;
     ScopedSpan delta_span(trace, "delta_scan");
-    DtwScratch scratch;
+    std::vector<KnnCandidate> candidates;
     for (const DeltaShard::Snapshot& part : snap.parts) {
       for (const DeltaEntry& entry : part.entries) {
-        ++delta.cost.lb_evals;
-        const double bound = shared_bound.Current();
-        if (DtwLowerBoundDistance(entry.feature, qfeat) > bound) {
-          continue;
-        }
-        const DtwResult r = dtw_.DistanceWithThreshold(*entry.sequence, query,
-                                                       bound, &scratch);
-        ++delta.num_refined;
-        ++delta.cost.dtw_evals;
-        delta.cost.dtw_cells += r.cells;
-        if (r.distance > bound) {
-          continue;
-        }
-        const KnnMatch match{entry.id, r.distance};
-        if (hits.size() < k) {
-          hits.push_back(match);
-          std::push_heap(hits.begin(), hits.end(), KnnMatchOrder);
-          if (hits.size() == k) {
-            shared_bound.Tighten(hits.front().distance);
-          }
-        } else if (KnnMatchOrder(match, hits.front())) {
-          std::pop_heap(hits.begin(), hits.end(), KnnMatchOrder);
-          hits.back() = match;
-          std::push_heap(hits.begin(), hits.end(), KnnMatchOrder);
-          shared_bound.Tighten(hits.front().distance);
-        }
+        candidates.push_back({DtwLowerBoundDistance(entry.feature, qfeat),
+                              entry.sequence.get()});
       }
     }
+    const size_t lb_evals = candidates.size();
+    if (lb_evals > 0) {
+      partials.front() = snap.view->shards.front().engine->knn_search().Refine(
+          query, k, std::move(candidates), trace, &shared_bound);
+    }
+    partials.front().cost.lb_evals += lb_evals;
     TraceCounter(trace, "delta_refined",
-                 static_cast<double>(delta.num_refined));
+                 static_cast<double>(partials.front().num_refined));
   }
 
   // Base fan-out. Each base is asked for k + (its tombstone hit count)
@@ -451,7 +402,7 @@ bool IngestEngine::CompactShard(size_t s) {
     for (size_t local = 0; local < global_of.size(); ++local) {
       const SequenceId g = global_of[local];
       if (!base.engine->Contains(static_cast<SequenceId>(local)) ||
-          IsDead(frozen.dead, g)) {
+          IsDead(&frozen.dead, g)) {
         continue;
       }
       rows.push_back({g, &base.engine->dataset()[local]});
@@ -460,7 +411,7 @@ bool IngestEngine::CompactShard(size_t s) {
     delta_rows.reserve(frozen.entry_count);
     for (size_t i = 0; i < frozen.entry_count; ++i) {
       const DeltaEntry& entry = frozen.entries[i];
-      if (!IsDead(frozen.dead, entry.id)) {
+      if (!IsDead(&frozen.dead, entry.id)) {
         delta_rows.push_back({entry.id, entry.sequence.get()});
       }
     }

@@ -12,19 +12,23 @@
 //   * Reads take an epoch snapshot: under a brief shared lock a query
 //     pins the current ShardView and copies each partition's visible
 //     delta (shared_ptr aliases + tombstone ids). Everything after —
-//     base scatter-gather, delta scans, DTW — runs lock-free against
+//     base scatter-gather, delta candidates, DTW — runs lock-free against
 //     that snapshot, so a query sees one consistent union of base +
 //     delta even while writes land and the compactor swaps epochs.
 //
 //   * Answers carry the exact merge semantics of the sharded engine:
 //     range results are the union of per-base results (feature-MBR
-//     pruning included) and a delta scan (D_tw-lb pre-filter, then
-//     thresholded DTW — precisely Algorithm 1's predicate), tombstones
-//     filtered exactly, global ids sorted ascending. kNN fans out with
-//     the SharedKnnBound — the delta scan runs first to pre-tighten the
-//     bound, each base is asked for k + (its tombstone count) neighbors
-//     so filtering dead ids can never starve the merge, and the final
-//     (distance, id)-ordered truncation is bit-identical to a
+//     pruning included) and the delta's, tombstones filtered exactly,
+//     global ids sorted ascending. The delta only selects candidates
+//     (D_tw-lb <= epsilon on each entry's stored feature, the R-tree's
+//     predicate); its partition engine refines them (Engine::Refine:
+//     planned lower-bound stages, then the exact stage), so its work
+//     lands in that engine's prune records and counters. kNN fans out
+//     with the SharedKnnBound — the delta, sorted by D_tw-lb, runs first
+//     through the k-NN refine loop (TwKnnSearch::Refine) to pre-tighten
+//     the bound, each base is asked for k + (its tombstone count)
+//     neighbors so filtering dead ids can never starve the merge, and
+//     the final (distance, id)-ordered truncation is bit-identical to a
 //     from-scratch single engine over the same live set.
 //
 //   * A background Compactor (ingest/compactor.h) freezes a delta that
@@ -74,8 +78,8 @@ struct IngestOptions {
   // Number of partitions (>= 1).
   size_t num_shards = 4;
   PartitionerKind partitioner = PartitionerKind::kHash;
-  // Per-base-shard engine configuration; also provides the DTW options
-  // the delta scan evaluates with and the R*-style insert knobs
+  // Per-base-shard engine configuration (the base engines also refine
+  // the delta's candidates), including the R*-style insert knobs
   // (EngineOptions::rtree_*) applied to every compacted rebuild.
   EngineOptions engine;
 
@@ -127,9 +131,7 @@ class IngestEngine : public EngineLike {
   SearchResult SearchWith(MethodKind kind, const Sequence& query,
                           double epsilon, Trace* trace = nullptr,
                           DtwScratch* scratch = nullptr) const override;
-  KnnResult SearchKnn(const Sequence& query, size_t k,
-                      Trace* trace = nullptr) const override;
-  // SearchKnn with the cross-partition bound pre-tightened to a valid
+  // Exact k-NN with the cross-partition bound pre-tightened to a valid
   // upper bound on the k-th distance (EngineLike); identical answers.
   KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
                             double seed_bound,
@@ -138,7 +140,6 @@ class IngestEngine : public EngineLike {
   MetricsRegistry& metrics() const override { return *metrics_; }
   DtwOptions dtw_options() const override { return options_.engine.dtw; }
   double ElapsedMillis(const SearchCost& cost) const override;
-  const IngestEngine* AsIngestEngine() const override { return this; }
 
   // Advances on every successful Insert, Delete, and compaction swap —
   // the semantic cache's invalidation signal (see EngineLike). Reads
@@ -235,8 +236,6 @@ class IngestEngine : public EngineLike {
   void SetWriteRate(size_t s, double per_s) {
     deltas_[s]->set_write_rate(per_s);
   }
-  // Engine-lifetime clock (ms), shared with DeltaEntry::appended_ms.
-  double NowMillis() const { return clock_.ElapsedMillis(); }
   void SetCompactionBacklog(size_t backlog);
 
  private:
@@ -254,11 +253,6 @@ class IngestEngine : public EngineLike {
   };
   QuerySnapshot AcquireSnapshot() const;
 
-  // Shared body of SearchKnn / SearchKnnSeeded; `seed_bound` pre-
-  // tightens the shared bound (kInfiniteDistance = no seed).
-  KnnResult SearchKnnImpl(const Sequence& query, size_t k,
-                          double seed_bound, Trace* trace) const;
-
   void InitWiring();
   size_t RouteInsert(const ShardView& view, const FeatureVector& feature,
                      SequenceId id) const;
@@ -268,7 +262,6 @@ class IngestEngine : public EngineLike {
 
   IngestOptions options_;
   DiskModel disk_model_;
-  Dtw dtw_;  // delta-scan evaluations (same options as the base engines)
   WallTimer clock_;
 
   // Epoch state: view_ swaps under the writer side; queries/writes pin

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace warpindex {
 namespace {
@@ -367,7 +368,12 @@ int64_t JsonValue::AsInt() const {
     return int_;
   }
   if (kind_ == Kind::kDouble) {
-    return static_cast<int64_t>(double_);
+    // Casting a NaN or a double beyond int64 is undefined: NaN reads 0
+    // and out-of-range values saturate.
+    return std::isnan(double_)    ? 0
+           : double_ >= 0x1p63   ? std::numeric_limits<int64_t>::max()
+           : double_ < -0x1p63   ? std::numeric_limits<int64_t>::min()
+                                 : static_cast<int64_t>(double_);
   }
   return 0;
 }

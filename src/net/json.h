@@ -71,7 +71,9 @@ class JsonValue {
   // Value accessors (loose: the zero value of the wrong kind, never a
   // crash — wire handlers validate presence with Find/has first).
   bool AsBool() const { return kind_ == Kind::kBool && bool_; }
-  int64_t AsInt() const;     // kDouble truncates; others 0
+  // kDouble truncates toward zero, saturating beyond int64 (NaN: 0);
+  // other kinds 0.
+  int64_t AsInt() const;
   // Checked integer: stores the value and returns true only for a number
   // written as an integer; false (and *out untouched) for a double, even
   // 3.0, and for every other kind. For values that must be exact ids.

@@ -864,8 +864,9 @@ SearchResult Router::SearchWith(MethodKind kind, const Sequence& query,
   return result;
 }
 
-KnnResult Router::SearchKnn(const Sequence& query, size_t k,
-                            Trace* trace) const {
+KnnResult Router::SearchKnnSeeded(const Sequence& query, size_t k,
+                                  double /*seed_bound*/,
+                                  Trace* trace) const {
   KnnResult result;
   (void)RouteKnn(query, k, trace, &result);
   return result;

@@ -142,8 +142,10 @@ class Router : public EngineLike {
   SearchResult SearchWith(MethodKind kind, const Sequence& query,
                           double epsilon, Trace* trace = nullptr,
                           DtwScratch* scratch = nullptr) const override;
-  KnnResult SearchKnn(const Sequence& query, size_t k,
-                      Trace* trace = nullptr) const override;
+  // The seed is ignored (RouteKnn seeds its waves itself).
+  KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
+                            double seed_bound,
+                            Trace* trace = nullptr) const override;
   MetricsRegistry& metrics() const override;
   double ElapsedMillis(const SearchCost& cost) const override {
     return cost.wall_ms + disk_model_.CostMillis(cost.io);

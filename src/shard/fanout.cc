@@ -10,11 +10,6 @@
 namespace warpindex {
 namespace {
 
-bool IsDead(const std::vector<SequenceId>* dead, SequenceId id) {
-  return dead != nullptr &&
-         std::binary_search(dead->begin(), dead->end(), id);
-}
-
 // Zero-duration "shard_skipped" markers (tagged with the partition) for
 // every partition not in the ascending `active`, under the open span.
 void MarkSkipped(Trace* trace, size_t num_partitions,

@@ -20,6 +20,7 @@
 #ifndef WARPINDEX_SHARD_FANOUT_H_
 #define WARPINDEX_SHARD_FANOUT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -102,6 +103,12 @@ void RunFanOut(
     FanOutClock* clock, const PartitionTask& task);
 
 // ---- The merges.
+
+// Whether `id` is in the sorted `dead` set (never when null).
+inline bool IsDead(const std::vector<SequenceId>* dead, SequenceId id) {
+  return dead != nullptr &&
+         std::binary_search(dead->begin(), dead->end(), id);
+}
 
 // Rewrites a partition's answer from local to global ids through
 // `global_of`, dropping ids in the sorted `dead` set (none when null).

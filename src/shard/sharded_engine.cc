@@ -120,20 +120,9 @@ SearchResult ShardedEngine::SearchWith(MethodKind kind, const Sequence& query,
   return result;
 }
 
-KnnResult ShardedEngine::SearchKnn(const Sequence& query, size_t k,
-                                   Trace* trace) const {
-  return SearchKnnImpl(query, k, kInfiniteDistance, trace);
-}
-
 KnnResult ShardedEngine::SearchKnnSeeded(const Sequence& query, size_t k,
                                          double seed_bound,
                                          Trace* trace) const {
-  return SearchKnnImpl(query, k, seed_bound, trace);
-}
-
-KnnResult ShardedEngine::SearchKnnImpl(const Sequence& query, size_t k,
-                                       double seed_bound,
-                                       Trace* trace) const {
   FanOutClock clock;
   // No epsilon to prune against up front; the SharedKnnBound is the
   // dynamic equivalent: as soon as any shard proves a k-th distance, the

@@ -118,12 +118,9 @@ class ShardedEngine : public EngineLike {
                           double epsilon, Trace* trace = nullptr,
                           DtwScratch* scratch = nullptr) const override;
 
-  // Exact kNN with the shared epsilon-shrinking bound across shards.
-  KnnResult SearchKnn(const Sequence& query, size_t k,
-                      Trace* trace = nullptr) const override;
-
-  // SearchKnn with the shared bound pre-tightened to a valid upper
-  // bound on the k-th distance (EngineLike); identical answers.
+  // Exact kNN with the shared epsilon-shrinking bound across shards,
+  // pre-tightened to a valid upper bound on the k-th distance
+  // (EngineLike); identical answers.
   KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
                             double seed_bound,
                             Trace* trace = nullptr) const override;
@@ -195,11 +192,6 @@ class ShardedEngine : public EngineLike {
                 std::vector<uint32_t> shard_of);
 
   void InitWiring();
-
-  // Shared body of SearchKnn / SearchKnnSeeded; `seed_bound` pre-
-  // tightens the cross-shard bound (kInfiniteDistance = no seed).
-  KnnResult SearchKnnImpl(const Sequence& query, size_t k,
-                          double seed_bound, Trace* trace) const;
 
   // The shards a query visits (fan-out core's ActivePartitions), with the
   // per-shard and registry serving stats updated.

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/prng.h"
 #include "core/engine.h"
+#include "exec/thread_pool.h"
+#include "ingest/ingest_engine.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
 #include "sequence/stock_generator.h"
@@ -130,6 +134,125 @@ TEST(FuzzEndToEndTest, ChurnThenQueryAgainstScan) {
     }
   }
   EXPECT_TRUE(engine.feature_index().rtree().CheckInvariants().ok());
+}
+
+// The streaming-ingest shape: seeded inserts, deletes, and full and
+// partial compactions on a pooled IngestEngine with a random band,
+// combiner and fixed lower-bound plan. Between writes, both TW-Sim-Search
+// kinds must return the scan's ids and distances over the live set, and
+// k-NN the brute-force neighbors, whether the rows sit in a base or are
+// still buffered.
+TEST(FuzzEndToEndTest, IngestChurnAgreesWithScan) {
+  Prng prng(20261018);
+  // Coverage: queries answered while rows were buffered, and matches.
+  size_t buffered_queries = 0;
+  size_t matches = 0;
+  for (int round = 0; round < 10; ++round) {
+    IngestOptions options;
+    options.num_shards = static_cast<size_t>(prng.UniformInt(1, 4));
+    options.partitioner = prng.UniformInt(0, 1) == 1 ? PartitionerKind::kRange
+                                                     : PartitionerKind::kHash;
+    options.start_compactor = false;  // compactions are fuzzed ops
+    EngineOptions& engine_options = options.engine;
+    engine_options.dtw = prng.UniformInt(0, 1) == 1 ? DtwOptions::Linf()
+                                                    : DtwOptions::L1();
+    engine_options.dtw.band = static_cast<int>(prng.UniformInt(-1, 6));
+    const int64_t stage_mask = prng.UniformInt(0, 15);
+    engine_options.cascade_planner.mode = PlanMode::kFixed;
+    for (const CascadeStage stage : CascadePlan::Full().stages) {
+      if ((stage_mask >> static_cast<int>(stage)) & 1) {
+        engine_options.cascade_planner.fixed.stages.push_back(stage);
+      }
+    }
+    const double eps_scale =
+        engine_options.dtw.combiner == DtwCombiner::kSum ? 10.0 : 0.5;
+
+    RandomWalkOptions rw;
+    rw.num_sequences = static_cast<size_t>(prng.UniformInt(20, 60));
+    rw.min_length = static_cast<size_t>(prng.UniformInt(8, 24));
+    rw.max_length = rw.min_length + static_cast<size_t>(prng.UniformInt(0, 24));
+    rw.seed = prng.NextUint64();
+    const Dataset base = GenerateRandomWalkDataset(rw);
+    // Every row by global id, and which are live: the oracle's state.
+    std::vector<Sequence> rows;
+    for (size_t i = 0; i < base.size(); ++i) {
+      rows.push_back(base[i]);
+    }
+    std::vector<bool> live(rows.size(), true);
+
+    ThreadPool pool(3);
+    IngestEngine ingest(base, options);
+    ingest.AttachPool(&pool);
+    const std::string where_round =
+        "round=" + std::to_string(round) +
+        " shards=" + std::to_string(options.num_shards) +
+        " band=" + std::to_string(engine_options.dtw.band) +
+        " plan=" + engine_options.cascade_planner.fixed.ToString();
+    for (int step = 0; step < 80; ++step) {
+      const std::string where = where_round + " step=" + std::to_string(step);
+      const auto pick = [&] {
+        return static_cast<size_t>(
+            prng.UniformInt(0, static_cast<int64_t>(rows.size()) - 1));
+      };
+      const int64_t op = prng.UniformInt(0, 19);
+      if (op < 8) {
+        Sequence s = PerturbSequence(rows[pick()], prng.NextUint64());
+        ASSERT_EQ(ingest.Insert(s), static_cast<SequenceId>(rows.size()));
+        rows.push_back(std::move(s));
+        live.push_back(true);
+      } else if (op < 11) {
+        const size_t id = pick();
+        ASSERT_EQ(ingest.Delete(static_cast<SequenceId>(id)), live[id])
+            << where;
+        live[id] = false;
+      } else if (op == 11) {
+        ingest.CompactAll();
+      } else if (op == 12) {
+        ingest.CompactShard(static_cast<size_t>(prng.UniformInt(
+            0, static_cast<int64_t>(options.num_shards) - 1)));
+      } else {
+        // The scan oracle over the live set, ids kept.
+        Engine reference(Dataset(rows), engine_options);
+        std::vector<KnnMatch> all;
+        const Sequence q = PerturbSequence(rows[pick()], prng.NextUint64());
+        const Dtw dtw(engine_options.dtw);
+        for (size_t id = 0; id < rows.size(); ++id) {
+          if (!live[id]) {
+            ASSERT_TRUE(reference.Remove(static_cast<SequenceId>(id)));
+          } else {
+            all.push_back({static_cast<SequenceId>(id),
+                           dtw.Distance(rows[id], q).distance});
+          }
+        }
+        const double eps = prng.UniformDouble(0.0, eps_scale);
+        SearchResult scanned =
+            reference.SearchWith(MethodKind::kNaiveScan, q, eps);
+        CanonicalizeMatchOrder(&scanned);
+        for (const MethodKind kind :
+             {MethodKind::kTwSimSearch, MethodKind::kTwSimSearchCascade}) {
+          const SearchResult got = ingest.SearchWith(kind, q, eps);
+          ASSERT_EQ(got.matches, scanned.matches)
+              << where << " " << MethodKindName(kind) << " eps=" << eps;
+          ASSERT_EQ(got.distances, scanned.distances)
+              << where << " " << MethodKindName(kind) << " eps=" << eps;
+        }
+        matches += scanned.matches.size();
+        for (size_t s = 0; s < options.num_shards; ++s) {
+          if (ingest.DeltaStats(s).entries > 0) {
+            ++buffered_queries;
+            break;
+          }
+        }
+        std::sort(all.begin(), all.end(), KnnMatchOrder);
+        const size_t k = static_cast<size_t>(prng.UniformInt(1, 8));
+        all.resize(std::min(k, all.size()));
+        ASSERT_EQ(ingest.SearchKnn(q, k).neighbors, all)
+            << where << " k=" << k;
+      }
+    }
+  }
+  EXPECT_GT(buffered_queries, 100u);
+  EXPECT_GT(matches, 300u);
 }
 
 }  // namespace

@@ -383,5 +383,67 @@ TEST(IngestEngineTest, MetricsAndHealthReflectWrites) {
   EXPECT_EQ(base_rows, 31u);
 }
 
+// Buffered rows are Algorithm 1 candidates like the base's index hits:
+// the cascade kind runs its planned lower-bound stages on them, every
+// exact evaluation lands in the dtw_postfilter prune record, and the
+// partition engine's live counters see that work without counting a
+// query for it.
+TEST(IngestEngineTest, DeltaCandidatesRunAlgorithm1StagesAndReachCounters) {
+  IngestOptions options = ManualCompaction(1);
+  MetricsRegistry registry;
+  options.engine.metrics = &registry;
+  options.engine.dtw.band = 4;  // LB_Keogh prunes under a band
+  options.engine.cascade_planner.mode = PlanMode::kFixed;
+  options.engine.cascade_planner.fixed.stages = {CascadeStage::kFeatureLb,
+                                                 CascadeStage::kLbKeogh};
+  const Dataset base = WalkDataset(43, 40);
+  IngestEngine ingest(WalkDataset(43, 40), options);
+  const auto queries = GenerateQueryWorkload(
+      base, QueryWorkloadOptions{.num_queries = 3, .seed = 44});
+  constexpr double kEpsilon = 0.4;
+  // Buffer each query itself (distance 0: a delta match) and perturbed
+  // copies of it (D_tw-lb candidates that may or may not match).
+  std::vector<SequenceId> exact_copies;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    exact_copies.push_back(ingest.Insert(queries[qi]));
+    for (uint64_t c = 0; c < 4; ++c) {
+      ingest.Insert(PerturbSequence(queries[qi], 100 * qi + c));
+    }
+  }
+  ASSERT_EQ(ingest.DeltaStats(0).entries, 5 * queries.size());
+
+  for (const MethodKind kind :
+       {MethodKind::kTwSimSearch, MethodKind::kTwSimSearchCascade}) {
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const std::string where =
+          std::string(MethodKindName(kind)) + " q=" + std::to_string(qi);
+      const MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+      const SearchResult r = ingest.SearchWith(kind, queries[qi], kEpsilon);
+      const MetricsRegistry::Snapshot after = registry.TakeSnapshot();
+      EXPECT_TRUE(std::binary_search(r.matches.begin(), r.matches.end(),
+                                     exact_copies[qi]))
+          << where;
+      const StageCounts dtw = r.cost.prunes.Get(kStageDtwPostfilter);
+      EXPECT_EQ(dtw.in, r.cost.dtw_evals) << where;
+      if (kind == MethodKind::kTwSimSearchCascade) {
+        // Base index hits and delta survivors alike enter the plan.
+        const StageCounts feature = r.cost.prunes.Get(kStageFeatureLbCascade);
+        const StageCounts keogh = r.cost.prunes.Get(kStageLbKeoghCascade);
+        EXPECT_EQ(feature.in, r.num_candidates) << where;
+        EXPECT_EQ(keogh.in, feature.in - feature.pruned) << where;
+        EXPECT_EQ(dtw.in, keogh.in - keogh.pruned) << where;
+      }
+      const auto advanced = [&](const std::string& name) {
+        return CounterValue(after, name) - CounterValue(before, name);
+      };
+      EXPECT_EQ(advanced("warpindex_cascade_dtw_in_total"), dtw.in) << where;
+      EXPECT_EQ(advanced("warpindex_query_dtw_evals_total"), r.cost.dtw_evals)
+          << where;
+      // One base query on the one partition; the delta is no query.
+      EXPECT_EQ(advanced("warpindex_queries_total"), 1u) << where;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace warpindex

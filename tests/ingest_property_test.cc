@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -34,11 +35,6 @@ Dataset WalkDataset(uint64_t seed, size_t n = 60) {
   options.max_length = 48;
   options.seed = seed;
   return GenerateRandomWalkDataset(options);
-}
-
-std::vector<SequenceId> Sorted(std::vector<SequenceId> v) {
-  std::sort(v.begin(), v.end());
-  return v;
 }
 
 // From-scratch reference over the live set: base rows at ids
@@ -61,7 +57,7 @@ std::unique_ptr<Engine> BuildReference(const Dataset& base,
 }
 
 // One full equivalence check between `ingest` and the reference: every
-// range method plus kNN over a small query workload.
+// range method (ids and distances) plus kNN over a small query workload.
 void ExpectEquivalent(const IngestEngine& ingest, const Engine& reference,
                       const std::vector<Sequence>& queries,
                       const std::string& label) {
@@ -71,10 +67,14 @@ void ExpectEquivalent(const IngestEngine& ingest, const Engine& reference,
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const Sequence& q = queries[qi];
     for (const double epsilon : {0.1, 0.35}) {
-      const std::vector<SequenceId> expected =
-          Sorted(reference.Search(q, epsilon).matches);
+      SearchResult expected = reference.Search(q, epsilon);
+      CanonicalizeMatchOrder(&expected);
       for (const MethodKind kind : kinds) {
-        EXPECT_EQ(ingest.SearchWith(kind, q, epsilon).matches, expected)
+        const SearchResult got = ingest.SearchWith(kind, q, epsilon);
+        EXPECT_EQ(got.matches, expected.matches)
+            << label << " q=" << qi << " method=" << MethodKindName(kind)
+            << " eps=" << epsilon;
+        EXPECT_EQ(got.distances, expected.distances)
             << label << " q=" << qi << " method=" << MethodKindName(kind)
             << " eps=" << epsilon;
       }
@@ -94,7 +94,19 @@ void ExpectEquivalent(const IngestEngine& ingest, const Engine& reference,
   }
 }
 
-class IngestPropertyTest : public ::testing::TestWithParam<PartitionerKind> {
+// Parameters: the partitioner and the DTW band. Band -1 is the paper's
+// unconstrained L_inf; band 4, about 10% of the rows' 20-48 points (the
+// ingest-cascade benchmark's shape), makes the cascade kind's LB_Keogh
+// and LB_Improved stages prune delta candidates too.
+class IngestPropertyTest
+    : public ::testing::TestWithParam<std::tuple<PartitionerKind, int>> {
+ protected:
+  PartitionerKind partitioner() const { return std::get<0>(GetParam()); }
+  DtwOptions dtw() const {
+    DtwOptions options = DtwOptions::Linf();
+    options.band = std::get<1>(GetParam());
+    return options;
+  }
 };
 
 TEST_P(IngestPropertyTest, MatchesFromScratchEngineAcrossCompactionPoints) {
@@ -106,7 +118,8 @@ TEST_P(IngestPropertyTest, MatchesFromScratchEngineAcrossCompactionPoints) {
 
     IngestOptions options;
     options.num_shards = num_shards;
-    options.partitioner = GetParam();
+    options.partitioner = partitioner();
+    options.engine.dtw = dtw();
     options.start_compactor = false;  // compaction points are explicit
     IngestEngine ingest(WalkDataset(seed), options);
     ThreadPool pool(4);
@@ -117,7 +130,7 @@ TEST_P(IngestPropertyTest, MatchesFromScratchEngineAcrossCompactionPoints) {
     const Dataset extra = WalkDataset(seed + 99, 40);
     const auto check = [&](const std::string& label) {
       const std::unique_ptr<Engine> reference =
-          BuildReference(base, added, deleted);
+          BuildReference(base, added, deleted, options.engine);
       ExpectEquivalent(ingest, *reference, queries,
                        label + " K=" + std::to_string(num_shards));
     };
@@ -168,7 +181,8 @@ TEST_P(IngestPropertyTest, ConcurrentWritesQueriesAndCompactionAgree) {
 
   IngestOptions options;
   options.num_shards = 3;
-  options.partitioner = GetParam();
+  options.partitioner = partitioner();
+  options.engine.dtw = dtw();
   options.start_compactor = true;  // background compactor in the mix
   options.compact_max_delta_entries = 24;
   options.compact_max_tombstones = 16;
@@ -251,7 +265,7 @@ TEST_P(IngestPropertyTest, ConcurrentWritesQueriesAndCompactionAgree) {
     added.push_back(std::move(row));
   }
   const std::unique_ptr<Engine> reference =
-      BuildReference(base, added, all_removed);
+      BuildReference(base, added, all_removed, options.engine);
   ExpectEquivalent(ingest, *reference, queries, "quiesced");
 
   const IngestEngine::Health health = ingest.TakeHealthSnapshot();
@@ -260,13 +274,16 @@ TEST_P(IngestPropertyTest, ConcurrentWritesQueriesAndCompactionAgree) {
       << "the write volume must have triggered background compaction";
 }
 
-INSTANTIATE_TEST_SUITE_P(Partitioners, IngestPropertyTest,
-                         ::testing::Values(PartitionerKind::kHash,
-                                           PartitionerKind::kRange),
-                         [](const auto& info) {
-                           return std::string(
-                               PartitionerKindName(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Partitioners, IngestPropertyTest,
+    ::testing::Combine(::testing::Values(PartitionerKind::kHash,
+                                         PartitionerKind::kRange),
+                       ::testing::Values(-1, 4)),
+    [](const auto& info) {
+      const int band = std::get<1>(info.param);
+      return std::string(PartitionerKindName(std::get<0>(info.param))) +
+             (band < 0 ? "" : "_band" + std::to_string(band));
+    });
 
 }  // namespace
 }  // namespace warpindex

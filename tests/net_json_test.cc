@@ -73,6 +73,26 @@ TEST(NetJsonTest, IntAndDoubleAccessorsConvert) {
   EXPECT_FALSE(JsonValue::Int(1).AsBool());
 }
 
+TEST(NetJsonTest, AsIntOfOutOfRangeDoublesIsDefined) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  // A wire body's cost field read through GetInt: beyond int64 the old
+  // cast was undefined behaviour; now it saturates.
+  const JsonValue body =
+      MustParse(R"({"dtw_evals": 1e300, "dtw_cells": -1e300})");
+  EXPECT_EQ(body.GetInt("dtw_evals", 0), kMax);
+  EXPECT_EQ(body.GetInt("dtw_cells", 0), kMin);
+  EXPECT_EQ(MustParse("9223372036854775808.0").AsInt(), kMax);  // 2^63
+  EXPECT_EQ(MustParse("-9223372036854775808.0").AsInt(), kMin);
+  EXPECT_EQ(JsonValue::Double(std::numeric_limits<double>::infinity()).AsInt(),
+            kMax);
+  EXPECT_EQ(
+      JsonValue::Double(-std::numeric_limits<double>::infinity()).AsInt(),
+      kMin);
+  EXPECT_EQ(JsonValue::Double(std::nan("")).AsInt(), 0);
+  EXPECT_EQ(JsonValue::Double(-2.9).AsInt(), -2);  // in range: truncates
+}
+
 TEST(NetJsonTest, TryAsIntAcceptsOnlyIntegers) {
   int64_t out = 99;
   EXPECT_TRUE(MustParse("-42").TryAsInt(&out));

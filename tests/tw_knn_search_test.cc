@@ -304,6 +304,72 @@ TEST(TwKnnSearchTest, SumCombinedAndBandedEnginesMatchTheirOracles) {
   }
 }
 
+// SearchCost::dtw_evals counts every DP run of the refine loop. Banded
+// evaluations decide each candidate once; the unbanded L_inf fill may
+// re-test a pending candidate at a raised threshold.
+TEST(TwKnnSearchTest, DtwEvalsCountEveryDpRun) {
+  DtwOptions banded = DtwOptions::Linf();
+  banded.band = 5;
+  for (const DtwOptions& options : {banded, DtwOptions::Linf()}) {
+    EngineOptions engine_options;
+    engine_options.dtw = options;
+    const Engine engine(TieAndZeroBoundDataset(), engine_options);
+    const auto queries = GenerateQueryWorkload(
+        engine.dataset(), QueryWorkloadOptions{.num_queries = 4, .seed = 31});
+    for (const Sequence& q : queries) {
+      for (const size_t k : {size_t{1}, size_t{10}}) {
+        const KnnResult r = engine.SearchKnn(q, k);
+        ASSERT_GT(r.num_refined, 0u);
+        if (options.band >= 0) {
+          EXPECT_EQ(r.cost.dtw_evals, r.num_refined) << "k=" << k;
+        } else {
+          EXPECT_GE(r.cost.dtw_evals, r.num_refined) << "k=" << k;
+        }
+      }
+    }
+  }
+}
+
+// Refine runs the same loop over candidates from elsewhere: given every
+// row with its D_tw-lb, in scrambled order, it sorts them by bound and
+// returns Search's answer, stopping at the cutoff like the index walk.
+TEST(TwKnnSearchTest, RefineOverUnsortedCandidatesMatchesSearch) {
+  DtwOptions banded = DtwOptions::Linf();
+  banded.band = 5;
+  for (const DtwOptions& options : {DtwOptions::Linf(), banded}) {
+    EngineOptions engine_options;
+    engine_options.dtw = options;
+    const Engine engine(TieAndZeroBoundDataset(), engine_options);
+    const Dataset& d = engine.dataset();
+    const auto queries = GenerateQueryWorkload(
+        d, QueryWorkloadOptions{.num_queries = 4, .seed = 41});
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const Sequence& q = queries[qi];
+      std::vector<KnnCandidate> candidates;
+      for (size_t i = d.size(); i-- > 0;) {  // reversed: unsorted input
+        candidates.push_back(
+            {DtwLowerBoundDistance(ExtractFeature(d[i]), ExtractFeature(q)),
+             &d[i]});
+      }
+      for (const size_t k : {size_t{1}, size_t{10}}) {
+        const std::string where = "band " + std::to_string(options.band) +
+                                  " query " + std::to_string(qi) +
+                                  " k=" + std::to_string(k);
+        const KnnResult refined =
+            engine.knn_search().Refine(q, k, candidates, nullptr, nullptr);
+        ExpectSameKnn(refined, OracleKnn(d, q, k, options), where);
+        EXPECT_LT(refined.num_refined, d.size()) << where;
+        const double kth = refined.neighbors.back().distance;
+        SharedKnnBound bound;
+        bound.Tighten(kth);
+        ExpectSameKnn(
+            engine.knn_search().Refine(q, k, candidates, nullptr, &bound),
+            OracleKnn(d, q, k, options), where + " pre-tightened bound");
+      }
+    }
+  }
+}
+
 TEST(TwKnnSearchTest, WorksOnStockCorpus) {
   StockDataOptions stock;
   stock.num_sequences = 120;
