@@ -1901,15 +1901,29 @@ int Run(int argc, char** argv) {
       }
     }
     if (compare) {
-      std::printf("\n%-22s %12s %14s\n", "method", "candidates",
-                  "elapsed_ms(sim)");
+      // Every method is exact, so each must return the answer above.
+      std::vector<SequenceId> want = result.matches;
+      std::sort(want.begin(), want.end());
+      bool agree = true;
+      std::printf("\n%-22s %12s %8s %14s\n", "method", "candidates",
+                  "matches", "elapsed_ms(sim)");
       for (const MethodKind kind :
            {MethodKind::kTwSimSearch, MethodKind::kTwSimSearchCascade,
             MethodKind::kLbScan, MethodKind::kNaiveScan,
             MethodKind::kStFilter}) {
         const SearchResult r = engine.SearchWith(kind, query, eps);
-        std::printf("%-22s %12zu %14.1f\n", MethodKindName(kind),
-                    r.num_candidates, engine.ElapsedMillis(r.cost));
+        std::vector<SequenceId> got = r.matches;
+        std::sort(got.begin(), got.end());
+        const bool same = got == want;
+        agree = agree && same;
+        std::printf("%-22s %12zu %8zu %14.1f%s\n", MethodKindName(kind),
+                    r.num_candidates, r.matches.size(),
+                    engine.ElapsedMillis(r.cost),
+                    same ? "" : "  ANSWER DIFFERS");
+      }
+      if (!agree) {
+        std::fprintf(stderr, "--compare: methods disagree on the answer\n");
+        return 1;
       }
     }
   }

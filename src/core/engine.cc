@@ -126,7 +126,7 @@ void Engine::RegisterMetrics() {
       "measured CPU wall time per kNN query (ms)");
   dtw_evals_total_ = metrics_->GetCounter(
       "warpindex_query_dtw_evals_total",
-      "exact-DTW evaluations started across all range queries");
+      "exact-DTW evaluations started across all range and k-NN queries");
   // One in/pruned counter pair per known filtering stage, matching the
   // SearchCost::prunes stage names.
   const std::pair<std::string_view, std::string_view> stages[] = {
@@ -389,6 +389,17 @@ KnnResult Engine::SearchKnnBounded(const Sequence& query, size_t k,
   knn_latency_ms_hist_->Observe(result.cost.wall_ms);
   dtw_cells_hist_->Observe(static_cast<double>(result.cost.dtw_cells));
   index_nodes_hist_->Observe(static_cast<double>(result.cost.index_nodes));
+  RecordWorkMetrics(result.cost);
+  return result;
+}
+
+KnnResult Engine::RefineKnn(const Sequence& query, size_t k,
+                            std::vector<KnnCandidate> candidates,
+                            Trace* trace,
+                            SharedKnnBound* shared_bound) const {
+  KnnResult result = tw_knn_search_->Refine(query, k, std::move(candidates),
+                                            trace, shared_bound);
+  RecordWorkMetrics(result.cost);
   return result;
 }
 

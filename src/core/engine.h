@@ -174,6 +174,14 @@ class Engine : public EngineLike {
   KnnResult SearchKnnBounded(const Sequence& query, size_t k, Trace* trace,
                              SharedKnnBound* shared_bound) const;
 
+  // The k-NN refine loop (TwKnnSearch::Refine) over candidates a caller
+  // selected elsewhere: IngestEngine's buffered rows. Like Refine, the
+  // work reaches the work counters (warpindex_query_dtw_evals_total) but
+  // is not a query.
+  KnnResult RefineKnn(const Sequence& query, size_t k,
+                      std::vector<KnnCandidate> candidates, Trace* trace,
+                      SharedKnnBound* shared_bound) const;
+
   // Exact k-nearest-neighbor search under D_tw via the feature index
   // (lower-bound-guided filter and refine; see core/tw_knn_search.h),
   // seeded with a valid upper bound on the k-th distance (EngineLike);

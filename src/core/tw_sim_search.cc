@@ -14,7 +14,7 @@ TwSimSearch::TwSimSearch(const FeatureIndex* index,
       cascade_(dtw_options),
       index_pool_(index_pool),
       planner_(planner.has_value()
-                   ? std::make_unique<CascadePlanner>(*planner)
+                   ? std::make_unique<CascadePlanner>(dtw_options, *planner)
                    : nullptr) {}
 
 std::vector<const Sequence*> TwSimSearch::FilterAndFetch(

@@ -20,10 +20,20 @@
 // >= |S_i - h_i| and >= |h_i - Q_j| whenever Q_j is inside S_i's window),
 // so the path max dominates both parts.
 //
+// Pass 2 needs Env(h), the radius-r window min/max of h. It is streamed
+// (dtw/lb_keogh.h's ForEachWindowExtremes) inside the pass instead of being
+// built as an envelope first, so pass 2 can stop early too: both passes
+// abandon once the bound is known to exceed `abandon_above` (the
+// monotone-accumulator argument of lb_keogh.h; in pass 2 the value
+// checked is part1 + partial part2, or their max).
+//
 // Always >= LB_Keogh (it adds a non-negative second pass), still O(n), and
 // in practice prunes a large fraction of the candidates LB_Keogh lets
-// through — at roughly 2x its cost, which is what the cascade planner's
-// cost model weighs.
+// through. Measured cost of the full bound (no threshold, no scratch) in
+// perfbench's kernel replay on ingest-cascade pairs (256-point walks,
+// 25-point band, L_inf, one x86-64 vCPU), two sessions: 50.3 and
+// 54.9 ns/elem against LB_Keogh's 5.5 and 9.6, about 6-9x. That ratio is
+// what the cascade planner's cost model weighs.
 
 #ifndef WARPINDEX_DTW_LB_IMPROVED_H_
 #define WARPINDEX_DTW_LB_IMPROVED_H_
@@ -35,10 +45,14 @@
 namespace warpindex {
 
 // Lower-bounds Dtw(options).Distance(s, q); always >= the LbKeogh of the
-// same arguments. `q_env` as for LbKeogh (recomputed internally when too
-// narrow for the pair). Same domain as Dtw::Distance (sqrt for L2).
+// same arguments. `q_env` as for LbKeogh (rebuilt when too narrow for the
+// pair). Same domain as Dtw::Distance (sqrt for L2). `abandon_above` and
+// `scratch` as for LbKeogh; without a scratch each call allocates h and
+// the filter's index storage.
 double LbImproved(const Sequence& s, const Sequence& q,
-                  const BandEnvelope& q_env, const DtwOptions& options);
+                  const BandEnvelope& q_env, const DtwOptions& options,
+                  double abandon_above = kInfiniteDistance,
+                  LbScratch* scratch = nullptr);
 
 }  // namespace warpindex
 

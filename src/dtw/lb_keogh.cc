@@ -3,136 +3,151 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <deque>
-
-#include "dtw/dtw.h"
 
 namespace warpindex {
 namespace {
 
-inline double DistToInterval(double v, double lo, double hi) {
-  if (v < lo) return lo - v;
-  if (v > hi) return v - hi;
-  return 0.0;
+using internal::DistToInterval;
+
+// Positions inside the envelope read its windows; positions beyond its
+// end read the suffix arrays (right-clipped windows).
+double OneSidedKeoghImpl(const Sequence& s, const BandEnvelope& env,
+                         size_t effective_radius, bool sum, bool squared,
+                         double* h, double abandon_above) {
+  const size_t n = s.size();
+  const size_t m = env.size();
+  const double* values = s.data();
+  double acc = 0.0;
+  // Adds position i's cost; true once the accumulator exceeds the
+  // threshold.
+  const auto step = [&](size_t i, double lo, double hi) {
+    const double v = values[i];
+    const double d = DistToInterval(v, lo, hi);
+    if (h != nullptr) {
+      h[i] = v < lo ? lo : (v > hi ? hi : v);
+    }
+    const double cost = squared ? d * d : d;
+    acc = sum ? acc + cost : std::max(acc, cost);
+    return acc > abandon_above;
+  };
+  const size_t inside = std::min(n, m);
+  for (size_t i = 0; i < inside; ++i) {
+    if (step(i, env.lower[i], env.upper[i])) {
+      return acc;
+    }
+  }
+  for (size_t i = m; i < n; ++i) {
+    // Beyond the envelope's end the window is right-clipped to
+    // [i - R, m - 1]; i - R <= m - 1 because R >= n - m.
+    const size_t from =
+        i >= effective_radius ? std::min(i - effective_radius, m - 1) : 0;
+    if (step(i, env.suffix_min[from], env.suffix_max[from])) {
+      return acc;
+    }
+  }
+  return acc;
 }
 
 }  // namespace
 
 BandEnvelope ComputeBandEnvelope(const Sequence& s, size_t radius) {
+  BandEnvelope env;
+  std::vector<size_t> wedges;
+  internal::FillBandEnvelope(s, radius, &wedges, &env);
+  return env;
+}
+
+namespace internal {
+
+void FillBandEnvelope(const Sequence& s, size_t radius,
+                      std::vector<size_t>* wedges, BandEnvelope* env) {
   assert(!s.empty());
   const size_t m = s.size();
   // Clamp the working radius: any radius >= m already yields full-width
   // windows at every position (and avoids j + radius overflow).
   const size_t r = std::min(radius, m);
 
-  BandEnvelope env;
-  env.radius = radius;
-  env.lower.resize(m);
-  env.upper.resize(m);
+  env->radius = radius;
+  env->lower.resize(m);
+  env->upper.resize(m);
+  wedges->resize(2 * m);
+  ForEachWindowExtremes(s.data(), m, r, m, wedges->data(),
+                        [env](size_t j, double lo, double hi) {
+                          env->lower[j] = lo;
+                          env->upper[j] = hi;
+                          return true;
+                        });
 
-  // Monotonic deques over the advancing right window edge: max_idx keeps
-  // indices of strictly decreasing values, min_idx strictly increasing,
-  // so the window extreme is always at the front. Each index enters and
-  // leaves each deque at most once — O(m) total.
-  std::deque<size_t> max_idx;
-  std::deque<size_t> min_idx;
-  size_t next = 0;  // next position to admit into the deques
-  for (size_t j = 0; j < m; ++j) {
-    const size_t win_hi = std::min(m - 1, j + r);
-    for (; next <= win_hi; ++next) {
-      while (!max_idx.empty() && s[max_idx.back()] <= s[next]) {
-        max_idx.pop_back();
-      }
-      max_idx.push_back(next);
-      while (!min_idx.empty() && s[min_idx.back()] >= s[next]) {
-        min_idx.pop_back();
-      }
-      min_idx.push_back(next);
-    }
-    const size_t win_lo = j >= r ? j - r : 0;
-    while (max_idx.front() < win_lo) {
-      max_idx.pop_front();
-    }
-    while (min_idx.front() < win_lo) {
-      min_idx.pop_front();
-    }
-    env.upper[j] = s[max_idx.front()];
-    env.lower[j] = s[min_idx.front()];
-  }
-
-  env.suffix_min.resize(m);
-  env.suffix_max.resize(m);
+  env->suffix_min.resize(m);
+  env->suffix_max.resize(m);
   double lo = s[m - 1];
   double hi = s[m - 1];
   for (size_t j = m; j-- > 0;) {
     lo = std::min(lo, s[j]);
     hi = std::max(hi, s[j]);
-    env.suffix_min[j] = lo;
-    env.suffix_max[j] = hi;
+    env->suffix_min[j] = lo;
+    env->suffix_max[j] = hi;
   }
-  return env;
 }
 
-namespace internal {
+const BandEnvelope& EnvelopeFor(const Sequence& q, const BandEnvelope& q_env,
+                                size_t radius, LbScratch* scratch) {
+  if (q_env.radius >= radius) {
+    return q_env;
+  }
+  FillBandEnvelope(q, radius, &scratch->wedges, &scratch->widened);
+  return scratch->widened;
+}
+
+double AccumulatedThreshold(double t, const DtwOptions& options) {
+  // Without sqrt the domains coincide. With it, t <= 0, +inf and NaN map
+  // to themselves (sqrt(acc) > t iff acc > t for acc >= 0 there).
+  if (!options.take_sqrt || !(t > 0.0) || t == kInfiniteDistance) {
+    return t;
+  }
+  // The largest x with sqrt(x) <= t: sqrt is correctly rounded, hence
+  // monotone, so acc > x iff sqrt(acc) > t. t * t lands within an ulp or
+  // two of it.
+  double x = t * t;
+  while (x > 0.0 && std::sqrt(x) > t) {
+    x = std::nextafter(x, 0.0);
+  }
+  while (std::sqrt(std::nextafter(x, kInfiniteDistance)) <= t) {
+    x = std::nextafter(x, kInfiniteDistance);
+  }
+  return x;
+}
 
 double OneSidedKeogh(const Sequence& s, const BandEnvelope& env,
                      size_t effective_radius, const DtwOptions& options,
-                     std::vector<double>* h_out) {
-  const size_t n = s.size();
-  const size_t m = env.size();
-  assert(n > 0 && m > 0);
+                     std::vector<double>* h_out, double abandon_above) {
+  assert(!s.empty() && env.size() > 0);
   assert(env.radius >= effective_radius);
+  double* h = nullptr;
   if (h_out != nullptr) {
-    h_out->resize(n);
+    h_out->resize(s.size());
+    h = h_out->data();
   }
-  const bool sum = options.combiner == DtwCombiner::kSum;
-  const bool squared = options.step == StepCost::kSquared;
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double lo;
-    double hi;
-    if (i < m) {
-      lo = env.lower[i];
-      hi = env.upper[i];
-    } else {
-      // Beyond the envelope's end the window is right-clipped to
-      // [i - R, m - 1]; i - R <= m - 1 because R >= n - m.
-      const size_t from =
-          i >= effective_radius
-              ? std::min(i - effective_radius, m - 1)
-              : 0;
-      lo = env.suffix_min[from];
-      hi = env.suffix_max[from];
-    }
-    const double v = s[i];
-    const double d = DistToInterval(v, lo, hi);
-    if (h_out != nullptr) {
-      (*h_out)[i] = v < lo ? lo : (v > hi ? hi : v);
-    }
-    const double cost = squared ? d * d : d;
-    acc = sum ? acc + cost : std::max(acc, cost);
-  }
-  return acc;
+  return OneSidedKeoghImpl(s, env, effective_radius,
+                           options.combiner == DtwCombiner::kSum,
+                           options.step == StepCost::kSquared, h,
+                           abandon_above);
 }
 
 }  // namespace internal
 
 double LbKeogh(const Sequence& s, const Sequence& q,
-               const BandEnvelope& q_env, const DtwOptions& options) {
+               const BandEnvelope& q_env, const DtwOptions& options,
+               double abandon_above, LbScratch* scratch) {
   assert(!s.empty() && !q.empty());
   const size_t radius =
       EffectiveSakoeChibaRadius(options, s.size(), q.size());
-  double acc;
-  if (q_env.radius >= radius) {
-    // A wider-than-required envelope stays a valid (if looser) bound.
-    acc = internal::OneSidedKeogh(s, q_env, radius, options, nullptr);
-  } else {
-    // The pair's length mismatch widened the effective radius past the
-    // envelope's build radius; recompute so the windows admit every
-    // alignment the DP admits (correctness over speed — rare path).
-    const BandEnvelope widened = ComputeBandEnvelope(q, radius);
-    acc = internal::OneSidedKeogh(s, widened, radius, options, nullptr);
-  }
+  LbScratch local;
+  const BandEnvelope& env = internal::EnvelopeFor(
+      q, q_env, radius, scratch != nullptr ? scratch : &local);
+  const double acc = internal::OneSidedKeogh(
+      s, env, radius, options, nullptr,
+      internal::AccumulatedThreshold(abandon_above, options));
   return options.take_sqrt ? std::sqrt(acc) : acc;
 }
 

@@ -301,8 +301,9 @@ KnnResult IngestEngine::SearchKnnSeeded(const Sequence& query, size_t k,
 
   // The delta first, on the calling thread: every partition's buffered
   // rows, with D_tw-lb on their stored features as the lower bound, go
-  // through the k-NN refine loop (TwKnnSearch::Refine; every partition
-  // engine has the same DtwOptions, so the first one's) — in bound order,
+  // through the k-NN refine loop (Engine::RefineKnn; every partition
+  // engine has the same DtwOptions, so the first one's, whose work
+  // counters also take the delta's DTW evaluations) — in bound order,
   // with its cutoff break. The k-th distance they prove pre-tightens the
   // shared bound every base searcher prunes against. Pruning is strictly
   // greater, so ties at the bound survive; the result merges first, like
@@ -319,7 +320,7 @@ KnnResult IngestEngine::SearchKnnSeeded(const Sequence& query, size_t k,
     }
     const size_t lb_evals = candidates.size();
     if (lb_evals > 0) {
-      partials.front() = snap.view->shards.front().engine->knn_search().Refine(
+      partials.front() = snap.view->shards.front().engine->RefineKnn(
           query, k, std::move(candidates), trace, &shared_bound);
     }
     partials.front().cost.lb_evals += lb_evals;

@@ -18,8 +18,37 @@ const char* PlanModeName(PlanMode mode) {
   return "unknown";
 }
 
-CascadePlanner::CascadePlanner(CascadePlannerOptions options)
-    : options_(options) {
+bool StageDominated(CascadeStage stage, const DtwOptions& options) {
+  const bool linf = options.combiner == DtwCombiner::kMax &&
+                    options.step == StepCost::kAbsolute &&
+                    !options.take_sqrt;
+  switch (stage) {
+    case CascadeStage::kFeatureLb:
+      return true;
+    case CascadeStage::kLbYi:
+      return linf;
+    case CascadeStage::kLbKeogh:
+    case CascadeStage::kLbImproved:
+      return linf && options.band < 0;
+  }
+  return false;
+}
+
+CascadePlan WithoutDominatedStages(const CascadePlan& plan,
+                                   const DtwOptions& options) {
+  CascadePlan out;
+  for (const CascadeStage stage : plan.stages) {
+    if (!StageDominated(stage, options)) {
+      out.stages.push_back(stage);
+    }
+  }
+  return out;
+}
+
+CascadePlanner::CascadePlanner(const DtwOptions& dtw_options,
+                               CascadePlannerOptions options)
+    : options_(options),
+      useful_(WithoutDominatedStages(CascadePlan::Full(), dtw_options)) {
   assert(options_.ewma_alpha > 0.0 && options_.ewma_alpha <= 1.0);
 }
 
@@ -59,18 +88,17 @@ CascadePlan CascadePlanner::ChooseAutoLocked() const {
       options_.explore_every > 0 &&
       plans_chosen_ % options_.explore_every == 0;
   if (warming || exploring || dtw_stats_.updates == 0) {
-    return CascadePlan::Full();
+    return useful_;
   }
 
   // Backward greedy over the canonical order: `downstream` is the
   // expected per-candidate cost of everything after the stage under
   // consideration; a stage stays iff the bound evaluation is cheaper
   // than the downstream work it prunes in expectation.
-  const CascadePlan full = CascadePlan::Full();
   double downstream = dtw_stats_.unit_cost_ms;
   std::vector<CascadeStage> chosen_reversed;
-  for (size_t k = full.stages.size(); k-- > 0;) {
-    const CascadeStage stage = full.stages[k];
+  for (size_t k = useful_.stages.size(); k-- > 0;) {
+    const CascadeStage stage = useful_.stages[k];
     const StageStats& stats = lb_stats_[static_cast<size_t>(stage)];
     if (stats.updates == 0) {
       continue;  // never measured (always-empty input); nothing to gain
@@ -94,13 +122,13 @@ CascadePlan CascadePlanner::Choose() {
     case PlanMode::kPaper:
       return CascadePlan::Paper();
     case PlanMode::kCascade:
-      return CascadePlan::Full();
+      return useful_;
     case PlanMode::kFixed:
       return options_.fixed;
     case PlanMode::kAuto:
       return ChooseAutoLocked();
   }
-  return CascadePlan::Full();
+  return useful_;
 }
 
 CascadePlanner::StageStats CascadePlanner::stage_stats(
@@ -129,7 +157,7 @@ CascadePlanner::Snapshot CascadePlanner::TakeSnapshot() const {
       snapshot.current_plan = CascadePlan::Paper();
       break;
     case PlanMode::kCascade:
-      snapshot.current_plan = CascadePlan::Full();
+      snapshot.current_plan = useful_;
       break;
     case PlanMode::kFixed:
       snapshot.current_plan = options_.fixed;

@@ -59,6 +59,9 @@ struct QueryArtifacts {
   bool have_band_env = false;
   BandEnvelope band_env;
 
+  // Shared by every LbKeogh / LbImproved call of the query.
+  LbScratch lb_scratch;
+
   const FeatureVector& Feature() {
     if (!have_feature) {
       feature = ExtractFeature(*query);
@@ -85,8 +88,9 @@ struct QueryArtifacts {
 };
 
 // The stage's lower bound for one candidate, same domain as
-// Dtw::Distance.
-double StageBound(CascadeStage stage, const Sequence& s,
+// Dtw::Distance. The envelope bounds may stop early once the bound
+// exceeds epsilon; the value returned then still exceeds it.
+double StageBound(CascadeStage stage, const Sequence& s, double epsilon,
                   QueryArtifacts* qa) {
   switch (stage) {
     case CascadeStage::kFeatureLb:
@@ -95,9 +99,11 @@ double StageBound(CascadeStage stage, const Sequence& s,
       return LbYiWithEnvelopes(s, ComputeEnvelope(s), *qa->query,
                                qa->YiEnvelope(), qa->options);
     case CascadeStage::kLbKeogh:
-      return LbKeogh(s, *qa->query, qa->BandEnv(), qa->options);
+      return LbKeogh(s, *qa->query, qa->BandEnv(), qa->options, epsilon,
+                     &qa->lb_scratch);
     case CascadeStage::kLbImproved:
-      return LbImproved(s, *qa->query, qa->BandEnv(), qa->options);
+      return LbImproved(s, *qa->query, qa->BandEnv(), qa->options, epsilon,
+                        &qa->lb_scratch);
   }
   return 0.0;
 }
@@ -129,7 +135,7 @@ void FilterCascade::RunLbStages(const Sequence& query, double epsilon,
       // Prune only on a STRICT excess: a bound exactly at epsilon cannot
       // rule the candidate out under Algorithm 1's `<= epsilon`
       // acceptance (the exact distance may equal the bound).
-      if (StageBound(stage, *(*candidates)[i], &qa) <= epsilon) {
+      if (StageBound(stage, *(*candidates)[i], epsilon, &qa) <= epsilon) {
         (*candidates)[kept++] = (*candidates)[i];
       }
     }
@@ -147,16 +153,6 @@ void FilterCascade::RunLbStages(const Sequence& query, double epsilon,
   }
   TraceCounter(trace, "lb_evals",
                static_cast<double>(result->cost.lb_evals));
-}
-
-void FilterCascade::Run(const Sequence& query, double epsilon,
-                        std::vector<const Sequence*> candidates,
-                        const CascadePlan& plan, SearchResult* result,
-                        Trace* trace, DtwScratch* scratch,
-                        CascadeObservation* obs) const {
-  RunLbStages(query, epsilon, &candidates, plan, result, trace, obs);
-  RunExactStage(dtw_, query, epsilon, candidates, result, trace, scratch,
-                obs != nullptr ? &obs->dtw : nullptr);
 }
 
 namespace {

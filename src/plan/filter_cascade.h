@@ -132,20 +132,12 @@ class FilterCascade {
   const DtwOptions& options() const { return options_; }
   const Dtw& dtw() const { return dtw_; }
 
-  // Runs `plan`'s lower-bound stages and then the exact-DTW stage over
-  // `candidates` (borrowed sequences; the list is consumed). Matching ids
-  // append to result->matches in candidate order; stage timings, prune
-  // counters, lb/dtw eval counts, and DP cells accumulate into
-  // result->cost. `obs`, `trace`, and `scratch` are optional.
-  void Run(const Sequence& query, double epsilon,
-           std::vector<const Sequence*> candidates,
-           const CascadePlan& plan, SearchResult* result, Trace* trace,
-           DtwScratch* scratch,
-           CascadeObservation* obs = nullptr) const;
-
-  // The lower-bound stages only: prunes `candidates` in place and leaves
-  // the exact-DTW stage to the caller (RunExactStage). Same accounting as
-  // Run() minus the dtw stage.
+  // Runs `plan`'s lower-bound stages over `candidates` (borrowed
+  // sequences), pruning the list in place and leaving the exact-DTW stage
+  // to the caller (RunExactStage). Stage timings, prune counters and lb
+  // eval counts accumulate into result->cost; `obs` and `trace` are
+  // optional. LB_Keogh and LB_Improved share one LbScratch per call and
+  // stop early once a bound exceeds epsilon.
   void RunLbStages(const Sequence& query, double epsilon,
                    std::vector<const Sequence*>* candidates,
                    const CascadePlan& plan, SearchResult* result,

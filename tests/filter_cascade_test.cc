@@ -1,8 +1,9 @@
 // FilterCascade (plan/filter_cascade.h): for every plan — no stage, any
-// single stage, the full cascade — the surviving answer set is exactly
-// the brute-force exact-DTW answer set (no false dismissals, ties at
-// epsilon kept), and the per-stage accounting (prune counters, timings,
-// observations) is recorded consistently.
+// single stage, the full cascade — the lower-bound stages followed by the
+// exact stage (RunLbStages + RunExactStage, as TwSimSearch::Refine runs
+// them) leave exactly the brute-force exact-DTW answer set (no false
+// dismissals, ties at epsilon kept), and the per-stage accounting (prune
+// counters, timings, observations) is recorded consistently.
 
 #include "plan/filter_cascade.h"
 
@@ -12,6 +13,8 @@
 
 #include "common/prng.h"
 #include "dtw/dtw.h"
+#include "dtw/lb_improved.h"
+#include "dtw/lb_keogh.h"
 
 namespace warpindex {
 namespace {
@@ -61,6 +64,18 @@ std::vector<SequenceId> BruteForceMatches(
   return matches;
 }
 
+// `plan`'s lower-bound stages, then the exact stage over the survivors.
+void RunPlan(const FilterCascade& cascade, const Sequence& query,
+             double epsilon, std::vector<const Sequence*> candidates,
+             const CascadePlan& plan, SearchResult* result,
+             CascadeObservation* obs = nullptr) {
+  cascade.RunLbStages(query, epsilon, &candidates, plan, result,
+                      /*trace=*/nullptr, obs);
+  RunExactStage(cascade.dtw(), query, epsilon, candidates, result,
+                /*trace=*/nullptr, /*scratch=*/nullptr,
+                obs != nullptr ? &obs->dtw : nullptr);
+}
+
 // Every plan shape worth distinguishing: empty (paper), each stage alone,
 // pairs out of canonical adjacency, and the full cascade.
 std::vector<CascadePlan> AllPlanShapes() {
@@ -93,8 +108,8 @@ TEST(FilterCascadeTest, AnswersMatchBruteForceForEveryPlanAndMode) {
             BruteForceMatches(candidates, query, epsilon, options);
         for (const CascadePlan& plan : AllPlanShapes()) {
           SearchResult result;
-          cascade.Run(query, epsilon, Pointers(candidates), plan, &result,
-                      /*trace=*/nullptr, /*scratch=*/nullptr);
+          RunPlan(cascade, query, epsilon, Pointers(candidates), plan,
+                  &result);
           ASSERT_EQ(result.matches, expected)
               << "plan=" << plan.ToString() << " band=" << band
               << " eps=" << epsilon;
@@ -104,7 +119,7 @@ TEST(FilterCascadeTest, AnswersMatchBruteForceForEveryPlanAndMode) {
   }
 }
 
-TEST(FilterCascadeTest, RunLbStagesPlusManualDtwEqualsRun) {
+TEST(FilterCascadeTest, RunLbStagesPlusManualDtwEqualsExactStage) {
   Prng prng(202);
   DtwOptions options = DtwOptions::Linf();
   options.band = 4;
@@ -116,8 +131,7 @@ TEST(FilterCascadeTest, RunLbStagesPlusManualDtwEqualsRun) {
   const CascadePlan plan = CascadePlan::Full();
 
   SearchResult full;
-  cascade.Run(query, epsilon, Pointers(candidates), plan, &full, nullptr,
-              nullptr);
+  RunPlan(cascade, query, epsilon, Pointers(candidates), plan, &full);
 
   SearchResult staged;
   std::vector<const Sequence*> survivors = Pointers(candidates);
@@ -133,6 +147,45 @@ TEST(FilterCascadeTest, RunLbStagesPlusManualDtwEqualsRun) {
   EXPECT_EQ(staged.cost.lb_evals, full.cost.lb_evals);
 }
 
+TEST(FilterCascadeTest, EachStageKeepsExactlyTheCandidatesWithinEpsilon) {
+  // The envelope stages stop early once a bound exceeds epsilon; the
+  // survivors must still be exactly the candidates whose full bound is
+  // <= epsilon, so pass rates do not depend on where a kernel stopped.
+  Prng prng(204);
+  for (DtwOptions options :
+       {DtwOptions::Linf(), DtwOptions::L1(), DtwOptions::L2()}) {
+    for (const int band : {-1, 2, 6}) {
+      options.band = band;
+      const FilterCascade cascade(options);
+      const std::vector<Sequence> candidates = MakeCandidates(&prng, 60);
+      const Sequence query = RandomWalkSequence(&prng, 5, 40, -1);
+      const BandEnvelope env =
+          ComputeBandEnvelope(query, EnvelopeRadiusFor(options));
+      for (const CascadeStage stage :
+           {CascadeStage::kLbKeogh, CascadeStage::kLbImproved}) {
+        for (const double epsilon : {0.2, 0.6, 1.5}) {
+          std::vector<const Sequence*> expected;
+          for (const Sequence& s : candidates) {
+            const double full = stage == CascadeStage::kLbKeogh
+                                    ? LbKeogh(s, query, env, options)
+                                    : LbImproved(s, query, env, options);
+            if (full <= epsilon) {
+              expected.push_back(&s);
+            }
+          }
+          std::vector<const Sequence*> survivors = Pointers(candidates);
+          SearchResult result;
+          cascade.RunLbStages(query, epsilon, &survivors,
+                              CascadePlan{{stage}}, &result, nullptr);
+          ASSERT_EQ(survivors, expected)
+              << CascadeStageName(stage) << " band=" << band
+              << " eps=" << epsilon;
+        }
+      }
+    }
+  }
+}
+
 TEST(FilterCascadeTest, RecordsPerStageCountersAndTimings) {
   Prng prng(203);
   DtwOptions options = DtwOptions::Linf();
@@ -143,8 +196,8 @@ TEST(FilterCascadeTest, RecordsPerStageCountersAndTimings) {
 
   SearchResult result;
   CascadeObservation obs;
-  cascade.Run(query, /*epsilon=*/0.5, Pointers(candidates),
-              CascadePlan::Full(), &result, nullptr, nullptr, &obs);
+  RunPlan(cascade, query, /*epsilon=*/0.5, Pointers(candidates),
+          CascadePlan::Full(), &result, &obs);
 
   // First stage sees the whole list; each later stage sees the previous
   // stage's survivors; dtw sees the last survivors.
@@ -196,16 +249,16 @@ TEST(FilterCascadeTest, TieAtEpsilonIsNeverPruned) {
     const FilterCascade cascade(options);
     for (const CascadePlan& plan : AllPlanShapes()) {
       SearchResult result;
-      cascade.Run(query, /*epsilon=*/c, Pointers(candidates), plan, &result,
-                  nullptr, nullptr);
+      RunPlan(cascade, query, /*epsilon=*/c, Pointers(candidates), plan,
+              &result);
       ASSERT_EQ(result.matches, std::vector<SequenceId>{7})
           << "tie dropped by plan=" << plan.ToString() << " band=" << band;
     }
     // Just below the tie the candidate must be rejected — by the exact
     // stage, not necessarily by any bound.
     SearchResult below;
-    cascade.Run(query, c - 1e-9, Pointers(candidates), CascadePlan::Full(),
-                &below, nullptr, nullptr);
+    RunPlan(cascade, query, c - 1e-9, Pointers(candidates),
+            CascadePlan::Full(), &below);
     EXPECT_TRUE(below.matches.empty());
   }
 }
@@ -214,8 +267,7 @@ TEST(FilterCascadeTest, EmptyCandidateListIsANoop) {
   const FilterCascade cascade(DtwOptions::Linf());
   const Sequence query(std::vector<double>{1.0, 2.0});
   SearchResult result;
-  cascade.Run(query, 1.0, {}, CascadePlan::Full(), &result, nullptr,
-              nullptr);
+  RunPlan(cascade, query, 1.0, {}, CascadePlan::Full(), &result);
   EXPECT_TRUE(result.matches.empty());
   EXPECT_EQ(result.cost.dtw_evals, 0u);
   EXPECT_EQ(result.cost.lb_evals, 0u);

@@ -445,5 +445,63 @@ TEST(IngestEngineTest, DeltaCandidatesRunAlgorithm1StagesAndReachCounters) {
   }
 }
 
+// Every exact DTW run of a k-NN query reaches
+// warpindex_query_dtw_evals_total, on a plain Engine and on an
+// IngestEngine whose buffered rows go through the k-NN refine loop; the
+// delta refine is work, not a query.
+TEST(IngestEngineTest, KnnDtwEvalsReachTheLiveCounter) {
+  const Dataset base = WalkDataset(47, 40);
+  const auto queries = GenerateQueryWorkload(
+      base, QueryWorkloadOptions{.num_queries = 2, .seed = 48});
+  constexpr size_t kK = 3;
+  {
+    MetricsRegistry registry;
+    EngineOptions options;
+    options.metrics = &registry;
+    const Engine engine(WalkDataset(47, 40), options);
+    for (const Sequence& q : queries) {
+      const MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+      const KnnResult r = engine.SearchKnn(q, kK);
+      const MetricsRegistry::Snapshot after = registry.TakeSnapshot();
+      ASSERT_GT(r.cost.dtw_evals, 0u);
+      EXPECT_EQ(CounterValue(after, "warpindex_query_dtw_evals_total") -
+                    CounterValue(before, "warpindex_query_dtw_evals_total"),
+                r.cost.dtw_evals);
+      EXPECT_EQ(CounterValue(after, "warpindex_queries_total") -
+                    CounterValue(before, "warpindex_queries_total"),
+                1u);
+    }
+  }
+  {
+    IngestOptions options = ManualCompaction(2);
+    MetricsRegistry registry;
+    options.engine.metrics = &registry;
+    IngestEngine ingest(WalkDataset(47, 40), options);
+    // Buffered copies of each query: the nearest neighbours are delta
+    // rows, so the delta refine runs DTW.
+    std::vector<SequenceId> buffered;
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      buffered.push_back(ingest.Insert(queries[qi]));
+      ingest.Insert(PerturbSequence(queries[qi], 200 + qi));
+    }
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+      const KnnResult r = ingest.SearchKnn(queries[qi], kK);
+      const MetricsRegistry::Snapshot after = registry.TakeSnapshot();
+      ASSERT_FALSE(r.neighbors.empty());
+      EXPECT_EQ(r.neighbors.front().id, buffered[qi]);
+      EXPECT_EQ(CounterValue(after, "warpindex_query_dtw_evals_total") -
+                    CounterValue(before, "warpindex_query_dtw_evals_total"),
+                r.cost.dtw_evals)
+          << "q=" << qi;
+      // One query per base partition searched; none for the delta.
+      EXPECT_EQ(CounterValue(after, "warpindex_queries_total") -
+                    CounterValue(before, "warpindex_queries_total"),
+                ingest.num_shards())
+          << "q=" << qi;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace warpindex

@@ -1,13 +1,18 @@
 // Envelope lower bounds (dtw/lb_keogh.h, dtw/lb_improved.h): envelope
 // construction against a brute-force reference, bound validity across
 // base distances / bands / length mismatches, the LB_Keogh <= LB_Improved
-// dominance, and the full-width degeneracy to the one-sided LB_Yi bound.
+// dominance, the full-width degeneracy to the one-sided LB_Yi bound, and
+// the kernels' exactness: bit-identical to a brute-force two-pass
+// reference without a threshold, and early abandoning that never changes
+// which side of the threshold a bound falls on.
 
 #include "dtw/lb_keogh.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/prng.h"
@@ -50,19 +55,44 @@ double WindowExtreme(const Sequence& s, size_t j, size_t r, bool want_max) {
 }
 
 TEST(BandEnvelopeTest, MatchesBruteForceWindows) {
+  // Exact equality: the streaming filter selects elements, it does no
+  // arithmetic. Radius 0, 1, a few interior widths, exactly m, beyond m
+  // and kFullWidthRadius (whose j + r would overflow unclamped).
   Prng prng(41);
   for (int trial = 0; trial < 50; ++trial) {
     const Sequence s = RandomSequence(&prng, 1, 40);
     for (const size_t r : {size_t{0}, size_t{1}, size_t{3}, size_t{7},
-                           s.size(), size_t{1000}}) {
+                           s.size(), s.size() + 1, size_t{1000},
+                           kFullWidthRadius}) {
       const BandEnvelope env = ComputeBandEnvelope(s, r);
       ASSERT_EQ(env.size(), s.size());
       ASSERT_EQ(env.radius, r);
+      const size_t clamped = std::min(r, s.size());
       for (size_t j = 0; j < s.size(); ++j) {
-        ASSERT_DOUBLE_EQ(env.lower[j], WindowExtreme(s, j, r, false))
+        ASSERT_EQ(env.lower[j], WindowExtreme(s, j, clamped, false))
             << "r=" << r << " j=" << j;
-        ASSERT_DOUBLE_EQ(env.upper[j], WindowExtreme(s, j, r, true))
+        ASSERT_EQ(env.upper[j], WindowExtreme(s, j, clamped, true))
             << "r=" << r << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(BandEnvelopeTest, MatchesBruteForceOnPlateausAndMonotoneRuns) {
+  // Ties and long monotone runs exercise the wedges' pop rules.
+  const std::vector<std::vector<double>> shapes = {
+      {2.0, 2.0, 2.0, 2.0, 2.0},
+      {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0},
+      {7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0},
+      {1.0, 3.0, 3.0, 1.0, 1.0, 3.0, 2.0, 2.0, 0.0},
+  };
+  for (const std::vector<double>& shape : shapes) {
+    const Sequence s(shape);
+    for (const size_t r : {size_t{0}, size_t{1}, size_t{2}, s.size()}) {
+      const BandEnvelope env = ComputeBandEnvelope(s, r);
+      for (size_t j = 0; j < s.size(); ++j) {
+        ASSERT_EQ(env.lower[j], WindowExtreme(s, j, r, false));
+        ASSERT_EQ(env.upper[j], WindowExtreme(s, j, r, true));
       }
     }
   }
@@ -259,6 +289,184 @@ TEST(OneSidedKeoghTest, ProjectionClampsIntoEnvelope) {
   EXPECT_DOUBLE_EQ(h[0], 0.0);   // clamped up to window min
   EXPECT_DOUBLE_EQ(h[1], 1.5);   // inside, unchanged
   EXPECT_DOUBLE_EQ(h[2], 3.0);   // clamped down to window max
+}
+
+// ---- Kernel exactness.
+
+// One-sided bound of x against y's windows, by brute force: position i
+// sees y[i - R, i + R] clipped to y (right-clipped to y's end beyond it),
+// the windows every DP alignment admits. Accumulated (pre-sqrt) in index
+// order, as the kernels accumulate; `h` (optional) gets x clamped into
+// each window.
+double BruteOneSided(const Sequence& x, const Sequence& y, size_t radius,
+                     const DtwOptions& options, std::vector<double>* h) {
+  const size_t m = y.size();
+  double acc = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const size_t from = i >= radius ? std::min(i - radius, m - 1) : 0;
+    const size_t to = std::min(m - 1, i + radius);
+    double lo = y[from];
+    double hi = y[from];
+    for (size_t k = from + 1; k <= to; ++k) {
+      lo = std::min(lo, y[k]);
+      hi = std::max(hi, y[k]);
+    }
+    const double v = x[i];
+    const double d = v < lo ? lo - v : (v > hi ? v - hi : 0.0);
+    if (h != nullptr) {
+      h->push_back(v < lo ? lo : (v > hi ? hi : v));
+    }
+    const double cost = options.step == StepCost::kSquared ? d * d : d;
+    acc = options.combiner == DtwCombiner::kSum ? acc + cost
+                                                : std::max(acc, cost);
+  }
+  return acc;
+}
+
+double ReferenceKeogh(const Sequence& s, const Sequence& q,
+                      const DtwOptions& options) {
+  const size_t radius =
+      EffectiveSakoeChibaRadius(options, s.size(), q.size());
+  const double acc = BruteOneSided(s, q, radius, options, nullptr);
+  return options.take_sqrt ? std::sqrt(acc) : acc;
+}
+
+// Lemire's two passes as originally composed: pass 1 records h, pass 2
+// bounds q against h's envelope, and the parts combine at the end.
+double ReferenceImproved(const Sequence& s, const Sequence& q,
+                         const DtwOptions& options) {
+  const size_t radius =
+      EffectiveSakoeChibaRadius(options, s.size(), q.size());
+  std::vector<double> h;
+  const double part1 = BruteOneSided(s, q, radius, options, &h);
+  const double part2 =
+      BruteOneSided(q, Sequence(std::move(h)), radius, options, nullptr);
+  const double acc = options.combiner == DtwCombiner::kSum
+                         ? part1 + part2
+                         : std::max(part1, part2);
+  return options.take_sqrt ? std::sqrt(acc) : acc;
+}
+
+// Pairs for the exactness sweeps: random walks of mismatched lengths, so
+// both the envelope's own windows, the widened-envelope rebuild (length
+// gap > band) and the beyond-the-end suffix windows run.
+struct KernelPair {
+  Sequence s;
+  Sequence q;
+};
+
+std::vector<KernelPair> KernelPairs(Prng* prng, size_t count) {
+  std::vector<KernelPair> pairs;
+  for (size_t i = 0; i < count; ++i) {
+    pairs.push_back({RandomWalkSequence(prng, 1, 40),
+                     RandomWalkSequence(prng, 1, 40)});
+  }
+  return pairs;
+}
+
+TEST(LbKernelExactnessTest, NoThresholdIsBitIdenticalToTheReference) {
+  Prng prng(51);
+  const std::vector<KernelPair> pairs = KernelPairs(&prng, 150);
+  size_t widened = 0;
+  for (const int band : {-1, 0, 1, 3, 10}) {
+    for (const DtwOptions& options : AllModes(band)) {
+      LbScratch scratch;  // reused across pairs of every length
+      for (const KernelPair& pair : pairs) {
+        const BandEnvelope q_env =
+            ComputeBandEnvelope(pair.q, EnvelopeRadiusFor(options));
+        widened += q_env.radius < EffectiveSakoeChibaRadius(
+                                      options, pair.s.size(), pair.q.size());
+        const double keogh = ReferenceKeogh(pair.s, pair.q, options);
+        const double improved = ReferenceImproved(pair.s, pair.q, options);
+        ASSERT_EQ(LbKeogh(pair.s, pair.q, q_env, options), keogh)
+            << "band=" << band << " |s|=" << pair.s.size()
+            << " |q|=" << pair.q.size();
+        ASSERT_EQ(LbKeogh(pair.s, pair.q, q_env, options, kInfiniteDistance,
+                          &scratch),
+                  keogh);
+        ASSERT_EQ(LbImproved(pair.s, pair.q, q_env, options), improved)
+            << "band=" << band << " |s|=" << pair.s.size()
+            << " |q|=" << pair.q.size();
+        ASSERT_EQ(LbImproved(pair.s, pair.q, q_env, options,
+                             kInfiniteDistance, &scratch),
+                  improved);
+      }
+    }
+  }
+  EXPECT_GT(widened, 100u);  // the rebuild path really ran
+}
+
+TEST(LbKernelExactnessTest, AbandonKeepsTheThresholdDecision) {
+  // For a finite threshold t the abandoning kernels must decide
+  // "bound > t" exactly as the full bound does, and never return more
+  // than the full bound. Thresholds: 0, the exact bound itself (a tie
+  // must not abandon), one ulp either side of it, and fractions of it.
+  Prng prng(52);
+  const std::vector<KernelPair> pairs = KernelPairs(&prng, 120);
+  size_t abandoned = 0;
+  for (const int band : {-1, 0, 2, 8}) {
+    for (const DtwOptions& options : AllModes(band)) {
+      LbScratch scratch;
+      for (const KernelPair& pair : pairs) {
+        const BandEnvelope q_env =
+            ComputeBandEnvelope(pair.q, EnvelopeRadiusFor(options));
+        const double full_keogh = LbKeogh(pair.s, pair.q, q_env, options);
+        const double full_improved =
+            LbImproved(pair.s, pair.q, q_env, options);
+        for (const double full : {full_keogh, full_improved}) {
+          const double thresholds[] = {
+              0.0,
+              full,
+              std::nextafter(full, 0.0),
+              std::nextafter(full, kInfiniteDistance),
+              0.25 * full,
+              0.75 * full,
+              prng.UniformDouble(0.0, 2.0 * full + 0.1)};
+          for (const double t : thresholds) {
+            const double keogh =
+                LbKeogh(pair.s, pair.q, q_env, options, t, &scratch);
+            ASSERT_EQ(keogh > t, full_keogh > t)
+                << "band=" << band << " t=" << t;
+            ASSERT_LE(keogh, full_keogh);
+            const double improved =
+                LbImproved(pair.s, pair.q, q_env, options, t, &scratch);
+            ASSERT_EQ(improved > t, full_improved > t)
+                << "band=" << band << " t=" << t;
+            ASSERT_LE(improved, full_improved);
+            abandoned += improved < full_improved;
+            // A threshold at or above the bound returns it unchanged.
+            if (t >= full_improved) {
+              ASSERT_EQ(improved, full_improved);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(abandoned, 100u);  // early exits really happened
+}
+
+TEST(LbKernelExactnessTest, AccumulatedThresholdMatchesTheSqrtDecision) {
+  // Under the L2 convention the kernels compare the pre-sqrt accumulator
+  // against a converted threshold; acc > T must hold iff sqrt(acc) > t.
+  const DtwOptions l2 = DtwOptions::L2();
+  Prng prng(53);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double t = trial % 2 == 0 ? prng.UniformDouble(0.0, 10.0)
+                                    : std::ldexp(prng.UniformDouble(1.0, 2.0),
+                                                 static_cast<int>(
+                                                     prng.UniformInt(-60, 60)));
+    const double limit = internal::AccumulatedThreshold(t, l2);
+    ASSERT_LE(std::sqrt(limit), t);
+    ASSERT_GT(std::sqrt(std::nextafter(limit, kInfiniteDistance)), t);
+  }
+  EXPECT_EQ(internal::AccumulatedThreshold(0.0, l2), 0.0);
+  EXPECT_EQ(internal::AccumulatedThreshold(kInfiniteDistance, l2),
+            kInfiniteDistance);
+  EXPECT_EQ(internal::AccumulatedThreshold(-1.0, l2), -1.0);
+  EXPECT_EQ(internal::AccumulatedThreshold(1e300, l2),
+            std::numeric_limits<double>::max());
+  EXPECT_EQ(internal::AccumulatedThreshold(2.5, DtwOptions::L1()), 2.5);
 }
 
 }  // namespace

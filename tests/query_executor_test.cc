@@ -191,6 +191,9 @@ TEST(QueryExecutorTest, SearchParallelRecordsEngineMetricsLikeSubmit) {
   MetricsRegistry registry;
   EngineOptions engine_options;
   engine_options.metrics = &registry;
+  // Every stage runs, dominated ones included, so each counter pair moves.
+  engine_options.cascade_planner.mode = PlanMode::kFixed;
+  engine_options.cascade_planner.fixed = CascadePlan::Full();
   const Engine engine(TestDataset(), engine_options);
   QueryExecutorOptions options;
   options.num_threads = 3;
