@@ -13,10 +13,10 @@
 namespace warpindex {
 namespace {
 
-std::vector<RTreeEntry> FeatureLikeEntries(size_t n, uint64_t seed) {
+EntryArray FeatureLikeEntries(size_t n, uint64_t seed) {
   Prng prng(seed);
-  std::vector<RTreeEntry> entries;
-  entries.reserve(n);
+  EntryArray entries(4);
+  entries.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const double base = prng.UniformDouble(1.0, 10.0);
     Point p;
@@ -25,8 +25,7 @@ std::vector<RTreeEntry> FeatureLikeEntries(size_t n, uint64_t seed) {
     p[1] = base + prng.UniformDouble(-1.0, 1.0);
     p[2] = base + prng.UniformDouble(0.5, 2.0);
     p[3] = base - prng.UniformDouble(0.5, 2.0);
-    entries.push_back(
-        RTreeEntry::Leaf(Rect::FromPoint(p), static_cast<int64_t>(i)));
+    entries.Push(Rect::FromPoint(p), static_cast<int64_t>(i));
   }
   return entries;
 }
@@ -36,8 +35,8 @@ void BM_RTreeInsert(benchmark::State& state) {
   const auto entries = FeatureLikeEntries(n, 3);
   for (auto _ : state) {
     RTree tree(4);
-    for (const auto& e : entries) {
-      tree.Insert(e.rect, e.record_id);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      tree.Insert(entries.rect(i), entries.ref(i));
     }
     benchmark::DoNotOptimize(tree.size());
   }
@@ -121,14 +120,14 @@ void BM_RTreeHealthStats(benchmark::State& state) {
   const char* label = "insert_quadratic";
   switch (config) {
     case 0:
-      for (const auto& e : entries) {
-        tree.Insert(e.rect, e.record_id);
+      for (size_t i = 0; i < entries.size(); ++i) {
+        tree.Insert(entries.rect(i), entries.ref(i));
       }
       break;
     case 1:
       tree = RTree(4, rstar);
-      for (const auto& e : entries) {
-        tree.Insert(e.rect, e.record_id);
+      for (size_t i = 0; i < entries.size(); ++i) {
+        tree.Insert(entries.rect(i), entries.ref(i));
       }
       label = "insert_rstar_reinsert";
       break;
@@ -140,10 +139,13 @@ void BM_RTreeHealthStats(benchmark::State& state) {
       RTreeOptions headroom = rstar;
       headroom.bulk_fill_fraction = 0.7;
       const size_t base = n - n / 10;
-      tree = BulkLoadStr(4, headroom,
-                         {entries.begin(), entries.begin() + base});
+      EntryArray packed(4);
+      for (size_t i = 0; i < base; ++i) {
+        packed.Push(entries.rect(i), entries.ref(i));
+      }
+      tree = BulkLoadStr(4, headroom, std::move(packed));
       for (size_t i = base; i < entries.size(); ++i) {
-        tree.Insert(entries[i].rect, entries[i].record_id);
+        tree.Insert(entries.rect(i), entries.ref(i));
       }
       label = "bulk_fill70_stream";
       break;
@@ -182,7 +184,7 @@ void BM_RTreeDelete(benchmark::State& state) {
     RTree tree = BulkLoadStr(4, RTreeOptions{}, entries);
     state.ResumeTiming();
     for (size_t i = 0; i < n / 2; ++i) {
-      tree.Delete(entries[i].rect, entries[i].record_id);
+      tree.Delete(entries.rect(i), entries.ref(i));
     }
     benchmark::DoNotOptimize(tree.size());
   }

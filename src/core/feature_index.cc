@@ -19,13 +19,13 @@ FeatureIndex::FeatureIndex(const Dataset& dataset,
         if (!options.bulk_load) {
           return RTree(kFeatureDims, options.rtree);
         }
-        std::vector<RTreeEntry> entries;
-        entries.reserve(dataset.size());
+        EntryArray leaves(kFeatureDims);
+        leaves.Reserve(dataset.size());
         for (const Sequence& s : dataset.sequences()) {
-          entries.push_back(RTreeEntry::Leaf(
-              Rect::FromPoint(FeatureToPoint(ExtractFeature(s))), s.id()));
+          leaves.Push(Rect::FromPoint(FeatureToPoint(ExtractFeature(s))),
+                      s.id());
         }
-        return BulkLoadStr(kFeatureDims, options.rtree, std::move(entries));
+        return BulkLoadStr(kFeatureDims, options.rtree, std::move(leaves));
       }()) {
   if (!options.bulk_load) {
     for (const Sequence& s : dataset.sequences()) {

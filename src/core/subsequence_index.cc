@@ -62,7 +62,9 @@ SubsequenceIndex::SubsequenceIndex(const Dataset* dataset,
   assert(options_.min_window <= options_.max_window);
   assert(options_.stride >= 1);
 
-  std::vector<RTreeEntry> entries;
+  // Bulk loading collects every window's entry first; insertion indexes
+  // each window as it is cut.
+  EntryArray leaves(kFeatureDims);
   for (const Sequence& s : dataset_->sequences()) {
     for (size_t w = options_.min_window; w <= options_.max_window; ++w) {
       SlideWindows(s, w, options_.stride,
@@ -71,18 +73,18 @@ SubsequenceIndex::SubsequenceIndex(const Dataset* dataset,
                          static_cast<int64_t>(windows_.size());
                      windows_.push_back({s.id(), static_cast<uint32_t>(offset),
                                          static_cast<uint32_t>(w)});
-                     entries.push_back(RTreeEntry::Leaf(
-                         Rect::FromPoint(FeatureIndex::FeatureToPoint(f)),
-                         record_id));
+                     const Rect rect =
+                         Rect::FromPoint(FeatureIndex::FeatureToPoint(f));
+                     if (options_.bulk_load) {
+                       leaves.Push(rect, record_id);
+                     } else {
+                       tree_.Insert(rect, record_id);
+                     }
                    });
     }
   }
   if (options_.bulk_load) {
-    tree_ = BulkLoadStr(kFeatureDims, options_.rtree, std::move(entries));
-  } else {
-    for (const RTreeEntry& e : entries) {
-      tree_.Insert(e.rect, e.record_id);
-    }
+    tree_ = BulkLoadStr(kFeatureDims, options_.rtree, std::move(leaves));
   }
 }
 

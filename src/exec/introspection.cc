@@ -33,6 +33,7 @@ std::string RTreeHealthJson(const RTreeHealth& h) {
   out += ",\"supernodes\":" + std::to_string(h.supernodes);
   out += ",\"pages\":" + std::to_string(h.pages);
   out += ",\"bytes\":" + std::to_string(h.bytes);
+  out += ",\"resident_bytes\":" + std::to_string(h.resident_bytes);
   out += ",\"node_capacity\":" + std::to_string(h.node_capacity);
   out += ",\"leaf_occupancy\":" + Num(h.leaf_occupancy);
   out += ",\"overlap_ratio\":" + Num(h.overlap_ratio);
@@ -130,14 +131,14 @@ std::string FeatureMbrJson(const ShardFeatureBounds& bounds) {
     if (d > 0) {
       out.push_back(',');
     }
-    out += Num(bounds.mbr.min[static_cast<size_t>(d)]);
+    out += Num(bounds.mbr.min(d));
   }
   out += "],\"max\":[";
   for (int d = 0; d < bounds.mbr.dims; ++d) {
     if (d > 0) {
       out.push_back(',');
     }
-    out += Num(bounds.mbr.max[static_cast<size_t>(d)]);
+    out += Num(bounds.mbr.max(d));
   }
   out += "]}";
   return out;
@@ -600,6 +601,44 @@ std::string StatuszJson(const IntrospectionOptions& options,
   return out;
 }
 
+// Index footprint gauges, refreshed from the R-tree health at scrape
+// time (summed over shards): the paged size the disk cost model charges,
+// and the bytes the node entry arrays hold in memory.
+void SetIndexGauges(const IntrospectionOptions& options,
+                    MetricsRegistry* registry) {
+  std::vector<RTreeHealth> trees;
+  if (options.engine != nullptr) {
+    trees.push_back(options.engine->TakeHealthSnapshot().index);
+  } else if (options.sharded != nullptr) {
+    for (const ShardedEngine::ShardStatus& shard :
+         options.sharded->TakeHealthSnapshot().shards) {
+      trees.push_back(shard.health.index);
+    }
+  } else if (options.ingest != nullptr) {
+    for (const IngestEngine::ShardStatus& shard :
+         options.ingest->TakeHealthSnapshot().shards) {
+      trees.push_back(shard.base_health.index);
+    }
+  }
+  if (trees.empty()) {
+    return;
+  }
+  int64_t page_bytes = 0;
+  int64_t resident_bytes = 0;
+  for (const RTreeHealth& tree : trees) {
+    page_bytes += static_cast<int64_t>(tree.bytes);
+    resident_bytes += static_cast<int64_t>(tree.resident_bytes);
+  }
+  registry
+      ->GetGauge("warpindex_index_page_bytes",
+                 "feature-index pages times the page size")
+      ->Set(page_bytes);
+  registry
+      ->GetGauge("warpindex_index_resident_bytes",
+                 "bytes the feature-index node entries hold in memory")
+      ->Set(resident_bytes);
+}
+
 void RegisterIntrospectionRoutes(IntrospectionServer* server,
                                  const IntrospectionOptions& options) {
   const auto started = std::chrono::steady_clock::now();
@@ -624,6 +663,9 @@ void RegisterIntrospectionRoutes(IntrospectionServer* server,
       return response;
     }
     MetricsRegistry* registry = RegistryOf(options);
+    if (registry != nullptr) {
+      SetIndexGauges(options, registry);
+    }
     const BuildInfo build = GetBuildInfo();
     const ProcessSelfMetrics process = CollectProcessSelfMetrics();
     response.body =

@@ -207,8 +207,8 @@ JsonValue RectToJson(const Rect& rect) {
   JsonValue mins = JsonValue::Array();
   JsonValue maxs = JsonValue::Array();
   for (int d = 0; d < rect.dims; ++d) {
-    mins.Add(JsonValue::Double(rect.min[static_cast<size_t>(d)]));
-    maxs.Add(JsonValue::Double(rect.max[static_cast<size_t>(d)]));
+    mins.Add(JsonValue::Double(rect.min(d)));
+    maxs.Add(JsonValue::Double(rect.max(d)));
   }
   json.Set("min", std::move(mins));
   json.Set("max", std::move(maxs));
@@ -233,9 +233,8 @@ Status JsonToRect(const JsonValue& json, Rect* out) {
   }
   *out = Rect();
   out->dims = static_cast<int>(lo.size());
-  for (size_t d = 0; d < lo.size(); ++d) {
-    out->min[d] = lo[d];
-    out->max[d] = hi[d];
+  for (int d = 0; d < out->dims; ++d) {
+    out->Set(d, lo[static_cast<size_t>(d)], hi[static_cast<size_t>(d)]);
   }
   return Status::Ok();
 }

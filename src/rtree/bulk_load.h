@@ -6,20 +6,25 @@
 // STR tiles the entries into near-full pages level by level, producing a
 // tree with ~100% fill factor and far better build time than one-by-one
 // insertion (quantified by bench/abl4_bulk_load).
+//
+// Each level sorts sub-ranges of one permutation of its entry array in
+// place (no per-slab copies) and copies every group straight into its
+// node, sized exactly. The build's transient is the input array plus 4
+// bytes per entry of permutation.
 
 #ifndef WARPINDEX_RTREE_BULK_LOAD_H_
 #define WARPINDEX_RTREE_BULK_LOAD_H_
-
-#include <vector>
 
 #include "rtree/rtree.h"
 
 namespace warpindex {
 
-// Builds an R-tree over the given leaf entries with STR packing. The
-// resulting tree supports all regular operations (insert/delete/search).
+// Builds an R-tree over the given leaf entries (refs are record ids) with
+// STR packing. Requires leaf_entries.dims() == dims unless it is empty.
+// The resulting tree supports all regular operations
+// (insert/delete/search).
 RTree BulkLoadStr(int dims, const RTreeOptions& options,
-                  std::vector<RTreeEntry> leaf_entries);
+                  EntryArray leaf_entries);
 
 }  // namespace warpindex
 

@@ -36,12 +36,146 @@ std::string Point::ToString() const {
   return os.str();
 }
 
+Rect RectView::ToRect() const {
+  assert(dims_ >= 0 && dims_ <= kMaxRTreeDims);
+  Rect r;
+  r.dims = dims_;
+  std::copy(bounds_, bounds_ + 2 * dims_, r.bounds.begin());
+  return r;
+}
+
+bool RectView::IsValid() const {
+  if (dims_ <= 0 || dims_ > kMaxRTreeDims) {
+    return false;
+  }
+  for (int d = 0; d < dims_; ++d) {
+    if (min(d) > max(d)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+double RectView::Area() const {
+  double area = 1.0;
+  for (int d = 0; d < dims_; ++d) {
+    area *= max(d) - min(d);
+  }
+  return area;
+}
+
+double RectView::Margin() const {
+  double margin = 0.0;
+  for (int d = 0; d < dims_; ++d) {
+    margin += max(d) - min(d);
+  }
+  return margin;
+}
+
+bool RectView::Intersects(RectView other) const {
+  assert(dims_ == other.dims_);
+  for (int d = 0; d < dims_; ++d) {
+    if (min(d) > other.max(d) || max(d) < other.min(d)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool RectView::Contains(RectView other) const {
+  assert(dims_ == other.dims_);
+  for (int d = 0; d < dims_; ++d) {
+    if (other.min(d) < min(d) || other.max(d) > max(d)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool RectView::ContainsPoint(const Point& p) const {
+  assert(dims_ == p.dims);
+  for (int d = 0; d < dims_; ++d) {
+    if (p[d] < min(d) || p[d] > max(d)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+double RectView::UnionArea(RectView other) const {
+  assert(dims_ == other.dims_);
+  double area = 1.0;
+  for (int d = 0; d < dims_; ++d) {
+    area *= std::max(max(d), other.max(d)) - std::min(min(d), other.min(d));
+  }
+  return area;
+}
+
+double RectView::OverlapArea(RectView other) const {
+  assert(dims_ == other.dims_);
+  double area = 1.0;
+  for (int d = 0; d < dims_; ++d) {
+    const double side =
+        std::min(max(d), other.max(d)) - std::max(min(d), other.min(d));
+    if (side <= 0.0) {
+      return 0.0;
+    }
+    area *= side;
+  }
+  return area;
+}
+
+double RectView::MinDistSquared(const Point& p) const {
+  assert(dims_ == p.dims);
+  double total = 0.0;
+  for (int d = 0; d < dims_; ++d) {
+    double delta = 0.0;
+    if (p[d] < min(d)) {
+      delta = min(d) - p[d];
+    } else if (p[d] > max(d)) {
+      delta = p[d] - max(d);
+    }
+    total += delta * delta;
+  }
+  return total;
+}
+
+double RectView::MinDistLinf(const Point& p) const {
+  assert(dims_ == p.dims);
+  double worst = 0.0;
+  for (int d = 0; d < dims_; ++d) {
+    double delta = 0.0;
+    if (p[d] < min(d)) {
+      delta = min(d) - p[d];
+    } else if (p[d] > max(d)) {
+      delta = p[d] - max(d);
+    }
+    worst = std::max(worst, delta);
+  }
+  return worst;
+}
+
+std::string RectView::ToString() const {
+  std::ostringstream os;
+  os << "[";
+  for (int d = 0; d < dims_; ++d) {
+    if (d > 0) os << " x ";
+    os << "(" << min(d) << ", " << max(d) << ")";
+  }
+  os << "]";
+  return os.str();
+}
+
+bool operator==(RectView a, RectView b) {
+  return a.dims_ == b.dims_ &&
+         std::equal(a.bounds_, a.bounds_ + 2 * a.dims_, b.bounds_);
+}
+
 Rect Rect::FromPoint(const Point& p) {
   Rect r;
   r.dims = p.dims;
   for (int d = 0; d < p.dims; ++d) {
-    r.min[static_cast<size_t>(d)] = p[d];
-    r.max[static_cast<size_t>(d)] = p[d];
+    r.Set(d, p[d], p[d]);
   }
   return r;
 }
@@ -51,8 +185,7 @@ Rect Rect::SquareAround(const Point& center, double radius) {
   Rect r;
   r.dims = center.dims;
   for (int d = 0; d < center.dims; ++d) {
-    r.min[static_cast<size_t>(d)] = center[d] - radius;
-    r.max[static_cast<size_t>(d)] = center[d] + radius;
+    r.Set(d, center[d] - radius, center[d] + radius);
   }
   return r;
 }
@@ -63,164 +196,25 @@ Rect Rect::Make(std::initializer_list<double> mins,
   assert(mins.size() <= kMaxRTreeDims);
   Rect r;
   r.dims = static_cast<int>(mins.size());
-  int i = 0;
-  for (double v : mins) {
-    r.min[static_cast<size_t>(i++)] = v;
-  }
-  i = 0;
-  for (double v : maxs) {
-    r.max[static_cast<size_t>(i++)] = v;
+  const double* lo = mins.begin();
+  const double* hi = maxs.begin();
+  for (int d = 0; d < r.dims; ++d) {
+    r.Set(d, lo[d], hi[d]);
   }
   return r;
 }
 
-bool Rect::IsValid() const {
-  if (dims <= 0 || dims > kMaxRTreeDims) {
-    return false;
-  }
+void Rect::Expand(RectView other) {
+  assert(dims == other.dims());
   for (int d = 0; d < dims; ++d) {
-    if (min[static_cast<size_t>(d)] > max[static_cast<size_t>(d)]) {
-      return false;
-    }
+    Set(d, std::min(min(d), other.min(d)), std::max(max(d), other.max(d)));
   }
-  return true;
 }
 
-double Rect::Area() const {
-  double area = 1.0;
-  for (int d = 0; d < dims; ++d) {
-    area *= max[static_cast<size_t>(d)] - min[static_cast<size_t>(d)];
-  }
-  return area;
-}
-
-double Rect::Margin() const {
-  double margin = 0.0;
-  for (int d = 0; d < dims; ++d) {
-    margin += max[static_cast<size_t>(d)] - min[static_cast<size_t>(d)];
-  }
-  return margin;
-}
-
-bool Rect::Intersects(const Rect& other) const {
-  assert(dims == other.dims);
-  for (int d = 0; d < dims; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    if (min[k] > other.max[k] || max[k] < other.min[k]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Rect::Contains(const Rect& other) const {
-  assert(dims == other.dims);
-  for (int d = 0; d < dims; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    if (other.min[k] < min[k] || other.max[k] > max[k]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Rect::ContainsPoint(const Point& p) const {
-  assert(dims == p.dims);
-  for (int d = 0; d < dims; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    if (p.coords[k] < min[k] || p.coords[k] > max[k]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Rect Rect::UnionWith(const Rect& other) const {
-  assert(dims == other.dims);
-  Rect r;
-  r.dims = dims;
-  for (int d = 0; d < dims; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    r.min[k] = std::min(min[k], other.min[k]);
-    r.max[k] = std::max(max[k], other.max[k]);
-  }
+Rect Rect::UnionWith(RectView other) const {
+  Rect r = *this;
+  r.Expand(other);
   return r;
-}
-
-double Rect::Enlargement(const Rect& other) const {
-  return UnionWith(other).Area() - Area();
-}
-
-double Rect::OverlapArea(const Rect& other) const {
-  assert(dims == other.dims);
-  double area = 1.0;
-  for (int d = 0; d < dims; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    const double side =
-        std::min(max[k], other.max[k]) - std::max(min[k], other.min[k]);
-    if (side <= 0.0) {
-      return 0.0;
-    }
-    area *= side;
-  }
-  return area;
-}
-
-double Rect::MinDistSquared(const Point& p) const {
-  assert(dims == p.dims);
-  double total = 0.0;
-  for (int d = 0; d < dims; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    double delta = 0.0;
-    if (p.coords[k] < min[k]) {
-      delta = min[k] - p.coords[k];
-    } else if (p.coords[k] > max[k]) {
-      delta = p.coords[k] - max[k];
-    }
-    total += delta * delta;
-  }
-  return total;
-}
-
-double Rect::MinDistLinf(const Point& p) const {
-  assert(dims == p.dims);
-  double worst = 0.0;
-  for (int d = 0; d < dims; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    double delta = 0.0;
-    if (p.coords[k] < min[k]) {
-      delta = min[k] - p.coords[k];
-    } else if (p.coords[k] > max[k]) {
-      delta = p.coords[k] - max[k];
-    }
-    worst = std::max(worst, delta);
-  }
-  return worst;
-}
-
-std::string Rect::ToString() const {
-  std::ostringstream os;
-  os << "[";
-  for (int d = 0; d < dims; ++d) {
-    if (d > 0) os << " x ";
-    os << "(" << min[static_cast<size_t>(d)] << ", "
-       << max[static_cast<size_t>(d)] << ")";
-  }
-  os << "]";
-  return os.str();
-}
-
-bool operator==(const Rect& a, const Rect& b) {
-  if (a.dims != b.dims) {
-    return false;
-  }
-  for (int d = 0; d < a.dims; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    if (a.min[k] != b.min[k] || a.max[k] != b.max[k]) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace warpindex

@@ -30,13 +30,13 @@ NodeId RTree::AllocateNode(int level) {
     n->parent = kInvalidNodeId;
     n->level = level;
     n->supernode = false;
-    n->entries.clear();
     return id;
   }
   const NodeId id = static_cast<NodeId>(nodes_.size());
   auto n = std::make_unique<RTreeNode>();
   n->id = id;
   n->level = level;
+  n->entries = EntryArray(dims_);
   nodes_.push_back(std::move(n));
   return id;
 }
@@ -44,7 +44,7 @@ NodeId RTree::AllocateNode(int level) {
 void RTree::FreeNode(NodeId id) {
   assert(live_nodes_ > 0);
   --live_nodes_;
-  node(id)->entries.clear();
+  node(id)->entries = EntryArray(dims_);  // releases the memory
   node(id)->parent = kInvalidNodeId;
   free_list_.push_back(id);
 }
@@ -70,8 +70,8 @@ size_t RTree::TotalPages() const {
     pages += PagesOfNode(id);
     const RTreeNode* n = node(id);
     if (!n->IsLeaf()) {
-      for (const RTreeEntry& e : n->entries) {
-        stack.push_back(e.child);
+      for (size_t i = 0; i < n->entries.size(); ++i) {
+        stack.push_back(n->entries.child(i));
       }
     }
   }
@@ -89,15 +89,15 @@ size_t RTree::supernode_count() const {
       ++count;
     }
     if (!n->IsLeaf()) {
-      for (const RTreeEntry& e : n->entries) {
-        stack.push_back(e.child);
+      for (size_t i = 0; i < n->entries.size(); ++i) {
+        stack.push_back(n->entries.child(i));
       }
     }
   }
   return count;
 }
 
-NodeId RTree::ChooseSubtree(const RTreeNode& n, const Rect& rect) const {
+NodeId RTree::ChooseSubtree(const RTreeNode& n, RectView rect) const {
   assert(!n.IsLeaf() && !n.entries.empty());
   // R*-style: at the level just above the leaves, minimize overlap
   // enlargement; elsewhere minimize area enlargement (ties by area).
@@ -108,17 +108,17 @@ NodeId RTree::ChooseSubtree(const RTreeNode& n, const Rect& rect) const {
   double best_secondary = std::numeric_limits<double>::infinity();
   double best_tertiary = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < n.entries.size(); ++i) {
-    const Rect& r = n.entries[i].rect;
+    const RectView r = n.entries.rect(i);
     double primary;
     double secondary;
     double tertiary;
     if (use_overlap) {
-      const Rect enlarged = r.UnionWith(rect);
+      const Rect enlarged = r.ToRect().UnionWith(rect);
       double overlap_delta = 0.0;
       for (size_t j = 0; j < n.entries.size(); ++j) {
         if (j == i) continue;
-        overlap_delta += enlarged.OverlapArea(n.entries[j].rect) -
-                         r.OverlapArea(n.entries[j].rect);
+        overlap_delta += enlarged.OverlapArea(n.entries.rect(j)) -
+                         r.OverlapArea(n.entries.rect(j));
       }
       primary = overlap_delta;
       secondary = r.Enlargement(rect);
@@ -138,31 +138,40 @@ NodeId RTree::ChooseSubtree(const RTreeNode& n, const Rect& rect) const {
       best = i;
     }
   }
-  return n.entries[best].child;
+  return n.entries.child(best);
 }
 
-void RTree::Insert(const Rect& rect, int64_t record_id) {
-  assert(rect.dims == dims_ && rect.IsValid());
+size_t RTree::ChildSlot(const RTreeNode& parent, NodeId child) {
+  size_t slot = 0;
+  while (slot + 1 < parent.entries.size() &&
+         parent.entries.child(slot) != child) {
+    ++slot;
+  }
+  assert(parent.entries.child(slot) == child);
+  return slot;
+}
+
+void RTree::Insert(RectView rect, int64_t record_id) {
+  assert(rect.dims() == dims_ && rect.IsValid());
   std::vector<bool> reinserted_levels(
       static_cast<size_t>(node(root_)->level) + 2, false);
-  InsertAtLevel(RTreeEntry::Leaf(rect, record_id), /*level=*/0,
-                &reinserted_levels);
+  InsertAtLevel(rect, record_id, /*level=*/0, &reinserted_levels);
   ++size_;
 }
 
-void RTree::InsertAtLevel(RTreeEntry entry, int level,
+void RTree::InsertAtLevel(RectView rect, int64_t ref, int level,
                           std::vector<bool>* reinserted_levels) {
   // Descend to the target level.
   NodeId current = root_;
   while (node(current)->level > level) {
-    current = ChooseSubtree(*node(current), entry.rect);
+    current = ChooseSubtree(*node(current), rect);
   }
   RTreeNode* n = node(current);
   assert(n->level == level);
-  if (entry.child != kInvalidNodeId) {
-    node(entry.child)->parent = current;
+  if (level > 0) {
+    node(static_cast<NodeId>(ref))->parent = current;
   }
-  n->entries.push_back(entry);
+  n->entries.Push(rect, ref);
   if (n->entries.size() > capacity_) {
     HandleOverflow(current, reinserted_levels);
   } else {
@@ -200,7 +209,7 @@ void RTree::HandleOverflow(NodeId node_id,
   for (size_t i = 0; i < n->entries.size(); ++i) {
     double d2 = 0.0;
     for (int d = 0; d < dims_; ++d) {
-      const double delta = n->entries[i].rect.Center(d) - mbr.Center(d);
+      const double delta = n->entries.rect(i).Center(d) - mbr.Center(d);
       d2 += delta * delta;
     }
     scored[i] = {d2, i};
@@ -212,25 +221,22 @@ void RTree::HandleOverflow(NodeId node_id,
                              options_.reinsert_fraction));
   evict = std::min(evict, n->entries.size() - min_fill_);
 
-  std::vector<RTreeEntry> evicted;
   std::vector<bool> remove(n->entries.size(), false);
   for (size_t i = 0; i < evict; ++i) {
     remove[scored[i].index] = true;
   }
-  std::vector<RTreeEntry> kept;
-  kept.reserve(n->entries.size() - evict);
+  EntryArray evicted(dims_);
+  evicted.Reserve(evict);
+  EntryArray kept(dims_);
+  kept.Reserve(n->entries.size() - evict);
   for (size_t i = 0; i < n->entries.size(); ++i) {
-    if (remove[i]) {
-      evicted.push_back(n->entries[i]);
-    } else {
-      kept.push_back(n->entries[i]);
-    }
+    (remove[i] ? evicted : kept).Push(n->entries.rect(i), n->entries.ref(i));
   }
   n->entries = std::move(kept);
   const int level = n->level;
   AdjustUpward(node_id);
-  for (RTreeEntry& e : evicted) {
-    InsertAtLevel(e, level, reinserted_levels);
+  for (size_t i = 0; i < evicted.size(); ++i) {
+    InsertAtLevel(evicted.rect(i), evicted.ref(i), level, reinserted_levels);
   }
 }
 
@@ -244,12 +250,10 @@ void RTree::SplitNode(NodeId node_id, std::vector<bool>* reinserted_levels) {
     // X-tree overflow treatment: if the best split yields directory MBRs
     // overlapping more than the threshold fraction of their union, keep
     // the node as a multi-page supernode instead.
-    Rect mbr_a = group_a[0].rect;
-    for (const RTreeEntry& e : group_a) mbr_a = mbr_a.UnionWith(e.rect);
-    Rect mbr_b = group_b[0].rect;
-    for (const RTreeEntry& e : group_b) mbr_b = mbr_b.UnionWith(e.rect);
+    const Rect mbr_a = group_a.Mbr();
+    const Rect mbr_b = group_b.Mbr();
     const double overlap = mbr_a.OverlapArea(mbr_b);
-    const double union_area = mbr_a.UnionWith(mbr_b).Area();
+    const double union_area = mbr_a.view().UnionArea(mbr_b);
     if (union_area > 0.0 &&
         overlap / union_area > options_.supernode_overlap_threshold) {
       n->supernode = true;
@@ -265,11 +269,11 @@ void RTree::SplitNode(NodeId node_id, std::vector<bool>* reinserted_levels) {
   RTreeNode* sibling = node(sibling_id);
   sibling->entries = std::move(group_b);
   if (level > 0) {
-    for (const RTreeEntry& e : sibling->entries) {
-      node(e.child)->parent = sibling_id;
+    for (size_t i = 0; i < sibling->entries.size(); ++i) {
+      node(sibling->entries.child(i))->parent = sibling_id;
     }
-    for (const RTreeEntry& e : n->entries) {
-      node(e.child)->parent = node_id;
+    for (size_t i = 0; i < n->entries.size(); ++i) {
+      node(n->entries.child(i))->parent = node_id;
     }
   }
 
@@ -278,10 +282,8 @@ void RTree::SplitNode(NodeId node_id, std::vector<bool>* reinserted_levels) {
     n = node(node_id);
     sibling = node(sibling_id);
     RTreeNode* root_node = node(new_root);
-    root_node->entries.push_back(
-        RTreeEntry::Internal(n->ComputeMbr(), node_id));
-    root_node->entries.push_back(
-        RTreeEntry::Internal(sibling->ComputeMbr(), sibling_id));
+    root_node->entries.Push(n->ComputeMbr(), node_id);
+    root_node->entries.Push(sibling->ComputeMbr(), sibling_id);
     n->parent = new_root;
     sibling->parent = new_root;
     root_ = new_root;
@@ -293,14 +295,8 @@ void RTree::SplitNode(NodeId node_id, std::vector<bool>* reinserted_levels) {
   sibling->parent = parent_id;
   RTreeNode* parent = node(parent_id);
   // Refresh this node's MBR in the parent and add the sibling.
-  for (RTreeEntry& e : parent->entries) {
-    if (e.child == node_id) {
-      e.rect = n->ComputeMbr();
-      break;
-    }
-  }
-  parent->entries.push_back(
-      RTreeEntry::Internal(sibling->ComputeMbr(), sibling_id));
+  parent->entries.SetRect(ChildSlot(*parent, node_id), n->ComputeMbr());
+  parent->entries.Push(sibling->ComputeMbr(), sibling_id);
   if (parent->entries.size() > capacity_) {
     HandleOverflow(parent_id, reinserted_levels);
   } else {
@@ -314,27 +310,21 @@ void RTree::AdjustUpward(NodeId node_id) {
     const RTreeNode* n = node(current);
     const NodeId parent_id = n->parent;
     RTreeNode* parent = node(parent_id);
-    const Rect mbr = n->ComputeMbr();
-    for (RTreeEntry& e : parent->entries) {
-      if (e.child == current) {
-        e.rect = mbr;
-        break;
-      }
-    }
+    parent->entries.SetRect(ChildSlot(*parent, current), n->ComputeMbr());
     current = parent_id;
   }
 }
 
-bool RTree::Delete(const Rect& rect, int64_t record_id) {
-  const NodeId leaf_id = FindLeaf(root_, rect, record_id);
+bool RTree::Delete(RectView rect, int64_t record_id) {
+  const NodeId leaf_id = FindLeaf(rect, record_id);
   if (leaf_id == kInvalidNodeId) {
     return false;
   }
   RTreeNode* leaf = node(leaf_id);
   for (size_t i = 0; i < leaf->entries.size(); ++i) {
-    if (leaf->entries[i].record_id == record_id &&
-        leaf->entries[i].rect == rect) {
-      leaf->entries.erase(leaf->entries.begin() + static_cast<ptrdiff_t>(i));
+    if (leaf->entries.ref(i) == record_id &&
+        leaf->entries.rect(i) == rect) {
+      leaf->entries.Erase(i);
       break;
     }
   }
@@ -343,22 +333,24 @@ bool RTree::Delete(const Rect& rect, int64_t record_id) {
   return true;
 }
 
-NodeId RTree::FindLeaf(NodeId subtree, const Rect& rect,
-                       int64_t record_id) const {
-  const RTreeNode* n = node(subtree);
-  if (n->IsLeaf()) {
-    for (const RTreeEntry& e : n->entries) {
-      if (e.record_id == record_id && e.rect == rect) {
-        return subtree;
+NodeId RTree::FindLeaf(RectView rect, int64_t record_id) const {
+  // Depth-first in entry order: children are pushed last-to-first.
+  std::vector<NodeId> stack = {root_};
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    const EntryArray& entries = node(id)->entries;
+    if (node(id)->IsLeaf()) {
+      for (size_t i = 0; i < entries.size(); ++i) {
+        if (entries.ref(i) == record_id && entries.rect(i) == rect) {
+          return id;
+        }
       }
+      continue;
     }
-    return kInvalidNodeId;
-  }
-  for (const RTreeEntry& e : n->entries) {
-    if (e.rect.Contains(rect)) {
-      const NodeId found = FindLeaf(e.child, rect, record_id);
-      if (found != kInvalidNodeId) {
-        return found;
+    for (size_t i = entries.size(); i-- > 0;) {
+      if (entries.rect(i).Contains(rect)) {
+        stack.push_back(entries.child(i));
       }
     }
   }
@@ -368,39 +360,25 @@ NodeId RTree::FindLeaf(NodeId subtree, const Rect& rect,
 void RTree::CondenseTree(NodeId leaf_id) {
   // Walk up removing underfull nodes; their entries are reinserted at
   // their original level afterwards (Guttman's CondenseTree).
-  struct Orphan {
-    RTreeEntry entry;
-    int level = 0;
-  };
-  std::vector<Orphan> orphans;
+  EntryArray orphans(dims_);
+  std::vector<int> orphan_levels;
   NodeId current = leaf_id;
   while (current != root_) {
     RTreeNode* n = node(current);
     const NodeId parent_id = n->parent;
     RTreeNode* parent = node(parent_id);
     if (n->entries.size() < min_fill_) {
-      for (const RTreeEntry& e : n->entries) {
-        orphans.push_back({e, n->level});
+      for (size_t i = 0; i < n->entries.size(); ++i) {
+        orphans.Push(n->entries.rect(i), n->entries.ref(i));
+        orphan_levels.push_back(n->level);
       }
-      for (size_t i = 0; i < parent->entries.size(); ++i) {
-        if (parent->entries[i].child == current) {
-          parent->entries.erase(parent->entries.begin() +
-                                static_cast<ptrdiff_t>(i));
-          break;
-        }
-      }
+      parent->entries.Erase(ChildSlot(*parent, current));
       FreeNode(current);
     } else {
       if (n->supernode && n->entries.size() <= capacity_) {
         n->supernode = false;
       }
-      const Rect mbr = n->ComputeMbr();
-      for (RTreeEntry& e : parent->entries) {
-        if (e.child == current) {
-          e.rect = mbr;
-          break;
-        }
-      }
+      parent->entries.SetRect(ChildSlot(*parent, current), n->ComputeMbr());
     }
     current = parent_id;
   }
@@ -408,15 +386,16 @@ void RTree::CondenseTree(NodeId leaf_id) {
   // Shrink the root: an internal root with one child is replaced by it.
   while (!node(root_)->IsLeaf() && node(root_)->entries.size() == 1) {
     const NodeId old_root = root_;
-    root_ = node(root_)->entries[0].child;
+    root_ = node(root_)->entries.child(0);
     node(root_)->parent = kInvalidNodeId;
     FreeNode(old_root);
   }
 
-  for (const Orphan& o : orphans) {
+  for (size_t i = 0; i < orphans.size(); ++i) {
     std::vector<bool> reinserted_levels(
         static_cast<size_t>(node(root_)->level) + 2, true);
-    InsertAtLevel(o.entry, o.level, &reinserted_levels);
+    InsertAtLevel(orphans.rect(i), orphans.ref(i), orphan_levels[i],
+                  &reinserted_levels);
   }
 }
 
@@ -439,14 +418,15 @@ std::vector<int64_t> RTree::RangeSearch(const Rect& query,
       }
     }
     const RTreeNode* n = node(id);
-    for (const RTreeEntry& e : n->entries) {
-      if (!query.Intersects(e.rect)) {
+    const EntryArray& entries = n->entries;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (!query.Intersects(entries.rect(i))) {
         continue;
       }
       if (n->IsLeaf()) {
-        results.push_back(e.record_id);
+        results.push_back(entries.ref(i));
       } else {
-        stack.push_back(e.child);
+        stack.push_back(entries.child(i));
       }
     }
   }
@@ -486,12 +466,12 @@ std::vector<RTree::Neighbor> RTree::NearestNeighbors(
       stats->nodes_accessed += PagesOfNode(item.node_id);
     }
     const RTreeNode* n = node(item.node_id);
-    for (const RTreeEntry& e : n->entries) {
-      const double d2 = e.rect.MinDistSquared(p);
+    for (size_t i = 0; i < n->entries.size(); ++i) {
+      const double d2 = n->entries.rect(i).MinDistSquared(p);
       if (n->IsLeaf()) {
-        queue.push({d2, kInvalidNodeId, e.record_id});
+        queue.push({d2, kInvalidNodeId, n->entries.ref(i)});
       } else {
-        queue.push({d2, e.child, -1});
+        queue.push({d2, n->entries.child(i), -1});
       }
     }
   }
@@ -518,20 +498,20 @@ bool RTree::LinfNearestIterator::Next(Neighbor* out) {
       stats_->nodes_accessed += tree_->PagesOfNode(item.node_id);
     }
     const RTreeNode* n = tree_->node(item.node_id);
-    for (const RTreeEntry& e : n->entries) {
-      const double d = e.rect.MinDistLinf(point_);
+    for (size_t i = 0; i < n->entries.size(); ++i) {
+      const double d = n->entries.rect(i).MinDistLinf(point_);
       if (n->IsLeaf()) {
-        queue_.push({d, kInvalidNodeId, e.record_id});
+        queue_.push({d, kInvalidNodeId, n->entries.ref(i)});
       } else {
-        queue_.push({d, e.child, -1});
+        queue_.push({d, n->entries.child(i), -1});
       }
     }
   }
   return false;
 }
 
-Status RTree::CheckSubtree(NodeId node_id, int expected_level, bool is_root,
-                           size_t* records_seen) const {
+Status RTree::CheckNode(NodeId node_id, int expected_level,
+                        bool is_root) const {
   const RTreeNode* n = node(node_id);
   std::ostringstream err;
   if (n->level != expected_level) {
@@ -555,33 +535,61 @@ Status RTree::CheckSubtree(NodeId node_id, int expected_level, bool is_root,
     return Status::Internal("internal root with fewer than 2 children");
   }
   if (n->IsLeaf()) {
-    *records_seen += n->entries.size();
     return Status::Ok();
   }
-  for (const RTreeEntry& e : n->entries) {
-    const RTreeNode* child = node(e.child);
+  for (size_t i = 0; i < n->entries.size(); ++i) {
+    const NodeId child_id = n->entries.child(i);
+    const RTreeNode* child = node(child_id);
     if (child->parent != node_id) {
-      err << "child " << e.child << " has stale parent pointer";
+      err << "child " << child_id << " has stale parent pointer";
+      return Status::Internal(err.str());
+    }
+    if (child->entries.empty()) {
+      err << "child " << child_id << " is empty";
       return Status::Internal(err.str());
     }
     const Rect child_mbr = child->ComputeMbr();
-    if (!(e.rect == child_mbr)) {
-      err << "entry MBR for child " << e.child << " is " << e.rect.ToString()
-          << " but child MBR is " << child_mbr.ToString();
+    if (!(n->entries.rect(i) == child_mbr.view())) {
+      err << "entry MBR for child " << child_id << " is "
+          << n->entries.rect(i).ToString() << " but child MBR is "
+          << child_mbr.ToString();
       return Status::Internal(err.str());
     }
-    WARPINDEX_RETURN_IF_ERROR(
-        CheckSubtree(e.child, expected_level - 1, false, records_seen));
   }
   return Status::Ok();
 }
 
 Status RTree::CheckInvariants() const {
+  struct Pending {
+    NodeId id;
+    int level;
+  };
+  std::vector<Pending> pending = {{root_, node(root_)->level}};
+  size_t nodes_seen = 0;
   size_t records_seen = 0;
-  WARPINDEX_RETURN_IF_ERROR(
-      CheckSubtree(root_, node(root_)->level, true, &records_seen));
+  std::ostringstream err;
+  while (!pending.empty()) {
+    const Pending p = pending.back();
+    pending.pop_back();
+    if (++nodes_seen > live_nodes_) {
+      return Status::Internal("a node is reachable twice");
+    }
+    WARPINDEX_RETURN_IF_ERROR(CheckNode(p.id, p.level, p.id == root_));
+    const RTreeNode* n = node(p.id);
+    if (n->IsLeaf()) {
+      records_seen += n->entries.size();
+      continue;
+    }
+    for (size_t i = 0; i < n->entries.size(); ++i) {
+      pending.push_back({n->entries.child(i), p.level - 1});
+    }
+  }
+  if (nodes_seen != live_nodes_) {
+    err << "only " << nodes_seen << " of " << live_nodes_
+        << " live nodes are reachable from the root";
+    return Status::Internal(err.str());
+  }
   if (records_seen != size_) {
-    std::ostringstream err;
     err << "record count mismatch: tree holds " << records_seen
         << ", size() reports " << size_;
     return Status::Internal(err.str());
@@ -625,14 +633,15 @@ RTreeHealth RTree::HealthStats() const {
         health.levels[static_cast<size_t>(n->level)];
     ++level.nodes;
     level.entries += n->entries.size();
+    health.resident_bytes += n->entries.ResidentBytes();
     const double occupancy =
         static_cast<double>(n->entries.size()) /
         static_cast<double>(capacity_ * PagesOfNode(id));
     level.min_occupancy = std::min(level.min_occupancy, occupancy);
 
     if (!n->IsLeaf()) {
-      for (const RTreeEntry& e : n->entries) {
-        pending.push_back(e.child);
+      for (size_t i = 0; i < n->entries.size(); ++i) {
+        pending.push_back(n->entries.child(i));
       }
       // Directory quality: how much of this node's claimed volume its
       // children re-claim from each other (overlap) or never cover at
@@ -646,10 +655,10 @@ RTreeHealth RTree::HealthStats() const {
         double pairwise_overlap = 0.0;
         double child_volume = 0.0;
         for (size_t i = 0; i < n->entries.size(); ++i) {
-          child_volume += n->entries[i].rect.Area();
+          child_volume += n->entries.rect(i).Area();
           for (size_t j = i + 1; j < n->entries.size(); ++j) {
             pairwise_overlap +=
-                n->entries[i].rect.OverlapArea(n->entries[j].rect);
+                n->entries.rect(i).OverlapArea(n->entries.rect(j));
           }
         }
         overlap_sum += pairwise_overlap / node_volume;

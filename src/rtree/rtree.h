@@ -72,6 +72,10 @@ struct RTreeHealth {
   size_t supernodes = 0;
   size_t pages = 0;        // disk pages (supernodes span several)
   size_t bytes = 0;        // pages * page_size
+  // Bytes the node entry arrays hold in memory (EntryArray capacity).
+  // Equals entries * EntryBytes(dims) for a bulk-loaded or file-loaded
+  // tree; inserts add vector growth slack on top.
+  size_t resident_bytes = 0;
   size_t node_capacity = 0;  // entries per single-page node
 
   struct LevelStats {
@@ -122,11 +126,11 @@ class RTree {
 
   // Inserts a record with the given MBR (a point rectangle for the feature
   // index).
-  void Insert(const Rect& rect, int64_t record_id);
+  void Insert(RectView rect, int64_t record_id);
 
   // Removes the entry matching (rect, record_id) exactly. Returns false if
   // no such entry exists.
-  bool Delete(const Rect& rect, int64_t record_id);
+  bool Delete(RectView rect, int64_t record_id);
 
   // All record ids whose MBR intersects `query`. When a trace is
   // attached, the visited-node count is added as an `rtree_nodes`
@@ -209,8 +213,10 @@ class RTree {
     return TotalPages() * options_.page_size_bytes;
   }
 
-  // Structural validation for tests: fill factors, MBR containment,
-  // uniform leaf level, parent back-pointers.
+  // Structural validation for tests and loaded files: fill factors, MBR
+  // containment, uniform leaf level, parent back-pointers, every live
+  // node reachable from the root. Iterative, so a hostile height cannot
+  // exhaust the stack.
   Status CheckInvariants() const;
 
   // Point-in-time structural health (occupancy per level, directory
@@ -223,7 +229,7 @@ class RTree {
 
  private:
   friend RTree BulkLoadStr(int dims, const RTreeOptions& options,
-                           std::vector<RTreeEntry> leaf_entries);
+                           EntryArray leaf_entries);
   friend Status SaveRTreeToFile(const RTree& tree, const std::string& path);
   friend Status LoadRTreeFromFile(const std::string& path, RTree* out);
 
@@ -236,12 +242,15 @@ class RTree {
 
   // Chooses the child of `n` best suited to absorb `rect` when descending
   // toward `target_level`.
-  NodeId ChooseSubtree(const RTreeNode& n, const Rect& rect) const;
+  NodeId ChooseSubtree(const RTreeNode& n, RectView rect) const;
 
-  // Inserts `entry` at tree level `level`; `reinserted_levels` tracks which
-  // levels already performed a forced reinsert during the current public
-  // Insert call.
-  void InsertAtLevel(RTreeEntry entry, int level,
+  // Position of `child` among `parent`'s entries.
+  static size_t ChildSlot(const RTreeNode& parent, NodeId child);
+
+  // Inserts the entry (rect, ref) at tree level `level`; `rect` must not
+  // point into a node. `reinserted_levels` tracks which levels already
+  // performed a forced reinsert during the current public Insert call.
+  void InsertAtLevel(RectView rect, int64_t ref, int level,
                      std::vector<bool>* reinserted_levels);
 
   // Handles an overfull node: forced reinsert (if enabled and allowed) or
@@ -254,12 +263,13 @@ class RTree {
   void AdjustUpward(NodeId node_id);
 
   // Finds the leaf holding (rect, record_id); kInvalidNodeId if absent.
-  NodeId FindLeaf(NodeId subtree, const Rect& rect, int64_t record_id) const;
+  NodeId FindLeaf(RectView rect, int64_t record_id) const;
 
   void CondenseTree(NodeId leaf_id);
 
-  Status CheckSubtree(NodeId node_id, int expected_level, bool is_root,
-                      size_t* records_seen) const;
+  // Checks one node's own invariants and, for a directory node, each
+  // child's back-pointer and MBR.
+  Status CheckNode(NodeId node_id, int expected_level, bool is_root) const;
 
   int dims_;
   RTreeOptions options_;

@@ -1,8 +1,11 @@
 #include "rtree/rtree_io.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -50,8 +53,8 @@ Status SaveRTreeToFile(const RTree& tree, const std::string& path) {
     order.push_back(id);
     const RTreeNode* n = tree.node(id);
     if (!n->IsLeaf()) {
-      for (const RTreeEntry& e : n->entries) {
-        stack.push_back(e.child);
+      for (size_t i = 0; i < n->entries.size(); ++i) {
+        stack.push_back(n->entries.child(i));
       }
     }
   }
@@ -92,20 +95,16 @@ Status SaveRTreeToFile(const RTree& tree, const std::string& path) {
         !WriteBytes(f, &entry_count, sizeof(entry_count))) {
       return Status::IoError("short write: " + path);
     }
-    for (const RTreeEntry& e : n->entries) {
-      for (int d = 0; d < tree.dims_; ++d) {
-        const double lo = e.rect.min[static_cast<size_t>(d)];
-        const double hi = e.rect.max[static_cast<size_t>(d)];
-        if (!WriteBytes(f, &lo, sizeof(lo)) ||
-            !WriteBytes(f, &hi, sizeof(hi))) {
-          return Status::IoError("short write: " + path);
-        }
-      }
+    // An entry's in-memory bounds are already in page order.
+    const size_t bounds_bytes = 2 * static_cast<size_t>(tree.dims_) *
+                                sizeof(double);
+    for (size_t i = 0; i < n->entries.size(); ++i) {
       const int64_t ref =
-          n->IsLeaf() ? e.record_id
+          n->IsLeaf() ? n->entries.ref(i)
                       : static_cast<int64_t>(
-                            remap[static_cast<size_t>(e.child)]);
-      if (!WriteBytes(f, &ref, sizeof(ref))) {
+                            remap[static_cast<size_t>(n->entries.child(i))]);
+      if (!WriteBytes(f, n->entries.rect(i).bounds(), bounds_bytes) ||
+          !WriteBytes(f, &ref, sizeof(ref))) {
         return Status::IoError("short write: " + path);
       }
     }
@@ -119,6 +118,27 @@ Status LoadRTreeFromFile(const std::string& path, RTree* out) {
     return Status::IoError("cannot open for reading: " + path);
   }
   std::FILE* f = file.get();
+  // Every count read below is checked against the bytes actually left in
+  // the file before anything is allocated for it.
+  if (std::fseek(f, 0, SEEK_END) != 0) {
+    return Status::IoError("cannot seek: " + path);
+  }
+  const long file_size = std::ftell(f);
+  if (file_size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    return Status::IoError("cannot seek: " + path);
+  }
+  const auto bytes_left = [f, file_size] {
+    const long pos = std::ftell(f);
+    return pos < 0 || pos > file_size ? uint64_t{0}
+                                      : static_cast<uint64_t>(file_size - pos);
+  };
+  // End of file before the layout says it ends: a corrupt file, unless
+  // the read itself failed.
+  const auto short_read = [f, &path] {
+    return std::ferror(f) != 0
+               ? Status::IoError("read error: " + path)
+               : Status::InvalidArgument("truncated index file: " + path);
+  };
 
   char magic[4];
   uint32_t version = 0;
@@ -133,7 +153,7 @@ Status LoadRTreeFromFile(const std::string& path, RTree* out) {
   uint64_t size = 0;
   uint32_t node_count = 0;
   if (!ReadBytes(f, magic, sizeof(magic))) {
-    return Status::IoError("short read: " + path);
+    return short_read();
   }
   if (!std::equal(magic, magic + 4, kMagic)) {
     return Status::InvalidArgument("bad magic in " + path);
@@ -149,14 +169,23 @@ Status LoadRTreeFromFile(const std::string& path, RTree* out) {
       !ReadBytes(f, &supernode_threshold, sizeof(supernode_threshold)) ||
       !ReadBytes(f, &size, sizeof(size)) ||
       !ReadBytes(f, &node_count, sizeof(node_count))) {
-    return Status::IoError("short read: " + path);
+    return short_read();
   }
   if (version != kVersion) {
     return Status::InvalidArgument("unsupported index version in " + path);
   }
   if (dims < 1 || dims > kMaxRTreeDims || split > 2 || node_count == 0 ||
-      min_fill <= 0.0 || min_fill > 0.5) {
+      !(min_fill > 0.0 && min_fill <= 0.5) ||
+      !(reinsert_fraction >= 0.0 && std::isfinite(reinsert_fraction)) ||
+      !std::isfinite(supernode_threshold)) {
     return Status::InvalidArgument("corrupt index header in " + path);
+  }
+  // NodeId is int32, and every node takes at least its header bytes.
+  constexpr uint64_t kNodeHeaderBytes =
+      sizeof(int32_t) + sizeof(uint8_t) + sizeof(uint32_t);
+  if (node_count > static_cast<uint32_t>(std::numeric_limits<NodeId>::max()) ||
+      node_count > bytes_left() / kNodeHeaderBytes) {
+    return Status::InvalidArgument("node count exceeds the file in " + path);
   }
 
   RTreeOptions options;
@@ -169,64 +198,65 @@ Status LoadRTreeFromFile(const std::string& path, RTree* out) {
   options.supernode_overlap_threshold = supernode_threshold;
 
   RTree tree(static_cast<int>(dims), options);
-  // The constructor made node 0 (the root); allocate the rest.
-  for (uint32_t i = 1; i < node_count; ++i) {
-    tree.AllocateNode(0);
-  }
+  const uint64_t entry_bytes = EntryBytes(static_cast<int>(dims));
+  std::array<double, 2 * kMaxRTreeDims> bounds;
+  const size_t bounds_bytes = 2 * static_cast<size_t>(dims) * sizeof(double);
   for (uint32_t i = 0; i < node_count; ++i) {
-    RTreeNode* n = tree.node(static_cast<NodeId>(i));
     int32_t level = 0;
     uint8_t supernode = 0;
     uint32_t entry_count = 0;
     if (!ReadBytes(f, &level, sizeof(level)) ||
         !ReadBytes(f, &supernode, sizeof(supernode)) ||
         !ReadBytes(f, &entry_count, sizeof(entry_count))) {
-      return Status::IoError("short read: " + path);
+      return short_read();
     }
-    if (level < 0 || supernode > 1 ||
+    // A tree is never taller than its node count.
+    if (level < 0 || static_cast<uint32_t>(level) >= node_count ||
+        supernode > 1 ||
         (supernode == 0 && entry_count > tree.capacity())) {
       return Status::InvalidArgument("corrupt node in " + path);
     }
+    if (entry_count > bytes_left() / entry_bytes) {
+      return Status::InvalidArgument("entry count exceeds the file in " +
+                                     path);
+    }
+    // The constructor made node 0 (the root); the rest are made as read.
+    const NodeId id = i == 0 ? 0 : tree.AllocateNode(level);
+    RTreeNode* n = tree.node(id);
     n->level = level;
     n->supernode = supernode != 0;
-    n->entries.resize(entry_count);
+    n->entries.Reserve(entry_count);
     for (uint32_t ei = 0; ei < entry_count; ++ei) {
-      RTreeEntry& e = n->entries[ei];
-      e.rect.dims = static_cast<int>(dims);
-      for (uint32_t d = 0; d < dims; ++d) {
-        if (!ReadBytes(f, &e.rect.min[d], sizeof(double)) ||
-            !ReadBytes(f, &e.rect.max[d], sizeof(double))) {
-          return Status::IoError("short read: " + path);
-        }
-      }
       int64_t ref = 0;
-      if (!ReadBytes(f, &ref, sizeof(ref))) {
-        return Status::IoError("short read: " + path);
+      if (!ReadBytes(f, bounds.data(), bounds_bytes) ||
+          !ReadBytes(f, &ref, sizeof(ref))) {
+        return short_read();
       }
-      if (level == 0) {
-        e.record_id = ref;
-      } else {
-        if (ref < 0 || ref >= static_cast<int64_t>(node_count)) {
-          return Status::InvalidArgument("corrupt child ref in " + path);
-        }
-        e.child = static_cast<NodeId>(ref);
+      // Preorder: every child follows its parent.
+      if (level > 0 && (ref <= static_cast<int64_t>(i) ||
+                        ref >= static_cast<int64_t>(node_count))) {
+        return Status::InvalidArgument("corrupt child ref in " + path);
       }
+      n->entries.Push(RectView(bounds.data(), static_cast<int>(dims)), ref);
     }
   }
   // Wire parent pointers.
   for (uint32_t i = 0; i < node_count; ++i) {
-    RTreeNode* n = tree.node(static_cast<NodeId>(i));
+    const RTreeNode* n = tree.node(static_cast<NodeId>(i));
     if (n->IsLeaf()) {
       continue;
     }
-    for (const RTreeEntry& e : n->entries) {
-      tree.node(e.child)->parent = static_cast<NodeId>(i);
+    for (size_t e = 0; e < n->entries.size(); ++e) {
+      tree.node(n->entries.child(e))->parent = static_cast<NodeId>(i);
     }
   }
   tree.root_ = 0;
   tree.size_ = static_cast<size_t>(size);
 
-  WARPINDEX_RETURN_IF_ERROR(tree.CheckInvariants());
+  if (const Status valid = tree.CheckInvariants(); !valid.ok()) {
+    return Status::InvalidArgument("corrupt index in " + path + ": " +
+                                   valid.message());
+  }
   *out = std::move(tree);
   return Status::Ok();
 }

@@ -4,22 +4,38 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 namespace warpindex {
 namespace {
 
-using EntryList = std::vector<RTreeEntry>;
-using SplitResult = std::pair<EntryList, EntryList>;
+using SplitResult = std::pair<EntryArray, EntryArray>;
+// Positions into the array being split.
+using Indices = std::vector<size_t>;
+
+// The entries at indices[begin, end), in that order, in an array of
+// exact size.
+EntryArray Gather(const EntryArray& entries, const Indices& indices,
+                  size_t begin, size_t end) {
+  EntryArray out(entries.dims());
+  out.Reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    out.Push(entries.rect(indices[i]), entries.ref(indices[i]));
+  }
+  return out;
+}
 
 // Guttman quadratic PickSeeds: the pair wasting the most area.
-std::pair<size_t, size_t> QuadraticPickSeeds(const EntryList& entries) {
+std::pair<size_t, size_t> QuadraticPickSeeds(const EntryArray& entries) {
   size_t best_a = 0;
   size_t best_b = 1;
   double worst_waste = -std::numeric_limits<double>::infinity();
   for (size_t a = 0; a + 1 < entries.size(); ++a) {
     for (size_t b = a + 1; b < entries.size(); ++b) {
-      const double waste = entries[a].rect.UnionWith(entries[b].rect).Area() -
-                           entries[a].rect.Area() - entries[b].rect.Area();
+      const RectView ra = entries.rect(a);
+      const RectView rb = entries.rect(b);
+      const double waste = ra.UnionArea(rb) - ra.Area() - rb.Area();
       if (waste > worst_waste) {
         worst_waste = waste;
         best_a = a;
@@ -34,34 +50,32 @@ std::pair<size_t, size_t> QuadraticPickSeeds(const EntryList& entries) {
 // low side and the one with the lowest high side; normalize the separation
 // by the dimension's width and take the dimension with the greatest
 // normalized separation.
-std::pair<size_t, size_t> LinearPickSeeds(const EntryList& entries) {
-  const int dims = entries[0].rect.dims;
+std::pair<size_t, size_t> LinearPickSeeds(const EntryArray& entries) {
   size_t best_a = 0;
   size_t best_b = 1;
   double best_separation = -std::numeric_limits<double>::infinity();
-  for (int d = 0; d < dims; ++d) {
-    const size_t k = static_cast<size_t>(d);
+  for (int d = 0; d < entries.dims(); ++d) {
     size_t highest_low = 0;
     size_t lowest_high = 0;
     double dim_min = std::numeric_limits<double>::infinity();
     double dim_max = -std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < entries.size(); ++i) {
-      const Rect& r = entries[i].rect;
-      if (r.min[k] > entries[highest_low].rect.min[k]) {
+      const RectView r = entries.rect(i);
+      if (r.min(d) > entries.rect(highest_low).min(d)) {
         highest_low = i;
       }
-      if (r.max[k] < entries[lowest_high].rect.max[k]) {
+      if (r.max(d) < entries.rect(lowest_high).max(d)) {
         lowest_high = i;
       }
-      dim_min = std::min(dim_min, r.min[k]);
-      dim_max = std::max(dim_max, r.max[k]);
+      dim_min = std::min(dim_min, r.min(d));
+      dim_max = std::max(dim_max, r.max(d));
     }
     if (highest_low == lowest_high) {
       continue;
     }
     const double width = dim_max - dim_min;
-    const double separation = entries[highest_low].rect.min[k] -
-                              entries[lowest_high].rect.max[k];
+    const double separation = entries.rect(highest_low).min(d) -
+                              entries.rect(lowest_high).max(d);
     const double normalized = width > 0.0 ? separation / width : separation;
     if (normalized > best_separation) {
       best_separation = normalized;
@@ -78,40 +92,37 @@ std::pair<size_t, size_t> LinearPickSeeds(const EntryList& entries) {
 // Shared distribution loop for the two Guttman variants. `quadratic`
 // selects PickNext by max enlargement difference; linear assigns in input
 // order.
-SplitResult GuttmanSplit(EntryList entries, size_t min_fill, bool quadratic) {
+SplitResult GuttmanSplit(const EntryArray& entries, size_t min_fill,
+                         bool quadratic) {
   const auto seeds =
       quadratic ? QuadraticPickSeeds(entries) : LinearPickSeeds(entries);
-  EntryList group_a;
-  EntryList group_b;
-  Rect mbr_a = entries[seeds.first].rect;
-  Rect mbr_b = entries[seeds.second].rect;
-  group_a.push_back(entries[seeds.first]);
-  group_b.push_back(entries[seeds.second]);
+  Indices group_a = {seeds.first};
+  Indices group_b = {seeds.second};
+  Rect mbr_a = entries.rect(seeds.first).ToRect();
+  Rect mbr_b = entries.rect(seeds.second).ToRect();
 
-  EntryList remaining;
+  Indices remaining;
   remaining.reserve(entries.size() - 2);
   for (size_t i = 0; i < entries.size(); ++i) {
     if (i != seeds.first && i != seeds.second) {
-      remaining.push_back(std::move(entries[i]));
+      remaining.push_back(i);
     }
   }
 
   while (!remaining.empty()) {
     // If one group must take all remaining entries to reach min_fill, do so.
     if (group_a.size() + remaining.size() == min_fill) {
-      for (auto& e : remaining) {
-        mbr_a = mbr_a.UnionWith(e.rect);
-        group_a.push_back(std::move(e));
+      for (const size_t i : remaining) {
+        mbr_a.Expand(entries.rect(i));
+        group_a.push_back(i);
       }
-      remaining.clear();
       break;
     }
     if (group_b.size() + remaining.size() == min_fill) {
-      for (auto& e : remaining) {
-        mbr_b = mbr_b.UnionWith(e.rect);
-        group_b.push_back(std::move(e));
+      for (const size_t i : remaining) {
+        mbr_b.Expand(entries.rect(i));
+        group_b.push_back(i);
       }
-      remaining.clear();
       break;
     }
 
@@ -120,8 +131,8 @@ SplitResult GuttmanSplit(EntryList entries, size_t min_fill, bool quadratic) {
       // PickNext: entry with the greatest preference for one group.
       double best_diff = -1.0;
       for (size_t i = 0; i < remaining.size(); ++i) {
-        const double da = mbr_a.Enlargement(remaining[i].rect);
-        const double db = mbr_b.Enlargement(remaining[i].rect);
+        const double da = mbr_a.Enlargement(entries.rect(remaining[i]));
+        const double db = mbr_b.Enlargement(entries.rect(remaining[i]));
         const double diff = std::fabs(da - db);
         if (diff > best_diff) {
           best_diff = diff;
@@ -129,11 +140,12 @@ SplitResult GuttmanSplit(EntryList entries, size_t min_fill, bool quadratic) {
         }
       }
     }
-    RTreeEntry entry = std::move(remaining[pick]);
+    const size_t entry = remaining[pick];
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(pick));
 
-    const double da = mbr_a.Enlargement(entry.rect);
-    const double db = mbr_b.Enlargement(entry.rect);
+    const RectView rect = entries.rect(entry);
+    const double da = mbr_a.Enlargement(rect);
+    const double db = mbr_b.Enlargement(rect);
     bool to_a;
     if (da != db) {
       to_a = da < db;
@@ -143,29 +155,40 @@ SplitResult GuttmanSplit(EntryList entries, size_t min_fill, bool quadratic) {
       to_a = group_a.size() <= group_b.size();
     }
     if (to_a) {
-      mbr_a = mbr_a.UnionWith(entry.rect);
-      group_a.push_back(std::move(entry));
+      mbr_a.Expand(rect);
+      group_a.push_back(entry);
     } else {
-      mbr_b = mbr_b.UnionWith(entry.rect);
-      group_b.push_back(std::move(entry));
+      mbr_b.Expand(rect);
+      group_b.push_back(entry);
     }
   }
-  return {std::move(group_a), std::move(group_b)};
+  return {Gather(entries, group_a, 0, group_a.size()),
+          Gather(entries, group_b, 0, group_b.size())};
 }
 
-Rect MbrOfRange(const EntryList& entries, size_t begin, size_t end) {
-  Rect mbr = entries[begin].rect;
+Rect MbrOfRange(const EntryArray& entries, const Indices& order,
+                size_t begin, size_t end) {
+  Rect mbr = entries.rect(order[begin]).ToRect();
   for (size_t i = begin + 1; i < end; ++i) {
-    mbr = mbr.UnionWith(entries[i].rect);
+    mbr.Expand(entries.rect(order[i]));
   }
   return mbr;
+}
+
+// Sorts `order` by the lower (or upper) bound of dimension `d`.
+void SortByBound(const EntryArray& entries, int d, bool by_upper,
+                 Indices* order) {
+  std::sort(order->begin(), order->end(),
+            [&entries, d, by_upper](size_t a, size_t b) {
+              return by_upper ? entries.rect(a).max(d) < entries.rect(b).max(d)
+                              : entries.rect(a).min(d) < entries.rect(b).min(d);
+            });
 }
 
 // R*-tree split: choose axis by minimal total margin over all candidate
 // distributions, then the distribution on that axis with minimal overlap
 // (ties broken by combined area).
-SplitResult RStarSplit(EntryList entries, size_t min_fill) {
-  const int dims = entries[0].rect.dims;
+SplitResult RStarSplit(const EntryArray& entries, size_t min_fill) {
   const size_t total = entries.size();
   const size_t max_k = total - min_fill;  // split position k in [min_fill, max_k]
 
@@ -173,19 +196,17 @@ SplitResult RStarSplit(EntryList entries, size_t min_fill) {
   bool best_axis_by_upper = false;
   double best_margin_sum = std::numeric_limits<double>::infinity();
 
-  EntryList sorted = entries;
-  for (int d = 0; d < dims; ++d) {
+  // One order, re-sorted axis after axis (each sort starts from the
+  // previous one's result).
+  Indices sorted(total);
+  std::iota(sorted.begin(), sorted.end(), size_t{0});
+  for (int d = 0; d < entries.dims(); ++d) {
     for (const bool by_upper : {false, true}) {
-      const size_t k = static_cast<size_t>(d);
-      std::sort(sorted.begin(), sorted.end(),
-                [k, by_upper](const RTreeEntry& a, const RTreeEntry& b) {
-                  return by_upper ? a.rect.max[k] < b.rect.max[k]
-                                  : a.rect.min[k] < b.rect.min[k];
-                });
+      SortByBound(entries, d, by_upper, &sorted);
       double margin_sum = 0.0;
       for (size_t split = min_fill; split <= max_k; ++split) {
-        margin_sum += MbrOfRange(sorted, 0, split).Margin() +
-                      MbrOfRange(sorted, split, total).Margin();
+        margin_sum += MbrOfRange(entries, sorted, 0, split).Margin() +
+                      MbrOfRange(entries, sorted, split, total).Margin();
       }
       if (margin_sum < best_margin_sum) {
         best_margin_sum = margin_sum;
@@ -195,19 +216,16 @@ SplitResult RStarSplit(EntryList entries, size_t min_fill) {
     }
   }
 
-  const size_t k = static_cast<size_t>(best_axis);
-  std::sort(entries.begin(), entries.end(),
-            [k, best_axis_by_upper](const RTreeEntry& a, const RTreeEntry& b) {
-              return best_axis_by_upper ? a.rect.max[k] < b.rect.max[k]
-                                        : a.rect.min[k] < b.rect.min[k];
-            });
+  Indices order(total);
+  std::iota(order.begin(), order.end(), size_t{0});
+  SortByBound(entries, best_axis, best_axis_by_upper, &order);
 
   size_t best_split = min_fill;
   double best_overlap = std::numeric_limits<double>::infinity();
   double best_area = std::numeric_limits<double>::infinity();
   for (size_t split = min_fill; split <= max_k; ++split) {
-    const Rect left = MbrOfRange(entries, 0, split);
-    const Rect right = MbrOfRange(entries, split, total);
+    const Rect left = MbrOfRange(entries, order, 0, split);
+    const Rect right = MbrOfRange(entries, order, split, total);
     const double overlap = left.OverlapArea(right);
     const double area = left.Area() + right.Area();
     if (overlap < best_overlap ||
@@ -217,12 +235,8 @@ SplitResult RStarSplit(EntryList entries, size_t min_fill) {
       best_split = split;
     }
   }
-
-  EntryList group_a(entries.begin(),
-                    entries.begin() + static_cast<ptrdiff_t>(best_split));
-  EntryList group_b(entries.begin() + static_cast<ptrdiff_t>(best_split),
-                    entries.end());
-  return {std::move(group_a), std::move(group_b)};
+  return {Gather(entries, order, 0, best_split),
+          Gather(entries, order, best_split, total)};
 }
 
 }  // namespace
@@ -239,18 +253,16 @@ const char* SplitPolicyName(SplitPolicy policy) {
   return "unknown";
 }
 
-SplitResult SplitEntries(std::vector<RTreeEntry> entries, size_t min_fill,
+SplitResult SplitEntries(const EntryArray& entries, size_t min_fill,
                          SplitPolicy policy, double distribution_factor) {
   assert(entries.size() >= 2);
   const size_t effective_min_fill =
       std::max<size_t>(1, std::min(min_fill, entries.size() / 2));
   switch (policy) {
     case SplitPolicy::kLinear:
-      return GuttmanSplit(std::move(entries), effective_min_fill,
-                          /*quadratic=*/false);
+      return GuttmanSplit(entries, effective_min_fill, /*quadratic=*/false);
     case SplitPolicy::kQuadratic:
-      return GuttmanSplit(std::move(entries), effective_min_fill,
-                          /*quadratic=*/true);
+      return GuttmanSplit(entries, effective_min_fill, /*quadratic=*/true);
     case SplitPolicy::kRStar: {
       // m = factor * M, never below the structural minimum fill and never
       // above half the node (so at least one candidate split remains).
@@ -263,10 +275,10 @@ SplitResult SplitEntries(std::vector<RTreeEntry> entries, size_t min_fill,
         dist_min = std::max<size_t>(
             1, std::min(dist_min, entries.size() / 2));
       }
-      return RStarSplit(std::move(entries), dist_min);
+      return RStarSplit(entries, dist_min);
     }
   }
-  return GuttmanSplit(std::move(entries), effective_min_fill, true);
+  return GuttmanSplit(entries, effective_min_fill, true);
 }
 
 }  // namespace warpindex

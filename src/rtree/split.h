@@ -15,7 +15,6 @@
 #define WARPINDEX_RTREE_SPLIT_H_
 
 #include <utility>
-#include <vector>
 
 #include "rtree/node.h"
 
@@ -30,15 +29,16 @@ enum class SplitPolicy {
 const char* SplitPolicyName(SplitPolicy policy);
 
 // Partitions `entries` (size >= 2) into two non-empty groups, each with at
-// least min(min_fill, entries.size() / 2) entries.
+// least min(min_fill, entries.size() / 2) entries. Each group is a new
+// array sized exactly to its entries; `entries` is left untouched.
 //
 // `distribution_factor` (kRStar only) widens or narrows the candidate
 // split positions: each group must hold at least
 // max(min_fill, floor(entries.size() * distribution_factor)) entries
 // (Beckmann et al.'s m = factor * M, classically 0.4). 0 derives the
 // range from min_fill alone (legacy behavior).
-std::pair<std::vector<RTreeEntry>, std::vector<RTreeEntry>> SplitEntries(
-    std::vector<RTreeEntry> entries, size_t min_fill, SplitPolicy policy,
+std::pair<EntryArray, EntryArray> SplitEntries(
+    const EntryArray& entries, size_t min_fill, SplitPolicy policy,
     double distribution_factor = 0.0);
 
 }  // namespace warpindex

@@ -1,6 +1,7 @@
 #include "sequence/dataset_io.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -26,6 +27,11 @@ Status ParseSequenceLine(const std::string& line, Sequence* out) {
     const double v = std::strtod(cursor, &token_end);
     if (token_end == cursor) {
       return Status::InvalidArgument(std::string("bad token at: ") + cursor);
+    }
+    if (!std::isfinite(v)) {
+      const std::string token(cursor,
+                              static_cast<size_t>(token_end - cursor));
+      return Status::InvalidArgument("non-finite value: " + token);
     }
     result.Append(v);
     cursor = token_end;

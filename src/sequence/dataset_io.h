@@ -26,7 +26,8 @@ Status SaveDatasetToCsv(const std::string& path, const Dataset& dataset);
 
 // Parses a single line of separated values into a sequence; used by the
 // loader and handy for quick tooling. Returns kInvalidArgument on
-// malformed input.
+// malformed input, including a non-finite element (nan, inf, or a value
+// that overflows a double): every index predicate assumes finite values.
 Status ParseSequenceLine(const std::string& line, Sequence* out);
 
 }  // namespace warpindex

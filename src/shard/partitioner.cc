@@ -99,21 +99,13 @@ ShardAssignment AssignShards(const Dataset& dataset, PartitionerKind kind,
 
 void ShardFeatureBounds::Cover(const FeatureVector& f) {
   const std::array<double, kFeatureDims> p = f.AsPoint();
+  const Rect point = Rect::FromPoint(Point::FromArray(p.data(), kFeatureDims));
   if (!valid) {
-    mbr.dims = kFeatureDims;
-    for (int d = 0; d < kFeatureDims; ++d) {
-      mbr.min[static_cast<size_t>(d)] = p[static_cast<size_t>(d)];
-      mbr.max[static_cast<size_t>(d)] = p[static_cast<size_t>(d)];
-    }
+    mbr = point;
     valid = true;
     return;
   }
-  for (int d = 0; d < kFeatureDims; ++d) {
-    mbr.min[static_cast<size_t>(d)] =
-        std::min(mbr.min[static_cast<size_t>(d)], p[static_cast<size_t>(d)]);
-    mbr.max[static_cast<size_t>(d)] =
-        std::max(mbr.max[static_cast<size_t>(d)], p[static_cast<size_t>(d)]);
-  }
+  mbr.Expand(point);
 }
 
 std::vector<ShardFeatureBounds> ComputeShardBounds(

@@ -46,6 +46,32 @@ TEST(ParseSequenceLineTest, RejectsGarbage) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ParseSequenceLineTest, RejectsNonFiniteElements) {
+  Sequence s;
+  for (const char* line :
+       {"1,nan,3", "NAN", "-nan(0x1)", "inf,2", "1 -Infinity", "1e999",
+        "2,-1e400"}) {
+    const Status status = ParseSequenceLine(line, &s);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(status.message().find("non-finite"), std::string::npos)
+        << line;
+  }
+  // The largest finite magnitudes still parse.
+  ASSERT_TRUE(ParseSequenceLine("1.7976931348623157e308,-4.9e-324", &s).ok());
+  EXPECT_EQ(s.size(), 2u);
+}
+
+TEST(DatasetCsvTest, RejectsFileWithNonFiniteElement) {
+  const std::string path =
+      WriteTempFile("nonfinite.csv", "1,2,3\n4,nan,6\n");
+  Dataset d;
+  const Status status = LoadDatasetFromCsv(path, &d);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(":2: non-finite"), std::string::npos)
+      << status.message();
+  std::remove(path.c_str());
+}
+
 TEST(DatasetCsvTest, LoadsSequencesSkippingCommentsAndBlanks) {
   const std::string path = WriteTempFile("load.csv",
                                          "# header comment\n"

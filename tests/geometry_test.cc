@@ -28,10 +28,10 @@ TEST(RectTest, FromPointIsDegenerate) {
 
 TEST(RectTest, SquareAroundIsThePaperRangeQuery) {
   const Rect r = Rect::SquareAround(Point::Make({0.0, 10.0}), 0.5);
-  EXPECT_EQ(r.min[0], -0.5);
-  EXPECT_EQ(r.max[0], 0.5);
-  EXPECT_EQ(r.min[1], 9.5);
-  EXPECT_EQ(r.max[1], 10.5);
+  EXPECT_EQ(r.min(0), -0.5);
+  EXPECT_EQ(r.max(0), 0.5);
+  EXPECT_EQ(r.min(1), 9.5);
+  EXPECT_EQ(r.max(1), 10.5);
 }
 
 TEST(RectTest, AreaAndMargin) {
@@ -59,8 +59,8 @@ TEST(RectTest, UnionAndEnlargement) {
   const Rect a = Rect::Make({0.0, 0.0}, {1.0, 1.0});
   const Rect b = Rect::Make({2.0, 2.0}, {3.0, 3.0});
   const Rect u = a.UnionWith(b);
-  EXPECT_EQ(u.min[0], 0.0);
-  EXPECT_EQ(u.max[1], 3.0);
+  EXPECT_EQ(u.min(0), 0.0);
+  EXPECT_EQ(u.max(1), 3.0);
   EXPECT_DOUBLE_EQ(a.Enlargement(b), 9.0 - 1.0);
   EXPECT_DOUBLE_EQ(a.Enlargement(a), 0.0);
 }
@@ -107,7 +107,7 @@ TEST(RectTest, MinDistLinfLowerBoundsPointDistances) {
 TEST(RectTest, ValidityChecks) {
   Rect r = Rect::Make({0.0}, {1.0});
   EXPECT_TRUE(r.IsValid());
-  r.min[0] = 2.0;
+  r.Set(0, 2.0, 1.0);
   EXPECT_FALSE(r.IsValid());
   Rect no_dims;
   EXPECT_FALSE(no_dims.IsValid());

@@ -184,6 +184,15 @@ TEST_F(IntrospectionTest, EndpointsServeOverHttp) {
                       kWarpIndexVersion + "\""),
             std::string::npos);
   EXPECT_NE(body.find("build_type="), std::string::npos);
+  // Index footprint: pages on disk and entry bytes in memory.
+  const RTreeHealth index = engine_.TakeHealthSnapshot().index;
+  EXPECT_NE(body.find("warpindex_index_page_bytes " +
+                      std::to_string(index.bytes)),
+            std::string::npos);
+  EXPECT_NE(body.find("warpindex_index_resident_bytes " +
+                      std::to_string(index.resident_bytes)),
+            std::string::npos);
+  EXPECT_GT(index.resident_bytes, 0u);
 
   ASSERT_TRUE(HttpGet("127.0.0.1", server.port(), "/statusz", &body,
                       &status_code)

@@ -187,14 +187,14 @@ TEST(PartitionerTest, CoverGrowsTheBox) {
   ASSERT_TRUE(b.valid);
   EXPECT_EQ(b.mbr.dims, kFeatureDims);
   b.Cover(FeatureVector{-1.0, 5.0, 2.0, 0.75});
-  EXPECT_DOUBLE_EQ(b.mbr.min[0], -1.0);
-  EXPECT_DOUBLE_EQ(b.mbr.max[0], 1.0);
-  EXPECT_DOUBLE_EQ(b.mbr.min[1], 2.0);
-  EXPECT_DOUBLE_EQ(b.mbr.max[1], 5.0);
-  EXPECT_DOUBLE_EQ(b.mbr.min[2], 2.0);
-  EXPECT_DOUBLE_EQ(b.mbr.max[2], 3.0);
-  EXPECT_DOUBLE_EQ(b.mbr.min[3], 0.5);
-  EXPECT_DOUBLE_EQ(b.mbr.max[3], 0.75);
+  EXPECT_DOUBLE_EQ(b.mbr.min(0), -1.0);
+  EXPECT_DOUBLE_EQ(b.mbr.max(0), 1.0);
+  EXPECT_DOUBLE_EQ(b.mbr.min(1), 2.0);
+  EXPECT_DOUBLE_EQ(b.mbr.max(1), 5.0);
+  EXPECT_DOUBLE_EQ(b.mbr.min(2), 2.0);
+  EXPECT_DOUBLE_EQ(b.mbr.max(2), 3.0);
+  EXPECT_DOUBLE_EQ(b.mbr.min(3), 0.5);
+  EXPECT_DOUBLE_EQ(b.mbr.max(3), 0.75);
 }
 
 TEST(PartitionerTest, RangePartitionerSeparatesClusters) {
@@ -224,7 +224,7 @@ TEST(PartitionerTest, RangePartitionerSeparatesClusters) {
   ASSERT_TRUE(bounds[0].valid);
   ASSERT_TRUE(bounds[1].valid);
   // A query sitting inside the low cluster must be far (L_inf) from one
-  // of the two shard MBRs — that's the skip micro_shard measures.
+  // of the two shard MBRs — that's the skip the fan-out prunes.
   const auto q = ExtractFeature(dataset[0]).AsPoint();
   const Point qp = Point::FromArray(q.data(), kFeatureDims);
   const double d0 = bounds[0].mbr.MinDistLinf(qp);

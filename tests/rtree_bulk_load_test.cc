@@ -9,30 +9,29 @@
 namespace warpindex {
 namespace {
 
-std::vector<RTreeEntry> RandomPointEntries(size_t n, int dims, uint64_t seed) {
+EntryArray RandomPointEntries(size_t n, int dims, uint64_t seed) {
   Prng prng(seed);
-  std::vector<RTreeEntry> entries;
+  EntryArray entries(dims);
   for (size_t i = 0; i < n; ++i) {
     Point p;
     p.dims = dims;
     for (int d = 0; d < dims; ++d) {
       p[d] = prng.UniformDouble(0.0, 100.0);
     }
-    entries.push_back(
-        RTreeEntry::Leaf(Rect::FromPoint(p), static_cast<int64_t>(i)));
+    entries.Push(Rect::FromPoint(p), static_cast<int64_t>(i));
   }
   return entries;
 }
 
 TEST(BulkLoadTest, EmptyInputYieldsEmptyTree) {
-  const RTree tree = BulkLoadStr(2, RTreeOptions{}, {});
+  const RTree tree = BulkLoadStr(2, RTreeOptions{}, EntryArray(2));
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
 TEST(BulkLoadTest, SingleEntry) {
   auto entries = RandomPointEntries(1, 2, 1);
-  const Rect r = entries[0].rect;
+  const Rect r = entries.rect(0).ToRect();
   const RTree tree = BulkLoadStr(2, RTreeOptions{}, std::move(entries));
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
@@ -56,8 +55,8 @@ TEST(BulkLoadTest, QueriesMatchIncrementallyBuiltTree) {
   RTreeOptions options;
   options.page_size_bytes = 512;
   RTree incremental(3, options);
-  for (const auto& e : entries) {
-    incremental.Insert(e.rect, e.record_id);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    incremental.Insert(entries.rect(i), entries.ref(i));
   }
   const RTree bulk = BulkLoadStr(3, options, std::move(entries));
 
@@ -83,8 +82,8 @@ TEST(BulkLoadTest, ProducesFewerNodesThanInsertion) {
   RTreeOptions options;
   options.page_size_bytes = 1024;
   RTree incremental(4, options);
-  for (const auto& e : entries) {
-    incremental.Insert(e.rect, e.record_id);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    incremental.Insert(entries.rect(i), entries.ref(i));
   }
   const RTree bulk = BulkLoadStr(4, options, std::move(entries));
   // STR packs ~100% full; Guttman insertion averages ~70%.
@@ -93,7 +92,7 @@ TEST(BulkLoadTest, ProducesFewerNodesThanInsertion) {
 
 TEST(BulkLoadTest, TreeSupportsSubsequentInsertsAndDeletes) {
   auto entries = RandomPointEntries(500, 2, 17);
-  const Rect first_rect = entries[0].rect;
+  const Rect first_rect = entries.rect(0).ToRect();
   RTreeOptions options;
   options.page_size_bytes = 256;
   RTree tree = BulkLoadStr(2, options, std::move(entries));

@@ -9,17 +9,16 @@
 namespace warpindex {
 namespace {
 
-std::vector<RTreeEntry> RandomEntries(size_t n, int dims, Prng* prng) {
-  std::vector<RTreeEntry> entries;
-  entries.reserve(n);
+EntryArray RandomEntries(size_t n, int dims, Prng* prng) {
+  EntryArray entries(dims);
+  entries.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
     Point p;
     p.dims = dims;
     for (int d = 0; d < dims; ++d) {
       p[d] = prng->UniformDouble(0.0, 100.0);
     }
-    entries.push_back(
-        RTreeEntry::Leaf(Rect::FromPoint(p), static_cast<int64_t>(i)));
+    entries.Push(Rect::FromPoint(p), static_cast<int64_t>(i));
   }
   return entries;
 }
@@ -35,8 +34,8 @@ TEST_P(SplitPolicyTest, PreservesAllEntries) {
                                GetParam());
     EXPECT_EQ(a.size() + b.size(), n);
     std::vector<int64_t> ids;
-    for (const auto& e : a) ids.push_back(e.record_id);
-    for (const auto& e : b) ids.push_back(e.record_id);
+    for (size_t i = 0; i < a.size(); ++i) ids.push_back(a.ref(i));
+    for (size_t i = 0; i < b.size(); ++i) ids.push_back(b.ref(i));
     std::sort(ids.begin(), ids.end());
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(ids[i], static_cast<int64_t>(i));
@@ -68,10 +67,9 @@ TEST_P(SplitPolicyTest, HandlesMinimumInput) {
 TEST_P(SplitPolicyTest, HandlesDuplicatePoints) {
   // All entries at the same location: splits must still satisfy fill
   // constraints rather than loop or crash.
-  std::vector<RTreeEntry> entries;
+  EntryArray entries(2);
   for (int i = 0; i < 10; ++i) {
-    entries.push_back(RTreeEntry::Leaf(
-        Rect::FromPoint(Point::Make({1.0, 1.0})), i));
+    entries.Push(Rect::FromPoint(Point::Make({1.0, 1.0})), i);
   }
   auto [a, b] = SplitEntries(entries, 4, GetParam());
   EXPECT_EQ(a.size() + b.size(), 10u);
@@ -82,25 +80,19 @@ TEST_P(SplitPolicyTest, HandlesDuplicatePoints) {
 TEST_P(SplitPolicyTest, SeparatesTwoObviousClusters) {
   // Two tight clusters far apart: any sane split puts each cluster in one
   // group (checked via group MBR disjointness).
-  std::vector<RTreeEntry> entries;
+  EntryArray entries(2);
   Prng prng(4);
   for (int i = 0; i < 10; ++i) {
-    entries.push_back(RTreeEntry::Leaf(
-        Rect::FromPoint(Point::Make({prng.UniformDouble(0.0, 1.0),
-                                     prng.UniformDouble(0.0, 1.0)})),
-        i));
-    entries.push_back(RTreeEntry::Leaf(
+    entries.Push(Rect::FromPoint(Point::Make({prng.UniformDouble(0.0, 1.0),
+                                              prng.UniformDouble(0.0, 1.0)})),
+                 i);
+    entries.Push(
         Rect::FromPoint(Point::Make({prng.UniformDouble(100.0, 101.0),
                                      prng.UniformDouble(100.0, 101.0)})),
-        100 + i));
+        100 + i);
   }
   auto [a, b] = SplitEntries(entries, 8, GetParam());
-  auto mbr = [](const std::vector<RTreeEntry>& group) {
-    Rect r = group[0].rect;
-    for (const auto& e : group) r = r.UnionWith(e.rect);
-    return r;
-  };
-  EXPECT_FALSE(mbr(a).Intersects(mbr(b)));
+  EXPECT_FALSE(a.Mbr().Intersects(b.Mbr()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, SplitPolicyTest,

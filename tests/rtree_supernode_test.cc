@@ -13,16 +13,22 @@ namespace {
 
 // Wide, heavily overlapping rectangles — the workload where every
 // directory split is bad and the X-tree keeps supernodes instead.
-std::vector<RTreeEntry> OverlappingRects(size_t n, uint64_t seed) {
+EntryArray OverlappingRects(size_t n, uint64_t seed) {
   Prng prng(seed);
-  std::vector<RTreeEntry> entries;
+  EntryArray entries(2);
   for (size_t i = 0; i < n; ++i) {
     const double x = prng.UniformDouble(0.0, 0.5);
     const double y = prng.UniformDouble(0.0, 0.5);
-    entries.push_back(RTreeEntry::Leaf(
-        Rect::Make({x, y}, {x + 0.5, y + 0.5}), static_cast<int64_t>(i)));
+    entries.Push(Rect::Make({x, y}, {x + 0.5, y + 0.5}),
+                 static_cast<int64_t>(i));
   }
   return entries;
+}
+
+void InsertAll(const EntryArray& entries, RTree* tree) {
+  for (size_t i = 0; i < entries.size(); ++i) {
+    tree->Insert(entries.rect(i), entries.ref(i));
+  }
 }
 
 TEST(RTreeSupernodeTest, OverlapHeavyWorkloadCreatesSupernodes) {
@@ -31,9 +37,7 @@ TEST(RTreeSupernodeTest, OverlapHeavyWorkloadCreatesSupernodes) {
   options.allow_supernodes = true;
   options.supernode_overlap_threshold = 0.1;
   RTree tree(2, options);
-  for (const auto& e : OverlappingRects(2000, 1)) {
-    tree.Insert(e.rect, e.record_id);
-  }
+  InsertAll(OverlappingRects(2000, 1), &tree);
   EXPECT_TRUE(tree.CheckInvariants().ok());
   EXPECT_GT(tree.supernode_count(), 0u);
   // Supernodes span multiple pages.
@@ -44,9 +48,7 @@ TEST(RTreeSupernodeTest, DisabledByDefault) {
   RTreeOptions options;
   options.page_size_bytes = 256;
   RTree tree(2, options);
-  for (const auto& e : OverlappingRects(1000, 2)) {
-    tree.Insert(e.rect, e.record_id);
-  }
+  InsertAll(OverlappingRects(1000, 2), &tree);
   EXPECT_EQ(tree.supernode_count(), 0u);
   EXPECT_EQ(tree.TotalPages(), tree.node_count());
 }
@@ -61,10 +63,8 @@ TEST(RTreeSupernodeTest, QueriesMatchPlainTree) {
   RTree a(2, plain);
   RTree b(2, super);
   const auto entries = OverlappingRects(1500, 3);
-  for (const auto& e : entries) {
-    a.Insert(e.rect, e.record_id);
-    b.Insert(e.rect, e.record_id);
-  }
+  InsertAll(entries, &a);
+  InsertAll(entries, &b);
   ASSERT_TRUE(b.CheckInvariants().ok());
 
   Prng prng(4);
@@ -89,12 +89,10 @@ TEST(RTreeSupernodeTest, DeletionsShrinkSupernodesBack) {
   options.supernode_overlap_threshold = 0.1;
   RTree tree(2, options);
   const auto entries = OverlappingRects(2000, 5);
-  for (const auto& e : entries) {
-    tree.Insert(e.rect, e.record_id);
-  }
+  InsertAll(entries, &tree);
   ASSERT_GT(tree.supernode_count(), 0u);
   for (size_t i = 0; i < 1900; ++i) {
-    ASSERT_TRUE(tree.Delete(entries[i].rect, entries[i].record_id));
+    ASSERT_TRUE(tree.Delete(entries.rect(i), entries.ref(i)));
   }
   EXPECT_TRUE(tree.CheckInvariants().ok());
   EXPECT_EQ(tree.size(), 100u);
@@ -108,9 +106,7 @@ TEST(RTreeSupernodeTest, StatsChargeSupernodePages) {
   options.allow_supernodes = true;
   options.supernode_overlap_threshold = 0.05;
   RTree tree(2, options);
-  for (const auto& e : OverlappingRects(2000, 6)) {
-    tree.Insert(e.rect, e.record_id);
-  }
+  InsertAll(OverlappingRects(2000, 6), &tree);
   ASSERT_GT(tree.supernode_count(), 0u);
   RTreeQueryStats stats;
   tree.RangeSearch(Rect::Make({0.0, 0.0}, {1.0, 1.0}), &stats);

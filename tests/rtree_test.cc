@@ -282,15 +282,14 @@ TEST(RTreeTest, HealthStatsBulkLoadPacksTighterThanInsertion) {
   RTreeOptions options;
   options.page_size_bytes = 256;
   Prng prng(5);
-  std::vector<RTreeEntry> entries;
+  EntryArray entries(2);
   for (int i = 0; i < 800; ++i) {
-    entries.push_back(
-        RTreeEntry::Leaf(Rect::FromPoint(RandomPoint(2, &prng)), i));
+    entries.Push(Rect::FromPoint(RandomPoint(2, &prng)), i);
   }
 
   RTree incremental(2, options);
-  for (const RTreeEntry& entry : entries) {
-    incremental.Insert(entry.rect, entry.record_id);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    incremental.Insert(entries.rect(i), entries.ref(i));
   }
   RTree packed = BulkLoadStr(2, options, entries);
 
