@@ -43,7 +43,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -276,17 +275,6 @@ class ScopedCliProfile {
   bool armed_ = false;
 };
 
-// --eps < 0 means "not given"; NaN and the infinities are malformed input,
-// not "not given" (a NaN tolerance would reach the engine and silently
-// match nothing). Prints the error and returns false for them.
-bool CheckEpsFinite(double eps) {
-  if (std::isfinite(eps)) {
-    return true;
-  }
-  std::fprintf(stderr, "--eps must be a finite number\n");
-  return false;
-}
-
 // --http_port it also runs the live introspection server (/metrics,
 // /statusz, /slowlog, /flightrecorder; see docs/OBSERVABILITY.md) and
 // --linger_s keeps it scrapeable after the batches finish.
@@ -393,9 +381,6 @@ int RunServe(int argc, char** argv) {
                 "(ε-subsumption reuse; see docs/CACHING.md)");
   flags.AddInt64("cache_mb", &cache_mb, "--cache byte budget (MiB)");
   if (!flags.Parse(argc, argv)) {
-    return 1;
-  }
-  if (!CheckEpsFinite(eps)) {
     return 1;
   }
   ScopedCliProfile profile(profile_out, static_cast<int>(profile_hz));
@@ -1480,9 +1465,6 @@ int RunNetQuery(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
-  if (!CheckEpsFinite(eps)) {
-    return 1;
-  }
   if (port <= 0 || port > 65535) {
     std::fprintf(stderr, "pass --port of a running router\n");
     return 1;
@@ -1719,9 +1701,6 @@ int Run(int argc, char** argv) {
                 "print its hit/miss totals (see docs/CACHING.md)");
   flags.AddInt64("cache_mb", &cache_mb, "--cache byte budget (MiB)");
   if (!flags.Parse(argc, argv)) {
-    return 1;
-  }
-  if (!CheckEpsFinite(eps)) {
     return 1;
   }
   ScopedCliProfile profile(profile_out, static_cast<int>(profile_hz));

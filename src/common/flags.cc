@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -59,8 +60,9 @@ bool FlagSet::SetValue(const Flag& flag, const std::string& text) const {
       return true;
     }
     case Type::kDouble: {
+      // Finite only: no flag means anything by NaN or an infinity.
       const double v = std::strtod(text.c_str(), &end);
-      if (end == text.c_str() || *end != '\0') {
+      if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
         return false;
       }
       *static_cast<double*>(flag.target) = v;

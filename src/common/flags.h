@@ -7,7 +7,8 @@
 //   if (!flags.Parse(argc, argv)) return 1;   // prints help on --help
 //
 // Accepted syntax: --name=value, --name value, and --flag / --noflag for
-// booleans. Unknown flags are an error.
+// booleans. Unknown flags are an error, and so is a double flag's value
+// that is not a finite number ("nan", "inf", "1e999").
 
 #ifndef WARPINDEX_COMMON_FLAGS_H_
 #define WARPINDEX_COMMON_FLAGS_H_

@@ -1,13 +1,13 @@
 #include "core/engine.h"
 
 #include <cassert>
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <system_error>
 #include <utility>
 
+#include "common/binary_file.h"
 #include "obs/exporters.h"
 #include "rtree/rtree_io.h"
 
@@ -254,17 +254,14 @@ Status Engine::Save(const std::string& dir) const {
       dead.push_back(static_cast<int64_t>(i));
     }
   }
-  std::FILE* f = std::fopen((dir + "/tombstones.bin").c_str(), "wb");
-  if (f == nullptr) {
+  BinaryWriter out(dir + "/tombstones.bin");
+  if (!out.is_open()) {
     return Status::IoError("cannot write tombstones in " + dir);
   }
-  const uint64_t count = dead.size();
-  bool ok = std::fwrite(&count, sizeof(count), 1, f) == 1;
-  ok = ok && (dead.empty() ||
-              std::fwrite(dead.data(), sizeof(int64_t), dead.size(), f) ==
-                  dead.size());
-  std::fclose(f);
-  return ok ? Status::Ok() : Status::IoError("short tombstone write");
+  out.Write(uint64_t{dead.size()});
+  out.Write(dead.data(), dead.size() * sizeof(int64_t));
+  return out.Finish() ? Status::Ok()
+                      : Status::IoError("short tombstone write");
 }
 
 Status Engine::Open(const std::string& dir, EngineOptions options,
@@ -283,21 +280,15 @@ Status Engine::Open(const std::string& dir, EngineOptions options,
   }
   std::vector<int64_t> dead;
   {
-    std::FILE* f = std::fopen((dir + "/tombstones.bin").c_str(), "rb");
-    if (f == nullptr) {
+    BinaryReader in(dir + "/tombstones.bin");
+    if (!in.is_open()) {
       return Status::IoError("cannot read tombstones in " + dir);
     }
     uint64_t count = 0;
-    bool ok = std::fread(&count, sizeof(count), 1, f) == 1;
-    if (ok && count > dataset.size()) {
-      ok = false;
-    }
-    if (ok) {
-      dead.resize(count);
-      ok = count == 0 || std::fread(dead.data(), sizeof(int64_t), count,
-                                    f) == count;
-    }
-    std::fclose(f);
+    bool ok = in.Read(&count) && count <= dataset.size() &&
+              in.Holds(count, sizeof(int64_t));
+    dead.resize(ok ? count : 0);
+    ok = ok && in.Read(dead.data(), count * sizeof(int64_t));
     if (!ok) {
       return Status::IoError("corrupt tombstone file in " + dir);
     }
@@ -404,7 +395,7 @@ KnnResult Engine::RefineKnn(const Sequence& query, size_t k,
 }
 
 SequenceId Engine::Insert(Sequence s) {
-  assert(!s.empty());
+  assert(!s.empty());  // and finite, which Sequence asserts on construction
   const SequenceId id = store_.Append(std::move(s));
   feature_index_.Insert(id,
                         ExtractFeature(dataset()[static_cast<size_t>(id)]));

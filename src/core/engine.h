@@ -198,6 +198,8 @@ class Engine : public EngineLike {
   // RebuildStFilter() before comparing against it again.
 
   // Adds a sequence to the store and the feature index; returns its id.
+  // Requires a non-empty sequence of finite elements (Sequence's input
+  // contract); outside input reaches it only through a checking decoder.
   SequenceId Insert(Sequence s);
 
   // Removes a sequence from the store (tombstone) and the index. Returns

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <queue>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
@@ -84,7 +83,7 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
   };
   // Evaluates one candidate at `threshold` and offers it to the heap.
   // Returns the evaluation's distance: exact when within the threshold,
-  // +inf (or NaN, which never enters the heap) otherwise.
+  // +inf otherwise.
   const auto refine = [&](const Sequence& s, double threshold) {
     per_item.Reset();
     // Thresholded refinement: only distances at or below the threshold
@@ -127,22 +126,20 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
     // over from the lookahead candidate. Ties stay exact: a pass is
     // exact, and every drop is strictly above the cutoff.
     std::vector<const Sequence*> pending;
-    // A NaN lower bound starts (and a zero one, which cannot grow, ends)
-    // the fill at tau = +inf: the plain fill's unthresholded DPs.
-    double tau = candidate.distance >= 0.0 ? candidate.distance
-                                           : kInfiniteDistance;
+    // A zero first bound cannot grow: its first raise goes to +inf, the
+    // plain fill's unthresholded DPs.
+    double tau = candidate.distance;
     int raises = 0;
     // Decides one candidate at min(tau, cutoff); true when it stays
     // pending (rejected at tau, below the cutoff: a larger tau may pass
-    // it). A reject at the cutoff, or a NaN distance, is final.
+    // it). A reject at the cutoff is final.
     const auto decide = [&](const Sequence& s) {
       const double limit = cutoff();
       const double threshold = std::min(tau, limit);
-      const double d = refine(s, threshold);
-      return !(d <= threshold) && !std::isnan(d) && threshold < limit;
+      return refine(s, threshold) > threshold && threshold < limit;
     };
     while (top_k.size() < k) {
-      while (has_next && !(candidate.distance > tau) && top_k.size() < k) {
+      while (has_next && candidate.distance <= tau && top_k.size() < k) {
         if (candidate.distance > cutoff()) {
           has_next = false;  // no later candidate can beat the cutoff
           break;
@@ -223,14 +220,10 @@ KnnResult TwKnnSearch::Refine(const Sequence& query, size_t k,
                               std::vector<KnnCandidate> candidates,
                               Trace* trace,
                               SharedKnnBound* shared_bound) const {
-  // A NaN bound sorts last: the cutoff test never fires on it, so it
-  // cannot end the loop before the finite bounds behind it.
   std::sort(candidates.begin(), candidates.end(),
             [](const KnnCandidate& a, const KnnCandidate& b) {
-              return std::make_tuple(std::isnan(a.lower_bound),
-                                     a.lower_bound, a.sequence->id()) <
-                     std::make_tuple(std::isnan(b.lower_bound),
-                                     b.lower_bound, b.sequence->id());
+              return std::make_pair(a.lower_bound, a.sequence->id()) <
+                     std::make_pair(b.lower_bound, b.sequence->id());
             });
   size_t next = 0;
   return RefineLoop(

@@ -94,8 +94,8 @@ class SharedKnnBound {
   std::atomic<double> bound_{kInfiniteDistance};
 };
 
-// A candidate handed to TwKnnSearch::Refine: a lower bound on its exact
-// D_tw to the query and the sequence, whose id() the answer reports.
+// A candidate handed to TwKnnSearch::Refine: a lower bound (>= 0) on its
+// exact D_tw to the query and the sequence, whose id() the answer reports.
 struct KnnCandidate {
   double lower_bound = 0.0;
   const Sequence* sequence = nullptr;

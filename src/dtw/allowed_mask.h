@@ -4,8 +4,7 @@
 // path from (0, 0) to (n-1, m-1) visits only cells whose step cost is
 // <= t. The pre-pass walks that reachability one DP row at a time as a
 // bitset; these helpers build one 64-column word of a row's "allowed"
-// mask: bit b is set iff ElementCost(s_i, q[b], step) <= t. A NaN cost
-// compares false, so NaN cells are never allowed.
+// mask: bit b is set iff ElementCost(s_i, q[b], step) <= t.
 //
 // Three builders produce identical words. ColumnRanks (below) is the one
 // the pre-pass uses for rows of up to kMaxRankedColumns columns: two
@@ -20,7 +19,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -90,17 +88,17 @@ inline constexpr size_t kMaxRankedColumns = 1024;
 
 // Row masks from the columns' value order. For a fixed s_i, d = s_i - q[j]
 // is non-increasing in q[j] (rounding is monotone) and the step cost is
-// non-decreasing in |d|, so with the non-NaN values of q sorted ascending
-// the allowed columns are exactly the ranks [lo, hi):
+// non-decreasing in |d|, so with the values of q sorted ascending the
+// allowed columns are exactly the ranks [lo, hi):
 //   lo = the first rank where d <= 0 or cost <= t   (false, then true)
 //   hi = the first rank where d < 0 and cost > t    (false, then true)
-// (a NaN d fails both, so a NaN s_i allows nothing), and the row's mask is
-// below(hi) & ~below(lo), where below(r) holds the columns of the ranks
-// under r. Besides costing fewer instructions per row, the searches run
-// at a steadier speed than the per-column compares: on a shared 4-vCPU
-// VM under varying host load, identical blocks of the SSE2 compares took
-// up to 2.4x as long as the fastest block (about 1.2x for the DP), which
-// made whole benchmark runs of a compare-bound workload spread 15-30%.
+// and the row's mask is below(hi) & ~below(lo), where below(r) holds the
+// columns of the ranks under r. Besides costing fewer instructions per
+// row, the searches run at a steadier speed than the per-column compares:
+// on a shared 4-vCPU VM under varying host load, identical blocks of the
+// SSE2 compares took up to 2.4x as long as the fastest block (about 1.2x
+// for the DP), which made whole benchmark runs of a compare-bound
+// workload spread 15-30%.
 //
 // One table serves every row of every evaluation against the same
 // columns: Assign rebuilds it only when they change.
@@ -115,16 +113,14 @@ class ColumnRanks {
     }
     key_.assign(q, q + m);
     words_ = (m + 63) / 64;
-    ranked_.clear();
+    ranked_.resize(m);
     for (size_t j = 0; j < m; ++j) {
-      if (!std::isnan(q[j])) {
-        ranked_.emplace_back(q[j], static_cast<uint32_t>(j));
-      }
+      ranked_[j] = {q[j], static_cast<uint32_t>(j)};
     }
     std::sort(ranked_.begin(), ranked_.end());
-    sorted_.resize(ranked_.size());
-    below_.assign((ranked_.size() + 1) * words_, 0);
-    for (size_t r = 0; r < ranked_.size(); ++r) {
+    sorted_.resize(m);
+    below_.assign((m + 1) * words_, 0);
+    for (size_t r = 0; r < m; ++r) {
       sorted_[r] = ranked_[r].first;
       uint64_t* next = below_.data() + (r + 1) * words_;
       std::copy(next - words_, next, next);
@@ -165,7 +161,7 @@ class ColumnRanks {
   std::vector<double> key_;      // the columns the table was built for
   size_t words_ = 0;
   std::vector<std::pair<double, uint32_t>> ranked_;  // build space
-  std::vector<double> sorted_;   // the non-NaN column values, ascending
+  std::vector<double> sorted_;   // the column values, ascending
   std::vector<uint64_t> below_;  // below(r) at r * words_, r = 0 .. count
 };
 

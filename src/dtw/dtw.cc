@@ -45,10 +45,9 @@ inline double Combine(double cost, double upstream, DtwCombiner combiner) {
 // per row, not O(m).
 //
 // Cells whose predecessors are all +inf need no test: Combine(cost, +inf)
-// is +inf for both combiners (NaN for a NaN cost, which successors skip
-// exactly like +inf; only the final cell needs care, below). The mins
-// fold in the order of DistanceWithPath (up, diagonal, left, starting
-// from +inf), so a NaN cell never becomes a predecessor value.
+// is +inf for both combiners. Elements are finite (Sequence's
+// invariant), so every cost and cell value is a number, +inf at most
+// (a step cost can overflow), and the mins fold in any order alike.
 template <StepCost kStep, DtwCombiner kCombiner, typename Window>
 double RollingDp(const Sequence& s, const Sequence& q, Window window,
                  double threshold, double* prev, double* curr,
@@ -63,7 +62,6 @@ double RollingDp(const Sequence& s, const Sequence& q, Window window,
   // One past the highest entry each buffer may hold a finite value in.
   size_t prev_end = 1;
   size_t curr_end = 0;
-  double best = kInfiniteDistance;
   for (size_t i = 0; i < n; ++i) {
     const auto [lo, hi] = window(i);
     const double s_i = sd[i];
@@ -72,9 +70,8 @@ double RollingDp(const Sequence& s, const Sequence& q, Window window,
     double row_min = kInfiniteDistance;
     for (size_t j = lo; j <= hi; ++j) {
       const double cost = ElementCost(s_i, qd[j], kStep);
-      best = std::min(kInfiniteDistance, prev[j + 1]);  // (i-1, j)
-      best = std::min(best, prev[j]);                   // (i-1, j-1)
-      best = std::min(best, left);                      // (i, j-1)
+      // min of (i-1, j), (i-1, j-1), then (i, j-1), the loop-carried one
+      const double best = std::min(std::min(prev[j + 1], prev[j]), left);
       left = Combine(cost, best, kCombiner);
       curr[j + 1] = left;
       row_min = std::min(row_min, left);
@@ -92,15 +89,7 @@ double RollingDp(const Sequence& s, const Sequence& q, Window window,
     std::swap(prev, curr);
     std::swap(prev_end, curr_end);
   }
-  const double final_value = prev[m];
-  // A NaN cost on the final cell with no finite predecessor: the cell is
-  // unreachable, and an unreachable cell is +inf (DistanceWithPath leaves
-  // it unwritten), while Combine(NaN, +inf) is NaN. No other cell needs
-  // this: successors' mins skip NaN and +inf alike.
-  if (std::isnan(final_value) && std::isinf(best)) {
-    return kInfiniteDistance;
-  }
-  return final_value;
+  return prev[m];
 }
 
 // Row i's Sakoe-Chiba band [i - band, i + band], clipped to the columns.
@@ -170,8 +159,7 @@ struct ComparedMasks {
 // ComparedMasks: identical words, different cost profiles). `rows` holds
 // n + 1 rows of `words` words: a zero row -1, then R_0 ..
 // R_{n-1}, which PathWindows reads when every row is non-empty. Even then
-// D > t unless the final cell is reachable or its cost is NaN (the DP
-// then returns NaN, never > t, and the caller must run it for that value).
+// D > t unless the final cell is reachable.
 template <typename Masks>
 bool LinfMayMatch(const Sequence& s, size_t m, Masks masks, uint64_t* rows,
                   uint64_t* cells) {
@@ -304,8 +292,7 @@ struct Buffers {
 // so that path survives in the windows, and dropping cells only removes
 // paths, which cannot lower the minimum. Under the max combiner a path's
 // cost is one of its cells' step costs, so the final value is
-// bit-identical to the full DP's. A pair the pre-pass keeps only for a
-// NaN final cost runs the full DP for that value.
+// bit-identical to the full DP's.
 template <StepCost kStep, DtwCombiner kCombiner>
 double Evaluate(const Sequence& s, const Sequence& q, size_t band,
                 bool prepass, double threshold, const Buffers& buffers,
@@ -327,15 +314,13 @@ double Evaluate(const Sequence& s, const Sequence& q, size_t band,
       }
       const size_t last = m - 1;
       const uint64_t* final_row = buffers.rows + n * ((m + 63) / 64);
-      if (((final_row[last / 64] >> (last % 64)) & 1) != 0) {
-        PathWindows(n, m, buffers.rows, buffers.lo, buffers.hi);
-        return RollingDp<kStep, kCombiner>(
-            s, q, PathWindow{buffers.lo, buffers.hi}, threshold,
-            buffers.prev, buffers.curr, cells);
-      }
-      if (!std::isnan(ElementCost(s[n - 1], q[last], kStep))) {
+      if (((final_row[last / 64] >> (last % 64)) & 1) == 0) {
         return kInfiniteDistance;
       }
+      PathWindows(n, m, buffers.rows, buffers.lo, buffers.hi);
+      return RollingDp<kStep, kCombiner>(
+          s, q, PathWindow{buffers.lo, buffers.hi}, threshold, buffers.prev,
+          buffers.curr, cells);
     }
   }
   return RollingDp<kStep, kCombiner>(s, q, BandWindow{band, m}, threshold,
@@ -378,7 +363,6 @@ DtwResult Dtw::ComputeRolling(const Sequence& s_in, const Sequence& q_in,
   // threshold must be squared-domain too.
   const double internal_threshold =
       options_.take_sqrt ? threshold * threshold : threshold;
-  // A NaN threshold fails the range test and runs the plain DP.
   const bool prepass = RunsLinfPrePass() && internal_threshold >= 0.0 &&
                        internal_threshold < kInfiniteDistance;
 
@@ -437,7 +421,7 @@ DtwResult Dtw::Distance(const Sequence& s, const Sequence& q,
 DtwResult Dtw::DistanceWithThreshold(const Sequence& s, const Sequence& q,
                                      double epsilon,
                                      DtwScratch* scratch) const {
-  assert(!(epsilon < 0.0));
+  assert(epsilon >= 0.0);
   return ComputeRolling(s, q, epsilon, scratch);
 }
 

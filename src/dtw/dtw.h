@@ -58,11 +58,10 @@ struct DtwResult {
   // The pre-pass counts each row it covers in full (m cells, whatever
   // words it skips; its backward sweep is not counted again).
   // Evaluations that run only the DP — the sum combiner, a band, an
-  // infinite or NaN threshold — count exactly the DP's cells. A pair the
+  // infinite threshold — count exactly the DP's cells. A pair the
   // pre-pass rejects counts the rows up to the row where the DP would
   // have abandoned (the same count the DP alone gives); a pair it passes
-  // counts its rows plus the window cells (plus the full DP's cells
-  // instead when only a NaN final cost let it pass). A pre-pass row
+  // counts its rows plus the window cells. A pre-pass row
   // costs far less than a DP cell per column, so on pre-pass-heavy work
   // (exact k-NN) the count no longer tracks time.
   uint64_t cells = 0;
@@ -129,8 +128,8 @@ class Dtw {
 
   // Thresholded decision procedure: returns the exact distance when
   // D_tw(S, Q) <= epsilon, and kInfiniteDistance otherwise (possibly
-  // abandoning early). Never returns a finite value > epsilon. A NaN
-  // epsilon abandons nothing and returns Distance(S, Q).
+  // abandoning early). Never returns a finite value > epsilon. Requires
+  // epsilon >= 0 (+inf abandons nothing and returns Distance(S, Q)).
   DtwResult DistanceWithThreshold(const Sequence& s, const Sequence& q,
                                   double epsilon,
                                   DtwScratch* scratch = nullptr) const;

@@ -147,7 +147,7 @@ size_t IngestEngine::RouteInsert(const ShardView& view,
 }
 
 SequenceId IngestEngine::Insert(Sequence s) {
-  assert(!s.empty());
+  assert(!s.empty());  // and finite, which Sequence asserts on construction
   const FeatureVector feature = ExtractFeature(s);
 
   std::shared_lock<std::shared_mutex> epoch(epoch_mu_);

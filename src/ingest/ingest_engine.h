@@ -154,6 +154,8 @@ class IngestEngine : public EngineLike {
   // starts after it returns.
 
   // Buffers `s` in its partition's delta; returns the new global id.
+  // Requires a non-empty sequence of finite elements (Sequence's input
+  // contract); outside input reaches it only through a checking decoder.
   SequenceId Insert(Sequence s);
 
   // Tombstones `id` (a base sequence or a buffered insert). False if

@@ -212,6 +212,9 @@ class Parser {
     if (parse_end != text.c_str() + text.size()) {
       return Error("malformed number '" + text + "'");
     }
+    if (std::isinf(d)) {
+      return Error("number out of range");
+    }
     *out = JsonValue::Double(d);
     return Status::Ok();
   }

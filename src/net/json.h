@@ -10,6 +10,10 @@
 //     back to the bit-identical value — the property the router ≡
 //     in-process-engine guarantee rests on (epsilon, kNN distances, and
 //     MBR coordinates all cross the wire as decimal text).
+//   * Every parsed number is finite: one that overflows a double (1e999,
+//     a 400-digit integer) is an error, while underflow to 0 or a
+//     denormal is accepted. Rendering writes non-finite doubles as null,
+//     so no decoder of a wire body sees a NaN or an infinity.
 //   * Object members keep insertion order (stable rendering; tests can
 //     compare strings), and lookups are linear — wire bodies have a
 //     handful of keys.

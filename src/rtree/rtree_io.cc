@@ -4,10 +4,10 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
-#include <memory>
 #include <vector>
+
+#include "common/binary_file.h"
 
 namespace warpindex {
 namespace {
@@ -15,31 +15,13 @@ namespace {
 constexpr char kMagic[4] = {'W', 'I', 'R', 'T'};
 constexpr uint32_t kVersion = 1;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) {
-      std::fclose(f);
-    }
-  }
-};
-using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
-
-bool WriteBytes(std::FILE* f, const void* data, size_t n) {
-  return std::fwrite(data, 1, n, f) == n;
-}
-
-bool ReadBytes(std::FILE* f, void* data, size_t n) {
-  return std::fread(data, 1, n, f) == n;
-}
-
 }  // namespace
 
 Status SaveRTreeToFile(const RTree& tree, const std::string& path) {
-  FileHandle file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
+  BinaryWriter out(path);
+  if (!out.is_open()) {
     return Status::IoError("cannot open for writing: " + path);
   }
-  std::FILE* f = file.get();
 
   // Dense preorder remap (skips free-list holes).
   std::vector<NodeId> order;
@@ -59,86 +41,45 @@ Status SaveRTreeToFile(const RTree& tree, const std::string& path) {
     }
   }
 
-  const uint32_t dims = static_cast<uint32_t>(tree.dims_);
-  const uint64_t page_size = tree.options_.page_size_bytes;
-  const uint8_t split = static_cast<uint8_t>(tree.options_.split_policy);
-  const double min_fill = tree.options_.min_fill_fraction;
-  const uint8_t reinsert = tree.options_.forced_reinsert ? 1 : 0;
-  const double reinsert_fraction = tree.options_.reinsert_fraction;
-  const uint8_t supernodes = tree.options_.allow_supernodes ? 1 : 0;
-  const double supernode_threshold =
-      tree.options_.supernode_overlap_threshold;
-  const uint64_t size = tree.size_;
-  const uint32_t node_count = static_cast<uint32_t>(order.size());
-  if (!WriteBytes(f, kMagic, sizeof(kMagic)) ||
-      !WriteBytes(f, &kVersion, sizeof(kVersion)) ||
-      !WriteBytes(f, &dims, sizeof(dims)) ||
-      !WriteBytes(f, &page_size, sizeof(page_size)) ||
-      !WriteBytes(f, &split, sizeof(split)) ||
-      !WriteBytes(f, &min_fill, sizeof(min_fill)) ||
-      !WriteBytes(f, &reinsert, sizeof(reinsert)) ||
-      !WriteBytes(f, &reinsert_fraction, sizeof(reinsert_fraction)) ||
-      !WriteBytes(f, &supernodes, sizeof(supernodes)) ||
-      !WriteBytes(f, &supernode_threshold, sizeof(supernode_threshold)) ||
-      !WriteBytes(f, &size, sizeof(size)) ||
-      !WriteBytes(f, &node_count, sizeof(node_count))) {
-    return Status::IoError("short write: " + path);
-  }
+  const RTreeOptions& options = tree.options_;
+  out.Write(kMagic, sizeof(kMagic));
+  out.Write(kVersion);
+  out.Write(static_cast<uint32_t>(tree.dims_));
+  out.Write(uint64_t{options.page_size_bytes});
+  out.Write(static_cast<uint8_t>(options.split_policy));
+  out.Write(options.min_fill_fraction);
+  out.Write(static_cast<uint8_t>(options.forced_reinsert ? 1 : 0));
+  out.Write(options.reinsert_fraction);
+  out.Write(static_cast<uint8_t>(options.allow_supernodes ? 1 : 0));
+  out.Write(options.supernode_overlap_threshold);
+  out.Write(uint64_t{tree.size_});
+  out.Write(static_cast<uint32_t>(order.size()));
 
+  // An entry's in-memory bounds are already in page order.
+  const size_t bounds_bytes =
+      2 * static_cast<size_t>(tree.dims_) * sizeof(double);
   for (const NodeId id : order) {
     const RTreeNode* n = tree.node(id);
-    const int32_t level = n->level;
-    const uint8_t supernode = n->supernode ? 1 : 0;
-    const uint32_t entry_count = static_cast<uint32_t>(n->entries.size());
-    if (!WriteBytes(f, &level, sizeof(level)) ||
-        !WriteBytes(f, &supernode, sizeof(supernode)) ||
-        !WriteBytes(f, &entry_count, sizeof(entry_count))) {
-      return Status::IoError("short write: " + path);
-    }
-    // An entry's in-memory bounds are already in page order.
-    const size_t bounds_bytes = 2 * static_cast<size_t>(tree.dims_) *
-                                sizeof(double);
+    out.Write(int32_t{n->level});
+    out.Write(static_cast<uint8_t>(n->supernode ? 1 : 0));
+    out.Write(static_cast<uint32_t>(n->entries.size()));
     for (size_t i = 0; i < n->entries.size(); ++i) {
-      const int64_t ref =
-          n->IsLeaf() ? n->entries.ref(i)
-                      : static_cast<int64_t>(
-                            remap[static_cast<size_t>(n->entries.child(i))]);
-      if (!WriteBytes(f, n->entries.rect(i).bounds(), bounds_bytes) ||
-          !WriteBytes(f, &ref, sizeof(ref))) {
-        return Status::IoError("short write: " + path);
-      }
+      out.Write(n->entries.rect(i).bounds(), bounds_bytes);
+      out.Write(n->IsLeaf() ? n->entries.ref(i)
+                            : static_cast<int64_t>(remap[static_cast<size_t>(
+                                  n->entries.child(i))]));
     }
   }
-  return Status::Ok();
+  return out.Finish() ? Status::Ok() : Status::IoError("short write: " + path);
 }
 
 Status LoadRTreeFromFile(const std::string& path, RTree* out) {
-  FileHandle file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
+  BinaryReader in(path);
+  if (!in.is_open()) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  std::FILE* f = file.get();
   // Every count read below is checked against the bytes actually left in
   // the file before anything is allocated for it.
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IoError("cannot seek: " + path);
-  }
-  const long file_size = std::ftell(f);
-  if (file_size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
-    return Status::IoError("cannot seek: " + path);
-  }
-  const auto bytes_left = [f, file_size] {
-    const long pos = std::ftell(f);
-    return pos < 0 || pos > file_size ? uint64_t{0}
-                                      : static_cast<uint64_t>(file_size - pos);
-  };
-  // End of file before the layout says it ends: a corrupt file, unless
-  // the read itself failed.
-  const auto short_read = [f, &path] {
-    return std::ferror(f) != 0
-               ? Status::IoError("read error: " + path)
-               : Status::InvalidArgument("truncated index file: " + path);
-  };
 
   char magic[4];
   uint32_t version = 0;
@@ -152,24 +93,18 @@ Status LoadRTreeFromFile(const std::string& path, RTree* out) {
   double supernode_threshold = 0.0;
   uint64_t size = 0;
   uint32_t node_count = 0;
-  if (!ReadBytes(f, magic, sizeof(magic))) {
-    return short_read();
+  if (!in.Read(magic, sizeof(magic))) {
+    return in.ShortRead("index file");
   }
   if (!std::equal(magic, magic + 4, kMagic)) {
     return Status::InvalidArgument("bad magic in " + path);
   }
-  if (!ReadBytes(f, &version, sizeof(version)) ||
-      !ReadBytes(f, &dims, sizeof(dims)) ||
-      !ReadBytes(f, &page_size, sizeof(page_size)) ||
-      !ReadBytes(f, &split, sizeof(split)) ||
-      !ReadBytes(f, &min_fill, sizeof(min_fill)) ||
-      !ReadBytes(f, &reinsert, sizeof(reinsert)) ||
-      !ReadBytes(f, &reinsert_fraction, sizeof(reinsert_fraction)) ||
-      !ReadBytes(f, &supernodes, sizeof(supernodes)) ||
-      !ReadBytes(f, &supernode_threshold, sizeof(supernode_threshold)) ||
-      !ReadBytes(f, &size, sizeof(size)) ||
-      !ReadBytes(f, &node_count, sizeof(node_count))) {
-    return short_read();
+  if (!in.Read(&version) || !in.Read(&dims) || !in.Read(&page_size) ||
+      !in.Read(&split) || !in.Read(&min_fill) || !in.Read(&reinsert) ||
+      !in.Read(&reinsert_fraction) || !in.Read(&supernodes) ||
+      !in.Read(&supernode_threshold) || !in.Read(&size) ||
+      !in.Read(&node_count)) {
+    return in.ShortRead("index file");
   }
   if (version != kVersion) {
     return Status::InvalidArgument("unsupported index version in " + path);
@@ -184,7 +119,7 @@ Status LoadRTreeFromFile(const std::string& path, RTree* out) {
   constexpr uint64_t kNodeHeaderBytes =
       sizeof(int32_t) + sizeof(uint8_t) + sizeof(uint32_t);
   if (node_count > static_cast<uint32_t>(std::numeric_limits<NodeId>::max()) ||
-      node_count > bytes_left() / kNodeHeaderBytes) {
+      !in.Holds(node_count, kNodeHeaderBytes)) {
     return Status::InvalidArgument("node count exceeds the file in " + path);
   }
 
@@ -205,10 +140,8 @@ Status LoadRTreeFromFile(const std::string& path, RTree* out) {
     int32_t level = 0;
     uint8_t supernode = 0;
     uint32_t entry_count = 0;
-    if (!ReadBytes(f, &level, sizeof(level)) ||
-        !ReadBytes(f, &supernode, sizeof(supernode)) ||
-        !ReadBytes(f, &entry_count, sizeof(entry_count))) {
-      return short_read();
+    if (!in.Read(&level) || !in.Read(&supernode) || !in.Read(&entry_count)) {
+      return in.ShortRead("index file");
     }
     // A tree is never taller than its node count.
     if (level < 0 || static_cast<uint32_t>(level) >= node_count ||
@@ -216,7 +149,7 @@ Status LoadRTreeFromFile(const std::string& path, RTree* out) {
         (supernode == 0 && entry_count > tree.capacity())) {
       return Status::InvalidArgument("corrupt node in " + path);
     }
-    if (entry_count > bytes_left() / entry_bytes) {
+    if (!in.Holds(entry_count, entry_bytes)) {
       return Status::InvalidArgument("entry count exceeds the file in " +
                                      path);
     }
@@ -228,9 +161,8 @@ Status LoadRTreeFromFile(const std::string& path, RTree* out) {
     n->entries.Reserve(entry_count);
     for (uint32_t ei = 0; ei < entry_count; ++ei) {
       int64_t ref = 0;
-      if (!ReadBytes(f, bounds.data(), bounds_bytes) ||
-          !ReadBytes(f, &ref, sizeof(ref))) {
-        return short_read();
+      if (!in.Read(bounds.data(), bounds_bytes) || !in.Read(&ref)) {
+        return in.ShortRead("index file");
       }
       // Preorder: every child follows its parent.
       if (level > 0 && (ref <= static_cast<int64_t>(i) ||

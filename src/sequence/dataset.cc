@@ -1,33 +1,18 @@
 #include "sequence/dataset.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
-#include <memory>
+#include <string>
+
+#include "common/binary_file.h"
 
 namespace warpindex {
 namespace {
 
 constexpr char kMagic[4] = {'W', 'I', 'D', 'S'};
 constexpr uint32_t kVersion = 1;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) {
-      std::fclose(f);
-    }
-  }
-};
-using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
-
-bool WriteBytes(std::FILE* f, const void* data, size_t n) {
-  return std::fwrite(data, 1, n, f) == n;
-}
-
-bool ReadBytes(std::FILE* f, void* data, size_t n) {
-  return std::fread(data, 1, n, f) == n;
-}
 
 }  // namespace
 
@@ -67,40 +52,31 @@ DatasetStats Dataset::ComputeStats() const {
 }
 
 Status Dataset::SaveToFile(const std::string& path) const {
-  FileHandle file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
+  BinaryWriter out(path);
+  if (!out.is_open()) {
     return Status::IoError("cannot open for writing: " + path);
   }
-  std::FILE* f = file.get();
-  const uint64_t count = sequences_.size();
-  if (!WriteBytes(f, kMagic, sizeof(kMagic)) ||
-      !WriteBytes(f, &kVersion, sizeof(kVersion)) ||
-      !WriteBytes(f, &count, sizeof(count))) {
-    return Status::IoError("short write: " + path);
-  }
+  out.Write(kMagic, sizeof(kMagic));
+  out.Write(kVersion);
+  out.Write(uint64_t{sequences_.size()});
   for (const Sequence& s : sequences_) {
-    const uint64_t len = s.size();
-    if (!WriteBytes(f, &len, sizeof(len)) ||
-        !WriteBytes(f, s.data(), len * sizeof(double))) {
-      return Status::IoError("short write: " + path);
-    }
+    out.Write(uint64_t{s.size()});
+    out.Write(s.data(), s.size() * sizeof(double));
   }
-  return Status::Ok();
+  return out.Finish() ? Status::Ok() : Status::IoError("short write: " + path);
 }
 
 Status Dataset::LoadFromFile(const std::string& path, Dataset* out) {
-  FileHandle file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
+  BinaryReader in(path);
+  if (!in.is_open()) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  std::FILE* f = file.get();
   char magic[4];
   uint32_t version = 0;
   uint64_t count = 0;
-  if (!ReadBytes(f, magic, sizeof(magic)) ||
-      !ReadBytes(f, &version, sizeof(version)) ||
-      !ReadBytes(f, &count, sizeof(count))) {
-    return Status::IoError("short read: " + path);
+  if (!in.Read(magic, sizeof(magic)) || !in.Read(&version) ||
+      !in.Read(&count)) {
+    return in.ShortRead("dataset file");
   }
   if (!std::equal(magic, magic + 4, kMagic)) {
     return Status::InvalidArgument("bad magic in " + path);
@@ -108,16 +84,34 @@ Status Dataset::LoadFromFile(const std::string& path, Dataset* out) {
   if (version != kVersion) {
     return Status::InvalidArgument("unsupported dataset version in " + path);
   }
+  // A row is its length word plus at least one element.
+  if (!in.Holds(count, sizeof(uint64_t) + sizeof(double))) {
+    return Status::InvalidArgument("row count exceeds the file in " + path);
+  }
+  const auto bad_row = [&path](const char* what, uint64_t i) {
+    return Status::InvalidArgument(std::string(what) + " in row " +
+                                   std::to_string(i) + " of " + path);
+  };
   std::vector<Sequence> sequences;
   sequences.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t len = 0;
-    if (!ReadBytes(f, &len, sizeof(len))) {
-      return Status::IoError("short read: " + path);
+    if (!in.Read(&len)) {
+      return in.ShortRead("dataset file");
+    }
+    if (len == 0) {
+      return bad_row("no elements", i);
+    }
+    if (!in.Holds(len, sizeof(double))) {
+      return bad_row("length exceeds the file", i);
     }
     std::vector<double> elements(len);
-    if (len > 0 && !ReadBytes(f, elements.data(), len * sizeof(double))) {
-      return Status::IoError("short read: " + path);
+    if (!in.Read(elements.data(), len * sizeof(double))) {
+      return in.ShortRead("dataset file");
+    }
+    if (!std::all_of(elements.begin(), elements.end(),
+                     [](double v) { return std::isfinite(v); })) {
+      return bad_row("non-finite element", i);
     }
     sequences.emplace_back(std::move(elements));
   }

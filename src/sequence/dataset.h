@@ -49,6 +49,10 @@ class Dataset {
   //   doubles.  Little-endian host assumed (checked by magic round-trip in
   //   tests).
   Status SaveToFile(const std::string& path) const;
+  // InvalidArgument for a file that is not a valid dataset: bad magic or
+  // version, a count or length the file cannot hold, a truncated or empty
+  // row, or a non-finite element (the Sequence input contract). Nothing
+  // is allocated for a count before the file is known to hold it.
   static Status LoadFromFile(const std::string& path, Dataset* out);
 
  private:

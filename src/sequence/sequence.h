@@ -3,11 +3,21 @@
 // A sequence is an ordered list of numeric elements (paper §2). Sequences in
 // a database may have different lengths — that is the whole point of the
 // time-warping distance.
+//
+// Input contract: every element is finite. The paper's feature and its
+// lower bound (Theorem 1) are stated for real numbers; a NaN or +-inf
+// element makes Greatest/Smallest, the index predicate and every DTW step
+// cost meaningless. Outside input is checked where it is decoded (text
+// lines, JSON bodies, dataset files; see DESIGN.md "Input contract"), so
+// the kernels carry no NaN handling. In-process construction asserts it
+// in debug builds. A sequence stored in a database is also non-empty.
 
 #ifndef WARPINDEX_SEQUENCE_SEQUENCE_H_
 #define WARPINDEX_SEQUENCE_SEQUENCE_H_
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -25,7 +35,10 @@ class Sequence {
   Sequence() = default;
   explicit Sequence(std::vector<double> elements,
                     SequenceId id = kInvalidSequenceId)
-      : elements_(std::move(elements)), id_(id) {}
+      : elements_(std::move(elements)), id_(id) {
+    assert(std::all_of(elements_.begin(), elements_.end(),
+                       [](double v) { return std::isfinite(v); }));
+  }
 
   Sequence(const Sequence&) = default;
   Sequence& operator=(const Sequence&) = default;
@@ -66,7 +79,10 @@ class Sequence {
   SequenceId id() const { return id_; }
   void set_id(SequenceId id) { id_ = id; }
 
-  void Append(double value) { elements_.push_back(value); }
+  void Append(double value) {
+    assert(std::isfinite(value));
+    elements_.push_back(value);
+  }
   void Reserve(size_t n) { elements_.reserve(n); }
 
   // Contiguous subsequence [begin, begin + length); used by the

@@ -1,7 +1,12 @@
 #include "shard/shard_io.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <vector>
+
+#include "common/binary_file.h"
 
 namespace warpindex {
 namespace {
@@ -20,81 +25,68 @@ std::string ShardSubdir(size_t index) {
 
 Status SaveShardManifest(const std::string& path,
                          const ShardManifest& manifest) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
+  BinaryWriter out(path);
+  if (!out.is_open()) {
     return Status::IoError("cannot write shard manifest " + path);
   }
-  const uint32_t version = kVersionV2;
-  const uint32_t num_shards =
-      static_cast<uint32_t>(manifest.assignment.num_shards);
-  const uint32_t partitioner = static_cast<uint32_t>(manifest.partitioner);
-  const uint64_t page_size = manifest.page_size_bytes;
-  const uint64_t count = manifest.assignment.shard_of.size();
-  bool ok = std::fwrite(kMagic, sizeof(kMagic), 1, f) == 1;
-  ok = ok && std::fwrite(&version, sizeof(version), 1, f) == 1;
-  ok = ok && std::fwrite(&num_shards, sizeof(num_shards), 1, f) == 1;
-  ok = ok && std::fwrite(&partitioner, sizeof(partitioner), 1, f) == 1;
-  ok = ok && std::fwrite(&page_size, sizeof(page_size), 1, f) == 1;
-  ok = ok && std::fwrite(&count, sizeof(count), 1, f) == 1;
-  ok = ok &&
-       (count == 0 ||
-        std::fwrite(manifest.assignment.shard_of.data(), sizeof(uint32_t),
-                    count, f) == count);
+  const std::vector<uint32_t>& shard_of = manifest.assignment.shard_of;
+  out.Write(kMagic, sizeof(kMagic));
+  out.Write(kVersionV2);
+  out.Write(static_cast<uint32_t>(manifest.assignment.num_shards));
+  out.Write(static_cast<uint32_t>(manifest.partitioner));
+  out.Write(uint64_t{manifest.page_size_bytes});
+  out.Write(uint64_t{shard_of.size()});
+  out.Write(shard_of.data(), shard_of.size() * sizeof(uint32_t));
   // v2 trailing block: the range partitioner's routing cut points.
-  const uint32_t has_cuts = manifest.range_cuts.empty() ? 0 : 1;
-  ok = ok && std::fwrite(&has_cuts, sizeof(has_cuts), 1, f) == 1;
-  if (has_cuts != 0) {
-    ok = ok && manifest.range_cuts.size() == manifest.assignment.num_shards;
-    for (const auto& cut : manifest.range_cuts) {
-      ok = ok &&
-           std::fwrite(cut.data(), sizeof(double), cut.size(), f) ==
-               cut.size();
-    }
+  out.Write(static_cast<uint32_t>(manifest.range_cuts.empty() ? 0 : 1));
+  for (const auto& cut : manifest.range_cuts) {
+    out.Write(cut.data(), cut.size() * sizeof(double));
   }
-  std::fclose(f);
+  const bool ok = out.Finish() && (manifest.range_cuts.empty() ||
+                                   manifest.range_cuts.size() ==
+                                       manifest.assignment.num_shards);
   return ok ? Status::Ok() : Status::IoError("short manifest write: " + path);
 }
 
 Status LoadShardManifest(const std::string& path, ShardManifest* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  BinaryReader in(path);
+  if (!in.is_open()) {
     return Status::IoError("cannot read shard manifest " + path);
   }
+  // The counts below are checked against the bytes left in the file
+  // before anything is allocated for them.
   char magic[4];
   uint32_t version = 0;
   uint32_t num_shards = 0;
   uint32_t partitioner = 0;
   uint64_t page_size = 0;
   uint64_t count = 0;
-  bool ok = std::fread(magic, sizeof(magic), 1, f) == 1 &&
+  bool ok = in.Read(magic, sizeof(magic)) &&
             std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-  ok = ok && std::fread(&version, sizeof(version), 1, f) == 1 &&
+  ok = ok && in.Read(&version) &&
        (version == kVersionV1 || version == kVersionV2);
-  ok = ok && std::fread(&num_shards, sizeof(num_shards), 1, f) == 1 &&
-       num_shards >= 1;
-  ok = ok && std::fread(&partitioner, sizeof(partitioner), 1, f) == 1 &&
+  ok = ok && in.Read(&num_shards) && num_shards >= 1;
+  ok = ok && in.Read(&partitioner) &&
        partitioner <= static_cast<uint32_t>(PartitionerKind::kRange);
-  ok = ok && std::fread(&page_size, sizeof(page_size), 1, f) == 1;
-  ok = ok && std::fread(&count, sizeof(count), 1, f) == 1;
-  if (ok) {
-    out->assignment.shard_of.resize(count);
-    ok = count == 0 ||
-         std::fread(out->assignment.shard_of.data(), sizeof(uint32_t),
-                    count, f) == count;
-  }
+  ok = ok && in.Read(&page_size);
+  ok = ok && in.Read(&count) && in.Holds(count, sizeof(uint32_t));
+  out->assignment.shard_of.resize(ok ? count : 0);
+  ok = ok && in.Read(out->assignment.shard_of.data(),
+                     count * sizeof(uint32_t));
   out->range_cuts.clear();
   if (ok && version >= kVersionV2) {
     uint32_t has_cuts = 0;
-    ok = std::fread(&has_cuts, sizeof(has_cuts), 1, f) == 1 && has_cuts <= 1;
+    ok = in.Read(&has_cuts) && has_cuts <= 1;
     if (ok && has_cuts != 0) {
-      out->range_cuts.resize(num_shards);
+      ok = in.Holds(num_shards, kFeatureDims * sizeof(double));
+      out->range_cuts.resize(ok ? num_shards : 0);
       for (auto& cut : out->range_cuts) {
-        ok = ok && std::fread(cut.data(), sizeof(double), cut.size(), f) ==
-                       cut.size();
+        ok = ok && in.Read(cut.data(), cut.size() * sizeof(double)) &&
+             std::all_of(cut.begin(), cut.end(),
+                         [](double v) { return std::isfinite(v); });
       }
     }
   }
-  std::fclose(f);
   if (!ok) {
     return Status::IoError("corrupt shard manifest " + path);
   }

@@ -63,6 +63,10 @@ std::string ShardSubdir(size_t index);
 
 Status SaveShardManifest(const std::string& path,
                          const ShardManifest& manifest);
+// IoError("corrupt shard manifest ...") for a malformed file: bad magic,
+// version or header field, a count the file's bytes cannot hold (checked
+// before anything is allocated), an out-of-range assignment, or a
+// non-finite range cut.
 Status LoadShardManifest(const std::string& path, ShardManifest* out);
 
 }  // namespace warpindex

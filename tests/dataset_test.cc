@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <string>
+#include <vector>
 
 namespace warpindex {
 namespace {
@@ -86,6 +90,98 @@ TEST(DatasetTest, LoadRejectsBadMagic) {
   const Status s = Dataset::LoadFromFile(path, &d);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+// Writes a dataset file by hand: the header with `count`, then each row
+// as its length word and its elements. `row_len` overrides a row's length
+// word (the elements written stay the row's own).
+std::string WriteRawDataset(const std::string& name, uint64_t count,
+                            const std::vector<std::vector<double>>& rows,
+                            const std::vector<uint64_t>& row_len = {}) {
+  const std::string path = testing::TempDir() + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  const uint32_t version = 1;
+  std::fwrite("WIDS", 1, 4, f);
+  std::fwrite(&version, sizeof(version), 1, f);
+  std::fwrite(&count, sizeof(count), 1, f);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const uint64_t len = i < row_len.size() ? row_len[i] : rows[i].size();
+    std::fwrite(&len, sizeof(len), 1, f);
+    if (!rows[i].empty()) {
+      std::fwrite(rows[i].data(), sizeof(double), rows[i].size(), f);
+    }
+  }
+  std::fclose(f);
+  return path;
+}
+
+Status LoadRaw(const std::string& path) {
+  Dataset d;
+  const Status status = Dataset::LoadFromFile(path, &d);
+  std::remove(path.c_str());
+  return status;
+}
+
+TEST(DatasetTest, HandWrittenFileLoads) {
+  const std::string path =
+      WriteRawDataset("dataset_raw_ok.wids", 2, {{1.0, 2.0}, {3.0}});
+  Dataset d;
+  ASSERT_TRUE(Dataset::LoadFromFile(path, &d).ok());
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_EQ(d[0], Sequence({1.0, 2.0}));
+  EXPECT_EQ(d[1], Sequence({3.0}));
+  std::remove(path.c_str());
+}
+
+// A count the file cannot hold is refused before anything is reserved
+// for it (2^61 rows would throw from reserve()).
+TEST(DatasetTest, LoadRejectsCountBeyondTheFile) {
+  EXPECT_EQ(LoadRaw(WriteRawDataset("dataset_count_lie.wids",
+                                    uint64_t{1} << 61, {{1.0, 2.0}}))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadRaw(WriteRawDataset("dataset_count_plus_one.wids", 2,
+                                    {{1.0, 2.0}}))
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A row length the file cannot hold is refused before the row is
+// allocated (2^40 elements would throw bad_alloc).
+TEST(DatasetTest, LoadRejectsRowLengthBeyondTheFile) {
+  EXPECT_EQ(LoadRaw(WriteRawDataset("dataset_len_lie.wids", 1, {{1.0, 2.0}},
+                                    {uint64_t{1} << 40}))
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DatasetTest, LoadRejectsFileTruncatedMidRow) {
+  const std::string path = testing::TempDir() + "/dataset_truncated.wids";
+  ASSERT_TRUE(MakeSmallDataset().SaveToFile(path).ok());
+  // Cut the last row's final element in half.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 4);
+  EXPECT_EQ(LoadRaw(path).code(), StatusCode::kInvalidArgument);
+}
+
+// ExtractFeature requires a non-empty sequence.
+TEST(DatasetTest, LoadRejectsZeroLengthRow) {
+  EXPECT_EQ(LoadRaw(WriteRawDataset("dataset_empty_row.wids", 2,
+                                    {{1.0}, {}}))
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DatasetTest, LoadRejectsNonFiniteElements) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const Status status = LoadRaw(WriteRawDataset(
+        "dataset_nonfinite.wids", 2, {{1.0, 2.0}, {3.0, bad, 4.0}}));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("row 1"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(DatasetTest, SaveRejectsUnwritablePath) {

@@ -1,7 +1,7 @@
 // Differential tests for the rolling DTW kernel and the L_inf decision
 // pre-pass (dtw/dtw.cc) against DistanceWithPath, the full-matrix
 // reference: bit-identical distances for every (step, combiner), band,
-// shape and threshold, pinned outputs for non-finite inputs, the cell
+// shape and threshold, pinned outputs for infinite step costs, the cell
 // accounting, and the SSE2 mask builder against the portable one.
 
 #include <gtest/gtest.h>
@@ -22,9 +22,12 @@ namespace warpindex {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+// Finite elements whose step costs overflow: |kMax - (-kMax)| is +inf
+// under both steps, and kBig's square is +inf under kSquared.
+constexpr double kMax = std::numeric_limits<double>::max();
+constexpr double kBig = 1e200;
 
-// Bitwise equality, so 0.0 vs -0.0 and NaN payloads count as different.
+// Bitwise equality, so 0.0 vs -0.0 count as different.
 bool SameBits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
@@ -208,16 +211,17 @@ TEST(DtwKernelTest, WindowedDpMatchesPathReference) {
   }
 }
 
-// Non-finite elements on the pre-pass path: NaN and infinite-cost cells
-// never lie on a path costing <= t, so they fall outside or inside the
-// windows as the other cells dictate, and a NaN final cell (never on
-// such a path, yet D may be NaN) takes the full-DP fallback. Every
-// thresholded result must be bit-identical to the DP alone (the same
-// options with a band wide enough to constrain nothing, which skips the
-// pre-pass) and, wherever the reference is not NaN, to
+// Infinite step costs on the pre-pass path. Elements are finite (the
+// Sequence input contract), but the cost of two finite elements can still
+// overflow to +inf: |DBL_MAX - (-DBL_MAX)|, or (1e200 - x)^2 under the
+// squared step. Such cells never lie on a path costing <= t, so they fall
+// outside or inside the windows as the other cells dictate, and a final
+// cell of infinite cost leaves the pair unmatched. Every thresholded
+// result must be bit-identical to the DP alone (the same options with a
+// band wide enough to constrain nothing, which skips the pre-pass) and to
 // ref <= t ? ref : +inf.
-TEST(DtwKernelTest, WindowedDpMatchesPlainDpOnNonFiniteInputs) {
-  const double specials[] = {kInf, -kInf, kNaN};
+TEST(DtwKernelTest, WindowedDpMatchesPlainDpOnInfiniteCosts) {
+  const double specials[] = {kMax, -kMax, kBig, -kBig};
   Prng prng(77);
   DtwScratch scratch;
   for (const StepCost step : {StepCost::kAbsolute, StepCost::kSquared}) {
@@ -234,10 +238,12 @@ TEST(DtwKernelTest, WindowedDpMatchesPlainDpOnNonFiniteInputs) {
         std::vector<double>& v = prng.UniformInt(0, 1) == 0 ? s : q;
         v[static_cast<size_t>(
             prng.UniformInt(0, static_cast<int64_t>(v.size()) - 1))] =
-            specials[prng.UniformInt(0, 2)];
+            specials[prng.UniformInt(0, 3)];
       }
       if (trial % 4 == 0) {
-        s.back() = kNaN;  // a NaN final cell
+        // A final cell of infinite cost under both steps.
+        s.back() = kMax;
+        q.back() = -kMax;
       }
       const Sequence a(std::move(s));
       const Sequence b(std::move(q));
@@ -245,7 +251,7 @@ TEST(DtwKernelTest, WindowedDpMatchesPlainDpOnNonFiniteInputs) {
       wide.band = static_cast<int>(std::max(n, m));
       const Dtw plain(wide);
       const double ref = dtw.DistanceWithPath(a, b).distance;
-      for (const double t : {0.0, 0.1, 0.5, 1.0, 2.0, 8.0}) {
+      for (const double t : {0.0, 0.1, 0.5, 1.0, 2.0, 8.0, kMax}) {
         const double got = dtw.DistanceWithThreshold(a, b, t, &scratch)
                                .distance;
         const double want = plain.DistanceWithThreshold(a, b, t).distance;
@@ -253,19 +259,18 @@ TEST(DtwKernelTest, WindowedDpMatchesPlainDpOnNonFiniteInputs) {
                                   " t=" + std::to_string(t);
         EXPECT_TRUE(SameBits(got, want))
             << where << " got=" << got << " plain=" << want;
-        if (!std::isnan(ref)) {
-          EXPECT_TRUE(SameBits(got, ref <= t ? ref : kInf))
-              << where << " got=" << got << " ref=" << ref;
-        }
+        EXPECT_TRUE(SameBits(got, ref <= t ? ref : kInf))
+            << where << " got=" << got << " ref=" << ref;
       }
     }
   }
 }
 
-// Pinned outputs of the DP alone (distance and cells) for inputs holding
-// +-inf and NaN, and for a NaN threshold. With the pre-pass in front,
-// every distance must stay bit for bit the same, and the cells may only
-// grow by the pre-pass rows of pairs it hands to the DP.
+// Pinned outputs of the DP alone (distance and cells) for finite inputs
+// whose step costs reach DBL_MAX or overflow to +inf, at thresholds up
+// to DBL_MAX. With the pre-pass in front, every distance must stay bit
+// for bit the same, and the cells may only grow by the pre-pass rows of
+// pairs it hands to the DP.
 struct Golden {
   int pair;
   int option;
@@ -273,67 +278,69 @@ struct Golden {
   uint64_t cells[4];
 };
 
-TEST(DtwKernelTest, NonFiniteInputsReproducePinnedOutputs) {
+TEST(DtwKernelTest, InfiniteCostsReproducePinnedOutputs) {
   const std::vector<Sequence> inputs = {
-      Sequence({0.5, 1.5, 2.5, 3.5}),        // 0 finite
-      Sequence({1.0, kInf, 2.0, 3.0}),       // 1 +inf inside
-      Sequence({1.0, 2.0, 3.0, kInf}),       // 2 +inf last
-      Sequence({-kInf, 0.0, 1.0}),           // 3 -inf first
-      Sequence({kNaN, 1.0, 2.0}),            // 4 NaN first
-      Sequence({1.0, kNaN, 2.0, 2.0, 3.0}),  // 5 NaN inside
-      Sequence({1.0, 2.0, kNaN}),            // 6 NaN last
-      Sequence({kInf}),                      // 7 single +inf
-      Sequence({kInf, kInf}),                // 8
-      Sequence({1.0, kInf}),                 // 9
+      Sequence({0.5, 1.5, 2.5, 3.5}),         // 0 moderate
+      Sequence({1.0, kMax, 2.0, 3.0}),        // 1 DBL_MAX inside
+      Sequence({1.0, 2.0, 3.0, kMax}),        // 2 DBL_MAX last
+      Sequence({-kMax, 0.0, 1.0}),            // 3 -DBL_MAX first
+      Sequence({kBig, 1.0, 2.0}),             // 4 1e200 first
+      Sequence({1.0, -kBig, 2.0, 2.0, 3.0}),  // 5 -1e200 inside
+      Sequence({1.0, 2.0, -kMax}),            // 6 -DBL_MAX last
+      Sequence({kMax}),                       // 7 single DBL_MAX
+      Sequence({kMax, kMax}),                 // 8
+      Sequence({1.0, -kMax}),                 // 9
   };
+  // {2, 6} ends on a cell of cost +inf, {7, 3} and {8, 9} hold no path of
+  // finite cost, and {6, 6} pairs -DBL_MAX with itself (cost 0).
   const int pairs[][2] = {{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}, {6, 0},
-                          {2, 2}, {6, 6}, {7, 7}, {1, 5}, {0, 0}, {8, 9}};
+                          {2, 6}, {6, 6}, {7, 3}, {1, 5}, {0, 0}, {8, 9}};
   DtwOptions banded = DtwOptions::Linf();
   banded.band = 1;
   const DtwOptions options[] = {DtwOptions::Linf(), banded, DtwOptions::L1(),
                                 DtwOptions::L2()};
   // Index 0 is Distance(); the others go to DistanceWithThreshold.
-  const double thresholds[] = {kInf, 0.5, 2.5, kNaN};
+  const double thresholds[] = {kInf, 0.5, 2.5, kMax};
   const Golden golden[] = {
-      {0, 0, {kInf, kInf, kInf, kInf}, {16, 8, 8, 16}},
-      {0, 1, {kInf, kInf, kInf, kInf}, {10, 5, 5, 10}},
-      {0, 2, {kInf, kInf, kInf, kInf}, {16, 8, 8, 16}},
+      {0, 0, {kMax, kInf, kInf, kMax}, {16, 8, 8, 16}},
+      {0, 1, {kMax, kInf, kInf, kMax}, {10, 5, 5, 10}},
+      {0, 2, {kMax, kInf, kInf, kMax}, {16, 8, 8, 16}},
       {0, 3, {kInf, kInf, kInf, kInf}, {16, 8, 8, 16}},
-      {1, 0, {kInf, kInf, kInf, kInf}, {16, 16, 16, 16}},
-      {1, 1, {kInf, kInf, kInf, kInf}, {10, 10, 10, 10}},
-      {1, 2, {kInf, kInf, kInf, kInf}, {16, 8, 16, 16}},
+      {1, 0, {kMax, kInf, kInf, kMax}, {16, 16, 16, 16}},
+      {1, 1, {kMax, kInf, kInf, kMax}, {10, 10, 10, 10}},
+      {1, 2, {kMax, kInf, kInf, kMax}, {16, 8, 16, 16}},
       {1, 3, {kInf, kInf, kInf, kInf}, {16, 8, 16, 16}},
-      {2, 0, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
-      {2, 1, {kInf, kInf, kInf, kInf}, {8, 2, 2, 8}},
-      {2, 2, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
+      {2, 0, {kMax, kInf, kInf, kMax}, {12, 3, 3, 12}},
+      {2, 1, {kMax, kInf, kInf, kMax}, {8, 2, 2, 8}},
+      {2, 2, {kMax, kInf, kInf, kMax}, {12, 3, 3, 12}},
       {2, 3, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
-      {3, 0, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
-      {3, 1, {kInf, kInf, kInf, kInf}, {8, 2, 2, 8}},
-      {3, 2, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
+      {3, 0, {kBig, kInf, kInf, kBig}, {12, 3, 3, 12}},
+      {3, 1, {kBig, kInf, kInf, kBig}, {8, 2, 2, 8}},
+      {3, 2, {kBig, kInf, kInf, kBig}, {12, 3, 3, 12}},
       {3, 3, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
-      {4, 0, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
-      {4, 1, {kInf, kInf, kInf, kInf}, {11, 5, 5, 11}},
-      {4, 2, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
+      {4, 0, {kBig, kInf, kInf, kBig}, {20, 8, 8, 20}},
+      {4, 1, {kBig, kInf, kInf, kBig}, {11, 5, 5, 11}},
+      {4, 2, {kBig, kInf, kInf, kBig}, {20, 8, 8, 20}},
       {4, 3, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
-      {5, 0, {kNaN, kInf, kNaN, kNaN}, {12, 12, 12, 12}},
-      {5, 1, {kNaN, kInf, kInf, kNaN}, {8, 8, 8, 8}},
-      {5, 2, {kNaN, kInf, kInf, kNaN}, {12, 6, 12, 12}},
-      {5, 3, {kNaN, kInf, kNaN, kNaN}, {12, 6, 12, 12}},
-      {6, 0, {kNaN, kInf, kInf, kNaN}, {16, 16, 16, 16}},
-      {6, 1, {kNaN, kInf, kInf, kNaN}, {10, 10, 10, 10}},
-      {6, 2, {kNaN, kInf, kInf, kNaN}, {16, 16, 16, 16}},
-      {6, 3, {kNaN, kInf, kInf, kNaN}, {16, 16, 16, 16}},
-      {7, 0, {kNaN, kInf, kInf, kNaN}, {9, 9, 9, 9}},
-      {7, 1, {kNaN, kInf, kInf, kNaN}, {7, 7, 7, 7}},
-      {7, 2, {kNaN, kInf, kInf, kNaN}, {9, 9, 9, 9}},
-      {7, 3, {kNaN, kInf, kInf, kNaN}, {9, 9, 9, 9}},
-      {8, 0, {kNaN, kInf, kInf, kNaN}, {1, 1, 1, 1}},
-      {8, 1, {kNaN, kInf, kInf, kNaN}, {1, 1, 1, 1}},
-      {8, 2, {kNaN, kInf, kInf, kNaN}, {1, 1, 1, 1}},
-      {8, 3, {kNaN, kInf, kInf, kNaN}, {1, 1, 1, 1}},
-      {9, 0, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
-      {9, 1, {kInf, kInf, kInf, kInf}, {11, 5, 5, 11}},
-      {9, 2, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
+      {5, 0, {kMax, kInf, kInf, kMax}, {12, 12, 12, 12}},
+      {5, 1, {kMax, kInf, kInf, kMax}, {8, 8, 8, 8}},
+      {5, 2, {kMax, kInf, kInf, kMax}, {12, 6, 12, 12}},
+      {5, 3, {kInf, kInf, kInf, kInf}, {12, 6, 12, 12}},
+      {6, 0, {kInf, kInf, kInf, kInf}, {12, 9, 12, 12}},
+      {6, 1, {kInf, kInf, kInf, kInf}, {8, 7, 8, 8}},
+      {6, 2, {kInf, kInf, kInf, kInf}, {12, 9, 12, 12}},
+      {6, 3, {kInf, kInf, kInf, kInf}, {12, 9, 12, 12}},
+      {7, 0, {0, 0, 0, 0}, {9, 9, 9, 9}},
+      {7, 1, {0, 0, 0, 0}, {7, 7, 7, 7}},
+      {7, 2, {0, 0, 0, 0}, {9, 9, 9, 9}},
+      {7, 3, {0, 0, 0, 0}, {9, 9, 9, 9}},
+      {8, 0, {kInf, kInf, kInf, kInf}, {3, 1, 1, 1}},
+      {8, 1, {kInf, kInf, kInf, kInf}, {3, 1, 1, 1}},
+      {8, 2, {kInf, kInf, kInf, kInf}, {3, 1, 1, 1}},
+      {8, 3, {kInf, kInf, kInf, kInf}, {3, 1, 1, 3}},
+      {9, 0, {kMax, kInf, kInf, kMax}, {20, 8, 8, 20}},
+      {9, 1, {kMax, kInf, kInf, kMax}, {11, 5, 5, 11}},
+      {9, 2, {kMax, kInf, kInf, kMax}, {20, 8, 8, 20}},
       {9, 3, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
       {10, 0, {0, 0, 0, 0}, {16, 16, 16, 16}},
       {10, 1, {0, 0, 0, 0}, {10, 10, 10, 10}},
@@ -357,23 +364,17 @@ TEST(DtwKernelTest, NonFiniteInputsReproducePinnedOutputs) {
       const std::string where = "pair=" + std::to_string(g.pair) +
                                 " option=" + std::to_string(g.option) +
                                 " threshold=" + std::to_string(k);
-      EXPECT_TRUE(std::isnan(g.distance[k])
-                      ? std::isnan(r.distance)
-                      : SameBits(r.distance, g.distance[k]))
+      EXPECT_TRUE(SameBits(r.distance, g.distance[k]))
           << where << " got " << r.distance;
       // Only unbanded L_inf with a finite threshold runs the pre-pass. A
-      // pair it passes on counts its n * m cells plus the DP's: the
-      // path-window cells when the pair matches, and the full DP's
-      // pinned cells when the answer is NaN (a NaN final cost, which the
-      // pre-pass leaves to the full DP).
+      // pair it rejects counts the DP's pinned cells; a pair it passes
+      // counts its n * m cells plus the path-window cells.
       const uint64_t nm = a.size() * b.size();
       const bool prepass = g.option == 0 && std::isfinite(t);
-      uint64_t expected_cells = g.cells[k];
-      if (prepass && g.distance[k] <= t) {
-        expected_cells = nm + PathWindowCells(a, b, StepCost::kAbsolute, t);
-      } else if (prepass && std::isnan(g.distance[k])) {
-        expected_cells = nm + g.cells[k];
-      }
+      const uint64_t expected_cells =
+          prepass && g.distance[k] <= t
+              ? nm + PathWindowCells(a, b, StepCost::kAbsolute, t)
+              : g.cells[k];
       EXPECT_EQ(r.cells, expected_cells) << where;
     }
   }
@@ -427,16 +428,16 @@ TEST(DtwKernelTest, AcceptedLinfPairCountsPrePassRowsPlusDpCells) {
 #if defined(__SSE2__)
 TEST(DtwKernelTest, Sse2MaskWordsEqualPortableWords) {
   Prng prng(64);
-  const double specials[] = {kInf, -kInf, kNaN, 0.0, -0.0};
+  const double specials[] = {kMax, -kMax, kBig, -kBig, 0.0, -0.0};
   for (int trial = 0; trial < 2000; ++trial) {
     const size_t count = static_cast<size_t>(prng.UniformInt(1, 64));
     std::vector<double> row(count);
     for (double& e : row) {
       e = prng.UniformInt(0, 19) == 0
-              ? specials[prng.UniformInt(0, 4)]
+              ? specials[prng.UniformInt(0, 5)]
               : prng.UniformDouble(-2.0, 2.0);
     }
-    const double s_i = trial % 50 == 0 ? specials[trial / 50 % 5]
+    const double s_i = trial % 50 == 0 ? specials[trial / 50 % 6]
                                        : prng.UniformDouble(-2.0, 2.0);
     const double t = trial % 7 == 0 ? 0.0 : prng.UniformDouble(0.0, 1.5);
     EXPECT_EQ(AllowedWordSse2<StepCost::kAbsolute>(s_i, row.data(), count, t),
@@ -450,25 +451,26 @@ TEST(DtwKernelTest, Sse2MaskWordsEqualPortableWords) {
 #endif
 
 // The rank table's row masks equal the per-column reference word for
-// word: columns with duplicates, NaN, +-inf and +-0, rows s_i including
-// those values, thresholds including 0, lengths across word edges.
+// word: columns with duplicates, +-DBL_MAX, +-1e200 and +-0, rows s_i
+// including those values, thresholds including 0, lengths across word
+// edges.
 TEST(DtwKernelTest, RankedMasksEqualPortableWords) {
   Prng prng(4242);
-  const double specials[] = {kInf, -kInf, kNaN, 0.0, -0.0};
+  const double specials[] = {kMax, -kMax, kBig, -kBig, 0.0, -0.0};
   ColumnRanks ranks;
   for (int trial = 0; trial < 400; ++trial) {
     const size_t m = static_cast<size_t>(prng.UniformInt(1, 200));
     std::vector<double> q(m);
     for (double& e : q) {
       const int pick = prng.UniformInt(0, 9);
-      e = pick == 0   ? specials[prng.UniformInt(0, 4)]
+      e = pick == 0   ? specials[prng.UniformInt(0, 5)]
           : pick == 1 ? 0.25 * prng.UniformInt(-4, 4)  // duplicates
                       : prng.UniformDouble(-2.0, 2.0);
     }
     ranks.Assign(q.data(), m);
     for (int row = 0; row < 20; ++row) {
       const int pick = prng.UniformInt(0, 9);
-      const double s_i = pick == 0   ? specials[prng.UniformInt(0, 4)]
+      const double s_i = pick == 0   ? specials[prng.UniformInt(0, 5)]
                          : pick == 1 ? 0.25 * prng.UniformInt(-4, 4)
                                      : prng.UniformDouble(-2.0, 2.0);
       const double t = row % 5 == 0   ? 0.0

@@ -78,6 +78,26 @@ TEST(FlagsTest, BadValueFails) {
   EXPECT_FALSE(flags.Parse(argv.argc(), argv.argv()));
 }
 
+// No double flag means anything by NaN or an infinity: each is a bad
+// value, and the flag keeps its default.
+TEST(FlagsTest, NonFiniteDoubleFails) {
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                          "1e999", "-1e999"}) {
+    FlagSet flags("test");
+    double eps = 4.0;
+    flags.AddDouble("eps", &eps, "tolerance");
+    Argv argv({"prog", "--eps", bad});
+    EXPECT_FALSE(flags.Parse(argv.argc(), argv.argv())) << bad;
+    EXPECT_EQ(eps, 4.0) << bad;
+  }
+  FlagSet flags("test");
+  double eps = 4.0;
+  flags.AddDouble("eps", &eps, "tolerance");
+  Argv argv({"prog", "--eps=1e-320"});  // a denormal is finite
+  EXPECT_TRUE(flags.Parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(eps, 1e-320);
+}
+
 TEST(FlagsTest, MissingValueFails) {
   FlagSet flags("test");
   int64_t n = 0;

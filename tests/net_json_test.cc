@@ -180,6 +180,28 @@ TEST(NetJsonTest, MalformedInputRejected) {
   }
 }
 
+// Every parsed number is finite: a number beyond the double range is an
+// error, not an infinity, so no wire body can carry one. Underflow to a
+// denormal or to zero still parses.
+TEST(NetJsonTest, NumbersBeyondTheDoubleRangeRejected) {
+  JsonValue value;
+  const std::string huge_integer(400, '9');
+  for (const std::string& bad :
+       {std::string("1e999"), std::string("-1e999"), huge_integer,
+        "-" + huge_integer, std::string("[1e999,-1e999,3]"),
+        std::string("{\"epsilon\":1e999}")}) {
+    const Status status = JsonValue::Parse(bad, &value);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << bad.substr(0, 40);
+    EXPECT_NE(status.message().find("out of range"), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_EQ(MustParse("1e-320").AsDouble(), 1e-320);
+  EXPECT_EQ(MustParse("1e-999").AsDouble(), 0.0);
+  EXPECT_EQ(MustParse("1.7976931348623157e308").AsDouble(),
+            std::numeric_limits<double>::max());
+}
+
 TEST(NetJsonTest, DepthBoundRejectsHostileNesting) {
   // A hostile peer cannot blow the stack with deep nesting.
   std::string deep;

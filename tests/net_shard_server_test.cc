@@ -18,6 +18,8 @@
 
 #include "core/engine.h"
 #include "net/serialize.h"
+#include "net/socket.h"
+#include "net/wire.h"
 #include "net/wire_client.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
@@ -310,6 +312,45 @@ TEST_F(ShardServerTest, MalformedRequestsAreTypedErrors) {
     EXPECT_EQ(client.Call(WireType::kKnn, request, &response).code(),
               StatusCode::kInvalidArgument);
   }
+}
+
+// A body holding a number beyond the double range (1e999, which a
+// lenient decoder reads as +inf) is refused at decode time with a typed
+// error: no query with an infinite element or tolerance reaches a shard.
+// The raw frames bypass JsonValue rendering, which never writes one.
+TEST_F(ShardServerTest, OutOfRangeNumbersInBodiesAreTypedErrors) {
+  auto server = StartServer({0, 2});
+  int fd = -1;
+  ASSERT_TRUE(TcpConnect("127.0.0.1", server->port(), 5000, &fd).ok());
+  SetSocketIoTimeout(fd, 5000);
+  const WireFrame requests[] = {
+      {WireType::kRange, 1,
+       R"({"shards":[0],"method":"TW-Sim-Search","epsilon":0.5,)"
+       R"("query":[1e999,1,2]})"},
+      {WireType::kRange, 2,
+       R"({"shards":[0],"method":"TW-Sim-Search","epsilon":1e999,)"
+       R"("query":[1,2,3]})"},
+      {WireType::kKnn, 3, R"({"shards":[0],"k":1,"query":[1,-1e999,2]})"},
+  };
+  for (const WireFrame& request : requests) {
+    ASSERT_TRUE(WriteFrame(fd, request).ok());
+    WireFrame reply;
+    ASSERT_TRUE(ReadFrame(fd, &reply).ok()) << request.body;
+    EXPECT_EQ(reply.request_id, request.request_id);
+    ASSERT_EQ(reply.type, WireType::kError) << request.body;
+    EXPECT_EQ(ErrorBodyToStatus(reply.body).code(),
+              StatusCode::kInvalidArgument)
+        << request.body;
+  }
+  CloseSocket(fd);
+  // The server keeps answering well-formed queries.
+  WireClient client = MakeClient(*server);
+  JsonValue request = JsonValue::Object();
+  request.Set("shards", ShardsArray({0}));
+  request.Set("k", JsonValue::Int(1));
+  request.Set("query", SequenceToJson(sharded_->shard(0).dataset()[0]));
+  JsonValue response;
+  EXPECT_TRUE(client.Call(WireType::kKnn, request, &response).ok());
 }
 
 TEST_F(ShardServerTest, NonIntegerShardIdsAndKAreTypedErrors) {
