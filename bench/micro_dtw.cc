@@ -1,10 +1,16 @@
 // Microbenchmarks for the DTW engine: full evaluation vs thresholded
 // early-abandoning vs Sakoe-Chiba banding, across sequence lengths and
-// base distances, plus the envelope lower bounds of the filter cascade
+// base distances, the L_inf decision pre-pass per row over three column
+// shapes, plus the envelope lower bounds of the filter cascade
 // (ns per candidate and tightness relative to exact banded DTW, LB_Yi,
 // and the feature-level D_tw-lb).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <vector>
 
 #include "common/prng.h"
 #include "dtw/dtw.h"
@@ -65,6 +71,64 @@ void BM_DtwEarlyAbandonDistantPair(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DtwEarlyAbandonDistantPair)->Arg(64)->Arg(256)->Arg(1024);
+
+// The L_inf decision pre-pass alone, on thresholded unbanded 256 x 256
+// pairs. Arg(0) picks the columns: 0 a random walk, 1 the same walk with
+// one column at 1e6 (one far outlier), 2 the walk with every other column
+// at its median (half the columns equal), 3 the walk with two columns at
+// 1e6 and 2e6 (the rank table's bucket lookup trims one outlier per side,
+// so two stretch its buckets and every lookup takes the full binary
+// search: its worst case). Each pair's threshold sits just
+// under the smaller of its distances to the plain walk and to these
+// columns, so all three sets are decided at the walk's scale and no pair
+// reaches the DP: a pair's cells are m per pre-pass row it ran.
+// ns_per_row is wall time per pre-pass row.
+void BM_LinfPrePass(benchmark::State& state) {
+  constexpr size_t kLen = 256;
+  constexpr int kPairs = 16;
+  const Sequence walk = MakeWalk(kLen, 1);
+  std::vector<double> columns(walk.data(), walk.data() + kLen);
+  if (state.range(0) == 1) {
+    columns[kLen / 2] = 1e6;
+  } else if (state.range(0) == 3) {
+    columns[kLen / 2] = 1e6;
+    columns[kLen / 4] = 2e6;
+  } else if (state.range(0) == 2) {
+    std::vector<double> sorted = columns;
+    std::nth_element(sorted.begin(), sorted.begin() + kLen / 2, sorted.end());
+    for (size_t j = 0; j < kLen; j += 2) {
+      columns[j] = sorted[kLen / 2];
+    }
+  }
+  const Sequence q(std::move(columns));
+  const Dtw dtw(DtwOptions::Linf());
+  std::vector<Sequence> candidates;
+  std::vector<double> thresholds;
+  for (int p = 0; p < kPairs; ++p) {
+    candidates.push_back(MakeWalk(kLen, 100 + static_cast<uint64_t>(p)));
+    const Sequence& s = candidates.back();
+    const double d = std::min(dtw.Distance(s, walk).distance,
+                              dtw.Distance(s, q).distance);
+    thresholds.push_back(std::nextafter(d, 0.0));
+  }
+  DtwScratch scratch;
+  uint64_t cells = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (int p = 0; p < kPairs; ++p) {
+      const DtwResult r =
+          dtw.DistanceWithThreshold(candidates[p], q, thresholds[p],
+                                    &scratch);
+      benchmark::DoNotOptimize(r.distance);
+      cells += r.cells;
+    }
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_row"] =
+      elapsed.count() / static_cast<double>(cells / kLen);
+}
+BENCHMARK(BM_LinfPrePass)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_DtwBanded(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));

@@ -7,21 +7,23 @@
 // mask: bit b is set iff ElementCost(s_i, q[b], step) <= t.
 //
 // Three builders produce identical words. ColumnRanks (below) is the one
-// the pre-pass uses for rows of up to kMaxRankedColumns columns: two
-// binary searches per row instead of a compare per column. Longer rows
-// use the per-column builders: an SSE2 one (the x86-64 baseline,
-// compiled under __SSE2__) and a portable scalar one, which is the
-// fallback everywhere else and the reference the other two are tested
-// against.
+// the pre-pass uses for rows of up to kMaxRankedColumns columns: per row,
+// two bucket lookups and a few compares each instead of a compare per
+// column. Longer rows use the per-column builders: an SSE2 one (the
+// x86-64 baseline, compiled under __SSE2__) and a portable scalar one,
+// which is the fallback everywhere else and the reference the other two
+// are tested against.
 
 #ifndef WARPINDEX_DTW_ALLOWED_MASK_H_
 #define WARPINDEX_DTW_ALLOWED_MASK_H_
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -83,7 +85,7 @@ inline uint64_t AllowedWord(double s_i, const double* q, size_t count,
 }
 
 // The longest row ColumnRanks serves: its table holds (m + 1) masks of m
-// bits, m^2 / 8 bytes (128 KiB at this length).
+// bits, m^2 / 8 bytes (128 KiB at this length), and 4 m bucket entries.
 inline constexpr size_t kMaxRankedColumns = 1024;
 
 // Row masks from the columns' value order. For a fixed s_i, d = s_i - q[j]
@@ -93,12 +95,35 @@ inline constexpr size_t kMaxRankedColumns = 1024;
 //   lo = the first rank where d <= 0 or cost <= t   (false, then true)
 //   hi = the first rank where d < 0 and cost > t    (false, then true)
 // and the row's mask is below(hi) & ~below(lo), where below(r) holds the
-// columns of the ranks under r. Besides costing fewer instructions per
-// row, the searches run at a steadier speed than the per-column compares:
-// on a shared 4-vCPU VM under varying host load, identical blocks of the
-// SSE2 compares took up to 2.4x as long as the fastest block (about 1.2x
-// for the DP), which made whole benchmark runs of a compare-bound
-// workload spread 15-30%.
+// columns of the ranks under r. Under kAbsolute, t >= 0 folds each
+// predicate into one compare: d <= t for lo and d < -t for hi.
+//
+// Finding lo and hi. lo sits where the sorted values cross s_i - r, and hi
+// where they cross s_i + r (r = t under kAbsolute, sqrt(t) under
+// kSquared). Assign splits the span from the second smallest to the
+// second largest value (all values when m <= 2) into 4 m equal buckets,
+// so one far outlier on either side does not stretch them, and stores for
+// each bucket the first rank in the bucket below it or above. A row maps
+// s_i - r and s_i + r to their buckets, which gives each bound a window of
+// kWindow ranks starting one bucket low (the predicates round differently
+// from the bucket arithmetic). If the predicate is false just below the
+// window and true at its top, the bound is the window's first rank plus
+// the count of its false ranks: kWindow + 1 independent compares.
+// Otherwise (a dense bucket, or rounding that put the crossing
+// below the window) a branch-free binary search runs over all ranks, so
+// the result is always the exact first rank. Per bound, the worst case is
+// therefore the full-range search plus one bucket lookup and kWindow + 1
+// compares. On paper-range's columns (perturbed 256-point walks) about
+// 0.2% of lookups take the full-range search; with many equal values, or
+// two or more outliers on a side, most lookups near them do. A span whose
+// scale is not finite (0, subnormal, or beyond DBL_MAX) puts every value
+// in bucket 0.
+//
+// Besides costing fewer instructions per row, the lookups run at a
+// steadier speed than the per-column compares: on a shared 4-vCPU VM
+// under varying host load, identical blocks of the SSE2 compares took up
+// to 2.4x as long as the fastest block (about 1.2x for the DP), which
+// made whole benchmark runs of a compare-bound workload spread 15-30%.
 //
 // One table serves every row of every evaluation against the same
 // columns: Assign rebuilds it only when they change.
@@ -118,13 +143,34 @@ class ColumnRanks {
       ranked_[j] = {q[j], static_cast<uint32_t>(j)};
     }
     std::sort(ranked_.begin(), ranked_.end());
-    sorted_.resize(m);
+    // Both predicates are false at -inf and true at +inf, so these
+    // sentinels let a window start below rank 0 or run past the last.
+    values_.assign(m + 1 + kWindow, std::numeric_limits<double>::infinity());
+    values_[0] = -std::numeric_limits<double>::infinity();
     below_.assign((m + 1) * words_, 0);
     for (size_t r = 0; r < m; ++r) {
-      sorted_[r] = ranked_[r].first;
+      values_[r + 1] = ranked_[r].first;
       uint64_t* next = below_.data() + (r + 1) * words_;
       std::copy(next - words_, next, next);
       next[ranked_[r].second / 64] |= uint64_t{1} << (ranked_[r].second % 64);
+    }
+    const size_t trim = m > 2 ? 1 : 0;
+    const size_t buckets = 4 * m;
+    low_ = values_[1 + trim];
+    last_bucket_ = static_cast<double>(buckets - 1);
+    // A zero span gives an infinite scale and a span beyond DBL_MAX a
+    // zero one: either way every value goes to bucket 0.
+    scale_ = static_cast<double>(buckets) / (values_[m - trim] - low_);
+    if (!std::isfinite(scale_)) {
+      scale_ = 0.0;
+    }
+    window_.resize(buckets);
+    size_t r = 0;
+    for (size_t k = 0; k < buckets; ++k) {
+      while (r < m && Bucket(values_[r + 1]) + 1 < k) {
+        ++r;
+      }
+      window_[k] = static_cast<uint16_t>(r);
     }
   }
 
@@ -133,25 +179,66 @@ class ColumnRanks {
   template <StepCost kStep>
   void Row(double s_i, double t, const uint64_t** below_lo,
            const uint64_t** below_hi) const {
-    const size_t lo = FirstTrue([&](double v) {
-      return s_i - v <= 0.0 || ElementCost(s_i, v, kStep) <= t;
-    });
-    const size_t hi = FirstTrue([&](double v) {
-      return s_i - v < 0.0 && ElementCost(s_i, v, kStep) > t;
-    });
+    size_t lo = 0;
+    size_t hi = 0;
+    if constexpr (kStep == StepCost::kAbsolute) {
+      lo = Find(s_i - t, [&](double v) { return s_i - v <= t; });
+      hi = Find(s_i + t, [&](double v) { return s_i - v < -t; });
+    } else {
+      // `|` and `&` rather than `||` and `&&`: no branch per compare.
+      const double r = std::sqrt(t);
+      lo = Find(s_i - r, [&](double v) {
+        const double d = s_i - v;
+        return (d <= 0.0) | (d * d <= t);
+      });
+      hi = Find(s_i + r, [&](double v) {
+        const double d = s_i - v;
+        return (d < 0.0) & (d * d > t);
+      });
+    }
     *below_lo = below_.data() + lo * words_;
     *below_hi = below_.data() + hi * words_;
   }
 
  private:
+  static constexpr size_t kWindow = 4;
+  static_assert(kMaxRankedColumns <= UINT16_MAX);
+
+  // The bucket of x: floor((x - low) * scale) clamped to the buckets. It
+  // is non-decreasing in x, and Assign and Row compute it alike. A NaN
+  // (an infinite x times a zero scale) lands in bucket 0.
+  size_t Bucket(double x) const {
+    double y = (x - low_) * scale_;
+    y = y > 0.0 ? y : 0.0;
+    y = y < last_bucket_ ? y : last_bucket_;
+    return static_cast<size_t>(y);
+  }
+
   // The first rank whose value satisfies `pred` (false, then true over
-  // the ranks), or the count of values when none does. Branch-free.
+  // the ranks), or the count of values when none does; `near` is where
+  // the values cross from false to true, up to rounding.
+  template <typename Pred>
+  size_t Find(double near, Pred pred) const {
+    const size_t first = window_[Bucket(near)];
+    const double* v = values_.data() + first;  // v[j]: rank first - 1 + j
+    size_t below = 0;
+    for (size_t j = 1; j < kWindow; ++j) {
+      below += pred(v[j]) ? 0 : 1;
+    }
+    if (!pred(v[0]) && pred(v[kWindow])) {
+      return first + below;
+    }
+    return FirstTrue(pred);
+  }
+
+  // Find over all ranks, branch-free.
   template <typename Pred>
   size_t FirstTrue(Pred pred) const {
-    const size_t count = sorted_.size();
+    const size_t count = key_.size();
+    const double* v = values_.data() + 1;
     size_t first = 0;
     for (size_t step = std::bit_floor(count); step > 0; step >>= 1) {
-      first = first + step <= count && !pred(sorted_[first + step - 1])
+      first = first + step <= count && !pred(v[first + step - 1])
                   ? first + step
                   : first;
     }
@@ -161,8 +248,14 @@ class ColumnRanks {
   std::vector<double> key_;      // the columns the table was built for
   size_t words_ = 0;
   std::vector<std::pair<double, uint32_t>> ranked_;  // build space
-  std::vector<double> sorted_;   // the column values, ascending
+  // -inf, the column values ascending, then kWindow copies of +inf.
+  std::vector<double> values_;
   std::vector<uint64_t> below_;  // below(r) at r * words_, r = 0 .. count
+  double low_ = 0.0;             // the bucket span's lower end
+  double scale_ = 0.0;           // buckets per unit of value
+  double last_bucket_ = 0.0;
+  // Per bucket k, the first rank in bucket k - 1 or above (0 for k = 0).
+  std::vector<uint16_t> window_;
 };
 
 }  // namespace warpindex

@@ -11,9 +11,13 @@
 //   * for the max combiner over an unconstrained band, a bit-parallel
 //     decision pre-pass ahead of the thresholded DP: "is there a path
 //     through cells of cost <= epsilon?", one 64-column word at a time.
-//     Only pairs it cannot reject run the DP, and only inside each row's
-//     window of cells that lie on a path costing <= epsilon, which a
-//     backward sweep over the pre-pass's rows finds (see dtw.cc);
+//     Each row's allowed cells come from the columns' rank table: a
+//     bucket lookup turns s_i -+ epsilon into a window of four ranks, a
+//     few compares place each bound, and a full binary search is the
+//     exact fallback (see dtw/allowed_mask.h). Only pairs it cannot
+//     reject run the DP, and only inside each row's window of cells that
+//     lie on a path costing <= epsilon, which a backward sweep over the
+//     pre-pass's rows finds (see dtw.cc);
 //   * optional Sakoe-Chiba band;
 //   * full-matrix evaluation with warping-path recovery.
 //

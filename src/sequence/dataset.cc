@@ -52,6 +52,14 @@ DatasetStats Dataset::ComputeStats() const {
 }
 
 Status Dataset::SaveToFile(const std::string& path) const {
+  // LoadFromFile refuses an empty row, so one is refused here, before the
+  // file is created: every file this writes reopens.
+  for (size_t i = 0; i < sequences_.size(); ++i) {
+    if (sequences_[i].empty()) {
+      return Status::InvalidArgument("no elements in row " +
+                                     std::to_string(i) + " for " + path);
+    }
+  }
   BinaryWriter out(path);
   if (!out.is_open()) {
     return Status::IoError("cannot open for writing: " + path);

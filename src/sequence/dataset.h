@@ -48,6 +48,8 @@ class Dataset {
   //   magic "WIDS" | u32 version | u64 count | per sequence: u64 len,
   //   doubles.  Little-endian host assumed (checked by magic round-trip in
   //   tests).
+  // InvalidArgument, with no file created, when a sequence is empty: the
+  // file would hold a row LoadFromFile refuses.
   Status SaveToFile(const std::string& path) const;
   // InvalidArgument for a file that is not a valid dataset: bad magic or
   // version, a count or length the file cannot hold, a truncated or empty

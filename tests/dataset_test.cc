@@ -184,6 +184,21 @@ TEST(DatasetTest, LoadRejectsNonFiniteElements) {
   }
 }
 
+// Add accepts an empty sequence, but a file holding it would not reopen:
+// SaveToFile refuses it, names the row, and leaves no file behind.
+TEST(DatasetTest, SaveRejectsEmptyRowAndCreatesNoFile) {
+  const std::string path = testing::TempDir() + "/dataset_save_empty_row.wids";
+  std::filesystem::remove(path);
+  Dataset d;
+  d.Add(Sequence({1.0, 2.0}));
+  d.Add(Sequence());
+  const Status status = d.SaveToFile(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("row 1"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 TEST(DatasetTest, SaveRejectsUnwritablePath) {
   const Status s = MakeSmallDataset().SaveToFile("/nonexistent/dir/x.wids");
   EXPECT_EQ(s.code(), StatusCode::kIoError);

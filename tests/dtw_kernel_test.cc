@@ -2,7 +2,8 @@
 // pre-pass (dtw/dtw.cc) against DistanceWithPath, the full-matrix
 // reference: bit-identical distances for every (step, combiner), band,
 // shape and threshold, pinned outputs for infinite step costs, the cell
-// accounting, and the SSE2 mask builder against the portable one.
+// accounting, and the SSE2 and rank-table mask builders against the
+// portable one (the rank table also on columns that defeat its buckets).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -493,6 +495,238 @@ TEST(DtwKernelTest, RankedMasksEqualPortableWords) {
       }
     }
   }
+}
+
+// Column shapes that defeat ColumnRanks' buckets: a far outlier (+-1e6,
+// +-DBL_MAX) and two on one side (which stretch the span, so the walk
+// shares one bucket), all columns equal, every other column equal, and
+// two clusters 1e4 apart, beside the plain walk.
+std::vector<std::vector<double>> AdversarialColumns(Prng* prng, size_t m) {
+  const Sequence walk = RandomWalk(prng, m);
+  const std::vector<double> base(walk.data(), walk.data() + m);
+  std::vector<std::vector<double>> shapes = {base};
+  for (const double outlier : {1e6, -1e6, kMax, -kMax}) {
+    std::vector<double> v = base;
+    v[m / 2] = outlier;
+    shapes.push_back(std::move(v));
+  }
+  std::vector<double> two = base;
+  two[m / 4] = 1e6;
+  two[m - 1] = 2e6;
+  shapes.push_back(std::move(two));
+  shapes.push_back(std::vector<double>(m, base[m / 3]));
+  std::vector<double> half = base;
+  for (size_t j = 0; j < m; j += 2) {
+    half[j] = base[m / 3];
+  }
+  shapes.push_back(std::move(half));
+  std::vector<double> clusters = base;
+  for (size_t j = m / 2; j < m; ++j) {
+    clusters[j] += 1e4;
+  }
+  shapes.push_back(std::move(clusters));
+  return shapes;
+}
+
+// Rows s_i whose bounds s_i -+ r land on or beside the places a lookup
+// can go wrong: at each column value (every column for short rows, a
+// sample for long ones), at each bucket edge ColumnRanks' table draws for
+// these columns (4 m buckets from the second smallest to the second
+// largest value, or over all values when m <= 2) and at the nextafter
+// neighbours of both, plus random rows.
+std::vector<double> AdversarialRows(Prng* prng, const std::vector<double>& q,
+                                    double r) {
+  std::vector<double> points;
+  const size_t m = q.size();
+  const size_t stride = std::max<size_t>(1, m / 48);
+  for (size_t j = 0; j < m; j += stride) {
+    points.push_back(q[j]);
+  }
+  std::vector<double> sorted = q;
+  std::sort(sorted.begin(), sorted.end());
+  const size_t trim = m > 2 ? 1 : 0;
+  const double low = sorted[trim];
+  const size_t buckets = 4 * m;
+  const double scale =
+      static_cast<double>(buckets) / (sorted[m - 1 - trim] - low);
+  if (std::isfinite(scale)) {
+    for (size_t k = 0; k <= buckets; k += std::max<size_t>(1, buckets / 48)) {
+      points.push_back(low + static_cast<double>(k) / scale);
+    }
+  }
+  std::vector<double> rows;
+  for (const double p : points) {
+    for (const double x : {std::nextafter(p, -kInf), p,
+                           std::nextafter(p, kInf)}) {
+      rows.push_back(x + r);
+      rows.push_back(x - r);
+    }
+  }
+  for (int k = 0; k < 16; ++k) {
+    rows.push_back(
+        q[static_cast<size_t>(prng->UniformInt(0, static_cast<int64_t>(m) - 1))] +
+        prng->UniformDouble(-2.0, 2.0));
+  }
+  // Rows so far out that s_i -+ r rounds far from where the predicates
+  // cross (at t = DBL_MAX, s_i = DBL_MAX puts s_i - t at 0 while the lo
+  // crossing sits near -1e292).
+  for (const double special : {kMax, -kMax, kBig, -kBig}) {
+    rows.push_back(special);
+  }
+  std::erase_if(rows, [](double x) { return !std::isfinite(x); });
+  return rows;
+}
+
+// Every word of row s_i's ranked mask equals the per-column reference.
+// Returns false (after one failure message) on the first mismatch.
+template <StepCost kStep>
+bool RankedRowMatches(const ColumnRanks& ranks, const std::vector<double>& q,
+                      double s_i, double t) {
+  const uint64_t* lo = nullptr;
+  const uint64_t* hi = nullptr;
+  ranks.Row<kStep>(s_i, t, &lo, &hi);
+  for (size_t w = 0; w * 64 < q.size(); ++w) {
+    const size_t count = std::min<size_t>(64, q.size() - w * 64);
+    const uint64_t want =
+        AllowedWordPortable<kStep>(s_i, q.data() + w * 64, count, t);
+    if ((hi[w] & ~lo[w]) != want) {
+      ADD_FAILURE() << "m=" << q.size() << " s_i=" << s_i << " t=" << t
+                    << " w=" << w << " squared="
+                    << (kStep == StepCost::kSquared);
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(DtwKernelTest, RankedMasksEqualPortableWordsOnAdversarialColumns) {
+  Prng prng(2323);
+  ColumnRanks ranks;
+  for (const size_t m : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                         kMaxRankedColumns}) {
+    for (const std::vector<double>& q : AdversarialColumns(&prng, m)) {
+      ranks.Assign(q.data(), m);
+      for (const double t : {0.0, 0.25, 1.0, 1e6, 3e6, kBig, kMax}) {
+        for (const double s_i : AdversarialRows(&prng, q, t)) {
+          ASSERT_TRUE(
+              RankedRowMatches<StepCost::kAbsolute>(ranks, q, s_i, t));
+        }
+        // kSquared thresholds are squared costs; its bounds are s_i -+
+        // sqrt(t).
+        for (const double s_i : AdversarialRows(&prng, q, std::sqrt(t))) {
+          ASSERT_TRUE(RankedRowMatches<StepCost::kSquared>(ranks, q, s_i, t));
+        }
+      }
+    }
+  }
+}
+
+// Pinned outputs of whole unbanded L_inf pairs (both step costs) whose
+// columns carry a far outlier (1e6, DBL_MAX) or duplicates (every other
+// column equal, all equal), at fixed thresholds and at D/2, just under D,
+// D and 1.25 D. The distance bits and cells were recorded from the
+// kernel before ColumnRanks looked rows up through buckets (a full-range
+// search per bound); the lookup must not move either.
+std::vector<Sequence> PinnedColumnShapes(const Sequence& near) {
+  const size_t m = near.size();
+  const std::vector<double> base(near.data(), near.data() + m);
+  std::vector<Sequence> shapes;
+  for (const double outlier : {1e6, kMax}) {
+    std::vector<double> v = base;
+    v[m / 2] = outlier;
+    shapes.emplace_back(std::move(v));
+  }
+  std::vector<double> half = base;
+  for (size_t j = 0; j < m; j += 2) {
+    half[j] = base[0];
+  }
+  shapes.emplace_back(std::move(half));
+  shapes.emplace_back(std::vector<double>(m, base[0]));
+  return shapes;
+}
+
+TEST(DtwKernelTest, OutlierAndDuplicateColumnsReproducePinnedPairs) {
+  struct Pinned {
+    uint64_t distance_bits;
+    uint64_t cells;
+  };
+  // Per step (kAbsolute, kSquared), per shape, per finite threshold.
+  const Pinned pinned[] = {
+      {0x7ff0000000000000u, 10560u},
+      {0x7ff0000000000000u, 18720u},
+      {0x7ff0000000000000u, 19200u},
+      {0x7ff0000000000000u, 19200u},
+      {0x412e8475b5c319edu, 28857u},
+      {0x412e8475b5c319edu, 38400u},
+      {0x7ff0000000000000u, 10560u},
+      {0x7ff0000000000000u, 18720u},
+      {0x7ff0000000000000u, 19200u},
+      {0x7ff0000000000000u, 19200u},
+      {0x7fefffffffffffffu, 38400u},
+      {0x7ff0000000000000u, 5280u},
+      {0x7ff0000000000000u, 19200u},
+      {0x7ff0000000000000u, 18360u},
+      {0x7ff0000000000000u, 19200u},
+      {0x4004d4a1583213deu, 29618u},
+      {0x4004d4a1583213deu, 36077u},
+      {0x7ff0000000000000u, 1080u},
+      {0x7ff0000000000000u, 5760u},
+      {0x7ff0000000000000u, 9600u},
+      {0x7ff0000000000000u, 18840u},
+      {0x40151927975c0d8cu, 38400u},
+      {0x40151927975c0d8cu, 38400u},
+      {0x7ff0000000000000u, 10680u},
+      {0x7ff0000000000000u, 18480u},
+      {0x7ff0000000000000u, 19200u},
+      {0x7ff0000000000000u, 19200u},
+      {0x426d1a81019a575du, 28857u},
+      {0x426d1a81019a575du, 38400u},
+      {0x7ff0000000000000u, 10680u},
+      {0x7ff0000000000000u, 18480u},
+      {0x7ff0000000000000u, 19200u},
+      {0x7ff0000000000000u, 5760u},
+      {0x7ff0000000000000u, 18480u},
+      {0x7ff0000000000000u, 18840u},
+      {0x7ff0000000000000u, 19200u},
+      {0x401b1e9d1679618fu, 29618u},
+      {0x401b1e9d1679618fu, 35298u},
+      {0x7ff0000000000000u, 1440u},
+      {0x7ff0000000000000u, 5400u},
+      {0x7ff0000000000000u, 18360u},
+      {0x7ff0000000000000u, 18840u},
+      {0x403bd22f796c9ab2u, 38400u},
+      {0x403bd22f796c9ab2u, 38400u},
+  };
+  Prng prng(3107);
+  const Sequence s = RandomWalk(&prng, 160);
+  const Sequence near = NoisyResample(&prng, s, 120);
+  const std::vector<Sequence> columns = PinnedColumnShapes(near);
+  DtwScratch scratch;
+  size_t next = 0;
+  for (const StepCost step : {StepCost::kAbsolute, StepCost::kSquared}) {
+    const Dtw dtw(DtwOptions{DtwCombiner::kMax, step, -1, false});
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const double d = dtw.DistanceWithPath(s, columns[c]).distance;
+      for (const double t : {0.5, 2.0, 0.5 * d, std::nextafter(d, 0.0), d,
+                             1.25 * d}) {
+        if (!std::isfinite(t)) {
+          continue;  // only a finite threshold runs the pre-pass
+        }
+        ASSERT_LT(next, std::size(pinned));
+        const DtwResult r = dtw.DistanceWithThreshold(s, columns[c], t,
+                                                      &scratch);
+        const std::string where = "shape=" + std::to_string(c) +
+                                  " t=" + std::to_string(t) + " squared=" +
+                                  std::to_string(step == StepCost::kSquared);
+        EXPECT_EQ(std::bit_cast<uint64_t>(r.distance),
+                  pinned[next].distance_bits)
+            << where << " got " << r.distance;
+        EXPECT_EQ(r.cells, pinned[next].cells) << where;
+        ++next;
+      }
+    }
+  }
+  EXPECT_EQ(next, std::size(pinned));
 }
 
 // A scratch's rank table follows the columns' values, not their address:
