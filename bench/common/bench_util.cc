@@ -114,44 +114,22 @@ void MetricsJsonWriter::AddRow(const std::string& method,
   if (!enabled()) {
     return;
   }
-  std::string row = "{\"bench\":" + JsonEscape(bench_name_) +
-                    ",\"method\":" + JsonEscape(method) + "," +
-                    JsonEscape(sweep_name) + ":" +
-                    FormatDouble(sweep_value, 6);
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      ",\"avg_candidates\":%.6f,\"candidate_ratio\":%.6f,"
-      "\"avg_matches\":%.6f,\"avg_wall_ms\":%.6f,\"avg_io_ms\":%.6f,"
-      "\"avg_elapsed_ms\":%.6f,\"avg_pages\":%.6f,\"avg_dtw_cells\":%.1f,"
-      "\"avg_dtw_evals\":%.3f",
-      summary.avg_candidates, summary.candidate_ratio, summary.avg_matches,
-      summary.avg_wall_ms, summary.avg_io_ms, summary.avg_elapsed_ms,
-      summary.avg_pages, summary.avg_dtw_cells, summary.avg_dtw_evals);
-  row += buf;
-  row += ",\"stages_ms\":{";
-  bool first = true;
-  for (const auto& [stage, ms] : summary.avg_stage_ms.entries()) {
-    if (!first) {
-      row += ",";
-    }
-    first = false;
-    row += JsonEscape(stage) + ":" + FormatDouble(ms, 6);
-  }
-  row += "},\"prunes\":{";
-  first = true;
-  for (const auto& [stage, counts] : summary.total_prunes.entries()) {
-    if (!first) {
-      row += ",";
-    }
-    first = false;
-    std::snprintf(buf, sizeof(buf), ":{\"in\":%llu,\"pruned\":%llu}",
-                  static_cast<unsigned long long>(counts.in),
-                  static_cast<unsigned long long>(counts.pruned));
-    row += JsonEscape(stage) + buf;
-  }
-  row += "}}";
-  rows_.push_back(std::move(row));
+  JsonValue row = JsonValue::Object();
+  row.Set("bench", JsonValue::Str(bench_name_));
+  row.Set("method", JsonValue::Str(method));
+  row.Set(sweep_name, JsonValue::Double(sweep_value));
+  row.Set("avg_candidates", JsonValue::Double(summary.avg_candidates));
+  row.Set("candidate_ratio", JsonValue::Double(summary.candidate_ratio));
+  row.Set("avg_matches", JsonValue::Double(summary.avg_matches));
+  row.Set("avg_wall_ms", JsonValue::Double(summary.avg_wall_ms));
+  row.Set("avg_io_ms", JsonValue::Double(summary.avg_io_ms));
+  row.Set("avg_elapsed_ms", JsonValue::Double(summary.avg_elapsed_ms));
+  row.Set("avg_pages", JsonValue::Double(summary.avg_pages));
+  row.Set("avg_dtw_cells", JsonValue::Double(summary.avg_dtw_cells));
+  row.Set("avg_dtw_evals", JsonValue::Double(summary.avg_dtw_evals));
+  row.Set("stages_ms", StageTimingsToJson(summary.avg_stage_ms));
+  row.Set("prunes", StageCountersToJson(summary.total_prunes));
+  rows_.push_back(row.Render());
 }
 
 bool MetricsJsonWriter::Flush() {

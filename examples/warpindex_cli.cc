@@ -1331,9 +1331,7 @@ int RunRoute(int argc, char** argv) {
           matches.Add(JsonValue::Int(id));
         }
         response->Set("matches", std::move(matches));
-        response->Set("num_candidates",
-                      JsonValue::Int(static_cast<int64_t>(
-                          result.num_candidates)));
+        response->Set("num_candidates", JsonValue::Uint(result.num_candidates));
         response->Set("cost", CostToJson(result.cost));
         if (traced) {
           response->Set("spans", SpansToJson(trace.spans()));
@@ -1361,9 +1359,7 @@ int RunRoute(int argc, char** argv) {
             router_ptr->RouteKnn(query, static_cast<size_t>(k),
                                  traced ? &trace : nullptr, &result));
         response->Set("neighbors", KnnMatchesToJson(result.neighbors));
-        response->Set("num_refined",
-                      JsonValue::Int(static_cast<int64_t>(
-                          result.num_refined)));
+        response->Set("num_refined", JsonValue::Uint(result.num_refined));
         response->Set("cost", CostToJson(result.cost));
         if (traced) {
           response->Set("spans", SpansToJson(trace.spans()));

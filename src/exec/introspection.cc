@@ -1,359 +1,318 @@
 #include "exec/introspection.h"
 
-#include <cstdlib>
-
-#include "obs/profiler.h"
-
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
+#include "net/serialize.h"
 #include "obs/exporters.h"
+#include "obs/profiler.h"
 #include "plan/cascade_planner.h"
 
 namespace warpindex {
 namespace {
 
-// Local finite-number formatter (JSON has no Inf/NaN).
-std::string Num(double v) {
-  if (!std::isfinite(v)) {
-    return "null";
+JsonValue RTreeHealthJson(const RTreeHealth& h) {
+  JsonValue json = JsonValue::Object();
+  json.Set("height", JsonValue::Int(h.height));
+  json.Set("records", JsonValue::Uint(h.records));
+  json.Set("nodes", JsonValue::Uint(h.nodes));
+  json.Set("leaves", JsonValue::Uint(h.leaves));
+  json.Set("supernodes", JsonValue::Uint(h.supernodes));
+  json.Set("pages", JsonValue::Uint(h.pages));
+  json.Set("bytes", JsonValue::Uint(h.bytes));
+  json.Set("resident_bytes", JsonValue::Uint(h.resident_bytes));
+  json.Set("node_capacity", JsonValue::Uint(h.node_capacity));
+  json.Set("leaf_occupancy", JsonValue::Double(h.leaf_occupancy));
+  json.Set("overlap_ratio", JsonValue::Double(h.overlap_ratio));
+  json.Set("dead_space_ratio", JsonValue::Double(h.dead_space_ratio));
+  JsonValue levels = JsonValue::Array();
+  for (const RTreeHealth::LevelStats& level : h.levels) {
+    JsonValue row = JsonValue::Object();
+    row.Set("level", JsonValue::Int(level.level));
+    row.Set("nodes", JsonValue::Uint(level.nodes));
+    row.Set("entries", JsonValue::Uint(level.entries));
+    row.Set("avg_occupancy", JsonValue::Double(level.avg_occupancy));
+    row.Set("min_occupancy", JsonValue::Double(level.min_occupancy));
+    levels.Add(std::move(row));
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  json.Set("levels", std::move(levels));
+  return json;
 }
 
-std::string RTreeHealthJson(const RTreeHealth& h) {
-  std::string out = "{";
-  out += "\"height\":" + std::to_string(h.height);
-  out += ",\"records\":" + std::to_string(h.records);
-  out += ",\"nodes\":" + std::to_string(h.nodes);
-  out += ",\"leaves\":" + std::to_string(h.leaves);
-  out += ",\"supernodes\":" + std::to_string(h.supernodes);
-  out += ",\"pages\":" + std::to_string(h.pages);
-  out += ",\"bytes\":" + std::to_string(h.bytes);
-  out += ",\"resident_bytes\":" + std::to_string(h.resident_bytes);
-  out += ",\"node_capacity\":" + std::to_string(h.node_capacity);
-  out += ",\"leaf_occupancy\":" + Num(h.leaf_occupancy);
-  out += ",\"overlap_ratio\":" + Num(h.overlap_ratio);
-  out += ",\"dead_space_ratio\":" + Num(h.dead_space_ratio);
-  out += ",\"levels\":[";
-  for (size_t i = 0; i < h.levels.size(); ++i) {
-    const RTreeHealth::LevelStats& level = h.levels[i];
-    if (i > 0) {
-      out.push_back(',');
-    }
-    out += "{\"level\":" + std::to_string(level.level);
-    out += ",\"nodes\":" + std::to_string(level.nodes);
-    out += ",\"entries\":" + std::to_string(level.entries);
-    out += ",\"avg_occupancy\":" + Num(level.avg_occupancy);
-    out += ",\"min_occupancy\":" + Num(level.min_occupancy) + "}";
+// A planner cost-model row: per-candidate cost, pass rate, updates.
+JsonValue StageStatsJson(const CascadePlanner::StageStats& stats) {
+  JsonValue json = JsonValue::Object();
+  json.Set("unit_cost_ms", JsonValue::Double(stats.unit_cost_ms));
+  json.Set("pass_rate", JsonValue::Double(stats.pass_rate));
+  json.Set("updates", JsonValue::Uint(stats.updates));
+  return json;
+}
+
+JsonValue PlannerJson(const CascadePlanner::Snapshot& p) {
+  JsonValue json = JsonValue::Object();
+  json.Set("mode", JsonValue::Str(PlanModeName(p.mode)));
+  json.Set("plans_chosen", JsonValue::Uint(p.plans_chosen));
+  json.Set("current_plan", JsonValue::Str(p.current_plan.ToString()));
+  JsonValue stages = JsonValue::Object();
+  for (const CascadePlanner::StageSnapshot& stage : p.stages) {
+    JsonValue row = StageStatsJson(stage.stats);
+    row.Set("in_current_plan", JsonValue::Bool(stage.in_current_plan));
+    stages.Set(std::string(CascadeStageName(stage.stage)), std::move(row));
   }
-  out += "]}";
-  return out;
+  json.Set("stages", std::move(stages));
+  json.Set("dtw", StageStatsJson(p.dtw));
+  return json;
 }
 
-std::string PlannerJson(const CascadePlanner::Snapshot& p) {
-  std::string out = "{";
-  out += "\"mode\":" + JsonEscape(PlanModeName(p.mode));
-  out += ",\"plans_chosen\":" + std::to_string(p.plans_chosen);
-  out += ",\"current_plan\":" + JsonEscape(p.current_plan.ToString());
-  out += ",\"stages\":{";
-  for (size_t i = 0; i < p.stages.size(); ++i) {
-    const CascadePlanner::StageSnapshot& stage = p.stages[i];
-    if (i > 0) {
-      out.push_back(',');
-    }
-    out += JsonEscape(std::string(CascadeStageName(stage.stage)));
-    out += ":{\"unit_cost_ms\":" + Num(stage.stats.unit_cost_ms);
-    out += ",\"pass_rate\":" + Num(stage.stats.pass_rate);
-    out += ",\"updates\":" + std::to_string(stage.stats.updates);
-    out += std::string(",\"in_current_plan\":") +
-           (stage.in_current_plan ? "true" : "false") + "}";
-  }
-  out += "},\"dtw\":{\"unit_cost_ms\":" + Num(p.dtw.unit_cost_ms);
-  out += ",\"pass_rate\":" + Num(p.dtw.pass_rate);
-  out += ",\"updates\":" + std::to_string(p.dtw.updates) + "}}";
-  return out;
+JsonValue BufferPoolJson(const BufferPool::StatsSnapshot& pool) {
+  JsonValue json = JsonValue::Object();
+  json.Set("capacity", JsonValue::Uint(pool.capacity));
+  json.Set("cached", JsonValue::Uint(pool.cached));
+  json.Set("shards", JsonValue::Uint(pool.shards));
+  json.Set("hits", JsonValue::Uint(pool.hits));
+  json.Set("misses", JsonValue::Uint(pool.misses));
+  json.Set("hit_ratio", JsonValue::Double(pool.hit_ratio));
+  return json;
 }
 
-std::string BufferPoolJson(const BufferPool::StatsSnapshot& pool) {
-  std::string out = "{\"capacity\":" + std::to_string(pool.capacity);
-  out += ",\"cached\":" + std::to_string(pool.cached);
-  out += ",\"shards\":" + std::to_string(pool.shards);
-  out += ",\"hits\":" + std::to_string(pool.hits);
-  out += ",\"misses\":" + std::to_string(pool.misses);
-  out += ",\"hit_ratio\":" + Num(pool.hit_ratio) + "}";
-  return out;
-}
-
-std::string CacheStatsJson(const SemanticCacheStats& stats) {
-  std::string out = "{\"tier\":" + JsonEscape(stats.tier);
-  out += ",\"lookups\":" + std::to_string(stats.lookups);
-  out += ",\"hits\":" + std::to_string(stats.hits);
-  out += ",\"misses\":" + std::to_string(stats.misses);
-  out += ",\"hit_ratio\":" + Num(stats.hit_ratio);
-  out += ",\"insertions\":" + std::to_string(stats.insertions);
-  out += ",\"invalidations\":" + std::to_string(stats.invalidations);
-  out += ",\"evictions\":" + std::to_string(stats.evictions);
-  out += ",\"entries\":" + std::to_string(stats.entries);
-  out += ",\"bytes\":" + std::to_string(stats.bytes);
-  out += ",\"max_bytes\":" + std::to_string(stats.max_bytes) + "}";
-  return out;
+JsonValue CacheStatsJson(const SemanticCacheStats& stats) {
+  JsonValue json = JsonValue::Object();
+  json.Set("tier", JsonValue::Str(stats.tier));
+  json.Set("lookups", JsonValue::Uint(stats.lookups));
+  json.Set("hits", JsonValue::Uint(stats.hits));
+  json.Set("misses", JsonValue::Uint(stats.misses));
+  json.Set("hit_ratio", JsonValue::Double(stats.hit_ratio));
+  json.Set("insertions", JsonValue::Uint(stats.insertions));
+  json.Set("invalidations", JsonValue::Uint(stats.invalidations));
+  json.Set("evictions", JsonValue::Uint(stats.evictions));
+  json.Set("entries", JsonValue::Uint(stats.entries));
+  json.Set("bytes", JsonValue::Uint(stats.bytes));
+  json.Set("max_bytes", JsonValue::Uint(stats.max_bytes));
+  return json;
 }
 
 // The /cachez document and the /statusz "cache" section: one row per
 // configured tier, executor first.
-std::string CachezJson(const IntrospectionOptions& options) {
-  std::string out = "{\"tiers\":[";
-  bool first = true;
+JsonValue CachezJson(const IntrospectionOptions& options) {
+  JsonValue tiers = JsonValue::Array();
   for (const SemanticCache* cache : {options.cache, options.router_cache}) {
-    if (cache == nullptr) {
-      continue;
+    if (cache != nullptr) {
+      tiers.Add(CacheStatsJson(cache->TakeStats()));
     }
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    out += CacheStatsJson(cache->TakeStats());
   }
-  out += "]}";
-  return out;
+  JsonValue json = JsonValue::Object();
+  json.Set("tiers", std::move(tiers));
+  return json;
 }
 
-std::string FeatureMbrJson(const ShardFeatureBounds& bounds) {
-  if (!bounds.valid) {
-    return "null";
-  }
-  std::string out = "{\"min\":[";
-  for (int d = 0; d < bounds.mbr.dims; ++d) {
-    if (d > 0) {
-      out.push_back(',');
-    }
-    out += Num(bounds.mbr.min(d));
-  }
-  out += "],\"max\":[";
-  for (int d = 0; d < bounds.mbr.dims; ++d) {
-    if (d > 0) {
-      out.push_back(',');
-    }
-    out += Num(bounds.mbr.max(d));
-  }
-  out += "]}";
-  return out;
+JsonValue FeatureMbrJson(const ShardFeatureBounds& bounds) {
+  return bounds.valid ? RectToJson(bounds.mbr) : JsonValue::Null();
 }
 
 // One /statusz row per shard: data/index health, serving counters, and
 // the pruning MBR — the acceptance surface for "is shard i healthy and
 // is pruning actually skipping it".
-std::string ShardingJson(const ShardedEngine::Health& health) {
-  std::string out = "{\"num_shards\":" + std::to_string(health.num_shards);
-  out += ",\"partitioner\":" +
-         JsonEscape(PartitionerKindName(health.partitioner));
-  out += ",\"queries_total\":" + std::to_string(health.queries_total);
-  out += ",\"subqueries_total\":" +
-         std::to_string(health.subqueries_total);
-  out += ",\"shards_skipped_total\":" +
-         std::to_string(health.shards_skipped_total);
-  out += ",\"shards\":[";
-  for (size_t i = 0; i < health.shards.size(); ++i) {
-    const ShardedEngine::ShardStatus& shard = health.shards[i];
-    if (i > 0) {
-      out.push_back(',');
-    }
-    out += "{\"shard\":" + std::to_string(shard.shard_index);
-    out += ",\"sequences\":" +
-           std::to_string(shard.health.dataset_sequences);
-    out += ",\"live\":" + std::to_string(shard.health.live_sequences);
-    out += ",\"index_entries\":" +
-           std::to_string(shard.health.index_entries);
-    out += ",\"queries\":" + std::to_string(shard.queries);
-    out += ",\"skipped\":" + std::to_string(shard.skipped);
-    out += ",\"feature_mbr\":" + FeatureMbrJson(shard.bounds);
-    out += ",\"rtree\":" + RTreeHealthJson(shard.health.index);
-    out += ",\"buffer_pool\":" +
-           (shard.health.has_pool ? BufferPoolJson(shard.health.pool)
-                                  : std::string("null"));
-    out += "}";
+JsonValue ShardingJson(const ShardedEngine::Health& health) {
+  JsonValue json = JsonValue::Object();
+  json.Set("num_shards", JsonValue::Uint(health.num_shards));
+  json.Set("partitioner",
+           JsonValue::Str(PartitionerKindName(health.partitioner)));
+  json.Set("queries_total", JsonValue::Uint(health.queries_total));
+  json.Set("subqueries_total", JsonValue::Uint(health.subqueries_total));
+  json.Set("shards_skipped_total",
+           JsonValue::Uint(health.shards_skipped_total));
+  JsonValue shards = JsonValue::Array();
+  for (const ShardedEngine::ShardStatus& shard : health.shards) {
+    JsonValue row = JsonValue::Object();
+    row.Set("shard", JsonValue::Uint(shard.shard_index));
+    row.Set("sequences", JsonValue::Uint(shard.health.dataset_sequences));
+    row.Set("live", JsonValue::Uint(shard.health.live_sequences));
+    row.Set("index_entries", JsonValue::Uint(shard.health.index_entries));
+    row.Set("queries", JsonValue::Uint(shard.queries));
+    row.Set("skipped", JsonValue::Uint(shard.skipped));
+    row.Set("feature_mbr", FeatureMbrJson(shard.bounds));
+    row.Set("rtree", RTreeHealthJson(shard.health.index));
+    row.Set("buffer_pool", shard.health.has_pool
+                               ? BufferPoolJson(shard.health.pool)
+                               : JsonValue::Null());
+    shards.Add(std::move(row));
   }
-  out += "]}";
-  return out;
+  json.Set("shards", std::move(shards));
+  return json;
 }
 
 // One /tracez row: the tail summary plus the full stitched span tree.
-std::string CompletedTraceJson(const CompletedTrace& trace) {
-  std::string out = "{\"seq\":" + std::to_string(trace.seq);
-  out += ",\"trace_id\":" + JsonEscape(TraceIdHex(trace.trace.trace_id()));
-  out += ",\"timestamp_ms\":" + Num(trace.timestamp_ms);
-  out += ",\"method\":" + JsonEscape(trace.method);
-  out += ",\"epsilon\":" + Num(trace.epsilon);
-  out += ",\"query_length\":" + std::to_string(trace.query_length);
-  out += ",\"matches\":" + std::to_string(trace.matches);
-  out += ",\"wall_ms\":" + Num(trace.wall_ms);
-  out += ",\"cpu_ms\":" + Num(trace.cpu_ms);
-  out += std::string(",\"errored\":") + (trace.errored ? "true" : "false");
-  out += ",\"keep\":" + JsonEscape(TraceKeepName(trace.keep));
+JsonValue CompletedTraceJson(const CompletedTrace& trace) {
   size_t shards = 0;
   for (const TraceSpan& span : trace.trace.spans()) {
     if (span.name == "shard") {
       ++shards;
     }
   }
-  out += ",\"shards\":" + std::to_string(shards);
-  out += ",\"shard_skew_ratio\":" +
-         Num(TraceStore::ShardSkewRatio(trace.trace));
-  out += ",\"spans\":" + TraceToJsonArray(trace.trace) + "}";
-  return out;
+  JsonValue json = JsonValue::Object();
+  json.Set("seq", JsonValue::Uint(trace.seq));
+  json.Set("trace_id", JsonValue::Str(TraceIdHex(trace.trace.trace_id())));
+  json.Set("timestamp_ms", JsonValue::Double(trace.timestamp_ms));
+  json.Set("method", JsonValue::Str(trace.method));
+  json.Set("epsilon", JsonValue::Double(trace.epsilon));
+  json.Set("query_length", JsonValue::Uint(trace.query_length));
+  json.Set("matches", JsonValue::Uint(trace.matches));
+  json.Set("wall_ms", JsonValue::Double(trace.wall_ms));
+  json.Set("cpu_ms", JsonValue::Double(trace.cpu_ms));
+  json.Set("errored", JsonValue::Bool(trace.errored));
+  json.Set("keep", JsonValue::Str(TraceKeepName(trace.keep)));
+  json.Set("shards", JsonValue::Uint(shards));
+  json.Set("shard_skew_ratio",
+           JsonValue::Double(TraceStore::ShardSkewRatio(trace.trace)));
+  json.Set("spans", SpansToJson(trace.trace.spans()));
+  return json;
 }
 
-std::string TracezListJson(const TraceStore* store) {
+// The trace-store admission counters shared by /tracez and the /statusz
+// "trace_store" section.
+void SetTraceStoreCounters(const TraceStore& store, JsonValue* json) {
+  json->Set("offered", JsonValue::Uint(store.offered()));
+  json->Set("kept", JsonValue::Uint(store.kept()));
+  json->Set("kept_slow", JsonValue::Uint(store.kept_slow()));
+  json->Set("kept_error", JsonValue::Uint(store.kept_error()));
+  json->Set("kept_shard_skew", JsonValue::Uint(store.kept_skew()));
+  json->Set("kept_sampled", JsonValue::Uint(store.kept_sampled()));
+}
+
+JsonValue TracezListJson(const TraceStore* store) {
+  JsonValue json = JsonValue::Object();
+  JsonValue rows = JsonValue::Array();
   if (store == nullptr) {
-    return "{\"count\":0,\"traces\":[]}";
+    json.Set("count", JsonValue::Int(0));
+    json.Set("traces", std::move(rows));
+    return json;
   }
   const std::vector<CompletedTrace> traces = store->Snapshot();
-  std::string out = "{\"count\":" + std::to_string(traces.size());
-  out += ",\"offered\":" + std::to_string(store->offered());
-  out += ",\"kept\":" + std::to_string(store->kept());
-  out += ",\"kept_slow\":" + std::to_string(store->kept_slow());
-  out += ",\"kept_error\":" + std::to_string(store->kept_error());
-  out += ",\"kept_shard_skew\":" + std::to_string(store->kept_skew());
-  out += ",\"kept_sampled\":" + std::to_string(store->kept_sampled());
-  out += ",\"traces\":[";
-  for (size_t i = 0; i < traces.size(); ++i) {
-    if (i > 0) {
-      out.push_back(',');
-    }
-    out += CompletedTraceJson(traces[i]);
+  for (const CompletedTrace& trace : traces) {
+    rows.Add(CompletedTraceJson(trace));
   }
-  out += "]}";
-  return out;
+  json.Set("count", JsonValue::Uint(traces.size()));
+  SetTraceStoreCounters(*store, &json);
+  json.Set("traces", std::move(rows));
+  return json;
 }
 
 // One /statusz row per ingest shard: base vs delta split, write rate,
 // and compaction history — the acceptance surface for "is the write
 // path keeping up and is the compactor draining it".
-std::string IngestJson(const IngestEngine::Health& health) {
-  std::string out = "{\"num_shards\":" + std::to_string(health.num_shards);
-  out += ",\"partitioner\":" +
-         JsonEscape(PartitionerKindName(health.partitioner));
-  out += ",\"epoch\":" + std::to_string(health.epoch);
-  out += ",\"live\":" + std::to_string(health.live_sequences);
-  out += ",\"id_space\":" + std::to_string(health.id_space);
-  out += ",\"inserts_total\":" + std::to_string(health.inserts_total);
-  out += ",\"deletes_total\":" + std::to_string(health.deletes_total);
-  out += ",\"compactions_total\":" +
-         std::to_string(health.compactions_total);
-  out += ",\"cut_rebalances_total\":" +
-         std::to_string(health.cut_rebalances_total);
-  out += ",\"compaction_backlog\":" +
-         std::to_string(health.compaction_backlog);
-  out += ",\"shards\":[";
-  for (size_t i = 0; i < health.shards.size(); ++i) {
-    const IngestEngine::ShardStatus& shard = health.shards[i];
-    if (i > 0) {
-      out.push_back(',');
-    }
-    out += "{\"shard\":" + std::to_string(shard.shard_index);
-    out += ",\"base_sequences\":" + std::to_string(shard.base_sequences);
-    out += ",\"delta_entries\":" + std::to_string(shard.delta_entries);
-    out += ",\"tombstones\":" + std::to_string(shard.tombstones);
-    out += ",\"writes_total\":" + std::to_string(shard.writes_total);
-    out += ",\"write_rate_per_s\":" + Num(shard.write_rate_per_s);
-    out += ",\"compactions\":" + std::to_string(shard.compactions);
-    out += ",\"last_compaction_ms\":" + Num(shard.last_compaction_ms);
-    out += ",\"feature_mbr\":" + FeatureMbrJson(shard.bounds);
-    out += ",\"rtree\":" + RTreeHealthJson(shard.base_health.index);
-    out += "}";
+JsonValue IngestJson(const IngestEngine::Health& health) {
+  JsonValue json = JsonValue::Object();
+  json.Set("num_shards", JsonValue::Uint(health.num_shards));
+  json.Set("partitioner",
+           JsonValue::Str(PartitionerKindName(health.partitioner)));
+  json.Set("epoch", JsonValue::Uint(health.epoch));
+  json.Set("live", JsonValue::Uint(health.live_sequences));
+  json.Set("id_space", JsonValue::Uint(health.id_space));
+  json.Set("inserts_total", JsonValue::Uint(health.inserts_total));
+  json.Set("deletes_total", JsonValue::Uint(health.deletes_total));
+  json.Set("compactions_total", JsonValue::Uint(health.compactions_total));
+  json.Set("cut_rebalances_total",
+           JsonValue::Uint(health.cut_rebalances_total));
+  json.Set("compaction_backlog", JsonValue::Uint(health.compaction_backlog));
+  JsonValue shards = JsonValue::Array();
+  for (const IngestEngine::ShardStatus& shard : health.shards) {
+    JsonValue row = JsonValue::Object();
+    row.Set("shard", JsonValue::Uint(shard.shard_index));
+    row.Set("base_sequences", JsonValue::Uint(shard.base_sequences));
+    row.Set("delta_entries", JsonValue::Uint(shard.delta_entries));
+    row.Set("tombstones", JsonValue::Uint(shard.tombstones));
+    row.Set("writes_total", JsonValue::Uint(shard.writes_total));
+    row.Set("write_rate_per_s", JsonValue::Double(shard.write_rate_per_s));
+    row.Set("compactions", JsonValue::Uint(shard.compactions));
+    row.Set("last_compaction_ms",
+            JsonValue::Double(shard.last_compaction_ms));
+    row.Set("feature_mbr", FeatureMbrJson(shard.bounds));
+    row.Set("rtree", RTreeHealthJson(shard.base_health.index));
+    shards.Add(std::move(row));
   }
-  out += "]}";
-  return out;
+  json.Set("shards", std::move(shards));
+  return json;
 }
 
 // The router process's /statusz section: topology as learned at
 // handshake plus the hedging/retry counters — the acceptance surface
 // for "did the hedge fire and which replica answered".
-std::string RouterJson(const Router& router) {
+JsonValue RouterJson(const Router& router) {
   const Router::Stats stats = router.stats();
-  std::string out = "{\"num_groups\":" + std::to_string(stats.num_groups);
-  out += ",\"num_shards\":" + std::to_string(stats.num_shards);
-  out += ",\"partitioner\":" +
-         JsonEscape(PartitionerKindName(router.partitioner()));
-  out += ",\"queries_total\":" + std::to_string(stats.queries);
-  out += ",\"subrequests_total\":" + std::to_string(stats.subrequests);
-  out += ",\"hedges_total\":" + std::to_string(stats.hedges);
-  out += ",\"retries_total\":" + std::to_string(stats.retries);
-  out += ",\"failed_subrequests_total\":" +
-         std::to_string(stats.failed_subrequests);
-  out += ",\"hedge_delay_ms\":" + Num(stats.hedge_delay_ms);
-  out += ",\"groups\":[";
-  const std::vector<RouterGroup>& groups = router.groups();
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (g > 0) {
-      out.push_back(',');
+  JsonValue json = JsonValue::Object();
+  json.Set("num_groups", JsonValue::Uint(stats.num_groups));
+  json.Set("num_shards", JsonValue::Uint(stats.num_shards));
+  json.Set("partitioner",
+           JsonValue::Str(PartitionerKindName(router.partitioner())));
+  json.Set("queries_total", JsonValue::Uint(stats.queries));
+  json.Set("subrequests_total", JsonValue::Uint(stats.subrequests));
+  json.Set("hedges_total", JsonValue::Uint(stats.hedges));
+  json.Set("retries_total", JsonValue::Uint(stats.retries));
+  json.Set("failed_subrequests_total",
+           JsonValue::Uint(stats.failed_subrequests));
+  json.Set("hedge_delay_ms", JsonValue::Double(stats.hedge_delay_ms));
+  JsonValue groups = JsonValue::Array();
+  const std::vector<RouterGroup>& router_groups = router.groups();
+  for (size_t g = 0; g < router_groups.size(); ++g) {
+    JsonValue replicas = JsonValue::Array();
+    for (const RouterEndpoint& replica : router_groups[g].replicas) {
+      replicas.Add(JsonValue::Str(replica.host + ":" +
+                                  std::to_string(replica.port)));
     }
-    out += "{\"group\":" + std::to_string(g);
-    out += ",\"replicas\":[";
-    for (size_t r = 0; r < groups[g].replicas.size(); ++r) {
-      if (r > 0) {
-        out.push_back(',');
-      }
-      out += JsonEscape(groups[g].replicas[r].host + ":" +
-                        std::to_string(groups[g].replicas[r].port));
+    JsonValue shards = JsonValue::Array();
+    for (const uint32_t shard : router_groups[g].shards) {
+      shards.Add(JsonValue::Uint(shard));
     }
-    out += "],\"shards\":[";
-    for (size_t i = 0; i < groups[g].shards.size(); ++i) {
-      if (i > 0) {
-        out.push_back(',');
-      }
-      out += std::to_string(groups[g].shards[i]);
-    }
-    out += "]}";
+    JsonValue row = JsonValue::Object();
+    row.Set("group", JsonValue::Uint(g));
+    row.Set("replicas", std::move(replicas));
+    row.Set("shards", std::move(shards));
+    groups.Add(std::move(row));
   }
-  out += "]}";
-  return out;
+  json.Set("groups", std::move(groups));
+  return json;
 }
 
 // A shard-server process's /statusz section: identity, served shards,
 // transport counters, and admission-shed totals.
-std::string ShardServerJson(const ShardServer& server) {
+JsonValue ShardServerJson(const ShardServer& server) {
   const WireServerStats stats = server.server().stats();
   const AdmissionController& admission = server.server().admission();
-  std::string out = "{\"group\":" + std::to_string(server.group());
-  out += ",\"replica\":" + std::to_string(server.replica());
-  out += ",\"port\":" + std::to_string(server.port());
-  out += ",\"manifest_num_shards\":" +
-         std::to_string(server.manifest_num_shards());
-  out += ",\"partitioner\":" +
-         JsonEscape(PartitionerKindName(server.partitioner()));
-  out += std::string(",\"draining\":") +
-         (stats.draining ? "true" : "false");
-  out += ",\"connections_total\":" +
-         std::to_string(stats.connections_total);
-  out += ",\"active_connections\":" +
-         std::to_string(stats.active_connections);
-  out += ",\"requests_total\":" + std::to_string(stats.requests_total);
-  out += ",\"errors_total\":" + std::to_string(stats.errors_total);
-  out += ",\"shed_total\":" + std::to_string(stats.shed_total);
-  out += ",\"inflight\":" + std::to_string(stats.inflight);
-  out += ",\"admission\":{\"admitted_total\":" +
-         std::to_string(admission.admitted_total());
-  out += ",\"shed_quota_total\":" +
-         std::to_string(admission.shed_quota_total());
-  out += ",\"shed_overload_total\":" +
-         std::to_string(admission.shed_overload_total()) + "}";
-  out += ",\"shards\":[";
-  const std::vector<ShardServer::ServedShard> served = server.served();
-  for (size_t i = 0; i < served.size(); ++i) {
-    if (i > 0) {
-      out.push_back(',');
-    }
-    out += "{\"shard\":" + std::to_string(served[i].shard);
-    out += ",\"sequences\":" + std::to_string(served[i].sequences);
-    out += ",\"live\":" + std::to_string(served[i].live) + "}";
+  JsonValue json = JsonValue::Object();
+  json.Set("group", JsonValue::Int(server.group()));
+  json.Set("replica", JsonValue::Int(server.replica()));
+  json.Set("port", JsonValue::Uint(server.port()));
+  json.Set("manifest_num_shards",
+           JsonValue::Uint(server.manifest_num_shards()));
+  json.Set("partitioner",
+           JsonValue::Str(PartitionerKindName(server.partitioner())));
+  json.Set("draining", JsonValue::Bool(stats.draining));
+  json.Set("connections_total", JsonValue::Uint(stats.connections_total));
+  json.Set("active_connections", JsonValue::Int(stats.active_connections));
+  json.Set("requests_total", JsonValue::Uint(stats.requests_total));
+  json.Set("errors_total", JsonValue::Uint(stats.errors_total));
+  json.Set("shed_total", JsonValue::Uint(stats.shed_total));
+  json.Set("inflight", JsonValue::Int(stats.inflight));
+  JsonValue admission_json = JsonValue::Object();
+  admission_json.Set("admitted_total",
+                     JsonValue::Uint(admission.admitted_total()));
+  admission_json.Set("shed_quota_total",
+                     JsonValue::Uint(admission.shed_quota_total()));
+  admission_json.Set("shed_overload_total",
+                     JsonValue::Uint(admission.shed_overload_total()));
+  json.Set("admission", std::move(admission_json));
+  JsonValue shards = JsonValue::Array();
+  for (const ShardServer::ServedShard& served : server.served()) {
+    JsonValue row = JsonValue::Object();
+    row.Set("shard", JsonValue::Uint(served.shard));
+    row.Set("sequences", JsonValue::Uint(served.sequences));
+    row.Set("live", JsonValue::Uint(served.live));
+    shards.Add(std::move(row));
   }
-  out += "]}";
-  return out;
+  json.Set("shards", std::move(shards));
+  return json;
 }
 
 // "<key>=<value>" from a query string, or empty when absent.
@@ -394,10 +353,14 @@ bool ParseDoubleParam(const std::string& text, double* out) {
   return true;
 }
 
+// The range test runs before the cast: converting a NaN, an infinity or
+// a double beyond int is undefined behaviour. NaN fails both compares.
 bool ParseIntParam(const std::string& text, int* out) {
   double value = 0.0;
   if (!ParseDoubleParam(text, &value) ||
-      value != static_cast<double>(static_cast<int>(value))) {
+      !(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max()) ||
+      value != std::trunc(value)) {
     return false;
   }
   *out = static_cast<int>(value);
@@ -426,18 +389,36 @@ MetricsRegistry* RegistryOf(const IntrospectionOptions& options) {
   return nullptr;
 }
 
+// The /statusz "dataset" and "engine" sections.
+JsonValue DatasetJson(size_t sequences, size_t live, size_t index_entries) {
+  JsonValue json = JsonValue::Object();
+  json.Set("sequences", JsonValue::Uint(sequences));
+  json.Set("live", JsonValue::Uint(live));
+  json.Set("index_entries", JsonValue::Uint(index_entries));
+  return json;
+}
+
+JsonValue EngineJson(const EngineOptions& options) {
+  JsonValue json = JsonValue::Object();
+  json.Set("page_size_bytes", JsonValue::Uint(options.page_size_bytes));
+  json.Set("index_buffer_pages", JsonValue::Uint(options.index_buffer_pages));
+  return json;
+}
+
 }  // namespace
 
 std::string StatuszJson(const IntrospectionOptions& options,
                         double uptime_s) {
   const BuildInfo build = GetBuildInfo();
-  std::string out = "{\"build\":{";
-  out += "\"name\":\"warpindex\"";
-  out += ",\"version\":" + JsonEscape(build.version);
-  out += ",\"compiler\":" + JsonEscape(build.compiler);
-  out += ",\"build_type\":" + JsonEscape(build.build_type);
-  out += ",\"cxx_standard\":" + std::to_string(__cplusplus);
-  out += "},\"uptime_s\":" + Num(uptime_s);
+  JsonValue build_json = JsonValue::Object();
+  build_json.Set("name", JsonValue::Str("warpindex"));
+  build_json.Set("version", JsonValue::Str(build.version));
+  build_json.Set("compiler", JsonValue::Str(build.compiler));
+  build_json.Set("build_type", JsonValue::Str(build.build_type));
+  build_json.Set("cxx_standard", JsonValue::Int(__cplusplus));
+  JsonValue doc = JsonValue::Object();
+  doc.Set("build", std::move(build_json));
+  doc.Set("uptime_s", JsonValue::Double(uptime_s));
 
   // One ingest snapshot reused for the dataset line and the "ingest"
   // section (TakeHealthSnapshot traverses every base index).
@@ -449,16 +430,10 @@ std::string StatuszJson(const IntrospectionOptions& options,
   Engine::Health health;  // single-engine sections (empty when sharded)
   if (options.engine != nullptr) {
     health = options.engine->TakeHealthSnapshot();
-    out += ",\"dataset\":{\"sequences\":" +
-           std::to_string(health.dataset_sequences);
-    out += ",\"live\":" + std::to_string(health.live_sequences);
-    out += ",\"index_entries\":" + std::to_string(health.index_entries) +
-           "}";
-    out += ",\"engine\":{\"page_size_bytes\":" +
-           std::to_string(options.engine->options().page_size_bytes);
-    out += ",\"index_buffer_pages\":" +
-           std::to_string(options.engine->options().index_buffer_pages) +
-           "}";
+    doc.Set("dataset", DatasetJson(health.dataset_sequences,
+                                   health.live_sequences,
+                                   health.index_entries));
+    doc.Set("engine", EngineJson(options.engine->options()));
   } else if (options.sharded != nullptr) {
     const ShardedEngine& sharded = *options.sharded;
     size_t index_entries = 0;
@@ -466,15 +441,9 @@ std::string StatuszJson(const IntrospectionOptions& options,
     for (size_t s = 0; s < sharded.num_shards(); ++s) {
       index_entries += sharded.shard(s).feature_index().size();
     }
-    out += ",\"dataset\":{\"sequences\":" +
-           std::to_string(sharded.total_sequences());
-    out += ",\"live\":" + std::to_string(sharded.live_size());
-    out += ",\"index_entries\":" + std::to_string(index_entries) + "}";
-    const EngineOptions& engine_options = sharded.shard(0).options();
-    out += ",\"engine\":{\"page_size_bytes\":" +
-           std::to_string(engine_options.page_size_bytes);
-    out += ",\"index_buffer_pages\":" +
-           std::to_string(engine_options.index_buffer_pages) + "}";
+    doc.Set("dataset", DatasetJson(sharded.total_sequences(),
+                                   sharded.live_size(), index_entries));
+    doc.Set("engine", EngineJson(sharded.shard(0).options()));
   } else if (options.ingest != nullptr) {
     size_t index_entries = 0;
     size_t delta_entries = 0;
@@ -482,123 +451,95 @@ std::string StatuszJson(const IntrospectionOptions& options,
       index_entries += shard.base_health.index_entries;
       delta_entries += shard.delta_entries;
     }
-    out += ",\"dataset\":{\"sequences\":" +
-           std::to_string(ingest_health.id_space);
-    out += ",\"live\":" + std::to_string(ingest_health.live_sequences);
-    out += ",\"index_entries\":" + std::to_string(index_entries);
-    out += ",\"delta_entries\":" + std::to_string(delta_entries) + "}";
-    const EngineOptions& engine_options = options.ingest->options().engine;
-    out += ",\"engine\":{\"page_size_bytes\":" +
-           std::to_string(engine_options.page_size_bytes);
-    out += ",\"index_buffer_pages\":" +
-           std::to_string(engine_options.index_buffer_pages) + "}";
+    JsonValue dataset =
+        DatasetJson(ingest_health.id_space, ingest_health.live_sequences,
+                    index_entries);
+    dataset.Set("delta_entries", JsonValue::Uint(delta_entries));
+    doc.Set("dataset", std::move(dataset));
+    doc.Set("engine", EngineJson(options.ingest->options().engine));
   }
 
+  JsonValue executor;
   if (options.executor != nullptr) {
     const QueryExecutor::Snapshot exec = options.executor->TakeSnapshot();
-    out += ",\"executor\":{\"threads\":" +
-           std::to_string(exec.num_threads);
-    out += ",\"in_flight\":" + std::to_string(exec.in_flight);
-    out += ",\"queue_depth\":" + std::to_string(exec.queue_depth);
-    out += ",\"queries_total\":" + std::to_string(exec.queries_total);
-    out += ",\"batches_total\":" + std::to_string(exec.batches_total) +
-           "}";
-  } else {
-    out += ",\"executor\":null";
+    executor = JsonValue::Object();
+    executor.Set("threads", JsonValue::Uint(exec.num_threads));
+    executor.Set("in_flight", JsonValue::Int(exec.in_flight));
+    executor.Set("queue_depth", JsonValue::Uint(exec.queue_depth));
+    executor.Set("queries_total", JsonValue::Uint(exec.queries_total));
+    executor.Set("batches_total", JsonValue::Uint(exec.batches_total));
   }
+  doc.Set("executor", std::move(executor));
 
-  if (options.engine != nullptr && health.has_pool) {
-    out += ",\"buffer_pool\":" + BufferPoolJson(health.pool);
-  } else {
-    out += ",\"buffer_pool\":null";
-  }
+  doc.Set("buffer_pool", options.engine != nullptr && health.has_pool
+                             ? BufferPoolJson(health.pool)
+                             : JsonValue::Null());
 
   // Single-engine index/planner detail; the sharded equivalents live
   // per shard inside "sharding" (each shard has its own R-tree and
   // CascadePlanner).
   if (options.engine != nullptr) {
-    out += ",\"rtree\":" + RTreeHealthJson(health.index);
-    out += ",\"planner\":" +
-           PlannerJson(options.engine->cascade_planner().TakeSnapshot());
+    doc.Set("rtree", RTreeHealthJson(health.index));
+    doc.Set("planner",
+            PlannerJson(options.engine->cascade_planner().TakeSnapshot()));
   } else {
-    out += ",\"rtree\":null,\"planner\":null";
+    doc.Set("rtree", JsonValue::Null());
+    doc.Set("planner", JsonValue::Null());
   }
 
-  if (options.sharded != nullptr) {
-    out += ",\"sharding\":" +
-           ShardingJson(options.sharded->TakeHealthSnapshot());
-  } else {
-    out += ",\"sharding\":null";
-  }
+  doc.Set("sharding",
+          options.sharded != nullptr
+              ? ShardingJson(options.sharded->TakeHealthSnapshot())
+              : JsonValue::Null());
+  doc.Set("ingest", options.ingest != nullptr ? IngestJson(ingest_health)
+                                              : JsonValue::Null());
+  doc.Set("router", options.router != nullptr ? RouterJson(*options.router)
+                                              : JsonValue::Null());
+  doc.Set("shard_server", options.shard_server != nullptr
+                              ? ShardServerJson(*options.shard_server)
+                              : JsonValue::Null());
 
-  if (options.ingest != nullptr) {
-    out += ",\"ingest\":" + IngestJson(ingest_health);
-  } else {
-    out += ",\"ingest\":null";
-  }
-
-  if (options.router != nullptr) {
-    out += ",\"router\":" + RouterJson(*options.router);
-  } else {
-    out += ",\"router\":null";
-  }
-
-  if (options.shard_server != nullptr) {
-    out += ",\"shard_server\":" + ShardServerJson(*options.shard_server);
-  } else {
-    out += ",\"shard_server\":null";
-  }
-
+  JsonValue recorder_json;
   if (options.flight_recorder != nullptr) {
     const FlightRecorder& recorder = *options.flight_recorder;
-    out += ",\"flight_recorder\":{\"capacity\":" +
-           std::to_string(recorder.capacity());
-    out += ",\"sample_every\":" + std::to_string(recorder.sample_every());
-    out += ",\"offered\":" + std::to_string(recorder.offered());
-    out += ",\"recorded\":" + std::to_string(recorder.recorded()) + "}";
-  } else {
-    out += ",\"flight_recorder\":null";
+    recorder_json = JsonValue::Object();
+    recorder_json.Set("capacity", JsonValue::Uint(recorder.capacity()));
+    recorder_json.Set("sample_every", JsonValue::Uint(recorder.sample_every()));
+    recorder_json.Set("offered", JsonValue::Uint(recorder.offered()));
+    recorder_json.Set("recorded", JsonValue::Uint(recorder.recorded()));
   }
+  doc.Set("flight_recorder", std::move(recorder_json));
 
+  JsonValue slow_log;
   if (options.slow_log != nullptr) {
-    out += ",\"slow_log\":{\"capacity\":" +
-           std::to_string(options.slow_log->capacity());
-    out += ",\"offered\":" + std::to_string(options.slow_log->offered());
-    out += ",\"admission_threshold_ms\":" +
-           Num(options.slow_log->admission_threshold_ms()) + "}";
-  } else {
-    out += ",\"slow_log\":null";
+    slow_log = JsonValue::Object();
+    slow_log.Set("capacity", JsonValue::Uint(options.slow_log->capacity()));
+    slow_log.Set("offered", JsonValue::Uint(options.slow_log->offered()));
+    slow_log.Set("admission_threshold_ms",
+                 JsonValue::Double(options.slow_log->admission_threshold_ms()));
   }
+  doc.Set("slow_log", std::move(slow_log));
 
-  if (options.cache != nullptr || options.router_cache != nullptr) {
-    out += ",\"cache\":" + CachezJson(options);
-  } else {
-    out += ",\"cache\":null";
-  }
+  doc.Set("cache", options.cache != nullptr || options.router_cache != nullptr
+                       ? CachezJson(options)
+                       : JsonValue::Null());
 
+  JsonValue trace_store;
   if (options.trace_store != nullptr) {
     const TraceStore& store = *options.trace_store;
-    out += ",\"trace_store\":{\"capacity\":" +
-           std::to_string(store.capacity());
-    out += ",\"slow_ms\":" + Num(store.options().slow_ms);
-    out += ",\"sample_probability\":" +
-           Num(store.options().sample_probability);
-    out += ",\"skew_ratio\":" + Num(store.options().skew_ratio);
-    out += ",\"head_sample_every\":" +
-           std::to_string(store.options().head_sample_every);
-    out += ",\"offered\":" + std::to_string(store.offered());
-    out += ",\"kept\":" + std::to_string(store.kept());
-    out += ",\"kept_slow\":" + std::to_string(store.kept_slow());
-    out += ",\"kept_error\":" + std::to_string(store.kept_error());
-    out += ",\"kept_shard_skew\":" + std::to_string(store.kept_skew());
-    out += ",\"kept_sampled\":" + std::to_string(store.kept_sampled()) +
-           "}";
-  } else {
-    out += ",\"trace_store\":null";
+    trace_store = JsonValue::Object();
+    trace_store.Set("capacity", JsonValue::Uint(store.capacity()));
+    trace_store.Set("slow_ms", JsonValue::Double(store.options().slow_ms));
+    trace_store.Set("sample_probability",
+                    JsonValue::Double(store.options().sample_probability));
+    trace_store.Set("skew_ratio",
+                    JsonValue::Double(store.options().skew_ratio));
+    trace_store.Set("head_sample_every",
+                    JsonValue::Uint(store.options().head_sample_every));
+    SetTraceStoreCounters(store, &trace_store);
   }
-
-  out += "}";
-  return out;
+  doc.Set("trace_store", std::move(trace_store));
+  return doc.Render();
 }
 
 // Index footprint gauges, refreshed from the R-tree health at scrape
@@ -770,7 +711,7 @@ void RegisterIntrospectionRoutes(IntrospectionServer* server,
   server->Handle("/cachez", [options](const HttpRequest&) {
     HttpResponse response;
     response.content_type = "application/json";
-    response.body = CachezJson(options);
+    response.body = CachezJson(options).Render();
     return response;
   });
 
@@ -779,20 +720,21 @@ void RegisterIntrospectionRoutes(IntrospectionServer* server,
     response.content_type = "application/json";
     const std::string id_hex = TraceIdParam(request.query);
     if (id_hex.empty()) {
-      response.body = TracezListJson(options.trace_store);
+      response.body = TracezListJson(options.trace_store).Render();
       return response;
     }
     const uint64_t trace_id = ParseTraceIdHex(id_hex);
     CompletedTrace trace;
     if (trace_id == 0 || options.trace_store == nullptr ||
         !options.trace_store->Find(trace_id, &trace)) {
+      JsonValue error = JsonValue::Object();
+      error.Set("error", JsonValue::Str("no retained trace"));
+      error.Set("id", JsonValue::Str(id_hex));
       response.status = 404;
-      response.body =
-          "{\"error\":\"no retained trace\",\"id\":" + JsonEscape(id_hex) +
-          "}";
+      response.body = error.Render();
       return response;
     }
-    response.body = CompletedTraceJson(trace);
+    response.body = CompletedTraceJson(trace).Render();
     return response;
   });
 }

@@ -18,12 +18,6 @@ double SteadySeconds() {
       .count();
 }
 
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 // Pulls one uint64 counter value out of a replica's metrics document.
 uint64_t CounterOf(const JsonValue& metrics, const std::string& name) {
   const JsonValue* counters = metrics.Find("counters");
@@ -298,13 +292,16 @@ std::string FleetPoller::FleetMetricsText() {
     uint64_t cumulative = 0;
     for (size_t i = 0; i < merged.bucket_counts.size(); ++i) {
       cumulative += merged.bucket_counts[i];
-      const std::string le = i < merged.boundaries.size()
-                                 ? Num(merged.boundaries[i])
-                                 : "+Inf";
+      out += name + "_bucket{le=\"";
+      if (i < merged.boundaries.size()) {
+        AppendJsonNumber(merged.boundaries[i], &out);
+      } else {
+        out += "+Inf";
+      }
       std::snprintf(buf, sizeof(buf), "%" PRIu64, cumulative);
-      out += name + "_bucket{le=\"" + le + "\"} " + buf + "\n";
+      out += "\"} " + std::string(buf) + "\n";
     }
-    out += name + "_sum " + Num(merged.sum) + "\n";
+    AppendPrometheusSample(name + "_sum", merged.sum, &out);
     std::snprintf(buf, sizeof(buf), "%" PRIu64, merged.count);
     out += name + "_count " + buf + "\n";
     for (const auto& [instance, count] : merged.per_instance_count) {
@@ -328,26 +325,28 @@ std::string FleetPoller::FleetMetricsText() {
       continue;
     }
     const std::string label =
-        "{instance=\"" + PrometheusEscapeLabelValue(r->instance) + "\"} ";
+        "{instance=\"" + PrometheusEscapeLabelValue(r->instance) + "\"}";
     const double cpu = process->GetDouble("cpu_seconds_total", 0.0);
     const double rss = process->GetDouble("resident_memory_bytes", 0.0);
     const int64_t fds = process->GetInt("open_fds", 0);
     cpu_sum += cpu;
     rss_sum += rss;
     fds_sum += fds;
-    cpu_lines += "process_cpu_seconds_total" + label + Num(cpu) + "\n";
-    rss_lines +=
-        "process_resident_memory_bytes" + label + Num(rss) + "\n";
-    fds_lines += "process_open_fds" + label + std::to_string(fds) + "\n";
-    start_lines +=
-        "process_start_time_seconds" + label +
-        Num(process->GetDouble("start_time_seconds", 0.0)) + "\n";
+    AppendPrometheusSample("process_cpu_seconds_total" + label, cpu,
+                           &cpu_lines);
+    AppendPrometheusSample("process_resident_memory_bytes" + label, rss,
+                           &rss_lines);
+    fds_lines +=
+        "process_open_fds" + label + " " + std::to_string(fds) + "\n";
+    AppendPrometheusSample("process_start_time_seconds" + label,
+                           process->GetDouble("start_time_seconds", 0.0),
+                           &start_lines);
   }
   if (!cpu_lines.empty()) {
-    out += "# TYPE process_cpu_seconds_total counter\n" + cpu_lines +
-           "process_cpu_seconds_total " + Num(cpu_sum) + "\n";
-    out += "# TYPE process_resident_memory_bytes gauge\n" + rss_lines +
-           "process_resident_memory_bytes " + Num(rss_sum) + "\n";
+    out += "# TYPE process_cpu_seconds_total counter\n" + cpu_lines;
+    AppendPrometheusSample("process_cpu_seconds_total", cpu_sum, &out);
+    out += "# TYPE process_resident_memory_bytes gauge\n" + rss_lines;
+    AppendPrometheusSample("process_resident_memory_bytes", rss_sum, &out);
     out += "# TYPE process_open_fds gauge\n" + fds_lines +
            "process_open_fds " + std::to_string(fds_sum) + "\n";
     out += "# TYPE process_start_time_seconds gauge\n" + start_lines;
@@ -370,18 +369,15 @@ std::string FleetPoller::FleetzJson() {
     }
     ++live;
     JsonValue row = JsonValue::Object();
-    row.Set("group", JsonValue::Int(static_cast<int64_t>(r.group)));
-    row.Set("replica", JsonValue::Int(static_cast<int64_t>(r.replica)));
+    row.Set("group", JsonValue::Uint(r.group));
+    row.Set("replica", JsonValue::Uint(r.replica));
     row.Set("instance", JsonValue::Str(r.instance));
     row.Set("qps", JsonValue::Double(r.qps));
     row.Set("p99_wall_ms", JsonValue::Double(r.p99_wall_ms));
     row.Set("p99_cpu_ms", JsonValue::Double(r.p99_cpu_ms));
-    row.Set("requests_total",
-            JsonValue::Int(static_cast<int64_t>(r.requests_total)));
-    row.Set("errors_total",
-            JsonValue::Int(static_cast<int64_t>(r.errors_total)));
-    row.Set("shed_total",
-            JsonValue::Int(static_cast<int64_t>(r.shed_total)));
+    row.Set("requests_total", JsonValue::Uint(r.requests_total));
+    row.Set("errors_total", JsonValue::Uint(r.errors_total));
+    row.Set("shed_total", JsonValue::Uint(r.shed_total));
     if (r.ingest_backlog >= 0) {
       row.Set("ingest_backlog", JsonValue::Int(r.ingest_backlog));
     } else {
@@ -390,8 +386,8 @@ std::string FleetPoller::FleetzJson() {
     rows.Add(std::move(row));
   }
   JsonValue doc = JsonValue::Object();
-  doc.Set("tracked", JsonValue::Int(static_cast<int64_t>(replicas.size())));
-  doc.Set("live", JsonValue::Int(static_cast<int64_t>(live)));
+  doc.Set("tracked", JsonValue::Uint(replicas.size()));
+  doc.Set("live", JsonValue::Uint(live));
   doc.Set("replicas", std::move(rows));
   return doc.Render();
 }

@@ -1,6 +1,7 @@
 #include "net/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -326,6 +327,19 @@ void AppendJsonEscaped(std::string_view text, std::string* out) {
   out->push_back('"');
 }
 
+void AppendJsonNumber(double value, std::string* out) {
+  if (!std::isfinite(value)) {
+    // JSON has no Infinity/NaN; the wire contract is "finite or null"
+    // and readers treat null as "absent".
+    out->append("null");
+    return;
+  }
+  char buf[32];  // the longest shortest form, "-2.2250738585072014e-308"
+  const std::to_chars_result result =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, result.ptr);
+}
+
 JsonValue JsonValue::Bool(bool b) {
   JsonValue v;
   v.kind_ = Kind::kBool;
@@ -338,6 +352,11 @@ JsonValue JsonValue::Int(int64_t i) {
   v.kind_ = Kind::kInt;
   v.int_ = i;
   return v;
+}
+
+JsonValue JsonValue::Uint(uint64_t n) {
+  constexpr uint64_t kMax = std::numeric_limits<int64_t>::max();
+  return Int(static_cast<int64_t>(n < kMax ? n : kMax));
 }
 
 JsonValue JsonValue::Double(double d) {
@@ -455,24 +474,15 @@ void JsonValue::RenderTo(std::string* out) const {
       out->append(bool_ ? "true" : "false");
       return;
     case Kind::kInt: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(int_));
-      out->append(buf);
+      char buf[24];
+      const std::to_chars_result result =
+          std::to_chars(buf, buf + sizeof(buf), int_);
+      out->append(buf, result.ptr);
       return;
     }
-    case Kind::kDouble: {
-      if (!std::isfinite(double_)) {
-        // JSON has no Infinity/NaN; the wire contract is "finite or
-        // null" and readers treat null as "absent".
-        out->append("null");
-        return;
-      }
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", double_);
-      out->append(buf);
+    case Kind::kDouble:
+      AppendJsonNumber(double_, out);
       return;
-    }
     case Kind::kString:
       AppendJsonEscaped(string_, out);
       return;

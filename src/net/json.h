@@ -1,30 +1,29 @@
-// A minimal, dependency-free JSON value for the wire protocol's message
-// bodies (net/wire.h).
+// A minimal, dependency-free JSON value: the one way the program writes
+// JSON (wire bodies, the obs exporters, /statusz and the other
+// introspection pages, profiles, bench rows) and the parser for the
+// bodies it reads back.
 //
-// Scope: exactly what framed RPC bodies need — parse, navigate, build,
-// render. Not a general-purpose JSON library:
+// Scope: parse, navigate, build, render. Not a general-purpose JSON
+// library:
 //
 //   * Numbers remember whether they were written as integers. Integers
 //     round-trip through int64 (sequence ids are int64 and must not pass
-//     through a double); doubles render with %.17g, which strtod parses
-//     back to the bit-identical value — the property the router ≡
-//     in-process-engine guarantee rests on (epsilon, kNN distances, and
-//     MBR coordinates all cross the wire as decimal text).
+//     through a double); unsigned counts enter through Uint, which
+//     saturates, so no count renders negative. Doubles render in the
+//     shortest form that strtod parses back to the bit-identical value
+//     (AppendJsonNumber) — the property the router ≡ in-process-engine
+//     guarantee rests on (epsilon, kNN distances, and MBR coordinates all
+//     cross the wire as decimal text).
 //   * Every parsed number is finite: one that overflows a double (1e999,
 //     a 400-digit integer) is an error, while underflow to 0 or a
 //     denormal is accepted. Rendering writes non-finite doubles as null,
 //     so no decoder of a wire body sees a NaN or an infinity.
 //   * Object members keep insertion order (stable rendering; tests can
-//     compare strings), and lookups are linear — wire bodies have a
-//     handful of keys.
+//     compare strings), and lookups are linear — documents have a
+//     handful of keys per object.
 //   * Parse depth is bounded (kMaxDepth) so a hostile peer cannot blow
 //     the stack, and input must be one complete value (trailing garbage
 //     is an error).
-//
-// The obs exporters build JSON by string concatenation and stay as they
-// are; this type exists for the opposite direction — messages that must
-// be PARSED — and for request/response builders that would otherwise
-// hand-escape.
 
 #ifndef WARPINDEX_NET_JSON_H_
 #define WARPINDEX_NET_JSON_H_
@@ -41,16 +40,14 @@ namespace warpindex {
 
 // The one JSON string escaper: appends `text` as a quoted JSON string
 // literal (quote, backslash, \n, \r, \t escaped; other control bytes as
-// \u00XX). JsonValue::Render and every hand-built JSON writer use it.
+// \u00XX).
 void AppendJsonEscaped(std::string_view text, std::string* out);
 
-// AppendJsonEscaped into a fresh string.
-inline std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  AppendJsonEscaped(text, &out);
-  return out;
-}
+// The one double formatter: appends the shortest decimal text that strtod
+// parses back to the bit-identical double (std::to_chars; -0.0 renders
+// "-0"), or null for a NaN or an infinity. JsonValue::Render and the
+// Prometheus text writers use it.
+void AppendJsonNumber(double value, std::string* out);
 
 class JsonValue {
  public:
@@ -61,6 +58,8 @@ class JsonValue {
   static JsonValue Null() { return JsonValue(); }
   static JsonValue Bool(bool b);
   static JsonValue Int(int64_t i);
+  // An unsigned count, saturating at INT64_MAX.
+  static JsonValue Uint(uint64_t n);
   static JsonValue Double(double d);
   static JsonValue Str(std::string s);
   static JsonValue Array();
@@ -106,8 +105,7 @@ class JsonValue {
   bool GetBool(const std::string& key, bool fallback) const;
 
   // Compact rendering (no whitespace). Integers render as integers;
-  // doubles as %.17g (shortest exact round-trip is not required, exact
-  // round-trip is).
+  // doubles through AppendJsonNumber.
   std::string Render() const;
   void RenderTo(std::string* out) const;
 

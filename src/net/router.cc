@@ -215,7 +215,8 @@ Status Router::Handshake() {
       } else if (fingerprint != shards_fingerprint) {
         // Replicas of one group must be interchangeable: same shards,
         // same MBRs (bit-identical — the fingerprint is the rendered
-        // %.17g JSON), or pruning would depend on which replica answers.
+        // round-trip JSON), or pruning would depend on which replica
+        // answers.
         return Status::InvalidArgument(
             EndpointName(group.replicas[r]) +
             " disagrees with its group about shards/MBRs");
@@ -787,7 +788,7 @@ Status Router::RouteKnn(const Sequence& query, size_t k, Trace* trace,
         }
         JsonValue request = JsonValue::Object();
         request.Set("shards", std::move(shards));
-        request.Set("k", JsonValue::Int(static_cast<int64_t>(k)));
+        request.Set("k", JsonValue::Uint(k));
         request.Set("query", SequenceToJson(query));
         // The k-th best distance among settled groups upper-bounds the
         // global k-th (their union is a subset of the database), so it

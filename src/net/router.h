@@ -11,7 +11,7 @@
 // Exactness:
 //   * Range queries prune shards with the same strict
 //     `MinDistLinf(feature(Q), mbr) <= epsilon` predicate, against MBRs
-//     that crossed the wire as %.17g decimal (bit-identical doubles).
+//     that crossed the wire as round-trip decimal (bit-identical doubles).
 //     Each group is asked for exactly its unpruned shards, so the
 //     num_candidates sum matches the in-process sum over active shards.
 //   * kNN runs in waves (knn_wave_size groups at a time; 0 = one wave

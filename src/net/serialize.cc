@@ -1,6 +1,10 @@
 #include "net/serialize.h"
 
+#include <cstdint>
+#include <limits>
 #include <string>
+
+#include "obs/exporters.h"
 
 namespace warpindex {
 namespace {
@@ -29,6 +33,68 @@ Status NumberArrayToVector(const JsonValue& json, const char* what,
   return Status::Ok();
 }
 
+// Reads the integer at `key` when present; a present value that is not an
+// integer in [lo, hi] is InvalidArgument. An absent key leaves *out.
+Status ReadInt(const JsonValue& json, const std::string& key, int64_t lo,
+               int64_t hi, int64_t* out) {
+  const JsonValue* value = json.Find(key);
+  if (value == nullptr) {
+    return Status::Ok();
+  }
+  int64_t n = 0;
+  if (!value->TryAsInt(&n) || n < lo || n > hi) {
+    return Status::InvalidArgument("'" + key + "' must be an integer in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+  }
+  *out = n;
+  return Status::Ok();
+}
+
+// A cost counter: a non-negative integer when present.
+Status ReadCount(const JsonValue& json, const std::string& key,
+                 uint64_t* out) {
+  int64_t n = 0;
+  WARPINDEX_RETURN_IF_ERROR(
+      ReadInt(json, key, 0, std::numeric_limits<int64_t>::max(), &n));
+  *out = static_cast<uint64_t>(n);
+  return Status::Ok();
+}
+
+// Reads the number at `key` when present; a present non-number is
+// InvalidArgument. An absent key leaves *out.
+Status ReadNumber(const JsonValue& json, const std::string& key,
+                  double* out) {
+  const JsonValue* value = json.Find(key);
+  if (value == nullptr) {
+    return Status::Ok();
+  }
+  if (!value->is_number()) {
+    return Status::InvalidArgument("'" + key + "' must be a number");
+  }
+  *out = value->AsDouble();
+  return Status::Ok();
+}
+
+// An optional {stage: ms} object.
+Status ReadStageTimings(const JsonValue& json, const std::string& key,
+                        StageTimings* out) {
+  const JsonValue* stages = json.Find(key);
+  if (stages == nullptr) {
+    return Status::Ok();
+  }
+  WARPINDEX_RETURN_IF_ERROR(
+      ExpectKind(*stages, JsonValue::Kind::kObject, key.c_str()));
+  for (const auto& [stage, ms] : stages->members()) {
+    if (!ms.is_number()) {
+      return Status::InvalidArgument("'" + key + "' entry for '" + stage +
+                                     "' must be a number");
+    }
+    out->Add(stage, ms.AsDouble());
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 JsonValue SequenceToJson(const Sequence& sequence) {
@@ -53,43 +119,27 @@ Status JsonToSequence(const JsonValue& json, Sequence* out) {
 JsonValue CostToJson(const SearchCost& cost) {
   JsonValue json = JsonValue::Object();
   JsonValue io = JsonValue::Object();
-  io.Set("random_page_reads",
-         JsonValue::Int(static_cast<int64_t>(cost.io.random_page_reads)));
+  io.Set("random_page_reads", JsonValue::Uint(cost.io.random_page_reads));
   io.Set("sequential_page_reads",
-         JsonValue::Int(
-             static_cast<int64_t>(cost.io.sequential_page_reads)));
-  io.Set("page_writes",
-         JsonValue::Int(static_cast<int64_t>(cost.io.page_writes)));
-  io.Set("seeks", JsonValue::Int(static_cast<int64_t>(cost.io.seeks)));
+         JsonValue::Uint(cost.io.sequential_page_reads));
+  io.Set("page_writes", JsonValue::Uint(cost.io.page_writes));
+  io.Set("seeks", JsonValue::Uint(cost.io.seeks));
   json.Set("io", std::move(io));
-  json.Set("dtw_cells",
-           JsonValue::Int(static_cast<int64_t>(cost.dtw_cells)));
-  json.Set("dtw_evals",
-           JsonValue::Int(static_cast<int64_t>(cost.dtw_evals)));
-  json.Set("lb_evals", JsonValue::Int(static_cast<int64_t>(cost.lb_evals)));
-  json.Set("index_nodes",
-           JsonValue::Int(static_cast<int64_t>(cost.index_nodes)));
-  json.Set("pool_hits",
-           JsonValue::Int(static_cast<int64_t>(cost.pool_hits)));
-  json.Set("pool_misses",
-           JsonValue::Int(static_cast<int64_t>(cost.pool_misses)));
+  json.Set("dtw_cells", JsonValue::Uint(cost.dtw_cells));
+  json.Set("dtw_evals", JsonValue::Uint(cost.dtw_evals));
+  json.Set("lb_evals", JsonValue::Uint(cost.lb_evals));
+  json.Set("index_nodes", JsonValue::Uint(cost.index_nodes));
+  json.Set("pool_hits", JsonValue::Uint(cost.pool_hits));
+  json.Set("pool_misses", JsonValue::Uint(cost.pool_misses));
   json.Set("wall_ms", JsonValue::Double(cost.wall_ms));
   json.Set("cpu_ms", JsonValue::Double(cost.cpu_ms));
-  JsonValue stages = JsonValue::Object();
-  for (const auto& [stage, ms] : cost.stages.entries()) {
-    stages.Set(stage, JsonValue::Double(ms));
-  }
-  json.Set("stages", std::move(stages));
-  JsonValue stages_cpu = JsonValue::Object();
-  for (const auto& [stage, ms] : cost.stages_cpu.entries()) {
-    stages_cpu.Set(stage, JsonValue::Double(ms));
-  }
-  json.Set("stages_cpu", std::move(stages_cpu));
+  json.Set("stages", StageTimingsToJson(cost.stages));
+  json.Set("stages_cpu", StageTimingsToJson(cost.stages_cpu));
   JsonValue prunes = JsonValue::Object();
   for (const auto& [stage, counts] : cost.prunes.entries()) {
     JsonValue pair = JsonValue::Array();
-    pair.Add(JsonValue::Int(static_cast<int64_t>(counts.in)));
-    pair.Add(JsonValue::Int(static_cast<int64_t>(counts.pruned)));
+    pair.Add(JsonValue::Uint(counts.in));
+    pair.Add(JsonValue::Uint(counts.pruned));
     prunes.Set(stage, std::move(pair));
   }
   json.Set("prunes", std::move(prunes));
@@ -99,69 +149,77 @@ JsonValue CostToJson(const SearchCost& cost) {
 Status JsonToCost(const JsonValue& json, SearchCost* out) {
   WARPINDEX_RETURN_IF_ERROR(
       ExpectKind(json, JsonValue::Kind::kObject, "cost"));
-  *out = SearchCost();
-  if (const JsonValue* io = json.Find("io");
-      io != nullptr && io->kind() == JsonValue::Kind::kObject) {
-    out->io.random_page_reads =
-        static_cast<uint64_t>(io->GetInt("random_page_reads", 0));
-    out->io.sequential_page_reads =
-        static_cast<uint64_t>(io->GetInt("sequential_page_reads", 0));
-    out->io.page_writes =
-        static_cast<uint64_t>(io->GetInt("page_writes", 0));
-    out->io.seeks = static_cast<uint64_t>(io->GetInt("seeks", 0));
+  SearchCost cost;
+  if (const JsonValue* io = json.Find("io"); io != nullptr) {
+    WARPINDEX_RETURN_IF_ERROR(
+        ExpectKind(*io, JsonValue::Kind::kObject, "cost.io"));
+    WARPINDEX_RETURN_IF_ERROR(
+        ReadCount(*io, "random_page_reads", &cost.io.random_page_reads));
+    WARPINDEX_RETURN_IF_ERROR(ReadCount(*io, "sequential_page_reads",
+                                        &cost.io.sequential_page_reads));
+    WARPINDEX_RETURN_IF_ERROR(
+        ReadCount(*io, "page_writes", &cost.io.page_writes));
+    WARPINDEX_RETURN_IF_ERROR(ReadCount(*io, "seeks", &cost.io.seeks));
   }
-  out->dtw_cells = static_cast<uint64_t>(json.GetInt("dtw_cells", 0));
-  out->dtw_evals = static_cast<uint64_t>(json.GetInt("dtw_evals", 0));
-  out->lb_evals = static_cast<uint64_t>(json.GetInt("lb_evals", 0));
-  out->index_nodes = static_cast<uint64_t>(json.GetInt("index_nodes", 0));
-  out->pool_hits = static_cast<uint64_t>(json.GetInt("pool_hits", 0));
-  out->pool_misses = static_cast<uint64_t>(json.GetInt("pool_misses", 0));
-  out->wall_ms = json.GetDouble("wall_ms", 0.0);
-  out->cpu_ms = json.GetDouble("cpu_ms", 0.0);
-  if (const JsonValue* stages = json.Find("stages");
-      stages != nullptr && stages->kind() == JsonValue::Kind::kObject) {
-    for (const auto& [stage, ms] : stages->members()) {
-      out->stages.Add(stage, ms.AsDouble());
-    }
-  }
-  if (const JsonValue* stages_cpu = json.Find("stages_cpu");
-      stages_cpu != nullptr &&
-      stages_cpu->kind() == JsonValue::Kind::kObject) {
-    for (const auto& [stage, ms] : stages_cpu->members()) {
-      out->stages_cpu.Add(stage, ms.AsDouble());
-    }
-  }
-  if (const JsonValue* prunes = json.Find("prunes");
-      prunes != nullptr && prunes->kind() == JsonValue::Kind::kObject) {
+  WARPINDEX_RETURN_IF_ERROR(ReadCount(json, "dtw_cells", &cost.dtw_cells));
+  WARPINDEX_RETURN_IF_ERROR(ReadCount(json, "dtw_evals", &cost.dtw_evals));
+  WARPINDEX_RETURN_IF_ERROR(ReadCount(json, "lb_evals", &cost.lb_evals));
+  WARPINDEX_RETURN_IF_ERROR(
+      ReadCount(json, "index_nodes", &cost.index_nodes));
+  WARPINDEX_RETURN_IF_ERROR(ReadCount(json, "pool_hits", &cost.pool_hits));
+  WARPINDEX_RETURN_IF_ERROR(
+      ReadCount(json, "pool_misses", &cost.pool_misses));
+  WARPINDEX_RETURN_IF_ERROR(ReadNumber(json, "wall_ms", &cost.wall_ms));
+  WARPINDEX_RETURN_IF_ERROR(ReadNumber(json, "cpu_ms", &cost.cpu_ms));
+  WARPINDEX_RETURN_IF_ERROR(
+      ReadStageTimings(json, "stages", &cost.stages));
+  WARPINDEX_RETURN_IF_ERROR(
+      ReadStageTimings(json, "stages_cpu", &cost.stages_cpu));
+  if (const JsonValue* prunes = json.Find("prunes"); prunes != nullptr) {
+    WARPINDEX_RETURN_IF_ERROR(
+        ExpectKind(*prunes, JsonValue::Kind::kObject, "cost.prunes"));
     for (const auto& [stage, pair] : prunes->members()) {
-      if (pair.kind() != JsonValue::Kind::kArray || pair.size() != 2) {
-        return Status::InvalidArgument("cost.prunes entry for '" + stage +
-                                       "' is not an [in, pruned] pair");
+      int64_t in = 0;
+      int64_t pruned = 0;
+      if (pair.kind() != JsonValue::Kind::kArray || pair.size() != 2 ||
+          !pair.at(0).TryAsInt(&in) || !pair.at(1).TryAsInt(&pruned) ||
+          in < 0 || pruned < 0) {
+        return Status::InvalidArgument(
+            "cost.prunes entry for '" + stage +
+            "' is not an [in, pruned] pair of non-negative integers");
       }
-      out->prunes.Record(stage,
-                         static_cast<uint64_t>(pair.at(0).AsInt()),
-                         static_cast<uint64_t>(pair.at(1).AsInt()));
+      cost.prunes.Record(stage, static_cast<uint64_t>(in),
+                         static_cast<uint64_t>(pruned));
     }
   }
+  *out = std::move(cost);
   return Status::Ok();
 }
 
 JsonValue SpansToJson(const std::vector<TraceSpan>& spans) {
   JsonValue array = JsonValue::Array();
-  for (const TraceSpan& span : spans) {
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const TraceSpan& span = spans[i];
     JsonValue item = JsonValue::Object();
-    item.Set("name", JsonValue::Str(span.name));
+    item.Set("span", JsonValue::Uint(i));
     item.Set("parent", JsonValue::Int(span.parent));
+    item.Set("name", JsonValue::Str(span.name));
     item.Set("start_ms", JsonValue::Double(span.start_ms));
     item.Set("duration_ms", JsonValue::Double(span.duration_ms));
     item.Set("cpu_ms", JsonValue::Double(span.cpu_ms));
-    item.Set("shard", JsonValue::Int(span.shard));
-    item.Set("tid", JsonValue::Int(static_cast<int64_t>(span.tid)));
-    JsonValue counters = JsonValue::Object();
-    for (const auto& [name, value] : span.counters) {
-      counters.Set(name, JsonValue::Double(value));
+    // An untagged span omits shard/tid and a span without counters omits
+    // them; JsonToSpans reads each omitted field back as that default.
+    if (span.shard >= 0 || span.tid > 0) {
+      item.Set("shard", JsonValue::Int(span.shard));
+      item.Set("tid", JsonValue::Uint(span.tid));
     }
-    item.Set("counters", std::move(counters));
+    if (!span.counters.empty()) {
+      JsonValue counters = JsonValue::Object();
+      for (const auto& [name, value] : span.counters) {
+        counters.Set(name, JsonValue::Double(value));
+      }
+      item.Set("counters", std::move(counters));
+    }
     array.Add(std::move(item));
   }
   return array;
@@ -170,35 +228,45 @@ JsonValue SpansToJson(const std::vector<TraceSpan>& spans) {
 Status JsonToSpans(const JsonValue& json, std::vector<TraceSpan>* out) {
   WARPINDEX_RETURN_IF_ERROR(
       ExpectKind(json, JsonValue::Kind::kArray, "spans"));
-  out->clear();
-  out->reserve(json.size());
+  std::vector<TraceSpan> spans;
+  spans.reserve(json.size());
   for (size_t i = 0; i < json.size(); ++i) {
     const JsonValue& item = json.at(i);
     WARPINDEX_RETURN_IF_ERROR(
         ExpectKind(item, JsonValue::Kind::kObject, "span"));
     TraceSpan span;
     span.name = item.GetString("name", "");
-    const int64_t parent = item.GetInt("parent", -1);
-    if (parent < -1 || parent >= static_cast<int64_t>(i)) {
-      return Status::InvalidArgument(
-          "span " + std::to_string(i) + " has parent " +
-          std::to_string(parent) + ", which is not an earlier span");
-    }
+    int64_t parent = -1;
+    WARPINDEX_RETURN_IF_ERROR(ReadInt(item, "parent", -1,
+                                      static_cast<int64_t>(i) - 1, &parent));
     span.parent = static_cast<int>(parent);
-    span.start_ms = item.GetDouble("start_ms", 0.0);
-    span.duration_ms = item.GetDouble("duration_ms", 0.0);
-    span.cpu_ms = item.GetDouble("cpu_ms", 0.0);
-    span.shard = static_cast<int32_t>(item.GetInt("shard", -1));
-    span.tid = static_cast<uint32_t>(item.GetInt("tid", 0));
+    WARPINDEX_RETURN_IF_ERROR(ReadNumber(item, "start_ms", &span.start_ms));
+    WARPINDEX_RETURN_IF_ERROR(
+        ReadNumber(item, "duration_ms", &span.duration_ms));
+    WARPINDEX_RETURN_IF_ERROR(ReadNumber(item, "cpu_ms", &span.cpu_ms));
+    int64_t shard = -1;
+    int64_t tid = 0;
+    WARPINDEX_RETURN_IF_ERROR(ReadInt(
+        item, "shard", -1, std::numeric_limits<int32_t>::max(), &shard));
+    WARPINDEX_RETURN_IF_ERROR(ReadInt(
+        item, "tid", 0, std::numeric_limits<uint32_t>::max(), &tid));
+    span.shard = static_cast<int32_t>(shard);
+    span.tid = static_cast<uint32_t>(tid);
     if (const JsonValue* counters = item.Find("counters");
-        counters != nullptr &&
-        counters->kind() == JsonValue::Kind::kObject) {
+        counters != nullptr) {
+      WARPINDEX_RETURN_IF_ERROR(
+          ExpectKind(*counters, JsonValue::Kind::kObject, "span counters"));
       for (const auto& [name, value] : counters->members()) {
+        if (!value.is_number()) {
+          return Status::InvalidArgument("span counter '" + name +
+                                         "' is not a number");
+        }
         span.counters.emplace_back(name, value.AsDouble());
       }
     }
-    out->push_back(std::move(span));
+    spans.push_back(std::move(span));
   }
+  *out = std::move(spans);
   return Status::Ok();
 }
 

@@ -4,8 +4,9 @@
 // tests/net_router_property_test.cc depend on every conversion here
 // round-tripping exactly.
 //
-// Exactness: doubles are rendered as %.17g (net/json.h) and parsed with
-// strtod, which round-trips every finite IEEE double bit-identically.
+// Exactness: doubles are rendered in their shortest round-trip form
+// (AppendJsonNumber, net/json.h) and parsed with strtod, which gives back
+// every finite IEEE double bit-identically.
 // Sequences, epsilon, distances, and MBR corners therefore survive the
 // wire unchanged, and the router's merge produces the same bits as the
 // in-process ShardedEngine.
@@ -33,12 +34,23 @@ Status JsonToSequence(const JsonValue& json, Sequence* out);
 // SearchCost <-> object. Everything the router needs to reproduce the
 // ShardedEngine's merged cost accounting crosses: io, dtw/lb work,
 // index/pool traffic, wall time, per-stage timings and prune counters.
+// Decoding is strict: a present count or prune entry that is not a
+// non-negative integer, or a present *_ms value that is not a number, is
+// InvalidArgument, and *out is untouched on error.
 JsonValue CostToJson(const SearchCost& cost);
 Status JsonToCost(const JsonValue& json, SearchCost* out);
 
-// Trace spans <-> array of span objects (name, parent, start_ms,
-// duration_ms, shard, tid, counters). Parent indexes are local to the
-// serialized array; the router rebases them when stitching.
+// Trace spans <-> array of span objects: the one span serializer, used by
+// the wire, trace JSON lines, and /tracez. Each object is
+//   {"span":i,"parent":p,"name":...,"start_ms":...,"duration_ms":...,
+//    "cpu_ms":...,"shard":s,"tid":t,"counters":{...}}
+// with shard/tid omitted on untagged spans and counters omitted when
+// empty; decoding reads an omitted field as that default (-1, 0, none).
+// Parent indexes are local to the array; the router rebases them when
+// stitching. Decoding is strict: a parent that is not an earlier span, a
+// shard outside [-1, INT32_MAX], a tid outside uint32, or a non-numeric
+// *_ms or counter value is InvalidArgument, and *out is untouched on
+// error.
 JsonValue SpansToJson(const std::vector<TraceSpan>& spans);
 Status JsonToSpans(const JsonValue& json, std::vector<TraceSpan>* out);
 

@@ -90,19 +90,15 @@ Status ShardServer::HandleStats(const JsonValue& /*request*/,
   response->Set("group", JsonValue::Int(options_.group));
   response->Set("replica", JsonValue::Int(options_.replica));
   response->Set("draining", JsonValue::Bool(server_.draining()));
-  response->Set("shards",
-                JsonValue::Int(static_cast<int64_t>(shards_.size())));
+  response->Set("shards", JsonValue::Uint(shards_.size()));
   // The same snapshot /metrics would render on this process, as a JSON
   // object the poller can walk (counter sums, histogram bucket merges).
   MetricsRegistry* registry = options_.server.metrics != nullptr
                                   ? options_.server.metrics
                                   : &MetricsRegistry::Global();
   const ProcessSelfMetrics process = CollectProcessSelfMetrics();
-  JsonValue metrics;
-  const Status parsed = JsonValue::Parse(
-      MetricsToJson(registry->TakeSnapshot(), nullptr, &process), &metrics);
   response->Set("metrics",
-                parsed.ok() ? std::move(metrics) : JsonValue::Object());
+                MetricsToJson(registry->TakeSnapshot(), nullptr, &process));
   return Status::Ok();
 }
 
@@ -164,9 +160,7 @@ Status ShardServer::HandleHello(const JsonValue& /*request*/,
   response->Set("role", JsonValue::Str("shard-server"));
   response->Set("group", JsonValue::Int(options_.group));
   response->Set("replica", JsonValue::Int(options_.replica));
-  response->Set("num_shards",
-                JsonValue::Int(static_cast<int64_t>(
-                    manifest_.assignment.num_shards)));
+  response->Set("num_shards", JsonValue::Uint(manifest_.assignment.num_shards));
   response->Set("partitioner",
                 JsonValue::Str(PartitionerKindName(manifest_.partitioner)));
   JsonValue shards = JsonValue::Array();
@@ -174,11 +168,8 @@ Status ShardServer::HandleHello(const JsonValue& /*request*/,
     const BaseShard& shard = shards_[slot];
     JsonValue item = JsonValue::Object();
     item.Set("shard", JsonValue::Int(options_.serve_shards[slot]));
-    item.Set("sequences",
-             JsonValue::Int(
-                 static_cast<int64_t>(shard.engine->dataset().size())));
-    item.Set("live", JsonValue::Int(
-                         static_cast<int64_t>(shard.engine->live_size())));
+    item.Set("sequences", JsonValue::Uint(shard.engine->dataset().size()));
+    item.Set("live", JsonValue::Uint(shard.engine->live_size()));
     // null MBR = empty shard; the router prunes it unconditionally,
     // matching ShardFeatureBounds::valid == false in-process.
     item.Set("mbr", shard.bounds.valid ? RectToJson(shard.bounds.mbr)
@@ -262,14 +253,14 @@ Status ShardServer::HandleRange(const JsonValue& request,
   }
   response->Set("matches", std::move(matches));
   // Exact per-match D_tw distances, parallel to "matches". Doubles
-  // serialize at %.17g so the router's cache stores bit-identical values.
+  // serialize in round-trip form so the router's cache stores
+  // bit-identical values.
   JsonValue distances = JsonValue::Array();
   for (const double d : merged.distances) {
     distances.Add(JsonValue::Double(d));
   }
   response->Set("distances", std::move(distances));
-  response->Set("num_candidates",
-                JsonValue::Int(static_cast<int64_t>(merged.num_candidates)));
+  response->Set("num_candidates", JsonValue::Uint(merged.num_candidates));
   response->Set("cost", CostToJson(merged.cost));
   if (traced) {
     response->Set("spans", SpansToJson(trace.spans()));
@@ -328,8 +319,7 @@ Status ShardServer::HandleKnn(const JsonValue& request,
   clock.Stamp(&merged.cost);
 
   response->Set("neighbors", KnnMatchesToJson(merged.neighbors));
-  response->Set("num_refined",
-                JsonValue::Int(static_cast<int64_t>(merged.num_refined)));
+  response->Set("num_refined", JsonValue::Uint(merged.num_refined));
   const double bound_after = shared_bound.Current();
   response->Set("bound_after", bound_after < kInfiniteDistance
                                    ? JsonValue::Double(bound_after)

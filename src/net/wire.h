@@ -17,9 +17,9 @@
 // garbage before allocation), a version byte in the magic rejects
 // cross-version peers at the first frame, and JSON bodies keep the
 // payloads debuggable (`xxd` shows you the query) while the framing
-// stays binary. Doubles cross as %.17g decimal (net/json.h), which
-// round-trips bit-identically — the exactness contract of the router
-// depends on it.
+// stays binary. Doubles cross as shortest round-trip decimal
+// (net/json.h), which parses back bit-identically — the exactness
+// contract of the router depends on it.
 //
 // Request/response pairing: every request type N has a response type
 // N+1; kError answers any request. The response echoes the request id,

@@ -320,16 +320,14 @@ bool WireServer::DispatchFrame(int fd, const WireFrame& frame,
     // Built-in fields every peer can rely on, whatever the handler set.
     if (frame.type == WireType::kHello) {
       response.Set("server", JsonValue::Str(options_.name));
-      response.Set("protocol",
-                   JsonValue::Int(static_cast<int64_t>(kWireProtocolVersion)));
+      response.Set("protocol", JsonValue::Uint(kWireProtocolVersion));
       response.Set("draining", JsonValue::Bool(draining_.load()));
     } else if (frame.type == WireType::kHealth) {
       WireServerStats s = stats();
       response.Set("status",
                    JsonValue::Str(s.draining ? "draining" : "ok"));
       response.Set("inflight", JsonValue::Int(s.inflight));
-      response.Set("requests", JsonValue::Int(
-                                   static_cast<int64_t>(s.requests_total)));
+      response.Set("requests", JsonValue::Uint(s.requests_total));
     } else if (frame.type == WireType::kDrain) {
       RequestDrain();
       response.Set("draining", JsonValue::Bool(true));

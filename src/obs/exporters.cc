@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,30 +13,10 @@
 #include <unistd.h>
 #endif
 
+#include "net/serialize.h"
+
 namespace warpindex {
 namespace {
-
-// Shortest round-trippable representation; JSON has no Inf/NaN, so those
-// degrade to null.
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) {
-    return "null";
-  }
-  // Shortest string over all precisions that still round-trips ("%.1g"
-  // of 10 is "1e+01", but "%.2g" gives the shorter "10").
-  char best[64];
-  std::snprintf(best, sizeof(best), "%.17g", v);
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[64];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, v);
-    if (std::strtod(candidate, nullptr) == v) {
-      if (std::strlen(candidate) < std::strlen(best)) {
-        std::memcpy(best, candidate, std::strlen(candidate) + 1);
-      }
-    }
-  }
-  return best;
-}
 
 // Prometheus text-format escaping: `\` and newline always, `"` in label
 // values (see exporters.h).
@@ -57,52 +36,23 @@ std::string PrometheusEscape(const std::string& text, bool escape_quote) {
   return out;
 }
 
-void AppendCounterObject(
-    const std::vector<std::pair<std::string, double>>& counters,
-    std::string* out) {
-  out->push_back('{');
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) {
-      out->push_back(',');
-    }
-    first = false;
-    out->append(JsonEscape(name));
-    out->push_back(':');
-    out->append(JsonNumber(value));
-  }
-  out->push_back('}');
-}
-
-// The shared span-object body of TraceToJsonLines and TraceToJsonArray.
-void AppendSpanObject(const TraceSpan& span, size_t index,
-                      std::string* out) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"span\":%zu,\"parent\":%d,", index,
-                span.parent);
-  out->append(buf);
-  out->append("\"name\":");
-  out->append(JsonEscape(span.name));
-  out->append(",\"start_ms\":");
-  out->append(JsonNumber(span.start_ms));
-  out->append(",\"duration_ms\":");
-  out->append(JsonNumber(span.duration_ms));
-  out->append(",\"cpu_ms\":");
-  out->append(JsonNumber(span.cpu_ms));
-  if (span.shard >= 0 || span.tid > 0) {
-    std::snprintf(buf, sizeof(buf), ",\"shard\":%d,\"tid\":%u",
-                  span.shard, span.tid);
-    out->append(buf);
-  }
-  if (!span.counters.empty()) {
-    out->append(",\"counters\":");
-    AppendCounterObject(span.counters, out);
-  }
-}
-
 // Perfetto lane mapping: one pid per shard (pid 0 = unsharded / the
 // merging layer), tid straight from the span tag.
 int EventPid(const TraceSpan& span) { return span.shard + 1; }
+
+// A lane-naming metadata event.
+JsonValue LaneNameEvent(const char* kind, int pid, uint32_t tid,
+                        std::string name) {
+  JsonValue args = JsonValue::Object();
+  args.Set("name", JsonValue::Str(std::move(name)));
+  JsonValue event = JsonValue::Object();
+  event.Set("ph", JsonValue::Str("M"));
+  event.Set("name", JsonValue::Str(kind));
+  event.Set("pid", JsonValue::Int(pid));
+  event.Set("tid", JsonValue::Uint(tid));
+  event.Set("args", std::move(args));
+  return event;
+}
 
 }  // namespace
 
@@ -218,6 +168,33 @@ std::string PrometheusEscapeLabelValue(const std::string& text) {
   return PrometheusEscape(text, /*escape_quote=*/true);
 }
 
+void AppendPrometheusSample(const std::string& series, double value,
+                            std::string* out) {
+  out->append(series);
+  out->push_back(' ');
+  AppendJsonNumber(value, out);
+  out->push_back('\n');
+}
+
+JsonValue StageTimingsToJson(const StageTimings& timings) {
+  JsonValue json = JsonValue::Object();
+  for (const auto& [stage, ms] : timings.entries()) {
+    json.Set(stage, JsonValue::Double(ms));
+  }
+  return json;
+}
+
+JsonValue StageCountersToJson(const StageCounters& counters) {
+  JsonValue json = JsonValue::Object();
+  for (const auto& [stage, counts] : counters.entries()) {
+    JsonValue pair = JsonValue::Object();
+    pair.Set("in", JsonValue::Uint(counts.in));
+    pair.Set("pruned", JsonValue::Uint(counts.pruned));
+    json.Set(stage, std::move(pair));
+  }
+  return json;
+}
+
 std::string TraceIdHex(uint64_t trace_id) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, trace_id);
@@ -246,33 +223,25 @@ uint64_t ParseTraceIdHex(const std::string& hex) {
 
 std::string TraceToJsonLines(const Trace& trace, int64_t query_id) {
   std::string out;
-  const std::vector<TraceSpan>& spans = trace.spans();
-  for (size_t i = 0; i < spans.size(); ++i) {
-    out.push_back('{');
-    if (query_id >= 0) {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "\"query\":%" PRId64 ",", query_id);
-      out.append(buf);
+  const JsonValue spans = SpansToJson(trace.spans());
+  for (const JsonValue& span : spans.items()) {
+    if (query_id < 0) {
+      span.RenderTo(&out);
+    } else {
+      JsonValue line = JsonValue::Object();
+      line.Set("query", JsonValue::Int(query_id));
+      for (const auto& [key, value] : span.members()) {
+        line.Set(key, value);
+      }
+      line.RenderTo(&out);
     }
-    AppendSpanObject(spans[i], i, &out);
-    out.append("}\n");
+    out.push_back('\n');
   }
   return out;
 }
 
 std::string TraceToJsonArray(const Trace& trace) {
-  std::string out = "[";
-  const std::vector<TraceSpan>& spans = trace.spans();
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) {
-      out.push_back(',');
-    }
-    out.push_back('{');
-    AppendSpanObject(spans[i], i, &out);
-    out.push_back('}');
-  }
-  out.push_back(']');
-  return out;
+  return SpansToJson(trace.spans()).Render();
 }
 
 Status AppendTraceJsonLines(const Trace& trace, const std::string& path,
@@ -291,16 +260,7 @@ Status AppendTraceJsonLines(const Trace& trace, const std::string& path,
 }
 
 std::string TraceEventsJson(const std::vector<const Trace*>& traces) {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto append_event = [&out, &first](const std::string& event) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    out.append(event);
-  };
-
+  JsonValue events = JsonValue::Array();
   // Name the lanes once across all traces: every distinct pid gets a
   // process_name, every (pid, tid) a thread_name.
   std::set<int> pids;
@@ -315,19 +275,15 @@ std::string TraceEventsJson(const std::vector<const Trace*>& traces) {
     }
   }
   for (const int pid : pids) {
-    const std::string name =
-        pid == 0 ? std::string("query") : "shard " + std::to_string(pid - 1);
-    append_event("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-                 std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":" +
-                 JsonEscape(name) + "}}");
+    events.Add(LaneNameEvent(
+        "process_name", pid, 0,
+        pid == 0 ? std::string("query") : "shard " + std::to_string(pid - 1)));
   }
   for (const auto& [pid, tid] : lanes) {
-    const std::string name =
+    events.Add(LaneNameEvent(
+        "thread_name", pid, tid,
         tid == 0 ? std::string("caller")
-                 : "worker " + std::to_string(tid - 1);
-    append_event("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
-                 std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
-                 ",\"args\":{\"name\":" + JsonEscape(name) + "}}");
+                 : "worker " + std::to_string(tid - 1)));
   }
 
   // Lay consecutive traces out left to right: each trace is shifted past
@@ -340,31 +296,29 @@ std::string TraceEventsJson(const std::vector<const Trace*>& traces) {
     double extent_ms = 0.0;
     for (const TraceSpan& span : trace->spans()) {
       extent_ms = std::max(extent_ms, span.start_ms + span.duration_ms);
-      std::string event = "{\"name\":";
-      event += JsonEscape(span.name);
-      event += ",\"cat\":\"query\",\"ph\":\"X\",\"ts\":";
-      event += JsonNumber((offset_ms + span.start_ms) * 1000.0);
-      event += ",\"dur\":";
-      event += JsonNumber(span.duration_ms * 1000.0);
-      event += ",\"pid\":" + std::to_string(EventPid(span));
-      event += ",\"tid\":" + std::to_string(span.tid);
-      event += ",\"args\":{\"trace_id\":";
-      event += JsonEscape(TraceIdHex(trace->trace_id()));
-      event += ",\"cpu_ms\":";
-      event += JsonNumber(span.cpu_ms);
+      JsonValue args = JsonValue::Object();
+      args.Set("trace_id", JsonValue::Str(TraceIdHex(trace->trace_id())));
+      args.Set("cpu_ms", JsonValue::Double(span.cpu_ms));
       for (const auto& [name, value] : span.counters) {
-        event.push_back(',');
-        event += JsonEscape(name);
-        event.push_back(':');
-        event += JsonNumber(value);
+        args.Set(name, JsonValue::Double(value));
       }
-      event += "}}";
-      append_event(event);
+      JsonValue event = JsonValue::Object();
+      event.Set("name", JsonValue::Str(span.name));
+      event.Set("cat", JsonValue::Str("query"));
+      event.Set("ph", JsonValue::Str("X"));
+      event.Set("ts", JsonValue::Double((offset_ms + span.start_ms) * 1000.0));
+      event.Set("dur", JsonValue::Double(span.duration_ms * 1000.0));
+      event.Set("pid", JsonValue::Int(EventPid(span)));
+      event.Set("tid", JsonValue::Uint(span.tid));
+      event.Set("args", std::move(args));
+      events.Add(std::move(event));
     }
     offset_ms += extent_ms + 1.0;  // 1 ms gutter between traces
   }
-  out.append("]}");
-  return out;
+  JsonValue doc = JsonValue::Object();
+  doc.Set("displayTimeUnit", JsonValue::Str("ms"));
+  doc.Set("traceEvents", std::move(events));
+  return doc.Render();
 }
 
 Status WriteTraceEventsFile(const std::vector<const Trace*>& traces,
@@ -429,18 +383,16 @@ std::string MetricsToPrometheusText(
     uint64_t cumulative = 0;
     for (size_t i = 0; i < s.boundaries.size(); ++i) {
       cumulative += s.bucket_counts[i];
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%" PRIu64, cumulative);
-      out.append(hist.name + "_bucket{le=\"" +
-                 PrometheusEscapeLabelValue(JsonNumber(s.boundaries[i])) +
-                 "\"} " + buf + "\n");
+      out.append(hist.name + "_bucket{le=\"");
+      AppendJsonNumber(s.boundaries[i], &out);
+      out.append("\"} " + std::to_string(cumulative) + "\n");
     }
     cumulative += s.bucket_counts.back();
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%" PRIu64, cumulative);
     out.append(hist.name + "_bucket{le=\"+Inf\"} " + std::string(buf) +
                "\n");
-    out.append(hist.name + "_sum " + JsonNumber(s.stats.sum()) + "\n");
+    AppendPrometheusSample(hist.name + "_sum", s.stats.sum(), &out);
     std::snprintf(buf, sizeof(buf), "%" PRIu64,
                   static_cast<uint64_t>(s.stats.count()));
     out.append(hist.name + "_count " + buf + "\n");
@@ -452,8 +404,8 @@ std::string MetricsToPrometheusText(
     } quantiles[] = {{"_p50", 0.5}, {"_p99", 0.99}, {"_p999", 0.999}};
     for (const auto& q : quantiles) {
       out.append("# TYPE " + hist.name + q.suffix + " gauge\n");
-      out.append(hist.name + q.suffix + " " +
-                 JsonNumber(s.EstimatePercentile(q.p)) + "\n");
+      AppendPrometheusSample(hist.name + q.suffix,
+                             s.EstimatePercentile(q.p), &out);
     }
   }
   if (process != nullptr && process->valid) {
@@ -461,14 +413,14 @@ std::string MetricsToPrometheusText(
         "# HELP process_cpu_seconds_total Total user and system CPU time "
         "spent in seconds\n");
     out.append("# TYPE process_cpu_seconds_total counter\n");
-    out.append("process_cpu_seconds_total " +
-               JsonNumber(process->cpu_seconds_total) + "\n");
+    AppendPrometheusSample("process_cpu_seconds_total",
+                           process->cpu_seconds_total, &out);
     out.append(
         "# HELP process_resident_memory_bytes Resident memory size in "
         "bytes\n");
     out.append("# TYPE process_resident_memory_bytes gauge\n");
-    out.append("process_resident_memory_bytes " +
-               JsonNumber(process->resident_memory_bytes) + "\n");
+    AppendPrometheusSample("process_resident_memory_bytes",
+                           process->resident_memory_bytes, &out);
     out.append(
         "# HELP process_open_fds Number of open file descriptors\n");
     out.append("# TYPE process_open_fds gauge\n");
@@ -478,178 +430,114 @@ std::string MetricsToPrometheusText(
         "# HELP process_start_time_seconds Start time of the process "
         "since unix epoch in seconds\n");
     out.append("# TYPE process_start_time_seconds gauge\n");
-    out.append("process_start_time_seconds " +
-               JsonNumber(process->start_time_seconds) + "\n");
+    AppendPrometheusSample("process_start_time_seconds",
+                           process->start_time_seconds, &out);
   }
   return out;
 }
 
-std::string MetricsToJson(const MetricsRegistry::Snapshot& snapshot,
-                          const BuildInfo* build_info,
-                          const ProcessSelfMetrics* process) {
-  std::string out = "{";
+JsonValue MetricsToJson(const MetricsRegistry::Snapshot& snapshot,
+                        const BuildInfo* build_info,
+                        const ProcessSelfMetrics* process) {
+  JsonValue doc = JsonValue::Object();
   if (build_info != nullptr) {
-    out.append("\"build_info\":{\"version\":" +
-               JsonEscape(build_info->version));
-    out.append(",\"compiler\":" + JsonEscape(build_info->compiler));
-    out.append(",\"build_type\":" + JsonEscape(build_info->build_type) +
-               "},");
+    JsonValue build = JsonValue::Object();
+    build.Set("version", JsonValue::Str(build_info->version));
+    build.Set("compiler", JsonValue::Str(build_info->compiler));
+    build.Set("build_type", JsonValue::Str(build_info->build_type));
+    doc.Set("build_info", std::move(build));
   }
   if (process != nullptr && process->valid) {
-    out.append("\"process\":{\"cpu_seconds_total\":" +
-               JsonNumber(process->cpu_seconds_total));
-    out.append(",\"resident_memory_bytes\":" +
-               JsonNumber(process->resident_memory_bytes));
-    out.append(",\"open_fds\":" + std::to_string(process->open_fds));
-    out.append(",\"start_time_seconds\":" +
-               JsonNumber(process->start_time_seconds) + "},");
+    JsonValue self = JsonValue::Object();
+    self.Set("cpu_seconds_total",
+             JsonValue::Double(process->cpu_seconds_total));
+    self.Set("resident_memory_bytes",
+             JsonValue::Double(process->resident_memory_bytes));
+    self.Set("open_fds", JsonValue::Int(process->open_fds));
+    self.Set("start_time_seconds",
+             JsonValue::Double(process->start_time_seconds));
+    doc.Set("process", std::move(self));
   }
-  out.append("\"counters\":{");
-  bool first = true;
+  JsonValue counters = JsonValue::Object();
   for (const auto& counter : snapshot.counters) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, counter.value);
-    out.append(JsonEscape(counter.name) + ":" + buf);
+    counters.Set(counter.name, JsonValue::Uint(counter.value));
   }
-  out.append("},\"gauges\":{");
-  first = true;
+  doc.Set("counters", std::move(counters));
+  JsonValue gauges = JsonValue::Object();
   for (const auto& gauge : snapshot.gauges) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRId64, gauge.value);
-    out.append(JsonEscape(gauge.name) + ":" + buf);
+    gauges.Set(gauge.name, JsonValue::Int(gauge.value));
   }
-  out.append("},\"histograms\":{");
-  first = true;
+  doc.Set("gauges", std::move(gauges));
+  JsonValue histograms = JsonValue::Object();
   for (const auto& hist : snapshot.histograms) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
     const Histogram::Snapshot& s = hist.snapshot;
-    out.append(JsonEscape(hist.name) + ":{");
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64,
-                  static_cast<uint64_t>(s.stats.count()));
-    out.append("\"count\":" + std::string(buf));
-    out.append(",\"sum\":" + JsonNumber(s.stats.sum()));
-    out.append(",\"mean\":" + JsonNumber(s.stats.mean()));
-    out.append(",\"min\":" +
-               JsonNumber(s.stats.count() == 0 ? 0.0 : s.stats.min()));
-    out.append(",\"max\":" +
-               JsonNumber(s.stats.count() == 0 ? 0.0 : s.stats.max()));
-    out.append(",\"stddev\":" + JsonNumber(s.stats.stddev()));
-    out.append(",\"p50\":" + JsonNumber(s.EstimatePercentile(0.5)));
-    out.append(",\"p99\":" + JsonNumber(s.EstimatePercentile(0.99)));
-    out.append(",\"p999\":" + JsonNumber(s.EstimatePercentile(0.999)));
-    out.append(",\"boundaries\":[");
-    for (size_t i = 0; i < s.boundaries.size(); ++i) {
-      if (i > 0) {
-        out.push_back(',');
-      }
-      out.append(JsonNumber(s.boundaries[i]));
+    const bool empty = s.stats.count() == 0;
+    JsonValue h = JsonValue::Object();
+    h.Set("count", JsonValue::Uint(s.stats.count()));
+    h.Set("sum", JsonValue::Double(s.stats.sum()));
+    h.Set("mean", JsonValue::Double(s.stats.mean()));
+    h.Set("min", JsonValue::Double(empty ? 0.0 : s.stats.min()));
+    h.Set("max", JsonValue::Double(empty ? 0.0 : s.stats.max()));
+    h.Set("stddev", JsonValue::Double(s.stats.stddev()));
+    h.Set("p50", JsonValue::Double(s.EstimatePercentile(0.5)));
+    h.Set("p99", JsonValue::Double(s.EstimatePercentile(0.99)));
+    h.Set("p999", JsonValue::Double(s.EstimatePercentile(0.999)));
+    JsonValue boundaries = JsonValue::Array();
+    for (const double boundary : s.boundaries) {
+      boundaries.Add(JsonValue::Double(boundary));
     }
-    out.append("],\"bucket_counts\":[");
-    for (size_t i = 0; i < s.bucket_counts.size(); ++i) {
-      if (i > 0) {
-        out.push_back(',');
-      }
-      std::snprintf(buf, sizeof(buf), "%" PRIu64, s.bucket_counts[i]);
-      out.append(buf);
+    h.Set("boundaries", std::move(boundaries));
+    JsonValue bucket_counts = JsonValue::Array();
+    for (const uint64_t count : s.bucket_counts) {
+      bucket_counts.Add(JsonValue::Uint(count));
     }
-    out.append("]}");
+    h.Set("bucket_counts", std::move(bucket_counts));
+    histograms.Set(hist.name, std::move(h));
   }
-  out.append("}}");
-  return out;
+  doc.Set("histograms", std::move(histograms));
+  return doc;
 }
 
-std::string FlightRecordToJson(const FlightRecord& record) {
-  char buf[48];
-  std::string out = "{";
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, record.seq);
-  out.append("\"seq\":" + std::string(buf));
-  out.append(",\"timestamp_ms\":" + JsonNumber(record.timestamp_ms));
-  out.append(",\"trace_id\":" +
-             (record.trace_id == 0
-                  ? std::string("null")
-                  : JsonEscape(TraceIdHex(record.trace_id))));
-  out.append(",\"method\":" + JsonEscape(record.method));
-  out.append(",\"epsilon\":" + JsonNumber(record.epsilon));
-  out.append(",\"query_length\":" + std::to_string(record.query_length));
-  out.append(",\"matches\":" + std::to_string(record.matches));
-  out.append(",\"num_candidates\":" +
-             std::to_string(record.num_candidates));
-  out.append(",\"wall_ms\":" + JsonNumber(record.wall_ms));
-  out.append(",\"cpu_ms\":" + JsonNumber(record.cpu_ms));
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, record.dtw_evals);
-  out.append(",\"dtw_evals\":" + std::string(buf));
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, record.dtw_cells);
-  out.append(",\"dtw_cells\":" + std::string(buf));
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, record.index_nodes);
-  out.append(",\"index_nodes\":" + std::string(buf));
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, record.pool_hits);
-  out.append(",\"pool_hits\":" + std::string(buf));
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, record.pool_misses);
-  out.append(",\"pool_misses\":" + std::string(buf));
-  out.append(",\"shard\":" + std::to_string(record.shard));
-  out.append(",\"replica\":" + std::to_string(record.replica));
-  out.append(",\"net_hedges\":" + std::to_string(record.net_hedges));
-  out.append(",\"net_retries\":" + std::to_string(record.net_retries));
-  out.append(",\"cache_hit\":\"" +
-             std::string(CacheTierName(record.cache_hit)) + "\"");
-  out.append(",\"stages_ms\":{");
-  bool first = true;
-  for (const auto& [stage, ms] : record.stage_ms.entries()) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    out.append(JsonEscape(stage) + ":" + JsonNumber(ms));
-  }
-  out.append("},\"stages_cpu_ms\":{");
-  first = true;
-  for (const auto& [stage, ms] : record.stage_cpu_ms.entries()) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    out.append(JsonEscape(stage) + ":" + JsonNumber(ms));
-  }
-  out.append("},\"prunes\":{");
-  first = true;
-  for (const auto& [stage, counts] : record.prunes.entries()) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, counts.in);
-    out.append(JsonEscape(stage) + ":{\"in\":" + std::string(buf));
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, counts.pruned);
-    out.append(",\"pruned\":" + std::string(buf) + "}");
-  }
-  out.append("}}");
-  return out;
+JsonValue FlightRecordToJson(const FlightRecord& record) {
+  JsonValue json = JsonValue::Object();
+  json.Set("seq", JsonValue::Uint(record.seq));
+  json.Set("timestamp_ms", JsonValue::Double(record.timestamp_ms));
+  json.Set("trace_id", record.trace_id == 0
+                           ? JsonValue::Null()
+                           : JsonValue::Str(TraceIdHex(record.trace_id)));
+  json.Set("method", JsonValue::Str(record.method));
+  json.Set("epsilon", JsonValue::Double(record.epsilon));
+  json.Set("query_length", JsonValue::Uint(record.query_length));
+  json.Set("matches", JsonValue::Uint(record.matches));
+  json.Set("num_candidates", JsonValue::Uint(record.num_candidates));
+  json.Set("wall_ms", JsonValue::Double(record.wall_ms));
+  json.Set("cpu_ms", JsonValue::Double(record.cpu_ms));
+  json.Set("dtw_evals", JsonValue::Uint(record.dtw_evals));
+  json.Set("dtw_cells", JsonValue::Uint(record.dtw_cells));
+  json.Set("index_nodes", JsonValue::Uint(record.index_nodes));
+  json.Set("pool_hits", JsonValue::Uint(record.pool_hits));
+  json.Set("pool_misses", JsonValue::Uint(record.pool_misses));
+  json.Set("shard", JsonValue::Int(record.shard));
+  json.Set("replica", JsonValue::Int(record.replica));
+  json.Set("net_hedges", JsonValue::Uint(record.net_hedges));
+  json.Set("net_retries", JsonValue::Uint(record.net_retries));
+  json.Set("cache_hit", JsonValue::Str(CacheTierName(record.cache_hit)));
+  json.Set("stages_ms", StageTimingsToJson(record.stage_ms));
+  json.Set("stages_cpu_ms", StageTimingsToJson(record.stage_cpu_ms));
+  json.Set("prunes", StageCountersToJson(record.prunes));
+  return json;
 }
 
 std::string FlightRecordsToJson(
     const std::vector<FlightRecord>& records) {
-  std::string out =
-      "{\"count\":" + std::to_string(records.size()) + ",\"records\":[";
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (i > 0) {
-      out.push_back(',');
-    }
-    out.append(FlightRecordToJson(records[i]));
+  JsonValue list = JsonValue::Array();
+  for (const FlightRecord& record : records) {
+    list.Add(FlightRecordToJson(record));
   }
-  out.append("]}");
-  return out;
+  JsonValue doc = JsonValue::Object();
+  doc.Set("count", JsonValue::Uint(records.size()));
+  doc.Set("records", std::move(list));
+  return doc.Render();
 }
 
 }  // namespace warpindex

@@ -12,10 +12,12 @@
 //     one track group per shard.
 //   * MetricsToPrometheusText: the text exposition format (counters plus
 //     cumulative-bucket histograms with _bucket/_sum/_count series).
-//   * MetricsToJson: the same snapshot as one JSON document, for benches
-//     and scripts that post-process results.
+//   * MetricsToJson: the same snapshot as one JSON document, for benches,
+//     scripts, and the fleet poller's STATS replies.
 //
-// Formats are documented in docs/OBSERVABILITY.md.
+// Every JSON document is built as a JsonValue (net/json.h) and rendered
+// once; numbers take the shortest text that round-trips. Formats are
+// documented in docs/OBSERVABILITY.md.
 
 #ifndef WARPINDEX_OBS_EXPORTERS_H_
 #define WARPINDEX_OBS_EXPORTERS_H_
@@ -28,6 +30,8 @@
 #include "net/json.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/stage_counters.h"
+#include "obs/stage_timings.h"
 #include "obs/trace.h"
 
 namespace warpindex {
@@ -70,18 +74,29 @@ ProcessSelfMetrics CollectProcessSelfMetrics();
 std::string PrometheusEscapeHelp(const std::string& text);
 std::string PrometheusEscapeLabelValue(const std::string& text);
 
+// Appends one Prometheus sample line, "<series> <value>\n", with the value
+// in the JSON number format (AppendJsonNumber). `series` is the metric
+// name plus any label set.
+void AppendPrometheusSample(const std::string& series, double value,
+                            std::string* out);
+
+// Per-stage timings as {"<stage>": ms, ...} and prune counters as
+// {"<stage>": {"in": n, "pruned": n}, ...}, in stage order.
+JsonValue StageTimingsToJson(const StageTimings& timings);
+JsonValue StageCountersToJson(const StageCounters& counters);
+
 // 16-char lowercase hex rendering of a trace id (the form /tracez,
 // /slowlog, and /flightrecorder cross-link by), and its inverse.
 // ParseTraceIdHex returns 0 (the invalid id) on malformed input.
 std::string TraceIdHex(uint64_t trace_id);
 uint64_t ParseTraceIdHex(const std::string& hex);
 
-// One line per span:
+// One line per span, each a SpansToJson (net/serialize.h) object:
 //   {"span":0,"parent":-1,"name":"query","start_ms":0.01,
 //    "duration_ms":2.5,"counters":{"pages_read":12}}
 // Spans carrying execution tags (stitched shard subtrees) add
-// "shard"/"tid". `query_id` tags every line so multiple traces can share
-// one file; pass a negative id to omit the tag.
+// "shard"/"tid". `query_id` tags every line (as a leading "query" key)
+// so multiple traces can share one file; pass a negative id to omit it.
 std::string TraceToJsonLines(const Trace& trace, int64_t query_id = -1);
 
 // The same span objects as one JSON array ("[...]"), for embedding in a
@@ -121,14 +136,14 @@ std::string MetricsToPrometheusText(
 // `build_info` (optional) adds a "build_info" object; `process`
 // (optional, when valid) a "process" object with the same self-metrics
 // as the text form.
-std::string MetricsToJson(const MetricsRegistry::Snapshot& snapshot,
-                          const BuildInfo* build_info = nullptr,
-                          const ProcessSelfMetrics* process = nullptr);
+JsonValue MetricsToJson(const MetricsRegistry::Snapshot& snapshot,
+                        const BuildInfo* build_info = nullptr,
+                        const ProcessSelfMetrics* process = nullptr);
 
 // One FlightRecord as a JSON object (stage timings and prune counters as
 // nested objects keyed by stage name; trace_id as hex, null when the
 // query carried no trace).
-std::string FlightRecordToJson(const FlightRecord& record);
+JsonValue FlightRecordToJson(const FlightRecord& record);
 
 // A record list as one JSON document: {"count":N,"records":[...]}.
 // Renders both `/flightrecorder` (oldest first) and `/slowlog` (slowest

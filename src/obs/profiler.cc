@@ -227,76 +227,60 @@ std::string Profile::FoldedText() const {
 }
 
 std::string Profile::SpeedscopeJson() const {
-  // Frame table: unique frame names in first-seen order.
+  // Frame table: unique frame names in first-seen order; each sample is
+  // its stack's frame indices, weighted by the stack's count.
   std::map<std::string, size_t> frame_index;
-  std::vector<std::string> frames;
-  std::vector<std::vector<size_t>> sample_stacks;
-  sample_stacks.reserve(folded.size());
+  JsonValue frame_list = JsonValue::Array();
+  JsonValue sample_list = JsonValue::Array();
+  JsonValue weights = JsonValue::Array();
+  uint64_t total_weight = 0;
   for (const auto& [stack, count] : folded) {
-    (void)count;
-    std::vector<size_t> indices;
+    JsonValue indices = JsonValue::Array();
     size_t begin = 0;
     while (begin <= stack.size()) {
       const size_t semi = stack.find(';', begin);
       const std::string frame =
           stack.substr(begin, semi == std::string::npos ? std::string::npos
                                                         : semi - begin);
-      auto [it, inserted] = frame_index.emplace(frame, frames.size());
+      auto [it, inserted] = frame_index.emplace(frame, frame_list.size());
       if (inserted) {
-        frames.push_back(frame);
+        JsonValue entry = JsonValue::Object();
+        entry.Set("name", JsonValue::Str(frame));
+        frame_list.Add(std::move(entry));
       }
-      indices.push_back(it->second);
+      indices.Add(JsonValue::Uint(it->second));
       if (semi == std::string::npos) {
         break;
       }
       begin = semi + 1;
     }
-    sample_stacks.push_back(std::move(indices));
-  }
-  uint64_t total_weight = 0;
-  for (const auto& [stack, count] : folded) {
-    (void)stack;
+    sample_list.Add(std::move(indices));
+    weights.Add(JsonValue::Uint(count));
     total_weight += count;
   }
-
-  std::string out =
-      "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\","
-      "\"shared\":{\"frames\":[";
-  for (size_t i = 0; i < frames.size(); ++i) {
-    if (i != 0) {
-      out += ',';
-    }
-    out += "{\"name\":" + JsonEscape(frames[i]) + "}";
-  }
-  out += "]},\"profiles\":[{\"type\":\"sampled\",\"name\":";
-  out += JsonEscape("warpindex cpu profile (" + std::to_string(hz) +
-                          " Hz, " + std::to_string(samples) + " samples)");
-  out += ",\"unit\":\"none\",\"startValue\":0,\"endValue\":" +
-         std::to_string(total_weight) + ",\"samples\":[";
-  for (size_t i = 0; i < sample_stacks.size(); ++i) {
-    if (i != 0) {
-      out += ',';
-    }
-    out += '[';
-    for (size_t j = 0; j < sample_stacks[i].size(); ++j) {
-      if (j != 0) {
-        out += ',';
-      }
-      out += std::to_string(sample_stacks[i][j]);
-    }
-    out += ']';
-  }
-  out += "],\"weights\":[";
-  for (size_t i = 0; i < folded.size(); ++i) {
-    if (i != 0) {
-      out += ',';
-    }
-    out += std::to_string(folded[i].second);
-  }
-  out += "]}],\"name\":\"warpindex\",\"exporter\":\"warpindex ";
-  out += std::to_string(hz);
-  out += "hz\"}";
-  return out;
+  JsonValue shared = JsonValue::Object();
+  shared.Set("frames", std::move(frame_list));
+  JsonValue profile = JsonValue::Object();
+  profile.Set("type", JsonValue::Str("sampled"));
+  profile.Set("name", JsonValue::Str("warpindex cpu profile (" +
+                                     std::to_string(hz) + " Hz, " +
+                                     std::to_string(samples) + " samples)"));
+  profile.Set("unit", JsonValue::Str("none"));
+  profile.Set("startValue", JsonValue::Int(0));
+  profile.Set("endValue", JsonValue::Uint(total_weight));
+  profile.Set("samples", std::move(sample_list));
+  profile.Set("weights", std::move(weights));
+  JsonValue profiles = JsonValue::Array();
+  profiles.Add(std::move(profile));
+  JsonValue doc = JsonValue::Object();
+  doc.Set("$schema",
+          JsonValue::Str("https://www.speedscope.app/file-format-schema.json"));
+  doc.Set("shared", std::move(shared));
+  doc.Set("profiles", std::move(profiles));
+  doc.Set("name", JsonValue::Str("warpindex"));
+  doc.Set("exporter",
+          JsonValue::Str("warpindex " + std::to_string(hz) + "hz"));
+  return doc.Render();
 }
 
 CpuProfiler& CpuProfiler::Global() {

@@ -289,6 +289,15 @@ TEST_F(IntrospectionTest, ProfilezCollectsAndValidates) {
                       &status_code)
                   .ok());
   EXPECT_EQ(status_code, 400);
+  // A non-finite or out-of-int hz is refused before any conversion to int
+  // (converting it would be undefined behaviour).
+  for (const char* hz : {"1e300", "-1e300", "nan", "2147483648"}) {
+    ASSERT_TRUE(HttpGet("127.0.0.1", server.port(),
+                        std::string("/profilez?hz=") + hz, &body,
+                        &status_code)
+                    .ok());
+    EXPECT_EQ(status_code, 400) << hz;
+  }
   ASSERT_TRUE(HttpGet("127.0.0.1", server.port(),
                       "/profilez?seconds=0.1&format=xml", &body,
                       &status_code)

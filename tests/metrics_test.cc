@@ -111,7 +111,7 @@ TEST(MetricsExportTest, GaugeInBothExporters) {
   const std::string text = MetricsToPrometheusText(snapshot);
   EXPECT_NE(text.find("# TYPE warp_inflight gauge"), std::string::npos);
   EXPECT_NE(text.find("warp_inflight 3"), std::string::npos);
-  const std::string json = MetricsToJson(snapshot);
+  const std::string json = MetricsToJson(snapshot).Render();
   EXPECT_NE(json.find("\"warp_inflight\":3"), std::string::npos);
 }
 
@@ -182,7 +182,7 @@ TEST(MetricsExportTest, ProcessSelfMetricsInBothExporters) {
             std::string::npos);
 
   const std::string json =
-      MetricsToJson(registry.TakeSnapshot(), nullptr, &process);
+      MetricsToJson(registry.TakeSnapshot(), nullptr, &process).Render();
   EXPECT_NE(json.find("\"process\""), std::string::npos);
   EXPECT_NE(json.find("\"cpu_seconds_total\":12.5"), std::string::npos);
   EXPECT_NE(json.find("\"open_fds\":17"), std::string::npos);
@@ -198,7 +198,7 @@ TEST(MetricsExportTest, JsonSnapshotFormat) {
   MetricsRegistry registry;
   registry.GetCounter("a_total")->Increment(2);
   registry.GetHistogram("b_ms", {1.0})->Observe(3.0);
-  const std::string json = MetricsToJson(registry.TakeSnapshot());
+  const std::string json = MetricsToJson(registry.TakeSnapshot()).Render();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"a_total\""), std::string::npos);
@@ -389,7 +389,7 @@ TEST(HistogramPercentileTest, JsonExportCarriesQuantiles) {
   for (int i = 0; i < 50; ++i) {
     h->Observe(0.5);
   }
-  const std::string json = MetricsToJson(registry.TakeSnapshot());
+  const std::string json = MetricsToJson(registry.TakeSnapshot()).Render();
   EXPECT_NE(json.find("\"p50\":"), std::string::npos);
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
   EXPECT_NE(json.find("\"p999\":"), std::string::npos);

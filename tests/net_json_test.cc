@@ -1,19 +1,24 @@
-// JsonValue: the wire protocol's message-body type. The properties the
-// serving plane rests on: int64 ids round-trip without passing through a
-// double, doubles round-trip BIT-identically via %.17g, object member
-// order is stable (rendering is deterministic), and hostile input —
-// deep nesting, trailing garbage, malformed escapes — fails with a
-// typed error instead of crashing.
+// JsonValue: the program's one JSON type. The properties the serving
+// plane rests on: int64 ids round-trip without passing through a double,
+// doubles round-trip BIT-identically through their shortest decimal form
+// (AppendJsonNumber), unsigned counts saturate instead of rendering
+// negative, object member order is stable (rendering is deterministic),
+// and hostile input — deep nesting, trailing garbage, malformed escapes —
+// fails with a typed error instead of crashing.
 
 #include "net/json.h"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 
+#include "common/prng.h"
 #include "obs/exporters.h"
 #include "obs/trace.h"
 
@@ -66,6 +71,75 @@ TEST(NetJsonTest, DoublesRoundTripBitIdentically) {
   }
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(NetJsonTest, AppendJsonNumberRoundTripsARandomWalkBitIdentically) {
+  // 10^6 doubles from a seeded Gaussian random walk, each scaled by a
+  // random power of two so every exponent range is visited: the shortest
+  // form must parse back (strtod) to the same bits.
+  Prng prng(20011);
+  double walk = 0.0;
+  size_t mismatches = 0;
+  std::string text;
+  for (int i = 0; i < 1000000; ++i) {
+    walk += prng.NextGaussian();
+    const double value =
+        std::ldexp(walk, static_cast<int>(prng.NextUint64() % 2000) - 1000);
+    text.clear();
+    AppendJsonNumber(value, &text);
+    if (!SameBits(std::strtod(text.c_str(), nullptr), value)) {
+      ++mismatches;
+      ADD_FAILURE() << text;
+    }
+    if (mismatches > 5) {
+      break;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(NetJsonTest, AppendJsonNumberEdgeCases) {
+  const struct {
+    double value;
+    const char* text;
+  } cases[] = {
+      {0.1, "0.1"},
+      {5.0, "5"},
+      {1e21, "1e+21"},
+      {5e-324, "5e-324"},
+      {DBL_MAX, "1.7976931348623157e+308"},
+      {-DBL_MAX, "-1.7976931348623157e+308"},
+      {-0.0, "-0"},
+  };
+  for (const auto& c : cases) {
+    std::string text;
+    AppendJsonNumber(c.value, &text);
+    EXPECT_EQ(text, c.text);
+    EXPECT_TRUE(SameBits(std::strtod(text.c_str(), nullptr), c.value))
+        << text;
+  }
+  for (const double non_finite :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    std::string text;
+    AppendJsonNumber(non_finite, &text);
+    EXPECT_EQ(text, "null");
+  }
+}
+
+TEST(NetJsonTest, UnsignedCountsSaturate) {
+  EXPECT_EQ(JsonValue::Uint(0).Render(), "0");
+  EXPECT_EQ(JsonValue::Uint(uint64_t{1} << 40).Render(), "1099511627776");
+  const std::string max = std::to_string(std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(JsonValue::Uint(std::numeric_limits<int64_t>::max()).Render(),
+            max);
+  EXPECT_EQ(JsonValue::Uint(std::numeric_limits<uint64_t>::max()).Render(),
+            max);
+}
+
 TEST(NetJsonTest, IntAndDoubleAccessorsConvert) {
   EXPECT_EQ(JsonValue::Double(3.9).AsInt(), 3);   // truncates
   EXPECT_DOUBLE_EQ(JsonValue::Int(3).AsDouble(), 3.0);  // widens
@@ -116,12 +190,14 @@ TEST(NetJsonTest, StringEscapes) {
 
 TEST(NetJsonTest, OneEscaperForRenderAndTheExporters) {
   // Quote, backslash, \n, \r, \t and the control bytes 0x01 / 0x1f escape
-  // identically through JsonValue::Render and the hand-built exporter
-  // JSON (both call AppendJsonEscaped).
+  // identically through JsonValue::Render and the trace exporter (both
+  // call AppendJsonEscaped).
   const std::string raw = "q\"b\\n\nr\rt\tc\x01u\x1f";
   const std::string want = "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001u\\u001f\"";
   EXPECT_EQ(JsonValue::Str(raw).Render(), want);
-  EXPECT_EQ(JsonEscape(raw), want);
+  std::string appended;
+  AppendJsonEscaped(raw, &appended);
+  EXPECT_EQ(appended, want);
   Trace trace;
   TraceSpan span;
   span.name = raw;

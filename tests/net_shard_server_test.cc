@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -394,6 +395,139 @@ TEST_F(ShardServerTest, NonIntegerShardIdsAndKAreTypedErrors) {
               StatusCode::kInvalidArgument)
         << bad_k.Render();
   }
+}
+
+// ---- Strict decoding of the cost and span objects a shard server ships
+// back. Each class of bad field is a typed error and leaves *out as it
+// was: a lenient reader would take a non-integer count as 0, wrap a
+// negative one to 2^64 - n, and wrap an out-of-range shard or tid.
+
+SearchCost SampleCost() {
+  SearchCost cost;
+  cost.io.seeks = 3;
+  cost.dtw_cells = 400;
+  cost.dtw_evals = 4;
+  cost.wall_ms = 1.25;
+  cost.stages.Add("rtree_search", 0.5);
+  cost.prunes.Record("lb_keogh", 10, 6);
+  return cost;
+}
+
+// Decodes `json` into a cost pre-set to a sentinel and checks the
+// sentinel survived the (expected) failure.
+void ExpectCostRejected(const JsonValue& json) {
+  SearchCost out;
+  out.dtw_evals = 77;
+  EXPECT_EQ(JsonToCost(json, &out).code(), StatusCode::kInvalidArgument)
+      << json.Render();
+  EXPECT_EQ(out.dtw_evals, 77u) << json.Render();
+}
+
+TEST(WireDecodeTest, CostRoundTripsExactly) {
+  const SearchCost cost = SampleCost();
+  SearchCost out;
+  ASSERT_TRUE(JsonToCost(CostToJson(cost), &out).ok());
+  EXPECT_EQ(out.io.seeks, 3u);
+  EXPECT_EQ(out.dtw_cells, 400u);
+  EXPECT_EQ(out.wall_ms, 1.25);
+  EXPECT_EQ(CostToJson(out).Render(), CostToJson(cost).Render());
+}
+
+TEST(WireDecodeTest, CostCountsMustBeNonNegativeIntegers) {
+  for (const JsonValue& bad :
+       {JsonValue::Str("x"), JsonValue::Int(-5), JsonValue::Double(1.5),
+        JsonValue::Bool(true), JsonValue::Null()}) {
+    JsonValue json = CostToJson(SampleCost());
+    json.Set("dtw_cells", bad);
+    ExpectCostRejected(json);
+    JsonValue io = *json.Find("io");
+    io.Set("seeks", bad);
+    json = CostToJson(SampleCost());
+    json.Set("io", io);
+    ExpectCostRejected(json);
+  }
+}
+
+TEST(WireDecodeTest, CostMillisecondsMustBeNumbers) {
+  for (const JsonValue& bad :
+       {JsonValue::Str("1.5"), JsonValue::Null(), JsonValue::Object()}) {
+    JsonValue json = CostToJson(SampleCost());
+    json.Set("wall_ms", bad);
+    ExpectCostRejected(json);
+    json = CostToJson(SampleCost());
+    JsonValue stages = JsonValue::Object();
+    stages.Set("rtree_search", bad);
+    json.Set("stages_cpu", stages);
+    ExpectCostRejected(json);
+  }
+}
+
+TEST(WireDecodeTest, CostPruneElementsMustBeNonNegativeIntegers) {
+  for (const JsonValue& bad :
+       {JsonValue::Int(-1), JsonValue::Double(2.0), JsonValue::Str("3")}) {
+    JsonValue pair = JsonValue::Array();
+    pair.Add(JsonValue::Int(10));
+    pair.Add(bad);
+    JsonValue prunes = JsonValue::Object();
+    prunes.Set("lb_keogh", pair);
+    JsonValue json = CostToJson(SampleCost());
+    json.Set("prunes", prunes);
+    ExpectCostRejected(json);
+  }
+}
+
+TEST(WireDecodeTest, SpanShardAndTidMustFitTheirTypes) {
+  Trace trace;
+  trace.EndSpan(trace.BeginSpan("query"));
+  trace.SetThreadTag(2, 5);
+  trace.EndSpan(trace.BeginSpan("shard"));
+  const JsonValue good = SpansToJson(trace.spans());
+  // Untagged spans omit shard/tid; both decode back to the tags.
+  EXPECT_EQ(good.at(0).Find("shard"), nullptr);
+  std::vector<TraceSpan> spans;
+  ASSERT_TRUE(JsonToSpans(good, &spans).ok());
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].shard, -1);
+  EXPECT_EQ(spans[0].tid, 0u);
+  EXPECT_EQ(spans[1].shard, 2);
+  EXPECT_EQ(spans[1].tid, 5u);
+  EXPECT_EQ(SpansToJson(spans).Render(), good.Render());
+
+  const struct {
+    const char* key;
+    JsonValue value;
+  } bad_fields[] = {
+      {"shard", JsonValue::Int(-2)},
+      {"shard", JsonValue::Int(int64_t{1} << 31)},
+      {"shard", JsonValue::Str("1")},
+      {"tid", JsonValue::Int(-1)},
+      {"tid", JsonValue::Int(int64_t{1} << 32)},
+      {"tid", JsonValue::Double(1.0)},
+      {"start_ms", JsonValue::Str("0")},
+  };
+  for (const auto& field : bad_fields) {
+    JsonValue json = JsonValue::Array();
+    json.Add(good.at(0));
+    JsonValue span = good.at(1);
+    span.Set(field.key, field.value);
+    json.Add(span);
+    std::vector<TraceSpan> out(1);
+    out[0].name = "sentinel";
+    EXPECT_EQ(JsonToSpans(json, &out).code(), StatusCode::kInvalidArgument)
+        << json.Render();
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].name, "sentinel");
+  }
+  // The extremes of each type decode.
+  JsonValue edge = JsonValue::Array();
+  JsonValue span = good.at(1);
+  span.Set("parent", JsonValue::Int(-1));
+  span.Set("shard", JsonValue::Int(std::numeric_limits<int32_t>::max()));
+  span.Set("tid", JsonValue::Int(std::numeric_limits<uint32_t>::max()));
+  edge.Add(span);
+  ASSERT_TRUE(JsonToSpans(edge, &spans).ok());
+  EXPECT_EQ(spans[0].shard, std::numeric_limits<int32_t>::max());
+  EXPECT_EQ(spans[0].tid, std::numeric_limits<uint32_t>::max());
 }
 
 TEST_F(ShardServerTest, TracedRangeShipsSpans) {
