@@ -357,39 +357,19 @@ SearchResult Engine::Refine(MethodKind kind, const Sequence& query,
   return result;
 }
 
-KnnResult Engine::SearchKnnSeeded(const Sequence& query, size_t k,
-                                  double seed_bound, Trace* trace) const {
-  // The seed upper-bounds the true k-th distance, and the searcher
-  // prunes strictly above the bound, so tied candidates survive and the
-  // answer matches an unseeded search exactly.
-  SharedKnnBound bound;
-  bound.Tighten(seed_bound);
-  return SearchKnnBounded(query, k, trace,
-                          seed_bound < kInfiniteDistance ? &bound : nullptr);
-}
-
-KnnResult Engine::SearchKnnBounded(const Sequence& query, size_t k,
-                                   Trace* trace,
-                                   SharedKnnBound* shared_bound) const {
+KnnResult Engine::SearchKnnOver(const Sequence& query, size_t k,
+                                double seed_bound,
+                                KnnCandidateStream* candidates,
+                                Trace* trace) const {
   KnnResult result;
   {
     ScopedSpan span(trace, "knn_query");
-    result = tw_knn_search_->Search(query, k, trace, shared_bound);
+    result = tw_knn_search_->Search(query, k, seed_bound, candidates, trace);
   }
   queries_total_->Increment();
   knn_latency_ms_hist_->Observe(result.cost.wall_ms);
   dtw_cells_hist_->Observe(static_cast<double>(result.cost.dtw_cells));
   index_nodes_hist_->Observe(static_cast<double>(result.cost.index_nodes));
-  RecordWorkMetrics(result.cost);
-  return result;
-}
-
-KnnResult Engine::RefineKnn(const Sequence& query, size_t k,
-                            std::vector<KnnCandidate> candidates,
-                            Trace* trace,
-                            SharedKnnBound* shared_bound) const {
-  KnnResult result = tw_knn_search_->Refine(query, k, std::move(candidates),
-                                            trace, shared_bound);
   RecordWorkMetrics(result.cost);
   return result;
 }

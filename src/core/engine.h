@@ -166,29 +166,24 @@ class Engine : public EngineLike {
                       std::vector<const Sequence*> candidates, Trace* trace,
                       DtwScratch* scratch) const;
 
-  // SearchKnn with a cross-partition pruning bound: the sharded engine's
-  // per-shard searchers share one SharedKnnBound so each shard abandons
-  // candidates the global k-th distance already excludes. With a foreign
-  // bound active the local answer may omit globally-hopeless candidates;
-  // only the shard merge is complete (see shard/sharded_engine.h).
-  KnnResult SearchKnnBounded(const Sequence& query, size_t k, Trace* trace,
-                             SharedKnnBound* shared_bound) const;
-
-  // The k-NN refine loop (TwKnnSearch::Refine) over candidates a caller
-  // selected elsewhere: IngestEngine's buffered rows. Like Refine, the
-  // work reaches the work counters (warpindex_query_dtw_evals_total) but
-  // is not a query.
-  KnnResult RefineKnn(const Sequence& query, size_t k,
-                      std::vector<KnnCandidate> candidates, Trace* trace,
-                      SharedKnnBound* shared_bound) const;
-
   // Exact k-nearest-neighbor search under D_tw via the feature index
   // (lower-bound-guided filter and refine; see core/tw_knn_search.h),
-  // seeded with a valid upper bound on the k-th distance (EngineLike);
-  // identical answers, fewer refinements. SearchKnn seeds nothing.
+  // its cutoff seeded with a valid upper bound on the k-th distance
+  // (EngineLike); identical answers, fewer refinements. SearchKnn seeds
+  // nothing.
   KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
                             double seed_bound,
-                            Trace* trace = nullptr) const override;
+                            Trace* trace = nullptr) const override {
+    return SearchKnnOver(query, k, seed_bound, nullptr, trace);
+  }
+
+  // The same query over `candidates` instead of this engine's index (when
+  // non-null): the partitioned shapes' one merged stream
+  // (shard/fanout.h), refined under this engine's DtwOptions. It counts
+  // as one k-NN query in metrics(), whichever partitions the stream
+  // spans.
+  KnnResult SearchKnnOver(const Sequence& query, size_t k, double seed_bound,
+                          KnnCandidateStream* candidates, Trace* trace) const;
 
   // ---- Dynamic maintenance (paper §4.3.1: the index supports ordinary
   // insertion; the store appends / tombstones).
@@ -238,8 +233,6 @@ class Engine : public EngineLike {
   void RebuildSubsequenceIndex();
 
   const SearchMethod& method(MethodKind kind) const;
-  // The k-NN searcher; its Refine takes candidates from elsewhere.
-  const TwKnnSearch& knn_search() const { return *tw_knn_search_; }
   // The planner of MethodKind::kTwSimSearchCascade (live cost-model
   // state for /statusz and tests).
   const CascadePlanner& cascade_planner() const {

@@ -22,15 +22,45 @@ constexpr double kTauGrowth = 1.25;
 // threshold, as a plain fill would (1.25^64 is about 1.6e6).
 constexpr int kMaxTauRaises = 64;
 
-// The filter-and-refine loop (see the header). `next_candidate` yields
-// candidates in non-decreasing lower-bound order (`distance` is the
-// bound, `record_id` a handle) and `fetch_sequence` resolves a handle;
-// `rstats` are the index walk's stats (zero for a candidate list).
-template <typename Next, typename Fetch>
+// The index source of the refine loop: the R-tree's incremental L_inf
+// nearest iterator over the feature points, whose record ids are the
+// answer ids, fetched from the store.
+class IndexCandidates {
+ public:
+  IndexCandidates(const FeatureIndex& index, const SequenceStore& store,
+                  const Sequence& query)
+      : store_(store),
+        it_(index.rtree().NearestLinf(
+            FeatureIndex::FeatureToPoint(ExtractFeature(query)), &stats_)) {}
+
+  bool Next(KnnCandidate* out) {
+    RTree::Neighbor neighbor;
+    if (!it_.Next(&neighbor)) {
+      return false;
+    }
+    *out = {neighbor.distance, neighbor.record_id, 0, neighbor.record_id};
+    return true;
+  }
+  const Sequence& Fetch(const KnnCandidate& candidate, IoStats* io,
+                        Trace* trace) {
+    return store_.Fetch(candidate.id, io, trace);
+  }
+  uint64_t nodes_accessed() const { return stats_.nodes_accessed; }
+
+ private:
+  const SequenceStore& store_;
+  RTreeQueryStats stats_;  // before it_, which points at it
+  RTree::LinfNearestIterator it_;
+};
+
+// The filter-and-refine loop (see the header). `candidates` yields
+// candidates in non-decreasing lower-bound order and fetches their
+// sequences (IndexCandidates or a KnnCandidateStream); `initial_cutoff`
+// upper-bounds the k-th distance.
+template <typename Source>
 KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
-                     const Next& next_candidate, const Fetch& fetch_sequence,
-                     const RTreeQueryStats& rstats, Trace* trace,
-                     SharedKnnBound* shared_bound) {
+                     double initial_cutoff, Source& candidates,
+                     Trace* trace) {
   assert(!query.empty());
   assert(k >= 1);
   const WallTimer timer;
@@ -44,15 +74,11 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
       top_k(&KnnMatchOrder);
 
   // The tightest distance any candidate must beat (or tie, for the id
-  // tie-break) to matter: our own k-th distance once the heap is full,
-  // further tightened by what concurrent searchers over sibling
-  // partitions have proven.
+  // tie-break) to matter: our own k-th distance once the heap is full
+  // (every entry was admitted at or below the initial cutoff), the
+  // initial cutoff before that.
   const auto cutoff = [&]() {
-    double c = top_k.size() == k ? top_k.top().distance : kInfiniteDistance;
-    if (shared_bound != nullptr) {
-      c = std::min(c, shared_bound->Current());
-    }
-    return c;
+    return top_k.size() == k ? top_k.top().distance : initial_cutoff;
   };
 
   // Index descent and exact refinement interleave in the incremental
@@ -68,23 +94,24 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
   const ThreadCpuTimer loop_cpu;
   WallTimer per_item;
 
-  const auto next = [&](RTree::Neighbor* candidate) {
+  const auto next = [&](KnnCandidate* candidate) {
     per_item.Reset();
-    const bool has_next = next_candidate(candidate);
+    const bool has_next = candidates.Next(candidate);
     descent_ms += per_item.ElapsedMillis();
     return has_next;
   };
-  const auto fetch = [&](int64_t handle) -> const Sequence& {
+  const auto fetch = [&](const KnnCandidate& candidate) -> const Sequence& {
     per_item.Reset();
-    const Sequence& s = fetch_sequence(handle, &result.cost.io, trace);
+    const Sequence& s = candidates.Fetch(candidate, &result.cost.io, trace);
     fetch_ms += per_item.ElapsedMillis();
     ++result.num_refined;
     return s;
   };
-  // Evaluates one candidate at `threshold` and offers it to the heap.
-  // Returns the evaluation's distance: exact when within the threshold,
-  // +inf otherwise.
-  const auto refine = [&](const Sequence& s, double threshold) {
+  // Evaluates candidate `id` (sequence `s`) at `threshold` and offers it
+  // to the heap. Returns the evaluation's distance: exact when within the
+  // threshold, +inf otherwise.
+  const auto refine = [&](SequenceId id, const Sequence& s,
+                          double threshold) {
     per_item.Reset();
     // Thresholded refinement: only distances at or below the threshold
     // matter, so abandon above it (exact when d <= threshold).
@@ -95,7 +122,7 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
     refine_ms += per_item.ElapsedMillis();
     ++result.cost.dtw_evals;
     result.cost.dtw_cells += d.cells;
-    const KnnMatch match{s.id(), d.distance};
+    const KnnMatch match{id, d.distance};
     if (top_k.size() < k) {
       if (match.distance <= threshold) {
         top_k.push(match);
@@ -104,13 +131,10 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
       top_k.pop();
       top_k.push(match);
     }
-    if (shared_bound != nullptr && top_k.size() == k) {
-      shared_bound->Tighten(top_k.top().distance);
-    }
     return d.distance;
   };
 
-  RTree::Neighbor candidate;
+  KnnCandidate candidate;
   bool has_next = next(&candidate);
   if (has_next && dtw.RunsLinfPrePass() && cutoff() == kInfiniteDistance) {
     // Decision-first heap fill. With no cutoff yet, a plain fill would
@@ -125,28 +149,28 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
     // enter: the pending list is dropped and the cutoff loop below takes
     // over from the lookahead candidate. Ties stay exact: a pass is
     // exact, and every drop is strictly above the cutoff.
-    std::vector<const Sequence*> pending;
+    std::vector<std::pair<SequenceId, const Sequence*>> pending;
     // A zero first bound cannot grow: its first raise goes to +inf, the
     // plain fill's unthresholded DPs.
-    double tau = candidate.distance;
+    double tau = candidate.lower_bound;
     int raises = 0;
     // Decides one candidate at min(tau, cutoff); true when it stays
     // pending (rejected at tau, below the cutoff: a larger tau may pass
     // it). A reject at the cutoff is final.
-    const auto decide = [&](const Sequence& s) {
+    const auto decide = [&](SequenceId id, const Sequence& s) {
       const double limit = cutoff();
       const double threshold = std::min(tau, limit);
-      return refine(s, threshold) > threshold && threshold < limit;
+      return refine(id, s, threshold) > threshold && threshold < limit;
     };
     while (top_k.size() < k) {
-      while (has_next && candidate.distance <= tau && top_k.size() < k) {
-        if (candidate.distance > cutoff()) {
+      while (has_next && candidate.lower_bound <= tau && top_k.size() < k) {
+        if (candidate.lower_bound > cutoff()) {
           has_next = false;  // no later candidate can beat the cutoff
           break;
         }
-        const Sequence& s = fetch(candidate.record_id);
-        if (decide(s)) {
-          pending.push_back(&s);
+        const Sequence& s = fetch(candidate);
+        if (decide(candidate.id, s)) {
+          pending.emplace_back(candidate.id, &s);
         }
         has_next = next(&candidate);
       }
@@ -156,23 +180,23 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
       tau = tau > 0.0 && ++raises <= kMaxTauRaises ? tau * kTauGrowth
                                                    : kInfiniteDistance;
       size_t kept = 0;
-      for (const Sequence* s : pending) {
-        if (decide(*s)) {
-          pending[kept++] = s;
+      for (const auto& [id, s] : pending) {
+        if (decide(id, *s)) {
+          pending[kept++] = {id, s};
         }
       }
       pending.resize(kept);
     }
   }
   while (has_next) {
-    if (candidate.distance > cutoff()) {
+    if (candidate.lower_bound > cutoff()) {
       // Every remaining record has lower bound >= this one's, hence exact
       // D_tw >= the proven k-th distance: done (no false dismissal).
       // Strictly greater only — a candidate tying the cutoff can still
       // enter the answer through the id tie-break.
       break;
     }
-    refine(fetch(candidate.record_id), cutoff());
+    refine(candidate.id, fetch(candidate), cutoff());
     has_next = next(&candidate);
   }
   const double loop_wall_ms = descent_ms + fetch_ms + refine_ms;
@@ -187,10 +211,10 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
   TraceCounter(trace, "refined", static_cast<double>(result.num_refined));
   TraceCounter(trace, "dtw_cells",
                static_cast<double>(result.cost.dtw_cells));
-  TraceCounter(trace, "rtree_nodes",
-               static_cast<double>(rstats.nodes_accessed));
-  result.cost.index_nodes = rstats.nodes_accessed;
-  result.cost.io.RecordRandomRead(rstats.nodes_accessed);
+  const uint64_t nodes = candidates.nodes_accessed();
+  TraceCounter(trace, "rtree_nodes", static_cast<double>(nodes));
+  result.cost.index_nodes = nodes;
+  result.cost.io.RecordRandomRead(nodes);
   result.neighbors.resize(top_k.size());
   for (size_t i = top_k.size(); i-- > 0;) {
     result.neighbors[i] = top_k.top();
@@ -203,43 +227,15 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
 
 }  // namespace
 
-KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
-                              SharedKnnBound* shared_bound) const {
-  RTreeQueryStats rstats;
-  RTree::LinfNearestIterator it = index_->rtree().NearestLinf(
-      FeatureIndex::FeatureToPoint(ExtractFeature(query)), &rstats);
-  return RefineLoop(
-      dtw_, query, k, [&](RTree::Neighbor* c) { return it.Next(c); },
-      [&](int64_t id, IoStats* io, Trace* t) -> const Sequence& {
-        return store_->Fetch(id, io, t);
-      },
-      rstats, trace, shared_bound);
-}
-
-KnnResult TwKnnSearch::Refine(const Sequence& query, size_t k,
-                              std::vector<KnnCandidate> candidates,
-                              Trace* trace,
-                              SharedKnnBound* shared_bound) const {
-  std::sort(candidates.begin(), candidates.end(),
-            [](const KnnCandidate& a, const KnnCandidate& b) {
-              return std::make_pair(a.lower_bound, a.sequence->id()) <
-                     std::make_pair(b.lower_bound, b.sequence->id());
-            });
-  size_t next = 0;
-  return RefineLoop(
-      dtw_, query, k,
-      [&](RTree::Neighbor* c) {
-        if (next == candidates.size()) {
-          return false;
-        }
-        c->record_id = static_cast<int64_t>(next);
-        c->distance = candidates[next++].lower_bound;
-        return true;
-      },
-      [&](int64_t i, IoStats*, Trace*) -> const Sequence& {
-        return *candidates[static_cast<size_t>(i)].sequence;
-      },
-      RTreeQueryStats{}, trace, shared_bound);
+KnnResult TwKnnSearch::Search(const Sequence& query, size_t k,
+                              double initial_cutoff,
+                              KnnCandidateStream* candidates,
+                              Trace* trace) const {
+  if (candidates != nullptr) {
+    return RefineLoop(dtw_, query, k, initial_cutoff, *candidates, trace);
+  }
+  IndexCandidates index(*index_, *store_, query);
+  return RefineLoop(dtw_, query, k, initial_cutoff, index, trace);
 }
 
 }  // namespace warpindex

@@ -19,17 +19,19 @@
 // when several tie there — is a pure function of the database and query,
 // independent of heap insertion order, thread count, or shard count.
 //
-// Sharded search: a SharedKnnBound carries the best k-th distance any
-// concurrent searcher has proven so far. Each per-shard search publishes
-// its local k-th distance into the bound and prunes against the tightest
-// value it sees; pruning is strictly-greater-than so distance ties at the
-// bound survive for the id tie-break, keeping the K-shard merge
-// bit-identical to a single-engine search (see docs/SHARDING.md).
+// Partitioned search: the refine loop does not care where its candidates
+// come from, only that their lower bounds never decrease. The sharded
+// and ingest shapes hand it one KnnCandidateStream that merges every
+// partition's nearest iterator (and the buffered rows) by lower bound
+// (shard/fanout.h), so a K-partition query refines the candidates one
+// engine over the union would, in its order when no two lower bounds tie
+// (Seidl & Kriegel, "Optimal Multi-Step k-Nearest Neighbor Search",
+// SIGMOD 1998, applied across partitions). Each candidate carries the id
+// the answer reports, which for a partition is its global id.
 
 #ifndef WARPINDEX_CORE_TW_KNN_SEARCH_H_
 #define WARPINDEX_CORE_TW_KNN_SEARCH_H_
 
-#include <atomic>
 #include <vector>
 
 #include "core/feature_index.h"
@@ -69,36 +71,30 @@ struct KnnResult {
   SearchCost cost;
 };
 
-// A monotonically tightening distance bound shared by concurrent kNN
-// searchers over disjoint partitions of one database. Any published
-// value is some searcher's proven local k-th distance, which upper-
-// bounds the global k-th distance — so every reader may discard
-// candidates whose distance (or lower bound) strictly exceeds
-// Current(). Ties at the bound must be kept (id tie-break decides them).
-//
-// Thread-safety: Tighten/Current may race freely; the bound only ever
-// decreases. A stale read is merely a looser (still correct) bound.
-class SharedKnnBound {
- public:
-  double Current() const { return bound_.load(std::memory_order_relaxed); }
-
-  // Lowers the bound to `d` if tighter.
-  void Tighten(double d) {
-    double seen = bound_.load(std::memory_order_relaxed);
-    while (d < seen && !bound_.compare_exchange_weak(
-                           seen, d, std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<double> bound_{kInfiniteDistance};
-};
-
-// A candidate handed to TwKnnSearch::Refine: a lower bound (>= 0) on its
-// exact D_tw to the query and the sequence, whose id() the answer reports.
+// One candidate of the refine loop: a lower bound (>= 0) on its exact
+// D_tw to the query, the id the answer reports (distance ties order by
+// it), and where its stream finds the sequence.
 struct KnnCandidate {
   double lower_bound = 0.0;
-  const Sequence* sequence = nullptr;
+  SequenceId id = kInvalidSequenceId;
+  size_t source = 0;
+  int64_t record = -1;
+};
+
+// Candidates from somewhere other than the searcher's own index: the
+// partitioned shapes' merged stream (shard/fanout.h).
+class KnnCandidateStream {
+ public:
+  virtual ~KnnCandidateStream() = default;
+  // The next candidate in non-decreasing lower-bound order; false when
+  // exhausted.
+  virtual bool Next(KnnCandidate* out) = 0;
+  // The sequence of a candidate Next returned; the reference stays valid
+  // for the stream's lifetime. Page reads land in `io`.
+  virtual const Sequence& Fetch(const KnnCandidate& candidate, IoStats* io,
+                                Trace* trace) = 0;
+  // Index pages visited so far.
+  virtual uint64_t nodes_accessed() const = 0;
 };
 
 class TwKnnSearch {
@@ -112,24 +108,15 @@ class TwKnnSearch {
   // When a trace is attached, the filter-and-refine loop is recorded as
   // a `knn_refine` span with per-stage breakdown in the returned cost.
   //
-  // `shared_bound` (optional) tightens the refine threshold with the
-  // best k-th distance concurrent searchers over OTHER partitions of the
-  // same logical database have proven; this search publishes its own
-  // k-th distance back. With a foreign bound active the LOCAL result may
-  // legitimately omit candidates that cannot make the GLOBAL top-k, so
-  // only the cross-partition merge of every searcher's neighbors is a
-  // complete answer (see shard/sharded_engine.h).
-  KnnResult Search(const Sequence& query, size_t k, Trace* trace = nullptr,
-                   SharedKnnBound* shared_bound = nullptr) const;
-
-  // The same filter-and-refine loop over `candidates` instead of the
-  // index: they are sorted by (lower bound, id) here and refined in that
-  // order, with the cutoff break, the decision-first fill and the
-  // `shared_bound` contract of Search. IngestEngine feeds its buffered
-  // rows through it. The candidates' sequences must outlive the call.
-  KnnResult Refine(const Sequence& query, size_t k,
-                   std::vector<KnnCandidate> candidates, Trace* trace,
-                   SharedKnnBound* shared_bound) const;
+  // `initial_cutoff` is a valid upper bound on the k-th distance (a
+  // cache seed, or a router's wave bound; kInfiniteDistance for none).
+  // Pruning is strictly above it, so ties survive and the answer is the
+  // unseeded one; only the work shrinks.
+  //
+  // The candidates come from this searcher's index, or from
+  // `candidates` when it is non-null.
+  KnnResult Search(const Sequence& query, size_t k, double initial_cutoff,
+                   KnnCandidateStream* candidates, Trace* trace) const;
 
  private:
   const FeatureIndex* index_;

@@ -12,21 +12,6 @@
 #include "shard/shard_io.h"
 
 namespace warpindex {
-namespace {
-
-// Count of `dead` ids present in `global_of` (sorted): how many of a
-// base shard's rows a query's tombstone filter can remove — the kNN
-// per-shard k inflation.
-size_t CountDeadInBase(const std::vector<SequenceId>& global_of,
-                       const std::vector<SequenceId>& dead) {
-  return static_cast<size_t>(
-      std::count_if(dead.begin(), dead.end(), [&](SequenceId id) {
-        return std::binary_search(global_of.begin(), global_of.end(), id);
-      }));
-}
-
-}  // namespace
-
 IngestEngine::IngestEngine(Dataset dataset, IngestOptions options)
     : options_(std::move(options)),
       disk_model_(options_.engine.disk, options_.engine.page_size_bytes) {
@@ -293,66 +278,27 @@ KnnResult IngestEngine::SearchKnnSeeded(const Sequence& query, size_t k,
   FanOutClock clock;
   const QuerySnapshot snap = AcquireSnapshot();
   const FeatureVector qfeat = ExtractFeature(query);
-
-  SharedKnnBound shared_bound;
-  // A cache-provided seed upper-bounds the global k-th distance; the
-  // strictly-greater pruning below keeps ties, so answers are identical.
-  shared_bound.Tighten(seed_bound);
-
-  // The delta first, on the calling thread: every partition's buffered
-  // rows, with D_tw-lb on their stored features as the lower bound, go
-  // through the k-NN refine loop (Engine::RefineKnn; every partition
-  // engine has the same DtwOptions, so the first one's, whose work
-  // counters also take the delta's DTW evaluations) — in bound order,
-  // with its cutoff break. The k-th distance they prove pre-tightens the
-  // shared bound every base searcher prunes against. Pruning is strictly
-  // greater, so ties at the bound survive; the result merges first, like
-  // a partition of its own.
-  std::vector<KnnResult> partials(1);
-  {
-    ScopedSpan delta_span(trace, "delta_scan");
-    std::vector<KnnCandidate> candidates;
-    for (const DeltaShard::Snapshot& part : snap.parts) {
-      for (const DeltaEntry& entry : part.entries) {
-        candidates.push_back({DtwLowerBoundDistance(entry.feature, qfeat),
-                              entry.sequence.get()});
-      }
+  // The buffered rows join the partitions' index streams as one more
+  // source, bounded by D_tw-lb on their stored features (their ids are
+  // global already; tombstoned ones are not in the snapshot). The
+  // snapshot's dead sets drop tombstoned base rows before their fetch.
+  std::vector<BufferedKnnRow> buffered;
+  std::vector<const std::vector<SequenceId>*> dead;
+  for (const DeltaShard::Snapshot& part : snap.parts) {
+    for (const DeltaEntry& entry : part.entries) {
+      buffered.push_back({DtwLowerBoundDistance(entry.feature, qfeat),
+                          entry.id, entry.sequence.get()});
     }
-    const size_t lb_evals = candidates.size();
-    if (lb_evals > 0) {
-      partials.front() = snap.view->shards.front().engine->RefineKnn(
-          query, k, std::move(candidates), trace, &shared_bound);
-    }
-    partials.front().cost.lb_evals += lb_evals;
-    TraceCounter(trace, "delta_refined",
-                 static_cast<double>(partials.front().num_refined));
+    dead.push_back(&part.dead);
   }
-
-  // Base fan-out. Each base is asked for k + (its tombstone hit count)
-  // neighbors: even if every tombstoned row of the shard lands in its
-  // local top list, k live survivors remain — so the shard's k_s-th
-  // distance still upper-bounds the global k-th and the SharedKnnBound
-  // stays valid, and the dead-filtered merge can never starve below k.
-  const std::vector<size_t> active =
+  const size_t lb_evals = buffered.size();
+  KnnResult result = SearchPartitionsKnn(
+      snap.view->shards,
       ActivePartitions(snap.view->shards, FeatureIndex::FeatureToPoint(qfeat),
-                       kInfiniteDistance);
-  partials.resize(1 + active.size());
-  RunFanOut(pool_, snap.view->shards.size(), active, trace,
-            {{"epoch", static_cast<double>(snap.view->epoch)}}, &clock,
-            [&](size_t i, size_t s, Trace* sub) {
-              const BaseShard& base = snap.view->shards[s];
-              const std::vector<SequenceId>& dead = snap.parts[s].dead;
-              KnnResult& partial = partials[1 + i];
-              partial = base.engine->SearchKnnBounded(
-                  query, k + CountDeadInBase(*base.global_of, dead), sub,
-                  &shared_bound);
-              TraceCounter(sub, "neighbors",
-                           static_cast<double>(partial.neighbors.size()));
-              TraceCounter(sub, "refined",
-                           static_cast<double>(partial.num_refined));
-              RemapToGlobal(*base.global_of, &dead, &partial);
-            });
-  KnnResult result = MergeKnn(&partials, k);
+                       kInfiniteDistance),
+      dead, std::move(buffered), query, k, seed_bound, trace);
+  result.cost.lb_evals += lb_evals;
+  clock.ExcludeCpu(result.cost.cpu_ms);
   clock.Stamp(&result.cost);
   return result;
 }

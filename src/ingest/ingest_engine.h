@@ -12,7 +12,7 @@
 //   * Reads take an epoch snapshot: under a brief shared lock a query
 //     pins the current ShardView and copies each partition's visible
 //     delta (shared_ptr aliases + tombstone ids). Everything after —
-//     base scatter-gather, delta candidates, DTW — runs lock-free against
+//     range scatter-gather or the kNN loop, DTW — runs lock-free against
 //     that snapshot, so a query sees one consistent union of base +
 //     delta even while writes land and the compactor swaps epochs.
 //
@@ -23,13 +23,13 @@
 //     (D_tw-lb <= epsilon on each entry's stored feature, the R-tree's
 //     predicate); its partition engine refines them (Engine::Refine:
 //     planned lower-bound stages, then the exact stage), so its work
-//     lands in that engine's prune records and counters. kNN fans out
-//     with the SharedKnnBound — the delta, sorted by D_tw-lb, runs first
-//     through the k-NN refine loop (TwKnnSearch::Refine) to pre-tighten
-//     the bound, each base is asked for k + (its tombstone count)
-//     neighbors so filtering dead ids can never starve the merge, and
-//     the final (distance, id)-ordered truncation is bit-identical to a
-//     from-scratch single engine over the same live set.
+//     lands in that engine's prune records and counters. kNN is one
+//     refine loop (SearchPartitionsKnn, shard/fanout.h) over one
+//     candidate stream: every live base's nearest iterator and the
+//     buffered rows (by D_tw-lb on their stored features) merged in
+//     lower-bound order, tombstoned base rows dropped before their
+//     fetch. It refines what a from-scratch engine over the live set
+//     would, so the answer and the DTW work are that engine's.
 //
 //   * A background Compactor (ingest/compactor.h) freezes a delta that
 //     exceeds size/tombstone/age thresholds, merges it with the live
@@ -131,8 +131,9 @@ class IngestEngine : public EngineLike {
   SearchResult SearchWith(MethodKind kind, const Sequence& query,
                           double epsilon, Trace* trace = nullptr,
                           DtwScratch* scratch = nullptr) const override;
-  // Exact k-NN with the cross-partition bound pre-tightened to a valid
-  // upper bound on the k-th distance (EngineLike); identical answers.
+  // Exact k-NN as one refine loop over the snapshot's bases and buffered
+  // rows, its cutoff seeded with `seed_bound`, a valid upper bound on the
+  // k-th distance (EngineLike); identical answers. Runs on the caller.
   KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
                             double seed_bound,
                             Trace* trace = nullptr) const override;
@@ -186,7 +187,7 @@ class IngestEngine : public EngineLike {
   size_t num_shards() const { return deltas_.size(); }
   PartitionerKind partitioner() const { return options_.partitioner; }
   const IngestOptions& options() const { return options_; }
-  // Lends a pool for query fan-out and (with compact_on_pool) compaction
+  // Lends a pool for range fan-out and (with compact_on_pool) compaction
   // scheduling. Wire before serving; null detaches.
   void AttachPool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* pool() const { return pool_; }

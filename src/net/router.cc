@@ -27,49 +27,6 @@ constexpr size_t kMaxIdleClientsPerReplica = 8;
 // p99 (before that, hedge late rather than storm a cold server).
 constexpr size_t kMinHedgeSamples = 8;
 
-// Appends one group's range answer to `merged`: "matches", integer ids,
-// and "distances", one number per match. A body that breaks either rule
-// is an Internal error (as a body that fails to parse is), never an
-// answer missing that group's matches or distances.
-Status DecodeRangeMatches(const JsonValue& response, SearchResult* merged) {
-  const JsonValue* matches = response.Find("matches");
-  const JsonValue* distances = response.Find("distances");
-  if (matches == nullptr || matches->kind() != JsonValue::Kind::kArray ||
-      distances == nullptr ||
-      distances->kind() != JsonValue::Kind::kArray ||
-      distances->size() != matches->size()) {
-    return Status::Internal(
-        "malformed RANGE response: needs \"matches\" and one \"distances\" "
-        "entry per match");
-  }
-  for (size_t i = 0; i < matches->size(); ++i) {
-    SequenceId id = kInvalidSequenceId;
-    if (!matches->at(i).TryAsInt(&id) || !distances->at(i).is_number()) {
-      return Status::Internal("malformed RANGE response: match " +
-                              std::to_string(i) +
-                              " needs an integer id and a numeric distance");
-    }
-    merged->matches.push_back(id);
-    merged->distances.push_back(distances->at(i).AsDouble());
-  }
-  return Status::Ok();
-}
-
-// One group's kNN answer from its "neighbors"; Internal when the body
-// has none or they do not decode.
-Status DecodeKnnNeighbors(const JsonValue& response,
-                          std::vector<KnnMatch>* neighbors) {
-  const JsonValue* json = response.Find("neighbors");
-  if (json == nullptr) {
-    return Status::Internal("malformed KNN response: no \"neighbors\"");
-  }
-  const Status status = JsonToKnnMatches(*json, neighbors);
-  if (!status.ok()) {
-    return Status::Internal("malformed KNN response: " + status.message());
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 void Router::NoteFailedSubrequest(size_t group, const Status& status,
@@ -645,7 +602,7 @@ Status Router::RouteRange(MethodKind kind, const Sequence& query,
   const uint64_t trace_id = trace != nullptr ? trace->trace_id() : 0;
 
   std::vector<SubOutcome> outcomes;
-  SearchResult merged;
+  std::vector<SearchResult> partials;
   Status first_error = Status::Ok();
   {
     ScopedSpan span(trace, "scatter_gather");
@@ -659,11 +616,10 @@ Status Router::RouteRange(MethodKind kind, const Sequence& query,
                timer, &outcomes);
     for (size_t i = 0; i < outcomes.size(); ++i) {
       const SubOutcome& outcome = outcomes[i];
-      const JsonValue& response = outcome.response;
-      const size_t first_match = merged.matches.size();
+      SearchResult group;
       Status status = outcome.status;
       if (status.ok()) {
-        status = DecodeRangeMatches(response, &merged);
+        status = DecodeRangeResponse(outcome.response, &group);
       }
       if (!status.ok()) {
         // The query fails (first_error), so the partly merged answer is
@@ -671,27 +627,18 @@ Status Router::RouteRange(MethodKind kind, const Sequence& query,
         NoteFailedSubrequest(group_ids[i], status, &first_error);
         continue;
       }
-      const size_t group_matches = merged.matches.size() - first_match;
-      const size_t group_candidates =
-          static_cast<size_t>(response.GetInt("num_candidates", 0));
-      merged.num_candidates += group_candidates;
-      SearchCost cost;
-      if (const JsonValue* cost_json = response.Find("cost");
-          cost_json != nullptr) {
-        (void)JsonToCost(*cost_json, &cost);
-      }
-      merged.cost.MergeParallel(cost);
       StitchGroupSpans(trace, span.index(), group_ids[i], outcome);
       RecordSubFlight(MethodKindName(kind), epsilon, query.size(),
-                      group_ids[i], outcome, group_matches,
-                      group_candidates, cost, trace_id);
+                      group_ids[i], outcome, group.matches.size(),
+                      group.num_candidates, group.cost, trace_id);
+      partials.push_back(std::move(group));
     }
   }
   if (!first_error.ok()) {
     return first_error;
   }
-  // Canonical answer order, as in-process: ascending global id.
-  CanonicalizeMatchOrder(&merged);
+  // The in-process merge: canonical ascending-id order, costs folded.
+  SearchResult merged = MergeRange(&partials);
   merged.cost.wall_ms = timer.ElapsedMillis();
   merged.cost.cpu_ms += cpu_timer.ElapsedMillis();
   if (options_.cache != nullptr) {
@@ -813,29 +760,23 @@ Status Router::RouteKnn(const Sequence& query, size_t k, Trace* trace,
                  &outcomes);
       for (size_t i = 0; i < outcomes.size(); ++i) {
         const SubOutcome& outcome = outcomes[i];
-        const JsonValue& response = outcome.response;
-        std::vector<KnnMatch> neighbors;
+        KnnResult group;
         Status status = outcome.status;
         if (status.ok()) {
-          status = DecodeKnnNeighbors(response, &neighbors);
+          status = DecodeKnnResponse(outcome.response, &group);
         }
         if (!status.ok()) {
           NoteFailedSubrequest(wave[i], status, &first_error);
           continue;
         }
-        const size_t group_refined =
-            static_cast<size_t>(response.GetInt("num_refined", 0));
-        merged.num_refined += group_refined;
-        SearchCost cost;
-        if (const JsonValue* cost_json = response.Find("cost");
-            cost_json != nullptr) {
-          (void)JsonToCost(*cost_json, &cost);
-        }
-        merged.cost.MergeParallel(cost);
+        merged.num_refined += group.num_refined;
+        merged.cost.MergeParallel(group.cost);
         StitchGroupSpans(trace, span.index(), wave[i], outcome);
         RecordSubFlight("kNN", 0.0, query.size(), wave[i], outcome,
-                        neighbors.size(), group_refined, cost, trace_id);
-        best.insert(best.end(), neighbors.begin(), neighbors.end());
+                        group.neighbors.size(), group.num_refined,
+                        group.cost, trace_id);
+        best.insert(best.end(), group.neighbors.begin(),
+                    group.neighbors.end());
       }
       // The running top-k over every settled group.
       KeepTopK(k, &best);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "obs/exporters.h"
 
@@ -92,6 +93,74 @@ Status ReadStageTimings(const JsonValue& json, const std::string& key,
     }
     out->Add(stage, ms.AsDouble());
   }
+  return Status::Ok();
+}
+
+// The parts of a RANGE (`count_key` "num_candidates") or KNN
+// ("num_refined") response body beside its matches: the count and the
+// cost, both required.
+Status ReadCountAndCost(const JsonValue& response, const std::string& count_key,
+                        size_t* count, SearchCost* cost) {
+  int64_t n = -1;  // stays -1 when absent
+  WARPINDEX_RETURN_IF_ERROR(ReadInt(
+      response, count_key, 0, std::numeric_limits<int64_t>::max(), &n));
+  const JsonValue* cost_json = response.Find("cost");
+  if (n < 0 || cost_json == nullptr) {
+    return Status::InvalidArgument("needs '" + count_key + "' and 'cost'");
+  }
+  WARPINDEX_RETURN_IF_ERROR(JsonToCost(*cost_json, cost));
+  *count = static_cast<size_t>(n);
+  return Status::Ok();
+}
+
+// A RANGE body's "matches" (integer ids), one numeric "distances" entry
+// per match, count and cost.
+Status ReadRangeResponse(const JsonValue& response, SearchResult* out) {
+  const JsonValue* matches = response.Find("matches");
+  const JsonValue* distances = response.Find("distances");
+  if (matches == nullptr || distances == nullptr) {
+    return Status::InvalidArgument("needs \"matches\" and \"distances\"");
+  }
+  WARPINDEX_RETURN_IF_ERROR(
+      ExpectKind(*matches, JsonValue::Kind::kArray, "matches"));
+  WARPINDEX_RETURN_IF_ERROR(
+      NumberArrayToVector(*distances, "distances", &out->distances));
+  if (out->distances.size() != matches->size()) {
+    return Status::InvalidArgument("needs one distance per match");
+  }
+  for (const JsonValue& match : matches->items()) {
+    SequenceId id = kInvalidSequenceId;
+    if (!match.TryAsInt(&id)) {
+      return Status::InvalidArgument("match ids must be integers");
+    }
+    out->matches.push_back(id);
+  }
+  return ReadCountAndCost(response, "num_candidates", &out->num_candidates,
+                          &out->cost);
+}
+
+// A KNN body's "neighbors", count and cost.
+Status ReadKnnResponse(const JsonValue& response, KnnResult* out) {
+  const JsonValue* neighbors = response.Find("neighbors");
+  if (neighbors == nullptr) {
+    return Status::InvalidArgument("needs \"neighbors\"");
+  }
+  WARPINDEX_RETURN_IF_ERROR(JsonToKnnMatches(*neighbors, &out->neighbors));
+  return ReadCountAndCost(response, "num_refined", &out->num_refined,
+                          &out->cost);
+}
+
+// Decodes with `read` into a fresh result; a failure is Internal.
+template <typename Result, typename Read>
+Status DecodeResponse(const JsonValue& response, const char* rpc, Read read,
+                      Result* out) {
+  Result result;
+  const Status status = read(response, &result);
+  if (!status.ok()) {
+    return Status::Internal(std::string("malformed ") + rpc +
+                            " response: " + status.message());
+  }
+  *out = std::move(result);
   return Status::Ok();
 }
 
@@ -340,6 +409,15 @@ Status JsonToKnnMatches(const JsonValue& json,
     out->push_back(match);
   }
   return Status::Ok();
+}
+
+
+Status DecodeRangeResponse(const JsonValue& response, SearchResult* out) {
+  return DecodeResponse(response, "RANGE", ReadRangeResponse, out);
+}
+
+Status DecodeKnnResponse(const JsonValue& response, KnnResult* out) {
+  return DecodeResponse(response, "KNN", ReadKnnResponse, out);
 }
 
 }  // namespace warpindex

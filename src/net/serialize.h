@@ -64,6 +64,17 @@ Status JsonToRect(const JsonValue& json, Rect* out);
 JsonValue KnnMatchesToJson(const std::vector<KnnMatch>& matches);
 Status JsonToKnnMatches(const JsonValue& json, std::vector<KnnMatch>* out);
 
+// A shard server's RANGE / KNN response body, as the router reads it.
+// RANGE: "matches" (integer ids) with one numeric "distances" entry per
+// match, "num_candidates" and "cost"; KNN: "neighbors"
+// (JsonToKnnMatches), "num_refined" and "cost". The count must be a
+// non-negative integer and the cost must pass JsonToCost. A body that
+// breaks any rule is Internal (like a body that fails to parse), never
+// an answer with that group's matches, work or counts missing; *out is
+// untouched on error.
+Status DecodeRangeResponse(const JsonValue& response, SearchResult* out);
+Status DecodeKnnResponse(const JsonValue& response, KnnResult* out);
+
 }  // namespace warpindex
 
 #endif  // WARPINDEX_NET_SERIALIZE_H_

@@ -1,5 +1,6 @@
 #include "net/shard_server.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -125,7 +126,7 @@ int ShardServer::SlotOf(uint32_t shard) const {
 }
 
 Status ShardServer::RequestedSlots(const JsonValue& request,
-                                   std::vector<int>* slots) const {
+                                   std::vector<size_t>* slots) const {
   const JsonValue* shards = request.Find("shards");
   if (shards == nullptr || shards->kind() != JsonValue::Kind::kArray ||
       shards->size() == 0) {
@@ -150,7 +151,11 @@ Status ShardServer::RequestedSlots(const JsonValue& request,
           "shard " + std::to_string(shard) +
           " is not served by this server");
     }
-    slots->push_back(slot);
+    if (std::find(slots->begin(), slots->end(), slot) != slots->end()) {
+      return Status::InvalidArgument("shard " + std::to_string(shard) +
+                                     " listed twice");
+    }
+    slots->push_back(static_cast<size_t>(slot));
   }
   return Status::Ok();
 }
@@ -180,7 +185,7 @@ Status ShardServer::HandleHello(const JsonValue& /*request*/,
   return Status::Ok();
 }
 
-size_t ShardServer::BeginShardSpan(Trace* trace, int slot) const {
+size_t ShardServer::BeginShardSpan(Trace* trace, size_t slot) const {
   const int32_t shard = static_cast<int32_t>(options_.serve_shards[slot]);
   trace->SetThreadTag(shard, 0);
   const size_t span = trace->BeginSpan("shard");
@@ -188,16 +193,17 @@ size_t ShardServer::BeginShardSpan(Trace* trace, int slot) const {
   return span;
 }
 
-// Both handlers search their slots sequentially on this thread, each
-// "shard" span at the root of the shipped trace (the router's own
-// scatter_gather span is the only one per routed query), and merge with
-// the fan-out core's helpers. The engine calls measure their own CPU, so
-// FanOutClock excludes those windows and adds only the parse / merge /
-// serialize share.
+// Both handlers run on this thread with the fan-out core's helpers; the
+// shipped spans sit at the root of the trace (the router's own
+// scatter_gather span is the only one per routed query). RANGE searches
+// its slots one by one, each under a "shard" span, and merges; KNN runs
+// one refine loop over all of them. The engine calls measure their own
+// CPU, so FanOutClock excludes those windows and adds only the parse /
+// merge / serialize share.
 Status ShardServer::HandleRange(const JsonValue& request,
                                 JsonValue* response) {
   FanOutClock clock;
-  std::vector<int> slots;
+  std::vector<size_t> slots;
   WARPINDEX_RETURN_IF_ERROR(RequestedSlots(request, &slots));
   MethodKind kind;
   const std::string method = request.GetString("method", "");
@@ -227,7 +233,7 @@ Status ShardServer::HandleRange(const JsonValue& request,
   Trace trace;
   std::vector<SearchResult> partials(slots.size());
   for (size_t i = 0; i < slots.size(); ++i) {
-    const BaseShard& shard = shards_[static_cast<size_t>(slots[i])];
+    const BaseShard& shard = shards_[slots[i]];
     Trace* sub = traced ? &trace : nullptr;
     const size_t span = traced ? BeginShardSpan(sub, slots[i]) : 0;
     DtwScratch scratch;
@@ -271,7 +277,7 @@ Status ShardServer::HandleRange(const JsonValue& request,
 Status ShardServer::HandleKnn(const JsonValue& request,
                               JsonValue* response) {
   FanOutClock clock;
-  std::vector<int> slots;
+  std::vector<size_t> slots;
   WARPINDEX_RETURN_IF_ERROR(RequestedSlots(request, &slots));
   int64_t k = 0;
   const JsonValue* k_json = request.Find("k");
@@ -286,45 +292,32 @@ Status ShardServer::HandleKnn(const JsonValue& request,
   WARPINDEX_RETURN_IF_ERROR(JsonToSequence(*query_json, &query));
   const bool traced = request.GetBool("trace", false);
 
-  // The router's wave bound seeds the shared bound: pruning is strictly
-  // greater-than, so members tying the bound survive for the (distance,
-  // id) merge — the exactness argument in docs/NETWORKING.md.
-  SharedKnnBound shared_bound;
-  if (const JsonValue* bound = request.Find("bound");
-      bound != nullptr && bound->is_number()) {
-    shared_bound.Tighten(bound->AsDouble());
-  }
-
-  Trace trace;
-  std::vector<KnnResult> partials(slots.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const BaseShard& shard = shards_[static_cast<size_t>(slots[i])];
-    Trace* sub = traced ? &trace : nullptr;
-    const size_t span = traced ? BeginShardSpan(sub, slots[i]) : 0;
-    ThreadCpuTimer search_cpu;
-    KnnResult& partial = partials[i];
-    partial = shard.engine->SearchKnnBounded(query, static_cast<size_t>(k),
-                                             sub, &shared_bound);
-    clock.ExcludeCpu(search_cpu.ElapsedMillis());
-    if (traced) {
-      trace.AddCounter("neighbors",
-                       static_cast<double>(partial.neighbors.size()));
-      trace.AddCounter("refined",
-                       static_cast<double>(partial.num_refined));
-      trace.EndSpan(span);
+  // The router's wave bound seeds the refine loop's cutoff: pruning is
+  // strictly greater-than, so members tying the bound survive for the
+  // router's (distance, id) merge (docs/NETWORKING.md). A bound below
+  // zero would prune every neighbor, so like a negative RANGE epsilon it
+  // is refused, never answered as an empty list.
+  double seed_bound = kInfiniteDistance;
+  if (const JsonValue* bound = request.Find("bound"); bound != nullptr) {
+    if (!bound->is_number() || !(bound->AsDouble() >= 0.0)) {
+      return Status::InvalidArgument("bound must be a number >= 0");
     }
-    RemapToGlobal(*shard.global_of, nullptr, &partial);
+    seed_bound = bound->AsDouble();
   }
-  KnnResult merged = MergeKnn(&partials, static_cast<size_t>(k));
-  clock.Stamp(&merged.cost);
 
-  response->Set("neighbors", KnnMatchesToJson(merged.neighbors));
-  response->Set("num_refined", JsonValue::Uint(merged.num_refined));
-  const double bound_after = shared_bound.Current();
-  response->Set("bound_after", bound_after < kInfiniteDistance
-                                   ? JsonValue::Double(bound_after)
-                                   : JsonValue::Null());
-  response->Set("cost", CostToJson(merged.cost));
+  // One refine loop over every requested slot's index, like the
+  // in-process engines; its spans sit at the root of the shipped trace.
+  Trace trace;
+  KnnResult result =
+      SearchPartitionsKnn(shards_, slots, {}, {}, query,
+                          static_cast<size_t>(k), seed_bound,
+                          traced ? &trace : nullptr);
+  clock.ExcludeCpu(result.cost.cpu_ms);
+  clock.Stamp(&result.cost);
+
+  response->Set("neighbors", KnnMatchesToJson(result.neighbors));
+  response->Set("num_refined", JsonValue::Uint(result.num_refined));
+  response->Set("cost", CostToJson(result.cost));
   if (traced) {
     response->Set("spans", SpansToJson(trace.spans()));
   }

@@ -19,10 +19,11 @@
 //     remapped through the manifest assignment (ascending-global-order
 //     locals), matches sorted ascending, num_candidates summed over the
 //     REQUESTED shards, resource costs merged with MergeParallel.
-//   * KNN seeds a SharedKnnBound with the router-provided wave bound
-//     (strictly-greater pruning keeps ties), merges per-shard survivor
-//     lists in KnnMatchOrder, truncates to k, and reports the tightened
-//     bound back for the router's next wave.
+//   * KNN runs the in-process engines' one refine loop over the
+//     requested shards (SearchPartitionsKnn), its cutoff seeded with the
+//     router's wave `bound` (strictly-greater pruning keeps ties; a bound
+//     that is not a number >= 0 is InvalidArgument), and returns the
+//     top k in KnnMatchOrder for the router's merge.
 //
 // Drain: RequestDrain() (SIGTERM path, or a DRAIN frame in tests) stops
 // accepting, finishes in-flight requests, and answers new queries with
@@ -116,11 +117,11 @@ class ShardServer {
   // Parses the request's "shards" array into slots (every entry must be
   // an integer naming a shard served here).
   Status RequestedSlots(const JsonValue& request,
-                        std::vector<int>* slots) const;
+                        std::vector<size_t>* slots) const;
 
   // Opens slot's "shard" span (tagged and counted with its manifest shard
   // index) at the root of `trace`; returns the span index.
-  size_t BeginShardSpan(Trace* trace, int slot) const;
+  size_t BeginShardSpan(Trace* trace, size_t slot) const;
 
   ShardServerOptions options_;
   ShardManifest manifest_;

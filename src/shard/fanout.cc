@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <set>
+#include <utility>
 
 #include "shard/scatter_gather.h"
 
@@ -63,6 +65,98 @@ Status CheckShardManifest(const ShardManifest& manifest,
   }
   return Status::Ok();
 }
+
+// SearchPartitionsKnn's candidate stream: a heap on (lower bound, global
+// id) over every buffered row and one head per active partition, the
+// next record of its nearest iterator, pulled again whenever the loop
+// takes it. The heap is filled on the first Next, inside the loop's
+// descent time.
+class PartitionCandidates final : public KnnCandidateStream {
+ public:
+  PartitionCandidates(const std::vector<BaseShard>& shards,
+                      const std::vector<size_t>& active,
+                      const std::vector<const std::vector<SequenceId>*>& dead,
+                      std::vector<BufferedKnnRow> buffered,
+                      const Point& query_point)
+      : buffered_(std::move(buffered)) {
+    for (const size_t s : active) {
+      partitions_.push_back(
+          {&shards[s], dead.empty() ? nullptr : dead[s],
+           shards[s].engine->feature_index().rtree().NearestLinf(
+               query_point, &stats_)});
+    }
+  }
+
+  bool Next(KnnCandidate* out) override {
+    if (!started_) {
+      started_ = true;
+      for (size_t source = 0; source < partitions_.size(); ++source) {
+        Advance(source);
+      }
+      for (size_t i = 0; i < buffered_.size(); ++i) {
+        heads_.push({buffered_[i].lower_bound, buffered_[i].id,
+                     kBufferedSource, static_cast<int64_t>(i)});
+      }
+    }
+    if (heads_.empty()) {
+      return false;
+    }
+    *out = heads_.top();
+    heads_.pop();
+    if (out->source != kBufferedSource) {
+      Advance(out->source);
+    }
+    return true;
+  }
+
+  const Sequence& Fetch(const KnnCandidate& candidate, IoStats* io,
+                        Trace* trace) override {
+    if (candidate.source == kBufferedSource) {
+      return *buffered_[static_cast<size_t>(candidate.record)].sequence;
+    }
+    return partitions_[candidate.source].shard->engine->store().Fetch(
+        candidate.record, io, trace);
+  }
+
+  uint64_t nodes_accessed() const override { return stats_.nodes_accessed; }
+
+ private:
+  static constexpr size_t kBufferedSource = static_cast<size_t>(-1);
+
+  struct Partition {
+    const BaseShard* shard;
+    const std::vector<SequenceId>* dead;
+    RTree::LinfNearestIterator it;
+  };
+  // Min-heap order on (lower bound, id).
+  struct Later {
+    bool operator()(const KnnCandidate& a, const KnnCandidate& b) const {
+      return std::make_pair(a.lower_bound, a.id) >
+             std::make_pair(b.lower_bound, b.id);
+    }
+  };
+
+  // Pushes partition `source`'s next record whose global id is not dead,
+  // if any.
+  void Advance(size_t source) {
+    Partition& partition = partitions_[source];
+    RTree::Neighbor neighbor;
+    while (partition.it.Next(&neighbor)) {
+      const SequenceId global = (*partition.shard->global_of)[
+          static_cast<size_t>(neighbor.record_id)];
+      if (!IsDead(partition.dead, global)) {
+        heads_.push({neighbor.distance, global, source, neighbor.record_id});
+        return;
+      }
+    }
+  }
+
+  RTreeQueryStats stats_;  // shared by every partition's iterator
+  std::vector<Partition> partitions_;
+  std::vector<BufferedKnnRow> buffered_;
+  std::priority_queue<KnnCandidate, std::vector<KnnCandidate>, Later> heads_;
+  bool started_ = false;
+};
 
 }  // namespace
 
@@ -153,18 +247,6 @@ void RemapToGlobal(const std::vector<SequenceId>& global_of,
   }
 }
 
-void RemapToGlobal(const std::vector<SequenceId>& global_of,
-                   const std::vector<SequenceId>* dead, KnnResult* partial) {
-  size_t kept = 0;
-  for (const KnnMatch& match : partial->neighbors) {
-    const SequenceId g = global_of[static_cast<size_t>(match.id)];
-    if (!IsDead(dead, g)) {
-      partial->neighbors[kept++] = KnnMatch{g, match.distance};
-    }
-  }
-  partial->neighbors.resize(kept);
-}
-
 SearchResult MergeRange(std::vector<SearchResult>* partials) {
   SearchResult result;
   for (const SearchResult& partial : *partials) {
@@ -180,24 +262,23 @@ SearchResult MergeRange(std::vector<SearchResult>* partials) {
   return result;
 }
 
-KnnResult MergeKnn(std::vector<KnnResult>* partials, size_t k) {
-  KnnResult result;
-  for (const KnnResult& partial : *partials) {
-    result.num_refined += partial.num_refined;
-    result.cost.MergeParallel(partial.cost);
-    result.neighbors.insert(result.neighbors.end(),
-                            partial.neighbors.begin(),
-                            partial.neighbors.end());
-  }
-  KeepTopK(k, &result.neighbors);
-  return result;
-}
-
 void KeepTopK(size_t k, std::vector<KnnMatch>* matches) {
   std::sort(matches->begin(), matches->end(), KnnMatchOrder);
   if (matches->size() > k) {
     matches->resize(k);
   }
+}
+
+KnnResult SearchPartitionsKnn(
+    const std::vector<BaseShard>& shards, const std::vector<size_t>& active,
+    const std::vector<const std::vector<SequenceId>*>& dead,
+    std::vector<BufferedKnnRow> buffered, const Sequence& query, size_t k,
+    double seed_bound, Trace* trace) {
+  PartitionCandidates candidates(
+      shards, active, dead, std::move(buffered),
+      FeatureIndex::FeatureToPoint(ExtractFeature(query)));
+  return shards.front().engine->SearchKnnOver(query, k, seed_bound,
+                                              &candidates, trace);
 }
 
 std::vector<BaseShard> BuildShardSet(const Dataset& dataset,

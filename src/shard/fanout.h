@@ -7,11 +7,16 @@
 //      sequence with D_tw-lb <= epsilon, hence none with D_tw <= epsilon
 //      (the paper's Theorem 1 lifted to the MBR; shard/partitioner.h).
 //      Ties at epsilon keep the partition. Exact for every MethodKind.
-//   2. Run. Algorithm 1 or the kNN search on every remaining partition,
-//      fanned out over ScatterGather (RunFanOut).
+//   2. Run. Algorithm 1 on every remaining partition, fanned out over
+//      ScatterGather (RunFanOut).
 //   3. Merge. Local ids remapped to global ids, ids in a sorted dead set
-//      dropped, then range answers in canonical ascending-id order and
-//      kNN answers in (distance, id) order truncated to k.
+//      dropped, matches in canonical ascending-id order.
+//
+// kNN has no epsilon to prune with and no per-partition answers to
+// merge: SearchPartitionsKnn runs ONE refine loop over one candidate
+// stream that merges every partition's nearest iterator by lower bound,
+// so the work of a query does not depend on how many partitions hold
+// its rows.
 //
 // The module also owns the layer CPU rule (FanOutClock) and the shard-set
 // builder and loader over BaseShard (shard/shard_view.h), so building,
@@ -60,9 +65,9 @@ std::vector<size_t> ActivePartitions(const std::vector<BaseShard>& shards,
 // ---- The CPU rule.
 
 // Wall and CPU accounting of one layer's query. The caller thread also
-// runs fan-out tasks (ScatterGather has it participate), and that CPU is
-// already inside the per-partition costs, so a layer adds only its own
-// share: max(0, caller CPU - CPU spent inside the fan-out).
+// runs fan-out tasks (ScatterGather has it participate) and the k-NN
+// loop, and that CPU is already inside their costs, so a layer adds only
+// its own share: max(0, caller CPU - CPU excluded as spent there).
 class FanOutClock {
  public:
   // Caller-thread CPU already counted in some partial's cost.
@@ -115,21 +120,44 @@ inline bool IsDead(const std::vector<SequenceId>* dead, SequenceId id) {
 void RemapToGlobal(const std::vector<SequenceId>& global_of,
                    const std::vector<SequenceId>* dead,
                    SearchResult* partial);
-void RemapToGlobal(const std::vector<SequenceId>& global_of,
-                   const std::vector<SequenceId>* dead, KnnResult* partial);
 
 // Folds global-id partition answers into one: counts summed, costs merged
 // with MergeParallel (work summed, wall = critical path), matches in the
 // canonical ascending-id order.
 SearchResult MergeRange(std::vector<SearchResult>* partials);
 
-// The same for kNN: neighbors in (distance, id) order, truncated to k.
-KnnResult MergeKnn(std::vector<KnnResult>* partials, size_t k);
-
-// Sorts `matches` in (distance, id) order and keeps the first k. Exact
-// across partitions because every partition prunes strictly above the
-// shared bound, so ties at the k-th distance survive to be decided by id.
+// Sorts `matches` in (distance, id) order and keeps the first k: the
+// Router's merge of its remote groups' k-NN answers.
 void KeepTopK(size_t k, std::vector<KnnMatch>* matches);
+
+// ---- k-NN.
+
+// A row offered to SearchPartitionsKnn beside the partitions' indexes
+// (IngestEngine's buffered inserts): its D_tw-lb to the query on its
+// feature tuple, its global id and its sequence.
+struct BufferedKnnRow {
+  double lower_bound = 0.0;
+  SequenceId id = kInvalidSequenceId;
+  const Sequence* sequence = nullptr;
+};
+
+// Exact k-NN over partitions `active` of `shards` and the `buffered`
+// rows (in any order), as one refine loop (core/tw_knn_search.h) on the
+// calling thread. Its candidate stream opens one L_inf nearest iterator
+// per active partition and merges their heads with the buffered rows in
+// (lower bound, global id) order. A record maps to its global id through
+// its partition's global_of; one whose global id is in `dead[s]`
+// (sorted; `dead` empty or null entries for none) is dropped before it
+// is fetched. The loop stops once the next lower bound exceeds the k-th
+// distance or `seed_bound`, so it refines the candidates one engine over
+// the union would. Runs on, and counts as one query in the metrics of,
+// shards.front()'s engine (the partitions share DtwOptions). Requires
+// shards non-empty, a non-empty query and k >= 1.
+KnnResult SearchPartitionsKnn(
+    const std::vector<BaseShard>& shards, const std::vector<size_t>& active,
+    const std::vector<const std::vector<SequenceId>*>& dead,
+    std::vector<BufferedKnnRow> buffered, const Sequence& query, size_t k,
+    double seed_bound, Trace* trace);
 
 // ---- The shard-set builder and loader.
 

@@ -76,6 +76,7 @@ std::vector<size_t> ShardedEngine::SelectShards(const Point& query_point,
   size_t cursor = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (cursor < active.size() && active[cursor] == s) {
+      shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
       ++cursor;
     } else {
       shard_skipped_[s].fetch_add(1, std::memory_order_relaxed);
@@ -110,7 +111,6 @@ SearchResult ShardedEngine::SearchWith(MethodKind kind, const Sequence& query,
                            static_cast<double>(partial.cost.index_nodes));
               TraceCounter(sub, "dtw_evals",
                            static_cast<double>(partial.cost.dtw_evals));
-              shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
               RecordShardFlight(s, MethodKindName(kind), epsilon,
                                 query.size(), partial, trace_id);
               RemapToGlobal(*shards_[s].global_of, nullptr, &partial);
@@ -123,37 +123,14 @@ SearchResult ShardedEngine::SearchWith(MethodKind kind, const Sequence& query,
 KnnResult ShardedEngine::SearchKnnSeeded(const Sequence& query, size_t k,
                                          double seed_bound,
                                          Trace* trace) const {
-  FanOutClock clock;
-  // No epsilon to prune against up front; the SharedKnnBound is the
-  // dynamic equivalent: as soon as any shard proves a k-th distance, the
-  // others prune against it mid-flight. A cache-provided seed is a valid
-  // upper bound on the global k-th distance; pruning is strictly-above,
-  // so seeding preserves answers.
+  // No epsilon to prune against up front: every shard with a live MBR
+  // feeds the one merged candidate stream, which reads only as far into
+  // each shard's index as the global k-th distance allows.
   const std::vector<size_t> active =
       SelectShards(FeatureIndex::FeatureToPoint(ExtractFeature(query)),
                    kInfiniteDistance);
-  SharedKnnBound shared_bound;
-  shared_bound.Tighten(seed_bound);
-  std::vector<KnnResult> partials(active.size());
-  RunFanOut(pool_, shards_.size(), active, trace,
-            {{"partitioner", static_cast<double>(options_.partitioner)}},
-            &clock, [&](size_t i, size_t s, Trace* sub) {
-              KnnResult& partial = partials[i];
-              partial = shards_[s].engine->SearchKnnBounded(query, k, sub,
-                                                            &shared_bound);
-              TraceCounter(sub, "neighbors",
-                           static_cast<double>(partial.neighbors.size()));
-              TraceCounter(sub, "refined",
-                           static_cast<double>(partial.num_refined));
-              shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
-              RemapToGlobal(*shards_[s].global_of, nullptr, &partial);
-            });
-  // Per-shard local lists may vary with bound-propagation timing, but only
-  // by members the global top-k provably excludes, so the merged prefix is
-  // deterministic (see docs/SHARDING.md).
-  KnnResult result = MergeKnn(&partials, k);
-  clock.Stamp(&result.cost);
-  return result;
+  return SearchPartitionsKnn(shards_, active, {}, {}, query, k, seed_bound,
+                             trace);
 }
 
 void ShardedEngine::RecordShardFlight(size_t shard_index, const char* method,

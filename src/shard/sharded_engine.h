@@ -3,7 +3,7 @@
 //
 // Why: every structure a query touches — R-tree, sequence store, buffer
 // pool, cascade planner — is per-shard, so each index stays N/K small, K
-// shards answer one query in parallel on the serving pool, and each
+// shards answer one range query in parallel on the serving pool, and each
 // shard's CascadePlanner learns the cost model of ITS data rather than a
 // global average. Answers are bit-identical to a
 // single Engine over the same dataset:
@@ -17,21 +17,22 @@
 //     (see shard/partitioner.h). With the range partitioner, clustered
 //     data makes these skips routine.
 //
-//   * kNN runs the filter-and-refine search per shard with a shared,
-//     monotonically shrinking SharedKnnBound: as soon as any shard has
-//     proven a k-th distance, every other shard's refine loop abandons
-//     candidates beyond it mid-flight. The per-shard top-k lists are
-//     then merged by (distance, id) and truncated to k — identical to
-//     the single-engine answer because pruning is strictly-greater-than
-//     and ties at the k-th distance resolve by id everywhere.
+//   * kNN runs ONE filter-and-refine loop over one candidate stream
+//     that merges every shard's nearest iterator by lower bound
+//     (SearchPartitionsKnn, shard/fanout.h): the candidates one engine
+//     over the union would refine, so the answer is the single-engine
+//     one (ties at the k-th distance resolve by global id) and so is
+//     the DTW work, whatever K is. It runs on the calling thread.
 //
-// Cost semantics: per-shard SearchCosts are folded with MergeParallel —
+// Cost semantics: a range query's per-shard SearchCosts are folded with
+// MergeParallel —
 // page reads, DTW evals/cells, node visits, and per-stage attribution
 // are summed (work actually done), wall time is NOT (concurrent shards
 // overlap); the reported wall_ms is the measured end-to-end time of the
 // sharded query, which is the critical path plus fan-out/merge overhead.
 //
-// Threading: queries fan out over a borrowed ThreadPool (AttachPool) —
+// Threading: range queries fan out over a borrowed ThreadPool
+// (AttachPool) —
 // typically the QueryExecutor's own pool, shared safely because the
 // scatter-gather layer has the calling thread participate (see
 // shard/scatter_gather.h; no nested-pool deadlock). Without a pool,
@@ -70,8 +71,9 @@ struct ShardedEngineOptions {
   // Per-shard engine configuration. Every shard gets an identical copy;
   // options.engine.metrics (or the global registry) is shared by all
   // shards AND the sharded layer, so per-shard query metrics aggregate
-  // in one place. Note warpindex_queries_total then counts per-shard
-  // sub-queries; warpindex_shard_queries_total counts logical queries.
+  // in one place. Note warpindex_queries_total then counts a range query
+  // once per shard searched (a kNN query once);
+  // warpindex_shard_queries_total counts logical queries.
   EngineOptions engine;
   // Optional (borrowed, must outlive the engine): every per-shard
   // sub-query is offered here with its shard id, so /flightrecorder can
@@ -118,9 +120,10 @@ class ShardedEngine : public EngineLike {
                           double epsilon, Trace* trace = nullptr,
                           DtwScratch* scratch = nullptr) const override;
 
-  // Exact kNN with the shared epsilon-shrinking bound across shards,
-  // pre-tightened to a valid upper bound on the k-th distance
-  // (EngineLike); identical answers.
+  // Exact kNN: one refine loop over every live shard's index
+  // (SearchPartitionsKnn), its cutoff seeded with `seed_bound`, a valid
+  // upper bound on the k-th distance (EngineLike); identical answers. No
+  // fan-out: a traced query records one knn_query tree.
   KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
                             double seed_bound,
                             Trace* trace = nullptr) const override;

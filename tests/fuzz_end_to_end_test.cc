@@ -1,6 +1,7 @@
 // Randomized end-to-end differential fuzzing: across random engine
 // configurations, datasets, queries, and tolerances, the indexed search
-// must return exactly the sequential scan's answer set.
+// must return exactly the sequential scan's answer set, on a single
+// Engine, a ShardedEngine and an IngestEngine.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
 #include "sequence/stock_generator.h"
+#include "shard/sharded_engine.h"
 
 namespace warpindex {
 namespace {
@@ -134,6 +136,96 @@ TEST(FuzzEndToEndTest, ChurnThenQueryAgainstScan) {
     }
   }
   EXPECT_TRUE(engine.feature_index().rtree().CheckInvariants().ok());
+}
+
+// The sharded shape: a ShardedEngine with a random shard count,
+// partitioner, band, combiner and fixed lower-bound plan, over random
+// walks or the stock corpus (both of variable length), inline and on a
+// pool. Both TW-Sim-Search kinds must return the scan's ids and
+// distances, and k-NN the brute-force neighbors.
+TEST(FuzzEndToEndTest, ShardedAgreesWithScan) {
+  Prng prng(20261020);
+  size_t matches = 0;
+  for (int round = 0; round < 12; ++round) {
+    ShardedEngineOptions options;
+    options.num_shards = static_cast<size_t>(prng.UniformInt(1, 6));
+    // Every (partitioner, pool) pair in turn; the rest is random.
+    options.partitioner =
+        round % 4 < 2 ? PartitionerKind::kHash : PartitionerKind::kRange;
+    const bool pooled = round % 2 == 1;
+    EngineOptions& engine_options = options.engine;
+    engine_options.dtw = prng.UniformInt(0, 1) == 1 ? DtwOptions::Linf()
+                                                    : DtwOptions::L1();
+    engine_options.dtw.band = static_cast<int>(prng.UniformInt(-1, 6));
+    const int64_t stage_mask = prng.UniformInt(0, 15);
+    engine_options.cascade_planner.mode = PlanMode::kFixed;
+    for (const CascadeStage stage : CascadePlan::Full().stages) {
+      if ((stage_mask >> static_cast<int>(stage)) & 1) {
+        engine_options.cascade_planner.fixed.stages.push_back(stage);
+      }
+    }
+    Dataset dataset;
+    double eps_scale;
+    if (prng.UniformInt(0, 1) == 0) {
+      RandomWalkOptions rw;
+      rw.num_sequences = static_cast<size_t>(prng.UniformInt(20, 90));
+      rw.min_length = static_cast<size_t>(prng.UniformInt(5, 30));
+      rw.max_length =
+          rw.min_length + static_cast<size_t>(prng.UniformInt(0, 40));
+      rw.seed = prng.NextUint64();
+      dataset = GenerateRandomWalkDataset(rw);
+      eps_scale = 0.5;
+    } else {
+      StockDataOptions stock;
+      stock.num_sequences = static_cast<size_t>(prng.UniformInt(20, 60));
+      stock.seed = prng.NextUint64();
+      dataset = GenerateStockDataset(stock);
+      eps_scale = 8.0;
+    }
+    if (engine_options.dtw.combiner == DtwCombiner::kSum) {
+      eps_scale *= 20.0;
+    }
+    const Engine scan(dataset, engine_options);
+    ShardedEngine sharded(std::move(dataset), options);
+    ThreadPool pool(3);
+    sharded.AttachPool(pooled ? &pool : nullptr);
+    const std::string where_round =
+        "round=" + std::to_string(round) +
+        " shards=" + std::to_string(options.num_shards) +
+        " partitioner=" + PartitionerKindName(options.partitioner) +
+        " pool=" + std::to_string(pooled) +
+        " band=" + std::to_string(engine_options.dtw.band) +
+        " plan=" + engine_options.cascade_planner.fixed.ToString();
+    QueryWorkloadOptions qw;
+    qw.num_queries = 4;
+    qw.seed = prng.NextUint64();
+    const Dtw dtw(engine_options.dtw);
+    for (const Sequence& q : GenerateQueryWorkload(scan.dataset(), qw)) {
+      const double eps = prng.UniformDouble(0.0, eps_scale);
+      const std::string where = where_round + " eps=" + std::to_string(eps);
+      SearchResult scanned = scan.SearchWith(MethodKind::kNaiveScan, q, eps);
+      CanonicalizeMatchOrder(&scanned);
+      for (const MethodKind kind :
+           {MethodKind::kTwSimSearch, MethodKind::kTwSimSearchCascade}) {
+        const SearchResult got = sharded.SearchWith(kind, q, eps);
+        ASSERT_EQ(got.matches, scanned.matches)
+            << where << " " << MethodKindName(kind);
+        ASSERT_EQ(got.distances, scanned.distances)
+            << where << " " << MethodKindName(kind);
+      }
+      matches += scanned.matches.size();
+      std::vector<KnnMatch> all;
+      for (size_t id = 0; id < scan.dataset().size(); ++id) {
+        all.push_back({static_cast<SequenceId>(id),
+                       dtw.Distance(scan.dataset()[id], q).distance});
+      }
+      std::sort(all.begin(), all.end(), KnnMatchOrder);
+      const size_t k = static_cast<size_t>(prng.UniformInt(1, 8));
+      all.resize(std::min(k, all.size()));
+      ASSERT_EQ(sharded.SearchKnn(q, k).neighbors, all) << where << " k=" << k;
+    }
+  }
+  EXPECT_GT(matches, 0u);
 }
 
 // The streaming-ingest shape: seeded inserts, deletes, and full and

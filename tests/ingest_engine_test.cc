@@ -447,8 +447,8 @@ TEST(IngestEngineTest, DeltaCandidatesRunAlgorithm1StagesAndReachCounters) {
 
 // Every exact DTW run of a k-NN query reaches
 // warpindex_query_dtw_evals_total, on a plain Engine and on an
-// IngestEngine whose buffered rows go through the k-NN refine loop; the
-// delta refine is work, not a query.
+// IngestEngine whose buffered rows join the partitions' candidate
+// stream; either is one query in warpindex_queries_total.
 TEST(IngestEngineTest, KnnDtwEvalsReachTheLiveCounter) {
   const Dataset base = WalkDataset(47, 40);
   const auto queries = GenerateQueryWorkload(
@@ -494,10 +494,10 @@ TEST(IngestEngineTest, KnnDtwEvalsReachTheLiveCounter) {
                     CounterValue(before, "warpindex_query_dtw_evals_total"),
                 r.cost.dtw_evals)
           << "q=" << qi;
-      // One query per base partition searched; none for the delta.
+      // One refine loop over every partition and the delta: one query.
       EXPECT_EQ(CounterValue(after, "warpindex_queries_total") -
                     CounterValue(before, "warpindex_queries_total"),
-                ingest.num_shards())
+                1u)
           << "q=" << qi;
     }
   }

@@ -174,6 +174,62 @@ TEST_P(IngestPropertyTest, MatchesFromScratchEngineAcrossCompactionPoints) {
   }
 }
 
+// k-NN work on an IngestEngine with buffered inserts and tombstones
+// (base rows and buffered rows) equals that of a fresh Engine built over
+// the live rows alone: the buffered rows join the partitions' candidate
+// stream, and dead rows leave it before they are fetched, so the same
+// candidates are refined in the same order (random walks have no
+// lower-bound ties) and the DTW evaluations, DP cells and refined counts
+// match.
+TEST_P(IngestPropertyTest, KnnWorkEqualsAFreshEngineOverTheLiveSet) {
+  IngestOptions options;
+  options.num_shards = 4;
+  options.partitioner = partitioner();
+  options.engine.dtw = dtw();
+  options.start_compactor = false;
+  const Dataset base = WalkDataset(301, 120);
+  IngestEngine ingest(base, options);
+  std::vector<Sequence> rows(base.sequences().begin(),
+                             base.sequences().end());
+  for (size_t i = 0; i < 30; ++i) {
+    const Sequence s = PerturbSequence(base[(i * 7) % base.size()], 900 + i);
+    ASSERT_EQ(ingest.Insert(s), static_cast<SequenceId>(rows.size()));
+    rows.push_back(s);
+  }
+  std::vector<bool> live(rows.size(), true);
+  // Base rows and buffered rows alike.
+  for (size_t id = 3; id < rows.size(); id += 11) {
+    ASSERT_TRUE(ingest.Delete(static_cast<SequenceId>(id)));
+    live[id] = false;
+  }
+  Dataset live_rows;
+  std::vector<SequenceId> global_of;  // fresh engine id -> global id
+  for (size_t id = 0; id < rows.size(); ++id) {
+    if (live[id]) {
+      live_rows.Add(rows[id]);
+      global_of.push_back(static_cast<SequenceId>(id));
+    }
+  }
+  const Engine fresh(std::move(live_rows), options.engine);
+  const auto queries = GenerateQueryWorkload(
+      base, QueryWorkloadOptions{.num_queries = 6, .seed = 302});
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (const size_t nn : {1u, 4u, 10u}) {
+      const std::string where =
+          "q=" + std::to_string(qi) + " nn=" + std::to_string(nn);
+      KnnResult want = fresh.SearchKnn(queries[qi], nn);
+      for (KnnMatch& match : want.neighbors) {
+        match.id = global_of[static_cast<size_t>(match.id)];
+      }
+      const KnnResult got = ingest.SearchKnn(queries[qi], nn);
+      EXPECT_EQ(got.neighbors, want.neighbors) << where;
+      EXPECT_EQ(got.cost.dtw_evals, want.cost.dtw_evals) << where;
+      EXPECT_EQ(got.cost.dtw_cells, want.cost.dtw_cells) << where;
+      EXPECT_EQ(got.num_refined, want.num_refined) << where;
+    }
+  }
+}
+
 TEST_P(IngestPropertyTest, ConcurrentWritesQueriesAndCompactionAgree) {
   const Dataset base = WalkDataset(5, 40);
   const auto queries = GenerateQueryWorkload(

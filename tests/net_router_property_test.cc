@@ -244,7 +244,7 @@ TEST_P(RouterPropertyTest, MultiShardGroupsMergeIdentically) {
 }
 
 TEST_P(RouterPropertyTest, KnnWaveSizesAllProduceTheSameAnswer) {
-  // Smaller waves tighten the shared bound earlier but may only PRUNE
+  // Smaller waves tighten the wave bound earlier but may only PRUNE
   // harder, never change the merged top-k.
   for (const size_t wave : {0u, 1u, 2u}) {
     RouterOptions options = QuietOptions();
@@ -441,6 +441,18 @@ TEST_P(RouterPropertyTest, MalformedGroupResponseIsAFailedSubrequest) {
          distances.Add(JsonValue::Double(0.0));
          r->Set("distances", std::move(distances));
        }},
+      {"range cost fails validation", WireType::kRange,
+       [](JsonValue* r) {
+         JsonValue cost = *r->Find("cost");
+         cost.Set("dtw_evals", JsonValue::Int(-1));
+         r->Set("cost", std::move(cost));
+       }},
+      {"range num_candidates a string", WireType::kRange,
+       [](JsonValue* r) { r->Set("num_candidates", JsonValue::Str("3")); }},
+      {"kNN cost missing", WireType::kKnn,
+       [](JsonValue* r) { *r = Without(*r, "cost"); }},
+      {"kNN num_refined negative", WireType::kKnn,
+       [](JsonValue* r) { r->Set("num_refined", JsonValue::Int(-1)); }},
   };
   const Sequence query =
       GenerateQueryWorkload(cluster.expected().shard(0).dataset(),

@@ -313,6 +313,27 @@ TEST_F(ShardServerTest, MalformedRequestsAreTypedErrors) {
     EXPECT_EQ(client.Call(WireType::kKnn, request, &response).code(),
               StatusCode::kInvalidArgument);
   }
+  // A KNN bound present but not a number >= 0: a negative one would prune
+  // every neighbor (an OK reply with none), a string would be ignored.
+  for (const JsonValue& bad_bound :
+       {JsonValue::Double(-1.0), JsonValue::Str("x"), JsonValue::Null()}) {
+    JsonValue request = JsonValue::Object();
+    request.Set("shards", ShardsArray({0}));
+    request.Set("k", JsonValue::Int(1));
+    request.Set("query", SequenceToJson(sharded_->shard(0).dataset()[0]));
+    request.Set("bound", bad_bound);
+    EXPECT_EQ(client.Call(WireType::kKnn, request, &response).code(),
+              StatusCode::kInvalidArgument)
+        << bad_bound.Render();
+  }
+  {  // a shard listed twice would be searched (and answered) twice
+    JsonValue request = JsonValue::Object();
+    request.Set("shards", ShardsArray({0, 2, 0}));
+    request.Set("k", JsonValue::Int(1));
+    request.Set("query", SequenceToJson(sharded_->shard(0).dataset()[0]));
+    EXPECT_EQ(client.Call(WireType::kKnn, request, &response).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 // A body holding a number beyond the double range (1e999, which a
@@ -528,6 +549,111 @@ TEST(WireDecodeTest, SpanShardAndTidMustFitTheirTypes) {
   ASSERT_TRUE(JsonToSpans(edge, &spans).ok());
   EXPECT_EQ(spans[0].shard, std::numeric_limits<int32_t>::max());
   EXPECT_EQ(spans[0].tid, std::numeric_limits<uint32_t>::max());
+}
+
+// ---- The router's decoders of whole RANGE / KNN response bodies: the
+// cost and the count are part of the answer, so a body whose cost fails
+// JsonToCost, or whose count is a string, negative or missing, is
+// Internal (a failed sub-request) and leaves *out as it was, never a
+// merge of a zero cost or a wrapped count.
+
+// `object` without member `key`.
+JsonValue Without(const JsonValue& object, const std::string& key) {
+  JsonValue out = JsonValue::Object();
+  for (const auto& [name, value] : object.members()) {
+    if (name != key) out.Set(name, value);
+  }
+  return out;
+}
+
+JsonValue RangeBody() {
+  JsonValue body = JsonValue::Object();
+  JsonValue matches = JsonValue::Array();
+  matches.Add(JsonValue::Int(4));
+  matches.Add(JsonValue::Int(9));
+  JsonValue distances = JsonValue::Array();
+  distances.Add(JsonValue::Double(0.5));
+  distances.Add(JsonValue::Double(0.75));
+  body.Set("matches", std::move(matches));
+  body.Set("distances", std::move(distances));
+  body.Set("num_candidates", JsonValue::Int(3));
+  body.Set("cost", CostToJson(SampleCost()));
+  return body;
+}
+
+JsonValue KnnBody() {
+  JsonValue body = JsonValue::Object();
+  body.Set("neighbors", KnnMatchesToJson({{4, 0.5}, {9, 0.75}}));
+  body.Set("num_refined", JsonValue::Int(2));
+  body.Set("cost", CostToJson(SampleCost()));
+  return body;
+}
+
+// Decodes a RANGE and a KNN body into sentinels; both must fail with
+// Internal and leave the sentinels as they were.
+void ExpectResponsesRejected(const JsonValue& range, const JsonValue& knn) {
+  SearchResult range_out;
+  range_out.num_candidates = 77;
+  EXPECT_EQ(DecodeRangeResponse(range, &range_out).code(),
+            StatusCode::kInternal)
+      << range.Render();
+  EXPECT_EQ(range_out.num_candidates, 77u);
+  EXPECT_TRUE(range_out.matches.empty());
+  KnnResult knn_out;
+  knn_out.num_refined = 77;
+  EXPECT_EQ(DecodeKnnResponse(knn, &knn_out).code(), StatusCode::kInternal)
+      << knn.Render();
+  EXPECT_EQ(knn_out.num_refined, 77u);
+  EXPECT_TRUE(knn_out.neighbors.empty());
+}
+
+TEST(WireDecodeTest, ResponseBodiesDecode) {
+  SearchResult range;
+  ASSERT_TRUE(DecodeRangeResponse(RangeBody(), &range).ok());
+  EXPECT_EQ(range.matches, (std::vector<SequenceId>{4, 9}));
+  EXPECT_EQ(range.distances, (std::vector<double>{0.5, 0.75}));
+  EXPECT_EQ(range.num_candidates, 3u);
+  EXPECT_EQ(CostToJson(range.cost).Render(),
+            CostToJson(SampleCost()).Render());
+  KnnResult knn;
+  ASSERT_TRUE(DecodeKnnResponse(KnnBody(), &knn).ok());
+  EXPECT_EQ(knn.neighbors, (std::vector<KnnMatch>{{4, 0.5}, {9, 0.75}}));
+  EXPECT_EQ(knn.num_refined, 2u);
+  EXPECT_EQ(knn.cost.dtw_evals, SampleCost().dtw_evals);
+}
+
+TEST(WireDecodeTest, ResponseCostThatFailsValidationIsInternal) {
+  JsonValue cost = CostToJson(SampleCost());
+  cost.Set("dtw_evals", JsonValue::Str("4"));
+  JsonValue range = RangeBody();
+  range.Set("cost", cost);
+  JsonValue knn = KnnBody();
+  knn.Set("cost", cost);
+  ExpectResponsesRejected(range, knn);
+  // A missing cost too: a server always sends one.
+  ExpectResponsesRejected(Without(RangeBody(), "cost"),
+                          Without(KnnBody(), "cost"));
+}
+
+TEST(WireDecodeTest, ResponseStringCountIsInternal) {
+  JsonValue range = RangeBody();
+  range.Set("num_candidates", JsonValue::Str("3"));
+  JsonValue knn = KnnBody();
+  knn.Set("num_refined", JsonValue::Str("2"));
+  ExpectResponsesRejected(range, knn);
+}
+
+TEST(WireDecodeTest, ResponseNegativeCountIsInternal) {
+  JsonValue range = RangeBody();
+  range.Set("num_candidates", JsonValue::Int(-3));
+  JsonValue knn = KnnBody();
+  knn.Set("num_refined", JsonValue::Int(-2));
+  ExpectResponsesRejected(range, knn);
+}
+
+TEST(WireDecodeTest, ResponseMissingCountIsInternal) {
+  ExpectResponsesRejected(Without(RangeBody(), "num_candidates"),
+                          Without(KnnBody(), "num_refined"));
 }
 
 TEST_F(ShardServerTest, TracedRangeShipsSpans) {

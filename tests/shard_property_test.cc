@@ -2,7 +2,9 @@
 // partitioners, every search method, and kNN, a ShardedEngine answers
 // bit-identically to a single Engine over the same dataset — with a real
 // thread pool attached, so running this under TSan also certifies the
-// scatter-gather fan-out and the shared kNN bound are race-free.
+// scatter-gather fan-out is race-free. kNN runs one refine loop over the
+// partitions' merged candidate stream, so its work must not depend on
+// the shard count either.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +48,15 @@ std::vector<std::pair<std::string, int32_t>> ShardSpans(const Trace& trace) {
   }
   std::sort(spans.begin(), spans.end());
   return spans;
+}
+
+// The (name, parent) sequence of a trace's spans: its tree shape.
+std::vector<std::pair<std::string, int>> SpanTree(const Trace& trace) {
+  std::vector<std::pair<std::string, int>> tree;
+  for (const TraceSpan& span : trace.spans()) {
+    tree.emplace_back(span.name, span.parent);
+  }
+  return tree;
 }
 
 class ShardPropertyTest : public ::testing::TestWithParam<PartitionerKind> {
@@ -111,6 +122,45 @@ TEST_P(ShardPropertyTest, KnnMatchesSingleEngineForEveryK) {
           EXPECT_EQ(got.neighbors[i].distance,
                     expected.neighbors[i].distance)
               << "K=" << k << " nn=" << nn << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// The k-NN work of a query does not depend on how many partitions hold
+// its rows: one refine loop over the partitions' merged candidate stream
+// refines what a single engine over the same rows refines, in the same
+// order (random walks have no lower-bound ties), so the DTW evaluations,
+// DP cells and refined counts are equal, not just the answers. Banded and
+// unbanded L_inf; the unbanded case runs the decision-first heap fill.
+TEST_P(ShardPropertyTest, KnnWorkDoesNotDependOnThePartitionCount) {
+  for (const int band : {-1, 5}) {
+    EngineOptions engine;
+    engine.dtw.band = band;
+    const Engine single(WalkDataset(57), engine);
+    const auto queries = GenerateQueryWorkload(
+        single.dataset(), QueryWorkloadOptions{.num_queries = 6, .seed = 58});
+    for (const size_t k : {1u, 2u, 4u, 7u}) {
+      ShardedEngineOptions options;
+      options.num_shards = k;
+      options.partitioner = GetParam();
+      options.engine = engine;
+      ShardedEngine sharded(WalkDataset(57), options);
+      ThreadPool pool(3);
+      sharded.AttachPool(&pool);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        for (const size_t nn : {1u, 4u, 10u}) {
+          const std::string where = "band=" + std::to_string(band) +
+                                    " K=" + std::to_string(k) +
+                                    " q=" + std::to_string(qi) +
+                                    " nn=" + std::to_string(nn);
+          const KnnResult want = single.SearchKnn(queries[qi], nn);
+          const KnnResult got = sharded.SearchKnn(queries[qi], nn);
+          EXPECT_EQ(got.neighbors, want.neighbors) << where;
+          EXPECT_EQ(got.cost.dtw_evals, want.cost.dtw_evals) << where;
+          EXPECT_EQ(got.cost.dtw_cells, want.cost.dtw_cells) << where;
+          EXPECT_EQ(got.num_refined, want.num_refined) << where;
         }
       }
     }
@@ -200,6 +250,9 @@ TEST_P(ShardPropertyTest, WriteFreeIngestEngineMatchesShardedEngine) {
           const KnnResult got = ingest.SearchKnn(q, nn, &ingest_trace);
           EXPECT_EQ(got.neighbors, want.neighbors) << "K=" << k << " nn=" << nn;
           EXPECT_EQ(ShardSpans(ingest_trace), ShardSpans(sharded_trace))
+              << "K=" << k << " nn=" << nn;
+          // One refine loop on both: knn_query > knn_refine, no fan-out.
+          EXPECT_EQ(SpanTree(ingest_trace), SpanTree(sharded_trace))
               << "K=" << k << " nn=" << nn;
         }
       }

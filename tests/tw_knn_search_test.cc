@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
+#include "shard/fanout.h"
 #include "sequence/feature.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
@@ -155,30 +157,18 @@ TEST(TwKnnSearchTest, KnnMatchOrderBreaksDistanceTiesById) {
   EXPECT_FALSE(KnnMatchOrder(near_low, near_low));  // irreflexive
 }
 
-TEST(SharedKnnBoundTest, TightenOnlyEverDecreases) {
-  SharedKnnBound bound;
-  EXPECT_EQ(bound.Current(), kInfiniteDistance);
-  bound.Tighten(5.0);
-  EXPECT_EQ(bound.Current(), 5.0);
-  bound.Tighten(9.0);  // looser: ignored
-  EXPECT_EQ(bound.Current(), 5.0);
-  bound.Tighten(2.5);
-  EXPECT_EQ(bound.Current(), 2.5);
-}
-
-TEST(SharedKnnBoundTest, PreTightenedBoundKeepsTopKExact) {
-  // A foreign searcher may publish the global k-th distance before this
-  // partition starts. Pruning is strictly-greater-than, so everything in
-  // the true top-k — including ties AT the bound — must still surface.
+TEST(TwKnnSearchTest, SeedAtTheKthDistanceKeepsTopKExact) {
+  // A cache or a router may seed the exact global k-th distance. Pruning
+  // is strictly-greater-than, so everything in the true top-k —
+  // including ties AT the bound — must still surface.
   const Engine engine(WalkDataset(200, 30, 60), EngineOptions{});
   const auto queries = GenerateQueryWorkload(
       engine.dataset(), QueryWorkloadOptions{.num_queries = 6, .seed = 5});
   for (const Sequence& q : queries) {
     const KnnResult unbounded = engine.SearchKnn(q, 7);
     ASSERT_EQ(unbounded.neighbors.size(), 7u);
-    SharedKnnBound bound;
-    bound.Tighten(unbounded.neighbors.back().distance);
-    const KnnResult bounded = engine.SearchKnnBounded(q, 7, nullptr, &bound);
+    const KnnResult bounded =
+        engine.SearchKnnSeeded(q, 7, unbounded.neighbors.back().distance);
     ASSERT_EQ(bounded.neighbors.size(), 7u);
     for (size_t i = 0; i < 7; ++i) {
       EXPECT_EQ(bounded.neighbors[i].id, unbounded.neighbors[i].id);
@@ -247,7 +237,7 @@ Sequence SameFeatureAsRow0(const Dataset& d) {
 // brute-force oracle: k from 1 past the row count, duplicate rows tying
 // at the k-th distance, a query at lower bound 0 from some row (the
 // provisional threshold cannot grow from 0 and falls back to +inf),
-// seeded searches, and a pre-tightened shared bound.
+// and seeded searches.
 TEST(TwKnnSearchTest, DecisionFirstFillMatchesBruteForceOracle) {
   const Engine engine(TieAndZeroBoundDataset(), EngineOptions{});
   const Dataset& d = engine.dataset();
@@ -271,10 +261,6 @@ TEST(TwKnnSearchTest, DecisionFirstFillMatchesBruteForceOracle) {
                     where + " seeded at the k-th distance");
       ExpectSameKnn(engine.SearchKnnSeeded(q, k, 2.0 * kth + 1.0), want,
                     where + " seeded above it");
-      SharedKnnBound bound;
-      bound.Tighten(kth);
-      ExpectSameKnn(engine.SearchKnnBounded(q, k, nullptr, &bound), want,
-                    where + " pre-tightened bound");
     }
   }
 }
@@ -330,41 +316,44 @@ TEST(TwKnnSearchTest, DtwEvalsCountEveryDpRun) {
   }
 }
 
-// Refine runs the same loop over candidates from elsewhere: given every
-// row with its D_tw-lb, in scrambled order, it sorts them by bound and
-// returns Search's answer, stopping at the cutoff like the index walk.
-TEST(TwKnnSearchTest, RefineOverUnsortedCandidatesMatchesSearch) {
+// The same loop over a candidate stream (shard/fanout.h) instead of the
+// engine's index: every row offered as a buffered row, in scrambled
+// order, with its D_tw-lb. The stream sorts them by bound, and the loop
+// returns the oracle's answer, stopping at the cutoff like the index
+// walk, seeded or not.
+TEST(TwKnnSearchTest, BufferedRowStreamMatchesOracle) {
   DtwOptions banded = DtwOptions::Linf();
   banded.band = 5;
   for (const DtwOptions& options : {DtwOptions::Linf(), banded}) {
     EngineOptions engine_options;
     engine_options.dtw = options;
-    const Engine engine(TieAndZeroBoundDataset(), engine_options);
-    const Dataset& d = engine.dataset();
+    BaseShard shard;
+    shard.engine =
+        std::make_shared<const Engine>(TieAndZeroBoundDataset(), engine_options);
+    const std::vector<BaseShard> shards = {shard};
+    const Dataset& d = shard.engine->dataset();
     const auto queries = GenerateQueryWorkload(
         d, QueryWorkloadOptions{.num_queries = 4, .seed = 41});
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const Sequence& q = queries[qi];
-      std::vector<KnnCandidate> candidates;
+      std::vector<BufferedKnnRow> rows;
       for (size_t i = d.size(); i-- > 0;) {  // reversed: unsorted input
-        candidates.push_back(
+        rows.push_back(
             {DtwLowerBoundDistance(ExtractFeature(d[i]), ExtractFeature(q)),
-             &d[i]});
+             static_cast<SequenceId>(i), &d[i]});
       }
       for (const size_t k : {size_t{1}, size_t{10}}) {
         const std::string where = "band " + std::to_string(options.band) +
                                   " query " + std::to_string(qi) +
                                   " k=" + std::to_string(k);
-        const KnnResult refined =
-            engine.knn_search().Refine(q, k, candidates, nullptr, nullptr);
-        ExpectSameKnn(refined, OracleKnn(d, q, k, options), where);
-        EXPECT_LT(refined.num_refined, d.size()) << where;
-        const double kth = refined.neighbors.back().distance;
-        SharedKnnBound bound;
-        bound.Tighten(kth);
+        const KnnResult streamed = SearchPartitionsKnn(
+            shards, {}, {}, rows, q, k, kInfiniteDistance, nullptr);
+        ExpectSameKnn(streamed, OracleKnn(d, q, k, options), where);
+        EXPECT_LT(streamed.num_refined, d.size()) << where;
+        const double kth = streamed.neighbors.back().distance;
         ExpectSameKnn(
-            engine.knn_search().Refine(q, k, candidates, nullptr, &bound),
-            OracleKnn(d, q, k, options), where + " pre-tightened bound");
+            SearchPartitionsKnn(shards, {}, {}, rows, q, k, kth, nullptr),
+            OracleKnn(d, q, k, options), where + " seeded at the k-th");
       }
     }
   }
