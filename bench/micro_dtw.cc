@@ -1,9 +1,11 @@
 // Microbenchmarks for the DTW engine: full evaluation vs thresholded
 // early-abandoning vs Sakoe-Chiba banding, across sequence lengths and
-// base distances, the L_inf decision pre-pass per row over three column
-// shapes, plus the envelope lower bounds of the filter cascade
-// (ns per candidate and tightness relative to exact banded DTW, LB_Yi,
-// and the feature-level D_tw-lb).
+// base distances, the L_inf decision pre-pass per row over four column
+// shapes, the query's rank-table build, thresholded L_inf over the stock
+// corpus's mixed lengths (prepared pre-pass path against the plain DP),
+// plus the envelope lower bounds of the filter cascade (ns per candidate
+// and tightness relative to exact banded DTW, LB_Yi, and the
+// feature-level D_tw-lb).
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +20,8 @@
 #include "dtw/lb_keogh.h"
 #include "dtw/lb_yi.h"
 #include "sequence/feature.h"
+#include "sequence/query_workload.h"
+#include "sequence/stock_generator.h"
 
 namespace warpindex {
 namespace {
@@ -129,6 +133,61 @@ void BM_LinfPrePass(benchmark::State& state) {
       elapsed.count() / static_cast<double>(cells / kLen);
 }
 BENCHMARK(BM_LinfPrePass)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+// One build of a query's L_inf rank table (ColumnRanks::Assign: the
+// counting sort, the below masks and the bucket windows) on a random walk
+// of Arg(0) columns, as Dtw::Prepare runs it once per query.
+void BM_RankTableBuild(benchmark::State& state) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  const Sequence q = MakeWalk(len, 1);
+  ColumnRanks ranks;
+  for (auto _ : state) {
+    ranks.Assign(q.data(), len);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RankTableBuild)->Arg(256)->Arg(1024);
+
+// Thresholded unbanded L_inf over the paper's stock corpus (545 series of
+// lengths 60-500) against 10 perturbed queries, so that the candidate is
+// shorter than the query in about half the pairs. Arg(0) picks epsilon: 0
+// for 0.5, 1 for 2. Arg(1) picks the kernel: 0 the search methods' path
+// (the query prepared once, then the pre-pass and the windowed DP per
+// pair), 1 the plain DP alone (the same answers: a band wider than any row
+// skips the pre-pass). ns_per_pair is wall time per pair.
+void BM_LinfMixedLengths(benchmark::State& state) {
+  const double epsilon = state.range(0) == 0 ? 0.5 : 2.0;
+  const bool prepared = state.range(1) == 0;
+  const Dataset corpus = GenerateStockDataset(StockDataOptions{});
+  const std::vector<Sequence> queries =
+      GenerateQueryWorkload(corpus, QueryWorkloadOptions{.num_queries = 10});
+  DtwOptions plain_options = DtwOptions::Linf();
+  plain_options.band = 1000;  // wider than any row: no pre-pass
+  const Dtw dtw(prepared ? DtwOptions::Linf() : plain_options);
+  DtwScratch scratch;
+  uint64_t pairs = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (const Sequence& q : queries) {
+      const PreparedQuery query = dtw.Prepare(q);
+      for (size_t i = 0; i < corpus.size(); ++i) {
+        benchmark::DoNotOptimize(
+            dtw.DistanceWithThreshold(corpus[i], query, epsilon, &scratch)
+                .distance);
+      }
+      pairs += corpus.size();
+    }
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_pair"] =
+      elapsed.count() / static_cast<double>(pairs);
+}
+BENCHMARK(BM_LinfMixedLengths)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 void BM_DtwBanded(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));

@@ -14,6 +14,7 @@ SearchResult LbScan::SearchImpl(const Sequence& query, double epsilon,
     scratch = &local_scratch;  // reused across sequences within the scan
   }
   const Envelope query_env = ComputeEnvelope(query);
+  const PreparedQuery prepared = dtw_.Prepare(query);
   const DtwOptions& options = dtw_.options();
   // One sequential pass; lower-bound and exact-DTW time are carved out of
   // the scan so the stage breakdown partitions the query.
@@ -42,7 +43,7 @@ SearchResult LbScan::SearchImpl(const Sequence& query, double epsilon,
           per_item_cpu.Reset();
           ++result.cost.dtw_evals;
           const DtwResult d =
-              dtw_.DistanceWithThreshold(s, query, epsilon, scratch);
+              dtw_.DistanceWithThreshold(s, prepared, epsilon, scratch);
           dtw_ms += per_item.ElapsedMillis();
           dtw_cpu_ms += per_item_cpu.ElapsedMillis();
           result.cost.dtw_cells += d.cells;

@@ -14,6 +14,7 @@ SearchResult NaiveScan::SearchImpl(const Sequence& query, double epsilon,
   if (scratch == nullptr) {
     scratch = &local_scratch;  // reused across sequences within the scan
   }
+  const PreparedQuery prepared = dtw_.Prepare(query);
   // One sequential pass; exact-DTW time is carved out of the scan so the
   // stage breakdown partitions the query: storage_scan holds the
   // deserialize/iterate residue, dtw_postfilter the DP work.
@@ -29,7 +30,7 @@ SearchResult NaiveScan::SearchImpl(const Sequence& query, double epsilon,
           ThreadCpuTimer per_item_cpu;
           ++result.cost.dtw_evals;
           const DtwResult d =
-              dtw_.DistanceWithThreshold(s, query, epsilon, scratch);
+              dtw_.DistanceWithThreshold(s, prepared, epsilon, scratch);
           dtw_ms += per_item.ElapsedMillis();
           dtw_cpu_ms += per_item_cpu.ElapsedMillis();
           result.cost.dtw_cells += d.cells;

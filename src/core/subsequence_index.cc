@@ -103,14 +103,15 @@ std::vector<SubsequenceMatch> SubsequenceIndex::Search(
   }
 
   std::vector<SubsequenceMatch> matches;
-  DtwScratch scratch;  // one set of buffers and column ranks per query
+  const PreparedQuery prepared = dtw_.Prepare(query);
+  DtwScratch scratch;  // one set of buffers per query
   for (const int64_t record_id : candidates) {
     const WindowRef& ref = windows_[static_cast<size_t>(record_id)];
     const Sequence window =
         (*dataset_)[static_cast<size_t>(ref.sequence_id)].Slice(ref.offset,
                                                                 ref.length);
     const DtwResult d =
-        dtw_.DistanceWithThreshold(window, query, epsilon, &scratch);
+        dtw_.DistanceWithThreshold(window, prepared, epsilon, &scratch);
     if (cost != nullptr) {
       cost->dtw_cells += d.cells;
     }

@@ -87,6 +87,7 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
   // clock, a system call, is read once around the whole loop and split
   // across the three stages by their wall shares.
   ScopedSpan span(trace, kStageKnnRefine);
+  const PreparedQuery prepared = dtw.Prepare(query);
   DtwScratch scratch;  // reused across the query's refinements
   double descent_ms = 0.0;
   double fetch_ms = 0.0;
@@ -117,8 +118,8 @@ KnnResult RefineLoop(const Dtw& dtw, const Sequence& query, size_t k,
     // matter, so abandon above it (exact when d <= threshold).
     const DtwResult d =
         threshold < kInfiniteDistance
-            ? dtw.DistanceWithThreshold(s, query, threshold, &scratch)
-            : dtw.Distance(s, query, &scratch);
+            ? dtw.DistanceWithThreshold(s, prepared, threshold, &scratch)
+            : dtw.Distance(s, prepared, &scratch);
     refine_ms += per_item.ElapsedMillis();
     ++result.cost.dtw_evals;
     result.cost.dtw_cells += d.cells;

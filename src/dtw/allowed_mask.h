@@ -9,10 +9,13 @@
 // Three builders produce identical words. ColumnRanks (below) is the one
 // the pre-pass uses for rows of up to kMaxRankedColumns columns: per row,
 // two bucket lookups and a few compares each instead of a compare per
-// column. Longer rows use the per-column builders: an SSE2 one (the
-// x86-64 baseline, compiled under __SSE2__) and a portable scalar one,
-// which is the fallback everywhere else and the reference the other two
-// are tested against.
+// column. A PreparedQuery (dtw/dtw.h) builds the query's table once, in
+// O(m) by a counting sort, and every evaluation against that query reads
+// it; nothing here checks or caches which columns a table belongs to.
+// Longer rows use the per-column builders: an SSE2 one (the x86-64
+// baseline, compiled under __SSE2__) and a portable scalar one, which is
+// the fallback everywhere else and the reference the other two are tested
+// against.
 
 #ifndef WARPINDEX_DTW_ALLOWED_MASK_H_
 #define WARPINDEX_DTW_ALLOWED_MASK_H_
@@ -22,7 +25,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -119,34 +121,73 @@ inline constexpr size_t kMaxRankedColumns = 1024;
 // scale is not finite (0, subnormal, or beyond DBL_MAX) puts every value
 // in bucket 0.
 //
+// Building the table is O(m) on spread-out columns: one scan finds the
+// span's trimmed ends, a counting sort over the same 4 m buckets orders
+// the columns by bucket (the bucket is non-decreasing in the value, so
+// only values sharing a bucket can be out of order), and an insertion
+// sort by (value, column) finishes each bucket. The bucket windows are
+// then the counting sort's bucket starts. Dense buckets (equal values, or
+// a span stretched by outliers) fall back to std::sort once the insertion
+// sort has moved more than kMaxInsertionMoves entries per column; either
+// way the table is the one a full sort by (value, column) gives.
+//
 // Besides costing fewer instructions per row, the lookups run at a
 // steadier speed than the per-column compares: on a shared 4-vCPU VM
 // under varying host load, identical blocks of the SSE2 compares took up
 // to 2.4x as long as the fastest block (about 1.2x for the DP), which
 // made whole benchmark runs of a compare-bound workload spread 15-30%.
-//
-// One table serves every row of every evaluation against the same
-// columns: Assign rebuilds it only when they change.
 class ColumnRanks {
  public:
-  // Holds the table for columns q[0 .. m), 0 < m <= kMaxRankedColumns;
-  // rebuilds it unless it already holds exactly these values.
+  // Builds the table for columns q[0 .. m), 0 < m <= kMaxRankedColumns.
   void Assign(const double* q, size_t m) {
-    if (key_.size() == m &&
-        std::memcmp(key_.data(), q, m * sizeof(double)) == 0) {
-      return;
-    }
-    key_.assign(q, q + m);
+    count_ = m;
     words_ = (m + 63) / 64;
-    ranked_.resize(m);
+    const size_t buckets = 4 * m;
+    // The span from the second smallest to the second largest value (the
+    // smallest to the largest when m <= 2), counting equal values apart.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double min1 = kInf;
+    double min2 = kInf;
+    double max1 = -kInf;
+    double max2 = -kInf;
     for (size_t j = 0; j < m; ++j) {
-      ranked_[j] = {q[j], static_cast<uint32_t>(j)};
+      const double x = q[j];
+      min2 = x < min1 ? min1 : std::min(min2, x);
+      min1 = std::min(min1, x);
+      max2 = x > max1 ? max1 : std::max(max2, x);
+      max1 = std::max(max1, x);
     }
-    std::sort(ranked_.begin(), ranked_.end());
+    low_ = m > 2 ? min2 : min1;
+    last_bucket_ = static_cast<double>(buckets - 1);
+    // A zero span gives an infinite scale and a span beyond DBL_MAX a
+    // zero one: either way every value goes to bucket 0.
+    scale_ = static_cast<double>(buckets) / ((m > 2 ? max2 : max1) - low_);
+    if (!std::isfinite(scale_)) {
+      scale_ = 0.0;
+    }
+    // Counting sort by bucket. window_[k + 1] first counts bucket k, then
+    // (prefix sums) holds the end of bucket k; the backward scatter moves
+    // it down to bucket k's start, the first rank in bucket k or above,
+    // which is bucket k + 1's window. Scattering backwards keeps each
+    // bucket in column order.
+    bucket_of_.resize(m);
+    window_.assign(buckets + 1, 0);
+    for (size_t j = 0; j < m; ++j) {
+      bucket_of_[j] = static_cast<uint16_t>(Bucket(q[j]));
+      ++window_[bucket_of_[j] + 1];
+    }
+    for (size_t k = 1; k <= buckets; ++k) {
+      window_[k] = static_cast<uint16_t>(window_[k] + window_[k - 1]);
+    }
+    ranked_.resize(m);
+    for (size_t j = m; j-- > 0;) {
+      ranked_[--window_[bucket_of_[j] + 1]] = {q[j], static_cast<uint32_t>(j)};
+    }
+    SortWithinBuckets();
     // Both predicates are false at -inf and true at +inf, so these
     // sentinels let a window start below rank 0 or run past the last.
-    values_.assign(m + 1 + kWindow, std::numeric_limits<double>::infinity());
-    values_[0] = -std::numeric_limits<double>::infinity();
+    values_.assign(m + 1 + kWindow, kInf);
+    values_[0] = -kInf;
     below_.assign((m + 1) * words_, 0);
     for (size_t r = 0; r < m; ++r) {
       values_[r + 1] = ranked_[r].first;
@@ -154,25 +195,16 @@ class ColumnRanks {
       std::copy(next - words_, next, next);
       next[ranked_[r].second / 64] |= uint64_t{1} << (ranked_[r].second % 64);
     }
-    const size_t trim = m > 2 ? 1 : 0;
-    const size_t buckets = 4 * m;
-    low_ = values_[1 + trim];
-    last_bucket_ = static_cast<double>(buckets - 1);
-    // A zero span gives an infinite scale and a span beyond DBL_MAX a
-    // zero one: either way every value goes to bucket 0.
-    scale_ = static_cast<double>(buckets) / (values_[m - trim] - low_);
-    if (!std::isfinite(scale_)) {
-      scale_ = 0.0;
-    }
-    window_.resize(buckets);
-    size_t r = 0;
-    for (size_t k = 0; k < buckets; ++k) {
-      while (r < m && Bucket(values_[r + 1]) + 1 < k) {
-        ++r;
-      }
-      window_[k] = static_cast<uint16_t>(r);
-    }
   }
+
+  // The table, for tests: the column values ascending, below(r) for ranks
+  // r = 0 .. m, and bucket k's window (the first rank in bucket k - 1 or
+  // above) for k = 0 .. 4 m - 1.
+  double value(size_t r) const { return values_[r + 1]; }
+  const uint64_t* below(size_t r) const {
+    return below_.data() + r * words_;
+  }
+  size_t window(size_t k) const { return window_[k]; }
 
   // Row s_i's allowed mask is below(hi)[w] & ~below(lo)[w] for each word w
   // of the columns; t >= 0.
@@ -202,7 +234,29 @@ class ColumnRanks {
 
  private:
   static constexpr size_t kWindow = 4;
-  static_assert(kMaxRankedColumns <= UINT16_MAX);
+  static constexpr size_t kMaxInsertionMoves = 8;
+  static_assert(4 * kMaxRankedColumns <= UINT16_MAX);
+
+  // Sorts ranked_, ordered by bucket, by (value, column): an insertion
+  // sort, which moves entries only within their bucket, or std::sort
+  // once it has moved more than kMaxInsertionMoves entries per column.
+  void SortWithinBuckets() {
+    const size_t m = ranked_.size();
+    size_t moves = 0;
+    for (size_t r = 1; r < m; ++r) {
+      const std::pair<double, uint32_t> entry = ranked_[r];
+      size_t k = r;
+      for (; k > 0 && entry < ranked_[k - 1]; --k) {
+        ranked_[k] = ranked_[k - 1];
+      }
+      ranked_[k] = entry;
+      moves += r - k;
+      if (moves > kMaxInsertionMoves * m) {
+        std::sort(ranked_.begin(), ranked_.end());
+        return;
+      }
+    }
+  }
 
   // The bucket of x: floor((x - low) * scale) clamped to the buckets. It
   // is non-decreasing in x, and Assign and Row compute it alike. A NaN
@@ -234,7 +288,7 @@ class ColumnRanks {
   // Find over all ranks, branch-free.
   template <typename Pred>
   size_t FirstTrue(Pred pred) const {
-    const size_t count = key_.size();
+    const size_t count = count_;
     const double* v = values_.data() + 1;
     size_t first = 0;
     for (size_t step = std::bit_floor(count); step > 0; step >>= 1) {
@@ -245,9 +299,11 @@ class ColumnRanks {
     return first;
   }
 
-  std::vector<double> key_;      // the columns the table was built for
+  size_t count_ = 0;  // m
   size_t words_ = 0;
-  std::vector<std::pair<double, uint32_t>> ranked_;  // build space
+  // Build space: each column's bucket, the columns in rank order.
+  std::vector<uint16_t> bucket_of_;
+  std::vector<std::pair<double, uint32_t>> ranked_;
   // -inf, the column values ascending, then kWindow copies of +inf.
   std::vector<double> values_;
   std::vector<uint64_t> below_;  // below(r) at r * words_, r = 0 .. count

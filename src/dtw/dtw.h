@@ -3,7 +3,9 @@
 //
 //   * pluggable base distance: sum-combined |.| or (.)^2 (L1 / L2) and the
 //     paper's max-combined |.| (L_inf, Definition 2);
-//   * O(min(|S|, |Q|)) rolling-array memory for distance-only queries;
+//   * rolling-array memory of one row of columns for distance-only
+//     queries: the query's under the L_inf pre-pass's options (below), the
+//     shorter sequence's otherwise;
 //   * thresholded early-abandoning evaluation: stops as soon as every cell
 //     of a DP row exceeds the tolerance — exact because step costs are
 //     non-negative and both combiners are monotone along path extension.
@@ -11,15 +13,26 @@
 //   * for the max combiner over an unconstrained band, a bit-parallel
 //     decision pre-pass ahead of the thresholded DP: "is there a path
 //     through cells of cost <= epsilon?", one 64-column word at a time.
-//     Each row's allowed cells come from the columns' rank table: a
+//     Each row's allowed cells come from the query's rank table: a
 //     bucket lookup turns s_i -+ epsilon into a window of four ranks, a
 //     few compares place each bound, and a full binary search is the
 //     exact fallback (see dtw/allowed_mask.h). Only pairs it cannot
 //     reject run the DP, and only inside each row's window of cells that
 //     lie on a path costing <= epsilon, which a backward sweep over the
-//     pre-pass's rows finds (see dtw.cc);
+//     pre-pass's rows finds. That DP runs one anti-diagonal at a time, two
+//     cells per SSE2 instruction, since no cell of a diagonal depends on
+//     another (see dtw.cc);
 //   * optional Sakoe-Chiba band;
 //   * full-matrix evaluation with warping-path recovery.
+//
+// Query preparation. Dtw::Prepare builds a PreparedQuery: the query's
+// values, reversed for the anti-diagonal DP, and its rank table, built in
+// O(m) by a counting sort. A search method prepares each query once and
+// passes it to the evaluation of every candidate, which then checks
+// nothing about the query. The overloads taking the query as a Sequence
+// prepare it through the DtwScratch, which keeps the last query it
+// prepared and rebuilds it only when the values differ: that content
+// check is the one place a query's kernel state is cached.
 //
 // CPU cost accounting: every evaluation reports the number of DP cells
 // computed, which benches aggregate as the machine-independent CPU metric.
@@ -56,7 +69,10 @@ struct DtwResult {
   // (the true distance then exceeds the threshold) or when exactly one of
   // the sequences is empty (Def. 1).
   double distance = 0.0;
-  // DP cells either pass evaluated — the work of this evaluation.
+  // DP cells either pass evaluated — the work of this evaluation. The
+  // rows are S and the columns Q under the L_inf pre-pass's options
+  // (Dtw::RunsLinfPrePass), whatever their lengths; otherwise the rows are
+  // the longer sequence.
   // The DP counts every cell of each row it computes: the in-band cells,
   // or after the L_inf pre-pass the cells of each row's path window.
   // The pre-pass counts each row it covers in full (m cells, whatever
@@ -71,6 +87,17 @@ struct DtwResult {
   uint64_t cells = 0;
 };
 
+// The per-row windows the L_inf pre-pass hands to the DP. For rows s and
+// columns q under the max combiner, lo[i] and hi[i] are the first and last
+// column of row i's cells on paths from (0, 0) to (n-1, m-1) whose every
+// step costs <= threshold (finite, >= 0). Returns false, leaving lo and
+// hi empty, when no such path exists. The anti-diagonal DP requires lo and
+// hi to be non-decreasing; this entry point lets tests check the kernel's
+// windows directly.
+bool LinfPathWindows(const Sequence& s, const Sequence& q, StepCost step,
+                     double threshold, std::vector<size_t>* lo,
+                     std::vector<size_t>* hi);
+
 // Distance plus the optimal warping path (full-matrix evaluation only).
 struct DtwPathResult {
   double distance = 0.0;
@@ -78,15 +105,39 @@ struct DtwPathResult {
   WarpingPath path;
 };
 
+// A query made ready for many evaluations (see the header comment). It
+// holds a copy of the query's values; when prepared for the L_inf
+// pre-pass, also the values reversed and, for at most kMaxRankedColumns
+// values, their rank table. Immutable once built, so threads may share
+// one. Evaluate it only with a Dtw whose options it was prepared for (one
+// prepared for other options is still exact, but may skip the pre-pass).
+class PreparedQuery {
+ public:
+  PreparedQuery() = default;
+
+  size_t size() const { return values_.size(); }
+
+ private:
+  friend class Dtw;
+  // Prepares q; with `linf`, also the pre-pass and diagonal DP state.
+  void Assign(const Sequence& q, bool linf);
+  // True when Assign(q, linf) would build what this already holds.
+  bool Holds(const Sequence& q, bool linf) const;
+
+  std::vector<double> values_;
+  bool linf_ = false;  // reversed_ and (m <= kMaxRankedColumns) ranks_ built
+  std::vector<double> reversed_;
+  ColumnRanks ranks_;
+};
+
 // Reusable buffers for Dtw's distance evaluations: the two rolling DP
-// rows, and the L_inf pre-pass's bit rows, per-row windows and column
-// rank table (rebuilt only when the columns change, so evaluations of
-// many candidates against one query share it). A fresh set per
-// evaluation is pure heap churn when a query post-filters hundreds of
-// candidates; passing one DtwScratch through the loop (or keeping one per
-// executor worker, reused across queries) makes every evaluation after
-// the first allocation-free. Results are bit-identical with and without
-// a scratch.
+// rows, the L_inf pre-pass's bit rows and per-row windows, the three
+// anti-diagonals of the windowed DP, and the query the Sequence overloads
+// prepared last. A fresh set per evaluation is pure heap churn when a
+// query post-filters hundreds of candidates; passing one DtwScratch
+// through the loop (or keeping one per executor worker, reused across
+// queries) makes every evaluation after the first allocation-free.
+// Results are bit-identical with and without a scratch.
 //
 // Thread-safety: a DtwScratch is mutable state — use one per thread.
 class DtwScratch {
@@ -106,7 +157,8 @@ class DtwScratch {
   std::vector<uint64_t> bits_;
   std::vector<size_t> lo_;
   std::vector<size_t> hi_;
-  ColumnRanks ranks_;
+  std::vector<double> diagonals_;
+  PreparedQuery query_;
 };
 
 class Dtw {
@@ -125,15 +177,26 @@ class Dtw {
     return options_.combiner == DtwCombiner::kMax && options_.band < 0;
   }
 
-  // Exact D_tw(S, Q). Rolling-array DP, O(min(|S|,|Q|)) memory. When
-  // `scratch` is non-null its buffers are reused instead of allocating.
-  DtwResult Distance(const Sequence& s, const Sequence& q,
+  // Prepares q for evaluations under this Dtw's options.
+  PreparedQuery Prepare(const Sequence& q) const;
+
+  // Exact D_tw(S, Q). When `scratch` is non-null its buffers are reused
+  // instead of allocating.
+  DtwResult Distance(const Sequence& s, const PreparedQuery& q,
                      DtwScratch* scratch = nullptr) const;
 
   // Thresholded decision procedure: returns the exact distance when
   // D_tw(S, Q) <= epsilon, and kInfiniteDistance otherwise (possibly
   // abandoning early). Never returns a finite value > epsilon. Requires
   // epsilon >= 0 (+inf abandons nothing and returns Distance(S, Q)).
+  DtwResult DistanceWithThreshold(const Sequence& s, const PreparedQuery& q,
+                                  double epsilon,
+                                  DtwScratch* scratch = nullptr) const;
+
+  // The same, preparing q through `scratch` (reused while q's values stay
+  // the same) or, without one, for this evaluation alone.
+  DtwResult Distance(const Sequence& s, const Sequence& q,
+                     DtwScratch* scratch = nullptr) const;
   DtwResult DistanceWithThreshold(const Sequence& s, const Sequence& q,
                                   double epsilon,
                                   DtwScratch* scratch = nullptr) const;
@@ -148,8 +211,11 @@ class Dtw {
   DtwPathResult DistanceWithPath(const Sequence& s, const Sequence& q) const;
 
  private:
-  DtwResult ComputeRolling(const Sequence& s, const Sequence& q,
-                           double threshold, DtwScratch* scratch) const;
+  DtwResult Compute(const Sequence& s, const PreparedQuery& q,
+                    double threshold, DtwScratch* scratch) const;
+  // Compute through scratch->query_, prepared for `threshold`.
+  DtwResult ComputeCached(const Sequence& s, const Sequence& q,
+                          double threshold, DtwScratch* scratch) const;
 
   DtwOptions options_;
 };

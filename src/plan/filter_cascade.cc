@@ -159,7 +159,8 @@ namespace {
 
 // Thresholded D_tw over candidates[begin, end): appends the matches and
 // their distances and returns the DP cells computed.
-uint64_t ExactFilter(const Dtw& dtw, const Sequence& query, double epsilon,
+uint64_t ExactFilter(const Dtw& dtw, const PreparedQuery& query,
+                     double epsilon,
                      const std::vector<const Sequence*>& candidates,
                      size_t begin, size_t end, DtwScratch* scratch,
                      std::vector<SequenceId>* matches,
@@ -190,10 +191,12 @@ void RunExactStage(const Dtw& dtw, const Sequence& query, double epsilon,
   const size_t matches_before = result->matches.size();
   result->cost.dtw_evals += in;
   double cpu_ms = 0.0;
+  // Prepared once; the chunks of a fan-out share it read-only.
+  const PreparedQuery prepared = dtw.Prepare(query);
   if (fan_out == nullptr) {
     DtwScratch local_scratch;
     result->cost.dtw_cells += ExactFilter(
-        dtw, query, epsilon, candidates, 0, in,
+        dtw, prepared, epsilon, candidates, 0, in,
         scratch != nullptr ? scratch : &local_scratch, &result->matches,
         &result->distances);
     cpu_ms = cpu_timer.ElapsedMillis();
@@ -213,7 +216,7 @@ void RunExactStage(const Dtw& dtw, const Sequence& query, double epsilon,
       ThreadCpuTimer chunk_cpu;
       DtwScratch chunk_scratch;
       ChunkOut& out = chunks[c];
-      out.cells = ExactFilter(dtw, query, epsilon, candidates, c * chunk,
+      out.cells = ExactFilter(dtw, prepared, epsilon, candidates, c * chunk,
                               std::min(in, (c + 1) * chunk), &chunk_scratch,
                               &out.matches, &out.distances);
       out.cpu_ms = chunk_cpu.ElapsedMillis();

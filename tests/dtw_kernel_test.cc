@@ -14,6 +14,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/prng.h"
@@ -96,15 +97,14 @@ void CheckPair(const Dtw& dtw, const Sequence& s, const Sequence& q,
   }
 }
 
-// Reference for the windowed DP's cell count: per row of the longer
-// sequence (the kernel's rows), last - first + 1 over the cells that lie
-// on a path of allowed cells (step cost <= t) from (0, 0) to the final
-// cell, found by plain boolean DP forward and then backward. 0 when no
-// such path exists.
-uint64_t PathWindowCells(const Sequence& a, const Sequence& b, StepCost step,
-                         double t) {
-  const Sequence& s = a.size() >= b.size() ? a : b;
-  const Sequence& q = a.size() >= b.size() ? b : a;
+// Reference for the pre-pass's path windows: per row of `s` (the
+// kernel's rows under the pre-pass, which keeps the query `q` on the
+// columns), the first and last column of the cells that lie on a path of
+// allowed cells (step cost <= t) from (0, 0) to the final cell, found by
+// plain boolean DP forward and then backward. Empty when no such path
+// exists.
+std::vector<std::pair<size_t, size_t>> ReferencePathWindows(
+    const Sequence& s, const Sequence& q, StepCost step, double t) {
   const size_t n = s.size();
   const size_t m = q.size();
   std::vector<std::vector<bool>> on(n, std::vector<bool>(m, false));
@@ -117,9 +117,9 @@ uint64_t PathWindowCells(const Sequence& a, const Sequence& b, StepCost step,
     }
   }
   if (!on[n - 1][m - 1]) {
-    return 0;
+    return {};
   }
-  uint64_t cells = 0;
+  std::vector<std::pair<size_t, size_t>> windows(n);
   for (size_t i = n; i-- > 0;) {
     size_t first = m;
     size_t last = 0;
@@ -134,6 +134,19 @@ uint64_t PathWindowCells(const Sequence& a, const Sequence& b, StepCost step,
         last = std::max(last, j);
       }
     }
+    windows[i] = {first, last};
+  }
+  return windows;
+}
+
+// The windowed DP's cell count: the cells of the reference windows, 0
+// when no path exists. The count does not depend on which sequence is on
+// the rows: the row spans and the column spans of the cells on such paths
+// cover the same cells.
+uint64_t PathWindowCells(const Sequence& s, const Sequence& q, StepCost step,
+                         double t) {
+  uint64_t cells = 0;
+  for (const auto& [first, last] : ReferencePathWindows(s, q, step, t)) {
     cells += last - first + 1;
   }
   return cells;
@@ -272,7 +285,10 @@ TEST(DtwKernelTest, WindowedDpMatchesPlainDpOnInfiniteCosts) {
 // whose step costs reach DBL_MAX or overflow to +inf, at thresholds up
 // to DBL_MAX. With the pre-pass in front, every distance must stay bit
 // for bit the same, and the cells may only grow by the pre-pass rows of
-// pairs it hands to the DP.
+// pairs it hands to the DP. The pre-pass keeps the second sequence (the
+// query) on the columns, so option 0's pairs whose first sequence is the
+// shorter one (2, 3, 8 and 9) pin its rejections' rows of |b| cells
+// instead of the DP's rows over the shorter sequence.
 struct Golden {
   int pair;
   int option;
@@ -312,11 +328,11 @@ TEST(DtwKernelTest, InfiniteCostsReproducePinnedOutputs) {
       {1, 1, {kMax, kInf, kInf, kMax}, {10, 10, 10, 10}},
       {1, 2, {kMax, kInf, kInf, kMax}, {16, 8, 16, 16}},
       {1, 3, {kInf, kInf, kInf, kInf}, {16, 8, 16, 16}},
-      {2, 0, {kMax, kInf, kInf, kMax}, {12, 3, 3, 12}},
+      {2, 0, {kMax, kInf, kInf, kMax}, {12, 4, 4, 12}},
       {2, 1, {kMax, kInf, kInf, kMax}, {8, 2, 2, 8}},
       {2, 2, {kMax, kInf, kInf, kMax}, {12, 3, 3, 12}},
       {2, 3, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
-      {3, 0, {kBig, kInf, kInf, kBig}, {12, 3, 3, 12}},
+      {3, 0, {kBig, kInf, kInf, kBig}, {12, 4, 4, 12}},
       {3, 1, {kBig, kInf, kInf, kBig}, {8, 2, 2, 8}},
       {3, 2, {kBig, kInf, kInf, kBig}, {12, 3, 3, 12}},
       {3, 3, {kInf, kInf, kInf, kInf}, {12, 3, 3, 12}},
@@ -336,11 +352,11 @@ TEST(DtwKernelTest, InfiniteCostsReproducePinnedOutputs) {
       {7, 1, {0, 0, 0, 0}, {7, 7, 7, 7}},
       {7, 2, {0, 0, 0, 0}, {9, 9, 9, 9}},
       {7, 3, {0, 0, 0, 0}, {9, 9, 9, 9}},
-      {8, 0, {kInf, kInf, kInf, kInf}, {3, 1, 1, 1}},
+      {8, 0, {kInf, kInf, kInf, kInf}, {3, 3, 3, 3}},
       {8, 1, {kInf, kInf, kInf, kInf}, {3, 1, 1, 1}},
       {8, 2, {kInf, kInf, kInf, kInf}, {3, 1, 1, 1}},
       {8, 3, {kInf, kInf, kInf, kInf}, {3, 1, 1, 3}},
-      {9, 0, {kMax, kInf, kInf, kMax}, {20, 8, 8, 20}},
+      {9, 0, {kMax, kInf, kInf, kMax}, {20, 10, 10, 20}},
       {9, 1, {kMax, kInf, kInf, kMax}, {11, 5, 5, 11}},
       {9, 2, {kMax, kInf, kInf, kMax}, {20, 8, 8, 20}},
       {9, 3, {kInf, kInf, kInf, kInf}, {20, 8, 8, 20}},
@@ -751,6 +767,269 @@ TEST(DtwKernelTest, RankTableFollowsColumnsReassignedInPlace) {
       EXPECT_EQ(got.cells, want.cells) << "trial=" << trial;
       EXPECT_TRUE(SameBits(got.distance, ref <= t ? ref : kInf))
           << "trial=" << trial;
+    }
+  }
+}
+
+// A walk on a grid of 0.25 steps: many equal values within and across
+// sequences, so step costs tie with each other and with the thresholds.
+Sequence TieHeavyWalk(Prng* prng, size_t n) {
+  std::vector<double> v(n);
+  int64_t x = prng->UniformInt(-4, 4);
+  for (double& e : v) {
+    e = 0.25 * static_cast<double>(x);
+    x += prng->UniformInt(-1, 1);
+  }
+  return Sequence(std::move(v));
+}
+
+// PathWindows' contract, which the anti-diagonal DP relies on, on random
+// variable-length pairs (n < m, n = m and n > m; smooth and tie-heavy;
+// both step costs; thresholds at D, the next double above D, 1.25 D and
+// 2 D): row 0's window starts at column 0, the last row's ends at m - 1,
+// every window is non-empty, lo and hi never decrease, and the windows
+// are the reference's. Just under D there is no window.
+TEST(DtwKernelTest, PathWindowsAreMonotone) {
+  Prng prng(1717);
+  std::vector<size_t> lo;
+  std::vector<size_t> hi;
+  for (const StepCost step : {StepCost::kAbsolute, StepCost::kSquared}) {
+    const Dtw dtw(DtwOptions{DtwCombiner::kMax, step, -1, false});
+    for (int trial = 0; trial < 300; ++trial) {
+      const size_t n = static_cast<size_t>(prng.UniformInt(1, 150));
+      const size_t m = static_cast<size_t>(prng.UniformInt(1, 150));
+      const bool ties = trial % 2 == 0;
+      const Sequence s = ties ? TieHeavyWalk(&prng, n) : RandomWalk(&prng, n);
+      const Sequence q =
+          ties ? TieHeavyWalk(&prng, m) : NoisyResample(&prng, s, m);
+      const double d = dtw.DistanceWithPath(s, q).distance;
+      ASSERT_TRUE(std::isfinite(d));
+      for (const double t : {d, std::nextafter(d, kInf), 1.25 * d, 2.0 * d}) {
+        const std::string where = "trial=" + std::to_string(trial) +
+                                  " n=" + std::to_string(n) +
+                                  " m=" + std::to_string(m) +
+                                  " t=" + std::to_string(t);
+        ASSERT_TRUE(LinfPathWindows(s, q, step, t, &lo, &hi)) << where;
+        ASSERT_EQ(lo.size(), n) << where;
+        ASSERT_EQ(hi.size(), n) << where;
+        EXPECT_EQ(lo[0], 0u) << where;
+        EXPECT_EQ(hi[n - 1], m - 1) << where;
+        const auto ref = ReferencePathWindows(s, q, step, t);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_LE(lo[i], hi[i]) << where << " i=" << i;
+          if (i > 0) {
+            EXPECT_LE(lo[i - 1], lo[i]) << where << " i=" << i;
+            EXPECT_LE(hi[i - 1], hi[i]) << where << " i=" << i;
+          }
+          EXPECT_EQ(lo[i], ref[i].first) << where << " i=" << i;
+          EXPECT_EQ(hi[i], ref[i].second) << where << " i=" << i;
+        }
+      }
+      if (d > 0.0) {
+        EXPECT_FALSE(
+            LinfPathWindows(s, q, step, std::nextafter(d, 0.0), &lo, &hi));
+        EXPECT_TRUE(lo.empty() && hi.empty());
+      }
+    }
+  }
+}
+
+// The anti-diagonal DP behind an accepting pre-pass, through the prepared
+// overload (one PreparedQuery per query, evaluated against many
+// candidates), against the full-matrix reference: distance bits equal,
+// cells n * m (the pre-pass rows) plus the window cells. Shapes n < m,
+// n = m and n > m, including n = 1 and m = 1; both step costs; inputs
+// whose step costs overflow to +inf; and queries longer than
+// kMaxRankedColumns, whose pre-pass compares every column instead of
+// ranking. Every result also equals the Sequence overload's. One scratch
+// throughout, so a longer earlier pair's diagonals would show.
+TEST(DtwKernelTest, DiagonalDpMatchesPathReference) {
+  struct Shape {
+    size_t m;
+    std::vector<size_t> ns;
+  };
+  const size_t long_m = kMaxRankedColumns + 76;
+  const std::vector<Shape> shapes = {
+      {1, {1, 2, 9}},
+      {2, {1, 2, 3, 40}},
+      {37, {1, 5, 36, 37, 38, 90}},
+      {64, {1, 63, 64, 65, 200}},
+      {129, {1, 64, 128, 129, 130}},
+      {long_m, {1, 300, long_m, 1500}},
+  };
+  const double specials[] = {kMax, -kMax, kBig, -kBig};
+  Prng prng(3131);
+  DtwScratch scratch;
+  DtwScratch convenience;
+  for (const StepCost step : {StepCost::kAbsolute, StepCost::kSquared}) {
+    const Dtw dtw(DtwOptions{DtwCombiner::kMax, step, -1, false});
+    for (const Shape& shape : shapes) {
+      for (const bool overflow : {false, true}) {
+        const Sequence walk = RandomWalk(&prng, shape.m);
+        std::vector<double> qv(walk.data(), walk.data() + shape.m);
+        if (overflow) {
+          qv[static_cast<size_t>(prng.UniformInt(
+              0, static_cast<int64_t>(shape.m) - 1))] =
+              specials[prng.UniformInt(0, 3)];
+        }
+        const Sequence q(std::move(qv));
+        const PreparedQuery prepared = dtw.Prepare(q);
+        for (const size_t n : shape.ns) {
+          const Sequence near = NoisyResample(&prng, walk, n);
+          std::vector<double> sv(near.data(), near.data() + n);
+          if (overflow && prng.UniformInt(0, 1) == 0) {
+            sv[static_cast<size_t>(prng.UniformInt(
+                0, static_cast<int64_t>(n) - 1))] =
+                specials[prng.UniformInt(0, 3)];
+          }
+          const Sequence s(std::move(sv));
+          const double ref = dtw.DistanceWithPath(s, q).distance;
+          std::vector<double> thresholds = {0.5, 2.0, kMax};
+          if (std::isfinite(ref)) {
+            thresholds = {ref, std::nextafter(ref, kInf), 1.25 * ref, 0.0};
+          }
+          for (const double t : thresholds) {
+            if (!std::isfinite(t)) {
+              continue;  // only a finite threshold runs the pre-pass
+            }
+            const std::string where = "n=" + std::to_string(n) +
+                                      " m=" + std::to_string(shape.m) +
+                                      " overflow=" + std::to_string(overflow) +
+                                      " t=" + std::to_string(t);
+            const DtwResult r =
+                dtw.DistanceWithThreshold(s, prepared, t, &scratch);
+            EXPECT_TRUE(SameBits(r.distance, ref <= t ? ref : kInf))
+                << where << " got=" << r.distance << " ref=" << ref;
+            if (ref <= t) {
+              EXPECT_EQ(r.cells, n * shape.m + PathWindowCells(s, q, step, t))
+                  << where;
+            }
+            const DtwResult c =
+                dtw.DistanceWithThreshold(s, q, t, &convenience);
+            EXPECT_TRUE(SameBits(c.distance, r.distance)) << where;
+            EXPECT_EQ(c.cells, r.cells) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The rank table as ColumnRanks built it before its counting sort: every
+// column sorted by (value, column), below(r) for r = 0 .. m, and each
+// bucket's window found by walking the ranks, over the same buckets.
+struct SortBuiltTable {
+  std::vector<double> values;
+  std::vector<std::vector<uint64_t>> below;
+  std::vector<size_t> window;
+};
+
+SortBuiltTable BuildBySorting(const std::vector<double>& q) {
+  const size_t m = q.size();
+  const size_t words = (m + 63) / 64;
+  std::vector<std::pair<double, uint32_t>> ranked(m);
+  for (size_t j = 0; j < m; ++j) {
+    ranked[j] = {q[j], static_cast<uint32_t>(j)};
+  }
+  std::sort(ranked.begin(), ranked.end());
+  SortBuiltTable table;
+  table.below.assign(m + 1, std::vector<uint64_t>(words, 0));
+  for (size_t r = 0; r < m; ++r) {
+    table.values.push_back(ranked[r].first);
+    table.below[r + 1] = table.below[r];
+    table.below[r + 1][ranked[r].second / 64] |= uint64_t{1}
+                                                 << (ranked[r].second % 64);
+  }
+  const size_t trim = m > 2 ? 1 : 0;
+  const size_t buckets = 4 * m;
+  const double low = table.values[trim];
+  const double last_bucket = static_cast<double>(buckets - 1);
+  double scale =
+      static_cast<double>(buckets) / (table.values[m - 1 - trim] - low);
+  if (!std::isfinite(scale)) {
+    scale = 0.0;
+  }
+  const auto bucket = [&](double x) {
+    double y = (x - low) * scale;
+    y = y > 0.0 ? y : 0.0;
+    y = y < last_bucket ? y : last_bucket;
+    return static_cast<size_t>(y);
+  };
+  size_t r = 0;
+  for (size_t k = 0; k < buckets; ++k) {
+    while (r < m && bucket(table.values[r]) + 1 < k) {
+      ++r;
+    }
+    table.window.push_back(r);
+  }
+  return table;
+}
+
+// Column shapes for the table build: a walk, all columns equal, one and
+// two outliers on each side, one on both sides, ties with +-0, a zero span
+// (every column but the extremes equal), and a span beyond DBL_MAX.
+std::vector<std::vector<double>> TableColumns(Prng* prng, size_t m) {
+  const Sequence walk = RandomWalk(prng, m);
+  const std::vector<double> base(walk.data(), walk.data() + m);
+  std::vector<std::vector<double>> shapes = {base,
+                                             std::vector<double>(m, base[0])};
+  for (const double outlier : {1e6, -1e6, kMax, -kMax}) {
+    std::vector<double> one = base;
+    one[m / 2] = outlier;
+    shapes.push_back(one);
+    one[m / 3] = std::fabs(outlier) == kMax ? outlier : 2.0 * outlier;
+    shapes.push_back(std::move(one));
+  }
+  std::vector<double> both = base;
+  both[0] = -1e6;
+  both[m - 1] = 1e6;
+  shapes.push_back(std::move(both));
+  std::vector<double> ties(m);
+  for (double& e : ties) {
+    const double choices[] = {-0.0, 0.0, 0.25, -0.25, 0.5};
+    e = choices[prng->UniformInt(0, 4)];
+  }
+  shapes.push_back(std::move(ties));
+  std::vector<double> flat(m, base[0]);
+  flat[0] = base[0] - 1.0;
+  flat[m - 1] = base[0] + 1.0;
+  shapes.push_back(std::move(flat));
+  std::vector<double> huge(m);
+  for (size_t j = 0; j < m; ++j) {
+    huge[j] = (j % 2 == 0 ? -1.0 : 1.0) * prng->UniformDouble(0.6, 0.9) * kMax;
+  }
+  shapes.push_back(std::move(huge));
+  return shapes;
+}
+
+// ColumnRanks' counting-sort build gives the sort-built table: the same
+// value bits rank by rank, the same below masks and the same bucket
+// windows.
+TEST(DtwKernelTest, RankTableBuildMatchesSortBuiltTable) {
+  Prng prng(4096);
+  ColumnRanks ranks;
+  for (const size_t m : {size_t{1}, size_t{2}, size_t{3}, size_t{63},
+                         size_t{64}, size_t{65}, kMaxRankedColumns}) {
+    const std::vector<std::vector<double>> shapes = TableColumns(&prng, m);
+    for (size_t shape = 0; shape < shapes.size(); ++shape) {
+      const std::vector<double>& q = shapes[shape];
+      ranks.Assign(q.data(), m);
+      const SortBuiltTable want = BuildBySorting(q);
+      const std::string where =
+          "m=" + std::to_string(m) + " shape=" + std::to_string(shape);
+      for (size_t r = 0; r < m; ++r) {
+        ASSERT_TRUE(SameBits(ranks.value(r), want.values[r]))
+            << where << " r=" << r;
+      }
+      for (size_t r = 0; r <= m; ++r) {
+        for (size_t w = 0; w < want.below[r].size(); ++w) {
+          ASSERT_EQ(ranks.below(r)[w], want.below[r][w])
+              << where << " r=" << r << " w=" << w;
+        }
+      }
+      for (size_t k = 0; k < want.window.size(); ++k) {
+        ASSERT_EQ(ranks.window(k), want.window[k]) << where << " k=" << k;
+      }
     }
   }
 }
