@@ -90,8 +90,10 @@ void Engine::BuildMethods() {
       options_.cascade_planner);
   tw_knn_search_ = std::make_unique<TwKnnSearch>(&feature_index_, &store_,
                                                  options_.dtw);
-  naive_scan_ = std::make_unique<NaiveScan>(&store_, options_.dtw);
-  lb_scan_ = std::make_unique<LbScan>(&store_, options_.dtw);
+  naive_scan_ = std::make_unique<ScanSearch>(&store_, options_.dtw,
+                                             /*lb_yi=*/false);
+  lb_scan_ = std::make_unique<ScanSearch>(&store_, options_.dtw,
+                                          /*lb_yi=*/true);
   RegisterMetrics();
 }
 
@@ -325,19 +327,12 @@ const SearchMethod& Engine::method(MethodKind kind) const {
 
 SearchResult Engine::SearchWith(MethodKind kind, const Sequence& query,
                                 double epsilon, Trace* trace,
-                                DtwScratch* scratch,
-                                const PostfilterFanOut* fan_out) const {
-  const TwSimSearch* indexed =
-      kind == MethodKind::kTwSimSearch          ? tw_sim_search_.get()
-      : kind == MethodKind::kTwSimSearchCascade ? tw_sim_search_cascade_.get()
-                                                : nullptr;
+                                DtwScratch* scratch) const {
   SearchResult result;
   {
     ScopedSpan span(trace, "query");
     TraceCounter(trace, "epsilon", epsilon);
-    result = indexed != nullptr
-                 ? indexed->Search(query, epsilon, trace, scratch, fan_out)
-                 : method(kind).Search(query, epsilon, trace, scratch);
+    result = method(kind).Search(query, epsilon, trace, scratch);
   }
   RecordQueryMetrics(result);
   return result;

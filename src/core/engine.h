@@ -29,8 +29,7 @@
 
 #include "core/engine_like.h"
 #include "core/feature_index.h"
-#include "core/lb_scan.h"
-#include "core/naive_scan.h"
+#include "core/scan_search.h"
 #include "core/search_method.h"
 #include "core/st_filter_search.h"
 #include "core/subsequence_index.h"
@@ -143,17 +142,7 @@ class Engine : public EngineLike {
   // so repeated queries stop allocating; answers are unchanged.
   SearchResult SearchWith(MethodKind kind, const Sequence& query,
                           double epsilon, Trace* trace = nullptr,
-                          DtwScratch* scratch = nullptr) const override {
-    return SearchWith(kind, query, epsilon, trace, scratch, nullptr);
-  }
-
-  // SearchWith with the exact stage of the two TW-Sim-Search kinds
-  // chunked over `fan_out` (null: inline); other kinds ignore it. Same
-  // answers, counts and span tree — the concurrent executor's
-  // SearchParallel runs here.
-  SearchResult SearchWith(MethodKind kind, const Sequence& query,
-                          double epsilon, Trace* trace, DtwScratch* scratch,
-                          const PostfilterFanOut* fan_out) const;
+                          DtwScratch* scratch = nullptr) const override;
 
   // Algorithm 1's refine half (TwSimSearch::Refine) over candidates a
   // caller selected with the D_tw-lb <= epsilon predicate: IngestEngine's
@@ -319,8 +308,8 @@ class Engine : public EngineLike {
   std::unique_ptr<TwSimSearch> tw_sim_search_;
   std::unique_ptr<TwSimSearch> tw_sim_search_cascade_;
   std::unique_ptr<TwKnnSearch> tw_knn_search_;
-  std::unique_ptr<NaiveScan> naive_scan_;
-  std::unique_ptr<LbScan> lb_scan_;
+  std::unique_ptr<ScanSearch> naive_scan_;
+  std::unique_ptr<ScanSearch> lb_scan_;
   std::unique_ptr<StFilterSearch> st_filter_search_;
 
   // Metric handles, resolved once at construction (hot-path recording is

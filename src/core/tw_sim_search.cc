@@ -64,8 +64,7 @@ std::vector<const Sequence*> TwSimSearch::FilterAndFetch(
 void TwSimSearch::Refine(const Sequence& query, double epsilon,
                          std::vector<const Sequence*> candidates,
                          SearchResult* result, Trace* trace,
-                         DtwScratch* scratch,
-                         const PostfilterFanOut* fan_out) const {
+                         DtwScratch* scratch) const {
   CascadeObservation obs;
   if (planner_ != nullptr) {
     const CascadePlan plan = planner_->Choose();
@@ -76,22 +75,22 @@ void TwSimSearch::Refine(const Sequence& query, double epsilon,
   }
   // Step-4..7: post-processing with the exact time-warping distance.
   RunExactStage(cascade_.dtw(), query, epsilon, candidates, result, trace,
-                scratch, &obs.dtw, fan_out);
+                scratch, &obs.dtw);
   if (planner_ != nullptr) {
     planner_->Observe(obs);
   }
 }
 
-SearchResult TwSimSearch::Search(const Sequence& query, double epsilon,
-                                 Trace* trace, DtwScratch* scratch,
-                                 const PostfilterFanOut* fan_out) const {
+SearchResult TwSimSearch::SearchImpl(const Sequence& query, double epsilon,
+                                     Trace* trace,
+                                     DtwScratch* scratch) const {
   WallTimer timer;
   ThreadCpuTimer cpu_timer;
   SearchResult result;
   Refine(query, epsilon, FilterAndFetch(query, epsilon, &result, trace),
-         &result, trace, scratch, fan_out);
+         &result, trace, scratch);
   result.cost.wall_ms = timer.ElapsedMillis();
-  result.cost.cpu_ms += cpu_timer.ElapsedMillis();
+  result.cost.cpu_ms = cpu_timer.ElapsedMillis();
   return result;
 }
 

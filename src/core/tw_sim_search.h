@@ -52,14 +52,6 @@ class TwSimSearch : public SearchMethod {
     return planner_ != nullptr ? "TW-Sim-Search-Cascade" : "TW-Sim-Search";
   }
 
-  using SearchMethod::Search;
-  // Search with the exact stage chunked over `fan_out` when it is set
-  // (see RunExactStage): same answers and counts, and the helper
-  // threads' CPU is included in cost.cpu_ms.
-  SearchResult Search(const Sequence& query, double epsilon, Trace* trace,
-                      DtwScratch* scratch,
-                      const PostfilterFanOut* fan_out) const;
-
   // Algorithm 1's refine half over `candidates` (borrowed sequences;
   // the list is consumed): the planned lower-bound stages, with one plan
   // chosen and observed per call, then RunExactStage. Matches report the
@@ -69,8 +61,7 @@ class TwSimSearch : public SearchMethod {
   // rows selected by the same D_tw-lb <= epsilon predicate.
   void Refine(const Sequence& query, double epsilon,
               std::vector<const Sequence*> candidates, SearchResult* result,
-              Trace* trace, DtwScratch* scratch,
-              const PostfilterFanOut* fan_out = nullptr) const;
+              Trace* trace, DtwScratch* scratch) const;
 
   // The planner choosing each query's lower-bound stages; null for the
   // paper's plan.
@@ -78,9 +69,7 @@ class TwSimSearch : public SearchMethod {
 
  protected:
   SearchResult SearchImpl(const Sequence& query, double epsilon,
-                          Trace* trace, DtwScratch* scratch) const override {
-    return Search(query, epsilon, trace, scratch, nullptr);
-  }
+                          Trace* trace, DtwScratch* scratch) const override;
 
  private:
   // Algorithm 1 Steps 1-5: feature extraction, index range query, and

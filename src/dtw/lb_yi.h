@@ -30,7 +30,7 @@ namespace warpindex {
 double LbYi(const Sequence& s, const Sequence& q, DtwCombiner combiner);
 
 // Variant taking precomputed envelopes (Smallest/Greatest of each side);
-// the LB-Scan baseline precomputes the data-sequence envelopes once.
+// the cascade's lb_yi stage computes the query envelope once per query.
 struct Envelope {
   double smallest = 0.0;
   double greatest = 0.0;

@@ -8,7 +8,6 @@
 #include "cache/semantic_cache.h"
 #include "common/timer.h"
 #include "ingest/ingest_engine.h"
-#include "shard/scatter_gather.h"
 
 namespace warpindex {
 namespace {
@@ -45,7 +44,6 @@ size_t DefaultThreads(size_t requested) {
 QueryExecutor::QueryExecutor(const EngineLike* engine,
                              QueryExecutorOptions options)
     : engine_(engine),
-      single_engine_(dynamic_cast<const Engine*>(engine)),
       options_(options),
       pool_(DefaultThreads(options.num_threads)) {
   worker_scratch_.reserve(pool_.num_threads());
@@ -82,8 +80,7 @@ DtwScratch* QueryExecutor::CurrentWorkerScratch() {
 }
 
 SearchResult QueryExecutor::RunQuery(MethodKind kind, const Sequence& query,
-                                     double epsilon, Trace* trace,
-                                     const PostfilterFanOut* fan_out) {
+                                     double epsilon, Trace* trace) {
   queries_total_->Increment();
   // Executor-initiated tracing: with a trace store configured and no
   // caller trace, trace the query ourselves (head-gated) so the tail
@@ -132,14 +129,8 @@ SearchResult QueryExecutor::RunQuery(MethodKind kind, const Sequence& query,
   }
   SearchResult result;
   try {
-    // A composite engine fans the query out across its partitions on
-    // this pool; that fan-out is its intra-query parallelism, so only a
-    // single Engine takes the chunked exact stage.
-    result = single_engine_ != nullptr && fan_out != nullptr
-                 ? single_engine_->SearchWith(kind, query, epsilon, trace,
-                                              CurrentWorkerScratch(), fan_out)
-                 : engine_->SearchWith(kind, query, epsilon, trace,
-                                       CurrentWorkerScratch());
+    result = engine_->SearchWith(kind, query, epsilon, trace,
+                                 CurrentWorkerScratch());
   } catch (...) {
     // The ScopedSpans unwound with the stack, so the trace is closed and
     // offerable — errored traces are exactly what tail sampling keeps.
@@ -296,18 +287,6 @@ BatchResult QueryExecutor::SubmitBatch(
           ? static_cast<double>(requests.size()) / (batch.wall_ms / 1000.0)
           : 0.0;
   return batch;
-}
-
-SearchResult QueryExecutor::SearchParallel(const Sequence& query,
-                                           double epsilon, Trace* trace,
-                                           bool use_cascade) {
-  inflight_->Increment();
-  InflightGuard guard(inflight_);
-  const ScatterGather scatter(&pool_);
-  const PostfilterFanOut fan_out{&scatter, options_.postfilter_chunk};
-  return RunQuery(use_cascade ? MethodKind::kTwSimSearchCascade
-                              : MethodKind::kTwSimSearch,
-                  query, epsilon, trace, &fan_out);
 }
 
 KnnResult QueryExecutor::SearchKnn(const Sequence& query, size_t k,

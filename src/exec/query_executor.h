@@ -4,22 +4,14 @@
 // scatter-gather fan-out; see shard/sharded_engine.h).
 //
 // The executor owns a fixed ThreadPool and runs range queries of any
-// MethodKind over it, two ways:
-//
-//   * Inter-query parallelism — Submit() enqueues one query and returns a
-//     future; SubmitBatch() runs a whole workload and blocks until every
-//     result is in, reporting batch wall time and throughput. Queries are
-//     embarrassingly parallel (the Engine's read path is const and
-//     thread-safe; see core/engine.h), so N workers give ~N× throughput
-//     until memory bandwidth saturates.
-//
-//   * Intra-query parallelism — SearchParallel() runs TW-Sim-Search with
-//     its exact post-filter stage (Algorithm 1 Steps 4..7, the DTW-heavy
-//     part) chunked across the pool with ScatterGather
-//     (shard/scatter_gather.h): the candidate list is split into fixed
-//     chunks claimed by the calling thread plus any idle workers. Matches
-//     come back in candidate order, so answers are byte-identical to the
-//     sequential path.
+// MethodKind over it: Submit() enqueues one query and returns a future;
+// SubmitBatch() runs a whole workload and blocks until every result is
+// in, reporting batch wall time and throughput. Queries are
+// embarrassingly parallel (the Engine's read path is const and
+// thread-safe; see core/engine.h), so N workers give ~N× throughput
+// until memory bandwidth saturates. Intra-query parallelism is the
+// partition fan-out of a ShardedEngine or IngestEngine attached to this
+// pool (shard/fanout.h); a single Engine runs each query on one worker.
 //
 // Each worker keeps a DtwScratch reused across every query it executes,
 // so steady-state serving performs no per-query DP-row allocations.
@@ -36,7 +28,7 @@
 // head-gates its own traces on untraced queries and offers every
 // finished (or thrown) trace for tail-based retention behind /tracez.
 //
-// Thread-safety: Submit/SubmitBatch/SearchParallel may be called from
+// Thread-safety: Submit/SubmitBatch may be called from
 // multiple threads concurrently. Do not mutate the engine (Insert/
 // Remove/Rebuild*) while queries are in flight.
 
@@ -61,8 +53,6 @@ class SemanticCache;
 struct QueryExecutorOptions {
   // Worker count; 0 picks std::thread::hardware_concurrency().
   size_t num_threads = 0;
-  // Candidates per chunk for SearchParallel's post-filter fan-out.
-  size_t postfilter_chunk = 16;
   // Optional always-on query history sinks (borrowed; must outlive the
   // executor). Every completed query is offered to both — the recorder
   // samples, the slow log keeps the worst-K — feeding /flightrecorder
@@ -132,22 +122,6 @@ class QueryExecutor {
   BatchResult SubmitBatch(const std::vector<QueryRequest>& requests,
                           const BatchOptions& batch_options = {});
 
-  // TW-Sim-Search (kTwSimSearchCascade with `use_cascade`) with the
-  // exact post-filter stage chunked across the pool. It runs on the
-  // calling thread through the same path as Submit — cache, traces,
-  // flight record — and on a single Engine through Engine::SearchWith
-  // with a fan-out, so answers, SearchCost counts, span tree and engine
-  // metrics are those of Submit; only wall time shrinks. Safe to call
-  // even from inside a pool task: the calling thread participates in the
-  // chunk work, so progress never depends on idle workers.
-  //
-  // On a composite engine (ShardedEngine, IngestEngine) the chunked
-  // post-filter does not apply: its SearchWith fans the query out per
-  // shard on this pool, and that IS the intra-query parallelism.
-  SearchResult SearchParallel(const Sequence& query, double epsilon,
-                              Trace* trace = nullptr,
-                              bool use_cascade = false);
-
   // Exact kNN through the semantic cache (when configured): a stored
   // kNN answer with k' >= k is returned directly; otherwise a stored
   // range answer for the same query seeds the engine's pruning bound
@@ -198,11 +172,9 @@ class QueryExecutor {
  private:
   // Runs one query on the calling thread with its worker scratch:
   // cache consult and populate, executor-initiated tracing, trace offer
-  // and flight record. `fan_out` (SearchParallel) chunks a single
-  // Engine's exact stage.
+  // and flight record.
   SearchResult RunQuery(MethodKind kind, const Sequence& query,
-                        double epsilon, Trace* trace,
-                        const PostfilterFanOut* fan_out = nullptr);
+                        double epsilon, Trace* trace);
 
   // Offers a finished query to the configured flight recorder / slow
   // log (no-op when neither is set). `trace_id` (0 = untraced) links the
@@ -221,8 +193,6 @@ class QueryExecutor {
   DtwScratch* CurrentWorkerScratch();
 
   const EngineLike* engine_;
-  // `engine_` when it is a single Engine, else null.
-  const Engine* single_engine_;
   IngestEngine* ingest_ = nullptr;
   QueryExecutorOptions options_;
   ThreadPool pool_;

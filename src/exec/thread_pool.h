@@ -61,7 +61,7 @@ class ThreadPool {
 
   // Fire-and-forget enqueue; returns false (dropping `fn`) if the pool is
   // shut down instead of throwing. Used for helper tasks whose completion
-  // is tracked elsewhere (e.g. the executor's intra-query chunk cursor).
+  // is tracked elsewhere (e.g. ScatterGather's task cursor).
   bool TrySubmitDetached(std::function<void()> fn);
 
   // Stops accepting work, runs everything already queued, joins all

@@ -86,9 +86,6 @@ class StageTimings {
 // scope today).
 class StageTimer {
  public:
-  StageTimer(StageTimings* timings, Trace* trace, std::string_view stage)
-      : StageTimer(timings, nullptr, trace, stage) {}
-
   StageTimer(StageTimings* timings, StageTimings* cpu_timings, Trace* trace,
              std::string_view stage)
       : timings_(timings),

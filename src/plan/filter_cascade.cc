@@ -1,15 +1,12 @@
 #include "plan/filter_cascade.h"
 
-#include <algorithm>
 #include <cassert>
-#include <utility>
 
 #include "common/timer.h"
 #include "dtw/lb_improved.h"
 #include "dtw/lb_yi.h"
 #include "obs/stage_timings.h"
 #include "sequence/feature.h"
-#include "shard/scatter_gather.h"
 
 namespace warpindex {
 
@@ -155,88 +152,35 @@ void FilterCascade::RunLbStages(const Sequence& query, double epsilon,
                static_cast<double>(result->cost.lb_evals));
 }
 
-namespace {
-
-// Thresholded D_tw over candidates[begin, end): appends the matches and
-// their distances and returns the DP cells computed.
-uint64_t ExactFilter(const Dtw& dtw, const PreparedQuery& query,
-                     double epsilon,
-                     const std::vector<const Sequence*>& candidates,
-                     size_t begin, size_t end, DtwScratch* scratch,
-                     std::vector<SequenceId>* matches,
-                     std::vector<double>* distances) {
-  uint64_t cells = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const DtwResult d =
-        dtw.DistanceWithThreshold(*candidates[i], query, epsilon, scratch);
-    cells += d.cells;
-    if (d.distance <= epsilon) {
-      matches->push_back(candidates[i]->id());
-      distances->push_back(d.distance);
-    }
-  }
-  return cells;
-}
-
-}  // namespace
-
 void RunExactStage(const Dtw& dtw, const Sequence& query, double epsilon,
                    const std::vector<const Sequence*>& candidates,
                    SearchResult* result, Trace* trace, DtwScratch* scratch,
-                   StageObservation* obs, const PostfilterFanOut* fan_out) {
+                   StageObservation* obs) {
   ScopedSpan span(trace, kStageDtwPostfilter);
   WallTimer timer;
   ThreadCpuTimer cpu_timer;
   const size_t in = candidates.size();
   const size_t matches_before = result->matches.size();
   result->cost.dtw_evals += in;
-  double cpu_ms = 0.0;
-  // Prepared once; the chunks of a fan-out share it read-only.
+  DtwScratch local_scratch;
+  if (scratch == nullptr) {
+    scratch = &local_scratch;
+  }
   const PreparedQuery prepared = dtw.Prepare(query);
-  if (fan_out == nullptr) {
-    DtwScratch local_scratch;
-    result->cost.dtw_cells += ExactFilter(
-        dtw, prepared, epsilon, candidates, 0, in,
-        scratch != nullptr ? scratch : &local_scratch, &result->matches,
-        &result->distances);
-    cpu_ms = cpu_timer.ElapsedMillis();
-  } else {
-    // Outputs are indexed by chunk, so they merge in candidate order; a
-    // single chunk runs inline on the caller.
-    struct ChunkOut {
-      std::vector<SequenceId> matches;
-      std::vector<double> distances;
-      uint64_t cells = 0;
-      double cpu_ms = 0.0;  // thread CPU of the one thread that ran it
-    };
-    const size_t chunk = std::max<size_t>(1, fan_out->chunk);
-    std::vector<ChunkOut> chunks((in + chunk - 1) / chunk);
-    ThreadCpuTimer caller_cpu;
-    fan_out->scatter->Run(chunks.size(), [&](size_t c) {
-      ThreadCpuTimer chunk_cpu;
-      DtwScratch chunk_scratch;
-      ChunkOut& out = chunks[c];
-      out.cells = ExactFilter(dtw, prepared, epsilon, candidates, c * chunk,
-                              std::min(in, (c + 1) * chunk), &chunk_scratch,
-                              &out.matches, &out.distances);
-      out.cpu_ms = chunk_cpu.ElapsedMillis();
-    });
-    const double caller_cpu_ms = caller_cpu.ElapsedMillis();
-    for (const ChunkOut& out : chunks) {
-      result->cost.dtw_cells += out.cells;
-      cpu_ms += out.cpu_ms;
-      result->matches.insert(result->matches.end(), out.matches.begin(),
-                             out.matches.end());
-      result->distances.insert(result->distances.end(),
-                               out.distances.begin(), out.distances.end());
+  for (const Sequence* s : candidates) {
+    const DtwResult d =
+        dtw.DistanceWithThreshold(*s, prepared, epsilon, scratch);
+    result->cost.dtw_cells += d.cells;
+    if (d.distance <= epsilon) {
+      result->matches.push_back(s->id());
+      result->distances.push_back(d.distance);
     }
-    // The caller's own chunk share is already inside its CPU reading.
-    result->cost.cpu_ms += std::max(0.0, cpu_ms - caller_cpu_ms);
   }
   const size_t pruned = in - (result->matches.size() - matches_before);
   const double ms = timer.ElapsedMillis();
   result->cost.stages.Add(kStageDtwPostfilter, ms);
-  result->cost.stages_cpu.Add(kStageDtwPostfilter, cpu_ms);
+  result->cost.stages_cpu.Add(kStageDtwPostfilter,
+                              cpu_timer.ElapsedMillis());
   result->cost.prunes.Record(kStageDtwPostfilter, in, pruned);
   if (obs != nullptr) {
     obs->in += in;

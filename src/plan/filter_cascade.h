@@ -24,10 +24,10 @@
 // metrics), plus an optional CascadeObservation consumed by the
 // CascadePlanner's online cost model.
 //
-// The exact stage (RunExactStage) is the one post-filter of every
-// indexed range method: TW-Sim-Search with or without a planned cascade
-// (core/tw_sim_search.h) and ST-Filter (core/st_filter_search.h) all end
-// with it, inline or chunked over a ScatterGather.
+// The exact stage (RunExactStage) is the one post-filter of every range
+// method: TW-Sim-Search with or without a planned cascade
+// (core/tw_sim_search.h), ST-Filter (core/st_filter_search.h) and the
+// Naive-Scan and LB-Scan baselines (core/scan_search.h) all end with it.
 
 #ifndef WARPINDEX_PLAN_FILTER_CASCADE_H_
 #define WARPINDEX_PLAN_FILTER_CASCADE_H_
@@ -98,31 +98,16 @@ struct CascadeObservation {
   }
 };
 
-class ScatterGather;
-
-// Runs the exact stage in chunks of `chunk` (at least 1) candidates
-// over `scatter` (borrowed). The calling thread always takes part, so
-// the stage completes even when called from inside a pool task.
-struct PostfilterFanOut {
-  const ScatterGather* scatter = nullptr;
-  size_t chunk = 1;
-};
-
 // The exact stage (Algorithm 1 Steps 4-7): thresholded D_tw over
-// `candidates`, keeping those within epsilon. Matches and their
-// distances append to `result` in candidate order, whether the stage
-// runs inline or chunked over `fan_out`. dtw_evals, dtw_cells, the
-// dtw_postfilter span, stage wall and CPU time and the prune record
-// accumulate into result->cost, and the stage's in/pruned/ms into `obs`.
-// A chunked run's stage CPU is the sum of its chunks' CPU; the helper
-// threads' share of it is added to result->cost.cpu_ms, so a caller adds
-// its own CPU reading on top rather than assigning it. `trace`,
-// `scratch` (inline runs only), `obs` and `fan_out` are optional.
+// `candidates` on the calling thread, keeping those within epsilon.
+// Matches and their distances append to `result` in candidate order.
+// dtw_evals, dtw_cells, the dtw_postfilter span, stage wall and CPU time
+// and the prune record accumulate into result->cost, and the stage's
+// in/pruned/ms into `obs`. `trace`, `scratch` and `obs` are optional.
 void RunExactStage(const Dtw& dtw, const Sequence& query, double epsilon,
                    const std::vector<const Sequence*>& candidates,
                    SearchResult* result, Trace* trace, DtwScratch* scratch,
-                   StageObservation* obs = nullptr,
-                   const PostfilterFanOut* fan_out = nullptr);
+                   StageObservation* obs = nullptr);
 
 class FilterCascade {
  public:

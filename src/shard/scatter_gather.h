@@ -1,14 +1,15 @@
 // ScatterGather: fan a fixed set of independent sub-tasks out over a
 // borrowed ThreadPool, with the calling thread always participating.
 //
-// This is the fan-out substrate of the partition fan-out core
-// (shard/fanout.h) and of QueryExecutor::SearchParallel's post-filter
-// chunks. The caller-participation rule is what lets a ShardedEngine
-// share the QueryExecutor's pool without a second pool or a deadlock: when
-// a pool WORKER runs a sharded query, its per-shard sub-tasks are offered
-// to the same pool — but the worker also claims sub-tasks itself off the
-// shared cursor, so the query completes even when every other worker is
-// busy with queries of its own (see docs/CONCURRENCY.md).
+// This is the fan-out substrate of the partition fan-out core: RunFanOut
+// (shard/fanout.h), its only caller, which serves the ShardedEngine and
+// IngestEngine range paths. The caller-participation rule is what lets
+// those engines share the QueryExecutor's pool without a second pool or
+// a deadlock: when a pool WORKER runs a partitioned query, its
+// per-partition sub-tasks are offered to the same pool — but the worker
+// also claims sub-tasks itself off the shared cursor, so the query
+// completes even when every other worker is busy with queries of its own
+// (see docs/CONCURRENCY.md).
 //
 // With a null pool (or a single task) everything runs inline on the
 // caller — same results, no concurrency.

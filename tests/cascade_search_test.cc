@@ -1,11 +1,10 @@
 // TW-Sim-Search-Cascade (core/tw_sim_search.h with a planner) end to
 // end: on the stock and random-walk datasets,
-// MethodKind::kTwSimSearchCascade returns
-// exactly the same result set as MethodKind::kTwSimSearch — sequentially,
-// through the concurrent executor with 4 threads, and through
-// SearchParallel's cascade path — while performing no more (and on a
-// banded config strictly fewer) exact-DTW evaluations, exporting the
-// per-stage pruning counters through the engine's metrics registry.
+// MethodKind::kTwSimSearchCascade returns exactly the same result set as
+// MethodKind::kTwSimSearch — sequentially and through the concurrent
+// executor with 4 threads — while performing no more (and on a banded
+// config strictly fewer) exact-DTW evaluations, exporting the per-stage
+// pruning counters through the engine's metrics registry.
 
 #include <gtest/gtest.h>
 
@@ -166,25 +165,6 @@ TEST_F(CascadeSearchTest, ExecutorBatchWith4ThreadsAnswersIdentical) {
       ASSERT_EQ(Sorted(batch.results[i].matches), Sorted(plain.matches))
           << "query " << i;
     }
-  }
-}
-
-TEST_F(CascadeSearchTest, SearchParallelCascadePathAnswersIdentical) {
-  QueryExecutorOptions exec_options;
-  exec_options.num_threads = 4;
-  exec_options.postfilter_chunk = 4;  // force multi-chunk fan-out
-  QueryExecutor executor(walk_engine_, exec_options);
-  const double epsilon = 1.0;
-  for (size_t i = 0; i < 30; ++i) {
-    const Sequence& query = (*walk_workload_)[i];
-    const SearchResult parallel =
-        executor.SearchParallel(query, epsilon, /*trace=*/nullptr,
-                                /*use_cascade=*/true);
-    const SearchResult plain =
-        walk_engine_->SearchWith(MethodKind::kTwSimSearch, query, epsilon);
-    ASSERT_EQ(Sorted(parallel.matches), Sorted(plain.matches))
-        << "query " << i;
-    ASSERT_LE(parallel.cost.dtw_evals, plain.cost.dtw_evals);
   }
 }
 

@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/engine.h"
+#include "dtw/lb_yi.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
+#include "sequence/stock_generator.h"
 
 namespace warpindex {
 namespace {
@@ -169,6 +174,120 @@ TEST_F(SearchMethodsTest, MethodNames) {
   EXPECT_STREQ(engine_->method(MethodKind::kStFilter).name(), "ST-Filter");
   EXPECT_STREQ(engine_->method(MethodKind::kTwSimSearchCascade).name(),
                "TW-Sim-Search-Cascade");
+}
+
+// One sequential pass over the live rows, written out here: what
+// Naive-Scan (lb_yi = false) and LB-Scan (lb_yi = true) must compute.
+struct ScanReference {
+  std::vector<SequenceId> matches;  // id order
+  std::vector<double> distances;
+  uint64_t live = 0;
+  uint64_t exact = 0;  // rows reaching the exact stage
+  uint64_t cells = 0;
+  IoStats io;
+};
+
+ScanReference ReferenceScan(const Engine& engine, const Sequence& query,
+                            double epsilon, bool lb_yi) {
+  ScanReference ref;
+  const DtwOptions& options = engine.options().dtw;
+  const Dtw dtw(options);
+  const Envelope query_env = ComputeEnvelope(query);
+  engine.store().ScanAll(
+      [&](SequenceId id, const Sequence& s) {
+        ++ref.live;
+        if (lb_yi && LbYiWithEnvelopes(s, ComputeEnvelope(s), query,
+                                       query_env, options) > epsilon) {
+          return true;
+        }
+        ++ref.exact;
+        const DtwResult d = dtw.DistanceWithThreshold(s, query, epsilon);
+        ref.cells += d.cells;
+        if (d.distance <= epsilon) {
+          ref.matches.push_back(id);
+          ref.distances.push_back(d.distance);
+        }
+        return true;
+      },
+      &ref.io);
+  return ref;
+}
+
+bool HasPrunes(const SearchCost& cost, std::string_view stage) {
+  for (const auto& entry : cost.prunes.entries()) {
+    if (entry.first == stage) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The scans keep their answers (id order, exact distances), Figure 2's
+// candidate convention (LB_Yi survivors for LB-Scan, the answers for
+// Naive-Scan) and their work counts, and record the cascade's prune
+// entries: dtw_postfilter on both, lb_yi_cascade on LB-Scan.
+void ExpectScansMatchReference(const Engine& engine,
+                               const std::vector<double>& epsilons) {
+  QueryWorkloadOptions workload;
+  workload.num_queries = 5;
+  workload.seed = 31;
+  for (const Sequence& q :
+       GenerateQueryWorkload(engine.dataset(), workload)) {
+    for (const double epsilon : epsilons) {
+      for (const bool lb_yi : {false, true}) {
+        const MethodKind kind =
+            lb_yi ? MethodKind::kLbScan : MethodKind::kNaiveScan;
+        const std::string label = std::string(MethodKindName(kind)) +
+                                  " eps=" + std::to_string(epsilon);
+        const ScanReference ref = ReferenceScan(engine, q, epsilon, lb_yi);
+        const SearchResult r = engine.SearchWith(kind, q, epsilon);
+        EXPECT_EQ(r.matches, ref.matches) << label;
+        EXPECT_EQ(r.distances, ref.distances) << label;
+        EXPECT_EQ(r.num_candidates,
+                  lb_yi ? ref.exact : ref.matches.size())
+            << label;
+        EXPECT_EQ(r.cost.lb_evals, lb_yi ? ref.live : 0u) << label;
+        EXPECT_EQ(r.cost.dtw_evals, ref.exact) << label;
+        EXPECT_EQ(r.cost.dtw_cells, ref.cells) << label;
+        EXPECT_EQ(r.cost.io.sequential_page_reads,
+                  ref.io.sequential_page_reads)
+            << label;
+        EXPECT_EQ(r.cost.io.random_page_reads, ref.io.random_page_reads)
+            << label;
+        EXPECT_EQ(r.cost.io.page_writes, ref.io.page_writes) << label;
+        EXPECT_EQ(r.cost.io.seeks, ref.io.seeks) << label;
+
+        ASSERT_TRUE(HasPrunes(r.cost, kStageDtwPostfilter)) << label;
+        const StageCounts exact = r.cost.prunes.Get(kStageDtwPostfilter);
+        EXPECT_EQ(exact.in, ref.exact) << label;
+        EXPECT_EQ(exact.in - exact.pruned, r.matches.size()) << label;
+        EXPECT_EQ(HasPrunes(r.cost, kStageLbYiCascade), lb_yi) << label;
+        if (lb_yi) {
+          const StageCounts lb = r.cost.prunes.Get(kStageLbYiCascade);
+          EXPECT_EQ(lb.in, ref.live) << label;
+          EXPECT_EQ(lb.in - lb.pruned, ref.exact) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanSearchTest, WalkCorpusScansMatchReference) {
+  RandomWalkOptions rw;
+  rw.num_sequences = 120;
+  rw.min_length = 30;
+  rw.max_length = 80;
+  rw.seed = 7;
+  Engine engine(GenerateRandomWalkDataset(rw), EngineOptions{});
+  ASSERT_TRUE(engine.Remove(4));  // scans skip tombstoned rows
+  ASSERT_TRUE(engine.Remove(9));
+  ExpectScansMatchReference(engine, {0.05, 0.5, 2.0});
+}
+
+TEST(ScanSearchTest, StockCorpusScansMatchReference) {
+  Engine engine(GenerateStockDataset(StockDataOptions{}), EngineOptions{});
+  ASSERT_TRUE(engine.Remove(4));
+  ExpectScansMatchReference(engine, {0.5, 2.0});
 }
 
 // ST-Filter ends with the same exact stage as TW-Sim-Search, so it
