@@ -1,19 +1,22 @@
 // Ablation A10: the lower-bound filter cascade (src/plan/).
 //
 // Sweeps fixed stage subsets of the cascade — none (the paper's
-// Algorithm 1), each envelope bound alone, and the full pipeline — over a
-// banded random-walk workload, reporting per-stage pruning counters and
-// the headline metric: exact-DTW evaluations started per query. Every
-// plan's answers are cross-validated against plain TW-Sim-Search at the
-// same tolerance (the cascade's no-false-dismissal contract), so rows
-// differ only in cost. With --metrics_json the per-(eps, plan) rows are
-// also written as JSON lines including the prune breakdown.
+// Algorithm 1), the default plan (DefaultCascadePlan), each bound alone,
+// and combinations — over a random-walk workload under each of the three
+// similarity models (L_inf, L1, L2) at the --band radius, reporting
+// per-stage pruning counters and the headline metric: exact-DTW
+// evaluations started per query. Every plan's answers are
+// cross-validated against plain TW-Sim-Search at the same tolerance (the
+// cascade's no-false-dismissal contract), so rows differ only in cost;
+// any disagreement exits 1. With --metrics_json the per-(model, eps,
+// plan) rows are also written as JSON lines including the prune
+// breakdown.
 //
-// A Sakoe-Chiba band (--band >= 0) is the showcase configuration: with an
-// unconstrained DTW the per-position envelope degenerates toward LB_Yi's
-// global envelope and the later stages stop earning their keep — which
-// the auto planner (see --plan in the CLI and docs/PLANNER.md) learns on
-// its own.
+// The --eps sweep is in L_inf units; the sum models scale it by fixed
+// factors (Models()). A Sakoe-Chiba band (--band >= 0) is the showcase
+// configuration: with an unconstrained DTW the per-position envelope
+// degenerates to LB_Yi's global envelope, and under L_inf every bound
+// is dominated by the index predicate (docs/PLANNER.md).
 
 #include <cstdint>
 #include <cstdio>
@@ -24,7 +27,7 @@
 #include "common/bench_util.h"
 #include "common/flags.h"
 #include "common/table_printer.h"
-#include "plan/cascade_planner.h"
+#include "plan/filter_cascade.h"
 #include "sequence/random_walk_generator.h"
 
 namespace warpindex {
@@ -35,16 +38,35 @@ struct PlanCase {
   CascadePlan plan;
 };
 
-std::vector<PlanCase> PlanCases() {
+std::vector<PlanCase> PlanCases(const DtwOptions& dtw) {
   using S = CascadeStage;
   return {
       {"paper", CascadePlan::Paper()},
+      {"default", DefaultCascadePlan(dtw)},
       {"feature", CascadePlan{{S::kFeatureLb}}},
       {"yi", CascadePlan{{S::kLbYi}}},
       {"keogh", CascadePlan{{S::kLbKeogh}}},
       {"improved", CascadePlan{{S::kLbImproved}}},
-      {"feature+keogh", CascadePlan{{S::kFeatureLb, S::kLbKeogh}}},
+      {"keogh+improved", CascadePlan{{S::kLbKeogh, S::kLbImproved}}},
       {"full", CascadePlan::Full()},
+  };
+}
+
+struct ModelCase {
+  std::string label;
+  DtwOptions dtw;
+  // Multiplies the --eps sweep. A sum model adds a cost per path step,
+  // so the same tolerance admits far fewer rows than under L_inf; the
+  // factors are fixed round numbers that keep each model's lower bounds
+  // pruning some but not all candidates at the default length.
+  double eps_scale;
+};
+
+std::vector<ModelCase> Models() {
+  return {
+      {"linf", DtwOptions::Linf(), 1.0},
+      {"l1", DtwOptions::L1(), 10.0},
+      {"l2", DtwOptions::L2(), 2.0},
   };
 }
 
@@ -86,80 +108,91 @@ int Run(int argc, char** argv) {
           std::to_string(length) + ", band=" + std::to_string(band) +
           ", " + std::to_string(num_queries) + " queries per eps");
 
-  // One engine per plan, all over the same dataset. The planner is fixed
-  // to the row's stage subset; the "paper" row doubles as the plain
-  // TW-Sim-Search baseline (its dtw_evals match by construction, which
-  // the cross-validation below re-checks).
-  std::vector<std::unique_ptr<Engine>> engines;
-  for (const PlanCase& plan_case : PlanCases()) {
-    EngineOptions options;
-    options.dtw.band = static_cast<int>(band);
-    options.cascade_planner.mode = PlanMode::kFixed;
-    options.cascade_planner.fixed = plan_case.plan;
-    engines.push_back(
-        std::make_unique<Engine>(dataset, std::move(options)));
-  }
   const auto queries = GenerateQueryWorkload(
       dataset, QueryWorkloadOptions{
                    .num_queries = static_cast<size_t>(num_queries)});
 
   bench::MetricsJsonWriter json("abl10_lb_cascade", metrics_json);
   TablePrinter table(stdout,
-                     {"eps", "plan", "candidates", "dtw_evals", "dtw_cells",
-                      "pr_feat", "pr_yi", "pr_keogh", "pr_impr",
-                      "wall_ms"});
+                     {"model", "eps", "plan", "candidates", "dtw_evals",
+                      "dtw_cells", "pr_feat", "pr_yi", "pr_keogh",
+                      "pr_impr", "wall_ms"});
   table.PrintHeader();
-  for (const double eps : bench::ParseDoubleList(eps_list)) {
-    // Cross-validate: every plan must return the plain method's answers.
-    size_t mismatches = 0;
-    for (const Sequence& q : queries) {
-      const SearchResult expected =
-          engines[0]->SearchWith(MethodKind::kTwSimSearch, q, eps);
-      for (std::unique_ptr<Engine>& engine : engines) {
-        const SearchResult got =
-            engine->SearchWith(MethodKind::kTwSimSearchCascade, q, eps);
-        if (got.matches != expected.matches) {
-          ++mismatches;
+  size_t mismatches = 0;
+  for (const ModelCase& model : Models()) {
+    DtwOptions dtw = model.dtw;
+    dtw.band = static_cast<int>(band);
+    const std::vector<PlanCase> plans = PlanCases(dtw);
+    // One engine per plan, all over the same dataset, each with its
+    // row's plan fixed; the "paper" row doubles as the plain
+    // TW-Sim-Search baseline (its dtw_evals match by construction, which
+    // the cross-validation below re-checks).
+    std::vector<std::unique_ptr<Engine>> engines;
+    for (const PlanCase& plan_case : plans) {
+      EngineOptions options;
+      options.dtw = dtw;
+      options.cascade_plan = plan_case.plan;
+      engines.push_back(
+          std::make_unique<Engine>(dataset, std::move(options)));
+    }
+    for (const double sweep_eps : bench::ParseDoubleList(eps_list)) {
+      const double eps = sweep_eps * model.eps_scale;
+      // Cross-validate: every plan must return the plain method's
+      // answers.
+      size_t model_mismatches = 0;
+      for (const Sequence& q : queries) {
+        const SearchResult expected =
+            engines[0]->SearchWith(MethodKind::kTwSimSearch, q, eps);
+        for (std::unique_ptr<Engine>& engine : engines) {
+          const SearchResult got =
+              engine->SearchWith(MethodKind::kTwSimSearchCascade, q, eps);
+          if (got.matches != expected.matches) {
+            ++model_mismatches;
+          }
         }
       }
-    }
 
-    const bench::WorkloadSummary baseline = bench::RunWorkload(
-        *engines[0], MethodKind::kTwSimSearch, queries, eps);
-    for (size_t i = 0; i < engines.size(); ++i) {
-      const PlanCase plan_case = PlanCases()[i];
-      const bench::WorkloadSummary summary = bench::RunWorkload(
-          *engines[i], MethodKind::kTwSimSearchCascade, queries, eps);
-      table.PrintRow(
-          {bench::FormatDouble(eps, 2), plan_case.label,
-           bench::FormatDouble(summary.avg_candidates, 1),
-           bench::FormatDouble(summary.avg_dtw_evals, 1),
-           bench::FormatDouble(summary.avg_dtw_cells, 0),
-           std::to_string(PrunedAt(summary, kStageFeatureLbCascade)),
-           std::to_string(PrunedAt(summary, kStageLbYiCascade)),
-           std::to_string(PrunedAt(summary, kStageLbKeoghCascade)),
-           std::to_string(PrunedAt(summary, kStageLbImprovedCascade)),
-           bench::FormatDouble(summary.avg_wall_ms, 3)});
-      json.AddRow("cascade:" + plan_case.label, "eps", eps, summary);
+      const bench::WorkloadSummary baseline = bench::RunWorkload(
+          *engines[0], MethodKind::kTwSimSearch, queries, eps);
+      for (size_t i = 0; i < engines.size(); ++i) {
+        const bench::WorkloadSummary summary = bench::RunWorkload(
+            *engines[i], MethodKind::kTwSimSearchCascade, queries, eps);
+        table.PrintRow(
+            {model.label, bench::FormatDouble(eps, 2), plans[i].label,
+             bench::FormatDouble(summary.avg_candidates, 1),
+             bench::FormatDouble(summary.avg_dtw_evals, 1),
+             bench::FormatDouble(summary.avg_dtw_cells, 0),
+             std::to_string(PrunedAt(summary, kStageFeatureLbCascade)),
+             std::to_string(PrunedAt(summary, kStageLbYiCascade)),
+             std::to_string(PrunedAt(summary, kStageLbKeoghCascade)),
+             std::to_string(PrunedAt(summary, kStageLbImprovedCascade)),
+             bench::FormatDouble(summary.avg_wall_ms, 3)});
+        json.AddRow(model.label + ":cascade:" + plans[i].label, "eps", eps,
+                    summary);
+      }
+      json.AddRow(model.label + ":tw", "eps", eps, baseline);
+      if (model_mismatches != 0) {
+        std::printf("!! %zu plan rows disagreed with TW-Sim-Search (%s, "
+                    "eps=%.3f): cascade soundness bug\n",
+                    model_mismatches, model.label.c_str(), eps);
+      } else {
+        std::printf("  (%s baseline TW-Sim-Search: %s dtw_evals/query; "
+                    "default plan %s; all plans answer-identical)\n",
+                    model.label.c_str(),
+                    bench::FormatDouble(baseline.avg_dtw_evals, 1).c_str(),
+                    DefaultCascadePlan(dtw).ToString().c_str());
+      }
+      mismatches += model_mismatches;
     }
-    json.AddRow("tw", "eps", eps, baseline);
-    if (mismatches != 0) {
-      std::printf("!! %zu plan rows disagreed with TW-Sim-Search at "
-                  "eps=%.3f — cascade soundness bug\n",
-                  mismatches, eps);
-      return 1;
-    }
-    std::printf("  (baseline TW-Sim-Search: %s dtw_evals/query; all plans "
-                "answer-identical)\n",
-                bench::FormatDouble(baseline.avg_dtw_evals, 1).c_str());
   }
   json.Flush();
   std::printf(
-      "\nexpected shape: dtw_evals falls monotonically as stages are "
-      "added; with a narrow band lb_keogh/lb_improved prune far more "
-      "than the global-envelope lb_yi, at a few O(n) bound evaluations "
-      "per candidate.\n");
-  return 0;
+      "\nexpected shape: dtw_evals falls as stages are added; with a "
+      "narrow band lb_keogh/lb_improved prune far more than the "
+      "global-envelope lb_yi, and keogh+improved leaves exactly the "
+      "candidates improved alone does (LB_Improved's pass 1 is "
+      "LB_Keogh).\n");
+  return mismatches == 0 ? 0 : 1;
 }
 
 }  // namespace

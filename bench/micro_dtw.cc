@@ -244,7 +244,7 @@ BENCHMARK(BM_DtwLowerBound);
 // ---- Envelope lower bounds (the cascade's lb_keogh / lb_improved
 // stages). Arg(0) is the sequence length, Arg(1) the Sakoe-Chiba radius.
 // items_processed counts candidates, so the report's items/s inverts to
-// ns per candidate — the unit the CascadePlanner's cost model estimates.
+// ns per candidate, the unit to weigh against a DTW evaluation.
 
 void BM_ComputeBandEnvelope(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));

@@ -107,7 +107,8 @@ bool LoadDatabase(const std::string& data_path,
   return false;
 }
 
-bool ParseMethod(const std::string& name, MethodKind* kind) {
+// The CLI's short spellings of the range methods.
+bool ParseMethodAlias(const std::string& name, MethodKind* kind) {
   if (name == "tw") {
     *kind = MethodKind::kTwSimSearch;
   } else if (name == "naive") {
@@ -119,23 +120,15 @@ bool ParseMethod(const std::string& name, MethodKind* kind) {
   } else if (name == "cascade") {
     *kind = MethodKind::kTwSimSearchCascade;
   } else {
-    std::fprintf(stderr,
-                 "unknown --method '%s' (tw | naive | lb | st | cascade)\n",
-                 name.c_str());
     return false;
   }
   return true;
 }
 
-bool ParsePlan(const std::string& name, PlanMode* mode) {
-  if (name == "paper") {
-    *mode = PlanMode::kPaper;
-  } else if (name == "cascade") {
-    *mode = PlanMode::kCascade;
-  } else if (name == "auto") {
-    *mode = PlanMode::kAuto;
-  } else {
-    std::fprintf(stderr, "unknown --plan '%s' (paper | cascade | auto)\n",
+bool ParseMethod(const std::string& name, MethodKind* kind) {
+  if (!ParseMethodAlias(name, kind)) {
+    std::fprintf(stderr,
+                 "unknown --method '%s' (tw | naive | lb | st | cascade)\n",
                  name.c_str());
     return false;
   }
@@ -285,7 +278,6 @@ int RunServe(int argc, char** argv) {
   int64_t num_queries = 100;
   double eps = -1.0;
   std::string method = "tw";
-  std::string plan = "cascade";
   int64_t threads = 4;
   int64_t repeat = 1;
   int64_t seed = 1;
@@ -321,8 +313,6 @@ int RunServe(int argc, char** argv) {
                  "generated workload size when --queries is absent");
   flags.AddDouble("eps", &eps, "tolerance for every range query");
   flags.AddString("method", &method, "tw | naive | lb | st | cascade");
-  flags.AddString("plan", &plan,
-                  "--method cascade stage planning: paper | cascade | auto");
   flags.AddInt64("threads", &threads, "executor worker count");
   flags.AddInt64("repeat", &repeat, "times to run the whole batch");
   flags.AddInt64("seed", &seed, "generated-workload seed");
@@ -402,10 +392,6 @@ int RunServe(int argc, char** argv) {
   if (!ParseMethod(method, &kind)) {
     return 1;
   }
-  PlanMode plan_mode;
-  if (!ParsePlan(plan, &plan_mode)) {
-    return 1;
-  }
 
   Dataset dataset;
   if (!LoadDatabase(data_path, dataset_kind, &dataset) || dataset.empty()) {
@@ -460,7 +446,6 @@ int RunServe(int argc, char** argv) {
 
   EngineOptions options;
   options.build_st_filter = kind == MethodKind::kStFilter;
-  options.cascade_planner.mode = plan_mode;
   // --ingest verification rebuilds a from-scratch reference over the
   // final live set, so keep the base rows before the dataset moves.
   Dataset ingest_base;
@@ -573,7 +558,8 @@ int RunServe(int argc, char** argv) {
     std::printf("serving %zu %s queries (eps=%.4f, plan=%s) over %zu "
                 "threads\n",
                 requests.size(), MethodKindName(kind), eps,
-                PlanModeName(plan_mode), executor.num_threads());
+                DefaultCascadePlan(options.dtw).ToString().c_str(),
+                executor.num_threads());
   } else {
     std::printf("serving %zu %s queries (eps=%.4f) over %zu threads\n",
                 requests.size(), MethodKindName(kind), eps,
@@ -965,29 +951,7 @@ bool ParseShardList(const std::string& spec,
 // (MethodKindName); accept both those and the CLI's short spellings.
 // Quiet on failure (runs inside the router's request handler).
 bool ParseWireMethod(const std::string& name, MethodKind* kind) {
-  for (const MethodKind candidate :
-       {MethodKind::kTwSimSearch, MethodKind::kNaiveScan,
-        MethodKind::kLbScan, MethodKind::kStFilter,
-        MethodKind::kTwSimSearchCascade}) {
-    if (name == MethodKindName(candidate)) {
-      *kind = candidate;
-      return true;
-    }
-  }
-  if (name == "tw") {
-    *kind = MethodKind::kTwSimSearch;
-  } else if (name == "naive") {
-    *kind = MethodKind::kNaiveScan;
-  } else if (name == "lb") {
-    *kind = MethodKind::kLbScan;
-  } else if (name == "st") {
-    *kind = MethodKind::kStFilter;
-  } else if (name == "cascade") {
-    *kind = MethodKind::kTwSimSearchCascade;
-  } else {
-    return false;
-  }
-  return true;
+  return ParseMethodKind(name, kind) || ParseMethodAlias(name, kind);
 }
 
 // `save` subcommand: build a sharded database and persist it for the
@@ -1614,7 +1578,6 @@ int Run(int argc, char** argv) {
   std::string trace_out;
   std::string trace_events_out;
   std::string method = "tw";
-  std::string plan = "cascade";
   int64_t shards = 1;
   std::string partition = "hash";
 
@@ -1675,8 +1638,6 @@ int Run(int argc, char** argv) {
                   "Chrome/Perfetto trace-event JSON (ui.perfetto.dev)");
   flags.AddString("method", &method,
                   "range-query method: tw | naive | lb | st | cascade");
-  flags.AddString("plan", &plan,
-                  "--method cascade stage planning: paper | cascade | auto");
   flags.AddInt64("shards", &shards,
                  "partition the database across this many per-shard "
                  "engines with scatter-gather fan-out (1 = unsharded)");
@@ -1702,10 +1663,6 @@ int Run(int argc, char** argv) {
   ScopedCliProfile profile(profile_out, static_cast<int>(profile_hz));
   MethodKind method_kind;
   if (!ParseMethod(method, &method_kind)) {
-    return 1;
-  }
-  PlanMode plan_mode;
-  if (!ParsePlan(plan, &plan_mode)) {
     return 1;
   }
   if (eps < 0.0 && k <= 0) {
@@ -1760,7 +1717,6 @@ int Run(int argc, char** argv) {
 
   EngineOptions options;
   options.build_st_filter = compare || method_kind == MethodKind::kStFilter;
-  options.cascade_planner.mode = plan_mode;
   ServingEngine serving;
   if (!BuildServingEngine(std::move(dataset), options, shards, partition,
                           nullptr, &serving)) {

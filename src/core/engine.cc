@@ -18,11 +18,6 @@ RTreeOptions MakeRTreeOptions(const EngineOptions& options) {
   RTreeOptions rtree;
   rtree.page_size_bytes = options.page_size_bytes;
   rtree.split_policy = options.split_policy;
-  rtree.min_fill_fraction = options.rtree_min_fill_fraction;
-  rtree.forced_reinsert = options.rtree_forced_reinsert;
-  rtree.reinsert_fraction = options.rtree_reinsert_fraction;
-  rtree.split_distribution_factor = options.rtree_split_distribution_factor;
-  rtree.bulk_fill_fraction = options.rtree_bulk_fill_fraction;
   return rtree;
 }
 
@@ -49,6 +44,21 @@ const char* MethodKindName(MethodKind kind) {
       return "TW-Sim-Search-Cascade";
   }
   return "unknown";
+}
+
+EngineOptions::~EngineOptions() = default;
+
+bool ParseMethodKind(std::string_view name, MethodKind* kind) {
+  for (const MethodKind candidate :
+       {MethodKind::kTwSimSearch, MethodKind::kNaiveScan,
+        MethodKind::kLbScan, MethodKind::kStFilter,
+        MethodKind::kTwSimSearchCascade}) {
+    if (name == MethodKindName(candidate)) {
+      *kind = candidate;
+      return true;
+    }
+  }
+  return false;
 }
 
 Engine::Engine(Dataset dataset, EngineOptions options)
@@ -87,7 +97,7 @@ void Engine::BuildMethods() {
       &feature_index_, &store_, options_.dtw, index_pool_.get());
   tw_sim_search_cascade_ = std::make_unique<TwSimSearch>(
       &feature_index_, &store_, options_.dtw, index_pool_.get(),
-      options_.cascade_planner);
+      options_.cascade_plan.value_or(DefaultCascadePlan(options_.dtw)));
   tw_knn_search_ = std::make_unique<TwKnnSearch>(&feature_index_, &store_,
                                                  options_.dtw);
   naive_scan_ = std::make_unique<ScanSearch>(&store_, options_.dtw,

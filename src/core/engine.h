@@ -24,6 +24,7 @@
 #define WARPINDEX_CORE_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -59,6 +60,10 @@ enum class MethodKind {
 
 const char* MethodKindName(MethodKind kind);
 
+// Inverse of MethodKindName: false (and `*kind` untouched) for any other
+// name.
+bool ParseMethodKind(std::string_view name, MethodKind* kind);
+
 struct EngineOptions {
   // Storage and index page size (paper §5.1: 1 KB).
   size_t page_size_bytes = 1024;
@@ -67,17 +72,6 @@ struct EngineOptions {
   // Feature index configuration.
   SplitPolicy split_policy = SplitPolicy::kQuadratic;
   bool bulk_load = true;
-  // R*-style insert tuning for the feature index (see rtree/rtree.h).
-  // The defaults reproduce the paper configuration; the streaming ingest
-  // path (src/ingest/) is the intended consumer — delta inserts and
-  // compacted rebuilds keep insert-built trees near bulk-load quality
-  // with forced reinsertion + a distribution-factor R* split + bulk-load
-  // headroom (bulk_fill_fraction < 1).
-  double rtree_min_fill_fraction = 0.4;
-  bool rtree_forced_reinsert = false;
-  double rtree_reinsert_fraction = 0.3;
-  double rtree_split_distribution_factor = 0.0;
-  double rtree_bulk_fill_fraction = 1.0;
   // Build the ST-Filter baseline too (its suffix tree is expensive; only
   // the comparison benches need it).
   bool build_st_filter = false;
@@ -87,10 +81,10 @@ struct EngineOptions {
   // pool is thread-safe (lock-striped shards), so queries stay safe to
   // run concurrently; see docs/CONCURRENCY.md.
   size_t index_buffer_pages = 0;
-  // Planner configuration for MethodKind::kTwSimSearchCascade (plan
-  // mode, fixed plan, cost-model knobs). The default runs the full
-  // lower-bound cascade on every query; see docs/PLANNER.md.
-  CascadePlannerOptions cascade_planner;
+  // The lower-bound stages MethodKind::kTwSimSearchCascade runs. Unset
+  // means DefaultCascadePlan(dtw); set fixes the plan (ablations, tests).
+  // See docs/PLANNER.md.
+  std::optional<CascadePlan> cascade_plan;
   // Build the §6 subsequence-matching window index too (opt-in: its size
   // is O(total elements * window range / stride)).
   bool build_subsequence_index = false;
@@ -102,6 +96,10 @@ struct EngineOptions {
   // Registry the engine records per-query metrics into. Defaults to the
   // process-wide MetricsRegistry::Global(); tests point it at their own.
   MetricsRegistry* metrics = nullptr;
+
+  // Out of line: inlined, the destructor of a disengaged cascade_plan
+  // trips gcc 12's -Wmaybe-uninitialized (a false positive).
+  ~EngineOptions();
 };
 
 class Engine : public EngineLike {
@@ -222,10 +220,10 @@ class Engine : public EngineLike {
   void RebuildSubsequenceIndex();
 
   const SearchMethod& method(MethodKind kind) const;
-  // The planner of MethodKind::kTwSimSearchCascade (live cost-model
-  // state for /statusz and tests).
-  const CascadePlanner& cascade_planner() const {
-    return *tw_sim_search_cascade_->planner();
+  // The plan of MethodKind::kTwSimSearchCascade (for /statusz and
+  // tests).
+  const CascadePlan& cascade_plan() const {
+    return *tw_sim_search_cascade_->plan();
   }
   bool has_st_filter() const { return st_filter_ != nullptr; }
 

@@ -1,5 +1,7 @@
 #include "core/tw_sim_search.h"
 
+#include <utility>
+
 #include "common/timer.h"
 #include "sequence/feature.h"
 
@@ -8,14 +10,12 @@ namespace warpindex {
 TwSimSearch::TwSimSearch(const FeatureIndex* index,
                          const SequenceStore* store, DtwOptions dtw_options,
                          const BufferPool* index_pool,
-                         std::optional<CascadePlannerOptions> planner)
+                         std::optional<CascadePlan> plan)
     : index_(index),
       store_(store),
       cascade_(dtw_options),
       index_pool_(index_pool),
-      planner_(planner.has_value()
-                   ? std::make_unique<CascadePlanner>(dtw_options, *planner)
-                   : nullptr) {}
+      plan_(std::move(plan)) {}
 
 std::vector<const Sequence*> TwSimSearch::FilterAndFetch(
     const Sequence& query, double epsilon, SearchResult* result,
@@ -65,20 +65,14 @@ void TwSimSearch::Refine(const Sequence& query, double epsilon,
                          std::vector<const Sequence*> candidates,
                          SearchResult* result, Trace* trace,
                          DtwScratch* scratch) const {
-  CascadeObservation obs;
-  if (planner_ != nullptr) {
-    const CascadePlan plan = planner_->Choose();
+  if (plan_.has_value()) {
     TraceCounter(trace, "cascade_stages",
-                 static_cast<double>(plan.stages.size()));
-    cascade_.RunLbStages(query, epsilon, &candidates, plan, result, trace,
-                         &obs);
+                 static_cast<double>(plan_->stages.size()));
+    cascade_.RunLbStages(query, epsilon, &candidates, *plan_, result, trace);
   }
   // Step-4..7: post-processing with the exact time-warping distance.
   RunExactStage(cascade_.dtw(), query, epsilon, candidates, result, trace,
-                scratch, &obs.dtw);
-  if (planner_ != nullptr) {
-    planner_->Observe(obs);
-  }
+                scratch);
 }
 
 SearchResult TwSimSearch::SearchImpl(const Sequence& query, double epsilon,

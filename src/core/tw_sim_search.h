@@ -10,24 +10,22 @@
 // range predicate equals "D_tw-lb <= epsilon", and D_tw-lb lower-bounds
 // D_tw.
 //
-// With a CascadePlanner the same class is TW-Sim-Search-Cascade: the
-// planned lower-bound stages (plan/filter_cascade.h) run between the
-// fetch and the exact stage. Same answers for every plan (each stage is
-// a valid lower bound and ties at epsilon are kept); fewer exact-DTW
-// evaluations whenever a bound fires. Without a planner the plan is the
-// paper's: fetch, then exact DTW.
+// With a CascadePlan the same class is TW-Sim-Search-Cascade: the plan's
+// lower-bound stages (plan/filter_cascade.h) run between the fetch and
+// the exact stage. Same answers for every plan (each stage is a valid
+// lower bound and ties at epsilon are kept); fewer exact-DTW evaluations
+// whenever a bound fires. Without one the plan is the paper's: fetch,
+// then exact DTW.
 
 #ifndef WARPINDEX_CORE_TW_SIM_SEARCH_H_
 #define WARPINDEX_CORE_TW_SIM_SEARCH_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/feature_index.h"
 #include "core/search_method.h"
 #include "dtw/dtw.h"
-#include "plan/cascade_planner.h"
 #include "plan/filter_cascade.h"
 #include "storage/buffer_pool.h"
 #include "storage/sequence_store.h"
@@ -42,19 +40,19 @@ class TwSimSearch : public SearchMethod {
   // thread-safe (lock-striped shards, see storage/buffer_pool.h), so
   // Search stays safe to call from many threads even with a pool —
   // per-query hit/miss attribution lands in SearchCost, not on shared
-  // counters. `planner` (optional) makes this TW-Sim-Search-Cascade.
+  // counters. `plan` (optional) makes this TW-Sim-Search-Cascade.
   TwSimSearch(const FeatureIndex* index, const SequenceStore* store,
               DtwOptions dtw_options,
               const BufferPool* index_pool = nullptr,
-              std::optional<CascadePlannerOptions> planner = std::nullopt);
+              std::optional<CascadePlan> plan = std::nullopt);
 
   const char* name() const override {
-    return planner_ != nullptr ? "TW-Sim-Search-Cascade" : "TW-Sim-Search";
+    return plan_.has_value() ? "TW-Sim-Search-Cascade" : "TW-Sim-Search";
   }
 
   // Algorithm 1's refine half over `candidates` (borrowed sequences;
-  // the list is consumed): the planned lower-bound stages, with one plan
-  // chosen and observed per call, then RunExactStage. Matches report the
+  // the list is consumed): the plan's lower-bound stages, then
+  // RunExactStage. Matches report the
   // candidates' own ids and append to `result` with their distances;
   // stage costs and prune records accumulate into result->cost. Search
   // runs it on the index's candidates; IngestEngine runs it on buffered
@@ -63,9 +61,8 @@ class TwSimSearch : public SearchMethod {
               std::vector<const Sequence*> candidates, SearchResult* result,
               Trace* trace, DtwScratch* scratch) const;
 
-  // The planner choosing each query's lower-bound stages; null for the
-  // paper's plan.
-  const CascadePlanner* planner() const { return planner_.get(); }
+  // The lower-bound stages every query runs; none for the paper's plan.
+  const std::optional<CascadePlan>& plan() const { return plan_; }
 
  protected:
   SearchResult SearchImpl(const Sequence& query, double epsilon,
@@ -85,9 +82,7 @@ class TwSimSearch : public SearchMethod {
   const SequenceStore* store_;
   FilterCascade cascade_;
   const BufferPool* index_pool_;
-  // Accumulates cost-model state across const queries; internally
-  // synchronized (see cascade_planner.h).
-  std::unique_ptr<CascadePlanner> planner_;
+  std::optional<CascadePlan> plan_;
 };
 
 }  // namespace warpindex

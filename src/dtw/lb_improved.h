@@ -32,8 +32,10 @@
 // through. Measured cost of the full bound (no threshold, no scratch) in
 // perfbench's kernel replay on ingest-cascade pairs (256-point walks,
 // 25-point band, L_inf, one x86-64 vCPU), two sessions: 50.3 and
-// 54.9 ns/elem against LB_Keogh's 5.5 and 9.6, about 6-9x. That ratio is
-// what the cascade planner's cost model weighs.
+// 54.9 ns/elem against LB_Keogh's 5.5 and 9.6, about 6-9x. A plan never
+// runs LB_Keogh ahead of it: pass 1 is LB_Keogh with the same early stop,
+// so the default banded plan is LB_Improved alone (DefaultCascadePlan,
+// plan/filter_cascade.h).
 
 #ifndef WARPINDEX_DTW_LB_IMPROVED_H_
 #define WARPINDEX_DTW_LB_IMPROVED_H_

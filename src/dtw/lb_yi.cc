@@ -4,15 +4,12 @@
 #include <cassert>
 #include <cmath>
 
+#include "dtw/lb_keogh.h"
+
 namespace warpindex {
 namespace {
 
-// Distance from a value to an interval; zero inside.
-inline double DistToInterval(double v, double lo, double hi) {
-  if (v < lo) return lo - v;
-  if (v > hi) return v - hi;
-  return 0.0;
-}
+using internal::DistToInterval;
 
 // One-sided bound: cost forced onto elements of `s` by `other`'s envelope.
 double OneSided(const Sequence& s, const Envelope& other,
@@ -59,9 +56,10 @@ double LbYi(const Sequence& s, const Sequence& q, DtwCombiner combiner) {
 namespace {
 
 // One-sided bound in the accumulated (pre-sqrt) domain with the
-// configured step cost.
+// configured step cost. Stops once the accumulator exceeds `limit`
+// (accumulated domain) and returns it.
 double OneSidedAccumulated(const Sequence& s, const Envelope& other,
-                           const DtwOptions& options) {
+                           const DtwOptions& options, double limit) {
   const bool sum = options.combiner == DtwCombiner::kSum;
   const bool squared = options.step == StepCost::kSquared;
   double acc = 0.0;
@@ -69,26 +67,45 @@ double OneSidedAccumulated(const Sequence& s, const Envelope& other,
     const double d = DistToInterval(v, other.smallest, other.greatest);
     const double cost = squared ? d * d : d;
     acc = sum ? acc + cost : std::max(acc, cost);
+    if (acc > limit) {
+      break;
+    }
   }
   return acc;
+}
+
+// Both one-sided bounds hold in the accumulated domain, so their max
+// does too; sqrt is monotone, so it commutes with the max. A null
+// `s_env` is computed, and only when the S-against-Q pass stays within
+// the threshold.
+double TwoSided(const Sequence& s, const Envelope* s_env, const Sequence& q,
+                const Envelope& q_env, const DtwOptions& options,
+                double abandon_above) {
+  assert(!s.empty() && !q.empty());
+  const double limit = internal::AccumulatedThreshold(abandon_above, options);
+  double acc = OneSidedAccumulated(s, q_env, options, limit);
+  if (!(acc > limit)) {
+    const Envelope env = s_env != nullptr ? *s_env : ComputeEnvelope(s);
+    acc = std::max(acc, OneSidedAccumulated(q, env, options, limit));
+  }
+  return options.take_sqrt ? std::sqrt(acc) : acc;
 }
 
 }  // namespace
 
 double LbYiWithEnvelopes(const Sequence& s, const Envelope& s_env,
                          const Sequence& q, const Envelope& q_env,
-                         const DtwOptions& options) {
-  assert(!s.empty() && !q.empty());
-  // Both one-sided bounds hold in the accumulated domain, so their max
-  // does too; sqrt is monotone, so it commutes with the max.
-  const double acc = std::max(OneSidedAccumulated(s, q_env, options),
-                              OneSidedAccumulated(q, s_env, options));
-  return options.take_sqrt ? std::sqrt(acc) : acc;
+                         const DtwOptions& options, double abandon_above) {
+  return TwoSided(s, &s_env, q, q_env, options, abandon_above);
+}
+
+double LbYi(const Sequence& s, const Sequence& q, const Envelope& q_env,
+            const DtwOptions& options, double abandon_above) {
+  return TwoSided(s, nullptr, q, q_env, options, abandon_above);
 }
 
 double LbYi(const Sequence& s, const Sequence& q, const DtwOptions& options) {
-  return LbYiWithEnvelopes(s, ComputeEnvelope(s), q, ComputeEnvelope(q),
-                           options);
+  return LbYi(s, q, ComputeEnvelope(q), options);
 }
 
 }  // namespace warpindex

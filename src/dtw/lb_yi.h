@@ -16,11 +16,18 @@
 //
 // Both consistently lower-bound the corresponding D_tw (tested as a
 // property in tests/lb_yi_test.cc).
+//
+// Early abandoning: the DtwOptions-aware forms take `abandon_above`, as
+// LbKeogh does (dtw/lb_keogh.h). Each one-sided pass stops once its
+// accumulator exceeds the threshold, and the S-against-Q pass runs first.
+// Then the result is the full bound, bit for bit, whenever that is
+// <= abandon_above, and a value > abandon_above otherwise.
 
 #ifndef WARPINDEX_DTW_LB_YI_H_
 #define WARPINDEX_DTW_LB_YI_H_
 
 #include "dtw/base_distance.h"
+#include "dtw/dtw.h"
 #include "sequence/sequence.h"
 
 namespace warpindex {
@@ -53,7 +60,15 @@ double LbYi(const Sequence& s, const Sequence& q, const DtwOptions& options);
 
 double LbYiWithEnvelopes(const Sequence& s, const Envelope& s_env,
                          const Sequence& q, const Envelope& q_env,
-                         const DtwOptions& options);
+                         const DtwOptions& options,
+                         double abandon_above = kInfiniteDistance);
+
+// The same bound with only q's envelope given (the cascade's lb_yi stage
+// builds it once per query): s's envelope is computed only when the
+// S-against-Q pass has not already exceeded `abandon_above`.
+double LbYi(const Sequence& s, const Sequence& q, const Envelope& q_env,
+            const DtwOptions& options,
+            double abandon_above = kInfiniteDistance);
 
 }  // namespace warpindex
 

@@ -8,7 +8,6 @@
 #include "net/serialize.h"
 #include "obs/exporters.h"
 #include "obs/profiler.h"
-#include "plan/cascade_planner.h"
 
 namespace warpindex {
 namespace {
@@ -38,31 +37,6 @@ JsonValue RTreeHealthJson(const RTreeHealth& h) {
     levels.Add(std::move(row));
   }
   json.Set("levels", std::move(levels));
-  return json;
-}
-
-// A planner cost-model row: per-candidate cost, pass rate, updates.
-JsonValue StageStatsJson(const CascadePlanner::StageStats& stats) {
-  JsonValue json = JsonValue::Object();
-  json.Set("unit_cost_ms", JsonValue::Double(stats.unit_cost_ms));
-  json.Set("pass_rate", JsonValue::Double(stats.pass_rate));
-  json.Set("updates", JsonValue::Uint(stats.updates));
-  return json;
-}
-
-JsonValue PlannerJson(const CascadePlanner::Snapshot& p) {
-  JsonValue json = JsonValue::Object();
-  json.Set("mode", JsonValue::Str(PlanModeName(p.mode)));
-  json.Set("plans_chosen", JsonValue::Uint(p.plans_chosen));
-  json.Set("current_plan", JsonValue::Str(p.current_plan.ToString()));
-  JsonValue stages = JsonValue::Object();
-  for (const CascadePlanner::StageSnapshot& stage : p.stages) {
-    JsonValue row = StageStatsJson(stage.stats);
-    row.Set("in_current_plan", JsonValue::Bool(stage.in_current_plan));
-    stages.Set(std::string(CascadeStageName(stage.stage)), std::move(row));
-  }
-  json.Set("stages", std::move(stages));
-  json.Set("dtw", StageStatsJson(p.dtw));
   return json;
 }
 
@@ -475,16 +449,15 @@ std::string StatuszJson(const IntrospectionOptions& options,
                              ? BufferPoolJson(health.pool)
                              : JsonValue::Null());
 
-  // Single-engine index/planner detail; the sharded equivalents live
-  // per shard inside "sharding" (each shard has its own R-tree and
-  // CascadePlanner).
+  // Single-engine index detail and cascade plan; the sharded R-trees
+  // live per shard inside "sharding".
   if (options.engine != nullptr) {
     doc.Set("rtree", RTreeHealthJson(health.index));
-    doc.Set("planner",
-            PlannerJson(options.engine->cascade_planner().TakeSnapshot()));
+    doc.Set("cascade_plan",
+            JsonValue::Str(options.engine->cascade_plan().ToString()));
   } else {
     doc.Set("rtree", JsonValue::Null());
-    doc.Set("planner", JsonValue::Null());
+    doc.Set("cascade_plan", JsonValue::Null());
   }
 
   doc.Set("sharding",

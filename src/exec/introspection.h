@@ -9,9 +9,8 @@
 //   /metrics          Prometheus text exposition of the engine registry
 //                     (plus the warpindex_build_info info metric)
 //   /statusz          JSON: build info, uptime, executor gauges,
-//                     buffer-pool hit ratio, R-tree health, planner
-//                     cost-model snapshot, recorder/slow-log/trace-store
-//                     state
+//                     buffer-pool hit ratio, R-tree health, the cascade
+//                     plan, recorder/slow-log/trace-store state
 //   /slowlog          JSON: the worst-K queries by latency, slowest
 //                     first, with per-stage timings and prune counters
 //   /flightrecorder   JSON: the last N completed queries, oldest first
@@ -25,7 +24,7 @@
 //                     evictions (cache/semantic_cache.h)
 //
 // Every handler renders from the snapshot APIs (Engine::
-// TakeHealthSnapshot, CascadePlanner::TakeSnapshot, BufferPool::
+// TakeHealthSnapshot, Engine::cascade_plan, BufferPool::
 // TakeStatsSnapshot, QueryExecutor::TakeSnapshot, FlightRecorder/
 // SlowQueryLog::Snapshot), all of which are safe against in-flight
 // queries — scraping never pauses serving. Do not mutate the engine

@@ -9,26 +9,6 @@
 #include "shard/fanout.h"
 
 namespace warpindex {
-namespace {
-
-// Inverse of MethodKindName (core/engine.cc).
-bool ParseMethodKindName(const std::string& name, MethodKind* out) {
-  static constexpr MethodKind kKinds[] = {
-      MethodKind::kTwSimSearch,    MethodKind::kNaiveScan,
-      MethodKind::kLbScan,         MethodKind::kStFilter,
-      MethodKind::kTwSimSearchCascade,
-  };
-  for (const MethodKind kind : kKinds) {
-    if (name == MethodKindName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 ShardServer::ShardServer(ShardServerOptions options)
     : options_(std::move(options)),
       server_([this] {
@@ -207,7 +187,7 @@ Status ShardServer::HandleRange(const JsonValue& request,
   WARPINDEX_RETURN_IF_ERROR(RequestedSlots(request, &slots));
   MethodKind kind;
   const std::string method = request.GetString("method", "");
-  if (!ParseMethodKindName(method, &kind)) {
+  if (!ParseMethodKind(method, &kind)) {
     return Status::InvalidArgument("unknown method '" + method + "'");
   }
   // A remote request must never crash the process: ST-Filter needs the

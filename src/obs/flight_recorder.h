@@ -5,8 +5,8 @@
 // flight recorder captures after the fact: whoever finishes a query (the
 // concurrent executor's workers, or a sequential serving loop) offers one
 // FlightRecord, and the recorder keeps the most recent `capacity` of them.
-// When something goes wrong in production — a latency spike, a planner
-// misprediction — `/flightrecorder` (obs/httpd.h) serves the recent
+// When something goes wrong in production — a latency spike, a query
+// whose cascade pruned nothing — `/flightrecorder` (obs/httpd.h) serves the recent
 // history without anyone having thought to enable tracing beforehand.
 //
 // Cost discipline: recording is one atomic increment to pick a slot plus

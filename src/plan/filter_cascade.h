@@ -21,8 +21,7 @@
 //
 // Each stage records candidates-in / pruned into SearchCost::prunes and
 // its elapsed time into SearchCost::stages (names shared with traces and
-// metrics), plus an optional CascadeObservation consumed by the
-// CascadePlanner's online cost model.
+// metrics).
 //
 // The exact stage (RunExactStage) is the one post-filter of every range
 // method: TW-Sim-Search with or without a planned cascade
@@ -32,9 +31,7 @@
 #ifndef WARPINDEX_PLAN_FILTER_CASCADE_H_
 #define WARPINDEX_PLAN_FILTER_CASCADE_H_
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,37 +74,34 @@ struct CascadePlan {
   std::string ToString() const;
 };
 
-// What one executed query observed at one stage.
-struct StageObservation {
-  uint64_t in = 0;
-  uint64_t pruned = 0;
-  double ms = 0.0;
-};
+// True when `stage`'s bound never exceeds D_tw-lb for `options`, so it
+// cannot prune a candidate that passed the index predicate (the
+// dominance table in docs/PLANNER.md).
+bool StageDominated(CascadeStage stage, const DtwOptions& options);
 
-// Per-stage observations of one query, fed back into the planner's cost
-// model. Stages that did not run keep in == 0.
-struct CascadeObservation {
-  std::array<StageObservation, kNumCascadeStages> lb;
-  StageObservation dtw;
-
-  StageObservation& at(CascadeStage stage) {
-    return lb[static_cast<size_t>(stage)];
-  }
-  const StageObservation& at(CascadeStage stage) const {
-    return lb[static_cast<size_t>(stage)];
-  }
-};
+// The plan TW-Sim-Search-Cascade runs unless EngineOptions::cascade_plan
+// fixes one, read off `options` alone:
+//
+//   L_inf, no band   {}             every stage is dominated
+//   any band >= 0    {lb_improved}  its pass 1 is LB_Keogh, with the same
+//                                   early stop; LB_Yi's one-sided term is
+//                                   <= LB_Keogh's element by element
+//   L1/L2, no band   {lb_yi}        LB_Keogh is LB_Yi's first term, and
+//                                   LB_Improved's pass 2 costs more than
+//                                   the DP it saves
+//
+// feature_lb is dominated under every model (it is the index predicate).
+CascadePlan DefaultCascadePlan(const DtwOptions& options);
 
 // The exact stage (Algorithm 1 Steps 4-7): thresholded D_tw over
 // `candidates` on the calling thread, keeping those within epsilon.
 // Matches and their distances append to `result` in candidate order.
 // dtw_evals, dtw_cells, the dtw_postfilter span, stage wall and CPU time
-// and the prune record accumulate into result->cost, and the stage's
-// in/pruned/ms into `obs`. `trace`, `scratch` and `obs` are optional.
+// and the prune record accumulate into result->cost. `trace` and
+// `scratch` are optional.
 void RunExactStage(const Dtw& dtw, const Sequence& query, double epsilon,
                    const std::vector<const Sequence*>& candidates,
-                   SearchResult* result, Trace* trace, DtwScratch* scratch,
-                   StageObservation* obs = nullptr);
+                   SearchResult* result, Trace* trace, DtwScratch* scratch);
 
 class FilterCascade {
  public:
@@ -120,13 +114,13 @@ class FilterCascade {
   // Runs `plan`'s lower-bound stages over `candidates` (borrowed
   // sequences), pruning the list in place and leaving the exact-DTW stage
   // to the caller (RunExactStage). Stage timings, prune counters and lb
-  // eval counts accumulate into result->cost; `obs` and `trace` are
-  // optional. LB_Keogh and LB_Improved share one LbScratch per call and
-  // stop early once a bound exceeds epsilon.
+  // eval counts accumulate into result->cost; `trace` is optional.
+  // LB_Keogh and LB_Improved share one LbScratch per call, and the three
+  // envelope bounds stop early once they exceed epsilon.
   void RunLbStages(const Sequence& query, double epsilon,
                    std::vector<const Sequence*>* candidates,
                    const CascadePlan& plan, SearchResult* result,
-                   Trace* trace, CascadeObservation* obs = nullptr) const;
+                   Trace* trace) const;
 
  private:
   DtwOptions options_;

@@ -2,11 +2,10 @@
 // independent per-shard Engines, with scatter-gather query fan-out.
 //
 // Why: every structure a query touches — R-tree, sequence store, buffer
-// pool, cascade planner — is per-shard, so each index stays N/K small, K
-// shards answer one range query in parallel on the serving pool, and each
-// shard's CascadePlanner learns the cost model of ITS data rather than a
-// global average. Answers are bit-identical to a
-// single Engine over the same dataset:
+// pool — is per-shard, so each index stays N/K small and K shards answer
+// one range query in parallel on the serving pool. Every shard runs the
+// same cascade plan, read off the shared DtwOptions. Answers are
+// bit-identical to a single Engine over the same dataset:
 //
 //   * Range queries run TW-Sim-Search (or any MethodKind) per shard and
 //     take the union, remapped to global ids and sorted ascending — the

@@ -1,4 +1,4 @@
-// TW-Sim-Search-Cascade (core/tw_sim_search.h with a planner) end to
+// TW-Sim-Search-Cascade (core/tw_sim_search.h with a cascade plan) end to
 // end: on the stock and random-walk datasets,
 // MethodKind::kTwSimSearchCascade returns exactly the same result set as
 // MethodKind::kTwSimSearch — sequentially and through the concurrent
@@ -168,37 +168,66 @@ TEST_F(CascadeSearchTest, ExecutorBatchWith4ThreadsAnswersIdentical) {
   }
 }
 
-TEST_F(CascadeSearchTest, AutoPlanAnswersIdenticalToTwSimSearch) {
-  // kAuto re-plans per query from its online cost model (warm-up, greedy
-  // drops, periodic exploration) — none of which may change answers.
+TEST_F(CascadeSearchTest, DefaultPlanOfEachTableRowAnswersIdentically) {
+  // One engine per row of DefaultCascadePlan's table (unbanded L_inf,
+  // a band under each model, unbanded L1 and L2): the engine runs the
+  // row's plan, no stage outside it sees a candidate, and it answers as
+  // TW-Sim-Search does.
   RandomWalkOptions data;
   data.num_sequences = 80;
   data.min_length = 30;
   data.max_length = 60;
   data.seed = 19;
-  MetricsRegistry metrics;
-  EngineOptions options;
-  options.dtw.band = 6;
-  options.cascade_planner.mode = PlanMode::kAuto;
-  options.cascade_planner.warmup_queries = 5;
-  options.cascade_planner.explore_every = 16;
-  options.metrics = &metrics;
-  Engine engine(GenerateRandomWalkDataset(data), options);
+  const Dataset dataset = GenerateRandomWalkDataset(data);
   QueryWorkloadOptions query_options;
-  query_options.num_queries = 120;
+  query_options.num_queries = 40;
   query_options.seed = 23;
   const std::vector<Sequence> workload =
-      GenerateQueryWorkload(engine.dataset(), query_options);
+      GenerateQueryWorkload(dataset, query_options);
 
-  for (const Sequence& query : workload) {
-    const SearchResult plain =
-        engine.SearchWith(MethodKind::kTwSimSearch, query, 1.0);
-    const SearchResult cascade =
-        engine.SearchWith(MethodKind::kTwSimSearchCascade, query, 1.0);
-    ASSERT_EQ(Sorted(cascade.matches), Sorted(plain.matches));
+  struct Row {
+    DtwOptions dtw;
+    double epsilon;
+  };
+  DtwOptions banded_linf = DtwOptions::Linf();
+  banded_linf.band = 6;
+  DtwOptions banded_l1 = DtwOptions::L1();
+  banded_l1.band = 6;
+  DtwOptions banded_l2 = DtwOptions::L2();
+  banded_l2.band = 6;
+  for (const Row& row : {Row{DtwOptions::Linf(), 1.0}, Row{banded_linf, 1.0},
+                         Row{banded_l1, 8.0}, Row{banded_l2, 2.0},
+                         Row{DtwOptions::L1(), 8.0},
+                         Row{DtwOptions::L2(), 2.0}}) {
+    MetricsRegistry metrics;
+    EngineOptions options;
+    options.dtw = row.dtw;
+    options.metrics = &metrics;
+    Engine engine(dataset, options);
+    const CascadePlan plan = DefaultCascadePlan(row.dtw);
+    ASSERT_EQ(engine.cascade_plan().stages, plan.stages);
+    size_t matches = 0;
+    for (const Sequence& query : workload) {
+      const SearchResult plain =
+          engine.SearchWith(MethodKind::kTwSimSearch, query, row.epsilon);
+      const SearchResult cascade = engine.SearchWith(
+          MethodKind::kTwSimSearchCascade, query, row.epsilon);
+      ASSERT_EQ(Sorted(cascade.matches), Sorted(plain.matches))
+          << plan.ToString() << " band=" << row.dtw.band;
+      ASSERT_LE(cascade.cost.dtw_evals, plain.cost.dtw_evals);
+      matches += plain.matches.size();
+      for (size_t i = 0; i < kNumCascadeStages; ++i) {
+        const CascadeStage stage = static_cast<CascadeStage>(i);
+        const bool planned = std::find(plan.stages.begin(), plan.stages.end(),
+                                       stage) != plan.stages.end();
+        if (!planned) {
+          EXPECT_EQ(cascade.cost.prunes.Get(CascadeStageName(stage)).in, 0u)
+              << CascadeStageName(stage);
+        }
+      }
+    }
+    EXPECT_GT(matches, 0u) << plan.ToString();
   }
-  EXPECT_EQ(engine.cascade_planner().plans_chosen(),
-            workload.size());
 }
 
 TEST_F(CascadeSearchTest, TieAtEpsilonIsReportedAsAMatch) {

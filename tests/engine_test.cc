@@ -15,6 +15,23 @@ Dataset SmallDataset() {
   return GenerateRandomWalkDataset(options);
 }
 
+TEST(EngineTest, MethodKindNamesRoundTrip) {
+  for (const MethodKind kind :
+       {MethodKind::kTwSimSearch, MethodKind::kNaiveScan,
+        MethodKind::kLbScan, MethodKind::kStFilter,
+        MethodKind::kTwSimSearchCascade}) {
+    MethodKind parsed = MethodKind::kStFilter;
+    ASSERT_TRUE(ParseMethodKind(MethodKindName(kind), &parsed))
+        << MethodKindName(kind);
+    EXPECT_EQ(parsed, kind);
+  }
+  // Unknown names (the CLI's short spellings included) leave it as is.
+  MethodKind kind = MethodKind::kLbScan;
+  EXPECT_FALSE(ParseMethodKind("TW-Sim-Search-Turbo", &kind));
+  EXPECT_FALSE(ParseMethodKind("tw", &kind));
+  EXPECT_EQ(kind, MethodKind::kLbScan);
+}
+
 TEST(EngineTest, WiresStoreAndIndexToDataset) {
   const Engine engine(SmallDataset(), EngineOptions{});
   EXPECT_EQ(engine.dataset().size(), 40u);
@@ -81,8 +98,7 @@ TEST(EngineTest, L1SimilarityModelSupported) {
 TEST(EngineTest, LbCascadeKeepsAnswersAndSavesDtwCells) {
   // The LB_Yi stage alone between the fetch and exact DTW.
   EngineOptions options;
-  options.cascade_planner.mode = PlanMode::kFixed;
-  options.cascade_planner.fixed = CascadePlan{{CascadeStage::kLbYi}};
+  options.cascade_plan = CascadePlan{{CascadeStage::kLbYi}};
   const Engine engine(SmallDataset(), options);
   uint64_t plain_cells = 0;
   uint64_t cascade_cells = 0;

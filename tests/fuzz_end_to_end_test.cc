@@ -42,10 +42,10 @@ TEST(FuzzEndToEndTest, RandomConfigurationsAgreeWithScan) {
     // A random fixed lower-bound plan (any of the 16 stage subsets) for
     // kTwSimSearchCascade.
     const int64_t stage_mask = prng.UniformInt(0, 15);
-    options.cascade_planner.mode = PlanMode::kFixed;
+    options.cascade_plan.emplace();
     for (const CascadeStage stage : CascadePlan::Full().stages) {
       if ((stage_mask >> static_cast<int>(stage)) & 1) {
-        options.cascade_planner.fixed.stages.push_back(stage);
+        options.cascade_plan->stages.push_back(stage);
       }
     }
     options.index_buffer_pages =
@@ -96,7 +96,7 @@ TEST(FuzzEndToEndTest, RandomConfigurationsAgreeWithScan) {
           << "round=" << round << " eps=" << eps
           << " page=" << options.page_size_bytes
           << " bulk=" << options.bulk_load
-          << " plan=" << options.cascade_planner.fixed.ToString();
+          << " plan=" << options.cascade_plan->ToString();
     }
   }
 }
@@ -158,10 +158,10 @@ TEST(FuzzEndToEndTest, ShardedAgreesWithScan) {
                                                     : DtwOptions::L1();
     engine_options.dtw.band = static_cast<int>(prng.UniformInt(-1, 6));
     const int64_t stage_mask = prng.UniformInt(0, 15);
-    engine_options.cascade_planner.mode = PlanMode::kFixed;
+    engine_options.cascade_plan.emplace();
     for (const CascadeStage stage : CascadePlan::Full().stages) {
       if ((stage_mask >> static_cast<int>(stage)) & 1) {
-        engine_options.cascade_planner.fixed.stages.push_back(stage);
+        engine_options.cascade_plan->stages.push_back(stage);
       }
     }
     Dataset dataset;
@@ -195,7 +195,7 @@ TEST(FuzzEndToEndTest, ShardedAgreesWithScan) {
         " partitioner=" + PartitionerKindName(options.partitioner) +
         " pool=" + std::to_string(pooled) +
         " band=" + std::to_string(engine_options.dtw.band) +
-        " plan=" + engine_options.cascade_planner.fixed.ToString();
+        " plan=" + engine_options.cascade_plan->ToString();
     QueryWorkloadOptions qw;
     qw.num_queries = 4;
     qw.seed = prng.NextUint64();
@@ -250,10 +250,10 @@ TEST(FuzzEndToEndTest, IngestChurnAgreesWithScan) {
                                                     : DtwOptions::L1();
     engine_options.dtw.band = static_cast<int>(prng.UniformInt(-1, 6));
     const int64_t stage_mask = prng.UniformInt(0, 15);
-    engine_options.cascade_planner.mode = PlanMode::kFixed;
+    engine_options.cascade_plan.emplace();
     for (const CascadeStage stage : CascadePlan::Full().stages) {
       if ((stage_mask >> static_cast<int>(stage)) & 1) {
-        engine_options.cascade_planner.fixed.stages.push_back(stage);
+        engine_options.cascade_plan->stages.push_back(stage);
       }
     }
     const double eps_scale =
@@ -279,7 +279,7 @@ TEST(FuzzEndToEndTest, IngestChurnAgreesWithScan) {
         "round=" + std::to_string(round) +
         " shards=" + std::to_string(options.num_shards) +
         " band=" + std::to_string(engine_options.dtw.band) +
-        " plan=" + engine_options.cascade_planner.fixed.ToString();
+        " plan=" + engine_options.cascade_plan->ToString();
     for (int step = 0; step < 80; ++step) {
       const std::string where = where_round + " step=" + std::to_string(step);
       const auto pick = [&] {

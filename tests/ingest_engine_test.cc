@@ -393,9 +393,8 @@ TEST(IngestEngineTest, DeltaCandidatesRunAlgorithm1StagesAndReachCounters) {
   MetricsRegistry registry;
   options.engine.metrics = &registry;
   options.engine.dtw.band = 4;  // LB_Keogh prunes under a band
-  options.engine.cascade_planner.mode = PlanMode::kFixed;
-  options.engine.cascade_planner.fixed.stages = {CascadeStage::kFeatureLb,
-                                                 CascadeStage::kLbKeogh};
+  options.engine.cascade_plan =
+      CascadePlan{{CascadeStage::kFeatureLb, CascadeStage::kLbKeogh}};
   const Dataset base = WalkDataset(43, 40);
   IngestEngine ingest(WalkDataset(43, 40), options);
   const auto queries = GenerateQueryWorkload(

@@ -122,13 +122,14 @@ TEST_F(IntrospectionTest, StatuszJsonIsValidAndComplete) {
   RunQueries(8);
   const std::string json = StatuszJson(Options(), /*uptime_s=*/1.5);
   ExpectValidJson(json);
-  // The acceptance-criterion fields: R-tree health, planner snapshot,
+  // The acceptance-criterion fields: R-tree health, the cascade plan,
   // buffer-pool hit ratio, in-flight gauge.
   EXPECT_NE(json.find("\"rtree\":{"), std::string::npos);
   EXPECT_NE(json.find("\"height\":"), std::string::npos);
   EXPECT_NE(json.find("\"overlap_ratio\":"), std::string::npos);
-  EXPECT_NE(json.find("\"planner\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"current_plan\":"), std::string::npos);
+  EXPECT_NE(json.find("\"cascade_plan\":\"" +
+                      engine_.cascade_plan().ToString() + "\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"hit_ratio\":"), std::string::npos);
   EXPECT_NE(json.find("\"in_flight\":"), std::string::npos);
   EXPECT_NE(json.find("\"queries_total\":8"), std::string::npos);

@@ -94,6 +94,50 @@ TEST_P(LbYiPropertyTest, PrecomputedEnvelopesMatchOnTheFly) {
   }
 }
 
+TEST(LbYiThresholdTest, ThresholdedBoundDecidesExactly) {
+  // With abandon_above = t, both forms return the unthresholded bound bit
+  // for bit when it is <= t, and a value > t otherwise; so a cascade
+  // stage keeps exactly the candidates whose full bound is <= epsilon.
+  // Mismatched lengths, every model; the band does not enter LB_Yi.
+  Prng prng(14);
+  size_t abandoned = 0;
+  size_t exact = 0;
+  for (DtwOptions options :
+       {DtwOptions::Linf(), DtwOptions::L1(), DtwOptions::L2()}) {
+    for (const int band : {-1, 0, 5}) {
+      options.band = band;
+      for (int trial = 0; trial < 200; ++trial) {
+        const Sequence s = RandomSequence(&prng, 30);
+        const Sequence q = RandomSequence(&prng, 30);
+        const Envelope q_env = ComputeEnvelope(q);
+        const double full = LbYi(s, q, options);
+        // Thresholds below, at and above the bound, and random ones.
+        for (const double t :
+             {full, full * 0.5, full * 1.5, 0.0, prng.UniformDouble(0.0, 3.0),
+              prng.UniformDouble(0.0, 30.0)}) {
+          const double lazy = LbYi(s, q, q_env, options, t);
+          const double given = LbYiWithEnvelopes(s, ComputeEnvelope(s), q,
+                                                 q_env, options, t);
+          if (full <= t) {
+            ++exact;
+            ASSERT_EQ(lazy, full) << "t=" << t;
+            ASSERT_EQ(given, full) << "t=" << t;
+          } else {
+            abandoned += lazy < full ? 1 : 0;
+            ASSERT_GT(lazy, t) << "full=" << full;
+            ASSERT_GT(given, t) << "full=" << full;
+            ASSERT_LE(lazy, full);
+            ASSERT_LE(given, full);
+          }
+        }
+      }
+    }
+  }
+  // Both branches ran, and some calls really stopped early.
+  EXPECT_GT(exact, 1000u);
+  EXPECT_GT(abandoned, 100u);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothCombiners, LbYiPropertyTest,
                          testing::Values(DtwCombiner::kMax,
                                          DtwCombiner::kSum),

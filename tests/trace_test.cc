@@ -86,8 +86,7 @@ class TracedEngineTest : public testing::Test {
     rw.min_length = 100;
     rw.max_length = 200;
     EngineOptions options;
-    options.cascade_planner.mode = PlanMode::kFixed;
-    options.cascade_planner.fixed = CascadePlan{{CascadeStage::kLbYi}};
+    options.cascade_plan = CascadePlan{{CascadeStage::kLbYi}};
     options.index_buffer_pages = pool_pages;
     options.metrics = &registry_;  // keep tests out of the global registry
     return new Engine(GenerateRandomWalkDataset(rw), options);
