@@ -157,9 +157,9 @@ void PrintPruneTable(const StageCounters& prunes) {
 }
 
 // Any serving flavor behind one pointer: a single Engine (--shards=1),
-// a ShardedEngine over K per-shard engines, or a writable IngestEngine
-// (`serve --ingest`). The EngineLike interface is all the executor and
-// the query paths need.
+// a ShardedEngine (a write-free IngestEngine over K per-shard engines),
+// or a writable IngestEngine (`serve --ingest`). The EngineLike interface
+// is all the executor and the query paths need.
 struct ServingEngine {
   std::unique_ptr<Engine> single;
   std::unique_ptr<ShardedEngine> sharded;
@@ -188,7 +188,7 @@ bool BuildServingEngine(Dataset dataset, const EngineOptions& options,
     out->single = std::make_unique<Engine>(std::move(dataset), options);
     return true;
   }
-  ShardedEngineOptions sharded_options;
+  IngestOptions sharded_options;
   sharded_options.num_shards = static_cast<size_t>(shards);
   if (!ParsePartitionerKind(partition, &sharded_options.partitioner)) {
     std::fprintf(stderr, "unknown --partition '%s' (hash | range)\n",

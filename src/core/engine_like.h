@@ -1,6 +1,7 @@
 // EngineLike: the query-serving surface shared by the single-index
-// Engine (core/engine.h) and the partitioned ShardedEngine
-// (shard/sharded_engine.h).
+// Engine (core/engine.h) and the partitioned IngestEngine
+// (ingest/ingest_engine.h), including its write-free read-only form,
+// ShardedEngine (shard/sharded_engine.h).
 //
 // The concurrent executor (exec/query_executor.h) serves through this
 // interface, so a thread pool built for one engine shape serves the

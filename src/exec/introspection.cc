@@ -88,7 +88,7 @@ JsonValue FeatureMbrJson(const ShardFeatureBounds& bounds) {
 // One /statusz row per shard: data/index health, serving counters, and
 // the pruning MBR — the acceptance surface for "is shard i healthy and
 // is pruning actually skipping it".
-JsonValue ShardingJson(const ShardedEngine::Health& health) {
+JsonValue ShardingJson(const IngestEngine::Health& health) {
   JsonValue json = JsonValue::Object();
   json.Set("num_shards", JsonValue::Uint(health.num_shards));
   json.Set("partitioner",
@@ -98,19 +98,19 @@ JsonValue ShardingJson(const ShardedEngine::Health& health) {
   json.Set("shards_skipped_total",
            JsonValue::Uint(health.shards_skipped_total));
   JsonValue shards = JsonValue::Array();
-  for (const ShardedEngine::ShardStatus& shard : health.shards) {
+  for (const IngestEngine::ShardStatus& shard : health.shards) {
+    const Engine::Health& base = shard.base_health;
     JsonValue row = JsonValue::Object();
     row.Set("shard", JsonValue::Uint(shard.shard_index));
-    row.Set("sequences", JsonValue::Uint(shard.health.dataset_sequences));
-    row.Set("live", JsonValue::Uint(shard.health.live_sequences));
-    row.Set("index_entries", JsonValue::Uint(shard.health.index_entries));
+    row.Set("sequences", JsonValue::Uint(base.dataset_sequences));
+    row.Set("live", JsonValue::Uint(base.live_sequences));
+    row.Set("index_entries", JsonValue::Uint(base.index_entries));
     row.Set("queries", JsonValue::Uint(shard.queries));
     row.Set("skipped", JsonValue::Uint(shard.skipped));
     row.Set("feature_mbr", FeatureMbrJson(shard.bounds));
-    row.Set("rtree", RTreeHealthJson(shard.health.index));
-    row.Set("buffer_pool", shard.health.has_pool
-                               ? BufferPoolJson(shard.health.pool)
-                               : JsonValue::Null());
+    row.Set("rtree", RTreeHealthJson(base.index));
+    row.Set("buffer_pool",
+            base.has_pool ? BufferPoolJson(base.pool) : JsonValue::Null());
     shards.Add(std::move(row));
   }
   json.Set("shards", std::move(shards));
@@ -202,6 +202,8 @@ JsonValue IngestJson(const IngestEngine::Health& health) {
     row.Set("compactions", JsonValue::Uint(shard.compactions));
     row.Set("last_compaction_ms",
             JsonValue::Double(shard.last_compaction_ms));
+    row.Set("queries", JsonValue::Uint(shard.queries));
+    row.Set("skipped", JsonValue::Uint(shard.skipped));
     row.Set("feature_mbr", FeatureMbrJson(shard.bounds));
     row.Set("rtree", RTreeHealthJson(shard.base_health.index));
     shards.Add(std::move(row));
@@ -341,16 +343,20 @@ bool ParseIntParam(const std::string& text, int* out) {
   return true;
 }
 
+// The partitioned engine being served, if any: a ShardedEngine is a
+// write-free IngestEngine.
+const IngestEngine* PartitionedOf(const IntrospectionOptions& options) {
+  return options.sharded != nullptr ? &options.sharded->ingest()
+                                    : options.ingest;
+}
+
 // The registry behind whichever engine flavor is being served.
 MetricsRegistry* RegistryOf(const IntrospectionOptions& options) {
   if (options.engine != nullptr) {
     return &options.engine->metrics();
   }
-  if (options.sharded != nullptr) {
-    return &options.sharded->metrics();
-  }
-  if (options.ingest != nullptr) {
-    return &options.ingest->metrics();
+  if (const IngestEngine* partitioned = PartitionedOf(options)) {
+    return &partitioned->metrics();
   }
   if (options.router != nullptr) {
     return &options.router->metrics();
@@ -394,43 +400,39 @@ std::string StatuszJson(const IntrospectionOptions& options,
   doc.Set("build", std::move(build_json));
   doc.Set("uptime_s", JsonValue::Double(uptime_s));
 
-  // One ingest snapshot reused for the dataset line and the "ingest"
-  // section (TakeHealthSnapshot traverses every base index).
-  IngestEngine::Health ingest_health;
-  if (options.ingest != nullptr) {
-    ingest_health = options.ingest->TakeHealthSnapshot();
+  // One partitioned-engine snapshot reused for the dataset line and the
+  // "sharding" or "ingest" section (TakeHealthSnapshot traverses every
+  // base index).
+  const IngestEngine* partitioned = PartitionedOf(options);
+  IngestEngine::Health partitioned_health;
+  if (partitioned != nullptr) {
+    partitioned_health = partitioned->TakeHealthSnapshot();
   }
 
-  Engine::Health health;  // single-engine sections (empty when sharded)
+  Engine::Health health;  // single-engine sections (empty when partitioned)
   if (options.engine != nullptr) {
     health = options.engine->TakeHealthSnapshot();
     doc.Set("dataset", DatasetJson(health.dataset_sequences,
                                    health.live_sequences,
                                    health.index_entries));
     doc.Set("engine", EngineJson(options.engine->options()));
-  } else if (options.sharded != nullptr) {
-    const ShardedEngine& sharded = *options.sharded;
-    size_t index_entries = 0;
-    // Aggregate dataset view; the per-shard split is in "sharding".
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      index_entries += sharded.shard(s).feature_index().size();
-    }
-    doc.Set("dataset", DatasetJson(sharded.total_sequences(),
-                                   sharded.live_size(), index_entries));
-    doc.Set("engine", EngineJson(sharded.shard(0).options()));
-  } else if (options.ingest != nullptr) {
+  } else if (partitioned != nullptr) {
+    // Aggregate dataset view; the per-shard split is in "sharding" or
+    // "ingest".
     size_t index_entries = 0;
     size_t delta_entries = 0;
-    for (const IngestEngine::ShardStatus& shard : ingest_health.shards) {
+    for (const IngestEngine::ShardStatus& shard : partitioned_health.shards) {
       index_entries += shard.base_health.index_entries;
       delta_entries += shard.delta_entries;
     }
     JsonValue dataset =
-        DatasetJson(ingest_health.id_space, ingest_health.live_sequences,
-                    index_entries);
-    dataset.Set("delta_entries", JsonValue::Uint(delta_entries));
+        DatasetJson(partitioned_health.id_space,
+                    partitioned_health.live_sequences, index_entries);
+    if (options.ingest != nullptr) {
+      dataset.Set("delta_entries", JsonValue::Uint(delta_entries));
+    }
     doc.Set("dataset", std::move(dataset));
-    doc.Set("engine", EngineJson(options.ingest->options().engine));
+    doc.Set("engine", EngineJson(partitioned->options().engine));
   }
 
   JsonValue executor;
@@ -460,11 +462,10 @@ std::string StatuszJson(const IntrospectionOptions& options,
     doc.Set("cascade_plan", JsonValue::Null());
   }
 
-  doc.Set("sharding",
-          options.sharded != nullptr
-              ? ShardingJson(options.sharded->TakeHealthSnapshot())
-              : JsonValue::Null());
-  doc.Set("ingest", options.ingest != nullptr ? IngestJson(ingest_health)
+  doc.Set("sharding", options.sharded != nullptr
+                          ? ShardingJson(partitioned_health)
+                          : JsonValue::Null());
+  doc.Set("ingest", options.ingest != nullptr ? IngestJson(partitioned_health)
                                               : JsonValue::Null());
   doc.Set("router", options.router != nullptr ? RouterJson(*options.router)
                                               : JsonValue::Null());
@@ -523,14 +524,9 @@ void SetIndexGauges(const IntrospectionOptions& options,
   std::vector<RTreeHealth> trees;
   if (options.engine != nullptr) {
     trees.push_back(options.engine->TakeHealthSnapshot().index);
-  } else if (options.sharded != nullptr) {
-    for (const ShardedEngine::ShardStatus& shard :
-         options.sharded->TakeHealthSnapshot().shards) {
-      trees.push_back(shard.health.index);
-    }
-  } else if (options.ingest != nullptr) {
+  } else if (const IngestEngine* partitioned = PartitionedOf(options)) {
     for (const IngestEngine::ShardStatus& shard :
-         options.ingest->TakeHealthSnapshot().shards) {
+         partitioned->TakeHealthSnapshot().shards) {
       trees.push_back(shard.base_health.index);
     }
   }

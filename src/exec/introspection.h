@@ -55,14 +55,16 @@ namespace warpindex {
 struct IntrospectionOptions {
   // At most one of `engine` / `sharded` / `ingest` is set: the local
   // serving engine the endpoints describe. Wire-plane processes set
-  // `router` or `shard_server` below instead (no local engine). With `sharded`, /statusz
-  // renders a "sharding" section with one entry per shard (sequence
-  // counts, sub-query/skip counters, feature MBR, and full R-tree
-  // health) and /metrics exports the shared registry, including the
-  // warpindex_shard_* series. With `ingest`, /statusz renders an
-  // "ingest" section instead — epoch, write totals, and per-shard
-  // base/delta/compaction state — and /metrics carries the
-  // warpindex_ingest_* series (see docs/INGEST.md).
+  // `router` or `shard_server` below instead (no local engine). Both
+  // partitioned flavors render from one IngestEngine::Health (a
+  // ShardedEngine is a write-free IngestEngine) and export the shared
+  // registry, including the warpindex_shard_* series. With `sharded`,
+  // /statusz renders a "sharding" section with one entry per shard
+  // (sequence counts, sub-query/skip counters, feature MBR, and full
+  // R-tree health). With `ingest`, it renders an "ingest" section
+  // instead — epoch, write totals, and per-shard base/delta/compaction
+  // state with the same sub-query/skip counters — and /metrics also
+  // carries the warpindex_ingest_* series (see docs/INGEST.md).
   const Engine* engine = nullptr;
   const ShardedEngine* sharded = nullptr;
   const IngestEngine* ingest = nullptr;

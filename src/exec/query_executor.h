@@ -1,7 +1,8 @@
 // Concurrent query execution over an engine: the server core's serving
-// path. The executor serves any EngineLike — a single Engine or a
-// ShardedEngine (which borrows this executor's pool for its own
-// scatter-gather fan-out; see shard/sharded_engine.h).
+// path. The executor serves any EngineLike — a single Engine or the
+// partitioned IngestEngine (or its write-free ShardedEngine form), which
+// borrows this executor's pool for its own partition fan-out (see
+// shard/fanout.h).
 //
 // The executor owns a fixed ThreadPool and runs range queries of any
 // MethodKind over it: Submit() enqueues one query and returns a future;
@@ -10,8 +11,8 @@
 // embarrassingly parallel (the Engine's read path is const and
 // thread-safe; see core/engine.h), so N workers give ~N× throughput
 // until memory bandwidth saturates. Intra-query parallelism is the
-// partition fan-out of a ShardedEngine or IngestEngine attached to this
-// pool (shard/fanout.h); a single Engine runs each query on one worker.
+// partition fan-out of a partitioned engine attached to this pool
+// (shard/fanout.h); a single Engine runs each query on one worker.
 //
 // Each worker keeps a DtwScratch reused across every query it executes,
 // so steady-state serving performs no per-query DP-row allocations.
@@ -143,8 +144,7 @@ class QueryExecutor {
   // one pool with one backpressure signal (queue_depth). Requires the
   // ingest engine to be the engine this executor serves (its write path
   // is internally synchronized against its own queries — the
-  // no-mutation-while-querying rule of Engine/ShardedEngine does NOT
-  // apply to it). Wire before serving; not thread-safe against in-flight
+  // no-mutation-while-querying rule of Engine does NOT apply to it). Wire before serving; not thread-safe against in-flight
   // submissions.
   void AttachIngest(IngestEngine* ingest) { ingest_ = ingest; }
   IngestEngine* ingest() const { return ingest_; }

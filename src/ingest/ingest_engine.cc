@@ -60,6 +60,8 @@ void IngestEngine::InitWiring() {
   }
   shard_compactions_ = std::vector<std::atomic<uint64_t>>(k);
   shard_last_compaction_ms_ = std::vector<std::atomic<double>>(k);
+  shard_queries_ = std::vector<std::atomic<uint64_t>>(k);
+  shard_skipped_ = std::vector<std::atomic<uint64_t>>(k);
 
   metrics_ = options_.engine.metrics != nullptr ? options_.engine.metrics
                                                 : &MetricsRegistry::Global();
@@ -82,6 +84,17 @@ void IngestEngine::InitWiring() {
   compaction_ms_hist_ = metrics_->GetHistogram(
       "warpindex_ingest_compaction_ms", ExponentialBoundaries(0.1, 2.0, 16),
       "Compaction duration (freeze + rebuild + swap), ms");
+  queries_total_ =
+      metrics_->GetCounter("warpindex_shard_queries_total",
+                           "Logical queries served by the partitioned engine");
+  subqueries_total_ = metrics_->GetCounter(
+      "warpindex_shard_subqueries_total", "Per-partition sub-queries executed");
+  skipped_total_ =
+      metrics_->GetCounter("warpindex_shard_skipped_total",
+                           "Partition visits avoided by feature-MBR pruning");
+  fanout_hist_ = metrics_->GetHistogram(
+      "warpindex_shard_fanout", LinearBoundaries(1.0, 1.0, 16),
+      "Partitions searched per logical query");
   shard_delta_gauges_.clear();
   for (size_t s = 0; s < k; ++s) {
     shard_delta_gauges_.push_back(metrics_->GetGauge(
@@ -205,67 +218,103 @@ bool IngestEngine::Delete(SequenceId id) {
   return true;
 }
 
+std::vector<size_t> IngestEngine::SelectPartitions(
+    const QuerySnapshot& snap, const Point& query_point, double epsilon,
+    std::vector<bool>* base_hit) const {
+  // A pruned base contributes no matches, so its tombstones are
+  // irrelevant to this query; its buffered rows still are.
+  const size_t num_parts = snap.view->shards.size();
+  std::vector<size_t> active;
+  active.reserve(num_parts);
+  base_hit->assign(num_parts, false);
+  for (size_t s = 0; s < num_parts; ++s) {
+    (*base_hit)[s] =
+        PartitionMayMatch(snap.view->shards[s].bounds, query_point, epsilon);
+    if ((*base_hit)[s] || !snap.parts[s].entries.empty()) {
+      active.push_back(s);
+      shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
+    } else {
+      shard_skipped_[s].fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  queries_total_->Increment();
+  subqueries_total_->Increment(active.size());
+  skipped_total_->Increment(num_parts - active.size());
+  fanout_hist_->Observe(static_cast<double>(active.size()));
+  return active;
+}
+
 SearchResult IngestEngine::SearchWith(MethodKind kind, const Sequence& query,
                                       double epsilon, Trace* trace,
                                       DtwScratch* /*scratch*/) const {
   FanOutClock clock;
   const QuerySnapshot snap = AcquireSnapshot();
   const FeatureVector qfeat = ExtractFeature(query);
-  const Point feature_point = FeatureIndex::FeatureToPoint(qfeat);
-
-  // A partition participates if its base survives the feature-MBR prune
-  // or its delta buffers anything visible. A pruned base contributes no
-  // matches, so its tombstones are irrelevant to this query.
-  const size_t num_parts = snap.view->shards.size();
-  std::vector<size_t> active;
-  std::vector<bool> base_hit(num_parts);
-  active.reserve(num_parts);
-  for (size_t s = 0; s < num_parts; ++s) {
-    base_hit[s] =
-        PartitionMayMatch(snap.view->shards[s].bounds, feature_point, epsilon);
-    if (base_hit[s] || !snap.parts[s].entries.empty()) {
-      active.push_back(s);
-    }
-  }
+  std::vector<bool> base_hit;
+  const std::vector<size_t> active = SelectPartitions(
+      snap, FeatureIndex::FeatureToPoint(qfeat), epsilon, &base_hit);
+  const uint64_t trace_id = trace != nullptr ? trace->trace_id() : 0;
 
   // Two partials per partition: its base's answer, then its delta's.
   std::vector<SearchResult> partials(2 * active.size());
   RunFanOut(
-      pool_, num_parts, active, trace,
-      {{"epoch", static_cast<double>(snap.view->epoch)}}, &clock,
-      [&](size_t i, size_t s, Trace* sub) {
+      pool_, snap.view->shards.size(), active, trace,
+      {{"partitioner", static_cast<double>(options_.partitioner)},
+       {"epoch", static_cast<double>(snap.view->epoch)}},
+      &clock, [&](size_t i, size_t s, Trace* sub) {
         DtwScratch scratch;
-        const Engine& engine = *snap.view->shards[s].engine;
+        const BaseShard& shard = snap.view->shards[s];
+        SearchResult& base = partials[2 * i];
         if (base_hit[s]) {
-          partials[2 * i] =
-              engine.SearchWith(kind, query, epsilon, sub, &scratch);
-          RemapToGlobal(*snap.view->shards[s].global_of, &snap.parts[s].dead,
-                        &partials[2 * i]);
+          base = shard.engine->SearchWith(kind, query, epsilon, sub, &scratch);
+          RemapToGlobal(*shard.global_of, &snap.parts[s].dead, &base);
+          TraceCounter(sub, "candidates",
+                       static_cast<double>(base.num_candidates));
+          TraceCounter(sub, "matches",
+                       static_cast<double>(base.matches.size()));
+          TraceCounter(sub, "index_nodes",
+                       static_cast<double>(base.cost.index_nodes));
+          TraceCounter(sub, "dtw_evals",
+                       static_cast<double>(base.cost.dtw_evals));
         }
         // The buffered rows are candidates like the base's index hits:
         // selected by the predicate the R-tree applies (D_tw-lb <=
         // epsilon, on the stored feature), then refined by this
         // partition engine's Algorithm 1 tail. Entry ids are already
         // global; tombstoned entries are not in the snapshot.
-        ScopedSpan delta_span(sub, "delta_scan");
-        ThreadCpuTimer delta_cpu;
-        const std::vector<DeltaEntry>& entries = snap.parts[s].entries;
-        std::vector<const Sequence*> candidates;
-        for (const DeltaEntry& entry : entries) {
-          if (DtwLowerBoundDistance(entry.feature, qfeat) <= epsilon) {
-            candidates.push_back(entry.sequence.get());
-          }
-        }
         SearchResult& delta = partials[2 * i + 1];
-        if (!candidates.empty()) {
-          delta = engine.Refine(kind, query, epsilon, std::move(candidates),
-                                sub, &scratch);
+        const std::vector<DeltaEntry>& entries = snap.parts[s].entries;
+        if (!entries.empty()) {
+          ScopedSpan delta_span(sub, "delta_scan");
+          ThreadCpuTimer delta_cpu;
+          std::vector<const Sequence*> candidates;
+          for (const DeltaEntry& entry : entries) {
+            if (DtwLowerBoundDistance(entry.feature, qfeat) <= epsilon) {
+              candidates.push_back(entry.sequence.get());
+            }
+          }
+          if (!candidates.empty()) {
+            delta = shard.engine->Refine(kind, query, epsilon,
+                                         std::move(candidates), sub, &scratch);
+          }
+          TraceCounter(sub, "delta_entries",
+                       static_cast<double>(entries.size()));
+          TraceCounter(sub, "delta_matches",
+                       static_cast<double>(delta.matches.size()));
+          delta.cost.lb_evals += entries.size();
+          delta.cost.cpu_ms = delta_cpu.ElapsedMillis();
         }
-        TraceCounter(sub, "delta_entries", static_cast<double>(entries.size()));
-        TraceCounter(sub, "delta_matches",
-                     static_cast<double>(delta.matches.size()));
-        delta.cost.lb_evals += entries.size();
-        delta.cost.cpu_ms = delta_cpu.ElapsedMillis();
+        if (options_.flight_recorder != nullptr) {
+          SearchCost cost = base.cost;
+          cost.Merge(delta.cost);
+          FlightRecord record = MakeFlightRecord(
+              MethodKindName(kind), epsilon, query.size(),
+              base.matches.size() + delta.matches.size(),
+              base.num_candidates + delta.num_candidates, cost, trace_id);
+          record.shard = static_cast<int32_t>(s);
+          options_.flight_recorder->Record(std::move(record));
+        }
       });
   SearchResult result = MergeRange(&partials);
   clock.Stamp(&result.cost);
@@ -278,6 +327,14 @@ KnnResult IngestEngine::SearchKnnSeeded(const Sequence& query, size_t k,
   FanOutClock clock;
   const QuerySnapshot snap = AcquireSnapshot();
   const FeatureVector qfeat = ExtractFeature(query);
+  // No epsilon to prune against up front: every live base feeds the one
+  // merged candidate stream, which reads only as far into each index as
+  // the k-th distance allows.
+  std::vector<bool> base_hit;
+  std::vector<size_t> bases =
+      SelectPartitions(snap, FeatureIndex::FeatureToPoint(qfeat),
+                       kInfiniteDistance, &base_hit);
+  std::erase_if(bases, [&](size_t s) { return !base_hit[s]; });
   // The buffered rows join the partitions' index streams as one more
   // source, bounded by D_tw-lb on their stored features (their ids are
   // global already; tombstoned ones are not in the snapshot). The
@@ -292,11 +349,9 @@ KnnResult IngestEngine::SearchKnnSeeded(const Sequence& query, size_t k,
     dead.push_back(&part.dead);
   }
   const size_t lb_evals = buffered.size();
-  KnnResult result = SearchPartitionsKnn(
-      snap.view->shards,
-      ActivePartitions(snap.view->shards, FeatureIndex::FeatureToPoint(qfeat),
-                       kInfiniteDistance),
-      dead, std::move(buffered), query, k, seed_bound, trace);
+  KnnResult result =
+      SearchPartitionsKnn(snap.view->shards, bases, dead, std::move(buffered),
+                          query, k, seed_bound, trace);
   result.cost.lb_evals += lb_evals;
   clock.ExcludeCpu(result.cost.cpu_ms);
   clock.Stamp(&result.cost);
@@ -570,6 +625,7 @@ IngestEngine::Health IngestEngine::TakeHealthSnapshot() const {
   health.deletes_total = deletes_.load(std::memory_order_relaxed);
   health.cut_rebalances_total =
       cut_rebalances_.load(std::memory_order_relaxed);
+  health.queries_total = queries_.load(std::memory_order_relaxed);
   health.shards.resize(view->shards.size());
   for (size_t s = 0; s < view->shards.size(); ++s) {
     ShardStatus& status = health.shards[s];
@@ -583,9 +639,13 @@ IngestEngine::Health IngestEngine::TakeHealthSnapshot() const {
     status.compactions = shard_compactions_[s].load(std::memory_order_relaxed);
     status.last_compaction_ms =
         shard_last_compaction_ms_[s].load(std::memory_order_relaxed);
+    status.queries = shard_queries_[s].load(std::memory_order_relaxed);
+    status.skipped = shard_skipped_[s].load(std::memory_order_relaxed);
     status.base_health = view->shards[s].engine->TakeHealthSnapshot();
     status.bounds = view->shards[s].bounds;
     health.compactions_total += status.compactions;
+    health.subqueries_total += status.queries;
+    health.shards_skipped_total += status.skipped;
     if (ShouldCompact(s)) {
       ++health.compaction_backlog;
     }

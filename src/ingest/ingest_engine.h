@@ -1,6 +1,8 @@
-// IngestEngine: a writable, serving sequence database — the streaming
-// ingest subsystem that turns the build-then-serve ShardedEngine shape
-// into a live system.
+// IngestEngine: the partitioned sequence database — a writable, serving
+// engine over K partitions, and the one in-process implementation of
+// partitioned queries. The build-then-serve ShardedEngine
+// (shard/sharded_engine.h) is its write-free case: an IngestEngine with
+// no compactor behind a read-only interface.
 //
 // Architecture (LSM-style; see docs/INGEST.md):
 //
@@ -16,10 +18,10 @@
 //     that snapshot, so a query sees one consistent union of base +
 //     delta even while writes land and the compactor swaps epochs.
 //
-//   * Answers carry the exact merge semantics of the sharded engine:
-//     range results are the union of per-base results (feature-MBR
+//   * Range results are the union of per-base results (feature-MBR
 //     pruning included) and the delta's, tombstones filtered exactly,
-//     global ids sorted ascending. The delta only selects candidates
+//     global ids sorted ascending; a partition whose delta buffers
+//     nothing skips the delta scan. The delta only selects candidates
 //     (D_tw-lb <= epsilon on each entry's stored feature, the R-tree's
 //     predicate); its partition engine refines them (Engine::Refine:
 //     planned lower-bound stages, then the exact stage), so its work
@@ -49,7 +51,14 @@
 // Thread-safety: all query entry points are const and freely
 // concurrent; Insert/Delete are freely concurrent with queries, each
 // other, and compaction. Save() compacts first and requires no
-// concurrent writes. AttachPool before serving, like ShardedEngine.
+// concurrent writes. AttachPool before serving.
+//
+// Observability: every query counts once in warpindex_shard_queries_total
+// and each partition as searched (warpindex_shard_subqueries_total) or
+// skipped (warpindex_shard_skipped_total), with the searched count in the
+// warpindex_shard_fanout histogram; Health carries the same counts per
+// partition. A range query offers one flight record per searched
+// partition to IngestOptions::flight_recorder.
 
 #ifndef WARPINDEX_INGEST_INGEST_ENGINE_H_
 #define WARPINDEX_INGEST_INGEST_ENGINE_H_
@@ -66,6 +75,7 @@
 #include "core/engine_like.h"
 #include "exec/thread_pool.h"
 #include "ingest/delta_shard.h"
+#include "obs/flight_recorder.h"
 #include "obs/trace_store.h"
 #include "shard/scatter_gather.h"
 #include "shard/shard_view.h"
@@ -78,9 +88,9 @@ struct IngestOptions {
   // Number of partitions (>= 1).
   size_t num_shards = 4;
   PartitionerKind partitioner = PartitionerKind::kHash;
-  // Per-base-shard engine configuration (the base engines also refine
-  // the delta's candidates), including the R*-style insert knobs
-  // (EngineOptions::rtree_*) applied to every compacted rebuild.
+  // Per-base-shard engine configuration, applied to every compacted
+  // rebuild too (the base engines also refine the delta's candidates).
+  // Its metrics registry is shared by every partition and this layer.
   EngineOptions engine;
 
   // ---- Compaction triggers (evaluated per partition).
@@ -108,12 +118,18 @@ struct IngestOptions {
   // ("compaction" root with freeze/build/swap children) are offered
   // here for /tracez retention.
   TraceStore* trace_store = nullptr;
+  // Optional (borrowed; must outlive the engine): every range query
+  // offers one record per searched partition here, tagged with its
+  // shard, so /flightrecorder can attribute latency to the partition
+  // that caused it. The serving layer's own record (shard = -1) covers
+  // the merged query.
+  FlightRecorder* flight_recorder = nullptr;
 };
 
 class IngestEngine : public EngineLike {
  public:
-  // Builds the initial epoch from `dataset` (consumed): partitioned
-  // like ShardedEngine, one bulk-loaded base Engine per shard, empty
+  // Builds the initial epoch from `dataset` (consumed): partitioned by
+  // options.partitioner, one bulk-loaded base Engine per shard, empty
   // deltas. Global ids 0..n-1 are the dataset positions; inserts
   // continue the id space monotonically (ids are never reused).
   IngestEngine(Dataset dataset, IngestOptions options);
@@ -175,9 +191,9 @@ class IngestEngine : public EngineLike {
 
   // ---- Persistence: manifest v2 (dropped-id sentinels + range cuts;
   // shard/shard_io.h) + per-shard Engine::Save directories. Compacts
-  // everything first, so the saved form has empty deltas — which is
-  // exactly what makes the directory re-openable by the read-only
-  // ShardedEngine::Open as well. No concurrent writes during Save.
+  // everything first, so the saved form has empty deltas (and is what a
+  // shard server or ShardedEngine::Open loads). No concurrent writes
+  // during Save.
   Status Save(const std::string& dir);
   static Status Open(const std::string& dir, IngestOptions options,
                      std::unique_ptr<IngestEngine>* out);
@@ -200,7 +216,8 @@ class IngestEngine : public EngineLike {
   // The current epoch snapshot (tests and introspection).
   std::shared_ptr<const ShardView> CurrentView() const;
 
-  // ---- Observability (feeds the /statusz "ingest" section).
+  // ---- Observability (feeds the /statusz "ingest" and "sharding"
+  // sections).
 
   struct ShardStatus {
     size_t shard_index = 0;
@@ -211,6 +228,9 @@ class IngestEngine : public EngineLike {
     double write_rate_per_s = 0.0;  // over the compactor's poll window
     uint64_t compactions = 0;
     double last_compaction_ms = 0.0;  // duration; 0 = never compacted
+    // Queries that searched this partition / that pruning skipped it.
+    uint64_t queries = 0;
+    uint64_t skipped = 0;
     Engine::Health base_health;
     ShardFeatureBounds bounds;
   };
@@ -225,6 +245,9 @@ class IngestEngine : public EngineLike {
     uint64_t compactions_total = 0;
     uint64_t cut_rebalances_total = 0;
     size_t compaction_backlog = 0;  // shards currently over threshold
+    uint64_t queries_total = 0;     // range + kNN queries served
+    uint64_t subqueries_total = 0;  // partitions searched, summed
+    uint64_t shards_skipped_total = 0;
     std::vector<ShardStatus> shards;
   };
   Health TakeHealthSnapshot() const;
@@ -256,6 +279,15 @@ class IngestEngine : public EngineLike {
   };
   QuerySnapshot AcquireSnapshot() const;
 
+  // The partitions a query over `snap` visits, ascending: those whose
+  // base survives the feature-MBR prune at `epsilon` (flagged in
+  // `base_hit`) or whose delta buffers a visible row. Counts the query,
+  // and each partition as searched or skipped.
+  std::vector<size_t> SelectPartitions(const QuerySnapshot& snap,
+                                       const Point& query_point,
+                                       double epsilon,
+                                       std::vector<bool>* base_hit) const;
+
   void InitWiring();
   size_t RouteInsert(const ShardView& view, const FeatureVector& feature,
                      SequenceId id) const;
@@ -286,11 +318,15 @@ class IngestEngine : public EngineLike {
 
   ThreadPool* pool_ = nullptr;
   std::atomic<int64_t> live_count_{0};
-  // Per-instance write stats for Health (the registry counters below may
-  // be shared across engines; Health must describe THIS engine).
+  // Per-instance write and query stats for Health (the registry counters
+  // below may be shared across engines; Health must describe THIS
+  // engine). Relaxed: dashboards only.
   std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> deletes_{0};
   std::atomic<uint64_t> cut_rebalances_{0};
+  mutable std::atomic<uint64_t> queries_{0};
+  mutable std::vector<std::atomic<uint64_t>> shard_queries_;
+  mutable std::vector<std::atomic<uint64_t>> shard_skipped_;
   // Visible-data version; see DataVersion(). Bumped with release order
   // AFTER the write is visible to new queries.
   std::atomic<uint64_t> data_version_{0};
@@ -307,6 +343,10 @@ class IngestEngine : public EngineLike {
   Gauge* backlog_gauge_ = nullptr;
   Histogram* compaction_ms_hist_ = nullptr;
   std::vector<Gauge*> shard_delta_gauges_;
+  Counter* queries_total_ = nullptr;
+  Counter* subqueries_total_ = nullptr;
+  Counter* skipped_total_ = nullptr;
+  Histogram* fanout_hist_ = nullptr;
 };
 
 }  // namespace warpindex

@@ -63,7 +63,7 @@ struct Router::CallContext {
 };
 
 Router::Router(RouterOptions options)
-    : options_(std::move(options)), disk_model_(options_.disk) {}
+    : options_(std::move(options)) {}
 
 Router::~Router() {
   // Joins outstanding legs before the connection pool dies.
@@ -796,22 +796,6 @@ Status Router::RouteKnn(const Sequence& query, size_t k, Trace* trace,
                      merged.num_refined, merged.cost, trace_id);
   *out = std::move(merged);
   return Status::Ok();
-}
-
-SearchResult Router::SearchWith(MethodKind kind, const Sequence& query,
-                                double epsilon, Trace* trace,
-                                DtwScratch* /*scratch*/) const {
-  SearchResult result;
-  (void)RouteRange(kind, query, epsilon, trace, &result);
-  return result;
-}
-
-KnnResult Router::SearchKnnSeeded(const Sequence& query, size_t k,
-                                  double /*seed_bound*/,
-                                  Trace* trace) const {
-  KnnResult result;
-  (void)RouteKnn(query, k, trace, &result);
-  return result;
 }
 
 Router::Stats Router::stats() const {

@@ -3,10 +3,12 @@
 //
 // A router connects to R replicas in each of G shard-server groups
 // (net/shard_server.h), learns every shard's feature MBR at handshake,
-// and serves the EngineLike interface by fanning sub-queries out over
-// the wire and merging per the exact semantics of the in-process
-// ShardedEngine — the property test in
-// tests/net_router_property_test.cc asserts bit-identical answers.
+// and answers RouteRange/RouteKnn by fanning sub-queries out over the
+// wire and merging per the exact semantics of the in-process
+// partitioned engine — the property test in
+// tests/net_router_property_test.cc asserts bit-identical answers. It
+// is no EngineLike: a query can fail on the wire, and the Route* calls
+// say so instead of answering from a subset of the database.
 //
 // Exactness:
 //   * Range queries prune shards with the same strict
@@ -55,17 +57,20 @@
 
 #include "common/status.h"
 #include "common/timer.h"
-#include "core/engine_like.h"
+#include "core/search_method.h"
+#include "core/tw_knn_search.h"
 #include "exec/thread_pool.h"
 #include "net/wire_client.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/slow_log.h"
+#include "obs/trace.h"
 #include "shard/partitioner.h"
-#include "storage/disk_model.h"
 
 namespace warpindex {
 
 class SemanticCache;
+enum class MethodKind;
 
 struct RouterEndpoint {
   std::string host = "127.0.0.1";
@@ -94,9 +99,6 @@ struct RouterOptions {
   // Groups per kNN wave; 0 = every group in one wave. Smaller waves
   // tighten the bound earlier at the cost of sequential rounds.
   size_t knn_wave_size = 0;
-  // Disk parameters for EngineLike::ElapsedMillis (remote I/O counters
-  // costed with the same model as in-process).
-  DiskParameters disk;
   MetricsRegistry* metrics = nullptr;          // null = process global
   FlightRecorder* flight_recorder = nullptr;   // optional
   SlowQueryLog* slow_log = nullptr;            // optional
@@ -117,16 +119,16 @@ struct RouterGroup {
   std::vector<ShardFeatureBounds> bounds;  // aligned with `shards`
 };
 
-class Router : public EngineLike {
+class Router {
  public:
   // Connects to every group (at least one replica each must answer),
   // validates that replicas agree and the groups cover the database's
   // shards exactly once, and records the per-shard feature MBRs used
   // for router-side pruning.
   static Status Create(RouterOptions options, std::unique_ptr<Router>* out);
-  ~Router() override;
+  ~Router();
 
-  // Status-returning primary API. A non-OK status means some shard
+  // Queries. A non-OK status means some shard
   // group could not be reached on any replica within the retry budget —
   // the answer would be incomplete, so none is returned.
   Status RouteRange(MethodKind kind, const Sequence& query, double epsilon,
@@ -134,22 +136,8 @@ class Router : public EngineLike {
   Status RouteKnn(const Sequence& query, size_t k, Trace* trace,
                   KnnResult* out) const;
 
-  // EngineLike — the property-tested surface. Thin wrappers over
-  // RouteRange/RouteKnn; a routing failure (which the in-process
-  // engines cannot have) surfaces as an empty result plus the
-  // failed-subrequest counter, since this interface has no error
-  // channel. Serving layers should prefer the Route* calls.
-  SearchResult SearchWith(MethodKind kind, const Sequence& query,
-                          double epsilon, Trace* trace = nullptr,
-                          DtwScratch* scratch = nullptr) const override;
-  // The seed is ignored (RouteKnn seeds its waves itself).
-  KnnResult SearchKnnSeeded(const Sequence& query, size_t k,
-                            double seed_bound,
-                            Trace* trace = nullptr) const override;
-  MetricsRegistry& metrics() const override;
-  double ElapsedMillis(const SearchCost& cost) const override {
-    return cost.wall_ms + disk_model_.CostMillis(cost.io);
-  }
+  // The registry the router's warpindex_net_* series land in.
+  MetricsRegistry& metrics() const;
 
   struct Stats {
     size_t num_groups = 0;
@@ -231,7 +219,6 @@ class Router : public EngineLike {
                         const SubOutcome& outcome) const;
 
   RouterOptions options_;
-  DiskModel disk_model_;
   std::vector<RouterGroup> groups_;
   size_t num_shards_ = 0;
   PartitionerKind partitioner_ = PartitionerKind::kHash;

@@ -82,7 +82,7 @@ struct FlightRecord {
   StageTimings stage_cpu_ms;
   StageCounters prunes;
   // Shard that ran this (sub-)query, or -1 for an unsharded query / the
-  // merged record of a sharded one (shard/sharded_engine.h). The
+  // merged record of a partitioned one (ingest/ingest_engine.h). The
   // router's per-group sub-request records reuse this field for the
   // GROUP index (net/router.h).
   int32_t shard = -1;

@@ -160,22 +160,6 @@ class PartitionCandidates final : public KnnCandidateStream {
 
 }  // namespace
 
-std::vector<size_t> ActivePartitions(const std::vector<BaseShard>& shards,
-                                     const Point& query_point,
-                                     double epsilon) {
-  std::vector<size_t> active;
-  active.reserve(shards.size());
-  for (size_t s = 0; s < shards.size(); ++s) {
-    const ShardFeatureBounds& bounds = shards[s].bounds;
-    if (epsilon >= kInfiniteDistance
-            ? bounds.valid
-            : PartitionMayMatch(bounds, query_point, epsilon)) {
-      active.push_back(s);
-    }
-  }
-  return active;
-}
-
 void FanOutClock::Stamp(SearchCost* cost) const {
   cost->wall_ms = wall_.ElapsedMillis();
   cost->cpu_ms += std::max(0.0, cpu_.ElapsedMillis() - excluded_cpu_ms_);

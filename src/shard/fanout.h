@@ -1,6 +1,6 @@
 // The partition fan-out core: the one copy of the rule every composite
-// serving shape (ShardedEngine, IngestEngine, ShardServer, Router)
-// answers a query with.
+// serving shape (IngestEngine and its write-free ShardedEngine,
+// ShardServer, Router) answers a query with.
 //
 //   1. Prune. A partition whose feature MBR lies strictly farther than
 //      epsilon (L_inf MINDIST) from the query's feature point holds no
@@ -54,13 +54,6 @@ inline bool PartitionMayMatch(const ShardFeatureBounds& bounds,
                               const Point& query_point, double epsilon) {
   return bounds.valid && bounds.mbr.MinDistLinf(query_point) <= epsilon;
 }
-
-// Ascending indices of the partitions PartitionMayMatch keeps. kNN has
-// no epsilon to prune with up front: kInfiniteDistance keeps every
-// partition with a live MBR.
-std::vector<size_t> ActivePartitions(const std::vector<BaseShard>& shards,
-                                     const Point& query_point,
-                                     double epsilon);
 
 // ---- The CPU rule.
 

@@ -2,10 +2,11 @@
 // borrowed ThreadPool, with the calling thread always participating.
 //
 // This is the fan-out substrate of the partition fan-out core: RunFanOut
-// (shard/fanout.h), its only caller, which serves the ShardedEngine and
-// IngestEngine range paths. The caller-participation rule is what lets
-// those engines share the QueryExecutor's pool without a second pool or
-// a deadlock: when a pool WORKER runs a partitioned query, its
+// (shard/fanout.h), its only caller, which serves the partitioned
+// engine's range path (IngestEngine, and so ShardedEngine). The
+// caller-participation rule is what lets that engine share the
+// QueryExecutor's pool without a second pool or a deadlock: when a pool
+// WORKER runs a partitioned query, its
 // per-partition sub-tasks are offered to the same pool — but the worker
 // also claims sub-tasks itself off the shared cursor, so the query
 // completes even when every other worker is busy with queries of its own

@@ -1,10 +1,9 @@
-// ShardView: the immutable per-epoch serving snapshot of the streaming
-// ingest engine (ingest/ingest_engine.h).
+// ShardView: the immutable per-epoch serving snapshot of the partitioned
+// engine (ingest/ingest_engine.h).
 //
-// The build-then-serve ShardedEngine owns its per-shard Engines for its
-// whole lifetime. Under streaming ingest the base shards are REPLACED at
-// compaction time, so the serving topology becomes an epoch-published
-// value: one ShardView holds shared ownership of every base Engine, the
+// Under streaming ingest the base shards are REPLACED at compaction
+// time, so the serving topology is an epoch-published value: one
+// ShardView holds shared ownership of every base Engine, the
 // local->global id mapping of each, the feature-MBR pruning bounds, and
 // the range partitioner's routing cut points. Readers pin the view (a
 // shared_ptr copy under the epoch lock) and keep querying it even while
@@ -15,7 +14,9 @@
 // A ShardView is deep-immutable after publication: the compactor builds
 // a fresh copy (cheap — K shared_ptrs and id vectors are reused for the
 // untouched shards), replaces the one compacted entry, and publishes the
-// new view with the epoch counter bumped. See docs/INGEST.md.
+// new view with the epoch counter bumped. A write-free engine (the
+// read-only ShardedEngine) never compacts, so it publishes one view for
+// its whole lifetime. See docs/INGEST.md.
 
 #ifndef WARPINDEX_SHARD_SHARD_VIEW_H_
 #define WARPINDEX_SHARD_SHARD_VIEW_H_

@@ -1,8 +1,9 @@
 // IngestEngine mechanics: delta-shard log semantics, id assignment and
 // delete edge cases, compaction triggers and the background compactor,
 // range-cut rebalancing, persistence (including re-opening a compacted
-// directory with the read-only ShardedEngine), health snapshots, and the
-// warpindex_ingest_* metrics.
+// directory with the read-only ShardedEngine), health snapshots, the
+// warpindex_ingest_* and warpindex_shard_* metrics, per-partition flight
+// records, and the delta scan a partition skips when it buffers nothing.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,8 @@
 #include "exec/thread_pool.h"
 #include "ingest/delta_shard.h"
 #include "ingest/ingest_engine.h"
+#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
 #include "shard/sharded_engine.h"
@@ -32,6 +35,34 @@ Dataset WalkDataset(uint64_t seed = 11, size_t n = 50) {
   options.max_length = 40;
   options.seed = seed;
   return GenerateRandomWalkDataset(options);
+}
+
+// Two feature-space clusters far apart: the range partitioner puts them
+// in different partitions, so a cluster-local query prunes the other.
+Dataset ClusteredDataset(size_t per_cluster = 30) {
+  RandomWalkOptions low;
+  low.num_sequences = per_cluster;
+  low.min_length = 20;
+  low.max_length = 40;
+  low.start_min = 0.0;
+  low.start_max = 1.0;
+  low.seed = 5;
+  Dataset dataset = GenerateRandomWalkDataset(low);
+  RandomWalkOptions high = low;
+  high.start_min = 200.0;
+  high.start_max = 201.0;
+  high.seed = 6;
+  const Dataset far_cluster = GenerateRandomWalkDataset(high);
+  for (size_t i = 0; i < far_cluster.size(); ++i) {
+    dataset.Add(far_cluster[i]);
+  }
+  return dataset;
+}
+
+size_t CountSpans(const Trace& trace, const std::string& name) {
+  return static_cast<size_t>(
+      std::count_if(trace.spans().begin(), trace.spans().end(),
+                    [&](const TraceSpan& span) { return span.name == name; }));
 }
 
 std::string TempDir(const std::string& name) {
@@ -500,6 +531,93 @@ TEST(IngestEngineTest, KnnDtwEvalsReachTheLiveCounter) {
           << "q=" << qi;
     }
   }
+}
+
+// A partition whose delta buffers nothing runs no delta scan: no
+// delta_scan span, and the same answer as one Engine over the rows. A
+// buffered row brings the scan back on its partition alone, and a
+// compaction that empties the delta drops it again.
+TEST(IngestEngineTest, EmptyDeltasSkipTheDeltaScan) {
+  const Engine single(WalkDataset(), EngineOptions{});
+  IngestEngine ingest(WalkDataset(), ManualCompaction(3));
+  const auto queries = GenerateQueryWorkload(
+      single.dataset(), QueryWorkloadOptions{.num_queries = 3, .seed = 12});
+  for (const Sequence& q : queries) {
+    Trace trace;
+    const SearchResult got = ingest.Search(q, 0.4, &trace);
+    SearchResult want = single.Search(q, 0.4);
+    std::sort(want.matches.begin(), want.matches.end());
+    EXPECT_EQ(got.matches, want.matches);
+    EXPECT_EQ(got.num_candidates, want.num_candidates);
+    EXPECT_EQ(got.cost.dtw_evals, want.cost.dtw_evals);
+    EXPECT_GE(CountSpans(trace, "shard"), 1u);
+    EXPECT_EQ(CountSpans(trace, "delta_scan"), 0u);
+  }
+
+  const SequenceId copy = ingest.Insert(queries.front());
+  Trace buffered;
+  const SearchResult hit = ingest.Search(queries.front(), 0.4, &buffered);
+  EXPECT_TRUE(
+      std::binary_search(hit.matches.begin(), hit.matches.end(), copy));
+  EXPECT_EQ(CountSpans(buffered, "delta_scan"), 1u);
+
+  ASSERT_EQ(ingest.CompactAll(), 1u);
+  Trace compacted;
+  EXPECT_EQ(ingest.Search(queries.front(), 0.4, &compacted).matches,
+            hit.matches);
+  EXPECT_EQ(CountSpans(compacted, "delta_scan"), 0u);
+}
+
+// The partitioned engine's query accounting: a range query whose epsilon
+// prunes a partition counts it skipped and the searched one queried, in
+// Health and in the warpindex_shard_* counters alike, and offers one
+// flight record per searched partition, tagged with its shard. A kNN
+// query searches every partition with a live base.
+TEST(IngestEngineTest, QueriesCountSearchedAndSkippedPartitions) {
+  const Dataset dataset = ClusteredDataset();
+  MetricsRegistry registry;
+  FlightRecorder recorder;
+  IngestOptions options = ManualCompaction(2, PartitionerKind::kRange);
+  options.engine.metrics = &registry;
+  options.flight_recorder = &recorder;
+  const IngestEngine ingest(ClusteredDataset(), options);
+
+  const Sequence q = PerturbSequence(dataset[3], 17);
+  (void)ingest.Search(q, 0.3);
+  IngestEngine::Health health = ingest.TakeHealthSnapshot();
+  EXPECT_EQ(health.queries_total, 1u);
+  EXPECT_EQ(health.subqueries_total, 1u);
+  EXPECT_EQ(health.shards_skipped_total, 1u);
+  ASSERT_EQ(health.shards.size(), 2u);
+  std::vector<int32_t> searched;
+  for (const IngestEngine::ShardStatus& shard : health.shards) {
+    EXPECT_EQ(shard.queries + shard.skipped, 1u) << shard.shard_index;
+    if (shard.queries == 1) {
+      searched.push_back(static_cast<int32_t>(shard.shard_index));
+    }
+  }
+  ASSERT_EQ(searched.size(), 1u);
+
+  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  EXPECT_EQ(CounterValue(snap, "warpindex_shard_queries_total"), 1u);
+  EXPECT_EQ(CounterValue(snap, "warpindex_shard_subqueries_total"), 1u);
+  EXPECT_EQ(CounterValue(snap, "warpindex_shard_skipped_total"), 1u);
+
+  const std::vector<FlightRecord> records = recorder.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records.front().shard, searched.front());
+  EXPECT_EQ(records.front().method, "TW-Sim-Search");
+
+  (void)ingest.SearchKnn(q, 3);
+  health = ingest.TakeHealthSnapshot();
+  EXPECT_EQ(health.queries_total, 2u);
+  EXPECT_EQ(health.subqueries_total, 3u);
+  EXPECT_EQ(health.shards_skipped_total, 1u);
+  snap = registry.TakeSnapshot();
+  EXPECT_EQ(CounterValue(snap, "warpindex_shard_queries_total"), 2u);
+  EXPECT_EQ(CounterValue(snap, "warpindex_shard_subqueries_total"), 3u);
+  EXPECT_EQ(CounterValue(snap, "warpindex_shard_skipped_total"), 1u);
+  EXPECT_EQ(recorder.Snapshot().size(), 1u);  // k-NN has no partials
 }
 
 }  // namespace

@@ -190,10 +190,10 @@ TEST_P(ShardPropertyTest, SequentialFallbackWithoutPoolIsIdentical) {
 }
 
 TEST_P(ShardPropertyTest, WriteFreeIngestEngineMatchesShardedEngine) {
-  // Both engines answer through the one fan-out core; with empty deltas
-  // the only difference left is the delta/tombstone layer, so answers are
-  // bit-identical (ids, distances, candidate counts) and the traces name
-  // the same searched and skipped partitions — inline and on a pool.
+  // ShardedEngine answers through a write-free IngestEngine, so beside a
+  // directly built one it must forward faithfully: bit-identical answers
+  // (ids, distances, candidate counts) and traces naming the same
+  // searched and skipped partitions — inline and on a pool.
   EngineOptions engine;
   engine.build_st_filter = true;
   const auto queries = GenerateQueryWorkload(

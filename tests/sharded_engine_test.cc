@@ -74,6 +74,15 @@ ShardedEngineOptions ShardOptions(size_t k, PartitionerKind partitioner) {
   return options;
 }
 
+// Hash-partitioned shards whose searched partitions are flight-recorded.
+IngestOptions FlightOptions(size_t k, FlightRecorder* recorder) {
+  IngestOptions options;
+  options.num_shards = k;
+  options.partitioner = PartitionerKind::kHash;
+  options.flight_recorder = recorder;
+  return options;
+}
+
 TEST(ShardedEngineTest, RangeSearchMatchesSingleEngine) {
   const Engine single(WalkDataset(), EngineOptions{});
   const auto queries = GenerateQueryWorkload(
@@ -141,9 +150,19 @@ TEST(ShardedEngineTest, IdMappingRoundTrips) {
     across += sharded.shard(s).live_size();
   }
   EXPECT_EQ(across, 90u);
+  // Every global id is some shard's local id, exactly once.
+  std::vector<SequenceId> globals;
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    for (size_t local = 0; local < sharded.shard(s).dataset().size();
+         ++local) {
+      globals.push_back(
+          sharded.ToGlobalId(s, static_cast<SequenceId>(local)));
+    }
+  }
+  std::sort(globals.begin(), globals.end());
+  ASSERT_EQ(globals.size(), 90u);
   for (SequenceId global = 0; global < 90; ++global) {
-    const auto [shard, local] = sharded.ToShardLocal(global);
-    EXPECT_EQ(sharded.ToGlobalId(shard, local), global);
+    EXPECT_EQ(globals[static_cast<size_t>(global)], global);
   }
 }
 
@@ -175,12 +194,12 @@ TEST(ShardedEngineTest, RangePartitionerPrunesFarShardsOnClusteredData) {
   const SearchResult got = sharded.Search(q, 0.3);
   EXPECT_EQ(got.matches, Sorted(expected.matches));
 
-  const ShardedEngine::Health health = sharded.TakeHealthSnapshot();
+  const IngestEngine::Health health = sharded.TakeHealthSnapshot();
   EXPECT_EQ(health.queries_total, 1u);
   EXPECT_EQ(health.subqueries_total, 1u);  // one shard pruned away
   EXPECT_EQ(health.shards_skipped_total, 1u);
   uint64_t skipped = 0;
-  for (const ShardedEngine::ShardStatus& s : health.shards) {
+  for (const IngestEngine::ShardStatus& s : health.shards) {
     skipped += s.skipped;
   }
   EXPECT_EQ(skipped, 1u);
@@ -283,7 +302,7 @@ TEST(ShardedEngineTest, HealthSnapshotExposesPerShardState) {
   (void)sharded.Search(q, 0.2);
   (void)sharded.Search(q, 0.2);
 
-  const ShardedEngine::Health health = sharded.TakeHealthSnapshot();
+  const IngestEngine::Health health = sharded.TakeHealthSnapshot();
   EXPECT_EQ(health.num_shards, 4u);
   EXPECT_EQ(health.partitioner, PartitionerKind::kRange);
   EXPECT_EQ(health.queries_total, 2u);
@@ -291,12 +310,13 @@ TEST(ShardedEngineTest, HealthSnapshotExposesPerShardState) {
   ASSERT_EQ(health.shards.size(), 4u);
   size_t live = 0;
   for (size_t s = 0; s < 4; ++s) {
-    const ShardedEngine::ShardStatus& status = health.shards[s];
+    const IngestEngine::ShardStatus& status = health.shards[s];
     EXPECT_EQ(status.shard_index, s);
-    EXPECT_GT(status.health.dataset_sequences, 0u);
-    EXPECT_EQ(status.health.index_entries, status.health.live_sequences);
+    EXPECT_GT(status.base_health.dataset_sequences, 0u);
+    EXPECT_EQ(status.base_health.index_entries,
+              status.base_health.live_sequences);
     EXPECT_TRUE(status.bounds.valid);
-    live += status.health.live_sequences;
+    live += status.base_health.live_sequences;
   }
   EXPECT_EQ(live, 80u);
 }
@@ -331,9 +351,7 @@ TEST(ShardedEngineTest, ExecutorBatchOverShardedEngineMatchesSequential) {
 
 TEST(ShardedEngineTest, FlightRecordsCarryShardIds) {
   FlightRecorder recorder;
-  ShardedEngineOptions options = ShardOptions(3, PartitionerKind::kHash);
-  options.flight_recorder = &recorder;
-  const ShardedEngine sharded(WalkDataset(60), options);
+  const ShardedEngine sharded(WalkDataset(60), FlightOptions(3, &recorder));
   const Sequence q = PerturbSequence(sharded.shard(0).dataset()[0], 2);
   (void)sharded.Search(q, 0.4);
 
@@ -358,9 +376,7 @@ TEST(ShardedEngineTest, FlightRecordsCarryShardIds) {
 // pool the fan-out can burn CPU faster than wall time elapses.
 TEST(ShardedEngineTest, MergedCpuIsAtLeastSumOfPerShardCpu) {
   FlightRecorder recorder;
-  ShardedEngineOptions options = ShardOptions(3, PartitionerKind::kHash);
-  options.flight_recorder = &recorder;
-  ShardedEngine sharded(WalkDataset(200), options);
+  ShardedEngine sharded(WalkDataset(200), FlightOptions(3, &recorder));
   ThreadPool pool(3);
   sharded.AttachPool(&pool);
   const Sequence q = PerturbSequence(sharded.shard(0).dataset()[0], 2);
