@@ -188,7 +188,7 @@ bool BuildServingEngine(Dataset dataset, const EngineOptions& options,
     out->single = std::make_unique<Engine>(std::move(dataset), options);
     return true;
   }
-  IngestOptions sharded_options;
+  ShardedEngineOptions sharded_options;
   sharded_options.num_shards = static_cast<size_t>(shards);
   if (!ParsePartitionerKind(partition, &sharded_options.partitioner)) {
     std::fprintf(stderr, "unknown --partition '%s' (hash | range)\n",
@@ -472,6 +472,7 @@ int RunServe(int argc, char** argv) {
     ingest_options.compact_max_tombstones =
         static_cast<size_t>(ingest_compact_entries);
     ingest_options.trace_store = trace_store.get();
+    ingest_options.flight_recorder = &flight_recorder;
     engine.ingest = std::make_unique<IngestEngine>(std::move(dataset),
                                                    ingest_options);
   } else if (!BuildServingEngine(std::move(dataset), options, shards,

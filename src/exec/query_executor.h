@@ -144,8 +144,8 @@ class QueryExecutor {
   // one pool with one backpressure signal (queue_depth). Requires the
   // ingest engine to be the engine this executor serves (its write path
   // is internally synchronized against its own queries — the
-  // no-mutation-while-querying rule of Engine does NOT apply to it). Wire before serving; not thread-safe against in-flight
-  // submissions.
+  // no-mutation-while-querying rule of Engine does NOT apply to it).
+  // Wire before serving; not thread-safe against in-flight submissions.
   void AttachIngest(IngestEngine* ingest) { ingest_ = ingest; }
   IngestEngine* ingest() const { return ingest_; }
 

@@ -18,6 +18,7 @@ void DeltaShard::Append(DeltaEntry entry) {
   std::lock_guard<std::mutex> lock(mu_);
   entry_ids_.insert(entry.id);
   entries_.push_back(std::move(entry));
+  empty_.store(false, std::memory_order_release);
   writes_total_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -31,11 +32,18 @@ DeltaShard::DeadMark DeltaShard::MarkDead(SequenceId id,
     return DeadMark::kUnknown;
   }
   dead_.insert(id);
+  empty_.store(false, std::memory_order_release);
   writes_total_.fetch_add(1, std::memory_order_relaxed);
   return DeadMark::kMarked;
 }
 
 DeltaShard::Snapshot DeltaShard::TakeSnapshot() const {
+  // A write acknowledged before this load is seen (its store precedes
+  // the ack); one still in flight is seen whole under the lock or not
+  // at all.
+  if (empty_.load(std::memory_order_acquire)) {
+    return {};
+  }
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   snap.entries.reserve(entries_.size());
@@ -66,6 +74,7 @@ void DeltaShard::ApplyCompaction(const Frozen& frozen) {
   for (const SequenceId id : frozen.dead) {
     dead_.erase(id);
   }
+  empty_.store(entries_.empty() && dead_.empty(), std::memory_order_release);
 }
 
 DeltaShard::Stats DeltaShard::TakeStats() const {

@@ -17,7 +17,8 @@
 // buffered. See docs/INGEST.md for the exactness argument.
 //
 // Thread-safety: all methods may race freely; each takes the shard
-// mutex for O(delta size) or less. The stats counters are relaxed
+// mutex for O(delta size) or less (TakeSnapshot of an empty shard takes
+// none). The stats counters are relaxed
 // atomics for dashboards.
 
 #ifndef WARPINDEX_INGEST_DELTA_SHARD_H_
@@ -89,6 +90,9 @@ class DeltaShard {
   // id must be a buffered entry to be markable.
   DeadMark MarkDead(SequenceId id, bool known_live_in_base);
 
+  // Lock-free when the shard buffers nothing (no entry, no tombstone):
+  // a write-free or freshly compacted partition costs a query one
+  // atomic load, not a mutex shared with every other query.
   Snapshot TakeSnapshot() const;
   Frozen Freeze() const;
 
@@ -120,6 +124,8 @@ class DeltaShard {
   // Tombstones: ids deleted since the last compaction consumed them
   // (base ids and buffered delta ids alike).
   std::unordered_set<SequenceId> dead_;
+  // entries_ and dead_ both empty; stored under mu_ after each change.
+  std::atomic<bool> empty_{true};
 
   std::atomic<uint64_t> writes_total_{0};
   std::atomic<double> write_rate_{0.0};

@@ -3,24 +3,8 @@
 #include <utility>
 
 namespace warpindex {
-namespace {
 
-IngestOptions WriteFreeOptions(const ShardedEngineOptions& options) {
-  IngestOptions ingest;
-  ingest.num_shards = options.num_shards;
-  ingest.partitioner = options.partitioner;
-  ingest.engine = options.engine;
-  ingest.start_compactor = false;
-  return ingest;
-}
-
-}  // namespace
-
-ShardedEngine::ShardedEngine(Dataset dataset,
-                             const ShardedEngineOptions& options)
-    : ShardedEngine(std::move(dataset), WriteFreeOptions(options)) {}
-
-ShardedEngine::ShardedEngine(Dataset dataset, IngestOptions options) {
+ShardedEngine::ShardedEngine(Dataset dataset, ShardedEngineOptions options) {
   options.start_compactor = false;
   ingest_ = std::make_unique<IngestEngine>(std::move(dataset),
                                            std::move(options));
@@ -31,11 +15,12 @@ ShardedEngine::ShardedEngine(std::unique_ptr<IngestEngine> ingest)
     : ingest_(std::move(ingest)), view_(ingest_->CurrentView()) {}
 
 Status ShardedEngine::Open(const std::string& dir,
-                           const ShardedEngineOptions& options,
+                           ShardedEngineOptions options,
                            std::unique_ptr<ShardedEngine>* out) {
+  options.start_compactor = false;
   std::unique_ptr<IngestEngine> ingest;
   WARPINDEX_RETURN_IF_ERROR(
-      IngestEngine::Open(dir, WriteFreeOptions(options), &ingest));
+      IngestEngine::Open(dir, std::move(options), &ingest));
   out->reset(new ShardedEngine(std::move(ingest)));
   return Status::Ok();
 }

@@ -45,26 +45,16 @@
 
 namespace warpindex {
 
-struct ShardedEngineOptions {
-  // Number of shards (>= 1).
-  size_t num_shards = 4;
-  PartitionerKind partitioner = PartitionerKind::kHash;
-  // Per-shard engine configuration. Every shard gets an identical copy;
-  // options.engine.metrics (or the global registry) is shared by all
-  // shards AND the partitioned layer, so per-shard query metrics
-  // aggregate in one place. Note warpindex_queries_total then counts a
-  // range query once per shard searched (a kNN query once);
-  // warpindex_shard_queries_total counts logical queries.
-  EngineOptions engine;
-};
+// A ShardedEngine is configured like the partitioned engine it wraps:
+// num_shards, partitioner and the per-shard engine options (whose
+// metrics registry every partition shares). Its compactor is never
+// started, so the compaction fields have no effect.
+using ShardedEngineOptions = IngestOptions;
 
 class ShardedEngine : public EngineLike {
  public:
   // Partitions `dataset` (consumed) and builds one Engine per shard.
-  ShardedEngine(Dataset dataset, const ShardedEngineOptions& options);
-  // The same from the full partitioned-engine options (a flight
-  // recorder, say); the compactor is never started.
-  ShardedEngine(Dataset dataset, IngestOptions options);
+  ShardedEngine(Dataset dataset, ShardedEngineOptions options);
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -78,7 +68,7 @@ class ShardedEngine : public EngineLike {
   // size the directory was written with — mismatches are rejected, never
   // re-partitioned.
   static Status Open(const std::string& dir,
-                     const ShardedEngineOptions& options,
+                     ShardedEngineOptions options,
                      std::unique_ptr<ShardedEngine>* out);
 
   // ---- Queries (EngineLike).

@@ -126,6 +126,35 @@ TEST(DeltaShardTest, ApplyCompactionKeepsPostFreezeWrites) {
   EXPECT_EQ(snap.dead, (std::vector<SequenceId>{1, 2}));
 }
 
+// TakeSnapshot skips the lock while the shard buffers nothing; every
+// write that makes it non-empty, and the compaction that empties it,
+// must flip that state, or a query would miss a row or a tombstone.
+TEST(DeltaShardTest, SnapshotTracksEmptinessAcrossWritesAndCompaction) {
+  DeltaShard delta;
+  EXPECT_TRUE(delta.TakeSnapshot().entries.empty());
+  EXPECT_TRUE(delta.TakeSnapshot().dead.empty());
+
+  // A tombstone alone (a deleted base row) makes the shard non-empty.
+  EXPECT_EQ(delta.MarkDead(5, true), DeltaShard::DeadMark::kMarked);
+  EXPECT_EQ(delta.TakeSnapshot().dead, (std::vector<SequenceId>{5}));
+  delta.ApplyCompaction(delta.Freeze());
+  EXPECT_TRUE(delta.TakeSnapshot().dead.empty());
+
+  delta.Append(MakeEntry(6, 1.0));
+  ASSERT_EQ(delta.TakeSnapshot().entries.size(), 1u);
+  const DeltaShard::Frozen frozen = delta.Freeze();
+  // A write racing the merge keeps the shard non-empty after it.
+  delta.Append(MakeEntry(7, 2.0));
+  delta.ApplyCompaction(frozen);
+  const DeltaShard::Snapshot snap = delta.TakeSnapshot();
+  ASSERT_EQ(snap.entries.size(), 1u);
+  EXPECT_EQ(snap.entries[0].id, 7);
+
+  delta.ApplyCompaction(delta.Freeze());
+  EXPECT_TRUE(delta.TakeSnapshot().entries.empty());
+  EXPECT_EQ(delta.TakeStats().entries, 0u);
+}
+
 IngestOptions ManualCompaction(size_t shards,
                                PartitionerKind kind = PartitionerKind::kHash) {
   IngestOptions options;
